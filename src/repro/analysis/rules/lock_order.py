@@ -27,18 +27,7 @@ known class hierarchy (overrides included -- that is how the
 count as calls.  Unresolvable receivers contribute no edges (documented
 limitation; the runtime watchdog in :mod:`repro.analysis.runtime` covers
 the dynamic remainder).  Non-blocking ``acquire(blocking=False)`` sites are
-inventoried but add no edges -- a trylock cannot participate in a deadlock
-(this is how the MPSC commit-drain combiner election in
-``SharedBudgetPool.commit_batched`` stays clean: the drain lock is only
-ever try-acquired).
-
-**Striped lock arrays** (``self._locks = [threading.Lock() for _ in
-range(n)]``, directly or via a local alias) register as one array-flagged
-declaration; ``with self._locks[i]:`` resolves to that identity.  Because
-elements cannot be told apart statically, holding one element while
-acquiring another is reported as a finding -- matching the repo-wide
-stripe discipline (hold at most one stripe at a time; the LRU resize path
-drains stripes strictly one by one).
+inventoried but add no edges -- a trylock cannot participate in a deadlock.
 """
 
 from __future__ import annotations
@@ -55,20 +44,12 @@ __all__ = ["LockOrderRule", "LockGraph", "build_lock_graph"]
 
 @dataclass(frozen=True)
 class LockDecl:
-    """One declared lock: ``module.Class.attr`` or ``module.name``.
-
-    ``array`` marks a *striped lock array* (``[threading.Lock() for _ in
-    range(n)]``): the whole array is one identity in the graph, because the
-    analyzer cannot order its elements statically.  Nested acquisition of
-    two elements of one array is therefore reported as a finding -- the
-    repo-wide discipline is to hold at most one stripe at a time.
-    """
+    """One declared lock: ``module.Class.attr`` or ``module.name``."""
 
     lock_id: str
     kind: str  # "Lock" | "RLock"
     path: str
     line: int
-    array: bool = False
 
 
 @dataclass(frozen=True)
@@ -193,27 +174,6 @@ def _lock_kind_of_factory(node: ast.expr) -> str | None:
         return node.attr
     if isinstance(node, ast.Name) and node.id in ("Lock", "RLock"):
         return node.id
-    return None
-
-
-def _lock_array_kind(node: ast.expr) -> str | None:
-    """Lock kind when ``node`` constructs a striped lock *array*.
-
-    Recognized shapes: ``[threading.Lock() for _ in range(n)]`` (and the
-    generator/tuple-call variants ``tuple(Lock() for ...)`` /
-    ``list(...)``), plus literal ``[Lock(), Lock(), ...]`` lists/tuples.
-    """
-    if isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp)):
-        return _lock_kind(node.elt)
-    if isinstance(node, ast.Call):
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else ""
-        if name in ("list", "tuple") and len(node.args) == 1:
-            return _lock_array_kind(node.args[0])
-    if isinstance(node, (ast.List, ast.Tuple)) and node.elts:
-        kinds = {_lock_kind(e) for e in node.elts}
-        if len(kinds) == 1 and None not in kinds:
-            return kinds.pop()
     return None
 
 
@@ -345,16 +305,9 @@ def _extract_module(corpus: _Corpus, sf: SourceFile, module: str) -> None:
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             target = node.targets[0]
             kind = _lock_kind(node.value)
-            array_kind = None if kind else _lock_array_kind(node.value)
-            if (kind or array_kind) and isinstance(target, ast.Name):
+            if kind and isinstance(target, ast.Name):
                 lock_id = f"{module}.{target.id}"
-                corpus.decls[lock_id] = LockDecl(
-                    lock_id,
-                    kind or array_kind,
-                    sf.path,
-                    node.lineno,
-                    array=array_kind is not None,
-                )
+                corpus.decls[lock_id] = LockDecl(lock_id, kind, sf.path, node.lineno)
                 corpus.module_locks.setdefault(module, {})[target.id] = lock_id
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             corpus.module_functions[(module, node.name)] = f"{module}.{node.name}"
@@ -402,23 +355,7 @@ def _extract_class(corpus: _Corpus, sf: SourceFile, module: str, node: ast.Class
 
 
 def _extract_init_facts(corpus, sf, module, cls, fn) -> None:
-    """``self._x = Lock()`` declarations and ``self._x = <Type>`` inference.
-
-    Striped lock arrays are declared either directly (``self._locks =
-    [threading.Lock() for _ in range(n)]``) or through a simple local
-    alias (``locks = [...]; self._locks = locks``) -- both shapes register
-    one array-flagged :class:`LockDecl` for the attribute.
-    """
-    local_arrays: dict[str, str] = {}
-    for node in ast.walk(fn):
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-        ):
-            array_kind = _lock_array_kind(node.value)
-            if array_kind:
-                local_arrays[node.targets[0].id] = array_kind
+    """``self._x = Lock()`` declarations and ``self._x = <Type>`` inference."""
     param_types: dict[str, str] = {}
     args = list(fn.args.posonlyargs) + list(fn.args.args) + list(fn.args.kwonlyargs)
     for arg in args:
@@ -446,16 +383,6 @@ def _extract_init_facts(corpus, sf, module, cls, fn) -> None:
             corpus.decls[lock_id] = LockDecl(lock_id, kind, sf.path, node.lineno)
             corpus.class_locks.setdefault(cls, {})[attr] = lock_id
             continue
-        array_kind = _lock_array_kind(node.value)
-        if array_kind is None and isinstance(node.value, ast.Name):
-            array_kind = local_arrays.get(node.value.id)
-        if array_kind:
-            lock_id = f"{module}.{cls}.{attr}"
-            corpus.decls[lock_id] = LockDecl(
-                lock_id, array_kind, sf.path, node.lineno, array=True
-            )
-            corpus.class_locks.setdefault(cls, {})[attr] = lock_id
-            continue
         if isinstance(node.value, ast.Call):
             func = node.value.func
             name = (
@@ -475,12 +402,6 @@ def _lock_of_expr(
     corpus: _Corpus, expr: ast.expr, cls: str | None, module: str
 ) -> tuple[str, bool] | None:
     """Resolve a with-item / acquire receiver to ``(lock_id, is_self)``."""
-    if isinstance(expr, ast.Subscript):
-        # Striped array element: `self._locks[i]` / `LOCKS[i]`.  The whole
-        # array is one lock identity -- elements cannot be told apart
-        # statically, so nesting two of them surfaces as same-instance
-        # re-entry (reported with an array-specific message).
-        return _lock_of_expr(corpus, expr.value, cls, module)
     if isinstance(expr, ast.Attribute):
         if isinstance(expr.value, ast.Name) and expr.value.id == "self":
             lock = corpus.lock_for_attr(cls, expr.attr)
@@ -763,10 +684,7 @@ class LockOrderRule:
                 context=f"cycle:{'|'.join(sorted(set(cycle)))}",
             )
 
-        # 2. same-instance re-entry on a non-reentrant Lock, and nested
-        #    acquisition of two elements of one striped lock array (the
-        #    elements cannot be ordered statically; the repo discipline is
-        #    to hold at most one stripe at a time)
+        # 2. same-instance re-entry on a non-reentrant Lock
         reported: set[tuple[str, str]] = set()
         for edge in graph.edges:
             if not (edge.held == edge.acquired and edge.same_instance):
@@ -774,23 +692,7 @@ class LockOrderRule:
             decl = graph.decls.get(edge.held)
             if decl is None or (edge.held, edge.witness) in reported:
                 continue
-            if decl.array:
-                reported.add((edge.held, edge.witness))
-                yield Finding(
-                    rule=self.code,
-                    path=edge.path,
-                    line=edge.line,
-                    col=0,
-                    message=(
-                        f"two elements of striped lock array {edge.held} are "
-                        f"held at once via {edge.witness} -- stripe elements "
-                        "have no static order (same element self-deadlocks; "
-                        "distinct elements deadlock against the opposite "
-                        "nesting); hold one stripe at a time"
-                    ),
-                    context=f"array-nesting:{edge.held}|{edge.witness}",
-                )
-            elif decl.kind == "Lock":
+            if decl.kind == "Lock":
                 reported.add((edge.held, edge.witness))
                 yield Finding(
                     rule=self.code,

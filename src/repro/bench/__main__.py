@@ -11,7 +11,6 @@ trajectory after engine changes::
     python -m repro.bench --suite store   # artifact store / revalidation suite
     python -m repro.bench --suite reliability  # WAL / crash-recovery suite
     python -m repro.bench --suite workloads  # generated longitudinal streams
-    python -m repro.bench --suite contention  # lock-light hot-path suite
     python -m repro.bench --suite obs     # observability overhead suite
     python -m repro.bench --quick         # scaled down, same checks
     python -m repro.bench --suite engine --output out.json
@@ -33,10 +32,6 @@ from repro.bench.microbench import (
     run_shard_microbenchmarks,
     run_snapshot_microbenchmarks,
     run_store_microbenchmarks,
-)
-from repro.bench.contention import (
-    UNCONTENDED_SPEEDUP_TARGET,
-    run_contention_microbenchmarks,
 )
 from repro.bench.obsbench import OBS_OVERHEAD_TARGET, run_obs_microbenchmarks
 from repro.bench.reporting import write_bench_json
@@ -397,83 +392,6 @@ def _print_workloads_summary(payload: dict, output: str) -> int:
     return failures
 
 
-def _print_contention_summary(payload: dict, output: str) -> int:
-    hits = payload["uncontended_cache_hits"]
-    mixes = payload["contended_mixes"]
-    commits = payload["commit_batch_latency"]
-    parity = payload["pinned_version_parity"]
-    print(f"wrote {output}")
-    print(
-        f"uncontended hits: {hits['optimistic_hits_per_second'] / 1e6:.2f} M/s "
-        f"optimistic vs {hits['locked_hits_per_second'] / 1e6:.2f} M/s locked "
-        f"({hits['speedup']:.2f}x, optimistic_fraction="
-        f"{hits['optimistic_hit_fraction']:.3f})"
-    )
-    for mix in mixes:
-        print(
-            f"  {mix['n_threads']} thread(s): "
-            f"{mix['ops_per_second'] / 1e6:.2f} M ops/s, "
-            f"retries={mix['seqlock_retries']}, "
-            f"optimistic_hits={mix['optimistic_hits']}, "
-            f"torn={mix['torn_or_stale_values']} "
-            f"(attempt {mix['attempts']})"
-        )
-    print(
-        f"commit batching: {commits['charges_per_second']:.0f} charges/s, "
-        f"p50 {commits['latency_p50_seconds'] * 1e6:.0f}us / "
-        f"p99 {commits['latency_p99_seconds'] * 1e6:.0f}us, "
-        f"{commits['commit_batches']} drains for "
-        f"{commits['batched_commits']} commits "
-        f"(max batch {commits['max_commit_batch_size']}, "
-        f"spend_exact={commits['spend_exact']}, "
-        f"valid={commits['transcript_valid']})"
-    )
-    print(
-        f"pinned-version parity: {parity['n_threads']} threads x "
-        f"{parity['rounds']} rounds over {parity['n_predicates']} masks: "
-        f"bit_identical={parity['bit_identical']} "
-        f"(optimistic_hits={parity['mask_cache_optimistic_hits']})"
-    )
-    failures = 0
-    if hits["speedup"] < UNCONTENDED_SPEEDUP_TARGET:
-        print(
-            f"FAILURE: optimistic hot-key speedup {hits['speedup']:.2f}x is "
-            f"below the {UNCONTENDED_SPEEDUP_TARGET:g}x target",
-            file=sys.stderr,
-        )
-        failures += 1
-    if any(m["torn_or_stale_values"] for m in mixes):
-        print("FAILURE: a contended mix observed a torn value", file=sys.stderr)
-        failures += 1
-    if not any(m["seqlock_retries"] > 0 for m in mixes if m["n_threads"] > 1):
-        print(
-            "FAILURE: no contended mix ever observed a seqlock retry -- the "
-            "optimistic protocol was never actually contended",
-            file=sys.stderr,
-        )
-        failures += 1
-    if not commits["spend_exact"] or not commits["transcript_valid"]:
-        print(
-            "FAILURE: batched commits diverged from the serial spend or "
-            "produced an invalid transcript",
-            file=sys.stderr,
-        )
-        failures += 1
-    if commits["errors"]:
-        print(
-            f"FAILURE: commit storm errors: {commits['errors']}", file=sys.stderr
-        )
-        failures += 1
-    if not parity["bit_identical"]:
-        print(
-            "FAILURE: a concurrently fetched mask differed from the pinned "
-            "cold evaluation",
-            file=sys.stderr,
-        )
-        failures += 1
-    return failures
-
-
 def _print_obs_summary(payload: dict, output: str) -> int:
     overhead = payload["tracing_overhead"]
     poll = payload["registry_poll"]
@@ -567,7 +485,6 @@ def main(argv: list[str] | None = None) -> int:
             "store",
             "reliability",
             "workloads",
-            "contention",
             "obs",
             "all",
         ),
@@ -581,8 +498,7 @@ def main(argv: list[str] | None = None) -> int:
         "(defaults: BENCH_1.json for engine, BENCH_2.json for service, "
         "BENCH_3.json for shards, BENCH_4.json for snapshots, "
         "BENCH_5.json for store, BENCH_6.json for reliability, "
-        "BENCH_7.json for workloads, BENCH_8.json for contention, "
-        "BENCH_9.json for obs)",
+        "BENCH_7.json for workloads, BENCH_9.json for obs)",
     )
     parser.add_argument(
         "--seed", type=int, default=20190501, help="seed for the synthetic table"
@@ -627,11 +543,6 @@ def main(argv: list[str] | None = None) -> int:
         payload = run_workload_microbenchmarks(quick=args.quick, seed=args.seed)
         write_bench_json(output, payload)
         failures += _print_workloads_summary(payload, output)
-    if args.suite in ("contention", "all"):
-        output = args.output or "BENCH_8.json"
-        payload = run_contention_microbenchmarks(quick=args.quick, seed=args.seed)
-        write_bench_json(output, payload)
-        failures += _print_contention_summary(payload, output)
     if args.suite in ("obs", "all"):
         output = args.output or "BENCH_9.json"
         payload = run_obs_microbenchmarks(quick=args.quick, seed=args.seed)

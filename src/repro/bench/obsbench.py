@@ -10,8 +10,8 @@ Three measurements pin the ``repro.obs`` layer's contract:
   within :data:`OBS_OVERHEAD_TARGET` of the bare baseline -- the disabled
   hot path is one module-global load and one branch, and this is where
   that claim is priced.  The measured section is short, so on a loaded
-  one-core box scheduler jitter dwarfs the instrumentation cost; like
-  BENCH_8's contended mixes the comparison is therefore retried, and each
+  one-core box scheduler jitter dwarfs the instrumentation cost; the
+  comparison is therefore retried, and each
   mode's throughput is estimated as its **best attempt** (noise only ever
   slows a run down, so per-mode best-vs-best is the honest estimate of
   the intrinsic ratio -- gating on a single attempt's pairing was flaky

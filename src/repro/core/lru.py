@@ -1,60 +1,16 @@
-"""A bounded LRU mapping with seqlock-optimistic reads and stripe sharding.
+"""A bounded, thread-safe LRU mapping with hit/miss counters.
 
 Three hot-path caches (per-table predicate masks, the workload-matrix memo,
 the translator's translation memo) need the same behavior: bounded size,
-least-recently-used eviction, and hit/miss counters for observability.  One
+least-recently-used eviction, and counters for observability.  One
 implementation keeps them from drifting apart.
 
-Until PR 9 every operation -- including the overwhelmingly common cache
-*hit* -- serialized on one internal mutex, which capped the whole service
-at the throughput of a single contended lock.  The cache now adapts the
-HTM paper's speculate-validate-retry discipline in software, on two axes:
-
-**Seqlock-optimistic reads.**  Each stripe keeps a *sequence counter* that
-its writers increment once when a structural mutation begins (making it
-odd) and once when it ends (making it even again).  A reader speculates:
-it loads the counter, probes the entry dict with no lock held, re-loads
-the counter, and *validates* -- the read is accepted only when the two
-loads match and the value is even (no writer was mid-mutation).  A failed
-validation is a *conflict*: the reader retries a bounded number of times
-(``seqlock_retries`` counts these) and then falls back to the classic
-locked path, exactly like an HTM transaction falling back to its lock
-guard.  Validated hits (``optimistic_hits``) acquire nothing.
-
-Two CPython-specific facts make the protocol sound (and are the reason the
-fast path may also refresh recency without the lock): the GIL makes every
-individual C-level container operation (``dict.get``, ``move_to_end``,
-``popitem``) atomic, and object references load/store atomically.  A
-validated optimistic read is therefore *linearizable*: the value was the
-key's current mapping at the instant of the probe, and cache values are
-pure functions of their key (every table-derived key embeds the
-``TableVersion``/``DomainStamp``, so a newer pinned token can never
-receive an older token's artifact -- staleness is excluded by key
-construction, not by locking).  On a free-threaded (no-GIL) build the
-optimistic path must be disabled (``optimistic=False`` restores the PR 2
-all-locked behavior); see ``docs/consistency.md``.
-
-Each stripe additionally keeps a one-entry *MRU front slot* -- the last
-``(key, value)`` pair served -- published as a single tuple reference and
-cleared by every writer before mutating.  Consecutive reads of one hot key
-(the ER relaxation loops re-asking one structure) reduce to a tuple load
-and one comparison.
-
-**Stripe sharding.**  The key space is split across N internally
-independent stripes (selected by ``hash(key) & mask``), each with its own
-lock, sequence counter and LRU order, so concurrent writers contend only
-within a stripe.  A cache constructed with ``max_stripes > stripes`` also
-*adapts*: when a stripe observes sustained seqlock conflicts it asks the
-cache to double its stripe count (up to ``max_stripes``), migrating every
-entry to its new home stripe -- ``stripe_migrations`` counts the moves.
-Eviction is LRU *per stripe* (an approximation of global LRU that trades
-exactness for independence); ``max_entries`` bounds the total across
-stripes.
-
-``stats()`` snapshots all counters of a stripe under one seqlock
-validation -- never field by field -- so every snapshot satisfies the
-conservation invariant ``inserts - evictions == size`` even while writers
-run (pinned by ``tests/concurrency/``).
+Every operation holds one ``threading.Lock`` around one ``OrderedDict``, so
+eviction is exact global LRU and every ``stats()`` snapshot satisfies
+``inserts - evictions == size``.  Staleness is excluded by key
+construction, not by locking: every table-derived key embeds its
+``TableVersion``/``DomainStamp``, and values are pure functions of their
+keys (see ``docs/consistency.md``).
 """
 
 from __future__ import annotations
@@ -67,458 +23,87 @@ __all__ = ["LRUCache"]
 
 V = TypeVar("V")
 
-#: Optimistic re-validations a reader attempts before falling back to the
-#: stripe lock (the software analogue of an HTM transaction's retry budget).
-OPTIMISTIC_RETRIES = 3
-
-#: Seqlock conflicts one stripe tolerates between growth requests; a cache
-#: allowed to grow (``max_stripes > stripes``) doubles its stripe count
-#: when a stripe keeps conflicting at this rate.
-GROW_CONFLICT_STEP = 64
-
-#: Counter keys aggregated across stripes (and retired stripe generations).
-_COUNTER_KEYS = (
-    "optimistic_hits",
-    "lock_hits",
-    "misses",
-    "seqlock_retries",
-    "puts",
-    "inserts",
-    "evictions",
-    "size",
-)
-
-
-def _pow2_at_least(n: int) -> int:
-    power = 1
-    while power < n:
-        power *= 2
-    return power
-
-
-class _Stripe:
-    """One independent shard: an OrderedDict + lock + sequence counter.
-
-    The hot closures are compiled in ``__init__`` over shared cells
-    (``nonlocal``) rather than attribute loads -- the optimistic hit path
-    is a handful of fast locals, which is where the BENCH_8 uncontended
-    speedup comes from.  All structural mutation happens under ``lock``
-    with the seq counter odd for the duration.
-    """
-
-    __slots__ = (
-        "max_entries",
-        "lock",
-        "get",
-        "get_plain",
-        "put",
-        "clear",
-        "contains",
-        "drain",
-        "snapshot",
-        "refresh_recency",
-    )
-
-    def __init__(
-        self,
-        max_entries: int,
-        lock: threading.Lock,
-        *,
-        optimistic: bool = True,
-        grow_cb=None,
-    ) -> None:
-        self.max_entries = int(max_entries)
-        self.lock = lock
-        cap = self.max_entries
-
-        entries: "OrderedDict[Hashable, object]" = OrderedDict()
-        entries_get = entries.get
-        entries_move = entries.move_to_end
-        seq = 0
-        opt_hits = 0
-        lock_hits = 0
-        misses = 0
-        seqlock_retries = 0
-        puts = 0
-        inserts = 0
-        evictions = 0
-        #: MRU front slot: the last (key, value) pair served, or None.
-        #: Published as one tuple reference (atomic load/store), cleared by
-        #: every writer inside its critical section before mutating.
-        last: tuple | None = None
-
-        def get_optimistic(key):
-            # The seqlock fast path: no lock acquired on a validated hit.
-            nonlocal opt_hits, last
-            p = last
-            if p is not None and p[0] == key:
-                opt_hits += 1
-                return p[1]
-            s1 = seq
-            value = entries_get(key)
-            if value is not None and s1 == seq and not (s1 & 1):
-                opt_hits += 1
-                try:
-                    # Recency refresh without the lock: move_to_end is one
-                    # atomic C call under the GIL and does not change the
-                    # key -> value mapping, so concurrent readers are
-                    # unaffected; the key may have been evicted between
-                    # probe and move, hence the KeyError guard.
-                    entries_move(key)
-                except KeyError:
-                    pass
-                last = (key, value)
-                return value
-            return get_contended(key)
-
-        def get_contended(key):
-            # Validation failed (or the probe found nothing): re-run the
-            # speculate-validate protocol a bounded number of times, then
-            # fall back to the lock -- the HTM fallback-path analogue.
-            nonlocal seqlock_retries, opt_hits, last
-            for _ in range(OPTIMISTIC_RETRIES):
-                s1 = seq
-                if not (s1 & 1):
-                    value = entries_get(key)
-                    if s1 == seq:
-                        if value is None:
-                            break  # a clean, validated miss
-                        opt_hits += 1
-                        last = (key, value)
-                        return value
-                seqlock_retries += 1
-                if grow_cb is not None and not (
-                    seqlock_retries % GROW_CONFLICT_STEP
-                ):
-                    grow_cb()
-            return get_locked(key)
-
-        def get_locked(key):
-            # The classic fully-locked path: the only place misses are
-            # counted, and the fallback guaranteeing progress under
-            # pathological write pressure.
-            nonlocal lock_hits, misses, last
-            with lock:
-                value = entries_get(key)
-                if value is None:
-                    misses += 1
-                    return None
-                entries_move(key)
-                lock_hits += 1
-                last = (key, value)
-                return value
-
-        def put(key, value):
-            nonlocal seq, puts, inserts, evictions, last
-            with lock:
-                last = None
-                seq += 1
-                before = len(entries)
-                entries[key] = value
-                puts += 1
-                if len(entries) != before:
-                    # A genuine insert (not an overwrite): the only event,
-                    # besides eviction, that moves ``size`` -- which is what
-                    # the conservation invariant balances.
-                    inserts += 1
-                if len(entries) > cap:
-                    entries.popitem(last=False)
-                    evictions += 1
-                seq += 1
-            return value
-
-        def clear():
-            nonlocal seq, opt_hits, lock_hits, misses, last
-            nonlocal seqlock_retries, puts, inserts, evictions
-            with lock:
-                last = None
-                seq += 1
-                entries.clear()
-                opt_hits = lock_hits = misses = 0
-                seqlock_retries = puts = inserts = evictions = 0
-                seq += 1
-
-        def contains(key):
-            s1 = seq
-            present = key in entries
-            if s1 == seq and not (s1 & 1):
-                return present
-            with lock:
-                return key in entries
-
-        def drain():
-            # Remove and return every entry (stripe-resize migration).
-            # The drained entries count as evictions so the conservation
-            # invariant (inserts - evictions == size) survives a resize: the
-            # re-inserts into the new stripes count as fresh puts.
-            nonlocal seq, evictions, last
-            with lock:
-                last = None
-                seq += 1
-                items = list(entries.items())
-                entries.clear()
-                evictions += len(items)
-                seq += 1
-            return items
-
-        def refresh_recency(key):
-            # Best-effort move-to-front used by tests; never blocks.
-            if lock.acquire(blocking=False):
-                try:
-                    if key in entries:
-                        entries_move(key)
-                finally:
-                    lock.release()
-
-        def snapshot():
-            # All counters under ONE seq validation (torn multi-field
-            # reads were the PR 9 stats() bug); locked fallback on
-            # conflict.  `size` is read in the same validated window.
-            for _ in range(OPTIMISTIC_RETRIES):
-                s1 = seq
-                if not (s1 & 1):
-                    view = (
-                        opt_hits,
-                        lock_hits,
-                        misses,
-                        seqlock_retries,
-                        puts,
-                        inserts,
-                        evictions,
-                        len(entries),
-                    )
-                    if s1 == seq:
-                        return dict(zip(_COUNTER_KEYS, view))
-            with lock:
-                view = (
-                    opt_hits,
-                    lock_hits,
-                    misses,
-                    seqlock_retries,
-                    puts,
-                    inserts,
-                    evictions,
-                    len(entries),
-                )
-                return dict(zip(_COUNTER_KEYS, view))
-
-        self.get = get_optimistic if optimistic else get_locked
-        self.get_plain = get_locked
-        self.put = put
-        self.clear = clear
-        self.contains = contains
-        self.drain = drain
-        self.snapshot = snapshot
-        self.refresh_recency = refresh_recency
-
 
 class LRUCache(Generic[V]):
     """Bounded ``key -> value`` mapping with LRU eviction and counters.
 
     ``get`` counts a hit or miss (hits refresh recency); ``put`` inserts
-    and evicts the least recently used entry of the key's stripe once the
-    stripe is over capacity.  Values must not be ``None`` (a ``None``
-    return from ``get`` means *miss*).
-
-    :param max_entries: total capacity across all stripes.
-    :param stripes: initial stripe count (rounded up to a power of two).
-        ``1`` (the default) preserves exact global LRU order.
-    :param max_stripes: when greater than ``stripes``, the cache doubles
-        its stripe count under sustained seqlock conflict, up to this
-        bound (also rounded up to a power of two).
-    :param optimistic: ``False`` disables the seqlock fast path and
-        restores the fully-locked PR 2 read path -- the fallback for
-        free-threaded builds, and the *locked baseline* BENCH_8 measures
-        against.
+    and evicts the least recently used entry once the cache is over
+    capacity.  Values must not be ``None`` (a ``None`` return from ``get``
+    means *miss*).
 
     Thread-safe.  Single operations are linearizable; a get-miss-then-put
     sequence may still race with another thread computing the same entry
     -- both compute, one value wins, and (values being pure functions of
     the key) either outcome is correct.
+
+    :param max_entries: capacity; the LRU entry is evicted beyond it.
     """
 
-    def __init__(
-        self,
-        max_entries: int,
-        *,
-        stripes: int = 1,
-        max_stripes: int | None = None,
-        optimistic: bool = True,
-    ) -> None:
+    def __init__(self, max_entries: int) -> None:
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
-        if stripes <= 0:
-            raise ValueError("stripes must be positive")
         self.max_entries = int(max_entries)
-        self.optimistic = bool(optimistic)
-        n = _pow2_at_least(int(stripes))
-        self._max_stripes = _pow2_at_least(
-            max(n, int(max_stripes) if max_stripes is not None else n)
-        )
-        self._resize_lock = threading.Lock()
-        self._migrations = 0
-        self._retired: dict[str, int] = dict.fromkeys(_COUNTER_KEYS, 0)
-        self._retired["size"] = 0  # drained stripes carry no live entries
-        self._install_stripes(n)
-        if n == 1 and self._max_stripes == 1:
-            # Single fixed stripe: bind the stripe's compiled fast path
-            # directly (no router indirection) -- the configuration the
-            # uncontended BENCH_8 headline measures.
-            stripe = self._stripes[0]
-            self.get = stripe.get  # type: ignore[method-assign]
-            self.put = stripe.put  # type: ignore[method-assign]
-
-    # -- construction / striping ---------------------------------------------------
-
-    def _install_stripes(self, n: int) -> None:
-        """Build ``n`` fresh stripes and publish the dispatch router."""
-        per_stripe = max(1, -(-self.max_entries // n))  # ceil division
-        grow_cb = self._request_grow if n < self._max_stripes else None
-        # A striped-lock array: one plain (leaf) Lock per stripe, nothing
-        # acquired while holding one -- see APX003's striped-array support.
-        locks = [threading.Lock() for _ in range(n)]
-        self._stripe_locks = locks
-        self._stripes = [
-            _Stripe(
-                per_stripe,
-                lock,
-                optimistic=self.optimistic,
-                grow_cb=grow_cb,
-            )
-            for lock in locks
-        ]
-        #: The router is swapped atomically (one attribute store) on
-        #: resize; readers that loaded the old tuple finish against the
-        #: old stripes, which stay valid (pure values) merely cold.
-        self._router = (
-            n - 1,
-            tuple(s.get for s in self._stripes),
-            tuple(s.put for s in self._stripes),
-        )
-
-    @property
-    def stripes(self) -> int:
-        """The current number of stripes."""
-        return len(self._stripes)
-
-    @property
-    def max_stripes(self) -> int:
-        return self._max_stripes
-
-    def _request_grow(self) -> None:
-        """Contention feedback from a stripe: try to double the stripe count.
-
-        Non-blocking: if a resize is already running (or the bound is
-        reached) the request is dropped -- the next conflict burst will
-        ask again.
-        """
-        if len(self._stripes) >= self._max_stripes:
-            return
-        if not self._resize_lock.acquire(blocking=False):
-            return
-        try:
-            target = len(self._stripes) * 2
-            if target <= self._max_stripes:
-                self._resize_stripes_locked(target)
-        finally:
-            self._resize_lock.release()
-
-    def resize_stripes(self, stripes: int) -> int:
-        """Re-shard the cache across ``stripes`` stripes; returns moved count.
-
-        Entries are drained from the old stripes and re-homed by the new
-        router; each move increments ``stripe_migrations``.  Concurrent
-        readers never block: a reader dispatched through the old router
-        simply misses (and repopulates through the memo layers), which is
-        the usual cache-semantics answer to a once-per-resize race.
-        """
-        n = _pow2_at_least(int(stripes))
-        if n < 1:
-            raise ValueError("stripes must be positive")
-        with self._resize_lock:
-            self._max_stripes = max(self._max_stripes, n)
-            return self._resize_stripes_locked(n)
-
-    def _resize_stripes_locked(self, n: int) -> int:
-        old_stripes = self._stripes
-        self._install_stripes(n)
-        _, _, puts = self._router
-        mask = n - 1
-        moved = 0
-        for stripe in old_stripes:
-            for key, value in stripe.drain():
-                puts[hash(key) & mask](key, value)
-                moved += 1
-            retired = stripe.snapshot()
-            for field in _COUNTER_KEYS:
-                self._retired[field] += retired[field]
-        self._migrations += moved
-        return moved
-
-    # -- mapping operations ----------------------------------------------------------
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[Hashable, V] = OrderedDict()
+        self._hits = 0
+        self._misses = 0
+        self._puts = 0
+        self._inserts = 0
+        self._evictions = 0
 
     def get(self, key: Hashable) -> V | None:
         """Look up ``key``, refreshing its recency; ``None`` means miss."""
-        mask, gets, _ = self._router
-        return gets[hash(key) & mask](key)
+        with self._lock:
+            value = self._entries.get(key)
+            if value is None:
+                self._misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self._hits += 1
+            return value
 
     def put(self, key: Hashable, value: V) -> V:
-        """Insert ``key -> value``, evicting the stripe's LRU entry when full."""
-        mask, _, puts = self._router
-        return puts[hash(key) & mask](key, value)
+        """Insert ``key -> value``, evicting the LRU entry when full."""
+        with self._lock:
+            entries = self._entries
+            before = len(entries)
+            entries[key] = value
+            self._puts += 1
+            if len(entries) != before:
+                self._inserts += 1
+            if len(entries) > self.max_entries:
+                entries.popitem(last=False)
+                self._evictions += 1
+        return value
 
     def __len__(self) -> int:
-        return sum(s.snapshot()["size"] for s in self._stripes)
+        with self._lock:
+            return len(self._entries)
 
     def __contains__(self, key: Hashable) -> bool:
-        mask, _, _ = self._router
-        return self._stripes[hash(key) & mask].contains(key)
+        with self._lock:
+            return key in self._entries
 
     def clear(self) -> None:
-        for stripe in self._stripes:
-            stripe.clear()
-        with self._resize_lock:
-            self._retired = dict.fromkeys(_COUNTER_KEYS, 0)
-            self._migrations = 0
-
-    # -- observability -----------------------------------------------------------------
-
-    @property
-    def hits(self) -> int:
-        """Total hits (optimistic + locked), aggregated across stripes."""
-        stats = self.stats()
-        return stats["hits"]
-
-    @property
-    def misses(self) -> int:
-        return self.stats()["misses"]
-
-    @property
-    def stripe_migrations(self) -> int:
-        with self._resize_lock:
-            return self._migrations
+        """Drop every entry and reset every counter."""
+        with self._lock:
+            self._entries.clear()
+            self._hits = self._misses = 0
+            self._puts = self._inserts = self._evictions = 0
 
     def stats(self) -> dict[str, int]:
-        """A per-stripe-consistent snapshot of every counter.
+        """A snapshot of every counter, taken under the lock.
 
-        Each stripe's counters are read under one seqlock validation (or
-        its lock), never field by field, so every snapshot satisfies
-        ``inserts - evictions == size`` per stripe (``puts`` counts every
-        put call, ``inserts`` only those that added a key rather than
-        overwriting one); the aggregate sums the
-        per-stripe snapshots plus the counters of stripes retired by
-        resizes.  Legacy keys (``hits``/``misses``/``size``) are
-        preserved; ``hits`` is ``optimistic_hits + lock_hits``.
+        ``puts`` counts every put call, ``inserts`` only those that added a
+        key rather than overwriting one, so ``inserts - evictions == size``.
         """
-        with self._resize_lock:
-            agg = dict(self._retired)
-            stripes = list(self._stripes)
-            migrations = self._migrations
-        for stripe in stripes:
-            snap = stripe.snapshot()
-            for field in _COUNTER_KEYS:
-                agg[field] += snap[field]
-        agg["hits"] = agg["optimistic_hits"] + agg["lock_hits"]
-        agg["stripes"] = len(stripes)
-        agg["stripe_migrations"] = migrations
-        return agg
+        with self._lock:
+            return {
+                "hits": self._hits,
+                "misses": self._misses,
+                "puts": self._puts,
+                "inserts": self._inserts,
+                "evictions": self._evictions,
+                "size": len(self._entries),
+            }

@@ -109,15 +109,6 @@ __all__ = ["DomainStamp", "Table", "TableSnapshot", "TableVersion"]
 MASK_CACHE_BYTE_BUDGET = 64 * 1024 * 1024
 #: Entry-count ceiling of the mask LRU (reached only by small tables).
 MASK_CACHE_MAX_ENTRIES = 4096
-#: Stripe-growth ceiling of the mask LRU: the cache starts at one stripe
-#: (exact global LRU order for single-session workloads) and doubles its
-#: shard count under sustained seqlock conflict, up to this bound.
-MASK_CACHE_MAX_STRIPES = 8
-
-
-def _new_mask_cache(capacity: int) -> "LRUCache[np.ndarray]":
-    """The mask LRU used by every table/snapshot: adaptively striped."""
-    return LRUCache(capacity, max_stripes=MASK_CACHE_MAX_STRIPES)
 
 #: Compaction trigger: merge shards once the table has more than this many.
 COMPACT_MAX_SHARDS = 64
@@ -260,7 +251,7 @@ class Table:
         self._float_values: dict[str, np.ndarray] = {}
         self._category_codes: dict[str, tuple[np.ndarray, dict[str, int]]] = {}
         self._domain_fingerprints: dict[str, str] = {}
-        self._mask_cache: LRUCache[np.ndarray] = _new_mask_cache(
+        self._mask_cache: LRUCache[np.ndarray] = LRUCache(
             self._mask_cache_capacity()
         )
         #: Bounded memo of recent versions' snapshots (newest last); the
@@ -357,7 +348,7 @@ class Table:
         self._float_values = {}
         self._category_codes = {}
         self._domain_fingerprints = {}
-        self._mask_cache = _new_mask_cache(self._mask_cache_capacity())
+        self._mask_cache = LRUCache(self._mask_cache_capacity())
         self._snapshots = OrderedDict()
         self._snapshot_stats = {"created": 0, "reused": 0, "evicted": 0, "closed": 0}
         self._closed = False
@@ -566,7 +557,7 @@ class Table:
         # Snapshots of the previous version keep the old LRU (their masks
         # stay warm for in-flight readers) and stay in the bounded snapshot
         # memo until evicted by newer versions.
-        self._mask_cache = _new_mask_cache(self._mask_cache_capacity())
+        self._mask_cache = LRUCache(self._mask_cache_capacity())
 
     # -- compaction ------------------------------------------------------------
 
@@ -1223,7 +1214,7 @@ class TableSnapshot(Table):
             self._float_values = {}
             self._category_codes = {}
             self._domain_fingerprints = {}
-            self._mask_cache = _new_mask_cache(16)
+            self._mask_cache = LRUCache(16)
 
     def __enter__(self) -> "TableSnapshot":
         self._ensure_open()
@@ -1272,7 +1263,7 @@ class TableSnapshot(Table):
             self._materialized = (
                 dict(self._shards[0].columns) if len(self._shards) == 1 else {}
             )
-            self._mask_cache = _new_mask_cache(self._mask_cache_capacity())
+            self._mask_cache = LRUCache(self._mask_cache_capacity())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -118,9 +118,7 @@ class StrategyMechanism(Mechanism):
         # mutation (new version token) forces a fresh search instead of
         # resurrecting a stale one.  Tokens hold their referents, so ids
         # never alias.
-        self._cache: LRUCache[StrategyTranslation] = LRUCache(
-            256, stripes=4, max_stripes=16
-        )
+        self._cache: LRUCache[StrategyTranslation] = LRUCache(256)
 
     # -- public API ---------------------------------------------------------------
 

@@ -7,10 +7,9 @@ time, and which cache tier served it?" meant stitching five APIs by hand.
 This package is the one place they meet:
 
 * :mod:`repro.obs.registry` -- counter/gauge/histogram primitives whose
-  snapshots follow the same seqlock torn-read discipline as the striped LRU
-  (:mod:`repro.core.lru`), plus a :class:`MetricsRegistry` that existing
-  ``stats()`` facades re-register into as *collectors* (pulled at snapshot
-  time, zero hot-path cost, old dict shapes untouched);
+  multi-field snapshots are never torn, plus a :class:`MetricsRegistry`
+  that existing ``stats()`` facades re-register into as *collectors*
+  (pulled at snapshot time, zero hot-path cost, old dict shapes untouched);
 * :mod:`repro.obs.tracing` -- per-request :class:`Span` trees with
   head-based sampling, thread-local context, and propagation helpers for
   :class:`~repro.core.parallel.ParallelExecutor` threads, the asyncio

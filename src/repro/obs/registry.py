@@ -5,12 +5,11 @@ Two registration shapes cover the whole codebase:
 * **primitives** (:class:`Counter`, :class:`Gauge`, :class:`Histogram`) for
   code that has no counter surface of its own yet (the bench harness's
   ``RUN_TIMINGS`` histograms, ad-hoc service gauges).  Every primitive is
-  thread-safe, and every multi-field snapshot follows the seqlock
-  discipline of :meth:`repro.core.lru.LRUCache.stats`: writers bump an
-  even/odd sequence counter around the mutation, readers speculate a
-  bounded number of times and fall back to the lock -- so a snapshot can
-  never observe a torn ``(count, sum)`` pair (e.g. a mean above the
-  observed max);
+  thread-safe, and every multi-field snapshot follows a seqlock
+  discipline: writers bump an even/odd sequence counter around the
+  mutation, readers speculate a bounded number of times and fall back to
+  the lock -- so a snapshot can never observe a torn ``(count, sum)`` pair
+  (e.g. a mean above the observed max);
 * **collectors** for the existing ``stats()`` facades (LRU, ledger, pool,
   batcher, store, reliability, async front).  A collector is a zero-arg
   callable returning ``{metric_name: float}`` that the registry pulls at
@@ -20,7 +19,7 @@ Two registration shapes cover the whole codebase:
 
 Naming scheme (checked at registration and at snapshot):
 ``repro_<subsystem>_<name>`` in snake case, with optional Prometheus-style
-labels -- ``repro_lru_optimistic_hits{cache="translation"}``.  Metric names
+labels -- ``repro_lru_hits{cache="translation"}``.  Metric names
 must be unique across primitives and collectors; a collision raises
 :class:`MetricNameError` rather than silently shadowing a series.
 
@@ -158,8 +157,7 @@ class Histogram:
     ``observe`` is a short critical section; ``snapshot`` reads every field
     between two reads of the sequence counter (speculate, validate, retry
     ``OPTIMISTIC_RETRIES`` times, then take the lock) so the aggregates it
-    returns always describe one consistent point in time -- the same
-    protocol the striped LRU's ``stats()`` uses.
+    returns always describe one consistent point in time.
 
     Quantiles (p50/p95) come from a bounded ring-buffer reservoir of the
     most recent ``reservoir`` observations: exact for short-lived bench

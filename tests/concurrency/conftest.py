@@ -1,8 +1,7 @@
 """Package fixtures: the runtime lock-order watchdog over the whole battery.
 
-The concurrency suite is precisely where dynamic lock-order edges (stripe
-locks, the MPSC drain lock, pool/transcript nesting) are actually
-exercised, so every lock created while it runs is watched; any inversion
+The concurrency suite is precisely where dynamic lock-order edges (the
+cache locks, pool/transcript nesting) are actually exercised, so every lock created while it runs is watched; any inversion
 fails the package at teardown.  CI additionally runs this suite as its own
 named gate (see ``.github/workflows/ci.yml``).
 """

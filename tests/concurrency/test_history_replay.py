@@ -34,9 +34,9 @@ import sys
 
 from repro.core.lru import LRUCache
 
-seed, stripes, n_ops = (int(a) for a in sys.argv[1:4])
+seed, n_ops = (int(a) for a in sys.argv[1:3])
 rng = random.Random(seed)
-cache = LRUCache(32, stripes=stripes)
+cache = LRUCache(32)
 
 history = []
 for _ in range(n_ops):
@@ -60,7 +60,7 @@ print(json.dumps({"history": history, "stats": stats, "final": final}))
 """
 
 
-def replay_in_fresh_interpreter(seed, stripes, n_ops=400):
+def replay_in_fresh_interpreter(seed, n_ops=400):
     env = dict(os.environ)
     root = Path(__file__).resolve().parents[2]
     src = str(root / "src")
@@ -69,7 +69,7 @@ def replay_in_fresh_interpreter(seed, stripes, n_ops=400):
     )
     env["PYTHONHASHSEED"] = "0"
     result = subprocess.run(
-        [sys.executable, "-c", REPLAY_PROGRAM, str(seed), str(stripes), str(n_ops)],
+        [sys.executable, "-c", REPLAY_PROGRAM, str(seed), str(n_ops)],
         capture_output=True,
         text=True,
         env=env,
@@ -80,14 +80,13 @@ def replay_in_fresh_interpreter(seed, stripes, n_ops=400):
 
 
 class TestDeterministicReplay:
-    @pytest.mark.parametrize("stripes", [1, 4])
     @pytest.mark.parametrize("seed", [0, 12345])
-    def test_history_replays_identically_across_interpreters(self, seed, stripes):
-        first = replay_in_fresh_interpreter(seed, stripes)
-        second = replay_in_fresh_interpreter(seed, stripes)
+    def test_history_replays_identically_across_interpreters(self, seed):
+        first = replay_in_fresh_interpreter(seed)
+        second = replay_in_fresh_interpreter(seed)
         assert first == second
         assert '"history"' in first  # the digest actually carries the history
 
     def test_different_seeds_generate_different_histories(self):
         # The property test has teeth only if the schedule space is real.
-        assert replay_in_fresh_interpreter(1, 1) != replay_in_fresh_interpreter(2, 1)
+        assert replay_in_fresh_interpreter(1) != replay_in_fresh_interpreter(2)

@@ -2,10 +2,8 @@
 
 A multi-field snapshot is *torn* when its fields are read at different
 instants: a reader can then observe, say, a ``count`` from before an
-update and a ``sum`` from after it.  This PR fixed that for
-:meth:`LRUCache.stats` (one seqlock validation around all counters); the
-tests here pin the fix *and* pin the already-atomic snapshots in
-:class:`RequestBatcher.stats` and
+update and a ``sum`` from after it.  The tests here pin atomic snapshots
+in :meth:`LRUCache.stats`, :class:`RequestBatcher.stats` and
 :meth:`ExplorationService.latency_stats`, so that a future refactor
 moving any of those reads outside their lock fails loudly instead of
 silently re-introducing the race.
@@ -39,8 +37,8 @@ def aggressive_preemption():
 class TestLRUCacheStatsSnapshot:
     def test_snapshot_is_internally_consistent_under_writers(self):
         """``inserts - evictions == size`` must hold in every snapshot taken
-        while writers churn the cache -- the regression this PR fixed by
-        validating the whole counter block under one sequence read."""
+        while writers churn the cache: the whole counter block is read
+        under the cache lock."""
         cache = LRUCache(32)
         stop = threading.Event()
         errors = []

@@ -22,31 +22,6 @@ class TestLRUCache:
             "size": 1,
         }
 
-    def test_stats_exposes_seqlock_counters(self):
-        cache = LRUCache(4)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.get("a")
-        stats = cache.stats()
-        assert stats["hits"] == stats["optimistic_hits"] + stats["lock_hits"]
-        assert stats["hits"] == 2
-        assert stats["seqlock_retries"] == 0
-        assert stats["puts"] == 1
-        assert stats["evictions"] == 0
-        assert stats["stripes"] == 1
-        assert stats["stripe_migrations"] == 0
-        # Conservation: every snapshot balances inserts against removals.
-        assert stats["inserts"] - stats["evictions"] == stats["size"]
-
-    def test_non_optimistic_mode_counts_hits_as_locked(self):
-        cache = LRUCache(4, optimistic=False)
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        stats = cache.stats()
-        assert stats["optimistic_hits"] == 0
-        assert stats["lock_hits"] == 1
-        assert stats["hits"] == 1
-
     def test_eviction_is_least_recently_used(self):
         cache = LRUCache(2)
         cache.put("a", 1)
@@ -74,38 +49,39 @@ class TestLRUCache:
         with pytest.raises(ValueError):
             LRUCache(0)
 
-    def test_striped_cache_spreads_entries_and_aggregates_stats(self):
-        cache = LRUCache(64, stripes=4)
-        assert cache.stripes == 4
-        for i in range(32):
-            cache.put(i, i * 10)
-        for i in range(32):
-            assert cache.get(i) == i * 10
-        stats = cache.stats()
-        assert stats["hits"] == 32
-        assert stats["size"] == 32
-        assert len(cache) == 32
-        assert stats["inserts"] - stats["evictions"] == stats["size"]
+    def test_counters_conserve_inserts_against_evictions(self):
+        cache = LRUCache(2)
+        for key in ("a", "b", "a", "c"):
+            cache.put(key, 1)
+        assert cache.stats() == {
+            "hits": 0,
+            "misses": 0,
+            "puts": 4,
+            "inserts": 3,
+            "evictions": 1,
+            "size": 2,
+        }
 
-    def test_stripe_count_rounds_up_to_power_of_two(self):
-        cache = LRUCache(64, stripes=3)
-        assert cache.stripes == 4
+    def test_matrix_memo_evicts_exactly_the_lru_identity_key(self):
+        """The matrix memo keys schemas and opaque predicates by identity
+        (``_IdKey`` hashes by address).  Eviction must still pick exactly
+        the least recently used key, or what a run evicts -- and so its
+        build counters -- would depend on object addresses."""
+        from repro.queries import workload
 
-    def test_resize_stripes_migrates_entries(self):
-        cache = LRUCache(64, stripes=1, max_stripes=8)
-        for i in range(16):
-            cache.put(i, i)
-        moved = cache.resize_stripes(4)
-        assert moved == 16
-        assert cache.stripes == 4
-        assert cache.stripe_migrations == 16
-        for i in range(16):
-            assert cache.get(i) == i
-        stats = cache.stats()
-        assert stats["size"] == 16
-        # Migration books drained entries as evictions and re-homes as
-        # puts, so conservation survives the resize.
-        assert stats["inserts"] - stats["evictions"] == stats["size"]
+        cache = workload._MATRIX_CACHE
+        workload.clear_matrix_cache()
+        try:
+            keys = [workload._IdKey(object()) for _ in range(cache.max_entries + 1)]
+            for index, key in enumerate(keys[:-1]):
+                cache.put(key, index)
+            assert cache.get(keys[0]) == 0  # refresh: keys[1] is now the LRU
+            cache.put(keys[-1], -1)
+            assert keys[1] not in cache
+            assert all(key in cache for key in keys if key is not keys[1])
+            assert cache.stats()["evictions"] == 1
+        finally:
+            workload.clear_matrix_cache()
 
     def test_mask_budget_scales_with_rows(self):
         from repro.data.table import (

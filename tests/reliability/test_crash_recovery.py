@@ -113,20 +113,20 @@ class TestCrashDuringJournalAppend:
         assert recovered["spent"] <= BUDGET + 1e-9
 
 
-class TestCrashInsideCommitDrain:
-    def test_drain_crash_recovers_conservatively(self, tmp_path):
-        """SIGKILL inside the batched-commit drain: the share-level commit
-        record hit the WAL before the pool mirror ran, so recovery must
-        charge the op (conservative direction) and stay valid."""
+class TestCrashInsidePoolCommit:
+    def test_pool_commit_crash_recovers_conservatively(self, tmp_path):
+        """SIGKILL inside the pool commit: the share-level commit record
+        hit the WAL before the pool mirror ran, so recovery must charge the
+        op (conservative direction) and stay valid."""
         journal = str(tmp_path / "ledger.wal")
         rc, events, stderr = run_worker(
             journal,
             SCRIPT,
-            failpoints="pool.commit.drain=crash:1",
+            failpoints="pool.commit=crash:1",
             **COMMON,
         )
         assert rc == -9, f"rc={rc} {stderr!r}"
-        # The drain runs after the share charge but before the ack.
+        # The pool commit runs after the share charge but before the ack.
         assert events_of("ack", events) == []
         rc2, events2, stderr2 = run_worker(journal, [], **COMMON)
         assert rc2 == 0, stderr2

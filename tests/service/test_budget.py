@@ -1,13 +1,19 @@
 """Shared budget pool, session ledgers and the reservation protocol."""
 
+import threading
+
 import pytest
 
 from repro.core.accounting import PrivacyLedger
 from repro.core.accuracy import AccuracySpec
-from repro.core.exceptions import ApexError
+from repro.core.exceptions import ApexError, LedgerInvariantError
 from repro.service.budget import BudgetPolicy, SessionLedger, SharedBudgetPool
 
 ACC = AccuracySpec(alpha=10.0, beta=1e-3)
+
+#: One ULP-exact epsilon unit: keeps every sum exact in binary, so "equals
+#: the serial result" means bit-equality, not approximate equality.
+UNIT = 2.0**-20
 
 
 def charge_kwargs(ledger, epsilon_upper, epsilon_spent, name="q"):
@@ -138,8 +144,6 @@ class TestSharedBudgetPool:
         """spent/reserved/remaining read under the pool lock: a racing
         reader can never observe torn accounting (e.g. spent and reserved
         both counting the same epsilon)."""
-        import threading
-
         pool = SharedBudgetPool(1_000.0)
         ledger = SessionLedger(pool, 1_000.0, "racer")
         stop = threading.Event()
@@ -292,3 +296,135 @@ class TestSessionReserveRollback:
         assert ledger.remaining == 1.0
         ledger.assert_invariants()
         journal.close()
+
+
+def charge_once(ledger, epsilon_upper, epsilon_spent, name):
+    """Reserve and charge one query; ``None`` when admission refuses it."""
+    reservation = ledger.reserve(epsilon_upper)
+    if reservation is None:
+        return None
+    return ledger.charge(
+        query_name=name,
+        query_kind="WCQ",
+        accuracy=ACC,
+        mechanism="LM",
+        epsilon_upper=epsilon_upper,
+        epsilon_spent=epsilon_spent,
+        answer=None,
+        reservation=reservation,
+    )
+
+
+def mixed_schedule(analyst_index, n_ops):
+    """The per-analyst op mix of the 8x48 stress (exact binary epsilons)."""
+    ops = []
+    for op_index in range(n_ops):
+        upper = (16 + ((analyst_index * 7 + op_index) % 48)) * UNIT
+        spent = upper if op_index % 3 else upper / 2  # mixed full/partial loss
+        ops.append((upper, spent, f"q{analyst_index}-{op_index}"))
+    return ops
+
+
+class TestConcurrentCommits:
+    """Concurrent session commits against one pool match a serial run."""
+
+    def test_8x48_stress_matches_serial_spend_and_stays_valid(self):
+        """8 analyst threads x 48 mixed charges against one pool: final
+        spend must equal the serial run of the same ops, bit for bit, and
+        the merged transcript must pass Theorem 6.2."""
+        n_analysts, n_ops = 8, 48
+        budget = 10_000 * UNIT * n_analysts  # ample: every op admits
+
+        serial_pool = SharedBudgetPool(budget)
+        for a in range(n_analysts):
+            ledger = SessionLedger(serial_pool, budget, f"a{a}")
+            for upper, spent, name in mixed_schedule(a, n_ops):
+                assert charge_once(ledger, upper, spent, name) is not None
+
+        pool = SharedBudgetPool(budget)
+        ledgers = [SessionLedger(pool, budget, f"a{a}") for a in range(n_analysts)]
+        barrier = threading.Barrier(n_analysts)
+        errors = []
+
+        def analyst(a):
+            try:
+                barrier.wait()
+                for upper, spent, name in mixed_schedule(a, n_ops):
+                    entry = charge_once(ledgers[a], upper, spent, name)
+                    assert entry is not None
+                    # The invariant must hold at every observation point.
+                    snap = pool.stats()
+                    if snap["spent"] + snap["reserved"] > budget + 1e-9:
+                        errors.append(("overspend", snap))
+            except Exception as exc:  # pragma: no cover - diagnostic path
+                errors.append((a, repr(exc)))
+
+        threads = [
+            threading.Thread(target=analyst, args=(a,)) for a in range(n_analysts)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+
+        assert not errors, errors[:3]
+        assert pool.spent == serial_pool.spent  # exact: binary-fraction sums
+        assert pool.reserved == 0.0
+        assert len(pool.merged_transcript) == n_analysts * n_ops
+        assert pool.merged_transcript.is_valid(budget)
+        pool.assert_invariants()
+        for ledger in ledgers:
+            ledger.assert_invariants()
+        stats = pool.stats()
+        assert stats["commits"] == n_analysts * n_ops
+        assert stats["commit_batch_sizes"] == [1]
+
+    def test_never_jointly_overspends_under_budget_pressure(self):
+        """A tight budget admits only some of the concurrent demand; no
+        interleaving of commits may push spend past B."""
+        budget = 64 * UNIT
+        pool = SharedBudgetPool(budget)
+        ledgers = [SessionLedger(pool, budget, f"a{a}") for a in range(8)]
+        barrier = threading.Barrier(8)
+        answered = []
+
+        def analyst(a):
+            barrier.wait()
+            for i in range(16):
+                entry = charge_once(ledgers[a], 8 * UNIT, 8 * UNIT, f"q{a}-{i}")
+                if entry is not None:
+                    answered.append(entry)
+
+        threads = [threading.Thread(target=analyst, args=(a,)) for a in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert answered  # the budget admits at least a few
+        assert pool.spent <= budget + 1e-12
+        assert pool.merged_transcript.is_valid(budget)
+        pool.assert_invariants()
+
+    def test_share_and_pool_disagreement_is_loud(self):
+        """A pool-level ApexError inside the commit surfaces through the
+        session ledger as LedgerInvariantError."""
+        pool = SharedBudgetPool(1.0)
+        ledger = SessionLedger(pool, 1.0, "a0")
+        reservation = ledger.reserve(0.5)
+        assert reservation is not None
+        # Sabotage: consume the pool-side reservation behind the ledger's
+        # back, so the pool commit must fail with ApexError.
+        pool.release(0.5)
+        with pytest.raises(LedgerInvariantError, match="pool commit failed"):
+            ledger.charge(
+                query_name="q",
+                query_kind="WCQ",
+                accuracy=ACC,
+                mechanism="LM",
+                epsilon_upper=0.5,
+                epsilon_spent=0.25,
+                answer=None,
+                reservation=reservation,
+            )

@@ -209,8 +209,7 @@ class TestObservability:
             "spent",
             "reserved",
             "remaining",
-            "batched_commits",
-            "commit_batches",
+            "commits",
             "commit_batch_sizes",
         }
         assert set(stats["batching"]) == {
