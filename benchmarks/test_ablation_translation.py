@@ -48,7 +48,9 @@ def test_ablation_mc_samples(benchmark, query_config):
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     report("Ablation: MC sample size", rows, ["mc_samples"], "epsilon")
     epsilons = {row["mc_samples"]: row["epsilon"] for row in rows}
-    # all sample sizes land in the same ballpark (the binary search converges)
+    # all sample sizes land in the same ballpark (each epsilon is an order
+    # statistic of the same failure-probability quantile, only estimated
+    # from more or fewer Monte-Carlo samples)
     assert max(epsilons.values()) < 2.0 * min(epsilons.values())
     # and the largest sample size is not dramatically looser than the smallest
     assert epsilons[10_000] < epsilons[200] * 1.5

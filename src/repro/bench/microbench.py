@@ -1162,8 +1162,8 @@ def bench_store_warm_start(
     """Cold vs warm-start ``preview_cost`` across two processes.
 
     The parent runs one cold preview with an :class:`~repro.store.ArtifactStore`
-    attached (building the matrix, the translation list and the WCQ-SM
-    epsilon search, all persisted to disk), then spawns a **fresh
+    attached (building the matrix and the translation list, both persisted
+    to disk, and running the WCQ-SM epsilon search), then spawns a **fresh
     interpreter** (:mod:`repro.bench.store_worker`) pointed at the same
     store directory.  The payload pins the acceptance criterion of the
     store: the restarted process answers the structurally identical preview

@@ -102,9 +102,9 @@ class APExEngine:
         An optional :class:`~repro.store.ArtifactStore`.  When set, every
         request's :class:`~repro.data.table.DomainStamp` carries the store
         down the translation stack: cold derivations (workload matrices,
-        translation lists, WCQ-SM epsilon searches) persist to disk, and a
-        fresh process pointed at the same directory warm-starts from them
-        with zero rebuilds (``docs/store.md``).
+        translation lists) persist to disk, and a fresh process pointed at
+        the same directory warm-starts from them with zero rebuilds and
+        zero Monte-Carlo searches (``docs/store.md``).
 
     The engine is thread-safe when its ledger is: admission control and
     charging follow a two-phase reservation protocol
@@ -204,12 +204,13 @@ class APExEngine:
 
         ``translations`` counts memoised accuracy-to-privacy translation
         lists (per this engine's translator); ``workload_matrices`` counts
-        the process-wide workload-matrix memo; ``wcqsm_search`` counts the
-        process-wide Monte-Carlo epsilon searches.  Each includes the
-        hierarchy counters (``built``/``revalidated``/``disk_hits``) of the
-        memory -> revalidate -> disk cascade; ``store`` reports the attached
-        :class:`~repro.store.ArtifactStore`'s own counters when one is
-        configured.  Useful for verifying that a repeated (or revalidated,
+        the process-wide workload-matrix memo.  Both include the hierarchy
+        counters (``built``/``revalidated``/``disk_hits``) of the memory ->
+        revalidate -> disk cascade.  ``wcqsm_search`` counts the
+        process-wide Monte-Carlo epsilon searches executed; the search has
+        no disk tier, so its ``disk_hits``/``disk_writes`` stay 0.  ``store``
+        reports the attached :class:`~repro.store.ArtifactStore`'s own
+        counters when one is configured.  Useful for verifying that a repeated (or revalidated,
         or warm-started) ``preview_cost``/``explore`` does not re-derive
         anything.
         """

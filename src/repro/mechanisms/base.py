@@ -117,7 +117,7 @@ class Mechanism(abc.ABC):
         artifact-store keys (:mod:`repro.store`) so persisted translations
         are never shared across differently configured suites.  Mechanisms
         whose translation depends on constructor parameters (sample counts,
-        search tolerances, seeds) must override and include them.
+        seeds) must override and include them.
         """
         return (type(self).__name__, self.name)
 

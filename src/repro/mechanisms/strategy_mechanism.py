@@ -8,14 +8,19 @@ with high sensitivity (prefix/CDF workloads, unions of overlapping ranges)
 this is dramatically cheaper than the baseline Laplace mechanism.
 
 The accuracy-to-privacy translation has no closed form because the error of a
-reconstructed answer is a weighted sum of Laplace variables.  Following the
-paper, ``translate`` performs a binary search over epsilon; each candidate is
-evaluated by Monte-Carlo simulation of the failure probability
-(``estimateBeta`` in Algorithm 3), with a normal-approximation confidence
-correction so the accepted epsilon meets the requirement with high
-confidence.  Theorem A.1 provides the Chebyshev-based upper end of the search
-interval.  The simulation is data independent, so results are cached per
-(workload, accuracy) pair.
+reconstructed answer is a weighted sum of Laplace variables.  The paper
+searches epsilon, estimating each candidate's failure probability by
+Monte-Carlo simulation (``estimateBeta`` in Algorithm 3) with a
+normal-approximation confidence correction.  Laplace noise is scale-linear,
+``Lap(s/eps) = (s/eps) * Lap(1)``, so one standard-Laplace draw ``Z`` serves
+every candidate: sample ``j`` fails at epsilon exactly when its maximum
+reconstructed error ``M_j = max_i |(R Z)_ij|`` exceeds ``alpha * eps / s``.
+The smallest passing epsilon is therefore an order statistic of ``M`` --
+``s * M[N - k - 1] / alpha`` for the largest failure count ``k`` the
+``estimateBeta`` test accepts -- which is what a search over common random
+numbers converges to.  It is clamped to the Theorem A.1 (Chebyshev plus a
+union bound over rows) epsilon, which suffices on its own.  The simulation
+is data independent, so results are cached per (workload, accuracy) pair.
 
 ``ICQ-SM`` (Section 5.3.1) reuses the same machinery: it answers the workload
 with a WCQ-accuracy requirement whose failure probability is doubled (the ICQ
@@ -35,10 +40,9 @@ from repro.core.accuracy import AccuracySpec
 from repro.core.exceptions import TranslationError
 from repro.core.lru import LRUCache
 from repro.data.schema import Schema
-from repro.data.table import DomainStamp, Table, TableSnapshot
+from repro.data.table import Table, TableSnapshot
 from repro.mechanisms.base import Mechanism, MechanismResult, TranslationResult
 from repro.obs import tracing
-from repro.store.fingerprint import stable_digest
 from repro.mechanisms.noise import laplace_noise
 from repro.mechanisms.strategies import (
     StrategyMatrix,
@@ -59,10 +63,10 @@ __all__ = [
 StrategyFactory = Callable[[int], StrategyMatrix]
 
 #: Process-wide counters of the Monte-Carlo epsilon search: ``searches``
-#: counts binary searches actually executed (each one runs tens of
-#: Monte-Carlo simulations), ``disk_hits`` counts searches answered from an
-#: :class:`~repro.store.ArtifactStore` instead.  Benchmarks and the
-#: warm-start acceptance tests use these to pin "zero re-searches".
+#: counts searches actually executed (memo misses).  The search has no disk
+#: tier, so ``disk_hits`` and ``disk_writes`` stay 0; they are kept for
+#: readers of the counter shape.  Benchmarks and the warm-start acceptance
+#: tests use these to pin "zero re-searches".
 _SEARCH_STATS = {"searches": 0, "disk_hits": 0, "disk_writes": 0}
 
 
@@ -86,7 +90,6 @@ class StrategyTranslation:
     reconstruction: np.ndarray
     chebyshev_upper: float
     mc_samples: int
-    search_iterations: int
 
 
 class StrategyMechanism(Mechanism):
@@ -99,16 +102,12 @@ class StrategyMechanism(Mechanism):
         strategy_factory: StrategyFactory = hierarchical_strategy,
         *,
         mc_samples: int = 10_000,
-        max_search_iterations: int = 30,
-        relative_tolerance: float = 0.01,
         name: str | None = None,
         seed: int = 20190501,
     ) -> None:
         self.name = name or "WCQ-SM"
         self._strategy_factory = strategy_factory
         self._mc_samples = int(mc_samples)
-        self._max_search_iterations = int(max_search_iterations)
-        self._relative_tolerance = float(relative_tolerance)
         self._seed = seed
         # Keyed by (matrix cache token, alpha, beta): the token identifies the
         # matrix *values* plus the table version it was derived for, so
@@ -135,7 +134,6 @@ class StrategyMechanism(Mechanism):
             query.workload_matrix(schema, version),
             accuracy.alpha,
             accuracy.beta,
-            store=version.store if isinstance(version, DomainStamp) else None,
         )
         return TranslationResult(
             mechanism=self.name,
@@ -146,7 +144,6 @@ class StrategyMechanism(Mechanism):
                 "strategy_sensitivity": translation.strategy.sensitivity,
                 "chebyshev_upper": translation.chebyshev_upper,
                 "mc_samples": translation.mc_samples,
-                "search_iterations": translation.search_iterations,
             },
         )
 
@@ -158,8 +155,6 @@ class StrategyMechanism(Mechanism):
             self.name,
             getattr(self._strategy_factory, "__name__", repr(self._strategy_factory)),
             self._mc_samples,
-            self._max_search_iterations,
-            float(self._relative_tolerance).hex(),
             self._seed,
         )
 
@@ -215,11 +210,7 @@ class StrategyMechanism(Mechanism):
         return translation.reconstruction @ strategy_answers
 
     def _translate_matrix(
-        self,
-        workload_matrix: WorkloadMatrix,
-        alpha: float,
-        beta: float,
-        store: object | None = None,
+        self, workload_matrix: WorkloadMatrix, alpha: float, beta: float
     ) -> StrategyTranslation:
         cache_key = (workload_matrix.cache_token, float(alpha), float(beta))
         cached = self._cache.get(cache_key)
@@ -227,40 +218,24 @@ class StrategyMechanism(Mechanism):
             tracing.annotate("search_tier", "exact")
             return cached
 
-        # Disk tier: the matrix's store digest is a content address covering
-        # the workload structure and the referenced attribute domains, so a
-        # search persisted by a previous process under the same digest,
-        # accuracy pair and mechanism configuration is the same search.
-        store_key = None
-        if store is not None and workload_matrix.store_digest is not None:
-            store_key = stable_digest(
-                (
-                    "wcqsm",
-                    workload_matrix.store_digest,
-                    float(alpha),
-                    float(beta),
-                    self.cache_signature(),
-                )
-            )
-        if store_key is not None:
-            loaded = store.load("wcqsm", store_key)  # type: ignore[union-attr]
-            if isinstance(loaded, StrategyTranslation):
-                _SEARCH_STATS["disk_hits"] += 1
-                tracing.annotate("search_tier", "disk")
-                self._cache.put(cache_key, loaded)
-                return loaded
-
         strategy = self._build_strategy(workload_matrix)
         reconstruction = strategy.reconstruction(workload_matrix.matrix)
         frobenius = float(np.linalg.norm(reconstruction, ord="fro"))
         sensitivity = strategy.sensitivity
         chebyshev_upper = sensitivity * frobenius / (alpha * math.sqrt(beta / 2.0))
 
-        simulation_rng = np.random.default_rng(self._seed)
-        with tracing.span("wcqsm.search", mc_samples=self._mc_samples):
-            epsilon, iterations = self._binary_search_epsilon(
-                reconstruction, sensitivity, alpha, beta, chebyshev_upper, simulation_rng
+        n_samples = self._mc_samples
+        with tracing.span("wcqsm.search", mc_samples=n_samples):
+            # At epsilon, sample j's maximum error is (s / epsilon) * M_j, so
+            # it fails iff M_j > alpha * epsilon / s: allowing k failures
+            # puts alpha * epsilon / s at the (N - k)-th smallest maximum.
+            noise = np.random.default_rng(self._seed).laplace(
+                0.0, 1.0, size=(reconstruction.shape[1], n_samples)
             )
+            maxima = np.sort(np.abs(reconstruction @ noise).max(axis=0))
+            allowed = _accepted_failures(n_samples, beta)
+            order_statistic = maxima[n_samples - allowed - 1] if allowed >= 0 else math.inf
+            epsilon = float(min(sensitivity * order_statistic / alpha, chebyshev_upper))
         _SEARCH_STATS["searches"] += 1
         tracing.annotate("search_tier", "built")
         translation = StrategyTranslation(
@@ -268,13 +243,9 @@ class StrategyMechanism(Mechanism):
             strategy=strategy,
             reconstruction=reconstruction,
             chebyshev_upper=chebyshev_upper,
-            mc_samples=self._mc_samples,
-            search_iterations=iterations,
+            mc_samples=n_samples,
         )
         self._cache.put(cache_key, translation)
-        if store_key is not None:
-            if store.save("wcqsm", store_key, translation):  # type: ignore[union-attr]
-                _SEARCH_STATS["disk_writes"] += 1
         return translation
 
     def _build_strategy(self, workload_matrix: WorkloadMatrix) -> StrategyMatrix:
@@ -288,78 +259,6 @@ class StrategyMechanism(Mechanism):
                     "no strategy can reconstruct the workload matrix"
                 )
         return strategy
-
-    def _binary_search_epsilon(
-        self,
-        reconstruction: np.ndarray,
-        strategy_sensitivity: float,
-        alpha: float,
-        beta: float,
-        upper_bound: float,
-        rng: np.random.Generator,
-    ) -> tuple[float, int]:
-        """Binary search for the smallest epsilon whose estimated failure rate
-        is confidently below beta (the ``translate`` loop of Algorithm 3)."""
-        if not self._estimate_beta_ok(
-            reconstruction, strategy_sensitivity, upper_bound, alpha, beta, rng
-        ):
-            # The Chebyshev bound is loose but safe; if the Monte-Carlo check
-            # fails at the bound (only possible through simulation noise),
-            # inflate it until it passes.
-            epsilon = upper_bound
-            for _ in range(10):
-                epsilon *= 1.5
-                if self._estimate_beta_ok(
-                    reconstruction, strategy_sensitivity, epsilon, alpha, beta, rng
-                ):
-                    break
-            else:  # pragma: no cover - defensive
-                raise TranslationError(
-                    "could not find an epsilon meeting the accuracy bound"
-                )
-            upper_bound = epsilon
-
-        low = 0.0
-        high = upper_bound
-        iterations = 0
-        while iterations < self._max_search_iterations:
-            iterations += 1
-            midpoint = (low + high) / 2.0 if low > 0 else high / 2.0
-            if midpoint <= 0:
-                break
-            if self._estimate_beta_ok(
-                reconstruction, strategy_sensitivity, midpoint, alpha, beta, rng
-            ):
-                high = midpoint
-            else:
-                low = midpoint
-            if low > 0 and (high - low) / high < self._relative_tolerance:
-                break
-        return high, iterations
-
-    def _estimate_beta_ok(
-        self,
-        reconstruction: np.ndarray,
-        strategy_sensitivity: float,
-        epsilon: float,
-        alpha: float,
-        beta: float,
-        rng: np.random.Generator,
-    ) -> bool:
-        """Monte-Carlo estimate of the failure rate at ``epsilon`` (estimateBeta)."""
-        n_samples = self._mc_samples
-        scale = strategy_sensitivity / epsilon
-        n_strategy_queries = reconstruction.shape[1]
-        noise = rng.laplace(0.0, scale, size=(n_strategy_queries, n_samples))
-        errors = np.abs(reconstruction @ noise).max(axis=0)
-        failures = int((errors > alpha).sum())
-        empirical_beta = failures / n_samples
-        confidence = beta / 100.0
-        z_score = _normal_quantile(1.0 - confidence / 2.0)
-        margin = z_score * math.sqrt(
-            max(empirical_beta * (1.0 - empirical_beta), 1e-12) / n_samples
-        )
-        return (empirical_beta + margin + confidence / 2.0) < beta
 
 
 class IcebergStrategyMechanism(Mechanism):
@@ -401,7 +300,6 @@ class IcebergStrategyMechanism(Mechanism):
             query.workload_matrix(schema, version),
             accuracy.alpha,
             self._wcq_accuracy(accuracy).beta,
-            store=version.store if isinstance(version, DomainStamp) else None,
         )
         return TranslationResult(
             mechanism=self.name,
@@ -442,6 +340,23 @@ class IcebergStrategyMechanism(Mechanism):
             noisy_counts=noisy_counts,
             metadata={"strategy": translation.strategy.name},
         )
+
+
+def _accepted_failures(n_samples: int, beta: float) -> int:
+    """The largest failure count ``k`` such that every count ``0..k`` of
+    ``n_samples`` passes ``estimateBeta`` (-1 if even zero failures fail).
+
+    The test is Algorithm 3's: the empirical failure rate plus a
+    normal-approximation margin at confidence ``beta / 100`` plus half that
+    confidence must stay below ``beta``.  It is evaluated for every count at
+    once.
+    """
+    rates = np.arange(n_samples + 1) / n_samples
+    confidence = beta / 100.0
+    z_score = _normal_quantile(1.0 - confidence / 2.0)
+    margins = z_score * np.sqrt(np.maximum(rates * (1.0 - rates), 1e-12) / n_samples)
+    fails = rates + margins + confidence / 2.0 >= beta
+    return int(np.argmax(fails)) - 1
 
 
 def _normal_quantile(probability: float) -> float:

@@ -541,9 +541,9 @@ class FunctionPredicate(Predicate):
     behaviour, across predicate instances *and across processes*.  A
     declared predicate compares and hashes by that triple (so re-created
     instances hit every in-memory memo) and canonicalises through
-    :func:`repro.store.fingerprint.stable_digest` (so translation lists and
-    Monte-Carlo searches derived from it persist in, and warm-start from,
-    the :class:`~repro.store.ArtifactStore`).  Bump ``version`` whenever the
+    :func:`repro.store.fingerprint.stable_digest` (so translation lists
+    derived from it persist in, and warm-start from, the
+    :class:`~repro.store.ArtifactStore`).  Bump ``version`` whenever the
     function's semantics change; reusing a ``(name, version)`` pair for a
     different behaviour silently serves the old cached artifacts.
     """

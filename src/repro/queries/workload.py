@@ -340,11 +340,11 @@ class Workload:
         )
         store = stamp.store if stamp is not None else None
         store_digest = None
-        if stamp is not None and store is not None:
+        if exact and stamp is not None and store is not None:
             store_digest = self._store_digest(schema, disjoint, sensitivity, stamp)
-        if exact and store_digest is not None:
+        if store_digest is not None:
             payload = store.load("matrix", store_digest)  # type: ignore[union-attr]
-            matrix = self._matrix_from_payload(payload, schema, version, store_digest)
+            matrix = self._matrix_from_payload(payload, schema, version)
             if matrix is not None:
                 _MATRIX_TIER_STATS["disk_hits"] += 1
                 tracing.annotate("matrix_tier", "disk")
@@ -368,17 +368,9 @@ class Workload:
             _MATRIX_CACHE.put(key, matrix)
         if domain_key is not None:
             _MATRIX_DOMAIN_CACHE.put(domain_key, matrix)
-        if store_digest is not None:
-            # The digest is assigned to structural matrices too: the identity
-            # matrix itself is trivial to rebuild (so it is never persisted),
-            # but downstream artifacts -- the WCQ-SM Monte-Carlo search in
-            # particular -- derive their disk keys from it, which is what
-            # lets workloads of *named* opaque predicates warm-start their
-            # searches from the store.
-            matrix.store_digest = store_digest
-            if matrix.exact:
-                if store.save("matrix", store_digest, _matrix_payload(matrix)):  # type: ignore[union-attr]
-                    _MATRIX_TIER_STATS["disk_writes"] += 1
+        if store_digest is not None and matrix.exact:
+            if store.save("matrix", store_digest, _matrix_payload(matrix)):  # type: ignore[union-attr]
+                _MATRIX_TIER_STATS["disk_writes"] += 1
         return matrix
 
     def _store_digest(
@@ -412,7 +404,6 @@ class Workload:
         payload: object,
         schema: Schema | None,
         version: object,
-        store_digest: str,
     ) -> "WorkloadMatrix | None":
         """Rebuild a :class:`WorkloadMatrix` from its store payload.
 
@@ -442,7 +433,6 @@ class Workload:
         token = None if schema is None else _structural_token(self, schema)
         if token is not None:
             instance._cache_token = ("exact",) + token + (version,)
-        instance.store_digest = store_digest
         return instance
 
     def _analysis_key(
@@ -532,11 +522,6 @@ class WorkloadMatrix:
             tuple[weakref.ref[Table], TableVersion, np.ndarray] | None
         ) = None
         self._cache_token: object = ("id", _IdKey(self))
-        #: Process-stable content digest assigned when the matrix passed
-        #: through the artifact store (written or loaded); downstream
-        #: artifacts (the WCQ-SM epsilon search) derive their disk keys
-        #: from it.  ``None`` for matrices that never touched the store.
-        self.store_digest: str | None = None
         if matrix.size:
             self._sensitivity = float(np.abs(matrix).sum(axis=0).max())
         else:

@@ -192,7 +192,6 @@ class TestNamedDiskTier:
         cold_stats = cold_engine.cache_stats()
         assert cold_stats["translations"]["built"] == 1
         assert cold_stats["translations"]["disk_writes"] >= 1
-        assert search_stats()["disk_writes"] >= 1
 
         # A fresh engine (fresh translator, re-created predicate instances,
         # cleared process memos) must answer entirely from disk.
