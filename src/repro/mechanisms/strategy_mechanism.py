@@ -42,7 +42,7 @@ from repro.core.lru import LRUCache
 from repro.data.schema import Schema
 from repro.data.table import Table, TableSnapshot
 from repro.mechanisms.base import Mechanism, MechanismResult, TranslationResult
-from repro.obs import tracing
+from repro.obs import Counter, tracing
 from repro.mechanisms.noise import laplace_noise
 from repro.mechanisms.strategies import (
     StrategyMatrix,
@@ -66,19 +66,20 @@ StrategyFactory = Callable[[int], StrategyMatrix]
 #: counts searches actually executed (memo misses).  The search has no disk
 #: tier, so ``disk_hits`` and ``disk_writes`` stay 0; they are kept for
 #: readers of the counter shape.  Benchmarks and the warm-start acceptance
-#: tests use these to pin "zero re-searches".
-_SEARCH_STATS = {"searches": 0, "disk_hits": 0, "disk_writes": 0}
+#: tests use these to pin "zero re-searches".  Service and executor threads
+#: search concurrently, so each is a locked :class:`~repro.obs.Counter`.
+_SEARCH_STATS = {key: Counter() for key in ("searches", "disk_hits", "disk_writes")}
 
 
 def search_stats() -> dict[str, int]:
     """Process-wide Monte-Carlo search counters (see :data:`_SEARCH_STATS`)."""
-    return dict(_SEARCH_STATS)
+    return {key: int(counter.value()) for key, counter in _SEARCH_STATS.items()}
 
 
 def reset_search_stats() -> None:
     """Zero the process-wide Monte-Carlo search counters."""
-    for key in _SEARCH_STATS:
-        _SEARCH_STATS[key] = 0
+    for counter in _SEARCH_STATS.values():
+        counter.reset()
 
 
 @dataclass(frozen=True)
@@ -236,7 +237,7 @@ class StrategyMechanism(Mechanism):
             allowed = _accepted_failures(n_samples, beta)
             order_statistic = maxima[n_samples - allowed - 1] if allowed >= 0 else math.inf
             epsilon = float(min(sensitivity * order_statistic / alpha, chebyshev_upper))
-        _SEARCH_STATS["searches"] += 1
+        _SEARCH_STATS["searches"].inc()
         tracing.annotate("search_tier", "built")
         translation = StrategyTranslation(
             epsilon=epsilon,

@@ -5,8 +5,9 @@ The predicate and domain-analysis engines were rewritten to be array-native
 This module preserves the original row-at-a-time / cell-at-a-time
 implementations **unchanged in semantics** for two purposes:
 
-* **parity tests** (``tests/queries/test_vectorized_parity.py``) assert the
-  vectorized paths produce bit-identical masks and workload matrices on
+* **parity tests** (``tests/queries/test_vectorized_parity.py``,
+  ``tests/queries/test_partition_histogram.py``) assert the vectorized paths
+  produce bit-identical masks, workload matrices and partition histograms on
   randomized tables, including SQL NULL edge cases;
 * **microbenchmarks** (:mod:`repro.bench.microbench`) measure the vectorized
   speedup against these baselines and record it in ``BENCH_*.json``.
@@ -43,6 +44,7 @@ from repro.queries.predicates import (
 from repro.queries.workload import (
     DomainPartition,
     Workload,
+    WorkloadMatrix,
     _attribute_atoms,
     _describe_cell,
     _signatures_to_matrix,
@@ -53,6 +55,7 @@ __all__ = [
     "reference_null_mask",
     "reference_domain_partitions",
     "reference_domain_matrix",
+    "reference_partition_histogram",
 ]
 
 
@@ -165,3 +168,33 @@ def reference_domain_matrix(
     """The seed's exact workload matrix: ``(matrix, partitions)``."""
     partitions = reference_domain_partitions(workload, schema)
     return _signatures_to_matrix(workload.size, partitions), partitions
+
+
+def reference_partition_histogram(matrix: WorkloadMatrix, table: Table) -> np.ndarray:
+    """The seed's partition histogram, one row at a time.
+
+    Each row's signature is looked up among the partition signatures.  A
+    signature no partition carries raises :class:`QueryError` on an exact
+    matrix; on a structural matrix (one unit partition per predicate) the row
+    counts once in each partition it flags.
+    """
+    masks = [reference_mask(pred, table) for pred in matrix.workload.predicates]
+    index_of_signature = {p.signature: j for j, p in enumerate(matrix.partitions)}
+    histogram = np.zeros(matrix.n_partitions, dtype=float)
+    for row in range(len(table)):
+        signature = tuple(bool(mask[row]) for mask in masks)
+        if not any(signature):
+            continue
+        j = index_of_signature.get(signature)
+        if j is not None:
+            histogram[j] += 1
+        elif matrix.exact:
+            raise QueryError(
+                f"row {row} has a signature the domain analysis did not "
+                f"enumerate: {signature}"
+            )
+        else:
+            for i, flag in enumerate(signature):
+                if flag:
+                    histogram[i] += 1
+    return histogram

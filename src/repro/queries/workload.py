@@ -68,7 +68,7 @@ from repro.core.lru import LRUCache
 from repro.core.parallel import ParallelExecutor, get_default_executor
 from repro.data.schema import AttributeKind, Schema
 from repro.data.table import DomainStamp, Table, TableVersion
-from repro.obs import tracing
+from repro.obs import Counter, tracing
 from repro.store.fingerprint import stable_digest
 from repro.queries.predicates import (
     And,
@@ -138,11 +138,10 @@ _MATRIX_CACHE: "LRUCache[WorkloadMatrix]" = LRUCache(128)
 _MATRIX_DOMAIN_CACHE: "LRUCache[WorkloadMatrix]" = LRUCache(128)
 
 #: Counters of the tiers beneath the exact-key LRU (see matrix_cache_stats).
+#: Executor and service threads bump them concurrently, so each is a locked
+#: :class:`~repro.obs.Counter` rather than a bare ``int``.
 _MATRIX_TIER_STATS = {
-    "built": 0,
-    "revalidated": 0,
-    "disk_hits": 0,
-    "disk_writes": 0,
+    key: Counter() for key in ("built", "revalidated", "disk_hits", "disk_writes")
 }
 
 
@@ -155,15 +154,16 @@ def matrix_cache_stats() -> dict[str, int]:
     store, and ``built`` the analyses that actually enumerated (the only
     counter that costs real work).
     """
-    return {**_MATRIX_CACHE.stats(), **_MATRIX_TIER_STATS}
+    tiers = {key: int(counter.value()) for key, counter in _MATRIX_TIER_STATS.items()}
+    return {**_MATRIX_CACHE.stats(), **tiers}
 
 
 def clear_matrix_cache() -> None:
     """Drop every memoised workload matrix and reset every counter."""
     _MATRIX_CACHE.clear()
     _MATRIX_DOMAIN_CACHE.clear()
-    for key in _MATRIX_TIER_STATS:
-        _MATRIX_TIER_STATS[key] = 0
+    for counter in _MATRIX_TIER_STATS.values():
+        counter.reset()
 
 
 class Workload:
@@ -328,7 +328,7 @@ class Workload:
                 # Same workload, same referenced domains, different version:
                 # the enumeration would reproduce this matrix bit for bit, so
                 # re-tag it for the new version instead of rebuilding.
-                _MATRIX_TIER_STATS["revalidated"] += 1
+                _MATRIX_TIER_STATS["revalidated"].inc()
                 tracing.annotate("matrix_tier", "revalidated")
                 _MATRIX_CACHE.put(key, cached)
                 return cached
@@ -346,7 +346,7 @@ class Workload:
             payload = store.load("matrix", store_digest)  # type: ignore[union-attr]
             matrix = self._matrix_from_payload(payload, schema, version)
             if matrix is not None:
-                _MATRIX_TIER_STATS["disk_hits"] += 1
+                _MATRIX_TIER_STATS["disk_hits"].inc()
                 tracing.annotate("matrix_tier", "disk")
                 if key is not None:
                     _MATRIX_CACHE.put(key, matrix)
@@ -362,7 +362,7 @@ class Workload:
                 matrix = WorkloadMatrix.from_structure(
                     self, disjoint=bool(disjoint), sensitivity=sensitivity
                 )
-        _MATRIX_TIER_STATS["built"] += 1
+        _MATRIX_TIER_STATS["built"].inc()
         tracing.annotate("matrix_tier", "built")
         if key is not None:
             _MATRIX_CACHE.put(key, matrix)
@@ -370,7 +370,7 @@ class Workload:
             _MATRIX_DOMAIN_CACHE.put(domain_key, matrix)
         if store_digest is not None and matrix.exact:
             if store.save("matrix", store_digest, _matrix_payload(matrix)):  # type: ignore[union-attr]
-                _MATRIX_TIER_STATS["disk_writes"] += 1
+                _MATRIX_TIER_STATS["disk_writes"].inc()
         return matrix
 
     def _store_digest(
@@ -521,6 +521,7 @@ class WorkloadMatrix:
         self._histogram_cache: (
             tuple[weakref.ref[Table], TableVersion, np.ndarray] | None
         ) = None
+        self._partition_keys: tuple[np.ndarray, np.ndarray] | None = None
         self._cache_token: object = ("id", _IdKey(self))
         if matrix.size:
             self._sensitivity = float(np.abs(matrix).sum(axis=0).max())
@@ -659,16 +660,28 @@ class WorkloadMatrix:
 
         Each row is assigned to the partition matching its predicate
         signature; rows satisfying no predicate fall outside ``dom_W(R)`` and
-        are ignored (they contribute to no count).  Evaluation pins the
-        table's snapshot up front, so the histogram always describes exactly
-        one version even under concurrent appends, and caching is
-        unconditional.  The histogram is cached per (snapshot, version
-        token), held through a weak reference: snapshots are memoised per
-        version, so repeated reads at one version hit; identity can never
-        alias a recycled ``id()``; the version token makes a histogram
-        computed before ``append_rows`` unservable afterwards; and a matrix
-        parked in the module-level memo does not pin a discarded table (and
-        its mask cache) in memory.
+        are ignored (they contribute to no count).
+
+        For an exact matrix, signatures are packed little-endian into
+        ``ceil(L / 64)`` ``uint64`` words (bit ``i`` is predicate ``i``).
+        The ``P`` partition codes (the columns of :attr:`matrix`) are packed
+        and sorted once per matrix; each row's code is found among them by
+        binary search -- on the word itself for ``L <= 64``, on the words'
+        raw bytes beyond -- and counted with ``np.bincount``, so the ``n``
+        rows are never sorted.  A non-zero row code matching no partition
+        means values outside the declared domains: :class:`QueryError`.  A
+        structural matrix is the identity over predicates, so its histogram
+        is the membership column sums.
+
+        Evaluation pins the table's snapshot up front, so the histogram
+        always describes exactly one version even under concurrent appends,
+        and caching is unconditional.  The histogram is cached per
+        (snapshot, version token), held through a weak reference: snapshots
+        are memoised per version, so repeated reads at one version hit;
+        identity can never alias a recycled ``id()``; the version token
+        makes a histogram computed before ``append_rows`` unservable
+        afterwards; and a matrix parked in the module-level memo does not
+        pin a discarded table (and its mask cache) in memory.
         """
         table = table.snapshot()
         version = table.version_token
@@ -676,38 +689,37 @@ class WorkloadMatrix:
         if cached is not None and cached[0]() is table and cached[1] == version:
             return cached[2]
         membership = self._workload.evaluate(table, executor)
-        histogram = np.zeros(self.n_partitions, dtype=float)
-        if membership.size == 0:
-            return histogram
-        index_of_signature = {
-            partition.signature: j for j, partition in enumerate(self._partitions)
-        }
-        signatures, counts = np.unique(membership, axis=0, return_counts=True)
-        for signature_row, count in zip(signatures, counts):
-            signature = tuple(bool(v) for v in signature_row)
-            if not any(signature):
-                continue
-            j = index_of_signature.get(signature)
-            if j is None:
-                if self._exact:
-                    raise QueryError(
-                        "a row matched a predicate signature that the exact "
-                        "domain analysis did not enumerate; the table contains "
-                        "values outside the declared attribute domains: "
-                        f"signature={signature}"
-                    )
-                # Structural matrices use one unit partition per predicate, so
-                # spreading the row into each matching unit partition keeps
-                # W @ x equal to the true per-predicate counts.
-                for i, flag in enumerate(signature):
-                    if flag:
-                        histogram[i] += count
-                continue
-            histogram[j] += count
+        if self._exact:
+            histogram = self._exact_histogram(membership)
+        else:
+            histogram = membership.sum(axis=0).astype(float)
         # The snapshot's version never advances, so the histogram is a pure
         # function of (snapshot, version) and admission is unconditional.
         self._histogram_cache = (weakref.ref(table), version, histogram)
         return histogram
+
+    def _exact_histogram(self, membership: np.ndarray) -> np.ndarray:
+        """Count the rows of ``membership`` per partition by packed code."""
+        if self._partition_keys is None:
+            keys = _signature_keys(_pack_signatures(self._matrix.T != 0))
+            order = np.argsort(keys)
+            self._partition_keys = (keys[order], order)
+        sorted_keys, partition_of = self._partition_keys
+        codes = _pack_signatures(membership)
+        rows = np.flatnonzero(codes.any(axis=1))
+        keys = _signature_keys(codes[rows])
+        slots = np.searchsorted(sorted_keys, keys)
+        matched = slots < len(sorted_keys)
+        matched[matched] = sorted_keys[slots[matched]] == keys[matched]
+        if not matched.all():
+            signature = tuple(bool(v) for v in membership[rows[np.argmin(matched)]])
+            raise QueryError(
+                "a row matched a predicate signature that the exact domain "
+                "analysis did not enumerate; the table contains values outside "
+                f"the declared attribute domains: signature={signature}"
+            )
+        counts = np.bincount(partition_of[slots], minlength=self.n_partitions)
+        return counts.astype(float)
 
     def true_answers(
         self, table: Table, executor: ParallelExecutor | None = None
@@ -1035,6 +1047,28 @@ def _describe_cell(cell: Mapping[str, CellValue]) -> str:
         else:
             parts.append(f"{name} = {value!r}")
     return " AND ".join(parts)
+
+
+def _pack_signatures(signatures: np.ndarray) -> np.ndarray:
+    """Pack the rows of an ``(n, L)`` bool array into ``(n, ceil(L / 64))``
+    little-endian ``uint64`` words; bit ``i`` of a row's code is column ``i``."""
+    packed = np.packbits(signatures, axis=1, bitorder="little")
+    n_words = -(-signatures.shape[1] // 64)
+    padded = np.zeros((signatures.shape[0], 8 * n_words), dtype=np.uint8)
+    padded[:, : packed.shape[1]] = packed
+    return padded.view("<u8")
+
+
+def _signature_keys(codes: np.ndarray) -> np.ndarray:
+    """One sortable, searchable key per row of packed codes.
+
+    A single word is its own key; several words are viewed as one raw-bytes
+    ``void`` scalar, which numpy orders and compares bytewise.
+    """
+    if codes.shape[1] == 1:
+        return codes[:, 0]
+    row = np.dtype((np.void, codes.itemsize * codes.shape[1]))
+    return np.ascontiguousarray(codes).view(row)[:, 0]
 
 
 def _signatures_to_matrix(

@@ -1,0 +1,82 @@
+"""The process-wide memo tier counters lose no update under threads.
+
+``matrix_cache_stats()`` and ``search_stats()`` are read by the warm-start
+gates ("zero builds, zero searches") and by the end-to-end benchmark, and
+executor and service threads bump them concurrently.  Eight threads each do
+a known number of memo misses here, with aggressive preemption, and the
+totals must come out exact.
+"""
+
+import sys
+import threading
+
+import pytest
+
+from repro.core.accuracy import AccuracySpec
+from repro.mechanisms.strategy_mechanism import (
+    StrategyMechanism,
+    reset_search_stats,
+    search_stats,
+)
+from repro.queries.predicates import Comparison
+from repro.queries.query import WorkloadCountingQuery
+from repro.queries.workload import Workload, clear_matrix_cache, matrix_cache_stats
+
+THREADS = 8
+PER_THREAD = 40
+
+
+@pytest.fixture(autouse=True)
+def aggressive_preemption():
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(old)
+
+
+def run_threads(work) -> None:
+    start = threading.Barrier(THREADS)
+
+    def body(tid):
+        start.wait(timeout=30)
+        work(tid)
+
+    threads = [threading.Thread(target=body, args=(t,)) for t in range(THREADS)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+
+
+def test_matrix_built_counter_is_exact():
+    clear_matrix_cache()
+
+    def work(tid):
+        for i in range(PER_THREAD):
+            Workload([Comparison("x", ">", float(tid * PER_THREAD + i))]).analyze(None)
+
+    run_threads(work)
+    stats = matrix_cache_stats()
+    assert stats["built"] == THREADS * PER_THREAD
+    assert {"built", "revalidated", "disk_hits", "disk_writes"} <= set(stats)
+    clear_matrix_cache()
+    assert matrix_cache_stats()["built"] == 0
+
+
+def test_search_counter_is_exact():
+    reset_search_stats()
+    query = WorkloadCountingQuery(
+        Workload([Comparison("x", ">", 0.0), Comparison("x", ">", 1.0)])
+    )
+
+    def work(tid):
+        mechanism = StrategyMechanism(mc_samples=16)
+        for i in range(PER_THREAD):
+            mechanism.translate(query, AccuracySpec(alpha=1.0 + i, beta=0.05))
+
+    run_threads(work)
+    expected = {"searches": THREADS * PER_THREAD, "disk_hits": 0, "disk_writes": 0}
+    assert search_stats() == expected
+    reset_search_stats()
+    assert search_stats()["searches"] == 0

@@ -50,6 +50,18 @@ def strictly_increasing_cuts(draw, low=0.0, high=1000.0, min_size=1, max_size=8)
     return sorted(values)
 
 
+@st.composite
+def wide_workloads(draw, max_size=100):
+    """Up to four categorical points plus nested numeric prefixes, L <= 100."""
+    points = draw(st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=4, unique=True))
+    n_cuts = draw(st.integers(1, max_size - len(points)))
+    cuts = draw(strictly_increasing_cuts(min_size=n_cuts, max_size=n_cuts))
+    return Workload(
+        [Comparison("cat", "==", v) for v in points]
+        + [Comparison("num", "<", c) for c in cuts]
+    )
+
+
 class TestMatrixReconstructionInvariant:
     """W @ histogram(D) == true per-predicate counts, for every workload shape."""
 
@@ -68,6 +80,14 @@ class TestMatrixReconstructionInvariant:
         analysis = workload.analyze(SCHEMA)
         histogram = analysis.partition_histogram(table)
         assert np.allclose(analysis.matrix @ histogram, workload.true_answers(table))
+
+    @settings(max_examples=30, deadline=None)
+    @given(table=tables(), workload=wide_workloads())
+    def test_wide_workloads(self, table, workload):
+        """L up to 100 takes the multi-word packed-signature path too."""
+        analysis = workload.analyze(SCHEMA)
+        histogram = analysis.partition_histogram(table)
+        assert np.array_equal(analysis.matrix @ histogram, workload.true_answers(table))
 
     @settings(max_examples=20, deadline=None)
     @given(table=tables(), bins=st.integers(1, 12))
