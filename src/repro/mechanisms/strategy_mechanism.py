@@ -22,6 +22,17 @@ numbers converges to.  It is clamped to the Theorem A.1 (Chebyshev plus a
 union bound over rows) epsilon, which suffices on its own.  The simulation
 is data independent, so results are cached per (workload, accuracy) pair.
 
+``Z`` itself is drawn once per process, not once per search.  numpy fills a
+``(l, N)`` draw row by row, so ``default_rng(seed).laplace(0, 1, (l, N))``
+is exactly the first ``l`` rows of any taller draw from the same seed, and
+drawing more rows later from the same generator continues that draw bit for
+bit.  :func:`_standard_laplace` therefore keeps one growing, read-only array
+per ``(seed, N)``, and a search over ``l`` strategy queries slices its first
+``l`` rows: every epsilon equals the one a fresh draw would give.  The array
+grows to the largest ``l`` searched, ``8 * l_max * N`` bytes (16 MB for
+``l = 199`` at the default ``N = 10**4``) -- the block the largest search
+would allocate anyway.
+
 ``ICQ-SM`` (Section 5.3.1) reuses the same machinery: it answers the workload
 with a WCQ-accuracy requirement whose failure probability is doubled (the ICQ
 error events are one sided), then thresholds the noisy counts locally -- a
@@ -31,6 +42,7 @@ post-processing step that costs no additional privacy.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -80,6 +92,35 @@ def reset_search_stats() -> None:
     """Zero the process-wide Monte-Carlo search counters."""
     for counter in _SEARCH_STATS.values():
         counter.reset()
+
+
+#: The process-wide standard-Laplace draws of the search, keyed by
+#: ``(seed, n_samples)``: ``(generator, drawn)``, where ``drawn`` is the
+#: read-only array of every row the generator has produced so far.
+_NOISE: dict[tuple[int, int], tuple[np.random.Generator, np.ndarray]] = {}
+_noise_lock = threading.Lock()
+
+
+def _standard_laplace(seed: int, rows: int, n_samples: int) -> np.ndarray:
+    """``default_rng(seed).laplace(0, 1, (rows, n_samples))``, drawn once.
+
+    Returns a read-only view of the first ``rows`` rows of the shared array
+    for ``(seed, n_samples)``, first drawing exactly the missing rows from
+    the array's own generator (see the module docstring for why that is
+    bit-identical).  Growth replaces the array rather than resizing it, so
+    a view handed out earlier stays valid.
+    """
+    key = (seed, n_samples)
+    with _noise_lock:
+        generator, drawn = _NOISE.get(key) or (
+            np.random.default_rng(seed), np.empty((0, n_samples))
+        )
+        if len(drawn) < rows:
+            block = generator.laplace(0.0, 1.0, size=(rows - len(drawn), n_samples))
+            drawn = np.concatenate([drawn, block])
+            drawn.flags.writeable = False
+            _NOISE[key] = (generator, drawn)
+    return drawn[:rows]
 
 
 @dataclass(frozen=True)
@@ -230,9 +271,7 @@ class StrategyMechanism(Mechanism):
             # At epsilon, sample j's maximum error is (s / epsilon) * M_j, so
             # it fails iff M_j > alpha * epsilon / s: allowing k failures
             # puts alpha * epsilon / s at the (N - k)-th smallest maximum.
-            noise = np.random.default_rng(self._seed).laplace(
-                0.0, 1.0, size=(reconstruction.shape[1], n_samples)
-            )
+            noise = _standard_laplace(self._seed, reconstruction.shape[1], n_samples)
             maxima = np.sort(np.abs(reconstruction @ noise).max(axis=0))
             allowed = _accepted_failures(n_samples, beta)
             order_statistic = maxima[n_samples - allowed - 1] if allowed >= 0 else math.inf

@@ -1,8 +1,9 @@
-"""The process-wide memo tier counters lose no update under threads.
+"""The memo tier counters lose no update under threads.
 
-``matrix_cache_stats()`` and ``search_stats()`` are read by the warm-start
-gates ("zero builds, zero searches") and by the end-to-end benchmark, and
-executor and service threads bump them concurrently.  Eight threads each do
+``matrix_cache_stats()``, ``search_stats()`` and a shared translator's
+``cache_stats`` are read by the warm-start gates ("zero builds, zero
+searches") and by the end-to-end benchmark, and executor and service
+threads bump them concurrently.  Eight threads each do
 a known number of memo misses here, with aggressive preemption, and the
 totals must come out exact.
 """
@@ -13,13 +14,16 @@ import threading
 import pytest
 
 from repro.core.accuracy import AccuracySpec
+from repro.core.translator import AccuracyTranslator
+from repro.mechanisms.laplace import LaplaceMechanism
+from repro.mechanisms.registry import MechanismRegistry
 from repro.mechanisms.strategy_mechanism import (
     StrategyMechanism,
     reset_search_stats,
     search_stats,
 )
 from repro.queries.predicates import Comparison
-from repro.queries.query import WorkloadCountingQuery
+from repro.queries.query import QueryKind, WorkloadCountingQuery
 from repro.queries.workload import Workload, clear_matrix_cache, matrix_cache_stats
 
 THREADS = 8
@@ -80,3 +84,25 @@ def test_search_counter_is_exact():
     assert search_stats() == expected
     reset_search_stats()
     assert search_stats()["searches"] == 0
+
+
+def test_translator_built_counter_is_exact():
+    translator = AccuracyTranslator(
+        MechanismRegistry([LaplaceMechanism(name="WCQ-LM", kinds=frozenset({QueryKind.WCQ}))])
+    )
+    accuracy = AccuracySpec(alpha=10.0, beta=0.05)
+
+    def work(tid):
+        for i in range(PER_THREAD):
+            query = WorkloadCountingQuery(
+                Workload([Comparison("x", ">", float(tid * PER_THREAD + i))])
+            )
+            translator.translations(query, accuracy)
+
+    run_threads(work)
+    stats = translator.cache_stats
+    assert stats["built"] == THREADS * PER_THREAD
+    tiers = ("built", "revalidated", "disk_hits", "disk_writes")
+    assert all(type(stats[key]) is int for key in tiers)
+    translator.clear_cache()
+    assert translator.cache_stats["built"] == 0

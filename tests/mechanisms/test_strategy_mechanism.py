@@ -8,11 +8,14 @@ import pytest
 from repro.core.accuracy import AccuracySpec
 from repro.core.exceptions import MechanismError
 from repro.mechanisms.laplace import LaplaceMechanism
-from repro.mechanisms.strategies import hierarchical_strategy
+from repro.mechanisms.strategies import StrategyMatrix, hierarchical_strategy
 from repro.mechanisms.strategy_mechanism import (
+    _NOISE,
     IcebergStrategyMechanism,
     StrategyMechanism,
+    _accepted_failures,
     _normal_quantile,
+    _standard_laplace,
 )
 from repro.queries.builders import (
     cumulative_histogram_workload,
@@ -172,6 +175,89 @@ class TestOneDrawSearch:
             else:
                 low = midpoint
         assert translation.epsilon_upper == pytest.approx(high, rel=1e-9)
+
+
+def total_only_strategy(n_partitions: int) -> StrategyMatrix:
+    """A one-row strategy that spans no multi-bin workload: forces the
+    identity-strategy fallback."""
+    return StrategyMatrix(np.ones((1, n_partitions)), name="total")
+
+
+def fresh_draw_epsilon(mechanism, matrix, alpha: float, beta: float) -> float:
+    """The search with its own ``default_rng(seed)`` draw, as every search
+    did before the draw was shared."""
+    strategy = mechanism._build_strategy(matrix)
+    reconstruction = strategy.reconstruction(matrix.matrix)
+    frobenius = float(np.linalg.norm(reconstruction, ord="fro"))
+    chebyshev_upper = strategy.sensitivity * frobenius / (alpha * math.sqrt(beta / 2.0))
+    n_samples = mechanism._mc_samples
+    noise = np.random.default_rng(mechanism._seed).laplace(
+        0.0, 1.0, size=(reconstruction.shape[1], n_samples)
+    )
+    maxima = np.sort(np.abs(reconstruction @ noise).max(axis=0))
+    allowed = _accepted_failures(n_samples, beta)
+    order_statistic = maxima[n_samples - allowed - 1] if allowed >= 0 else math.inf
+    return float(min(strategy.sensitivity * order_statistic / alpha, chebyshev_upper))
+
+
+class TestSharedNoise:
+    """Every search slices one process-wide draw, bit-identical to a fresh one."""
+
+    N_SAMPLES = 733
+
+    @pytest.mark.parametrize(
+        "rows",
+        [(3, 17, 40), (40, 17, 3), (17, 3, 40, 9, 25), (17, 17, 3, 3, 17)],
+        ids=["ascending", "descending", "interleaved", "repeated"],
+    )
+    def test_slices_equal_fresh_draws(self, rows):
+        seed = 9_001
+        _NOISE.pop((seed, self.N_SAMPLES), None)
+        for count in rows:
+            fresh = np.random.default_rng(seed).laplace(0.0, 1.0, size=(count, self.N_SAMPLES))
+            assert np.array_equal(_standard_laplace(seed, count, self.N_SAMPLES), fresh)
+        assert len(_NOISE[(seed, self.N_SAMPLES)][1]) == max(rows)
+
+    def test_read_only(self):
+        noise = _standard_laplace(9_002, 4, self.N_SAMPLES)
+        assert not noise.flags.writeable
+        with pytest.raises(ValueError):
+            noise[0, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        ("workload", "factory", "strategy_name"),
+        [
+            (prefix_workload("capital_gain", [250.0 * i for i in range(1, 21)]),
+             hierarchical_strategy, "H2"),
+            (cumulative_histogram_workload("capital_gain", start=0, stop=5000, bins=20),
+             hierarchical_strategy, "H2"),
+            (prefix_workload("capital_gain", [500.0 * i for i in range(1, 9)]),
+             total_only_strategy, "identity"),
+        ],
+        ids=["prefix", "cumulative-histogram", "identity-fallback"],
+    )
+    def test_translate_equals_fresh_draw_search(
+        self, adult_small, workload, factory, strategy_name
+    ):
+        alpha = 0.05 * len(adult_small)
+        wcq = StrategyMechanism(factory, mc_samples=self.N_SAMPLES)
+        icq = IcebergStrategyMechanism(factory, mc_samples=self.N_SAMPLES)
+        # Start from a short array so the searches below grow it.
+        _NOISE.pop((wcq._seed, self.N_SAMPLES), None)
+        _standard_laplace(wcq._seed, 2, self.N_SAMPLES)
+        wcq_query = WorkloadCountingQuery(workload)
+        icq_query = IcebergCountingQuery(workload, threshold=100)
+        matrix = wcq_query.workload_matrix(adult_small.schema)
+        for beta in (0.01, 0.05, 0.2):
+            accuracy = AccuracySpec(alpha=alpha, beta=beta)
+            wcq_result = wcq.translate(wcq_query, accuracy, adult_small.schema)
+            assert wcq_result.details["strategy"] == strategy_name
+            assert wcq_result.epsilon_upper == fresh_draw_epsilon(wcq, matrix, alpha, beta)
+            icq_result = icq.translate(icq_query, accuracy, adult_small.schema)
+            icq_beta = min(2.0 * beta, 0.999)
+            assert icq_result.epsilon_upper == fresh_draw_epsilon(
+                icq._inner, matrix, alpha, icq_beta
+            )
 
 
 class TestRun:
