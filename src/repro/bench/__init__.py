@@ -8,11 +8,11 @@
   Table 2).
 * :mod:`repro.bench.reporting` -- plain-text rendering of the results in the
   shape the paper reports them.
-* :mod:`repro.bench.microbench` -- timed microbenchmarks for the vectorized
-  predicate / domain-analysis engine (``BENCH_1``), the concurrent
-  multi-analyst service (``BENCH_2``), the sharded/versioned backend
-  (``BENCH_3``) and the snapshot/compaction/interning layer (``BENCH_4``),
-  run via ``python -m repro.bench``.
+* :mod:`repro.bench.fixtures` -- the seeded synthetic table and workload
+  shared by the test suite and the subprocess workers.
+
+Performance is measured end to end by ``benchmarks/e2e`` (see
+``docs/benchmarks.md``), not by this package.
 """
 
 from repro.bench.queries import (
@@ -35,17 +35,13 @@ from repro.bench.harness import (
     run_figure7,
     run_table2,
 )
-from repro.bench.microbench import run_microbenchmarks
 from repro.bench.reporting import (
-    bench_payload_header,
     format_records,
     format_table,
     records_to_csv,
     report,
     summarize_by,
-    write_bench_json,
 )
-from repro.bench.workloadbench import run_workload_microbenchmarks
 
 __all__ = [
     "BenchmarkQuery",
@@ -67,10 +63,6 @@ __all__ = [
     "records_to_csv",
     "summarize_by",
     "report",
-    "bench_payload_header",
-    "write_bench_json",
-    "run_microbenchmarks",
-    "run_workload_microbenchmarks",
     "last_run_timings",
     "clear_run_timings",
 ]

@@ -10,10 +10,7 @@ disk.
 from __future__ import annotations
 
 import io
-import json
 import math
-import os
-import time
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -22,8 +19,6 @@ __all__ = [
     "records_to_csv",
     "summarize_by",
     "report",
-    "bench_payload_header",
-    "write_bench_json",
 ]
 
 Record = Mapping[str, object]
@@ -163,26 +158,3 @@ def report(title: str, records, group_keys, value_key) -> None:
         )
     )
 
-
-def bench_payload_header(bench: int, *, quick: bool, seed: int) -> dict[str, object]:
-    """The common header every ``BENCH_*.json`` payload starts with.
-
-    One place records the run's provenance fields (``bench`` number,
-    ``quick`` flag, ``seed``, wall-clock stamp, ``cpu_count``) so the suites
-    can't drift apart on which of them they include -- comparing two bench
-    files always has the same metadata to key on.
-    """
-    return {
-        "bench": bench,
-        "quick": quick,
-        "seed": seed,
-        "created_unix": time.time(),
-        "cpu_count": os.cpu_count(),
-    }
-
-
-def write_bench_json(path: str, payload: Mapping[str, object]) -> None:
-    """Write one benchmark payload (e.g. ``BENCH_1.json``) to disk."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")

@@ -1,4 +1,4 @@
-"""Subprocess worker for the artifact-store warm-start measurements.
+"""Subprocess worker for the artifact-store warm-start scenario.
 
 ``python -m repro.bench.store_worker --store DIR ...`` simulates a service
 restart: a **fresh interpreter** rebuilds the same synthetic table and
@@ -16,9 +16,9 @@ to stdout:
 * ``costs`` -- the full preview, for bit-identical comparison against the
   cold process's answer.
 
-Both the ``--suite store`` benchmark and ``tests/store/test_cross_process.py``
-drive this module; keeping it importable (rather than an inline ``-c``
-script) keeps the restart scenario identical everywhere it is exercised.
+``tests/store/test_cross_process.py`` drives this module; keeping it
+importable (rather than an inline ``-c`` script) keeps the restart scenario
+identical to the one the parent process builds from the same fixtures.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import json
 import sys
 import time
 
-from repro.bench.microbench import build_bench_table, build_bench_workload
+from repro.bench.fixtures import build_bench_table, build_bench_workload
 from repro.core.accuracy import AccuracySpec
 from repro.core.engine import APExEngine
 from repro.mechanisms.registry import default_registry

@@ -20,8 +20,8 @@ This package is the one place they meet:
 * ``python -m repro.obs`` -- run a small replay and export what it saw.
 
 See ``docs/observability.md`` for the metric catalog, the span taxonomy and
-the sampling knobs; the ``--suite obs`` benchmark (BENCH_9) gates the
-tracing-disabled overhead.
+the sampling knobs; ``benchmarks/e2e`` reads the same spans for its
+per-layer metrics.
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ funnel through the three module-level entry points here:
 
 **Disabled-path cost.**  No tracer installed (the default) means every
 entry point is one module-global load + ``is None`` branch returning a
-shared singleton; the ``--suite obs`` benchmark (BENCH_9) gates this at
-<= 2% overhead on the PR 2 budget-stress workload.
+shared singleton; untraced ``benchmarks/e2e`` runs take this path, so its
+cost is part of every ``requests_per_cpu_s`` they report.
 
 **Cross-thread context.**  The current span lives in a ``threading.local``.
 :func:`bind_current` captures it into a wrapper callable;

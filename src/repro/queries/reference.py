@@ -3,14 +3,12 @@
 The predicate and domain-analysis engines were rewritten to be array-native
 (interned category codes, broadcast cell evaluation, packed-signature dedupe).
 This module preserves the original row-at-a-time / cell-at-a-time
-implementations **unchanged in semantics** for two purposes:
-
-* **parity tests** (``tests/queries/test_vectorized_parity.py``,
-  ``tests/queries/test_partition_histogram.py``) assert the vectorized paths
-  produce bit-identical masks, workload matrices and partition histograms on
-  randomized tables, including SQL NULL edge cases;
-* **microbenchmarks** (:mod:`repro.bench.microbench`) measure the vectorized
-  speedup against these baselines and record it in ``BENCH_*.json``.
+implementations **unchanged in semantics** as the oracle of the parity
+tests (``tests/queries/test_vectorized_parity.py``,
+``tests/queries/test_partition_histogram.py``, the sharded, snapshot and
+streaming suites): the vectorized paths must produce bit-identical masks,
+workload matrices and partition histograms on randomized tables, including
+SQL NULL edge cases.
 
 Nothing in the production path imports this module for answering queries.
 """

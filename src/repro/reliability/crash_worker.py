@@ -120,7 +120,7 @@ def run_script(
     always finish, so a failing history still yields causally-ordered
     traces of the runs that exposed it.
     """
-    from repro.bench.microbench import build_bench_table
+    from repro.bench.fixtures import build_bench_table
     from repro.service import ExplorationService
 
     arm_from_env()

@@ -264,9 +264,9 @@ class ExplorationService:
         admitted on a pinned :class:`~repro.data.table.TableSnapshot`, whose
         frozen shards the append cannot reach, so concurrent readers neither
         fail nor mix versions -- appends may land at any time, mid-request
-        included (pinned by ``tests/data/test_snapshot_isolation.py`` and
-        the ``--suite snapshots`` benchmark).  Small appends are folded into
-        larger shards automatically by the table's compaction policy.
+        included (pinned by ``tests/data/test_snapshot_isolation.py``).
+        Small appends are folded into larger shards automatically by the
+        table's compaction policy.
 
         :param table: name of a hosted table.
         :param rows: the rows to append (missing keys become NULL).

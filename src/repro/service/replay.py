@@ -1,7 +1,7 @@
 """Multi-analyst workload scripts and their concurrent replay.
 
-The service CLI (``python -m repro.service``) and the concurrency
-microbenchmarks both need the same thing: a declarative description of "which
+The service CLI (``python -m repro.service``), the workload generator and
+the crash worker all need the same thing: a declarative description of "which
 analyst issues which requests", executed with one thread per analyst against
 an :class:`~repro.service.exploration.ExplorationService`, and a merged
 report at the end.  This module provides exactly that:

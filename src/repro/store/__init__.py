@@ -28,8 +28,8 @@ Attach a store with ``APExEngine(..., store=ArtifactStore(path))`` or
 previous run's directory answers structurally identical ``preview_cost``
 requests with zero matrix rebuilds and zero Monte-Carlo re-searches.  The
 full key schema, revalidation contract and eviction policy are documented
-in ``docs/store.md``; ``python -m repro.bench --suite store`` measures the
-cold vs warm-start and revalidate-vs-rebuild wins (``BENCH_5.json``).
+in ``docs/store.md``; ``tests/store/test_cross_process.py`` pins the
+fresh-interpreter warm start.
 """
 
 from repro.store.artifact_store import DEFAULT_STORE_DIR, ArtifactStore

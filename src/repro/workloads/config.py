@@ -147,7 +147,7 @@ class GeneratorConfig:
             return cls.from_json(json.load(fh))
 
     def scaled(self, factor: float) -> "GeneratorConfig":
-        """A proportionally smaller/larger stream (used by ``--quick`` benches)."""
+        """A proportionally smaller/larger stream with the same period structure."""
         return replace(
             self,
             initial_rows=max(1, int(self.initial_rows * factor)),

@@ -18,7 +18,8 @@ interpreter** and prints a JSON report to stdout:
   bit-exact determinism property pinned by ``tests/property``.
 
 Keeping both probes importable keeps the restart and determinism scenarios
-identical between the bench suite, CI and the test battery.
+identical between the parent process that seeds them and the fresh
+interpreters ``tests/workloads`` and ``tests/property`` spawn.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ def run_named_warm_start(
         "translation_builds": stats["translations"]["built"],
         "translation_disk_hits": stats["translations"]["disk_hits"],
         "mc_searches": search_stats()["searches"],
-        "mc_disk_hits": search_stats()["disk_hits"],
         "costs": {name: list(pair) for name, pair in costs.items()},
     }
 

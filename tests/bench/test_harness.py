@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 from repro.bench.harness import (
+    RUN_TIMINGS,
     RunTimings,
     ERExperimentConfig,
     ExperimentConfig,
+    _timed,
+    clear_run_timings,
     empirical_error,
+    last_run_timings,
     run_figure2,
     run_figure3,
     run_figure4a,
@@ -181,6 +185,26 @@ class TestERFigures:
 
 
 class TestRunTimings:
+    def test_timed_decorator_records_wall_clock(self):
+        clear_run_timings()
+
+        @_timed("unit-test")
+        def slow():
+            return sum(range(1000))
+
+        assert slow() == sum(range(1000))
+        timings = last_run_timings()
+        assert "unit-test" in timings
+        assert timings["unit-test"] >= 0.0
+        # last_run_timings returns a copy, not the live registry
+        timings["unit-test"] = -1.0
+        assert RUN_TIMINGS["unit-test"] >= 0.0
+        clear_run_timings()
+
+    def test_timings_empty_after_clear(self):
+        clear_run_timings()
+        assert last_run_timings() == {}
+
     def test_mapping_reads_see_the_last_sample(self):
         timings = RunTimings()
         timings["figure2"] = 1.5

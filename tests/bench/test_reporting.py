@@ -6,6 +6,7 @@ from repro.bench.reporting import (
     format_records,
     format_table,
     records_to_csv,
+    report,
     summarize_by,
 )
 
@@ -88,3 +89,16 @@ class TestSummarize:
         assert summary["q25"] == 2.0
         assert summary["q75"] == 4.0
         assert not math.isnan(summary["mean"])
+
+
+class TestReport:
+    def test_report_prints_summary(self, capsys):
+        records = [
+            {"group": "a", "value": 1.0},
+            {"group": "a", "value": 3.0},
+            {"group": "b", "value": 2.0},
+        ]
+        report("demo", records, ["group"], "value")
+        out = capsys.readouterr().out
+        assert "=== demo ===" in out
+        assert "median" in out

@@ -270,7 +270,8 @@ class TestFacadeMetrics:
         assert metrics, "as_metrics() came back empty"
         assert all(metric_name_is_valid(name) for name in metrics)
         assert 'repro_session_share{analyst="a-0"}' in metrics
-        assert "repro_translations_built" in metrics
+        for tier in ("hits", "revalidated", "disk_hits", "built"):
+            assert f"repro_translations_{tier}" in metrics
 
     def test_service_registers_into_a_registry(self):
         from repro.mechanisms.registry import default_registry
@@ -291,6 +292,8 @@ class TestFacadeMetrics:
             name.startswith("repro_pool_") for name in snapshot
         )
         assert all(metric_name_is_valid(name) for name in snapshot)
+        for tier in ("hits", "revalidated", "disk_hits", "built"):
+            assert f"repro_translations_{tier}" in snapshot
 
     def test_default_metrics_is_a_singleton(self):
         assert default_metrics() is default_metrics()

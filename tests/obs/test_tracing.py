@@ -271,30 +271,71 @@ class TestBatcherCoalesceEdges:
             assert follower["trace_id"] != leader["trace_id"]
 
 
+#: ``cache_tier`` span label -> translator counter that one such span bumps.
+_TIER_COUNTERS = {
+    "exact": "hits",
+    "revalidated": "revalidated",
+    "disk": "disk_hits",
+    "built": "built",
+}
+
+
+def _traced_service(table, store=None):
+    from repro.mechanisms.registry import default_registry
+    from repro.service import ExplorationService
+
+    service = ExplorationService(
+        table,
+        budget=10.0,
+        registry=default_registry(mc_samples=50),
+        seed=0,
+        batch_window=0.0,
+        store=store,
+    )
+    service.register_analyst("a-0")
+    return service
+
+
+def _trace_query():
+    from repro.core.accuracy import AccuracySpec
+    from repro.queries.builders import histogram_workload
+    from repro.queries.query import WorkloadCountingQuery
+
+    query = WorkloadCountingQuery(
+        histogram_workload("amount", start=0, stop=10_000, bins=4),
+        name="trace-q",
+    )
+    return query, AccuracySpec(alpha=8.0, beta=1e-3)
+
+
+def _traced_preview(service, tracer):
+    """One traced preview: its spans and its ``engine.translate`` tier labels.
+
+    Every label must be exactly one bump of the matching translator
+    counter, so the span labels and ``stats()["translations"]`` agree.
+    """
+    query, accuracy = _trace_query()
+    before = dict(service.stats()["translations"])
+    service.preview_cost("a-0", query, accuracy)
+    after = dict(service.stats()["translations"])
+    (trace,) = tracer.drain()
+    labels = [
+        s["attributes"]["cache_tier"]
+        for s in trace
+        if s["name"] == "engine.translate"
+    ]
+    for tier, counter in _TIER_COUNTERS.items():
+        assert labels.count(tier) == after[counter] - before[counter], tier
+    return trace, labels
+
+
 class TestServiceSpans:
     def test_cold_preview_produces_the_acceptance_chain(self, tracer):
-        from repro.mechanisms.registry import default_registry
-        from repro.service import ExplorationService
-        from repro.core.accuracy import AccuracySpec
-        from repro.queries.builders import histogram_workload
-        from repro.queries.query import WorkloadCountingQuery
         from tests.service.util import small_table
 
-        service = ExplorationService(
-            small_table(256),
-            budget=10.0,
-            registry=default_registry(mc_samples=50),
-            seed=0,
-            batch_window=0.0,
-        )
-        service.register_analyst("a-0")
-        query = WorkloadCountingQuery(
-            histogram_workload("amount", start=0, stop=10_000, bins=4),
-            name="trace-q",
-        )
-        accuracy = AccuracySpec(alpha=8.0, beta=1e-3)
-        service.preview_cost("a-0", query, accuracy)
-        (trace,) = tracer.drain()
+        service = _traced_service(small_table(256))
+        query, accuracy = _trace_query()
+        trace, labels = _traced_preview(service, tracer)
         names = {s["name"] for s in trace}
         assert {
             "service.preview_cost",
@@ -306,14 +347,15 @@ class TestServiceSpans:
             "workload.matrix_build",
             "wcqsm.search",
         } <= names
-        translate = next(s for s in trace if s["name"] == "engine.translate")
-        assert translate["attributes"]["cache_tier"] == "built"
+        assert labels == ["built"]
 
         service.explore("a-0", query, accuracy)
         (trace,) = tracer.drain()
         names = {s["name"] for s in trace}
         assert {
             "service.explore",
+            "service.admission",
+            "service.snapshot_pin",
             "engine.explore",
             "engine.translate",
             "engine.reserve",
@@ -322,3 +364,26 @@ class TestServiceSpans:
         } <= names
         translate = next(s for s in trace if s["name"] == "engine.translate")
         assert translate["attributes"]["cache_tier"] == "exact"
+
+    def test_cache_tier_labels_match_counters_on_every_tier(self, tracer, tmp_path):
+        from repro.queries.workload import clear_matrix_cache
+        from repro.store import ArtifactStore
+        from tests.service.util import small_table
+
+        clear_matrix_cache()
+        store = ArtifactStore(str(tmp_path))
+        service = _traced_service(small_table(256), store=store)
+        assert _traced_preview(service, tracer)[1] == ["built"]
+        assert _traced_preview(service, tracer)[1] == ["exact"]
+        # The query reads only ``amount``, whose domain no append can
+        # change: the post-append preview re-tags instead of rebuilding.
+        rows = [
+            {"region": "region-00", "channel": "web", "amount": 50.0 * i, "age": 30.0}
+            for i in range(32)
+        ]
+        service.append_rows("default", rows)
+        assert _traced_preview(service, tracer)[1] == ["revalidated"]
+        # A fresh service over the same store answers from disk.
+        clear_matrix_cache()
+        restarted = _traced_service(small_table(256), store=store)
+        assert _traced_preview(restarted, tracer)[1] == ["disk"]

@@ -3,8 +3,7 @@
 Each seed derives a full random scenario (ops, crash plan, optional torn
 tail) and checks every recovery invariant; a failure message carries the
 whole report so the scenario can be replayed from its seed.  CI runs the
-same seeds as a named gate; the ``--suite reliability`` benchmark runs a
-larger sweep.
+same seeds as a named gate.
 """
 
 import json

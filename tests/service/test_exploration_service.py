@@ -1,5 +1,7 @@
 """ExplorationService: sessions, policies, batching and merged transcripts."""
 
+import threading
+
 import pytest
 
 from repro.bench.harness import RUN_TIMINGS
@@ -9,6 +11,7 @@ from repro.data.table import Table
 from repro.mechanisms.registry import default_registry
 from repro.queries.builders import histogram_workload
 from repro.queries.query import WorkloadCountingQuery
+from repro.queries.workload import clear_matrix_cache
 from repro.service import BudgetPolicy, ExplorationService
 from tests.service.util import small_table
 
@@ -170,6 +173,36 @@ class TestPreviewBatching:
         warm_seconds = time.perf_counter() - start
         assert service.stats()["batching"]["computed"] == computed_after_cold
         assert warm_seconds < 0.05  # did not sleep the batch window
+
+    def test_concurrent_identical_cold_previews_build_the_matrix_once(self, table):
+        # Analysts racing a never-seen preview with structurally equal but
+        # distinct query objects: the batcher coalesces them onto one flight
+        # (late arrivals hit the translation memo), so one matrix build
+        # serves every analyst the same answer.
+        clear_matrix_cache()
+        service = make_service(table, batch_window=0.01)
+        n_threads = 8
+        for i in range(n_threads):
+            service.register_analyst(f"a{i}")
+        built_before = service.stats()["workload_matrices"]["built"]
+        barrier = threading.Barrier(n_threads)
+        previews = [None] * n_threads
+
+        def ask(i):
+            query = hist_query(table, bins=11)
+            barrier.wait(timeout=10)
+            previews[i] = service.preview_cost(f"a{i}", query, ACC)
+
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        stats = service.stats()
+        assert stats["batching"]["computed"] == 1
+        assert stats["workload_matrices"]["built"] - built_before == 1
+        assert previews[0] and all(p == previews[0] for p in previews)
 
     def test_preview_results_are_independent_copies(self, table):
         service = make_service(table)

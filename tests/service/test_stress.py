@@ -19,6 +19,7 @@ from repro.mechanisms.registry import default_registry
 from repro.queries.builders import histogram_workload
 from repro.queries.query import WorkloadCountingQuery
 from repro.queries.workload import Workload, clear_matrix_cache
+from repro.reliability.journal import LedgerJournal
 from repro.service import BudgetPolicy, ExplorationService
 from tests.service.util import small_table
 
@@ -50,61 +51,85 @@ def table():
     return small_table(2_000)
 
 
+def race_into_denials(table, policy, max_analysts, journal=None):
+    """N threads race a budget sized for ~5.5 explores; returns the service.
+
+    Asserts the safety contract: spend within B, nothing left reserved,
+    free denials, and a Theorem 6.2-valid merged transcript.
+    """
+    # Size B so only a fraction of the explores can be admitted: the
+    # threads must race each other into denials without overspending.
+    scratch = ExplorationService(
+        table, budget=1e9, registry=default_registry(mc_samples=200), seed=0
+    )
+    scratch.register_analyst("probe")
+    query = WorkloadCountingQuery(
+        histogram_workload("amount", start=0, stop=10_000, bins=8), name="hist"
+    )
+    unit = min(up for _, up in scratch.preview_cost("probe", query, ACC).values())
+    budget = 5.5 * unit
+
+    service = ExplorationService(
+        table,
+        budget=budget,
+        policy=policy,
+        max_analysts=max_analysts,
+        registry=default_registry(mc_samples=200),
+        seed=1,
+        batch_window=0.0,
+        journal=journal,
+    )
+    for i in range(N_THREADS):
+        service.register_analyst(f"t{i}")
+
+    def worker(i):
+        query_i = WorkloadCountingQuery(
+            histogram_workload(
+                "amount", start=0, stop=10_000, bins=8 + 2 * (i % 3)
+            ),
+            name=f"hist-{i}",
+        )
+        for _ in range(3):
+            service.preview_cost(f"t{i}", query_i, ACC)
+            service.explore(f"t{i}", query_i, ACC)
+
+    run_threads(worker)
+
+    merged = service.merged_transcript()
+    spent = merged.total_epsilon()
+    assert spent <= budget + 1e-9
+    assert service.budget_spent == pytest.approx(spent)
+    assert service.pool.reserved == pytest.approx(0.0)
+    # 24 explores were attempted against ~5.5 affordable units: some must
+    # have been denied, and every denial costs nothing.
+    assert len(merged.denied()) > 0
+    assert all(e.epsilon_spent == 0 for e in merged.denied())
+    # Theorem 6.2 over the merged, cross-analyst transcript.
+    assert merged.is_valid(budget)
+    assert service.validate()
+    return service
+
+
 class TestConcurrentBudgetSafety:
     @pytest.mark.parametrize(
         "policy,max_analysts",
         [(BudgetPolicy.FIRST_COME, None), (BudgetPolicy.FIXED_SHARE, N_THREADS)],
     )
     def test_total_epsilon_never_exceeds_budget(self, table, policy, max_analysts):
-        # Size B so only a fraction of the explores can be admitted: the
-        # threads must race each other into denials without overspending.
-        scratch = ExplorationService(
-            table, budget=1e9, registry=default_registry(mc_samples=200), seed=0
-        )
-        scratch.register_analyst("probe")
-        query = WorkloadCountingQuery(
-            histogram_workload("amount", start=0, stop=10_000, bins=8), name="hist"
-        )
-        unit = min(up for _, up in scratch.preview_cost("probe", query, ACC).values())
-        budget = 5.5 * unit
+        race_into_denials(table, policy, max_analysts)
 
-        service = ExplorationService(
-            table,
-            budget=budget,
-            policy=policy,
-            max_analysts=max_analysts,
-            registry=default_registry(mc_samples=200),
-            seed=1,
-            batch_window=0.0,
-        )
-        for i in range(N_THREADS):
-            service.register_analyst(f"t{i}")
-
-        def worker(i):
-            query_i = WorkloadCountingQuery(
-                histogram_workload(
-                    "amount", start=0, stop=10_000, bins=8 + 2 * (i % 3)
-                ),
-                name=f"hist-{i}",
+    def test_journaled_race_stays_within_budget_and_recovers_exactly(
+        self, table, tmp_path
+    ):
+        path = str(tmp_path / "ledger.wal")
+        with LedgerJournal(path) as journal:
+            service = race_into_denials(
+                table, BudgetPolicy.FIRST_COME, None, journal=journal
             )
-            for _ in range(3):
-                service.preview_cost(f"t{i}", query_i, ACC)
-                service.explore(f"t{i}", query_i, ACC)
-
-        run_threads(worker)
-
-        merged = service.merged_transcript()
-        spent = merged.total_epsilon()
-        assert spent <= budget + 1e-9
-        assert service.budget_spent == pytest.approx(spent)
-        assert service.pool.reserved == pytest.approx(0.0)
-        # 24 explores were attempted against ~5.5 affordable units: some must
-        # have been denied, and every denial costs nothing.
-        assert len(merged.denied()) > 0
-        assert all(e.epsilon_spent == 0 for e in merged.denied())
-        # Theorem 6.2 over the merged, cross-analyst transcript.
-        assert merged.is_valid(budget)
-        assert service.validate()
+        with LedgerJournal(path) as reopened:
+            recovery = reopened.recovery
+        assert recovery.inflight_epsilon == 0.0
+        assert recovery.committed_epsilon == pytest.approx(service.budget_spent)
 
     def test_concurrent_explores_for_one_analyst_serialize(self, table):
         """Same-analyst requests must not race on the engine's noise RNG."""

@@ -1,6 +1,6 @@
 """Shared fixtures for the service tests: a small synthetic table."""
 
-from repro.bench.microbench import build_bench_table
+from repro.bench.fixtures import build_bench_table
 from repro.data.table import Table
 
 

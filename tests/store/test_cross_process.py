@@ -1,7 +1,6 @@
 """Cross-process sharing: a fresh interpreter warm-starts from the store.
 
-The acceptance criterion of the subsystem, pinned as a test (the
-``--suite store`` benchmark measures the same scenario at full size): a
+The acceptance criterion of the subsystem, pinned as a test: a
 restarted process -- fresh interpreter, ``store=`` pointing at the prior
 run's directory -- answers a structurally identical ``preview_cost`` with
 **zero** matrix rebuilds and **zero** Monte-Carlo re-searches, bit-identical
@@ -14,7 +13,7 @@ import subprocess
 import sys
 
 import repro
-from repro.bench.microbench import build_bench_table, build_bench_workload
+from repro.bench.fixtures import build_bench_table, build_bench_workload
 from repro.core.accuracy import AccuracySpec
 from repro.core.engine import APExEngine
 from repro.mechanisms.registry import default_registry
