@@ -39,15 +39,16 @@ every committed transcript is valid in the sense of Definition 6.1.
 Durability
 ----------
 
-The invariant above is only as durable as the process: a crash mid-explore
-would forget both committed spend and in-flight reservations.  Construct
-the ledger with a :class:`~repro.reliability.journal.LedgerJournal` and
-every reserve/commit/release/denial is appended to an fsync'd, checksummed
-write-ahead log **before** the in-memory state mutates; a restarted process
-replays the journal (:meth:`PrivacyLedger.adopt_recovery`) -- committed
-spend exactly, in-flight reservations conservatively at their worst case --
-so no crash can ever make the accounting *under*-count.  The contract is
-spelled out in ``docs/reliability.md`` and exercised by
+The invariant above is only as durable as the process: a crash would forget
+the committed spend.  Construct the ledger with a
+:class:`~repro.reliability.journal.LedgerJournal` and every commit and
+denial is appended to an fsync'd, checksummed write-ahead log **before**
+the in-memory state mutates -- and so before the answer can reach an
+analyst.  Reservations stay in memory: one that dies with its process
+released nothing and costs nothing.  A restarted process replays the
+journal's commits exactly (:meth:`PrivacyLedger.adopt_recovery`), so no
+crash can make the accounting *under*-count a released answer.  The
+contract is spelled out in ``docs/reliability.md`` and exercised by
 :mod:`repro.reliability.exerciser`.
 """
 
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.core.accuracy import AccuracySpec
 from repro.core.exceptions import ApexError, BudgetExceededError, LedgerInvariantError
@@ -180,110 +181,53 @@ class BudgetReservation:
     :meth:`PrivacyLedger.release` (abort).  While active, the reserved
     ``epsilon_upper`` is excluded from :attr:`PrivacyLedger.remaining`, which
     is what makes concurrent admission control sound.
-
-    ``rid`` is the write-ahead journal sequence number of the reservation's
-    ``reserve`` record when the ledger is journaled (``None`` otherwise);
-    the matching ``commit``/``release`` record carries it so crash recovery
-    can tell resolved reservations from in-flight ones.
     """
 
     epsilon_upper: float
     active: bool = True
-    rid: int | None = None
 
 
-def _recovery_entries(
-    recovery: "JournalRecovery", start_index: int, spent_before: float
-) -> tuple[list[TranscriptEntry], float]:
-    """Reconstruct transcript entries from a journal replay.
+def _recovery_entries(recovery: "JournalRecovery") -> list[TranscriptEntry]:
+    """Rebuild the transcript entries of a journal replay, in journal order.
 
-    Commits and denials are rebuilt in journal (= commit) order; every
-    unresolved in-flight reservation becomes an answered entry *at its
-    reserve position*, charged at its worst case ``eps_upper`` (the
-    conservative surcharge), with its query name prefixed
-    ``recovered-inflight:`` so the surcharge is visible in the transcript.
-    Reserve records are journaled only after admission fully succeeded, so
-    the rebuilt transcript satisfies the Definition 6.1 admission check at
-    every position.  Returns the entries plus the total recovered spend.
+    Each ``commit`` becomes an answered entry charged its exact
+    ``eps_spent`` and each ``deny`` a free denial; every other op (such as
+    the ``reserve``/``release`` records of older journals) is skipped.
+    ``docs/reliability.md`` argues why the result satisfies Definition 6.1.
     """
     entries: list[TranscriptEntry] = []
-    running = spent_before
-    index = start_index
-
-    def _accuracy(record: Mapping[str, Any]) -> AccuracySpec:
-        return AccuracySpec(
-            alpha=float(record.get("alpha", 1.0)),
-            beta=float(record.get("beta", 5e-4)),
-        )
-
-    def _name(record: Mapping[str, Any], prefix: str = "") -> str:
-        query = str(record.get("query", "unknown"))
-        analyst = record.get("analyst")
-        if analyst:
-            query = f"{analyst}:{query}"
-        return prefix + query
-
-    inflight_seqs = {record["seq"] for record in recovery.inflight}
+    running = 0.0
     for record in recovery.records:
         op = record.get("op")
-        if op == "commit":
-            eps_spent = float(record.get("eps_spent", 0.0))
-            entries.append(
-                TranscriptEntry(
-                    index=index,
-                    query_name=_name(record),
-                    query_kind=str(record.get("kind", "unknown")),
-                    accuracy=_accuracy(record),
-                    mechanism=record.get("mechanism"),
-                    epsilon_upper=float(record.get("eps_upper", eps_spent)),
-                    epsilon_spent=eps_spent,
-                    denied=False,
-                    answer=None,  # answers are not journaled, only losses
-                    budget_before=running,
-                    budget_after=running + eps_spent,
-                )
+        if op not in ("commit", "deny"):
+            continue
+        denied = op == "deny"
+        eps_spent = 0.0 if denied else float(record.get("eps_spent", 0.0))
+        query = str(record.get("query", "unknown"))
+        if record.get("analyst"):
+            query = f"{record['analyst']}:{query}"
+        entries.append(
+            TranscriptEntry(
+                index=len(entries),
+                query_name=query,
+                query_kind=str(record.get("kind", "unknown")),
+                accuracy=AccuracySpec(
+                    alpha=float(record.get("alpha", 1.0)),
+                    beta=float(record.get("beta", 5e-4)),
+                ),
+                mechanism=None if denied else record.get("mechanism"),
+                epsilon_upper=(
+                    0.0 if denied else float(record.get("eps_upper", eps_spent))
+                ),
+                epsilon_spent=eps_spent,
+                denied=denied,
+                answer=None,  # answers are not journaled, only losses
+                budget_before=running,
+                budget_after=running + eps_spent,
             )
-            running += eps_spent
-            index += 1
-        elif op == "deny":
-            entries.append(
-                TranscriptEntry(
-                    index=index,
-                    query_name=_name(record),
-                    query_kind=str(record.get("kind", "unknown")),
-                    accuracy=_accuracy(record),
-                    mechanism=None,
-                    epsilon_upper=0.0,
-                    epsilon_spent=0.0,
-                    denied=True,
-                    answer=None,
-                    budget_before=running,
-                    budget_after=running,
-                )
-            )
-            index += 1
-        elif op == "reserve" and record["seq"] in inflight_seqs:
-            # Conservative surcharge: the crashed process may have run the
-            # mechanism and shown the answer, so the worst case is charged.
-            eps_upper = float(record.get("eps_upper", 0.0))
-            entries.append(
-                TranscriptEntry(
-                    index=index,
-                    query_name=_name(record, prefix="recovered-inflight:"),
-                    query_kind=str(record.get("kind", "unknown")),
-                    accuracy=_accuracy(record),
-                    mechanism=record.get("mechanism"),
-                    epsilon_upper=eps_upper,
-                    epsilon_spent=eps_upper,
-                    denied=False,
-                    answer=None,
-                    budget_before=running,
-                    budget_after=running + eps_upper,
-                )
-            )
-            running += eps_upper
-            index += 1
-    return entries, running - spent_before
+        )
+        running += eps_spent
+    return entries
 
 
 class PrivacyLedger:
@@ -292,9 +236,9 @@ class PrivacyLedger:
     :param budget: the owner-specified total privacy budget ``B``.
     :param journal: an optional
         :class:`~repro.reliability.journal.LedgerJournal`.  When set, every
-        reserve / commit / release / denial is durably appended to the
-        write-ahead log before the mechanism's effects can reach an analyst,
-        so a crashed-and-restarted process (after
+        commit and denial is durably appended to the write-ahead log before
+        :meth:`charge` / :meth:`deny` return, so before an answer can reach
+        an analyst; a crashed-and-restarted process (after
         :meth:`adopt_recovery`) can never under-count spend.
     :param journal_label: identity stamped onto journal records (the
         analyst name for session ledgers); purely descriptive.
@@ -362,10 +306,10 @@ class PrivacyLedger:
     def adopt_recovery(self, recovery: "JournalRecovery") -> int:
         """Apply a journal replay to this (pristine) ledger.
 
-        Reconstructs the crashed process's transcript -- committed spend
-        exactly, in-flight reservations conservatively at their worst case
-        -- and charges the total as already-spent budget.  Must be called
-        before any new activity; returns the number of recovered entries.
+        Reconstructs the crashed process's transcript -- its commits
+        exactly, and its denials -- and charges the total as already-spent
+        budget.  Must be called before any new activity; returns the number
+        of recovered entries.
 
         :raises ApexError: when the ledger has already been used, or the
             recovered spend exceeds this ledger's budget (the owner
@@ -384,10 +328,10 @@ class PrivacyLedger:
                     f"ledger's budget is only {self._budget:.6g}; refusing to "
                     "restart with less budget than was already consumed"
                 )
-            entries, spent = _recovery_entries(recovery, 0, 0.0)
+            entries = _recovery_entries(recovery)
             for entry in entries:
                 self._transcript.append(entry)
-            self._spent = spent
+            self._spent = recovery.spent
             return len(entries)
 
     def assert_invariants(self) -> None:
@@ -427,25 +371,6 @@ class PrivacyLedger:
                     f"spent ({self._spent:.6g})"
                 )
 
-    def _journal_reserve(
-        self,
-        reservation: BudgetReservation,
-        epsilon_upper: float,
-        context: Mapping[str, Any] | None,
-    ) -> None:
-        """Durably record an *admitted* reservation (see :meth:`reserve`)."""
-        if self._journal is None:
-            return
-        fields: dict[str, Any] = {"eps_upper": float(epsilon_upper)}
-        if self._journal_label is not None:
-            fields["analyst"] = self._journal_label
-        if context:
-            fields.update(
-                {k: context[k] for k in ("query", "kind", "mechanism", "alpha", "beta") if k in context}
-            )
-        reservation.rid = self._journal.append("reserve", **fields)
-        fail_point("ledger.reserve.after_journal")
-
     # -- admission and charging ------------------------------------------------------
 
     def can_afford(self, epsilon_upper: float) -> bool:
@@ -454,30 +379,14 @@ class PrivacyLedger:
             raise ApexError("epsilon_upper must be positive")
         return epsilon_upper <= self.remaining + _TOLERANCE
 
-    def reserve(
-        self,
-        epsilon_upper: float,
-        *,
-        context: Mapping[str, Any] | None = None,
-        _journal_now: bool = True,
-    ) -> BudgetReservation | None:
+    def reserve(self, epsilon_upper: float) -> BudgetReservation | None:
         """Atomically admit and set aside ``epsilon_upper``; ``None`` on refusal.
 
         This is phase one of the two-phase charge used by concurrent
         exploration: the check against :attr:`remaining` and the reservation
         happen under one lock, so two in-flight queries can never both be
-        admitted against the same headroom.
-
-        ``context`` (query name/kind, mechanism, alpha, beta) is stamped
-        onto the journal record so crash recovery can reconstruct a
-        meaningful transcript entry for an in-flight reservation.  The
-        journal append happens *after* admission succeeded (an unadmitted
-        reservation must never be conservatively charged on recovery) but
-        *before* this method returns -- i.e. before the mechanism can
-        possibly run -- which is the write-ahead ordering the recovery
-        guarantee needs.  ``_journal_now=False`` is for subclasses whose
-        admission spans further checks (:class:`~repro.service.budget.SessionLedger`
-        journals only once the shared pool has also admitted).
+        admitted against the same headroom.  Nothing is journaled: a
+        reservation lost in a crash released no answer.
         """
         if epsilon_upper <= 0:
             raise ApexError("epsilon_upper must be positive")
@@ -487,28 +396,13 @@ class PrivacyLedger:
             self._reserved += epsilon_upper
             reservation = BudgetReservation(epsilon_upper=float(epsilon_upper))
             self._active_reservations[id(reservation)] = reservation
-        if _journal_now:
-            try:
-                self._journal_reserve(reservation, epsilon_upper, context)
-            except BaseException:
-                # The journal append failed after admission: without this
-                # rollback the reservation would stay registered forever and
-                # permanently shrink `remaining` (found by APX001).
-                self.release(reservation)
-                raise
-        return reservation
+            return reservation
 
     def release(self, reservation: BudgetReservation) -> None:
         """Return an unused reservation to the pool (mechanism did not run)."""
         with self._lock:
             if not reservation.active:
                 return
-            if self._journal is not None and reservation.rid is not None:
-                # Journal first: if we crash in between, recovery sees the
-                # release and charges nothing -- correct, since "released"
-                # means the mechanism never ran.
-                self._journal.append("release", rid=reservation.rid)
-                fail_point("ledger.release.after_journal")
             reservation.active = False
             self._active_reservations.pop(id(reservation), None)
             self._reserved = max(self._reserved - reservation.epsilon_upper, 0.0)
@@ -556,9 +450,9 @@ class PrivacyLedger:
                     remaining=self.remaining,
                 )
             # Write-ahead: the commit is durable before spent/transcript
-            # mutate.  A crash right before this line leaves the reservation
-            # journaled but uncommitted -- recovery conservatively charges
-            # its worst case; a crash right after counts the exact loss.
+            # mutate and before the caller can release the answer.  A crash
+            # before the append charges nothing (no answer left the
+            # process); a crash after it recovers the exact loss.
             fail_point("ledger.charge.before_journal")
             if self._journal is not None:
                 fields: dict[str, Any] = {
@@ -570,8 +464,6 @@ class PrivacyLedger:
                     "alpha": float(accuracy.alpha),
                     "beta": float(accuracy.beta),
                 }
-                if reservation is not None and reservation.rid is not None:
-                    fields["rid"] = reservation.rid
                 if self._journal_label is not None:
                     fields["analyst"] = self._journal_label
                 self._journal.append("commit", **fields)
@@ -604,7 +496,6 @@ class PrivacyLedger:
         query_name: str,
         query_kind: str,
         accuracy: AccuracySpec,
-        reason: str = "no mechanism fits the remaining budget",
     ) -> TranscriptEntry:
         """Record a denied query (costs no privacy)."""
         with self._lock:
@@ -632,5 +523,4 @@ class PrivacyLedger:
                 budget_after=self._spent,
             )
             self._transcript.append(entry)
-            _ = reason
             return entry

@@ -309,14 +309,7 @@ class APExEngine:
                     return self._deny(query, accuracy)
                 with tracing.span("engine.reserve"):
                     reservation = self._ledger.reserve(
-                        choice.translation.epsilon_upper,
-                        context={
-                            "query": query.name,
-                            "kind": query.kind.value,
-                            "mechanism": choice.mechanism.name,
-                            "alpha": float(accuracy.alpha),
-                            "beta": float(accuracy.beta),
-                        },
+                        choice.translation.epsilon_upper
                     )
                 if reservation is not None:
                     break

@@ -1,17 +1,16 @@
 """Crash safety and fault tolerance for the exploration service.
 
 The privacy budget is the one piece of state this system must never lose
-track of: a crash that forgets committed spend (or in-flight reservations)
-would let a restarted service overspend the owner budget ``B`` and void the
-paper's end-to-end guarantee.  This package makes "budget never overspent,
-transcript always valid" hold *across* process crashes, and makes that claim
-testable:
+track of: a crash that forgets committed spend would let a restarted
+service overspend the owner budget ``B`` and void the paper's end-to-end
+guarantee.  This package makes "budget never overspent, transcript always
+valid" hold *across* process crashes, and makes that claim testable:
 
 * :mod:`repro.reliability.journal` -- a write-ahead ledger journal: an
-  append-only, fsync'd, checksummed record of every reserve / commit /
-  release / denial, written by the ledger **before** the in-memory state
-  mutates, with crash recovery that replays committed spend and
-  conservatively charges whatever was still in flight;
+  append-only, fsync'd, checksummed record of every commit and denial,
+  written by the ledger **before** the in-memory state mutates and before
+  the answer is released, with crash recovery that replays the commits
+  exactly;
 * :mod:`repro.reliability.faults` -- a failpoint framework: named injection
   sites threaded through the accounting core, the artifact store and the
   service layer, no-op when disarmed, armable in-process or via an

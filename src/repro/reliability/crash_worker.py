@@ -45,7 +45,7 @@ A final ``{"event": "done", ...}`` line carries the incarnation's closing
 books (total spent, transcript validity, ledger-invariant check) so a
 *cleanly finished* worker can be audited too.  Keeping this scenario in an
 importable module (rather than inline ``-c`` scripts) keeps it identical
-across the exerciser, the crash-recovery tests and the benchmark suite.
+across the exerciser and the crash-recovery tests.
 """
 
 from __future__ import annotations
@@ -155,7 +155,6 @@ def run_script(
             "event": "recovered",
             "spent": service.budget_spent,
             "records": len(recovery.records),
-            "inflight": len(recovery.inflight),
             "truncated_bytes": recovery.truncated_bytes,
             "valid": service.validate(),
         }

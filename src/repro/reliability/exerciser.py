@@ -32,9 +32,8 @@ and each violation is recorded in the returned report:
   replayed script, so snapshot-pinned answers surviving concurrent table
   mutation is covered by the same bit-identity check.
 
-The tests (``tests/reliability/test_exerciser.py``) and the ``--suite
-reliability`` benchmark both drive this module with bounded seed sets; CI
-runs it as a named gate.
+The tests (``tests/reliability/test_exerciser.py``) drive this module with
+bounded seed sets; CI runs them as a named gate.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ CRASH_SITES = (
     "journal.append.before_write",
     "journal.append.before_fsync",
     "journal.append.after_fsync",
-    "ledger.reserve.after_journal",
     "ledger.charge.before_journal",
     "ledger.charge.after_journal",
     "engine.explore.after_reserve",

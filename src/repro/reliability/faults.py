@@ -84,10 +84,8 @@ FAILPOINT_SITES: tuple[str, ...] = (
     "journal.append.before_fsync",  # record buffered but not yet durable
     "journal.append.after_fsync",  # record durable, in-memory state not yet mutated
     # privacy ledger (repro/core/accounting.py)
-    "ledger.reserve.after_journal",  # reservation journaled, not yet reserved
     "ledger.charge.before_journal",  # mechanism ran, commit not yet journaled
     "ledger.charge.after_journal",  # commit durable, spent not yet mutated
-    "ledger.release.after_journal",  # release durable, reservation not yet freed
     # engine (repro/core/engine.py)
     "engine.explore.after_reserve",  # between reservation and mechanism run
     "engine.explore.after_run",  # mechanism ran, loss not yet charged

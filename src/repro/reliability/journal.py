@@ -1,11 +1,10 @@
 """The write-ahead ledger journal: durable privacy accounting.
 
-:class:`~repro.core.accounting.PrivacyLedger`'s two-phase reserve/commit
-state lives in process memory; a crash mid-explore would silently forget
-both committed spend and in-flight reservations, letting a restarted
-service overspend the owner budget ``B``.  :class:`LedgerJournal` closes
-that hole with the classic database move: an append-only, fsync'd,
-checksummed log written **before** every in-memory mutation.
+:class:`~repro.core.accounting.PrivacyLedger`'s books live in process
+memory; a crash would silently forget the committed spend, letting a
+restarted service overspend the owner budget ``B``.  :class:`LedgerJournal`
+closes that hole with the classic database move: an append-only, fsync'd,
+checksummed log written **before** the in-memory mutation it records.
 
 Record format
 -------------
@@ -15,40 +14,39 @@ One record per line::
     <crc32 of payload, 8 hex chars> <canonical JSON payload>\\n
 
 The payload is ``json.dumps(..., sort_keys=True)`` of a flat object that
-always carries ``seq`` (strictly increasing) and ``op`` (``reserve`` /
-``commit`` / ``release`` / ``deny``), plus the op's fields (``rid`` ties a
-commit or release back to its reservation's ``seq``; ``eps_upper`` /
-``eps_spent`` carry the losses; ``query`` / ``kind`` / ``mechanism`` /
-``alpha`` / ``beta`` / ``analyst`` let recovery reconstruct transcript
-entries).  JSON round-trips floats exactly, so recovered epsilons are
-bit-identical to what was charged.
+always carries ``seq`` (strictly increasing) and ``op`` (``commit`` /
+``deny``), plus the op's fields (``eps_upper`` / ``eps_spent`` carry the
+losses; ``query`` / ``kind`` / ``mechanism`` / ``alpha`` / ``beta`` /
+``analyst`` let recovery reconstruct transcript entries).  JSON round-trips
+floats exactly, so recovered epsilons are bit-identical to what was charged.
 
 Write-ahead ordering and what each crash point means
 ----------------------------------------------------
 
-Every record is appended (and, with ``sync=True``, fsync'd) *before* the
-ledger mutates its state, so the journal is always a **superset** of what
-memory knew:
+A ``commit`` is appended and fsync'd inside
+:meth:`~repro.core.accounting.PrivacyLedger.charge`, before the ledger
+mutates and before the answer is returned to anyone:
 
-* crash before the append -- neither journal nor memory saw the op; the
-  mechanism never ran; nothing to recover;
-* crash between append and mutation -- recovery replays the journaled op;
-  for a ``reserve`` this *over*-counts (the mechanism never ran) which is
-  the safe direction, never the unsafe one;
+* crash before the append -- no answer left the process; nothing is owed;
+* crash between append and mutation (or before the answer is acked) --
+  recovery charges the exact loss of an answer nobody may have seen, which
+  is the safe direction;
 * crash after mutation -- journal and memory agree.
+
+Reservations are never journaled: one that dies with its process released
+nothing.
 
 Recovery semantics (:class:`JournalRecovery`)
 ---------------------------------------------
 
-Committed spend is replayed exactly; every reservation with no matching
-commit or release is **conservatively charged at its worst case**
-``eps_upper`` -- the crashed process may or may not have run the mechanism,
-and the analyst may have seen the answer, so under-counting is forbidden
-while over-counting merely wastes budget.  A torn or rotted **tail** (the
-partially written last records of a crashed process) fails its checksum and
-is truncated; corruption *before* valid records cannot come from a torn
-write and raises :class:`~repro.core.exceptions.JournalCorruptError`
-instead of silently dropping the committed spend recorded after it.
+Commits replay exactly and denials replay as free entries, in journal
+order; any other op (e.g. the ``reserve`` / ``release`` records older
+journals carry) is kept in ``records`` but ignored.  A torn or rotted
+**tail** (the partially written last records of a crashed process) fails
+its checksum and is truncated; corruption *before* valid records cannot
+come from a torn write and raises
+:class:`~repro.core.exceptions.JournalCorruptError` instead of silently
+dropping the committed spend recorded after it.
 """
 
 from __future__ import annotations
@@ -66,8 +64,8 @@ from repro.reliability.faults import fail_point
 __all__ = ["JournalRecord", "JournalRecovery", "LedgerJournal", "read_journal"]
 
 #: Journal ops understood by recovery.  Unknown ops in a valid record are
-#: preserved in ``records`` but ignored by the replay (forward compat).
-OPS = ("reserve", "commit", "release", "deny")
+#: preserved in ``records`` but ignored by the replay.
+OPS = ("commit", "deny")
 
 #: A parsed journal record: the payload object, as written.
 JournalRecord = Mapping[str, Any]
@@ -172,15 +170,12 @@ def read_journal(
 
 @dataclass(frozen=True)
 class JournalRecovery:
-    """What a replayed journal says the ledger state must be, at minimum.
+    """What a replayed journal says the ledger state is.
 
+    :ivar records: every valid record, in journal order (unknown ops too).
     :ivar committed: the ``commit`` records, in commit order.
     :ivar denials: the ``deny`` records, in order.
-    :ivar inflight: ``reserve`` records with no matching commit/release --
-        the crashed process's in-flight queries, each conservatively charged
-        at its ``eps_upper``.
-    :ivar committed_epsilon: exact replayed spend.
-    :ivar inflight_epsilon: the conservative surcharge for in-flight work.
+    :ivar spent: the exact replayed spend, summed over ``committed``.
     :ivar truncated_bytes: size of the torn tail dropped during the scan
         (``0`` for a clean shutdown).
     """
@@ -188,15 +183,8 @@ class JournalRecovery:
     records: tuple[JournalRecord, ...]
     committed: tuple[JournalRecord, ...]
     denials: tuple[JournalRecord, ...]
-    inflight: tuple[JournalRecord, ...]
-    committed_epsilon: float
-    inflight_epsilon: float
+    spent: float
     truncated_bytes: int
-
-    @property
-    def spent(self) -> float:
-        """The recovered spend: exact commits + conservative in-flight."""
-        return self.committed_epsilon + self.inflight_epsilon
 
     @property
     def empty(self) -> bool:
@@ -208,35 +196,17 @@ class JournalRecovery:
     ) -> "JournalRecovery":
         """Replay parsed records into the recovered accounting state."""
         records = tuple(records)
-        inflight: dict[int, JournalRecord] = {}
-        committed: list[JournalRecord] = []
-        denials: list[JournalRecord] = []
-        committed_epsilon = 0.0
-        for record in records:
-            op = record["op"]
-            if op == "reserve":
-                inflight[record["seq"]] = record
-            elif op == "commit":
-                rid = record.get("rid")
-                if rid is not None:
-                    inflight.pop(rid, None)
-                committed.append(record)
-                committed_epsilon += float(record.get("eps_spent", 0.0))
-            elif op == "release":
-                rid = record.get("rid")
-                if rid is not None:
-                    inflight.pop(rid, None)
-            elif op == "deny":
-                denials.append(record)
-            # unknown ops: kept in `records`, ignored by the replay
-        pending = tuple(inflight.values())
+        committed = tuple(r for r in records if r["op"] == "commit")
+        # Left-to-right like the ledger's running total (Python 3.12's sum()
+        # compensates, which would not match it bit for bit).
+        spent = 0.0
+        for record in committed:
+            spent += float(record.get("eps_spent", 0.0))
         return cls(
             records=records,
-            committed=tuple(committed),
-            denials=tuple(denials),
-            inflight=pending,
-            committed_epsilon=committed_epsilon,
-            inflight_epsilon=sum(float(r.get("eps_upper", 0.0)) for r in pending),
+            committed=committed,
+            denials=tuple(r for r in records if r["op"] == "deny"),
+            spent=spent,
             truncated_bytes=truncated_bytes,
         )
 
@@ -253,16 +223,11 @@ class LedgerJournal:
     (the sharded/multi-process story goes through one journal per process).
 
     :param path: the journal file (created if missing; parent directories
-        are created too).
-    :param sync: ``True`` (default) fsyncs every append -- the durability
-        the recovery guarantee is stated for.  ``False`` trades crash
-        durability for speed (still torn-tail-safe thanks to the per-record
-        checksum); useful for tests and for measuring the fsync cost.
+        are created too).  Every append is fsync'd.
     """
 
-    def __init__(self, path: str, *, sync: bool = True) -> None:
+    def __init__(self, path: str) -> None:
         self._path = os.path.abspath(str(path))
-        self._sync = bool(sync)
         self._lock = threading.Lock()
         parent = os.path.dirname(self._path)
         if parent:
@@ -272,21 +237,16 @@ class LedgerJournal:
         self._next_seq = (records[-1]["seq"] + 1) if records else 1
         self._appended = 0
         self._handle = open(self._path, "ab")
-        if self._sync:
-            # Make the (possibly just-created, possibly just-truncated)
-            # file itself durable before the first record relies on it.
-            os.fsync(self._handle.fileno())
-            self._fsync_dir(parent)
+        # Make the (possibly just-created, possibly just-truncated) file
+        # itself durable before the first record relies on it.
+        os.fsync(self._handle.fileno())
+        self._fsync_dir(parent)
 
     # -- accessors ---------------------------------------------------------------
 
     @property
     def path(self) -> str:
         return self._path
-
-    @property
-    def sync(self) -> bool:
-        return self._sync
 
     @property
     def recovery(self) -> JournalRecovery:
@@ -298,7 +258,6 @@ class LedgerJournal:
         with self._lock:
             return {
                 "recovered_records": len(self._recovery.records),
-                "recovered_inflight": len(self._recovery.inflight),
                 "truncated_bytes": self._recovery.truncated_bytes,
                 "appended_records": self._appended,
                 "next_seq": self._next_seq,
@@ -309,9 +268,9 @@ class LedgerJournal:
     def append(self, op: str, **fields: Any) -> int:
         """Durably append one record; returns its ``seq``.
 
-        The record is on disk (and fsync'd, when ``sync=True``) before this
-        returns -- callers mutate in-memory state only *after* that, which
-        is the whole write-ahead contract.
+        The record is on disk and fsync'd before this returns -- callers
+        mutate in-memory state only *after* that, which is the whole
+        write-ahead contract.
         """
         if op not in OPS:
             raise ApexError(f"unknown journal op {op!r}; expected one of {OPS}")
@@ -325,8 +284,7 @@ class LedgerJournal:
             self._handle.write(line)
             self._handle.flush()
             fail_point("journal.append.before_fsync")
-            if self._sync:
-                os.fsync(self._handle.fileno())
+            os.fsync(self._handle.fileno())
             fail_point("journal.append.after_fsync")
             self._appended += 1
             return seq
@@ -357,4 +315,4 @@ class LedgerJournal:
             os.close(fd)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LedgerJournal(path={self._path!r}, sync={self._sync})"
+        return f"LedgerJournal(path={self._path!r})"

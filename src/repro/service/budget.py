@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import threading
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any
 
 from repro.core.accounting import (
     BudgetReservation,
@@ -228,10 +228,10 @@ class SharedBudgetPool:
     def adopt_recovery(self, recovery: "JournalRecovery") -> int:
         """Seed the pool from a journal replay (crash recovery on startup).
 
-        Reconstructs the crashed service's merged transcript -- committed
-        spend exactly, in-flight reservations conservatively at their worst
-        case -- and charges the total against the pool, so the restarted
-        service's admission control starts from what was *at least* spent.
+        Reconstructs the crashed service's merged transcript -- every
+        journaled commit at its exact loss, plus the denials -- and charges
+        the total against the pool, so the restarted service's admission
+        control starts from everything an analyst may have seen.
         Must run before any session activity; returns the number of
         recovered entries.  See
         :meth:`repro.core.accounting.PrivacyLedger.adopt_recovery` for the
@@ -249,10 +249,10 @@ class SharedBudgetPool:
                     f"pool budget is only {self._budget:.6g}; refusing to "
                     "restart with less budget than was already consumed"
                 )
-            entries, spent = _recovery_entries(recovery, 0, 0.0)
+            entries = _recovery_entries(recovery)
             for entry in entries:
                 self._merged.append(entry)
-            self._spent = spent
+            self._spent = recovery.spent
             return len(entries)
 
     def assert_invariants(self) -> None:
@@ -329,24 +329,9 @@ class SessionLedger(PrivacyLedger):
         """Headroom: the tighter of the analyst's share and the pool."""
         return min(super().remaining, self._pool.remaining)
 
-    def reserve(
-        self,
-        epsilon_upper: float,
-        *,
-        context: Mapping[str, Any] | None = None,
-        _journal_now: bool = True,
-    ) -> BudgetReservation | None:
-        """Reserve from the analyst's share, then from the pool (with rollback).
-
-        The journal record is appended only once *both* admission checks
-        have passed: a reservation the pool refused must never exist in the
-        journal, or crash recovery would conservatively charge budget that
-        was never admitted (and the recovered transcript could fail the
-        Definition 6.1 admission check).
-        """
-        reservation = super().reserve(
-            epsilon_upper, context=context, _journal_now=False
-        )
+    def reserve(self, epsilon_upper: float) -> BudgetReservation | None:
+        """Reserve from the analyst's share, then from the pool (with rollback)."""
+        reservation = super().reserve(epsilon_upper)
         if reservation is None:
             return None
         try:
@@ -360,14 +345,6 @@ class SessionLedger(PrivacyLedger):
         if not pool_admitted:
             super().release(reservation)
             return None
-        if _journal_now:
-            try:
-                self._journal_reserve(reservation, epsilon_upper, context)
-            except BaseException:
-                # Roll back both books: self.release() undoes the share and
-                # the pool reservation together.
-                self.release(reservation)
-                raise
         return reservation
 
     def release(self, reservation: BudgetReservation) -> None:

@@ -26,11 +26,11 @@ budget ``B``, and any number of analysts then register sessions and issue
   the version they were admitted at.  See ``docs/consistency.md`` for the
   full cache/version/snapshot contract;
 * **crash safety** -- hand the service a
-  :class:`~repro.reliability.journal.LedgerJournal` and every reserve /
-  commit / release / denial is made durable *before* the books mutate; a
-  service restarted over the same journal path adopts the recovered spend
-  (committed charges exactly, in-flight reservations conservatively at
-  their upper bounds) before admitting any new analyst.  Per-request
+  :class:`~repro.reliability.journal.LedgerJournal` and every commit and
+  denial is made durable *before* the books mutate and the answer is
+  released; a service restarted over the same journal path adopts the
+  recovered spend (every journaled commit, exactly) before admitting any
+  new analyst.  Per-request
   deadlines abort overlong explores and release their reservations.  See
   ``docs/reliability.md`` for the journal format and recovery semantics.
 
@@ -147,9 +147,8 @@ class ExplorationService:
         :class:`~repro.reliability.journal.LedgerJournal`.  When given, the
         journal's recovered spend (replayed at open) is adopted into the
         shared pool *before* any analyst registers -- committed charges
-        replay exactly; reservations that were in flight at the crash are
-        charged conservatively at their upper bounds -- and every session
-        ledger journals its own reserves/commits/releases through it.
+        replay exactly -- and every session ledger journals its own commits
+        and denials through it.
     :param request_deadline: optional per-request wall-clock budget in
         seconds for :meth:`explore`.  An expired deadline aborts the request
         with :class:`~repro.core.exceptions.RequestTimeoutError` at the next
@@ -200,9 +199,8 @@ class ExplorationService:
         self._recovered_entries = 0
         if journal is not None and not journal.recovery.empty:
             # Crash recovery happens here, before any analyst can register:
-            # the previous incarnation's committed spend replays exactly and
-            # its in-flight reservations are charged at their upper bounds,
-            # so no interleaving of old crash and new requests can overspend.
+            # the previous incarnation's committed spend replays exactly, so
+            # no interleaving of old crash and new requests can overspend.
             self._recovered_entries = self._pool.adopt_recovery(journal.recovery)
         self._policy = policy
         self._max_analysts = max_analysts

@@ -14,7 +14,7 @@ whatever the data happened to do.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 from repro.core.exceptions import ApexError
@@ -145,14 +145,6 @@ class GeneratorConfig:
     def from_file(cls, path: str) -> "GeneratorConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
-
-    def scaled(self, factor: float) -> "GeneratorConfig":
-        """A proportionally smaller/larger stream with the same period structure."""
-        return replace(
-            self,
-            initial_rows=max(1, int(self.initial_rows * factor)),
-            rows_per_period=max(1, int(self.rows_per_period * factor)),
-        )
 
     def describe(self) -> str:
         return (

@@ -10,7 +10,7 @@ from repro.core.exceptions import ApexError, BudgetExceededError
 ACC = AccuracySpec(alpha=10)
 
 
-def _charge(ledger, upper, spent, name="q"):
+def _charge(ledger, upper, spent, name="q", reservation=None):
     return ledger.charge(
         query_name=name,
         query_kind="WCQ",
@@ -19,6 +19,7 @@ def _charge(ledger, upper, spent, name="q"):
         epsilon_upper=upper,
         epsilon_spent=spent,
         answer=[1, 2, 3],
+        reservation=reservation,
     )
 
 
@@ -148,11 +149,13 @@ class TestTranscript:
 
 
 class TestReserveJournalFailure:
-    """A journal failure during reserve() must roll the admission back.
+    """A journal failure on a reservation's commit must not leak the admission.
 
-    Regression: the journal append used to happen after the lock was
-    dropped with no rollback, so a crash-injected append leaked the
-    reservation and permanently shrank ``remaining`` (APX001 finding).
+    reserve() does no journal IO, so the first append a reservation meets is
+    its ``commit`` inside charge().  When that append fails, charge() raises
+    before consuming the reservation and the caller's release returns the
+    headroom (the APX001 leak class: a raise between admission and commit
+    must never shrink ``remaining`` for good).
     """
 
     def test_journal_failure_releases_the_reservation(self, tmp_path):
@@ -162,11 +165,17 @@ class TestReserveJournalFailure:
 
         journal = LedgerJournal(tmp_path / "wal.jsonl")
         ledger = PrivacyLedger(1.0, journal=journal)
-        with faults.armed("ledger.reserve.after_journal", "error"):
+        with faults.armed("journal.append.before_write", "error"):
+            reservation = ledger.reserve(0.4)  # admission needs no journal IO
+            assert reservation is not None
             with pytest.raises(FaultInjected):
-                ledger.reserve(0.4)
+                _charge(ledger, 0.4, 0.25, reservation=reservation)
+        assert reservation.active  # the failed commit consumed nothing
+        ledger.release(reservation)
         assert ledger.reserved == 0.0
+        assert ledger.spent == 0.0
         assert ledger.remaining == 1.0
+        assert len(ledger.transcript) == 0
         ledger.assert_invariants()
         # The full budget is still admissible afterwards.
         reservation = ledger.reserve(1.0)
@@ -182,12 +191,15 @@ class TestReserveJournalFailure:
         path = tmp_path / "wal.jsonl"
         journal = LedgerJournal(path)
         ledger = PrivacyLedger(1.0, journal=journal)
-        with faults.armed("ledger.reserve.after_journal", "error"):
+        reservation = ledger.reserve(0.4)
+        with faults.armed("journal.append.before_write", "error"):
             with pytest.raises(FaultInjected):
-                ledger.reserve(0.4)
+                _charge(ledger, 0.4, 0.25, reservation=reservation)
+        ledger.release(reservation)
         journal.close()
-        # The rollback journaled the release, so replay charges nothing.
+        # The commit never reached the journal, so replay charges nothing.
         reopened = LedgerJournal(path)
+        assert reopened.recovery.empty
         recovered = PrivacyLedger(1.0, journal=reopened)
         recovered.adopt_recovery(reopened.recovery)
         assert recovered.spent == 0.0

@@ -1,8 +1,8 @@
 """Journaled accounting: write-ahead ordering, recovery adoption, invariants.
 
 Includes the exception-path audit regressions: any failure between reserve
-and commit -- injected at the engine's and the ledger's own failpoints --
-must always release the reservation (no orphaned headroom), and
+and commit -- injected at the engine's, the ledger's and the journal's
+failpoints -- must always release the reservation (no orphaned headroom), and
 ``assert_invariants`` must catch the books drifting.
 """
 
@@ -35,40 +35,64 @@ def journal(tmp_path):
         yield j
 
 
+def charge(ledger, reservation, name, upper, spent):
+    return ledger.charge(
+        query_name=name,
+        query_kind="wcq",
+        accuracy=ACC,
+        mechanism="LM",
+        epsilon_upper=upper,
+        epsilon_spent=spent,
+        answer=None,
+        reservation=reservation,
+    )
+
+
 class TestWriteAheadOrdering:
     def test_reserve_then_charge_round_trips(self, tmp_path, journal):
         ledger = PrivacyLedger(1.0, journal=journal)
-        reservation = ledger.reserve(0.4, context={"query": "q1", "kind": "wcq"})
-        assert reservation.rid is not None
-        ledger.charge(
-            query_name="q1",
-            query_kind="wcq",
-            accuracy=ACC,
-            mechanism="LM",
-            epsilon_upper=0.4,
-            epsilon_spent=0.25,
-            answer=None,
-            reservation=reservation,
-        )
+        reservation = ledger.reserve(0.4)
+        assert journal.stats()["appended_records"] == 0
+        charge(ledger, reservation, "q1", 0.4, 0.25)
+        assert journal.stats()["appended_records"] == 1
         journal.close()
         recovery = LedgerJournal(journal.path).recovery
-        assert recovery.spent == 0.25  # exact commit, no in-flight surcharge
-        assert recovery.inflight == ()
+        assert recovery.spent == 0.25  # the exact commit
+        (record,) = recovery.records
+        assert record["op"] == "commit" and "rid" not in record
 
-    def test_unresolved_reserve_recovered_conservatively(self, tmp_path, journal):
+    def test_unresolved_reserve_costs_nothing(self, tmp_path, journal):
         ledger = PrivacyLedger(1.0, journal=journal)
-        ledger.reserve(0.4, context={"query": "q1", "kind": "wcq"})
-        journal.close()  # process "dies" with the reservation in flight
+        ledger.reserve(0.4)
+        journal.close()  # the process "dies" holding the reservation
         recovery = LedgerJournal(journal.path).recovery
-        assert recovery.spent == 0.4  # worst case, not zero
+        assert recovery.empty  # no answer left the process: nothing owed
+        assert recovery.spent == 0.0
 
-    def test_release_is_journaled_first(self, journal):
+    def test_release_journals_nothing(self, journal):
         ledger = PrivacyLedger(1.0, journal=journal)
         reservation = ledger.reserve(0.4)
         ledger.release(reservation)
+        assert journal.stats()["appended_records"] == 0
         journal.close()
+        assert LedgerJournal(journal.path).recovery.empty
+
+    def test_failure_after_durable_commit_recovers_the_commit(self, journal):
+        ledger = PrivacyLedger(1.0, journal=journal)
+        reservation = ledger.reserve(0.4)
+        with faults.armed("ledger.charge.after_journal", "error"):
+            with pytest.raises(FaultInjected):
+                charge(ledger, reservation, "q1", 0.4, 0.25)
+        # The books never mutated, so the caller can still release ...
+        assert ledger.spent == 0.0
+        ledger.release(reservation)
+        ledger.assert_invariants()
+        journal.close()
+        # ... but the commit was already durable: recovery charges the exact
+        # loss of an answer nobody saw, which is the safe direction.
         recovery = LedgerJournal(journal.path).recovery
-        assert recovery.spent == 0.0  # released means the mechanism never ran
+        assert recovery.spent == 0.25
+        assert [r["query"] for r in recovery.committed] == ["q1"]
 
     def test_denials_are_journaled(self, journal):
         ledger = PrivacyLedger(1.0, journal=journal)
@@ -82,33 +106,26 @@ class TestWriteAheadOrdering:
 class TestAdoptRecovery:
     def test_recovered_spend_seeds_ledger_and_transcript(self, journal):
         first = PrivacyLedger(1.0, journal=journal)
-        r = first.reserve(0.3, context={"query": "q1", "kind": "wcq"})
-        first.charge(
-            query_name="q1",
-            query_kind="wcq",
-            accuracy=ACC,
-            mechanism="LM",
-            epsilon_upper=0.3,
-            epsilon_spent=0.3,
-            answer=None,
-            reservation=r,
-        )
-        first.reserve(0.4, context={"query": "q2", "kind": "wcq"})  # in flight
+        charge(first, first.reserve(0.3), "q1", 0.3, 0.3)
+        first.deny(query_name="q2", query_kind="wcq", accuracy=ACC)
+        first.reserve(0.4)  # never answered: dies with the process
         journal.close()
 
         reopened = LedgerJournal(journal.path)
         ledger = PrivacyLedger(1.0)
         entries = ledger.adopt_recovery(reopened.recovery)
         assert entries == 2
-        assert ledger.spent == pytest.approx(0.7)
+        assert ledger.spent == 0.3
         assert ledger.transcript.is_valid(1.0)
-        names = [e.query_name for e in ledger.transcript.entries]
-        assert any(n.startswith("recovered-inflight:") for n in names)
+        assert [(e.query_name, e.denied) for e in ledger.transcript] == [
+            ("q1", False),
+            ("q2", True),
+        ]
         ledger.assert_invariants()
 
     def test_adoption_requires_pristine_ledger(self, journal):
         first = PrivacyLedger(1.0, journal=journal)
-        first.reserve(0.3)
+        charge(first, first.reserve(0.3), "q1", 0.3, 0.3)
         journal.close()
         recovery = LedgerJournal(journal.path).recovery
         used = PrivacyLedger(1.0)
@@ -118,17 +135,7 @@ class TestAdoptRecovery:
 
     def test_recovered_spend_beyond_budget_refused(self, journal):
         first = PrivacyLedger(2.0, journal=journal)
-        r = first.reserve(1.5)
-        first.charge(
-            query_name="q",
-            query_kind="wcq",
-            accuracy=ACC,
-            mechanism="LM",
-            epsilon_upper=1.5,
-            epsilon_spent=1.5,
-            answer=None,
-            reservation=r,
-        )
+        charge(first, first.reserve(1.5), "q", 1.5, 1.5)
         journal.close()
         recovery = LedgerJournal(journal.path).recovery
         shrunk = PrivacyLedger(1.0)  # owner restarted with a smaller B
@@ -137,23 +144,32 @@ class TestAdoptRecovery:
 
     def test_pool_adoption(self, journal):
         first = PrivacyLedger(1.0, journal=journal)
-        r = first.reserve(0.3, context={"query": "q1", "kind": "wcq"})
-        first.charge(
-            query_name="q1",
-            query_kind="wcq",
-            accuracy=ACC,
-            mechanism="LM",
-            epsilon_upper=0.3,
-            epsilon_spent=0.3,
-            answer=None,
-            reservation=r,
-        )
+        charge(first, first.reserve(0.3), "q1", 0.3, 0.3)
         journal.close()
         pool = SharedBudgetPool(1.0)
         pool.adopt_recovery(LedgerJournal(journal.path).recovery)
         assert pool.spent == pytest.approx(0.3)
         assert pool.merged_transcript.is_valid(1.0)
         pool.assert_invariants()
+
+    def test_interleaved_sessions_replay_in_commit_order(self, journal):
+        # Alice reserves first but bob commits first.  Alice's reservation is
+        # still held in the pool when her commit is appended, so the journal
+        # order rebuilds a Definition 6.1-valid transcript (tight at B here).
+        pool = SharedBudgetPool(1.0)
+        alice = SessionLedger(pool, 1.0, "alice", journal=journal)
+        bob = SessionLedger(pool, 1.0, "bob", journal=journal)
+        held = alice.reserve(0.6)
+        charge(bob, bob.reserve(0.4), "qb", 0.4, 0.4)
+        charge(alice, held, "qa", 0.6, 0.5)
+        journal.close()
+        recovery = LedgerJournal(journal.path).recovery
+        assert [r["analyst"] for r in recovery.committed] == ["bob", "alice"]
+        restarted = SharedBudgetPool(1.0)
+        assert restarted.adopt_recovery(recovery) == 2
+        assert restarted.merged_transcript.is_valid(1.0)
+        assert restarted.spent == pytest.approx(0.9)
+        restarted.assert_invariants()
 
 
 class TestInvariants:
@@ -193,29 +209,31 @@ class TestExceptionPathAudit:
             "engine.explore.after_reserve",
             "engine.explore.after_run",
             "ledger.charge.before_journal",
+            "journal.append.before_write",  # the commit append itself fails
         ],
     )
-    def test_injected_failure_releases_reservation(self, table, site):
+    def test_injected_failure_releases_reservation(self, table, journal, site):
+        ledger = PrivacyLedger(2.0, journal=journal)
         engine = APExEngine(
             table,
-            budget=2.0,
             registry=default_registry(mc_samples=150),
             seed=3,
+            ledger=ledger,
         )
-        ledger = engine._ledger
         with faults.armed(site, "error"):
             with pytest.raises(FaultInjected):
                 engine.explore(hist_query(), ACC)
         assert ledger.reserved == 0.0  # nothing orphaned
         assert ledger.spent == 0.0  # nothing charged
+        assert journal.stats()["appended_records"] == 0  # nothing journaled
         ledger.assert_invariants()
         # the engine is still usable afterwards
         result = engine.explore(hist_query("hist-after"), ACC)
         assert not result.denied
+        assert journal.stats()["appended_records"] == 1
         ledger.assert_invariants()
 
-    def test_session_ledger_pool_refusal_keeps_books_clean(self, tmp_path):
-        journal = LedgerJournal(str(tmp_path / "ledger.wal"))
+    def test_session_ledger_pool_refusal_keeps_books_clean(self, journal):
         pool = SharedBudgetPool(0.5)
         # Two sessions, each individually allowed 0.5: the pool is the
         # binding constraint for the second reserve.
@@ -227,8 +245,6 @@ class TestExceptionPathAudit:
         assert refused is None
         second.assert_invariants()
         pool.assert_invariants()
-        journal.close()
-        # The refused reservation was never journaled: recovery must not
-        # conservatively charge an admission that never happened.
-        recovery = LedgerJournal(journal.path).recovery
-        assert recovery.spent == pytest.approx(0.4)  # only alice's reserve
+        first.release(held)
+        assert pool.reserved == 0.0
+        assert journal.stats()["appended_records"] == 0  # admission is in memory

@@ -248,11 +248,11 @@ class TestSessionLedger:
 
 
 class TestSessionReserveRollback:
-    """Raise paths inside SessionLedger.reserve must not leak either book.
+    """Raise paths between SessionLedger.reserve and its commit must not
+    leak either book.
 
-    Regression: a pool admission or journal append that *raised* (rather
-    than refused) used to leave the share-level (and pool-level)
-    reservation permanently held (APX001 finding).
+    Regression: a pool admission that *raised* (rather than refused) used
+    to leave the share-level reservation permanently held (APX001 finding).
     """
 
     def test_pool_failure_rolls_back_the_share_reservation(self):
@@ -288,13 +288,20 @@ class TestSessionReserveRollback:
         journal = LedgerJournal(tmp_path / "wal.jsonl")
         pool = SharedBudgetPool(2.0)
         ledger = SessionLedger(pool, 1.0, "alice", journal=journal)
-        with faults.armed("ledger.reserve.after_journal", "error"):
+        kwargs = charge_kwargs(ledger, 0.5, 0.5)
+        with faults.armed("journal.append.before_write", "error"):
             with pytest.raises(FaultInjected):
-                ledger.reserve(0.5)
+                ledger.charge(**kwargs)
+        # The commit never became durable, so the pool never mirrored it;
+        # the caller's release returns the headroom to both books.
+        assert pool.spent == 0.0
+        assert len(pool.merged_transcript) == 0
+        ledger.release(kwargs["reservation"])
         assert ledger.reserved == 0.0
         assert pool.reserved == 0.0
         assert ledger.remaining == 1.0
         ledger.assert_invariants()
+        pool.assert_invariants()
         journal.close()
 
 

@@ -20,7 +20,7 @@ from repro.queries.builders import histogram_workload
 from repro.queries.query import WorkloadCountingQuery
 from repro.queries.workload import Workload, clear_matrix_cache
 from repro.reliability.journal import LedgerJournal
-from repro.service import BudgetPolicy, ExplorationService
+from repro.service import BudgetPolicy, ExplorationService, SharedBudgetPool
 from tests.service.util import small_table
 
 N_THREADS = 8
@@ -126,10 +126,21 @@ class TestConcurrentBudgetSafety:
             service = race_into_denials(
                 table, BudgetPolicy.FIRST_COME, None, journal=journal
             )
+            appended = journal.stats()["appended_records"]
+        merged = service.merged_transcript()
+        # One journal record per transcript entry: a commit per answer and
+        # a deny per denial, nothing for admission.
+        assert appended == len(merged)
         with LedgerJournal(path) as reopened:
             recovery = reopened.recovery
-        assert recovery.inflight_epsilon == 0.0
-        assert recovery.committed_epsilon == pytest.approx(service.budget_spent)
+        assert recovery.spent == pytest.approx(service.budget_spent)
+        # Eight analysts shared one journal; its commit order must still
+        # rebuild a Definition 6.1-valid transcript with the same spend.
+        pool = SharedBudgetPool(service.budget)
+        assert pool.adopt_recovery(recovery) == len(merged)
+        assert pool.merged_transcript.is_valid(service.budget)
+        assert pool.spent == pytest.approx(service.budget_spent)
+        pool.assert_invariants()
 
     def test_concurrent_explores_for_one_analyst_serialize(self, table):
         """Same-analyst requests must not race on the engine's noise RNG."""

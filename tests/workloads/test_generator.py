@@ -79,13 +79,6 @@ class TestConfig:
         drifting = mixed.drift_schedule()
         assert all(w != d for w, d in zip(widening, drifting))
 
-    def test_scaled_shrinks_row_counts_only(self):
-        config = small_config(drift="mixed")
-        quick = config.scaled(0.1)
-        assert quick.initial_rows == 40 and quick.rows_per_period == 12
-        assert quick.periods == config.periods
-        assert quick.drift_schedule() == config.drift_schedule()
-
 
 class TestGenerator:
     def test_batches_match_the_declared_schedule(self):
