@@ -12,10 +12,9 @@ categorical/text NULLs as ``None``.
 
 Storage is a list of immutable **row shards** (one frozen column-chunk
 :class:`_Shard` per chunk) behind the existing columnar API:
-:meth:`Table.column` lazily concatenates the shard chunks, and
-:meth:`Table.shard_tables` exposes each shard as its own single-shard
-``Table`` view so evaluation can fan out over shards in parallel
-(:mod:`repro.core.parallel`).
+:meth:`Table.column` lazily concatenates the shard chunks.  Shards are the
+unit of incremental work: after an append only the new shard is interned
+and fingerprinted.
 
 Tables are *versioned*, not frozen: :meth:`Table.append_rows` adds a new
 shard and :meth:`Table.refresh` replaces the contents wholesale.  Both
@@ -45,21 +44,20 @@ snapshot object, which is what keeps the identity-keyed data caches
 
 **Compaction.** Streaming appends accumulate shards; many tiny shards
 degrade evaluation through per-shard fixed costs.  :meth:`Table.compact`
-(automatic after ``append_columns`` unless ``auto_compact=False``) merges
-adjacent undersized shards when the table has more than
-:data:`COMPACT_MAX_SHARDS` shards or its smallest shard holds less than
-:data:`COMPACT_MIN_FRACTION` of the rows.  Compaction rewrites the physical
-layout only: row order, contents and the version token are unchanged (so
-every version-keyed cache stays valid), untouched shards keep their warm
-views, and snapshots taken earlier keep their own pinned shard lists.
+(automatic after every ``append_columns``) merges adjacent undersized shards
+when the table has more than :data:`COMPACT_MAX_SHARDS` shards or its
+smallest shard holds less than :data:`COMPACT_MIN_FRACTION` of the rows.
+Compaction rewrites the physical layout only: row order, contents and the
+version token are unchanged (so every version-keyed cache stays valid),
+untouched shards keep their interned codes, and snapshots taken earlier
+keep their own pinned shard lists.
 
 **Shared category dictionary.** Categorical columns are dictionary-encoded
 once per *shard* against a per-table, append-only ``value -> code`` index
-shared by the table, its shard views and its snapshots.  After an append the
-parent concatenates the per-shard code arrays instead of re-interning the
-whole column; refresh and compaction keep the index (codes are only ever
-added, never renumbered), so a value's code is stable for the table's
-lifetime.
+shared by the table and its snapshots.  After an append the parent
+concatenates the per-shard code arrays instead of re-interning the whole
+column; refresh and compaction keep the index (codes are only ever added,
+never renumbered), so a value's code is stable for the table's lifetime.
 
 **Domain fingerprints.** Every attribute has a cheap, incrementally
 maintained **domain fingerprint** (:meth:`Table.domain_fingerprint`): a
@@ -187,20 +185,17 @@ class _Shard:
     ``columns`` maps attribute name to a frozen storage array; ``codes``
     holds per-column ``int32`` dictionary codes interned against the owning
     table's shared category index; ``distinct`` holds per-column frozen
-    distinct-value sets (the shard-local half of the domain fingerprints);
-    ``view`` is the memoised single-shard ``Table`` view used by
-    shard-parallel evaluation.  Shard objects are shared freely between a
-    table, its snapshots and its compacted descendants -- the arrays are
-    read-only, and ``codes``/``distinct``/``view`` only ever gain entries
-    (guarded by the table's intern lock), so sharing can never observe a
-    torn state.
+    distinct-value sets (the shard-local half of the domain fingerprints).
+    Shard objects are shared freely between a table, its snapshots and its
+    compacted descendants -- the arrays are read-only, and
+    ``codes``/``distinct`` only ever gain entries (guarded by the table's
+    intern lock), so sharing can never observe a torn state.
     """
 
     columns: dict[str, np.ndarray]
     n_rows: int
     codes: dict[str, np.ndarray] = field(default_factory=dict)
     distinct: dict[str, frozenset] = field(default_factory=dict)
-    view: "Table | None" = None
 
 
 class Table:
@@ -215,18 +210,9 @@ class Table:
         against it.
     :param columns: mapping of attribute name to storage array.  The table
         takes ownership and freezes the arrays (``writeable = False``).
-    :param auto_compact: when true (the default), :meth:`append_columns`
-        triggers :meth:`compact` whenever the compaction policy fires.
-        Benchmarks disable it to measure fragmented layouts.
     """
 
-    def __init__(
-        self,
-        schema: Schema,
-        columns: Mapping[str, np.ndarray],
-        *,
-        auto_compact: bool = True,
-    ) -> None:
+    def __init__(self, schema: Schema, columns: Mapping[str, np.ndarray]) -> None:
         self._schema = schema
         shard = self._freeze_shard(columns)
         self._shards: list[_Shard] = [shard]
@@ -235,11 +221,11 @@ class Table:
         #: Orders mutation (shard append + version advance) and lazy
         #: materialisation; per-version reads stay lock-free.
         self._mutation_lock = threading.RLock()
-        #: Guards shard-level lazy derivation (dictionary interning, view
-        #: construction).  Shared with snapshots and shard views, and
-        #: deliberately separate from the mutation lock so a reader interning
-        #: a large shard never blocks an appender.
-        self._intern_lock = threading.RLock()
+        #: Guards shard-level lazy derivation (dictionary interning,
+        #: distinct-value scans).  Shared with snapshots, and deliberately
+        #: separate from the mutation lock so a reader interning a large
+        #: shard never blocks an appender.
+        self._intern_lock = threading.Lock()
         #: The shared append-only ``column -> (value -> code)`` dictionary.
         #: Created once per table lineage and *never* rebound: codes are
         #: stable for the lifetime of the table, so per-shard code arrays
@@ -257,14 +243,8 @@ class Table:
         #: Bounded memo of recent versions' snapshots (newest last); the
         #: current version's entry is what :meth:`snapshot` hands out.
         self._snapshots: "OrderedDict[TableVersion, TableSnapshot]" = OrderedDict()
-        self._snapshot_stats = {
-            "created": 0,
-            "reused": 0,
-            "evicted": 0,
-            "closed": 0,
-        }
+        self._snapshot_stats = {"created": 0, "evicted": 0, "closed": 0}
         self._closed = False
-        self._auto_compact = bool(auto_compact)
 
     def _mask_cache_capacity(self) -> int:
         """Entry cap keeping the mask LRU within its byte budget at ``n_rows``."""
@@ -320,41 +300,6 @@ class Table:
         """A table with zero rows."""
         return cls.from_rows(schema, [])
 
-    @classmethod
-    def _view_over_shard(
-        cls,
-        schema: Schema,
-        shard: _Shard,
-        category_index: dict[str, dict[str, int]],
-        intern_lock: threading.RLock,
-    ) -> "Table":
-        """A single-shard view sharing the owning table's shard object.
-
-        The view wraps the *same* :class:`_Shard`, shared category index and
-        intern lock as its owner, so dictionary codes interned through the
-        view are exactly the arrays the owner concatenates (and vice versa).
-        It carries its own identity, version and mask cache.
-        """
-        self = cls.__new__(cls)
-        self._schema = schema
-        self._shards = [shard]
-        self._n_rows = shard.n_rows
-        self._version = TableVersion(next(_TABLE_UIDS), 0)
-        self._mutation_lock = threading.RLock()
-        self._intern_lock = intern_lock
-        self._category_index = category_index
-        self._materialized = dict(shard.columns)
-        self._null_masks = {}
-        self._float_values = {}
-        self._category_codes = {}
-        self._domain_fingerprints = {}
-        self._mask_cache = LRUCache(self._mask_cache_capacity())
-        self._snapshots = OrderedDict()
-        self._snapshot_stats = {"created": 0, "reused": 0, "evicted": 0, "closed": 0}
-        self._closed = False
-        self._auto_compact = False
-        return self
-
     # -- versioning, shards and snapshots -------------------------------------
 
     @property
@@ -408,12 +353,10 @@ class Table:
         """
         snap = self._snapshots.get(self._version)
         if snap is not None:
-            self._snapshot_stats["reused"] += 1
             return snap
         with self._mutation_lock:
             snap = self._snapshots.get(self._version)
             if snap is not None:
-                self._snapshot_stats["reused"] += 1
                 return snap
             snap = TableSnapshot(self)
             self._snapshots[self._version] = snap
@@ -446,13 +389,10 @@ class Table:
         """Counters of the bounded per-lineage snapshot memo.
 
         ``live`` is the number of snapshots the table currently pins (at
-        most :data:`SNAPSHOT_MEMO_MAX_ENTRIES`); ``created``/``reused``
-        count :meth:`snapshot`/:meth:`open_snapshot` calls that minted vs
-        shared an object; ``evicted`` counts memo entries dropped by the
-        bound; ``closed`` counts explicit :meth:`TableSnapshot.close`
-        calls on this lineage.  The ``reused`` counter is best-effort: the
-        memoised fast path is deliberately lock-free (wait-free reads), so
-        concurrent readers may occasionally lose an increment.
+        most :data:`SNAPSHOT_MEMO_MAX_ENTRIES`); ``created`` counts
+        :meth:`snapshot`/:meth:`open_snapshot` calls that minted an object;
+        ``evicted`` counts memo entries dropped by the bound; ``closed``
+        counts explicit :meth:`TableSnapshot.close` calls on this lineage.
         """
         with self._mutation_lock:
             return {
@@ -460,38 +400,6 @@ class Table:
                 "max_entries": SNAPSHOT_MEMO_MAX_ENTRIES,
                 **self._snapshot_stats,
             }
-
-    def shard_tables(self) -> tuple["Table", ...]:
-        """Each row shard as its own single-shard table view.
-
-        Views share the owner's schema, its frozen shard arrays (zero-copy)
-        and its category dictionary, but carry their own identity, version
-        and mask cache.  Because shards are immutable, a view built before an
-        append remains valid -- and keeps its warm per-shard caches --
-        afterwards; only new shards need fresh evaluation.  Views are
-        memoised on the shard object, so a table and its snapshots hand out
-        the same (warm) views.  This is the unit of work for shard-parallel
-        evaluation (:func:`repro.queries.predicates.evaluate_sharded`).
-        """
-        with self._mutation_lock:
-            self._ensure_open()
-            shards = list(self._shards)
-        out: list[Table] = []
-        for shard in shards:
-            view = shard.view
-            if view is None:
-                with self._intern_lock:
-                    view = shard.view
-                    if view is None:
-                        view = Table._view_over_shard(
-                            self._schema,
-                            shard,
-                            self._category_index,
-                            self._intern_lock,
-                        )
-                        shard.view = view
-            out.append(view)
-        return tuple(out)
 
     def append_rows(self, rows: Iterable[Mapping[str, object]]) -> TableVersion:
         """Append rows as a new shard and advance the version token.
@@ -510,18 +418,18 @@ class Table:
     def append_columns(self, columns: Mapping[str, np.ndarray]) -> TableVersion:
         """Append a pre-built column chunk as a new shard (see ``append_rows``).
 
-        When ``auto_compact`` is enabled and the compaction policy fires
-        (more than :data:`COMPACT_MAX_SHARDS` shards, or a smallest shard
-        under :data:`COMPACT_MIN_FRACTION` of the rows), adjacent small
-        shards are merged before returning -- contents and the just-advanced
-        version token are unchanged by that merge.
+        When the compaction policy fires (more than
+        :data:`COMPACT_MAX_SHARDS` shards, or a smallest shard under
+        :data:`COMPACT_MIN_FRACTION` of the rows), adjacent small shards are
+        merged before returning -- contents and the just-advanced version
+        token are unchanged by that merge.
         """
         shard = self._freeze_shard(columns)
         with self._mutation_lock:
             self._shards.append(shard)
             self._n_rows += shard.n_rows
             self._advance_version_locked()
-            if self._auto_compact and self._needs_compaction_locked():
+            if self._needs_compaction_locked():
                 self._compact_locked()
         return self._version
 
@@ -567,11 +475,10 @@ class Table:
         Purely a physical-layout rewrite: row order, contents and the
         version token are unchanged, so every cache keyed on the token (or
         on the table's per-version artifacts) remains valid.  Shards large
-        enough to stand alone are kept untouched -- their warm views and
-        interned code arrays are reused as-is -- and merged shards inherit
-        concatenated code arrays wherever every constituent was already
-        interned.  Snapshots taken before the call keep their own pinned
-        shard lists.
+        enough to stand alone are kept untouched -- their interned code
+        arrays are reused as-is -- and merged shards inherit concatenated
+        code arrays wherever every constituent was already interned.
+        Snapshots taken before the call keep their own pinned shard lists.
 
         :returns: ``True`` when the layout changed, ``False`` when the
             table was already compact.
@@ -608,7 +515,7 @@ class Table:
         for shard in shards:
             if shard.n_rows >= threshold:
                 # Large enough to stand alone: close any open small run and
-                # keep this shard untouched (its view/codes stay warm).
+                # keep this shard untouched (its codes stay warm).
                 if current:
                     groups.append(current)
                     current, current_rows = [], 0
@@ -1152,14 +1059,13 @@ class TableSnapshot(Table):
         # in a fresh LRU while this snapshot keeps the old one warm.
         self._mask_cache = parent._mask_cache
         self._snapshots = OrderedDict()
-        self._snapshot_stats = {"created": 0, "reused": 0, "evicted": 0, "closed": 0}
+        self._snapshot_stats = {"created": 0, "evicted": 0, "closed": 0}
         self._closed = False
         self._detached = False
         #: True for snapshots minted by :meth:`Table.open_snapshot`: the
         #: caller owns the object exclusively, so close() may gut it.
         self._owned = False
         self._parent_ref: "weakref.ref[Table] | None" = weakref.ref(parent)
-        self._auto_compact = False
 
     @property
     def is_snapshot(self) -> bool:

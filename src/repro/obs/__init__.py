@@ -12,9 +12,8 @@ This package is the one place they meet:
   (pulled at snapshot time, zero hot-path cost, old dict shapes untouched);
 * :mod:`repro.obs.tracing` -- per-request :class:`Span` trees with
   head-based sampling, thread-local context, and propagation helpers for
-  :class:`~repro.core.parallel.ParallelExecutor` threads, the asyncio
-  front, and batcher follower->leader joins.  The disabled path is one
-  module-global branch;
+  the asyncio front's worker threads and batcher follower->leader joins.
+  The disabled path is one module-global branch;
 * :mod:`repro.obs.export` -- Prometheus text exposition, JSON snapshots,
   and Chrome trace-event (``chrome://tracing`` / Perfetto) dumps;
 * ``python -m repro.obs`` -- run a small replay and export what it saw.

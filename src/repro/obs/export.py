@@ -62,8 +62,8 @@ def chrome_trace_events(
 
     Each span becomes one complete event; ``pid`` is the trace id (so the
     viewer groups each request into its own lane) and ``tid`` the OS thread,
-    which makes cross-thread propagation (executor workers, async front)
-    visible as rows within the request.  Coalesce edges are emitted as
+    which makes cross-thread propagation (async-front workers) visible as
+    rows within the request.  Coalesce edges are emitted as
     flow-event pairs keyed by the leader's span id.
     """
     spans: list[dict[str, Any]] = []

@@ -24,10 +24,9 @@ shared singleton; untraced ``benchmarks/e2e`` runs take this path, so its
 cost is part of every ``requests_per_cpu_s`` they report.
 
 **Cross-thread context.**  The current span lives in a ``threading.local``.
-:func:`bind_current` captures it into a wrapper callable;
-:class:`~repro.core.parallel.ParallelExecutor` and the asyncio front use it
-so worker-thread spans join the submitting request's tree.  The batcher
-records the leader's span identity on each flight, and follower spans
+:func:`bind_current` captures it into a wrapper callable; the asyncio front
+uses it so worker-thread spans join the submitting request's tree.  The
+batcher records the leader's span identity on each flight, and follower spans
 carry ``batch.leader_span`` / ``batch.leader_trace`` attributes -- the
 coalesce edges rendered as flow arrows in the Chrome trace export.
 

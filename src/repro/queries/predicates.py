@@ -40,7 +40,6 @@ from repro.data.table import Table
 __all__ = [
     "Interval",
     "CellValue",
-    "evaluate_sharded",
     "Predicate",
     "Comparison",
     "Between",
@@ -625,55 +624,6 @@ class FunctionPredicate(Predicate):
         if self._version is None:
             return id(self)
         return hash(("FunctionPredicate", self._name, self._version, self._attributes))
-
-
-def evaluate_sharded(
-    predicate: Predicate,
-    table: Table,
-    executor: "ParallelExecutor | None" = None,
-) -> np.ndarray:
-    """Evaluate ``predicate`` shard-parallel and concatenate the partial masks.
-
-    The table's current snapshot is pinned first (wait-free against
-    concurrent appends), then each of its row shards is evaluated as its own
-    single-shard view (:meth:`~repro.data.table.Table.shard_tables`), fanning
-    the numpy work out over ``executor``'s threads; the concatenated mask is
-    bit-identical to :meth:`Predicate.evaluate` on the whole table and is
-    memoised in the shared versioned mask LRU.  Falls back to the sequential
-    path when the table has one shard or no executor is available
-    (``executor`` argument, else the process default from
-    :mod:`repro.core.parallel`).
-
-    Shard views keep their own caches, so after an ``append_rows`` only the
-    new shard pays for evaluation -- the old shards' masks are still warm.
-
-    Only row-local predicates may be split: an opaque
-    :class:`FunctionPredicate` callable sees a whole table and may compute
-    cross-row state (a mean, a rank), so splitting it per shard would
-    silently change its result.  ``supports_domain_analysis`` is the
-    row-locality witness (it is ``False`` exactly when an opaque node
-    appears anywhere in the predicate tree); such predicates fall back to
-    whole-table evaluation.
-    """
-    from repro.core.parallel import get_default_executor
-
-    if executor is None:
-        executor = get_default_executor()
-    snapshot = table.snapshot()
-    version = snapshot.version_token
-    cached = snapshot.cached_mask(predicate, version)
-    if cached is not None:
-        return cached
-    shards = snapshot.shard_tables()
-    if (
-        executor is None
-        or len(shards) <= 1
-        or not predicate.supports_domain_analysis
-    ):
-        return predicate.evaluate(snapshot)
-    parts = executor.map(predicate.evaluate, shards)
-    mask = np.concatenate(parts)
-    return snapshot.cache_mask(predicate, mask, version)
 
 
 def _apply_op(values: np.ndarray | float, op: str, target: float) -> np.ndarray | bool:

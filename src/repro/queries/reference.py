@@ -5,8 +5,8 @@ The predicate and domain-analysis engines were rewritten to be array-native
 This module preserves the original row-at-a-time / cell-at-a-time
 implementations **unchanged in semantics** as the oracle of the parity
 tests (``tests/queries/test_vectorized_parity.py``,
-``tests/queries/test_partition_histogram.py``, the sharded, snapshot and
-streaming suites): the vectorized paths must produce bit-identical masks,
+``tests/queries/test_partition_histogram.py``, the shard-parity, snapshot
+and streaming suites): the vectorized paths must produce bit-identical masks,
 workload matrices and partition histograms on randomized tables, including
 SQL NULL edge cases.
 

@@ -30,11 +30,11 @@ need no lock; the front itself must be used from a single event loop.
 from __future__ import annotations
 
 import asyncio
+from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING
 
 from repro.core.accuracy import AccuracySpec
 from repro.core.engine import ExplorationResult
-from repro.core.parallel import ParallelExecutor
 from repro.obs import tracing
 from repro.obs.registry import flatten_stats
 from repro.queries.query import Query
@@ -67,17 +67,15 @@ class AsyncExplorationFront:
     """Async facade: coroutine-per-session, bounded threads per request.
 
     Built by :meth:`ExplorationService.serve_async`; use as an async
-    context manager (or call :meth:`aclose`) so an executor the front
-    created for itself is released.
+    context manager (or call :meth:`aclose`) so the front's thread pool is
+    released.  A closed front refuses further requests.
 
     :param service: the threaded service to front.
     :param max_concurrency: admission bound -- the number of requests
         allowed into the thread pool at once; everything beyond it waits on
-        the event loop.
-    :param executor: the :class:`~repro.core.parallel.ParallelExecutor`
-        that runs the blocking calls.  Defaults to a private pool sized to
-        ``max_concurrency`` (the semaphore is then the only queue: an
-        admitted request always has a thread).
+        the event loop.  The pool has exactly this many threads, so the
+        semaphore is the only queue: an admitted request always has a
+        thread.
     """
 
     def __init__(
@@ -85,7 +83,6 @@ class AsyncExplorationFront:
         service: "ExplorationService",
         *,
         max_concurrency: int = DEFAULT_MAX_CONCURRENCY,
-        executor: ParallelExecutor | None = None,
     ) -> None:
         if max_concurrency < 1:
             raise ValueError(
@@ -93,11 +90,8 @@ class AsyncExplorationFront:
             )
         self._service = service
         self._max_concurrency = int(max_concurrency)
-        self._owns_executor = executor is None
-        self._executor = (
-            executor
-            if executor is not None
-            else ParallelExecutor(max_workers=self._max_concurrency)
+        self._pool = ThreadPoolExecutor(
+            max_workers=self._max_concurrency, thread_name_prefix="repro-async"
         )
         self._semaphore = asyncio.Semaphore(self._max_concurrency)
         self._in_flight = 0
@@ -159,8 +153,11 @@ class AsyncExplorationFront:
                 # event loop interleaves many coroutines on one thread, so
                 # binding its thread-local context would cross-contaminate
                 # requests.  The service's own root span nests underneath.
+                # ``bind_current`` still carries over a span the submitting
+                # thread holds (and returns ``call`` unchanged when none is).
                 call = fn if tracing.get_tracer() is None else _traced(fn)
-                result = await asyncio.wrap_future(self._executor.submit(call, *args))
+                future = self._pool.submit(tracing.bind_current(call), *args)
+                result = await asyncio.wrap_future(future)
             except BaseException:
                 self._errors += 1
                 raise
@@ -189,9 +186,8 @@ class AsyncExplorationFront:
     # -- lifecycle --------------------------------------------------------------------
 
     async def aclose(self) -> None:
-        """Release a front-owned executor (no-op for a caller-supplied one)."""
-        if self._owns_executor:
-            await asyncio.to_thread(self._executor.shutdown, True)
+        """Shut the thread pool down; later requests raise ``RuntimeError``."""
+        await asyncio.to_thread(self._pool.shutdown, True)
 
     async def __aenter__(self) -> "AsyncExplorationFront":
         return self

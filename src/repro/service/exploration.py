@@ -73,7 +73,6 @@ from repro.service.budget import BudgetPolicy, SessionLedger, SharedBudgetPool
 from repro.store import ArtifactStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.parallel import ParallelExecutor
     from repro.service.async_front import AsyncExplorationFront
 
 __all__ = ["AnalystSessionHandle", "ExplorationService"]
@@ -588,10 +587,7 @@ class ExplorationService:
             return result
 
     def serve_async(
-        self,
-        *,
-        max_concurrency: int | None = None,
-        executor: "ParallelExecutor | None" = None,
+        self, *, max_concurrency: int | None = None
     ) -> "AsyncExplorationFront":
         """Build an asyncio front over this service (coroutine-per-session).
 
@@ -605,9 +601,6 @@ class ExplorationService:
 
         :param max_concurrency: admission bound (defaults to the front's
             :data:`~repro.service.async_front.DEFAULT_MAX_CONCURRENCY`).
-        :param executor: optional shared
-            :class:`~repro.core.parallel.ParallelExecutor`; by default the
-            front creates (and owns) one sized to the admission bound.
         """
         # Imported lazily: the blocking service must stay importable in
         # environments that strip asyncio-based tooling.
@@ -623,7 +616,6 @@ class ExplorationService:
                 if max_concurrency is None
                 else max_concurrency
             ),
-            executor=executor,
         )
 
     def explore_text(

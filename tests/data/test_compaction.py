@@ -4,12 +4,15 @@ The policy (``COMPACT_MAX_SHARDS`` / ``COMPACT_MIN_FRACTION``) bounds shard
 fragmentation under streaming appends; the contract is that compaction may
 change *only* the physical layout -- row order, contents, the version token,
 and therefore every version-keyed cache, are untouched, and shards large
-enough to stand alone keep their warm views and interned codes by identity.
+enough to stand alone keep their shard objects and interned codes by identity.
 """
+
+from typing import Iterable
 
 import numpy as np
 import pytest
 
+import repro.data.table as table_module
 from repro.data.schema import (
     Attribute,
     CategoricalDomain,
@@ -22,6 +25,19 @@ from repro.data.table import (
 )
 from repro.queries.predicates import Between, Comparison
 from repro.queries.workload import Workload
+
+
+def append_uncompacted(table: Table, chunks: Iterable[list[dict]]) -> Table:
+    """Append each chunk as its own shard with the compaction policy held off.
+
+    The policy is restored on return, so the next append or ``compact()``
+    call merges the fragments as usual.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(table_module, "COMPACT_MIN_FRACTION", 0.0)
+        for rows in chunks:
+            table.append_rows(rows)
+    return table
 
 
 def make_schema() -> Schema:
@@ -80,19 +96,17 @@ class TestCompactionPolicy:
             table.append_rows(make_rows(50, offset=50 * i))
         assert table.n_shards <= COMPACT_MAX_SHARDS
 
-    def test_auto_compact_false_accumulates_shards(self):
+    def test_unfired_policy_leaves_shards_until_compact(self):
         table = Table(
             make_schema(),
             {
                 "state": np.array(["CA"] * 1000, dtype=object),
                 "score": np.arange(1000, dtype=float),
             },
-            auto_compact=False,
         )
-        for i in range(8):
-            table.append_rows(make_rows(2, offset=i))
+        append_uncompacted(table, (make_rows(2, offset=i) for i in range(8)))
         assert table.n_shards == 9
-        assert table.compact()  # manual compaction still available
+        assert table.compact()
         # Small shards merge into ~threshold-sized groups (here: the 1000-row
         # base stands alone, the 8x2-row tail folds into two groups).
         assert table.shard_sizes == (1000, 12, 4)
@@ -106,8 +120,10 @@ class TestCompactionPolicy:
 
 
 class TestCompactionContract:
-    def build_fragmented(self, auto_compact: bool) -> Table:
-        table = Table(
+    TAIL = [make_rows(3, offset=100 * i) for i in range(12)]
+
+    def base_table(self) -> Table:
+        return Table(
             make_schema(),
             {
                 "state": np.array(
@@ -116,15 +132,16 @@ class TestCompactionContract:
                 ),
                 "score": np.arange(400, dtype=float),
             },
-            auto_compact=auto_compact,
         )
-        for i in range(12):
-            table.append_rows(make_rows(3, offset=100 * i))
-        return table
+
+    def build_fragmented(self) -> Table:
+        return append_uncompacted(self.base_table(), self.TAIL)
 
     def test_parity_with_uncompacted_layout(self):
-        compacted = self.build_fragmented(auto_compact=True)
-        fragmented = self.build_fragmented(auto_compact=False)
+        compacted = self.base_table()
+        for rows in self.TAIL:
+            compacted.append_rows(rows)
+        fragmented = self.build_fragmented()
         assert compacted.n_shards < fragmented.n_shards
         assert len(compacted) == len(fragmented)
         assert columns_equal(compacted, fragmented)
@@ -140,7 +157,7 @@ class TestCompactionContract:
         )
 
     def test_compact_preserves_version_token_and_caches(self):
-        table = self.build_fragmented(auto_compact=False)
+        table = self.build_fragmented()
         predicate = Comparison("state", "==", "CA")
         mask = predicate.evaluate(table)
         version = table.version_token
@@ -159,7 +176,7 @@ class TestCompactionContract:
         """New admissions after an explicit compact() must see the merged
         layout (the memoised snapshot is re-pinned), while masks stay warm
         across the re-pin -- same version token, same shared LRU."""
-        table = self.build_fragmented(auto_compact=False)
+        table = self.build_fragmented()
         predicate = Comparison("state", "==", "CA")
         before = table.snapshot()
         mask = predicate.evaluate(before)
@@ -170,17 +187,19 @@ class TestCompactionContract:
         assert after.version_token == before.version_token
         assert predicate.evaluate(after) is mask  # shared LRU stayed warm
 
-    def test_untouched_large_shards_keep_their_views(self):
-        table = self.build_fragmented(auto_compact=False)
-        views_before = table.shard_tables()
-        base_view = views_before[0]  # the 400-row base shard stands alone
+    def test_untouched_large_shards_keep_their_shard_and_codes(self):
+        table = self.build_fragmented()
+        table.category_codes("state")  # intern every shard
+        shards_before = list(table._shards)
+        base = shards_before[0]  # the 400-row base shard stands alone
+        base_codes = base.codes["state"]
         assert table.compact()
-        views_after = table.shard_tables()
-        assert views_after[0] is base_view
-        assert len(views_after) < len(views_before)
+        assert table._shards[0] is base
+        assert table._shards[0].codes["state"] is base_codes
+        assert len(table._shards) < len(shards_before)
 
     def test_merged_shards_inherit_interned_codes(self):
-        table = self.build_fragmented(auto_compact=False)
+        table = self.build_fragmented()
         codes_before, index = table.category_codes("state")
         assert table.compact()
         codes_after, index_after = table.category_codes("state")

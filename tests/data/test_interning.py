@@ -1,8 +1,7 @@
 """The shared append-only category dictionary and per-shard code interning.
 
 Categorical columns are dictionary-encoded per *shard* against one
-append-only ``value -> code`` index shared by a table, its shard views and
-its snapshots.  The contract: codes are stable for the table's lifetime
+append-only ``value -> code`` index shared by a table and its snapshots.  The contract: codes are stable for the table's lifetime
 (values are only ever added), a shard is interned at most once, and the
 parent's per-version code column is a concatenation of per-shard arrays --
 so after an append only the new shard pays the interning loop.
@@ -84,16 +83,18 @@ class TestSharedDictionary:
         assert index_after["NY"] == ny_code  # vanished value keeps its code
         assert ny_code not in codes  # ...and matches no current row
 
-    def test_shard_views_share_the_dictionary_and_code_arrays(self):
+    def test_snapshots_share_shard_objects_and_code_arrays(self):
         table = Table.from_rows(make_schema(), make_rows(20))
         table.append_rows(make_rows(10, states=("TX", "WY")))
-        views = table.shard_tables()
-        view_codes, view_index = views[1].category_codes("state")
-        parent_codes, parent_index = table.category_codes("state")
-        assert view_index is parent_index
-        # The view's array IS the per-shard slice the parent concatenated.
-        assert view_codes is table._shards[1].codes["state"]
-        assert np.array_equal(parent_codes[20:], view_codes)
+        snap = table.snapshot()
+        assert snap._shards[1] is table._shards[1]
+        snap_codes, _ = snap.category_codes("state")
+        shard_codes = table._shards[1].codes["state"]  # interned via the snapshot
+        parent_codes, _ = table.category_codes("state")
+        # The live table reuses the snapshot's per-shard array, not a re-intern.
+        assert table._shards[1].codes["state"] is shard_codes
+        assert np.array_equal(parent_codes[20:], shard_codes)
+        assert np.array_equal(parent_codes, snap_codes)
 
     def test_snapshots_share_the_dictionary(self):
         table = Table.from_rows(make_schema(), make_rows(15))

@@ -61,9 +61,10 @@ class TestBoundedSnapshotMemo:
         table = make_table()
         first = table.snapshot()
         assert table.snapshot() is first
+        assert table.snapshot() is first
         stats = table.snapshot_cache_stats()
         assert stats["created"] == 1
-        assert stats["reused"] >= 1
+        assert set(stats) == {"live", "max_entries", "created", "evicted", "closed"}
 
 
 class TestClose:
@@ -78,7 +79,8 @@ class TestClose:
         with pytest.raises(SnapshotError, match="closed"):
             Comparison("state", "==", "CA").evaluate(snap)
         with pytest.raises(SnapshotError, match="closed"):
-            snap.shard_tables()
+            snap.category_codes("state")
+        assert snap.n_shards == 0  # the pinned shard list is released
 
     def test_owned_snapshot_is_private(self):
         table = make_table()

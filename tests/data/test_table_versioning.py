@@ -112,17 +112,16 @@ class TestAppendRows:
         assert table.n_shards == 1
         assert table.row(0)["state"] == "NY"
 
-    def test_shard_views_are_single_shard_tables_over_the_chunks(self):
+    def test_shards_are_the_appended_chunks_and_outlive_appends(self):
         table = Table.from_rows(make_schema(), base_rows())
         table.append_rows(extra_rows())
-        views = table.shard_tables()
-        assert [len(v) for v in views] == [4, 3]
-        assert all(v.n_shards == 1 for v in views)
-        # Views built before an append stay valid (shards are immutable).
+        shards = list(table._shards)
+        assert table.shard_sizes == (4, 3)
+        # Shards are immutable: an append adds one and keeps the rest.
         table.append_rows(extra_rows())
-        new_views = table.shard_tables()
-        assert new_views[0] is views[0]
-        assert len(new_views) == 3
+        assert table._shards[:2] == shards
+        assert all(a is b for a, b in zip(table._shards, shards))
+        assert table.shard_sizes == (4, 3, 3)
 
     def test_count_and_filter_track_grown_rows(self):
         table = Table.from_rows(make_schema(), base_rows())

@@ -184,24 +184,32 @@ class TestCrossThreadPropagation:
         assert by_name["svc.worker"]["parent_id"] == root.span_id
         assert by_name["svc.worker"]["thread_id"] != root.thread_id
 
-    def test_parallel_executor_map_propagates_context(self, tracer):
-        from repro.core.parallel import ParallelExecutor
+    def test_async_front_explore_is_one_worker_side_trace(self, tracer):
+        """An awaited explore opens its root span on the front's worker
+        thread; the service and engine entry points nest beneath it."""
+        import asyncio
 
-        def work(index):
-            with span("svc.chunk", index=index):
-                pass
-            return index
+        from tests.service.util import small_table
 
-        executor = ParallelExecutor(max_workers=2)
-        try:
-            with root_span("svc.request") as root:
-                assert executor.map(work, [0, 1]) == [0, 1]
-        finally:
-            executor.shutdown()
+        service = _traced_service(small_table(256))
+        query, accuracy = _trace_query()
+
+        async def scenario():
+            async with service.serve_async(max_concurrency=2) as front:
+                return await front.explore("a-0", query, accuracy)
+
+        assert not asyncio.run(scenario()).denied
         (trace,) = tracer.drain()
-        chunks = [s for s in trace if s["name"] == "svc.chunk"]
-        assert len(chunks) == 2
-        assert all(c["parent_id"] == root.span_id for c in chunks)
+        by_name = {s["name"]: s for s in trace}
+        root = by_name["async.request"]
+        assert root["parent_id"] is None
+        assert root["attributes"]["entry"] == "explore"
+        assert by_name["service.explore"]["parent_id"] == root["span_id"]
+        assert "engine.explore" in by_name
+        assert all(s["trace_id"] == root["trace_id"] for s in trace)
+        assert root["thread_id"] != threading.get_ident()
+        for name in ("service.explore", "engine.explore"):
+            assert by_name[name]["thread_id"] == root["thread_id"]
 
 
 class TestBatcherCoalesceEdges:

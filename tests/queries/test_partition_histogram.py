@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.core.exceptions import QueryError
-from repro.core.parallel import ParallelExecutor
 from repro.data.schema import Attribute, CategoricalDomain, NumericDomain, Schema
 from repro.data.table import Table
 from repro.queries.builders import histogram_workload, prefix_workload
@@ -60,8 +59,8 @@ def workload_of(kind: str, size: int) -> Workload:
     return Workload(head + [Comparison("num", "<", c) for c in cuts(size - len(head))])
 
 
-def assert_matches_reference(matrix, table, executor=None):
-    histogram = matrix.partition_histogram(table, executor)
+def assert_matches_reference(matrix, table):
+    histogram = matrix.partition_histogram(table)
     assert histogram.shape == (matrix.n_partitions,)
     np.testing.assert_array_equal(histogram, reference_partition_histogram(matrix, table))
     np.testing.assert_array_equal(
@@ -123,7 +122,7 @@ class TestTableShapes:
         assert matrix.partition_histogram(table) is first
 
     @pytest.mark.parametrize("size", [8, 100])
-    def test_multi_shard_table_with_executor(self, size):
+    def test_multi_shard_table(self, size):
         rng = np.random.default_rng(size)
         chunks = [random_rows(rng, n) for n in (140, 90, 120)]
         table = Table.from_rows(SCHEMA, chunks[0])
@@ -132,8 +131,7 @@ class TestTableShapes:
         assert table.n_shards > 1
         flat = Table.from_rows(SCHEMA, [row for chunk in chunks for row in chunk])
         matrix = workload_of("mixed", size).analyze(SCHEMA)
-        with ParallelExecutor(3) as executor:
-            sharded = assert_matches_reference(matrix, table, executor)
+        sharded = assert_matches_reference(matrix, table)
         np.testing.assert_array_equal(sharded, matrix.partition_histogram(flat))
 
     def test_reread_after_append_rows(self):

@@ -1,20 +1,16 @@
-"""Sharded/parallel evaluation matches the single-shard reference semantics.
+"""Multi-shard evaluation matches the single-shard reference semantics.
 
-Parallelism must never change results: shard-parallel predicate masks and
-chunk-parallel domain analysis are required to be bit-identical to the
-row-at-a-time / cell-at-a-time reference implementations in
-:mod:`repro.queries.reference`, including SQL NULL handling and
-inclusive/exclusive interval bounds.
+A table grown by appends holds several row shards.  Predicate masks,
+workload membership and domain analysis over it are required to be
+bit-identical to the row-at-a-time / cell-at-a-time reference
+implementations in :mod:`repro.queries.reference` on the equivalent flat
+table, including SQL NULL handling and inclusive/exclusive interval bounds,
+whatever the shard layout.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.parallel import (
-    ParallelExecutor,
-    get_default_executor,
-    set_default_executor,
-)
 from repro.data.schema import (
     Attribute,
     CategoricalDomain,
@@ -30,7 +26,6 @@ from repro.queries.predicates import (
     IsNull,
     Not,
     Or,
-    evaluate_sharded,
 )
 from repro.queries.reference import reference_domain_matrix, reference_mask
 from repro.queries.workload import Workload, WorkloadMatrix
@@ -63,7 +58,7 @@ def random_rows(rng: np.random.Generator, n: int) -> list[dict]:
 
 
 def sharded_and_flat(rng: np.random.Generator, shard_sizes=(40, 25, 35)):
-    """One multi-shard table plus its single-shard equivalent."""
+    """One table appended chunk by chunk plus its single-shard equivalent."""
     schema = parity_schema()
     chunks = [random_rows(rng, n) for n in shard_sizes]
     table = Table.from_rows(schema, chunks[0])
@@ -71,6 +66,21 @@ def sharded_and_flat(rng: np.random.Generator, shard_sizes=(40, 25, 35)):
         table.append_rows(chunk)
     flat = Table.from_rows(schema, [row for chunk in chunks for row in chunk])
     return table, flat
+
+
+#: Shard layouts the parity tests run over.  The 1-row appends stay below
+#: the compaction threshold (100 rows in total), so every append keeps its
+#: own shard.
+SHARD_LAYOUTS = {
+    "one-shard": (100,),
+    "three-shards": (40, 25, 35),
+    "one-row-appends": (40,) + (1,) * 60,
+}
+
+
+@pytest.fixture(params=list(SHARD_LAYOUTS))
+def layout(request) -> tuple[int, ...]:
+    return SHARD_LAYOUTS[request.param]
 
 
 EDGE_PREDICATES = [
@@ -90,53 +100,55 @@ EDGE_PREDICATES = [
 ]
 
 
-class TestShardedMaskParity:
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_edge_predicates_bit_identical(self, workers):
-        rng = np.random.default_rng(42)
-        table, flat = sharded_and_flat(rng)
-        with ParallelExecutor(workers) as executor:
-            for predicate in EDGE_PREDICATES:
-                expected = reference_mask(predicate, flat)
-                actual = evaluate_sharded(predicate, table, executor)
-                assert np.array_equal(expected, actual), predicate.describe()
+def reference_membership(workload: Workload, flat: Table) -> np.ndarray:
+    return np.column_stack([reference_mask(p, flat) for p in workload.predicates])
 
-    def test_workload_evaluate_matches_flat_membership(self):
+
+class TestShardMaskParity:
+    def test_edge_predicates_bit_identical(self, layout):
+        rng = np.random.default_rng(42)
+        table, flat = sharded_and_flat(rng, layout)
+        assert table.n_shards == len(layout)
+        for predicate in EDGE_PREDICATES:
+            expected = reference_mask(predicate, flat)
+            actual = predicate.evaluate(table)
+            assert np.array_equal(expected, actual), predicate.describe()
+
+    def test_workload_evaluate_matches_flat_membership(self, layout):
         rng = np.random.default_rng(7)
-        table, flat = sharded_and_flat(rng)
+        table, flat = sharded_and_flat(rng, layout)
+        assert table.n_shards == len(layout)
         workload = Workload(EDGE_PREDICATES)
-        with ParallelExecutor(3) as executor:
-            sharded = workload.evaluate(table, executor)
-        assert np.array_equal(sharded, workload.evaluate(flat))
+        expected = reference_membership(workload, flat)
+        assert np.array_equal(workload.evaluate(table), expected)
         assert np.array_equal(
-            workload.true_answers(table), workload.true_answers(flat)
+            workload.true_answers(table), expected.sum(axis=0).astype(float)
         )
 
-    def test_sharded_evaluation_after_append_includes_new_rows(self):
+    def test_evaluation_after_append_includes_new_rows(self):
         rng = np.random.default_rng(9)
         table, flat = sharded_and_flat(rng)
         workload = Workload(EDGE_PREDICATES)
-        with ParallelExecutor(2) as executor:
-            workload.evaluate(table, executor)  # warm every shard view
-            extra = random_rows(rng, 30)
-            table.append_rows(extra)
-            grown_flat = Table.from_rows(
-                parity_schema(), flat.to_rows() + extra
-            )
-            sharded = workload.evaluate(table, executor)
-        expected = np.column_stack(
-            [reference_mask(p, grown_flat) for p in workload.predicates]
+        workload.evaluate(table)  # warm the masks of the old version
+        extra = random_rows(rng, 30)
+        table.append_rows(extra)
+        grown_flat = Table.from_rows(parity_schema(), flat.to_rows() + extra)
+        assert np.array_equal(
+            workload.evaluate(table), reference_membership(workload, grown_flat)
         )
-        assert np.array_equal(sharded, expected)
+        for predicate in EDGE_PREDICATES:
+            assert np.array_equal(
+                predicate.evaluate(table), reference_mask(predicate, grown_flat)
+            ), predicate.describe()
 
-    def test_non_row_local_function_predicates_are_not_split(self):
+    def test_function_predicates_see_every_shard_at_once(self):
         """An opaque callable may compute cross-row state (here: a mean), so
-        shard-splitting it would silently change the result; it must be
-        evaluated over the whole table."""
+        it must be evaluated over all rows of a multi-shard table at once."""
         from repro.queries.predicates import FunctionPredicate
 
         rng = np.random.default_rng(13)
         table, flat = sharded_and_flat(rng)
+        assert table.n_shards > 1
 
         def above_global_mean(t):
             scores = t.numeric_values("score")
@@ -146,12 +158,10 @@ class TestShardedMaskParity:
             "score > mean(score)", above_global_mean, attributes=("score",)
         )
         expected = predicate.evaluate(flat)
-        with ParallelExecutor(4) as executor:
-            sharded = evaluate_sharded(predicate, table, executor)
-            in_workload = Workload([predicate, Comparison("state", "==", "CA")]).evaluate(
-                table, executor
-            )
-        assert np.array_equal(sharded, expected)
+        in_workload = Workload(
+            [predicate, Comparison("state", "==", "CA")]
+        ).evaluate(table)
+        assert np.array_equal(predicate.evaluate(table), expected)
         assert np.array_equal(in_workload[:, 0], expected)
 
     def test_straddling_mutation_cannot_reach_a_pinned_evaluation(self):
@@ -193,22 +203,17 @@ class TestShardedMaskParity:
         assert len(again) == n_before + 10
         assert table.cached_mask(predicate) is again
 
-    def test_default_executor_is_picked_up(self):
-        rng = np.random.default_rng(11)
-        table, flat = sharded_and_flat(rng)
-        predicate = Between("score", 20.0, 80.0)
-        executor = ParallelExecutor(2)
-        previous = set_default_executor(executor)
-        try:
-            assert get_default_executor() is executor
-            actual = evaluate_sharded(predicate, table)
-            assert np.array_equal(actual, reference_mask(predicate, flat))
-        finally:
-            set_default_executor(previous)
-            executor.shutdown()
+
+def assert_analysis_matches_reference(workload: Workload, schema: Schema) -> None:
+    expected_matrix, expected_partitions = reference_domain_matrix(workload, schema)
+    analysis = WorkloadMatrix.from_domain_analysis(workload, schema)
+    assert np.array_equal(analysis.matrix, expected_matrix)
+    assert [(p.signature, p.description) for p in analysis.partitions] == [
+        (p.signature, p.description) for p in expected_partitions
+    ]
 
 
-class TestParallelDomainAnalysisParity:
+class TestDomainAnalysisParity:
     @pytest.mark.parametrize("seed", range(4))
     def test_random_workloads_bit_identical(self, seed):
         from tests.queries.test_vectorized_parity import (
@@ -217,25 +222,16 @@ class TestParallelDomainAnalysisParity:
         )
 
         rng = np.random.default_rng(500 + seed)
-        schema = reference_schema()
         workload = Workload(
             [random_predicate(rng) for _ in range(int(rng.integers(3, 9)))]
         )
-        expected_matrix, expected_partitions = reference_domain_matrix(
-            workload, schema
-        )
-        with ParallelExecutor(4) as executor:
-            analysis = WorkloadMatrix.from_domain_analysis(
-                workload, schema, executor=executor
-            )
-        assert np.array_equal(analysis.matrix, expected_matrix)
-        assert [(p.signature, p.description) for p in analysis.partitions] == [
-            (p.signature, p.description) for p in expected_partitions
-        ]
+        assert_analysis_matches_reference(workload, reference_schema())
 
-    def test_forced_multi_chunk_parallel_parity(self, monkeypatch):
-        """Tiny chunks + a pool: cross-chunk min-index merge must reproduce
-        the sequential first-occurrence descriptions exactly."""
+    @pytest.mark.parametrize("seed", range(4))
+    def test_forced_multi_chunk_parity(self, monkeypatch, seed):
+        """Tiny chunks: keeping each signature's first-seen cell across the
+        ascending chunks must reproduce the reference's first-occurrence
+        descriptions exactly."""
         import repro.queries.workload as workload_module
 
         from tests.queries.test_vectorized_parity import (
@@ -245,52 +241,6 @@ class TestParallelDomainAnalysisParity:
 
         monkeypatch.setattr(workload_module, "_CELL_BUDGET", 1)
         monkeypatch.setattr(workload_module, "_MIN_CHUNK_CELLS", 5)
-        rng = np.random.default_rng(321)
-        schema = reference_schema()
+        rng = np.random.default_rng(321 + seed)
         workload = Workload([random_predicate(rng) for _ in range(8)])
-        expected_matrix, expected_partitions = reference_domain_matrix(
-            workload, schema
-        )
-        with ParallelExecutor(4) as executor:
-            analysis = WorkloadMatrix.from_domain_analysis(
-                workload, schema, executor=executor
-            )
-        assert np.array_equal(analysis.matrix, expected_matrix)
-        assert [(p.signature, p.description) for p in analysis.partitions] == [
-            (p.signature, p.description) for p in expected_partitions
-        ]
-
-
-class TestParallelExecutor:
-    def test_map_preserves_order(self):
-        with ParallelExecutor(4) as executor:
-            assert executor.map(lambda x: x * x, range(20)) == [
-                x * x for x in range(20)
-            ]
-
-    def test_single_worker_runs_inline(self):
-        import threading
-
-        with ParallelExecutor(1) as executor:
-            idents = executor.map(lambda _: threading.get_ident(), range(5))
-        assert set(idents) == {threading.get_ident()}
-
-    def test_exceptions_propagate(self):
-        def boom(x):
-            if x == 3:
-                raise ValueError("boom")
-            return x
-
-        with ParallelExecutor(4) as executor:
-            with pytest.raises(ValueError, match="boom"):
-                executor.map(boom, range(8))
-
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(0)
-
-    def test_shutdown_is_idempotent(self):
-        executor = ParallelExecutor(2)
-        executor.map(lambda x: x, range(4))
-        executor.shutdown()
-        executor.shutdown()
+        assert_analysis_matches_reference(workload, reference_schema())

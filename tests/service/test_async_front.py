@@ -114,6 +114,21 @@ class TestAsyncFront:
 
         asyncio.run(scenario())
 
+    def test_closed_front_refuses_requests(self):
+        async def scenario():
+            service = make_service()
+            front = service.serve_async(max_concurrency=2)
+            front.register_analyst("alice")
+            assert not (await front.explore("alice", hist_query(), ACC)).denied
+            await front.aclose()
+            spent = service.budget_spent
+            with pytest.raises(RuntimeError):
+                await front.explore("alice", hist_query(), ACC)
+            assert service.budget_spent == spent
+            assert service.validate()
+
+        asyncio.run(scenario())
+
     def test_errors_propagate_and_are_counted(self):
         async def scenario():
             service = make_service()

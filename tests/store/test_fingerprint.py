@@ -20,6 +20,7 @@ from repro.data.schema import (
 from repro.data.table import DomainStamp, Table
 from repro.queries.predicates import And, Between, Comparison, FunctionPredicate, In
 from repro.store import canonical_form, stable_digest
+from tests.data.test_compaction import append_uncompacted
 
 
 def make_schema() -> Schema:
@@ -105,10 +106,11 @@ class TestDomainFingerprint:
                 "score": np.ones(100),
                 "note": np.array(["n"] * 100, dtype=object),
             },
-            auto_compact=False,
         )
-        for i in range(10):
-            table.append_rows([{"state": "NY", "score": float(i), "note": "m"}])
+        append_uncompacted(
+            table,
+            ([{"state": "NY", "score": float(i), "note": "m"}] for i in range(10)),
+        )
         before = table.domain_fingerprint("state")
         assert table.compact()
         assert table.domain_fingerprint("state") == before
