@@ -124,6 +124,7 @@ class MultiPokingMechanism(Mechanism):
 
         names = query.bin_names()
         true_differences = query.true_counts(table) - query.threshold
+        log_term = math.log(m * workload_size / (2.0 * beta))
 
         epsilon_i = epsilon_max / m
         scale_i = sensitivity / epsilon_i
@@ -131,11 +132,11 @@ class MultiPokingMechanism(Mechanism):
         noisy_differences = true_differences + noise
 
         for poke in range(m - 1):
-            alpha_i = sensitivity * math.log(m * workload_size / (2.0 * beta)) / epsilon_i
+            alpha_i = sensitivity * log_term / epsilon_i
             confidently_above = (noisy_differences - alpha_i) / alpha >= -1.0
             confidently_below = (noisy_differences + alpha_i) / alpha <= 1.0
             if bool(np.all(confidently_above | confidently_below)):
-                selected = [names[j] for j in range(workload_size) if confidently_above[j]]
+                selected = [names[j] for j in np.flatnonzero(confidently_above)]
                 return self._result(
                     selected, epsilon_i, epsilon_max, noisy_differences, query, poke + 1
                 )
@@ -148,7 +149,7 @@ class MultiPokingMechanism(Mechanism):
             epsilon_i = epsilon_next
             scale_i = scale_next
 
-        selected = [names[j] for j in range(workload_size) if noisy_differences[j] > 0.0]
+        selected = [names[j] for j in np.flatnonzero(noisy_differences > 0.0)]
         return self._result(
             selected, epsilon_max, epsilon_max, noisy_differences, query, m
         )

@@ -9,6 +9,7 @@ from repro.mechanisms.laplace import LaplaceMechanism
 from repro.mechanisms.multi_poking import MultiPokingMechanism
 from repro.queries.builders import histogram_workload, point_workload
 from repro.queries.query import IcebergCountingQuery, QueryKind, WorkloadCountingQuery
+from tests.mechanisms.util import binomial_allowance
 
 
 @pytest.fixture()
@@ -113,27 +114,44 @@ class TestRun:
         result = mechanism.run(query, accuracy, adult_small, rng)
         assert result.noisy_counts is None
 
-    def test_accuracy_guarantee_statistical(self, adult_small):
-        """Mislabelled bins must lie within alpha of the threshold (Thm 5.5)."""
+    @pytest.mark.parametrize(
+        "bins, alpha_fraction, threshold_quantile",
+        [(10, 0.03, None), (100, 0.01, 0.25), (100, 0.01, 0.5), (100, 0.01, 0.75)],
+        ids=["10-bins", "100-bins-q25", "100-bins-q50", "100-bins-q75"],
+    )
+    def test_accuracy_guarantee_statistical(
+        self, adult_small, bins, alpha_fraction, threshold_quantile
+    ):
+        """Mislabelled bins must lie within alpha of the threshold (Thm 5.5):
+        the observed failures stay within the 99.9% one-sided binomial
+        allowance at beta, and every run is charged exactly the pokes it
+        used.  The 100-bin cases put the threshold at one of the true counts,
+        so that bin and its neighbours sit on the decision boundary."""
         mechanism = MultiPokingMechanism(n_pokes=5)
         beta = 0.1
-        accuracy = AccuracySpec(alpha=0.03 * len(adult_small), beta=beta)
-        query = _iceberg(adult_small, 0.05, bins=10)
+        accuracy = AccuracySpec(alpha=alpha_fraction * len(adult_small), beta=beta)
+        if threshold_quantile is None:
+            query = _iceberg(adult_small, 0.05, bins=bins)
+        else:
+            workload = histogram_workload("age", start=0, stop=100, bins=bins)
+            counts = workload.evaluate(adult_small).sum(axis=0)
+            threshold = float(np.quantile(counts, threshold_quantile, method="lower"))
+            query = IcebergCountingQuery(workload, threshold=threshold)
         truth = query.true_counts(adult_small)
-        names = list(query.bin_names())
-        threshold = query.threshold
+        names = np.array(query.bin_names())
+        too_low = set(names[truth < query.threshold - accuracy.alpha])
+        too_high = set(names[truth > query.threshold + accuracy.alpha])
+        epsilon_upper = mechanism.translate(query, accuracy, adult_small.schema).epsilon_upper
         rng = np.random.default_rng(17)
         trials, failures = 150, 0
         for _ in range(trials):
-            reported = set(mechanism.run(query, accuracy, adult_small, rng).value)
-            bad = False
-            for index, name in enumerate(names):
-                if name in reported and truth[index] < threshold - accuracy.alpha:
-                    bad = True
-                if name not in reported and truth[index] > threshold + accuracy.alpha:
-                    bad = True
-            failures += bad
-        assert failures / trials <= beta * 1.5
+            result = mechanism.run(query, accuracy, adult_small, rng)
+            reported = set(result.value)
+            failures += bool(reported & too_low or too_high - reported)
+            pokes = result.metadata["pokes_used"]
+            assert result.epsilon_spent == pytest.approx(pokes * epsilon_upper / 5)
+            assert result.epsilon_spent <= epsilon_upper + 1e-12
+        assert failures <= binomial_allowance(trials, beta)
 
     def test_single_poke_mechanism(self, adult_small, rng):
         """m = 1 degenerates to a one-shot threshold test and still works."""

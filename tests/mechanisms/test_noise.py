@@ -13,6 +13,8 @@ from repro.mechanisms.noise import (
     laplace_tail_bound,
     relax_laplace_noise,
 )
+from repro.mechanisms.reference import _sample_product_density
+from tests.mechanisms.util import binomial_allowance
 
 
 class TestLaplaceSampling:
@@ -143,3 +145,112 @@ class TestRelaxLaplaceNoise:
         for old, new in zip(scales[:-1], scales[1:]):
             noise = np.asarray(relax_laplace_noise(noise, old, new, rng))
         assert np.var(noise) == pytest.approx(2 * scales[-1] ** 2, rel=0.07)
+
+
+# -- distributional contract of the closed-form refinement ---------------------------
+#
+# Numpy-only Kolmogorov-Smirnov statistics (no scipy); every check uses a fixed
+# seed and the asymptotic 99.9% critical value c = sqrt(-ln(0.0005) / 2).
+
+KS_999 = math.sqrt(-math.log(0.0005) / 2.0)
+
+
+def _laplace_cdf(x: np.ndarray, scale: float) -> np.ndarray:
+    return np.where(x < 0, 0.5 * np.exp(x / scale), 1.0 - 0.5 * np.exp(-x / scale))
+
+
+def _ks_one_sample(samples: np.ndarray, cdf) -> float:
+    ordered = np.sort(samples)
+    n = len(ordered)
+    values = cdf(ordered)
+    return float(
+        max(np.max(np.arange(1, n + 1) / n - values), np.max(values - np.arange(n) / n))
+    )
+
+
+def _ks_two_sample(first: np.ndarray, second: np.ndarray) -> float:
+    first, second = np.sort(first), np.sort(second)
+    points = np.concatenate([first, second])
+    gap = (
+        np.searchsorted(first, points, side="right") / len(first)
+        - np.searchsorted(second, points, side="right") / len(second)
+    )
+    return float(np.max(np.abs(gap)))
+
+
+class _ScriptedGenerator:
+    """Returns the same (stay, segment, position) uniforms for every element."""
+
+    def __init__(self, triple: tuple[float, float, float]) -> None:
+        self._triple = np.array(triple)
+
+    def random(self, size):
+        return np.resize(self._triple, size)
+
+
+class TestRefinementContract:
+    @pytest.mark.parametrize("ratio", [0.8, 0.5, 0.1])
+    def test_marginal_is_target_laplace(self, ratio):
+        """(i) refined Lap(b_old) draws are Lap(b_new) in a one-sample KS test."""
+        rng = np.random.default_rng(2015)
+        scale_old = 3.0
+        scale_new = scale_old * ratio
+        n = 20_000
+        refined = relax_laplace_noise(rng.laplace(0, scale_old, n), scale_old, scale_new, rng)
+        statistic = _ks_one_sample(refined, lambda x: _laplace_cdf(x, scale_new))
+        assert statistic < KS_999 / math.sqrt(n)
+
+    @pytest.mark.parametrize("y", [0.0, 0.3, -0.3, -2.0, 7.5, -30.0, 1e6])
+    def test_conditional_matches_reference_sampler(self, y):
+        """(ii) given old noise y, the atom at y has the closed-form mass and the
+        moved part matches the scalar segment-search oracle (two-sample KS)."""
+        scale_old, scale_new = 2.0, 1.0
+        n = 4_000
+        rng = np.random.default_rng(int(abs(y) * 10) + 1)
+        refined = relax_laplace_noise(np.full(n, y), scale_old, scale_new, rng)
+        stayed = refined == y
+        stay_probability = (scale_new / scale_old) * math.exp(
+            -abs(y) * (1.0 / scale_new - 1.0 / scale_old)
+        )
+        assert stayed.sum() <= binomial_allowance(n, stay_probability)
+        assert (~stayed).sum() <= binomial_allowance(n, 1.0 - stay_probability)
+
+        oracle = np.array(
+            [_sample_product_density(y, scale_new, scale_old, rng) for _ in range(n)]
+        )
+        moved = refined[~stayed]
+        critical = KS_999 * math.sqrt((len(moved) + n) / (len(moved) * n))
+        assert _ks_two_sample(moved, oracle) < critical
+
+    @pytest.mark.parametrize(
+        "y, triple",
+        [
+            (1e6, (0.0, 0.0, 0.0)),  # all zeros: the atom is empty, left tail
+            (0.3, (0.999, 0.0, 0.0)),  # left tail
+            (0.3, (0.999, 0.5, 0.0)),  # middle segment
+            (0.3, (0.999, 0.999, 0.0)),  # right tail
+            (-0.3, (0.999, 0.999, 0.0)),  # mirrored right tail
+        ],
+    )
+    def test_zero_uniform_gives_finite_output(self, y, triple):
+        """(iii) Generator.random may return exactly 0.0; no branch reaches log(0)."""
+        refined = relax_laplace_noise(np.array([y]), 2.0, 1.0, _ScriptedGenerator(triple))
+        assert np.isfinite(refined).all()
+
+    def test_ratio_near_one_stays_put(self):
+        """(iv) at b_new/b_old = 1 - 1e-9 the element stays at y, and a forced
+        move into the middle segment keeps its precision (expm1/log1p)."""
+        rng = np.random.default_rng(9)
+        scale_old = 2.0
+        scale_new = scale_old * (1.0 - 1e-9)
+        initial = rng.laplace(0, scale_old, 1_000)
+        refined = relax_laplace_noise(initial, scale_old, scale_new, rng)
+        assert np.array_equal(refined, initial)
+
+        # the stay probability is ~1 - 6e-9, so only stay = 1 - 1e-12 moves;
+        # the mass of [0, 5] is ~5 of ~6 in total, so segment 0.5 lands in
+        # it, and position 0.5 near its midpoint (the density there is ~flat)
+        forced = _ScriptedGenerator((1.0 - 1e-12, 0.5, 0.5))
+        moved = relax_laplace_noise(5.0, 1.0, 1.0 - 1e-9, forced)
+        assert math.isfinite(moved)
+        assert moved == pytest.approx(2.5, rel=1e-6)

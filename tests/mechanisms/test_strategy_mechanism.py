@@ -27,6 +27,7 @@ from repro.queries.query import (
     QueryKind,
     WorkloadCountingQuery,
 )
+from tests.mechanisms.util import binomial_allowance
 
 
 @pytest.fixture()
@@ -41,16 +42,6 @@ def prefix_query() -> WorkloadCountingQuery:
         prefix_workload("capital_gain", [250.0 * i for i in range(1, 21)]),
         name="prefix-20",
     )
-
-
-def _binomial_allowance(trials: int, rate: float, level: float = 0.999) -> int:
-    """The smallest ``c`` with ``P(Binomial(trials, rate) <= c) >= level``."""
-    cdf = 0.0
-    for count in range(trials + 1):
-        cdf += math.comb(trials, count) * rate**count * (1.0 - rate) ** (trials - count)
-        if cdf >= level:
-            return count
-    return trials
 
 
 class TestTranslate:
@@ -296,7 +287,7 @@ class TestRun:
             result = mechanism.run(query, accuracy, adult_small, rng)
             if np.abs(result.value - truth).max() >= accuracy.alpha:
                 failures += 1
-        assert failures <= _binomial_allowance(trials, beta)
+        assert failures <= binomial_allowance(trials, beta)
 
     def test_metadata_names_strategy(self, strategy_mechanism, adult_small, prefix_query, rng):
         accuracy = AccuracySpec(alpha=0.05 * len(adult_small))

@@ -1,0 +1,27 @@
+"""Shared statistics for the mechanism contract tests."""
+
+import math
+
+
+def binomial_allowance(trials: int, rate: float, level: float = 0.999) -> int:
+    """The smallest ``c`` with ``P(Binomial(trials, rate) <= c) >= level``.
+
+    The pmf is summed in log space so large ``trials`` cannot overflow.
+    """
+    if rate <= 0.0:
+        return 0
+    if rate >= 1.0:
+        return trials
+    log_rate, log_rest = math.log(rate), math.log1p(-rate)
+    cdf = 0.0
+    for count in range(trials + 1):
+        cdf += math.exp(
+            math.lgamma(trials + 1)
+            - math.lgamma(count + 1)
+            - math.lgamma(trials - count + 1)
+            + count * log_rate
+            + (trials - count) * log_rest
+        )
+        if cdf >= level:
+            return count
+    return trials
