@@ -115,17 +115,14 @@ class LaplaceMechanism(Mechanism):
         generator = self._rng(rng)
         table = table.snapshot()  # pin one version for the whole run
         schema = table.schema
-        translation = self.translate(
-            query,
-            accuracy,
-            schema,
-            version=table.domain_stamp(query.workload.attributes()),
-        )
+        # One stamp for both reads, so the query's matrix memo hits.
+        stamp = table.domain_stamp(query.workload.attributes())
+        translation = self.translate(query, accuracy, schema, version=stamp)
         epsilon = translation.epsilon_upper
         sensitivity = translation.details["sensitivity"]
         scale = sensitivity / epsilon
 
-        true_counts = query.true_counts(table)
+        true_counts = query.workload_matrix(schema, stamp).true_answers(table)
         noisy_counts = true_counts + laplace_noise(scale, len(true_counts), generator)
 
         if query.kind is QueryKind.WCQ:

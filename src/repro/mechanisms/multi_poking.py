@@ -116,14 +116,15 @@ class MultiPokingMechanism(Mechanism):
         schema: Schema = table.schema
         alpha, beta = accuracy.alpha, accuracy.beta
         m = self._n_pokes
-        sensitivity = query.sensitivity(
+        matrix = query.workload_matrix(
             schema, table.domain_stamp(query.workload.attributes())
         )
+        sensitivity = matrix.sensitivity
         workload_size = query.workload_size
         epsilon_max = self._epsilon_max(sensitivity, workload_size, alpha, beta)
 
         names = query.bin_names()
-        true_differences = query.true_counts(table) - query.threshold
+        true_differences = matrix.true_answers(table) - query.threshold
         log_term = math.log(m * workload_size / (2.0 * beta))
 
         epsilon_i = epsilon_max / m

@@ -8,11 +8,13 @@ Two evaluation modes are supported:
 
 * **row evaluation** (:meth:`Predicate.evaluate`) -- vectorised evaluation
   over a :class:`~repro.data.table.Table`, producing a boolean mask.  This is
-  what mechanisms use to obtain true counts.  Evaluation is array-native end
-  to end: numeric comparisons run over the table's cached float views,
-  categorical conditions compare interned ``int32`` codes
-  (:meth:`~repro.data.table.Table.category_codes`), and every evaluated mask
-  is memoised in the table's per-predicate LRU so the mechanisms' repeated
+  where the true counts of structural workloads come from (an exact matrix
+  codes rows by domain atom instead; see
+  :meth:`repro.queries.workload.WorkloadMatrix.partition_histogram`).
+  Evaluation is array-native end to end: numeric comparisons run over the
+  table's cached float views, categorical conditions compare interned
+  ``int32`` codes (:meth:`~repro.data.table.Table.category_codes`), and every
+  evaluated mask is memoised in the table's per-predicate LRU so repeated
   evaluations of the same condition are free.  Cached masks are read-only;
   copy before mutating.
 * **cell evaluation** (:meth:`Predicate.evaluate_cell`) -- evaluation over a

@@ -28,6 +28,20 @@ Two analysis paths are provided:
   either declared by the caller (``disjoint=True`` => 1) or conservatively set
   to ``L``.
 
+An exact matrix keeps the analysis's atoms and per-atom leaf vectors, and
+reads the data through them: :meth:`WorkloadMatrix.partition_histogram` maps
+each row to its atom once per referenced attribute (a code -> atom lookup
+for categorical values, one ``np.searchsorted`` over the atom boundaries for
+numbers, NULL to the NULL atom), sums the atom offsets into one flat cell
+index and counts the cells with ``np.bincount``.  Only the occupied cells
+get a signature, from the leaf vectors.  A row whose value is no atom
+(outside the declared domain, a NULL with no NULL atom, a categorical value
+the workload never names) takes its signature from the predicate masks of
+just those rows instead, so it lands in the same partition, or raises the
+same :class:`QueryError`, as a row-at-a-time evaluation would.  The true
+counts of an exact matrix are ``W @ x`` (exact in float64: counts stay below
+``2**53``); structural matrices count each predicate's mask.
+
 Because the exploration strategies (and the APEx relaxation loops in
 particular) re-ask structurally identical workloads many times,
 :meth:`Workload.analyze` memoises matrices in a module-level LRU keyed by the
@@ -56,7 +70,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -91,8 +105,10 @@ __all__ = [
 
 #: Hard cap on the number of candidate domain cells enumerated by the exact
 #: analysis; beyond this the workload must use structural analysis.  The
-#: vectorized enumeration streams the cross product in bounded chunks, so the
-#: cap is a compute guard, not a memory guard.
+#: vectorized enumeration streams the cross product in bounded chunks, so for
+#: the analysis the cap is a compute guard.  It also bounds the one transient
+#: of an exact histogram that grows with the domain: the per-cell
+#: ``np.bincount`` of ``n_cells + 1`` int64 counters (64 MB at the cap).
 MAX_DOMAIN_CELLS = 8_000_000
 
 #: Target number of (cell, predicate) booleans materialised per enumeration
@@ -232,18 +248,25 @@ class Workload:
         """Boolean membership matrix of shape ``(n_rows, L)``.
 
         All predicates evaluate against **one** pinned snapshot of the table
-        (taken up front), so the stacked masks always describe a single
-        version even while ``append_rows`` runs concurrently.
+        (taken up front), so the columns always describe a single version
+        even while ``append_rows`` runs concurrently.
         """
         table = table.snapshot()
-        masks = [pred.evaluate(table) for pred in self._predicates]
-        if not masks:
-            return np.zeros((len(table), 0), dtype=bool)
-        return np.column_stack(masks)
+        membership = np.empty((len(table), self.size), dtype=bool)
+        for i, pred in enumerate(self._predicates):
+            membership[:, i] = pred.evaluate(table)
+        return membership
 
     def true_answers(self, table: Table) -> np.ndarray:
-        """True counts ``c_phi_i(D)`` for every predicate, as a float vector."""
-        return self.evaluate(table).sum(axis=0).astype(float)
+        """True counts ``c_phi_i(D)`` for every predicate, as a float vector.
+
+        Counts each predicate's (cached) mask on one pinned snapshot.
+        """
+        table = table.snapshot()
+        return np.array(
+            [np.count_nonzero(pred.evaluate(table)) for pred in self._predicates],
+            dtype=float,
+        )
 
     # -- analysis ---------------------------------------------------------------
 
@@ -404,6 +427,9 @@ class Workload:
             instance = WorkloadMatrix(self, matrix, partitions, exact=True)
         except (KeyError, TypeError, ValueError, QueryError):
             return None
+        # The atoms and leaf vectors are not stored; the first histogram
+        # derives them from the schema.
+        instance._schema = schema
         token = None if schema is None else _structural_token(self, schema)
         if token is not None:
             instance._cache_token = ("exact",) + token + (version,)
@@ -492,10 +518,20 @@ class WorkloadMatrix:
         self._matrix = matrix
         self._partitions = tuple(partitions)
         self._exact = exact
-        self._histogram_cache: (
-            tuple[weakref.ref[Table], TableVersion, np.ndarray] | None
+        #: ``(weakref(snapshot), version, histogram, answers or None)``.
+        self._data_cache: (
+            tuple[weakref.ref[Table], TableVersion, np.ndarray, np.ndarray | None]
+            | None
         ) = None
         self._partition_keys: tuple[np.ndarray, np.ndarray] | None = None
+        # Exact matrices only: the schema the atoms derive from, the
+        # analysis's (atoms, leaf vectors), and the per-attribute row coders
+        # built from them on the first histogram.
+        self._schema: Schema | None = None
+        self._domain: (
+            tuple[dict[str, list[CellValue]], dict[int, np.ndarray]] | None
+        ) = None
+        self._coders: list[Callable[[Table], np.ndarray]] | None = None
         self._cache_token: object = ("id", _IdKey(self))
         if matrix.size:
             self._sensitivity = float(np.abs(matrix).sum(axis=0).max())
@@ -538,9 +574,12 @@ class WorkloadMatrix:
                 f"domain analysis would enumerate {n_cells} cells "
                 f"(limit {MAX_DOMAIN_CELLS}); use structural analysis instead"
             )
-        partitions = _enumerate_partitions(workload, atoms)
+        leaf_vectors = _leaf_vectors(workload, atoms)
+        partitions = _enumerate_partitions(workload, atoms, leaf_vectors)
         matrix = _signatures_to_matrix(workload.size, partitions)
         instance = cls(workload, matrix, partitions, exact=True)
+        instance._schema = schema
+        instance._domain = (atoms, leaf_vectors)
         token = _structural_token(workload, schema)
         if token is not None:
             instance._cache_token = ("exact",) + token + (version,)
@@ -631,16 +670,26 @@ class WorkloadMatrix:
         signature; rows satisfying no predicate fall outside ``dom_W(R)`` and
         are ignored (they contribute to no count).
 
-        For an exact matrix, signatures are packed little-endian into
-        ``ceil(L / 64)`` ``uint64`` words (bit ``i`` is predicate ``i``).
-        The ``P`` partition codes (the columns of :attr:`matrix`) are packed
-        and sorted once per matrix; each row's code is found among them by
-        binary search -- on the word itself for ``L <= 64``, on the words'
-        raw bytes beyond -- and counted with ``np.bincount``, so the ``n``
-        rows are never sorted.  A non-zero row code matching no partition
-        means values outside the declared domains: :class:`QueryError`.  A
-        structural matrix is the identity over predicates, so its histogram
-        is the membership column sums.
+        An exact matrix never evaluates a predicate over the rows.  Each
+        referenced attribute maps every row to an atom of the analysis in one
+        pass: categorical values through a dictionary-code -> atom lookup,
+        numbers through one ``np.searchsorted`` over the atom endpoints (a
+        value equal to a cut is its point atom, any other value the open
+        atom around it), NULL (code -1, NaN) to the NULL atom.  The atoms'
+        offsets (atom index times row-major stride) sum to one flat cell
+        index per row, and ``np.bincount`` counts the cells;
+        :data:`MAX_DOMAIN_CELLS` bounds that ``n_cells + 1`` counter array.
+        Only the occupied cells get a signature, from the analysis's
+        per-atom leaf vectors.  Rows that map to no atom -- a value outside
+        the declared domain, a NULL where no NULL atom exists, a categorical
+        value that is no atom -- take their signatures from the predicate
+        masks of a table of just those rows.  Signatures are packed
+        little-endian into ``ceil(L / 64)`` ``uint64`` words and found among
+        the ``P`` partition codes (the columns of :attr:`matrix`, packed and
+        sorted once per matrix) by binary search.  A non-zero signature
+        matching no partition means values outside the declared domains:
+        :class:`QueryError`.  A structural matrix is the identity over
+        predicates, so its histogram is the predicates' true counts.
 
         Evaluation pins the table's snapshot up front, so the histogram
         always describes exactly one version even under concurrent appends,
@@ -653,46 +702,112 @@ class WorkloadMatrix:
         pin a discarded table (and its mask cache) in memory.
         """
         table = table.snapshot()
-        version = table.version_token
-        cached = self._histogram_cache
-        if cached is not None and cached[0]() is table and cached[1] == version:
+        cached = self._cached(table)
+        if cached is not None:
             return cached[2]
-        membership = self._workload.evaluate(table)
         if self._exact:
-            histogram = self._exact_histogram(membership)
+            histogram = self._atom_histogram(table)
         else:
-            histogram = membership.sum(axis=0).astype(float)
+            histogram = self._workload.true_answers(table)
         # The snapshot's version never advances, so the histogram is a pure
         # function of (snapshot, version) and admission is unconditional.
-        self._histogram_cache = (weakref.ref(table), version, histogram)
+        self._data_cache = (weakref.ref(table), table.version_token, histogram, None)
         return histogram
 
-    def _exact_histogram(self, membership: np.ndarray) -> np.ndarray:
-        """Count the rows of ``membership`` per partition by packed code."""
+    def true_answers(self, table: Table) -> np.ndarray:
+        """True per-predicate counts ``W @ x``, cached beside the histogram.
+
+        The counts are integers below ``2**53``, so the float64 product is
+        exact: it equals counting each predicate's rows.
+        """
+        table = table.snapshot()
+        cached = self._cached(table)
+        if cached is not None and cached[3] is not None:
+            return cached[3]
+        histogram = self.partition_histogram(table)
+        answers = self._matrix @ histogram if self._exact else histogram
+        self._data_cache = (weakref.ref(table), table.version_token, histogram, answers)
+        return answers
+
+    def _cached(self, snapshot: Table) -> tuple | None:
+        """The data-cache entry for ``snapshot`` at its version, if any."""
+        cached = self._data_cache
+        if (
+            cached is not None
+            and cached[0]() is snapshot
+            and cached[1] == snapshot.version_token
+        ):
+            return cached
+        return None
+
+    def _atom_histogram(self, table: Table) -> np.ndarray:
+        """The exact histogram through the rows' atom codes (see above)."""
+        schema = self._schema
+        assert schema is not None  # every exact matrix has one
+        if self._domain is None:
+            atoms = _attribute_atoms(self._workload, schema)
+            self._domain = (atoms, _leaf_vectors(self._workload, atoms))
+        atoms, leaf_vectors = self._domain
+        names = list(atoms)
+        sizes = [len(atoms[name]) for name in names]
+        strides = _strides(sizes)
+        n_cells = math.prod(sizes)
+        if self._coders is None:
+            self._coders = [
+                _atom_coder(self._workload, schema, name, atoms[name], stride, n_cells)
+                for name, stride in zip(names, strides)
+            ]
+        # One flat cell index per row; n_cells stands for "no atom".
+        flat = np.zeros(len(table), dtype=np.int64)
+        for coder in self._coders:
+            flat += coder(table)
+        np.minimum(flat, n_cells, out=flat)
+        counts = np.bincount(flat, minlength=n_cells + 1)
+        occupied = np.flatnonzero(counts[:n_cells])
+        coordinates = {
+            name: occupied // strides[j] % sizes[j] for j, name in enumerate(names)
+        }
+        signatures = np.stack(
+            [
+                _evaluate_over_cells(
+                    pred, coordinates, leaf_vectors, atoms, names, len(occupied)
+                )
+                for pred in self._workload.predicates
+            ],
+            axis=1,
+        )
+        weights = counts[occupied]
+        if counts[n_cells]:
+            rows = np.flatnonzero(flat == n_cells)
+            signatures = np.concatenate(
+                [signatures, self._workload.evaluate(table.take(rows))]
+            )
+            weights = np.concatenate([weights, np.ones(len(rows), dtype=weights.dtype)])
+        return self._count_signatures(signatures, weights)
+
+    def _count_signatures(self, signatures: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Sum ``weights`` per partition by each signature row's packed code."""
         if self._partition_keys is None:
             keys = _signature_keys(_pack_signatures(self._matrix.T != 0))
             order = np.argsort(keys)
             self._partition_keys = (keys[order], order)
         sorted_keys, partition_of = self._partition_keys
-        codes = _pack_signatures(membership)
-        rows = np.flatnonzero(codes.any(axis=1))
-        keys = _signature_keys(codes[rows])
+        nonzero = signatures.any(axis=1)
+        signatures, weights = signatures[nonzero], weights[nonzero]
+        keys = _signature_keys(_pack_signatures(signatures))
         slots = np.searchsorted(sorted_keys, keys)
         matched = slots < len(sorted_keys)
         matched[matched] = sorted_keys[slots[matched]] == keys[matched]
         if not matched.all():
-            signature = tuple(bool(v) for v in membership[rows[np.argmin(matched)]])
+            signature = tuple(bool(v) for v in signatures[np.argmin(matched)])
             raise QueryError(
                 "a row matched a predicate signature that the exact domain "
                 "analysis did not enumerate; the table contains values outside "
                 f"the declared attribute domains: signature={signature}"
             )
-        counts = np.bincount(partition_of[slots], minlength=self.n_partitions)
-        return counts.astype(float)
-
-    def true_answers(self, table: Table) -> np.ndarray:
-        """True per-predicate counts (equals ``matrix @ partition_histogram``)."""
-        return self._workload.true_answers(table)
+        return np.bincount(
+            partition_of[slots], weights=weights, minlength=self.n_partitions
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -732,6 +847,7 @@ def _structural_token(workload: Workload, schema: Schema) -> tuple | None:
 def _enumerate_partitions(
     workload: Workload,
     atoms: "dict[str, list[CellValue]]",
+    leaf_vectors: Mapping[int, np.ndarray],
 ) -> list[DomainPartition]:
     """Vectorized signature enumeration over the atom cross-product.
 
@@ -755,15 +871,7 @@ def _enumerate_partitions(
 
     sizes = [len(atoms[name]) for name in attr_names]
     n_cells = math.prod(sizes)
-    # Row-major strides so that flat order equals itertools.product order
-    # (last attribute varies fastest).
-    strides = [1] * len(sizes)
-    for j in range(len(sizes) - 2, -1, -1):
-        strides[j] = strides[j + 1] * sizes[j + 1]
-
-    leaf_vectors: dict[int, np.ndarray] = {}
-    for pred in workload.predicates:
-        _collect_leaf_vectors(pred, atoms, leaf_vectors)
+    strides = _strides(sizes)
 
     chunk_cells = max(_MIN_CHUNK_CELLS, _CELL_BUDGET // max(workload.size, 1))
     # signature bytes -> (signature tuple, first flat cell index)
@@ -809,6 +917,105 @@ def _enumerate_partitions(
         )
     partitions.sort(key=lambda p: p.signature, reverse=True)
     return partitions
+
+
+def _strides(sizes: Sequence[int]) -> list[int]:
+    """Row-major strides: flat cell order equals ``itertools.product`` order
+    (the last attribute varies fastest)."""
+    strides = [1] * len(sizes)
+    for j in range(len(sizes) - 2, -1, -1):
+        strides[j] = strides[j + 1] * sizes[j + 1]
+    return strides
+
+
+def _leaf_vectors(
+    workload: Workload, atoms: "dict[str, list[CellValue]]"
+) -> dict[int, np.ndarray]:
+    """Every atomic condition's truth value per atom, keyed by condition id."""
+    out: dict[int, np.ndarray] = {}
+    for pred in workload.predicates:
+        _collect_leaf_vectors(pred, atoms, out)
+    return out
+
+
+def _atom_coder(
+    workload: Workload,
+    schema: Schema,
+    name: str,
+    atom_list: Sequence[CellValue],
+    stride: int,
+    n_cells: int,
+) -> Callable[[Table], np.ndarray]:
+    """``table -> int64`` cell offset (atom index times ``stride``) of every
+    row's ``name`` value, with ``n_cells`` for a value that is no atom.
+
+    Categorical rows go through a dictionary-code -> offset lookup, numeric
+    rows through one ``np.searchsorted`` over the atom endpoints, and text
+    rows to the attribute's one non-NULL atom -- but only when the workload
+    tests the attribute for NULL alone, since row evaluation of any other
+    condition on text differs from its evaluation on that atom.  NULL goes
+    to the NULL atom if there is one.
+    """
+    kind = schema[name].kind
+    null = next((i * stride for i, a in enumerate(atom_list) if a is None), n_cells)
+
+    if kind is AttributeKind.CATEGORICAL:
+        values = {a: i * stride for i, a in enumerate(atom_list) if a is not None}
+
+        def coded(table: Table) -> np.ndarray:
+            codes, index = table.category_codes(name)
+            # The dictionary is shared and append-only, so it may grow while
+            # this reads it.  Every code in ``codes`` was interned before
+            # ``size`` is read; a value interned since is no row here.
+            size = len(index)
+            lookup = np.full(size + 1, n_cells, dtype=np.int64)
+            lookup[size] = null  # code -1 is NULL
+            for value, offset in values.items():
+                code = index.get(value, size)  # type: ignore[arg-type]
+                if code < size:
+                    lookup[code] = offset
+            return lookup[codes]
+
+    elif kind is AttributeKind.NUMERIC:
+        # Slot 2j is the open gap (edges[j - 1], edges[j]) and slot 2j + 1
+        # the point edges[j].  The atoms partition the line, so an open
+        # atom's endpoints are adjacent edges.  +inf is always an edge, so
+        # only NaN searches past the last one, into the final (NULL) slot.
+        edges = sorted(
+            {x for a in atom_list if isinstance(a, Interval) for x in (a.low, a.high)}
+            | {math.inf}
+        )
+        position = {x: j for j, x in enumerate(edges)}
+        slots = np.full(2 * len(edges) + 1, n_cells, dtype=np.int64)
+        slots[-1] = null
+        for i, atom in enumerate(atom_list):
+            if not isinstance(atom, Interval):
+                continue
+            if atom.is_point:
+                slots[2 * position[atom.low] + 1] = i * stride
+            elif not (atom.low_inclusive or atom.high_inclusive):
+                slots[2 * position[atom.high]] = i * stride
+        edge_array = np.array(edges)
+        edge_or_nan = np.append(edge_array, np.nan)
+
+        def coded(table: Table) -> np.ndarray:
+            values = table.numeric_values(name)
+            slot = np.searchsorted(edge_array, values)
+            return slots[2 * slot + (edge_or_nan[slot] == values)]
+
+    else:
+        null_only = all(
+            isinstance(cond, IsNull)
+            for pred in workload.predicates
+            for cond in pred.atomic_comparisons()
+            if name in cond.attributes()
+        )
+        present = 0 if null_only else n_cells  # the non-NULL atom is atom 0
+
+        def coded(table: Table) -> np.ndarray:
+            return np.where(table.null_mask(name), null, present)
+
+    return coded
 
 
 def _collect_leaf_vectors(

@@ -1,0 +1,105 @@
+"""Exact histograms of pinned snapshots stay exact while appends grow the
+shared category dictionary.
+
+An exact matrix maps categorical rows to atoms through a lookup over the
+table's dictionary codes.  That dictionary is shared by the table and its
+snapshots, append-only, and extended by every append that brings a new
+value.  Here an appender adds rows carrying never-seen categorical values
+(and interns them at once) while reader threads histogram freshly pinned
+snapshots, with aggressive preemption.  Every histogram must equal the
+row-at-a-time reference on its snapshot.
+"""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from repro.data.schema import Attribute, CategoricalDomain, NumericDomain, Schema
+from repro.data.table import Table
+from repro.queries.predicates import Comparison, In
+from repro.queries.reference import reference_partition_histogram
+from repro.queries.workload import Workload
+
+VALUES = tuple(f"v{i:02d}" for i in range(300))
+SCHEMA = Schema(
+    [
+        Attribute("cat", CategoricalDomain(VALUES), nullable=True),
+        Attribute("num", NumericDomain(0, 100)),
+    ]
+)
+READERS = 2
+
+
+@pytest.fixture(autouse=True)
+def aggressive_preemption():
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(old)
+
+
+def rows(values, n, rng):
+    return [
+        {"cat": values[rng.integers(len(values))], "num": float(rng.integers(0, 101))}
+        for _ in range(n)
+    ]
+
+
+def test_snapshot_histograms_stay_exact_while_appends_add_categorical_values():
+    rng = np.random.default_rng(0)
+    table = Table.from_rows(SCHEMA, rows(VALUES[:4] + (None,), 50, rng))
+    workload = Workload(
+        [Comparison("cat", "==", v) for v in VALUES[::40]]
+        + [In("cat", VALUES[1::7]), Comparison("num", "<", 50.0)]
+    )
+    matrix = workload.analyze(SCHEMA)
+    assert matrix.exact
+    start = threading.Barrier(READERS + 1)
+    done = threading.Event()
+    seen: dict = {}
+    seen_lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def appender():
+        try:
+            start.wait(timeout=30)
+            for value in VALUES[4:]:
+                table.append_rows(rows((value,), 2, rng))
+                table.category_codes("cat")  # intern the new value right away
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+        finally:
+            done.set()
+
+    def reader():
+        try:
+            start.wait(timeout=30)
+            while not done.is_set():
+                # A private snapshot misses the histogram cache every time.
+                snapshot = table.open_snapshot()
+                histogram = matrix.partition_histogram(snapshot)
+                with seen_lock:
+                    # Keep the first snapshot of each version for the
+                    # reference, and every histogram taken at that version.
+                    entry = seen.setdefault(snapshot.version_token, (snapshot, []))
+                    entry[1].append(histogram)
+                if entry[0] is not snapshot:
+                    snapshot.close()
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=appender)]
+    threads += [threading.Thread(target=reader) for _ in range(READERS)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert len(seen) > 1
+    for snapshot, histograms in seen.values():
+        expected = reference_partition_histogram(matrix, snapshot)
+        for histogram in histograms:
+            np.testing.assert_array_equal(histogram, expected)

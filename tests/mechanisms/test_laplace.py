@@ -15,6 +15,7 @@ from repro.queries.query import (
     TopKCountingQuery,
     WorkloadCountingQuery,
 )
+from tests.mechanisms.util import binomial_allowance, iceberg_failed
 
 
 @pytest.fixture()
@@ -179,6 +180,28 @@ class TestAccuracyGuarantee:
             if np.abs(result.value - truth).max() >= accuracy.alpha:
                 failures += 1
         assert failures / trials <= beta * 1.8
+
+    @pytest.mark.parametrize("threshold_quantile", [0.25, 0.5, 0.75])
+    def test_icq_failure_rate_below_beta(self, adult_small, threshold_quantile):
+        """ICQ-LM with the threshold at one of the true counts, so that bin
+        and its neighbours sit on the decision boundary: the failures stay
+        within the 99.9% one-sided binomial allowance at beta, and no run
+        spends more than its upper bound."""
+        mechanism = LaplaceMechanism(name="ICQ-LM", kinds=frozenset({QueryKind.ICQ}))
+        workload = histogram_workload("age", start=0, stop=100, bins=100)
+        counts = workload.true_answers(adult_small)
+        threshold = float(np.quantile(counts, threshold_quantile, method="lower"))
+        query = IcebergCountingQuery(workload, threshold=threshold)
+        beta = 0.1
+        accuracy = AccuracySpec(alpha=0.01 * len(adult_small), beta=beta)
+        truth = query.true_counts(adult_small)
+        rng = np.random.default_rng(23)
+        trials, failures = 200, 0
+        for _ in range(trials):
+            result = mechanism.run(query, accuracy, adult_small, rng)
+            failures += iceberg_failed(query, truth, accuracy.alpha, result.value)
+            assert result.epsilon_spent <= result.epsilon_upper
+        assert failures <= binomial_allowance(trials, beta)
 
     def test_tcq_failure_rate_below_beta(self, adult_small):
         mechanism = LaplaceMechanism()

@@ -9,7 +9,7 @@ from repro.mechanisms.laplace import LaplaceMechanism
 from repro.mechanisms.multi_poking import MultiPokingMechanism
 from repro.queries.builders import histogram_workload, point_workload
 from repro.queries.query import IcebergCountingQuery, QueryKind, WorkloadCountingQuery
-from tests.mechanisms.util import binomial_allowance
+from tests.mechanisms.util import binomial_allowance, iceberg_failed
 
 
 @pytest.fixture()
@@ -138,16 +138,12 @@ class TestRun:
             threshold = float(np.quantile(counts, threshold_quantile, method="lower"))
             query = IcebergCountingQuery(workload, threshold=threshold)
         truth = query.true_counts(adult_small)
-        names = np.array(query.bin_names())
-        too_low = set(names[truth < query.threshold - accuracy.alpha])
-        too_high = set(names[truth > query.threshold + accuracy.alpha])
         epsilon_upper = mechanism.translate(query, accuracy, adult_small.schema).epsilon_upper
         rng = np.random.default_rng(17)
         trials, failures = 150, 0
         for _ in range(trials):
             result = mechanism.run(query, accuracy, adult_small, rng)
-            reported = set(result.value)
-            failures += bool(reported & too_low or too_high - reported)
+            failures += iceberg_failed(query, truth, accuracy.alpha, result.value)
             pokes = result.metadata["pokes_used"]
             assert result.epsilon_spent == pytest.approx(pokes * epsilon_upper / 5)
             assert result.epsilon_spent <= epsilon_upper + 1e-12

@@ -27,7 +27,7 @@ from repro.queries.query import (
     QueryKind,
     WorkloadCountingQuery,
 )
-from tests.mechanisms.util import binomial_allowance
+from tests.mechanisms.util import binomial_allowance, iceberg_failed
 
 
 @pytest.fixture()
@@ -313,6 +313,27 @@ class TestIcebergStrategyMechanism:
         assert set(result.value) <= set(query.bin_names())
         # prefix counts are monotone, so high cut points must be reported
         assert query.bin_names()[-1] in result.value
+
+    @pytest.mark.parametrize("threshold_quantile", [0.25, 0.75])
+    def test_failure_rate_below_beta(self, adult_small, threshold_quantile):
+        """ICQ-SM with the threshold at one of the true counts: the failures
+        stay within the 99.9% one-sided binomial allowance at beta, and no
+        run spends more than its upper bound."""
+        mechanism = IcebergStrategyMechanism(mc_samples=1_000)
+        workload = histogram_workload("age", start=0, stop=100, bins=100)
+        counts = workload.true_answers(adult_small)
+        threshold = float(np.quantile(counts, threshold_quantile, method="lower"))
+        query = IcebergCountingQuery(workload, threshold=threshold)
+        beta = 0.1
+        accuracy = AccuracySpec(alpha=0.02 * len(adult_small), beta=beta)
+        truth = query.true_counts(adult_small)
+        rng = np.random.default_rng(29)
+        trials, failures = 200, 0
+        for _ in range(trials):
+            result = mechanism.run(query, accuracy, adult_small, rng)
+            failures += iceberg_failed(query, truth, accuracy.alpha, result.value)
+            assert result.epsilon_spent <= result.epsilon_upper
+        assert failures <= binomial_allowance(trials, beta)
 
     def test_cheaper_than_wcq_counterpart(self, adult_small):
         """One-sided ICQ accuracy needs no more epsilon than WCQ: both searches

@@ -2,6 +2,18 @@
 
 import math
 
+import numpy as np
+
+
+def iceberg_failed(query, truth, alpha: float, reported) -> bool:
+    """Whether an ICQ answer misses its alpha: it reports a bin whose true
+    count is below ``c - alpha``, or omits one whose count is above ``c + alpha``."""
+    names = np.array(query.bin_names())
+    reported = set(reported)
+    too_low = set(names[truth < query.threshold - alpha])
+    too_high = set(names[truth > query.threshold + alpha])
+    return bool(reported & too_low or too_high - reported)
+
 
 def binomial_allowance(trials: int, rate: float, level: float = 0.999) -> int:
     """The smallest ``c`` with ``P(Binomial(trials, rate) <= c) >= level``.

@@ -1,24 +1,60 @@
 """``WorkloadMatrix.partition_histogram`` matches the row-at-a-time reference.
 
-The production path packs each row's predicate signature into 64-bit words
-and locates it among the partitions' packed codes; structural matrices take
-column sums.  Both must reproduce, bit for bit, the seed's semantics kept in
+An exact matrix maps each row to its domain atom per attribute and counts
+the flat cell index; only the occupied cells get a signature, and rows whose
+values are no atom take theirs from the predicate masks.  Structural
+matrices count each predicate's mask.  Both must reproduce, bit for bit, the
+seed's semantics kept in
 :func:`repro.queries.reference.reference_partition_histogram` -- across the
-word boundaries (L = 63/64/65), for rows that satisfy nothing, for NULLs,
-for zero-row and multi-shard tables, after appends, and for rows outside the
-declared domains.
+signature word boundaries (L = 63/64/65), for rows that satisfy nothing, for
+NULLs, for zero-row and multi-shard tables, after appends, at cut points and
+domain bounds, for 2-attribute marginals, for rows outside the declared
+domains, and for matrices loaded from the store or revalidated after an
+append.  Exact-matrix mechanisms read their counts through the same path,
+without evaluating a predicate mask.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.accuracy import AccuracySpec
+from repro.core.engine import APExEngine
 from repro.core.exceptions import QueryError
-from repro.data.schema import Attribute, CategoricalDomain, NumericDomain, Schema
+from repro.data.adult import generate_adult
+from repro.data.schema import (
+    Attribute,
+    CategoricalDomain,
+    NumericDomain,
+    Schema,
+    TextDomain,
+)
 from repro.data.table import Table
-from repro.queries.builders import histogram_workload, prefix_workload
-from repro.queries.predicates import Comparison, FunctionPredicate, IsNull
+from repro.mechanisms.laplace import LaplaceMechanism
+from repro.mechanisms.multi_poking import MultiPokingMechanism
+from repro.mechanisms.registry import MechanismRegistry
+from repro.mechanisms.strategy_mechanism import StrategyMechanism
+from repro.queries.builders import (
+    histogram_workload,
+    marginal_workload,
+    point_workload,
+    prefix_workload,
+)
+from repro.queries.predicates import (
+    Between,
+    Comparison,
+    FunctionPredicate,
+    In,
+    IsNull,
+    Not,
+)
+from repro.queries.query import (
+    IcebergCountingQuery,
+    QueryKind,
+    WorkloadCountingQuery,
+)
 from repro.queries.reference import reference_partition_histogram
-from repro.queries.workload import Workload
+from repro.queries.workload import Workload, clear_matrix_cache, matrix_cache_stats
+from repro.store import ArtifactStore
 
 SCHEMA = Schema(
     [
@@ -174,3 +210,232 @@ class TestOutOfDomain:
         table = Table.from_rows(SCHEMA, [{"cat": "a", "num": 2500.0}])
         with pytest.raises(QueryError):
             matrix.partition_histogram(table)
+
+
+def count_mask_fallbacks(monkeypatch) -> list[int]:
+    """Record the row count of every ``Workload.evaluate`` call: an exact
+    histogram calls it only for the rows that map to no atom."""
+    sizes: list[int] = []
+    evaluate = Workload.evaluate
+
+    def recording(self, table):
+        sizes.append(len(table))
+        return evaluate(self, table)
+
+    monkeypatch.setattr(Workload, "evaluate", recording)
+    return sizes
+
+
+class TestAtomBoundaries:
+    def test_values_at_cut_points_and_domain_bounds(self, monkeypatch):
+        workload = Workload(
+            [
+                Comparison("num", "<", 10.0),
+                Comparison("num", "<=", 250.5),
+                Comparison("num", ">=", 500.0),
+                Comparison("num", "==", 1000.0),
+                Between("num", 10.0, 500.0),
+                Comparison("num", ">", 0.0),
+            ]
+            + [Comparison("num", "<", c) for c in cuts(65)]
+        )
+        edges = [0.0, 10.0, 250.5, 500.0, 1000.0] + cuts(65)
+        nearby = [np.nextafter(c, side) for c in edges for side in (-np.inf, np.inf)]
+        values = edges + [v for v in nearby if 0.0 <= v <= 1000.0] + [None]
+        table = Table.from_rows(SCHEMA, [{"cat": "a", "num": v} for v in values * 2])
+        matrix = workload.analyze(SCHEMA)
+        assert matrix.exact
+        fallbacks = count_mask_fallbacks(monkeypatch)
+        histogram = assert_matches_reference(matrix, table)
+        # Every value, NULL included, is an atom; every non-NULL row
+        # satisfies a predicate.
+        assert fallbacks == []
+        assert histogram.sum() == len(table) - 2
+
+
+class TestRowsWithNoAtom:
+    SCHEMA = Schema(
+        [
+            Attribute("cat", CategoricalDomain(("a", "b"))),
+            Attribute("num", NumericDomain(0, 1000)),
+        ]
+    )
+
+    def test_out_of_domain_rows_with_enumerated_signatures_count_as_the_reference(
+        self, monkeypatch
+    ):
+        # No attribute is nullable and no predicate tests for NULL, so
+        # neither has a NULL atom.
+        workload = Workload(
+            [
+                Comparison("num", ">", 500.0),
+                Comparison("cat", "!=", "a"),
+                Not(Comparison("num", "<", 10.0)),
+            ]
+        )
+        matrix = workload.analyze(self.SCHEMA)
+        assert matrix.exact
+        in_domain = [{"cat": c, "num": v} for c in "ab" for v in (0.0, 5.0, 10.0, 700.0)]
+        no_atom = [
+            {"cat": "a", "num": 2000.0},  # above the numeric domain
+            {"cat": "z", "num": 5.0},  # a categorical value that is no atom
+            {"cat": "b", "num": None},  # NULL without a NULL atom
+            {"cat": None, "num": 600.0},
+            {"cat": "a", "num": -3.0},  # below the domain, satisfies nothing
+        ]
+        table = Table.from_rows(self.SCHEMA, in_domain + no_atom)
+        fallbacks = count_mask_fallbacks(monkeypatch)
+        histogram = assert_matches_reference(matrix, table)
+        assert fallbacks[0] == len(no_atom)
+        # ("a", 0) and ("a", 5) in the domain, and -3 outside it, satisfy nothing.
+        assert histogram.sum() == len(in_domain) - 2 + len(no_atom) - 1
+
+    def test_categorical_constant_absent_from_the_domain(self, monkeypatch):
+        workload = Workload(
+            [
+                Comparison("cat", "==", "zz"),
+                In("cat", ["a", "yy"]),
+                Comparison("cat", "!=", "b"),
+            ]
+        )
+        matrix = workload.analyze(SCHEMA)
+        rows = [{"cat": v, "num": 1.0} for v in ("zz", "yy", "a", "b", "c", None) * 3]
+        table = Table.from_rows(SCHEMA, rows)
+        fallbacks = count_mask_fallbacks(monkeypatch)
+        histogram = assert_matches_reference(matrix, table)
+        # "zz" and "yy" are atoms (the workload names them), so no row
+        # needs the masks.
+        assert fallbacks == []
+        assert histogram.sum() == 3 * 4
+
+    def test_text_is_null(self, monkeypatch):
+        schema = Schema(
+            [
+                Attribute("note", TextDomain(), nullable=True),
+                Attribute("num", NumericDomain(0, 1000), nullable=True),
+            ]
+        )
+        workload = Workload(
+            [
+                IsNull("note"),
+                IsNull("note", negated=True),
+                Comparison("num", "<", 500.0) & IsNull("note"),
+            ]
+        )
+        matrix = workload.analyze(schema)
+        assert matrix.exact
+        rows = [
+            {"note": note, "num": num}
+            for note in (None, "", "free text")
+            for num in (None, 10.0, 600.0)
+        ]
+        table = Table.from_rows(schema, rows)
+        fallbacks = count_mask_fallbacks(monkeypatch)
+        assert_matches_reference(matrix, table)
+        assert fallbacks == []
+        # Any other condition on text evaluates differently over the rows
+        # than over the single text atom, so the rows keep their masks.
+        other = Workload([In("note", ["free text"]), IsNull("note", negated=True)])
+        matrix = other.analyze(schema)
+        with pytest.raises(QueryError):
+            reference_partition_histogram(matrix, table)
+        with pytest.raises(QueryError, match="outside the declared attribute domains"):
+            matrix.partition_histogram(table)
+
+
+class TestMarginal:
+    @pytest.mark.parametrize("bins", [8, 20])
+    def test_two_attribute_marginal(self, bins):
+        workload = marginal_workload(
+            point_workload("cat", schema=SCHEMA),
+            histogram_workload("num", start=0, stop=1000, bins=bins),
+        )
+        matrix = workload.analyze(SCHEMA)
+        assert matrix.exact and matrix.shape[0] == 4 * bins
+        assert_matches_reference(matrix, random_table(seed=bins))
+
+
+class TestMatrixProvenance:
+    def test_matrix_loaded_from_the_store(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        workload = workload_of("mixed", 40)
+        table = random_table(seed=8)
+        clear_matrix_cache()
+        built = workload.analyze(
+            SCHEMA, version=table.domain_stamp(workload.attributes(), store=store)
+        )
+        clear_matrix_cache()
+        loaded = workload.analyze(
+            SCHEMA, version=table.domain_stamp(workload.attributes(), store=store)
+        )
+        assert matrix_cache_stats()["disk_hits"] == 1 and loaded is not built
+        np.testing.assert_array_equal(
+            assert_matches_reference(loaded, table), built.partition_histogram(table)
+        )
+        clear_matrix_cache()
+
+    def test_revalidated_matrix_after_appends_that_add_categorical_values(self):
+        schema = Schema(
+            [
+                Attribute("cat", CategoricalDomain(("a", "b", "c", "d")), nullable=True),
+                Attribute("num", NumericDomain(0, 1000), nullable=True),
+                Attribute("tag", CategoricalDomain(("x", "y"))),
+            ]
+        )
+        rng = np.random.default_rng(4)
+
+        def rows(cats, tag, n=60):
+            return [
+                {"cat": cats[rng.integers(len(cats))], "num": float(rng.integers(0, 1001)), "tag": tag}
+                for _ in range(n)
+            ]
+
+        table = Table.from_rows(schema, rows("ab", "x"))
+        workload = workload_of("mixed", 12)
+        clear_matrix_cache()
+        matrix = workload.analyze(schema, version=table.domain_stamp(workload.attributes()))
+        before = table.snapshot()
+        assert_matches_reference(matrix, before)
+        # A new value of an unreferenced attribute: the referenced domains are
+        # unchanged, so the matrix is revalidated, not rebuilt.
+        table.append_rows(rows("ab", "y"))
+        again = workload.analyze(schema, version=table.domain_stamp(workload.attributes()))
+        assert again is matrix and matrix_cache_stats()["revalidated"] == 1
+        assert_matches_reference(again, table)
+        # New values of a referenced attribute get new dictionary codes.
+        table.append_rows(rows("cd", "x"))
+        assert_matches_reference(matrix, table)
+        assert_matches_reference(matrix, before)
+        rebuilt = workload.analyze(schema, version=table.domain_stamp(workload.attributes()))
+        assert matrix_cache_stats()["built"] == 2
+        np.testing.assert_array_equal(
+            rebuilt.partition_histogram(table), matrix.partition_histogram(table)
+        )
+        clear_matrix_cache()
+
+
+class TestCountsReadNoMasks:
+    @pytest.mark.parametrize(
+        "mechanism",
+        [
+            LaplaceMechanism(name="WCQ-LM", kinds=frozenset({QueryKind.WCQ})),
+            StrategyMechanism(mc_samples=200, name="WCQ-SM"),
+            LaplaceMechanism(name="ICQ-LM", kinds=frozenset({QueryKind.ICQ})),
+            MultiPokingMechanism(name="ICQ-MPM"),
+        ],
+        ids=lambda mechanism: mechanism.name,
+    )
+    def test_exact_matrix_explores_evaluate_no_predicate_mask(self, mechanism):
+        table = generate_adult(n_rows=2_000, seed=7)
+        workload = prefix_workload("capital_gain", [250.0 * i for i in range(1, 21)])
+        assert workload.analyze(table.schema).exact
+        if QueryKind.WCQ in mechanism.supported_kinds:
+            query = WorkloadCountingQuery(workload)
+        else:
+            query = IcebergCountingQuery(workload, threshold=0.5 * len(table))
+        engine = APExEngine(
+            table, budget=1e6, registry=MechanismRegistry([mechanism]), seed=3
+        )
+        result = engine.explore(query, AccuracySpec(alpha=0.1 * len(table), beta=0.01))
+        assert not result.denied and result.mechanism == mechanism.name
+        assert table.mask_cache.stats()["misses"] == 0

@@ -176,6 +176,25 @@ class TestDataCachesStaleness:
         assert after.sum() > before.sum()
         assert np.allclose(matrix.matrix @ after, workload.true_answers(table))
 
+    def test_matrix_true_answers_recount_after_append(self):
+        clear_matrix_cache()
+        schema = make_schema()
+        table = make_table(schema)
+        workload = make_workload()
+        matrix = workload.analyze(schema, version=table.version_token)
+        assert matrix.exact
+        pinned = table.snapshot()
+        before = matrix.true_answers(pinned).copy()
+        table.append_rows(extra_rows())
+        after = matrix.true_answers(table)
+        expected = np.array(
+            [reference_mask(p, table).sum() for p in workload.predicates], dtype=float
+        )
+        assert np.array_equal(after, expected)
+        assert not np.array_equal(after, before)
+        # The pinned snapshot still answers for its own version.
+        assert np.array_equal(matrix.true_answers(pinned), before)
+
     def test_engine_explore_answers_track_the_grown_table(self):
         clear_matrix_cache()
         schema = make_schema()
