@@ -11,10 +11,13 @@ construction from row dicts).  Numeric NULLs are represented as ``NaN`` and
 categorical/text NULLs as ``None``.
 
 Storage is a list of immutable **row shards** (one frozen column-chunk
-:class:`_Shard` per chunk) behind the existing columnar API:
+:class:`Shard` per chunk) behind the existing columnar API:
 :meth:`Table.column` lazily concatenates the shard chunks.  Shards are the
-unit of incremental work: after an append only the new shard is interned
-and fingerprinted.
+unit of incremental work: after an append only the new shard is interned,
+fingerprinted and histogrammed.  :attr:`Table.shards`,
+:meth:`Table.shard_category_codes` and :meth:`Table.shard_rows` are the
+per-shard read surface; an exact workload matrix keeps one histogram per
+shard it has read (weakly keyed by the shard) and sums them per snapshot.
 
 Tables are *versioned*, not frozen: :meth:`Table.append_rows` adds a new
 shard and :meth:`Table.refresh` replaces the contents wholesale.  Both
@@ -99,7 +102,7 @@ from repro.core.lru import LRUCache
 from repro.data.schema import AttributeKind, Schema
 from repro.store.fingerprint import stable_digest
 
-__all__ = ["DomainStamp", "Table", "TableSnapshot", "TableVersion"]
+__all__ = ["DomainStamp", "Shard", "Table", "TableSnapshot", "TableVersion"]
 
 #: Byte budget of the per-table predicate-mask LRU (masks are one byte per
 #: row, so the entry cap is ``budget // n_rows``): bounded memory regardless
@@ -179,7 +182,7 @@ class DomainStamp:
 
 
 @dataclass(eq=False)
-class _Shard:
+class Shard:
     """One immutable row chunk plus its lazily derived per-shard artifacts.
 
     ``columns`` maps attribute name to a frozen storage array; ``codes``
@@ -190,6 +193,13 @@ class _Shard:
     compacted descendants -- the arrays are read-only, and
     ``codes``/``distinct`` only ever gain entries (guarded by the table's
     intern lock), so sharing can never observe a torn state.
+
+    ``eq=False`` keeps identity hashing, so a shard can key a cache weakly:
+    each exact :class:`~repro.queries.workload.WorkloadMatrix` keeps its
+    histogram of every shard it has read in a ``WeakKeyDictionary``.  Those
+    entries die with the shard, so a shard merged away by compaction (and
+    no longer pinned by any snapshot) drops out, and the merged shard is
+    histogrammed afresh on first read.
     """
 
     columns: dict[str, np.ndarray]
@@ -215,7 +225,7 @@ class Table:
     def __init__(self, schema: Schema, columns: Mapping[str, np.ndarray]) -> None:
         self._schema = schema
         shard = self._freeze_shard(columns)
-        self._shards: list[_Shard] = [shard]
+        self._shards: list[Shard] = [shard]
         self._n_rows = shard.n_rows
         self._version = TableVersion(next(_TABLE_UIDS), 0)
         #: Orders mutation (shard append + version advance) and lazy
@@ -256,7 +266,7 @@ class Table:
             ),
         )
 
-    def _freeze_shard(self, columns: Mapping[str, np.ndarray]) -> _Shard:
+    def _freeze_shard(self, columns: Mapping[str, np.ndarray]) -> Shard:
         """Validate one column-chunk against the schema and freeze its arrays."""
         shard: dict[str, np.ndarray] = {}
         n_rows: int | None = None
@@ -277,7 +287,7 @@ class Table:
         extra = set(columns) - set(self._schema.attribute_names)
         if extra:
             raise SchemaError(f"columns not present in schema: {sorted(extra)}")
-        return _Shard(columns=shard, n_rows=n_rows or 0)
+        return Shard(columns=shard, n_rows=n_rows or 0)
 
     def _ensure_open(self) -> None:
         """Live tables are always open; closed snapshots override to raise."""
@@ -328,6 +338,18 @@ class Table:
         """Row count of each shard, in storage order."""
         with self._mutation_lock:
             return tuple(shard.n_rows for shard in self._shards)
+
+    @property
+    def shards(self) -> tuple[Shard, ...]:
+        """The row shards backing this version, in row order.
+
+        Read it from a snapshot so the list describes one version.  A
+        shard's ``columns`` are frozen arrays and ``n_rows`` its row count;
+        :meth:`shard_category_codes` and :meth:`shard_rows` read the rest.
+        """
+        with self._mutation_lock:
+            self._ensure_open()
+            return tuple(self._shards)
 
     def snapshot(self) -> "TableSnapshot":
         """Pin the current shard list and version token for wait-free reading.
@@ -509,8 +531,8 @@ class Table:
             threshold = max(
                 threshold, math.ceil(self._n_rows / COMPACT_MAX_SHARDS)
             )
-        groups: list[list[_Shard]] = []
-        current: list[_Shard] = []
+        groups: list[list[Shard]] = []
+        current: list[Shard] = []
         current_rows = 0
         for shard in shards:
             if shard.n_rows >= threshold:
@@ -547,7 +569,7 @@ class Table:
         self._snapshots.pop(self._version, None)
         return True
 
-    def _merge_shards(self, group: Sequence[_Shard]) -> _Shard:
+    def _merge_shards(self, group: Sequence[Shard]) -> Shard:
         """Concatenate adjacent shards into one, carrying over interned codes.
 
         The carry-over is an optimisation only, so the intern lock is taken
@@ -584,7 +606,7 @@ class Table:
                     )
             finally:
                 self._intern_lock.release()
-        return _Shard(
+        return Shard(
             columns=columns,
             n_rows=sum(shard.n_rows for shard in group),
             codes=codes,
@@ -746,7 +768,7 @@ class Table:
         return codes, index
 
     def _shard_codes(
-        self, shard: _Shard, name: str, index: dict[str, int]
+        self, shard: Shard, name: str, index: dict[str, int]
     ) -> np.ndarray:
         """The shard's code array under the shared dictionary (intern once)."""
         codes = shard.codes.get(name)
@@ -770,6 +792,25 @@ class Table:
             out.flags.writeable = False
             shard.codes[name] = out
             return out
+
+    def shard_category_codes(
+        self, shard: Shard, name: str
+    ) -> tuple[np.ndarray, dict[str, int]]:
+        """One shard's slice of :meth:`category_codes`: its read-only
+        ``int32`` codes (NULL is ``-1``) and the live shared dictionary.
+
+        The shard is interned at most once in its lifetime, under the
+        table lineage's dictionary, so the codes mean the same in every
+        table, snapshot and compacted layout that holds the shard.
+        """
+        index = self._category_index.setdefault(name, {})
+        return self._shard_codes(shard, name, index), index
+
+    def shard_rows(self, shard: Shard, rows: np.ndarray) -> "Table":
+        """A new table holding the rows at ``rows`` of one shard."""
+        return Table(
+            self._schema, {name: col[rows] for name, col in shard.columns.items()}
+        )
 
     # -- domain fingerprints ---------------------------------------------------
 
@@ -826,7 +867,7 @@ class Table:
         per_version[name] = fingerprint
         return fingerprint
 
-    def _shard_distinct(self, shard: _Shard, name: str) -> frozenset:
+    def _shard_distinct(self, shard: Shard, name: str) -> frozenset:
         """The shard's distinct-value set for one column (computed once, ever)."""
         distinct = shard.distinct.get(name)
         if distinct is not None:
@@ -923,7 +964,10 @@ class Table:
         artifacts cold.  The shared category dictionary and the per-shard
         code arrays are retained -- they are append-only facts about the
         data, never renumbered, so "cold" runs still share them (build a
-        fresh ``Table`` to measure interning itself).
+        fresh ``Table`` to measure interning itself).  So are the per-shard
+        histograms exact workload matrices keep: they live on the matrix,
+        keyed by the immutable shard (build a fresh ``Table``, or a fresh
+        matrix, to measure the histogram pass).
         """
         with self._mutation_lock:
             self._null_masks.clear()

@@ -29,18 +29,22 @@ Two analysis paths are provided:
   to ``L``.
 
 An exact matrix keeps the analysis's atoms and per-atom leaf vectors, and
-reads the data through them: :meth:`WorkloadMatrix.partition_histogram` maps
-each row to its atom once per referenced attribute (a code -> atom lookup
-for categorical values, one ``np.searchsorted`` over the atom boundaries for
-numbers, NULL to the NULL atom), sums the atom offsets into one flat cell
-index and counts the cells with ``np.bincount``.  Only the occupied cells
-get a signature, from the leaf vectors.  A row whose value is no atom
-(outside the declared domain, a NULL with no NULL atom, a categorical value
-the workload never names) takes its signature from the predicate masks of
-just those rows instead, so it lands in the same partition, or raises the
-same :class:`QueryError`, as a row-at-a-time evaluation would.  The true
-counts of an exact matrix are ``W @ x`` (exact in float64: counts stay below
-``2**53``); structural matrices count each predicate's mask.
+reads the data through them, one table shard at a time:
+:meth:`WorkloadMatrix.partition_histogram` maps each row of a shard to its
+atom once per referenced attribute (a code -> atom lookup for categorical
+values, one ``np.searchsorted`` over the atom boundaries for numbers, NULL
+to the NULL atom), sums the atom offsets into one flat cell index and counts
+the cells with ``np.bincount``.  Only the occupied cells get a signature,
+from the leaf vectors.  A row whose value is no atom (outside the declared
+domain, a NULL with no NULL atom, a categorical value the workload never
+names) takes its signature from the predicate masks of just those rows
+instead, so it lands in the same partition, or raises the same
+:class:`QueryError`, as a row-at-a-time evaluation would.  Shards are
+immutable and ``x`` is additive over disjoint rows, so the matrix keeps
+each shard's histogram (weakly keyed by the shard) and a snapshot's ``x``
+is the sum over its shards: after an append only the new shard is read.
+The true counts of an exact matrix are ``W @ x`` (exact in float64: counts
+stay below ``2**53``); structural matrices count each predicate's mask.
 
 Because the exploration strategies (and the APEx relaxation loops in
 particular) re-ask structurally identical workloads many times,
@@ -61,13 +65,15 @@ domains re-tags the existing matrix for the new version instead of
 re-enumerating millions of cells -- and then to the stamp's optional
 :class:`~repro.store.ArtifactStore`, so a fresh process warm-starts from a
 previous run's disk cache.  ``matrix_cache_stats()`` reports
-``built``/``revalidated``/``disk_hits`` alongside the LRU counters; the
-full contract lives in ``docs/store.md``.
+``built``/``revalidated``/``disk_hits`` alongside the LRU counters, and
+``histogram_rows``/``histogram_shards`` for the per-shard histogram pass;
+the full contract lives in ``docs/store.md``.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -77,7 +83,7 @@ import numpy as np
 from repro.core.exceptions import PredicateError, QueryError
 from repro.core.lru import LRUCache
 from repro.data.schema import AttributeKind, Schema
-from repro.data.table import DomainStamp, Table, TableVersion
+from repro.data.table import DomainStamp, Shard, Table, TableVersion
 from repro.obs import Counter, tracing
 from repro.store.fingerprint import stable_digest
 from repro.queries.predicates import (
@@ -148,11 +154,20 @@ _MATRIX_CACHE: "LRUCache[WorkloadMatrix]" = LRUCache(128)
 #: version instead of rebuilding.
 _MATRIX_DOMAIN_CACHE: "LRUCache[WorkloadMatrix]" = LRUCache(128)
 
-#: Counters of the tiers beneath the exact-key LRU (see matrix_cache_stats).
-#: Service threads bump them concurrently, so each is a locked
-#: :class:`~repro.obs.Counter` rather than a bare ``int``.
+#: Counters of the tiers beneath the exact-key LRU and of the per-shard
+#: histogram pass (see matrix_cache_stats).  Service threads bump them
+#: concurrently, so each is a locked :class:`~repro.obs.Counter` rather
+#: than a bare ``int``.
 _MATRIX_TIER_STATS = {
-    key: Counter() for key in ("built", "revalidated", "disk_hits", "disk_writes")
+    key: Counter()
+    for key in (
+        "built",
+        "revalidated",
+        "disk_hits",
+        "disk_writes",
+        "histogram_rows",
+        "histogram_shards",
+    )
 }
 
 
@@ -162,8 +177,10 @@ def matrix_cache_stats() -> dict[str, int]:
     ``hits``/``misses``/``size`` describe the exact (version-scoped) LRU;
     ``revalidated`` counts matrices re-tagged for a new version via the
     domain-fingerprint tier, ``disk_hits``/``disk_writes`` the artifact
-    store, and ``built`` the analyses that actually enumerated (the only
-    counter that costs real work).
+    store, and ``built`` the analyses that actually enumerated.
+    ``histogram_shards`` counts the per-shard histograms exact matrices
+    computed and ``histogram_rows`` the rows those passes coded (an append
+    of k rows costs k, not the table).
     """
     tiers = {key: int(counter.value()) for key, counter in _MATRIX_TIER_STATS.items()}
     return {**_MATRIX_CACHE.stats(), **tiers}
@@ -531,7 +548,15 @@ class WorkloadMatrix:
         self._domain: (
             tuple[dict[str, list[CellValue]], dict[int, np.ndarray]] | None
         ) = None
-        self._coders: list[Callable[[Table], np.ndarray]] | None = None
+        self._coders: list[Callable[[Table, Shard], np.ndarray]] | None = None
+        #: Exact matrices only: each shard's histogram as its occupied
+        #: ``(partition ids, counts)``, at most ``min(P, rows)`` of each per
+        #: shard.  Weak keys: an entry dies with its shard.  ``_shard_lock``
+        #: guards every access and is a leaf (nothing is computed under it).
+        self._shard_histograms: (
+            "weakref.WeakKeyDictionary[Shard, tuple[np.ndarray, np.ndarray]]"
+        ) = weakref.WeakKeyDictionary()
+        self._shard_lock = threading.Lock()
         self._cache_token: object = ("id", _IdKey(self))
         if matrix.size:
             self._sensitivity = float(np.abs(matrix).sum(axis=0).max())
@@ -670,36 +695,49 @@ class WorkloadMatrix:
         signature; rows satisfying no predicate fall outside ``dom_W(R)`` and
         are ignored (they contribute to no count).
 
-        An exact matrix never evaluates a predicate over the rows.  Each
-        referenced attribute maps every row to an atom of the analysis in one
-        pass: categorical values through a dictionary-code -> atom lookup,
-        numbers through one ``np.searchsorted`` over the atom endpoints (a
-        value equal to a cut is its point atom, any other value the open
-        atom around it), NULL (code -1, NaN) to the NULL atom.  The atoms'
-        offsets (atom index times row-major stride) sum to one flat cell
-        index per row, and ``np.bincount`` counts the cells;
-        :data:`MAX_DOMAIN_CELLS` bounds that ``n_cells + 1`` counter array.
-        Only the occupied cells get a signature, from the analysis's
-        per-atom leaf vectors.  Rows that map to no atom -- a value outside
-        the declared domain, a NULL where no NULL atom exists, a categorical
-        value that is no atom -- take their signatures from the predicate
-        masks of a table of just those rows.  Signatures are packed
-        little-endian into ``ceil(L / 64)`` ``uint64`` words and found among
-        the ``P`` partition codes (the columns of :attr:`matrix`, packed and
-        sorted once per matrix) by binary search.  A non-zero signature
-        matching no partition means values outside the declared domains:
-        :class:`QueryError`.  A structural matrix is the identity over
-        predicates, so its histogram is the predicates' true counts.
+        An exact matrix never evaluates a predicate over the rows, and reads
+        each table shard at most once in the shard's lifetime.  The
+        histogram of a snapshot is the sum of its shards' histograms, which
+        the matrix keeps as occupied ``(partition id, count)`` pairs in a
+        ``WeakKeyDictionary`` keyed by the immutable shard: one
+        ``np.bincount`` adds them up (exact, since counts stay below
+        ``2**53``), so after an append only the new shard is read.  An entry
+        dies with its shard, so a shard merged away by compaction drops out
+        and the merged shard is read afresh.
+
+        A missing entry is computed by the atom pass over that shard's rows
+        alone.  Each referenced attribute maps every row to an atom of the
+        analysis in one pass: categorical values through a dictionary-code
+        -> atom lookup over the shard's codes, numbers through one
+        ``np.searchsorted`` over the atom endpoints (a value equal to a cut
+        is its point atom, any other value the open atom around it), NULL
+        (code -1, NaN) to the NULL atom.  The atoms' offsets (atom index
+        times row-major stride) sum to one flat cell index per row, and
+        ``np.bincount`` counts the cells; :data:`MAX_DOMAIN_CELLS` bounds
+        that ``n_cells + 1`` counter array.  Only the occupied cells get a
+        signature, from the analysis's per-atom leaf vectors.  Rows that map
+        to no atom -- a value outside the declared domain, a NULL where no
+        NULL atom exists, a categorical value that is no atom -- take their
+        signatures from the predicate masks of a table of just those rows of
+        the shard.  Signatures are packed little-endian into
+        ``ceil(L / 64)`` ``uint64`` words and found among the ``P``
+        partition codes (the columns of :attr:`matrix`, packed and sorted
+        once per matrix) by binary search.  A non-zero signature matching
+        no partition means values outside the declared domains:
+        :class:`QueryError`, and the shard's entry is not kept.  A
+        structural matrix is the identity over predicates, so its histogram
+        is the predicates' true counts.
 
         Evaluation pins the table's snapshot up front, so the histogram
         always describes exactly one version even under concurrent appends,
-        and caching is unconditional.  The histogram is cached per
-        (snapshot, version token), held through a weak reference: snapshots
-        are memoised per version, so repeated reads at one version hit;
-        identity can never alias a recycled ``id()``; the version token
-        makes a histogram computed before ``append_rows`` unservable
-        afterwards; and a matrix parked in the module-level memo does not
-        pin a discarded table (and its mask cache) in memory.
+        and caching is unconditional.  Besides the per-shard entries, the
+        summed histogram is cached per (snapshot, version token), held
+        through a weak reference: snapshots are memoised per version, so
+        repeated reads at one version hit; identity can never alias a
+        recycled ``id()``; the version token makes a histogram computed
+        before ``append_rows`` unservable afterwards; and a matrix parked in
+        the module-level memo does not pin a discarded table (and its mask
+        cache) in memory.
         """
         table = table.snapshot()
         cached = self._cached(table)
@@ -741,7 +779,32 @@ class WorkloadMatrix:
         return None
 
     def _atom_histogram(self, table: Table) -> np.ndarray:
-        """The exact histogram through the rows' atom codes (see above)."""
+        """The exact histogram: the sum of the snapshot's shard histograms."""
+        entries = [self._shard_histogram(table, shard) for shard in table.shards]
+        return np.bincount(
+            np.concatenate([ids for ids, _ in entries]),
+            weights=np.concatenate([counts for _, counts in entries]),
+            minlength=self.n_partitions,
+        )
+
+    def _shard_histogram(
+        self, table: Table, shard: Shard
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One shard's ``(partition ids, counts)``, computed once per shard."""
+        with self._shard_lock:
+            entry = self._shard_histograms.get(shard)
+        if entry is not None:
+            return entry
+        # Computed outside the lock: two readers racing on a new shard may
+        # both code it, and both results are equal.
+        entry = self._code_shard(table, shard)
+        _MATRIX_TIER_STATS["histogram_shards"].inc()
+        _MATRIX_TIER_STATS["histogram_rows"].inc(shard.n_rows)
+        with self._shard_lock:
+            return self._shard_histograms.setdefault(shard, entry)
+
+    def _code_shard(self, table: Table, shard: Shard) -> tuple[np.ndarray, np.ndarray]:
+        """The atom pass over one shard's rows (see ``partition_histogram``)."""
         schema = self._schema
         assert schema is not None  # every exact matrix has one
         if self._domain is None:
@@ -758,9 +821,9 @@ class WorkloadMatrix:
                 for name, stride in zip(names, strides)
             ]
         # One flat cell index per row; n_cells stands for "no atom".
-        flat = np.zeros(len(table), dtype=np.int64)
+        flat = np.zeros(shard.n_rows, dtype=np.int64)
         for coder in self._coders:
-            flat += coder(table)
+            flat += coder(table, shard)
         np.minimum(flat, n_cells, out=flat)
         counts = np.bincount(flat, minlength=n_cells + 1)
         occupied = np.flatnonzero(counts[:n_cells])
@@ -780,10 +843,12 @@ class WorkloadMatrix:
         if counts[n_cells]:
             rows = np.flatnonzero(flat == n_cells)
             signatures = np.concatenate(
-                [signatures, self._workload.evaluate(table.take(rows))]
+                [signatures, self._workload.evaluate(table.shard_rows(shard, rows))]
             )
             weights = np.concatenate([weights, np.ones(len(rows), dtype=weights.dtype)])
-        return self._count_signatures(signatures, weights)
+        histogram = self._count_signatures(signatures, weights)
+        ids = np.flatnonzero(histogram)
+        return ids, histogram[ids]
 
     def _count_signatures(self, signatures: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Sum ``weights`` per partition by each signature row's packed code."""
@@ -945,11 +1010,13 @@ def _atom_coder(
     atom_list: Sequence[CellValue],
     stride: int,
     n_cells: int,
-) -> Callable[[Table], np.ndarray]:
-    """``table -> int64`` cell offset (atom index times ``stride``) of every
-    row's ``name`` value, with ``n_cells`` for a value that is no atom.
+) -> Callable[[Table, Shard], np.ndarray]:
+    """``(table, shard) -> int64`` cell offset (atom index times ``stride``)
+    of every ``name`` value in one shard of ``table``, with ``n_cells`` for
+    a value that is no atom.
 
-    Categorical rows go through a dictionary-code -> offset lookup, numeric
+    Categorical rows go through a lookup over the shard's dictionary codes,
+    numeric
     rows through one ``np.searchsorted`` over the atom endpoints, and text
     rows to the attribute's one non-NULL atom -- but only when the workload
     tests the attribute for NULL alone, since row evaluation of any other
@@ -962,8 +1029,8 @@ def _atom_coder(
     if kind is AttributeKind.CATEGORICAL:
         values = {a: i * stride for i, a in enumerate(atom_list) if a is not None}
 
-        def coded(table: Table) -> np.ndarray:
-            codes, index = table.category_codes(name)
+        def coded(table: Table, shard: Shard) -> np.ndarray:
+            codes, index = table.shard_category_codes(shard, name)
             # The dictionary is shared and append-only, so it may grow while
             # this reads it.  Every code in ``codes`` was interned before
             # ``size`` is read; a value interned since is no row here.
@@ -998,8 +1065,8 @@ def _atom_coder(
         edge_array = np.array(edges)
         edge_or_nan = np.append(edge_array, np.nan)
 
-        def coded(table: Table) -> np.ndarray:
-            values = table.numeric_values(name)
+        def coded(table: Table, shard: Shard) -> np.ndarray:
+            values = np.asarray(shard.columns[name], dtype=float)
             slot = np.searchsorted(edge_array, values)
             return slots[2 * slot + (edge_or_nan[slot] == values)]
 
@@ -1012,8 +1079,10 @@ def _atom_coder(
         )
         present = 0 if null_only else n_cells  # the non-NULL atom is atom 0
 
-        def coded(table: Table) -> np.ndarray:
-            return np.where(table.null_mask(name), null, present)
+        def coded(table: Table, shard: Shard) -> np.ndarray:
+            col = shard.columns[name]
+            is_null = np.fromiter((v is None for v in col), dtype=bool, count=len(col))
+            return np.where(is_null, null, present)
 
     return coded
 

@@ -8,10 +8,17 @@ value.  Here an appender adds rows carrying never-seen categorical values
 (and interns them at once) while reader threads histogram freshly pinned
 snapshots, with aggressive preemption.  Every histogram must equal the
 row-at-a-time reference on its snapshot.
+
+The matrix keeps one histogram per shard it has read, and snapshots sum
+them.  In the second test the appender's small appends also trigger
+compaction, so readers see shards merged away and merged shards read
+afresh; every access to the per-shard entries must hold the matrix's own
+lock, not lean on the GIL.
 """
 
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -99,6 +106,119 @@ def test_snapshot_histograms_stay_exact_while_appends_add_categorical_values():
     assert not any(thread.is_alive() for thread in threads)
     assert not errors, errors
     assert len(seen) > 1
+    for snapshot, histograms in seen.values():
+        expected = reference_partition_histogram(matrix, snapshot)
+        for histogram in histograms:
+            np.testing.assert_array_equal(histogram, expected)
+
+
+class OwnedLock:
+    """A context-manager lock that records which thread holds it."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.owner: int | None = None
+
+    def __enter__(self) -> "OwnedLock":
+        self._lock.acquire()
+        self.owner = threading.get_ident()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.owner = None
+        self._lock.release()
+
+
+class GuardedEntries(weakref.WeakKeyDictionary):
+    """Per-shard entries that count accesses made without ``lock`` held."""
+
+    def __init__(self, lock: OwnedLock) -> None:
+        super().__init__()
+        self.lock = lock
+        self.accesses = 0
+        self.unguarded = 0
+
+    def _check(self) -> None:
+        self.accesses += 1
+        if self.lock.owner != threading.get_ident():
+            self.unguarded += 1
+
+    def get(self, key, default=None):
+        self._check()
+        return super().get(key, default)
+
+    def setdefault(self, key, default=None):
+        self._check()
+        return super().setdefault(key, default)
+
+    def __getitem__(self, key):
+        self._check()
+        return super().__getitem__(key)
+
+    def __setitem__(self, key, value):
+        self._check()
+        super().__setitem__(key, value)
+
+    def __contains__(self, key):
+        self._check()
+        return super().__contains__(key)
+
+
+def test_shard_sums_stay_exact_while_appends_compact_and_grow_the_dictionary():
+    rng = np.random.default_rng(1)
+    table = Table.from_rows(SCHEMA, rows(VALUES[:4] + (None,), 300, rng))
+    workload = Workload(
+        [Comparison("cat", "==", v) for v in VALUES[::40]]
+        + [In("cat", VALUES[1::7]), Comparison("num", "<", 50.0)]
+    )
+    matrix = workload.analyze(SCHEMA)
+    lock = OwnedLock()
+    matrix._shard_lock = lock
+    matrix._shard_histograms = entries = GuardedEntries(lock)
+    start = threading.Barrier(READERS + 1)
+    done = threading.Event()
+    seen: dict = {}
+    seen_lock = threading.Lock()
+    errors: list[BaseException] = []
+    merges = []
+
+    def appender():
+        try:
+            start.wait(timeout=30)
+            for i, value in enumerate(VALUES[4:160]):
+                shards = table.n_shards
+                table.append_rows(rows((value,), 1 + i % 3, rng))
+                if table.n_shards <= shards:
+                    merges.append(i)
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+        finally:
+            done.set()
+
+    def reader():
+        try:
+            start.wait(timeout=30)
+            while not done.is_set():
+                snapshot = table.open_snapshot()
+                histogram = matrix.partition_histogram(snapshot)
+                with seen_lock:
+                    entry = seen.setdefault(snapshot.version_token, (snapshot, []))
+                    entry[1].append(histogram)
+                if entry[0] is not snapshot:
+                    snapshot.close()
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=appender)]
+    threads += [threading.Thread(target=reader) for _ in range(READERS)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert merges and len(seen) > 1
+    assert entries.accesses > 0 and entries.unguarded == 0
     for snapshot, histograms in seen.values():
         expected = reference_partition_histogram(matrix, snapshot)
         for histogram in histograms:

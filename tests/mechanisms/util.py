@@ -15,6 +15,17 @@ def iceberg_failed(query, truth, alpha: float, reported) -> bool:
     return bool(reported & too_low or too_high - reported)
 
 
+def topk_failed(query, truth, kth: float, alpha: float, reported) -> bool:
+    """Whether a TCQ answer misses its alpha: it reports a bin whose true
+    count is below ``c_k - alpha``, or omits one whose count is above
+    ``c_k + alpha`` (``c_k`` is the true k-th largest count)."""
+    names = np.array(query.bin_names())
+    reported = set(reported)
+    too_low = set(names[truth < kth - alpha])
+    too_high = set(names[truth > kth + alpha])
+    return bool(reported & too_low or too_high - reported)
+
+
 def binomial_allowance(trials: int, rate: float, level: float = 0.999) -> int:
     """The smallest ``c`` with ``P(Binomial(trials, rate) <= c) >= level``.
 

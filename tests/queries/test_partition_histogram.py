@@ -12,7 +12,14 @@ domain bounds, for 2-attribute marginals, for rows outside the declared
 domains, and for matrices loaded from the store or revalidated after an
 append.  Exact-matrix mechanisms read their counts through the same path,
 without evaluating a predicate mask.
+
+An exact histogram is the sum of per-shard histograms the matrix keeps for
+each shard it has read, so the sums are checked across shard layouts
+(appends, one-row fragments, compaction merges), and the
+``histogram_rows`` counter pins that an append of k rows codes k rows.
 """
+
+import gc
 
 import numpy as np
 import pytest
@@ -55,6 +62,7 @@ from repro.queries.query import (
 from repro.queries.reference import reference_partition_histogram
 from repro.queries.workload import Workload, clear_matrix_cache, matrix_cache_stats
 from repro.store import ArtifactStore
+from tests.data.test_compaction import append_uncompacted
 
 SCHEMA = Schema(
     [
@@ -158,13 +166,12 @@ class TestTableShapes:
         assert matrix.partition_histogram(table) is first
 
     @pytest.mark.parametrize("size", [8, 100])
-    def test_multi_shard_table(self, size):
+    @pytest.mark.parametrize("sizes", [(100,), (40, 25, 35), (140, 90, 120)])
+    def test_multi_shard_table(self, size, sizes):
         rng = np.random.default_rng(size)
-        chunks = [random_rows(rng, n) for n in (140, 90, 120)]
-        table = Table.from_rows(SCHEMA, chunks[0])
-        for chunk in chunks[1:]:
-            table.append_rows(chunk)
-        assert table.n_shards > 1
+        chunks = [random_rows(rng, n) for n in sizes]
+        table = append_uncompacted(Table.from_rows(SCHEMA, chunks[0]), chunks[1:])
+        assert table.shard_sizes == sizes
         flat = Table.from_rows(SCHEMA, [row for chunk in chunks for row in chunk])
         matrix = workload_of("mixed", size).analyze(SCHEMA)
         sharded = assert_matches_reference(matrix, table)
@@ -411,6 +418,132 @@ class TestMatrixProvenance:
         np.testing.assert_array_equal(
             rebuilt.partition_histogram(table), matrix.partition_histogram(table)
         )
+        clear_matrix_cache()
+
+
+def histogram_rows() -> int:
+    return matrix_cache_stats()["histogram_rows"]
+
+
+def fragmented_table(seed: int, n: int, fragments: int, fragment_rows: int) -> Table:
+    """An ``n``-row shard followed by uncompacted small fragments."""
+    rng = np.random.default_rng(seed)
+    table = random_table(seed=seed, n=n)
+    return append_uncompacted(
+        table, (random_rows(rng, fragment_rows) for _ in range(fragments))
+    )
+
+
+class TestShardSums:
+    """A snapshot's histogram is the sum of its shards' histograms."""
+
+    def test_one_row_appends_then_a_compaction_merge(self):
+        table = fragmented_table(seed=60, n=200, fragments=60, fragment_rows=1)
+        assert table.n_shards == 61
+        matrix = workload_of("mixed", 40).analyze(SCHEMA)
+        fragmented = table.snapshot()
+        before = assert_matches_reference(matrix, fragmented).copy()
+        assert table.compact() and table.n_shards < 61
+        merged = table.snapshot()
+        assert merged is not fragmented
+        np.testing.assert_array_equal(assert_matches_reference(matrix, merged), before)
+
+    def test_no_atom_rows_only_in_the_appended_shard(self, monkeypatch):
+        schema = TestRowsWithNoAtom.SCHEMA
+        workload = Workload(
+            [Comparison("num", ">", 500.0), Comparison("cat", "!=", "a")]
+        )
+        table = Table.from_rows(
+            schema, [{"cat": c, "num": v} for c in "ab" for v in (0.0, 700.0)] * 5
+        )
+        matrix = workload.analyze(schema)
+        fallbacks = count_mask_fallbacks(monkeypatch)
+        assert_matches_reference(matrix, table)
+        assert fallbacks == []
+        no_atom = [{"cat": "z", "num": 5.0}, {"cat": "b", "num": None}]
+        table.append_rows(no_atom + [{"cat": "b", "num": 900.0}] * 3)
+        assert_matches_reference(matrix, table)
+        # Only the appended shard is read, and only its no-atom rows take masks.
+        assert fallbacks == [len(no_atom)]
+
+    def test_out_of_domain_value_only_in_the_appended_shard_raises(self):
+        schema = Schema(
+            [
+                Attribute("cat", CategoricalDomain(("a", "b"))),
+                Attribute("num", NumericDomain(0, 1000)),
+            ]
+        )
+        matrix = Workload(
+            [Comparison("cat", "==", "a"), Comparison("cat", "!=", "b")]
+        ).analyze(schema)
+        table = Table.from_rows(schema, [{"cat": c, "num": 5.0} for c in "abab"])
+        before = table.snapshot()
+        expected = assert_matches_reference(matrix, before).copy()
+        table.append_rows([{"cat": "d", "num": 5.0}])
+        for _ in range(2):  # a failed shard is never cached
+            with pytest.raises(QueryError, match="outside the declared attribute domains"):
+                matrix.partition_histogram(table)
+        with pytest.raises(QueryError):
+            reference_partition_histogram(matrix, table)
+        np.testing.assert_array_equal(matrix.partition_histogram(before), expected)
+
+    def test_entries_die_with_the_shards_compaction_merged_away(self):
+        table = fragmented_table(seed=70, n=1000, fragments=8, fragment_rows=2)
+        matrix = workload_of("mixed", 40).analyze(SCHEMA)
+        fragmented = table.snapshot()
+        assert_matches_reference(matrix, fragmented)
+        assert len(matrix._shard_histograms) == 9
+        assert table.compact() and table.shard_sizes == (1000, 12, 4)
+        assert_matches_reference(matrix, table)
+        assert len(matrix._shard_histograms) == 11
+        del fragmented
+        gc.collect()
+        assert len(matrix._shard_histograms) == 3
+
+
+class TestAppendCostsTheAppendedRows:
+    """``histogram_rows`` counts the rows the atom pass codes."""
+
+    @pytest.mark.parametrize("provenance", ["revalidated", "store"])
+    def test_matrix_reused_across_appends_codes_k_rows(self, provenance, tmp_path):
+        store = ArtifactStore(tmp_path / "store") if provenance == "store" else None
+        workload = workload_of("mixed", 40)
+        table = random_table(seed=21, n=400)
+        rng = np.random.default_rng(22)
+
+        def analyze():
+            stamp = table.domain_stamp(workload.attributes(), store=store)
+            return workload.analyze(SCHEMA, version=stamp)
+
+        clear_matrix_cache()
+        matrix = analyze()
+        if store is not None:
+            clear_matrix_cache()
+            matrix = analyze()
+            assert matrix_cache_stats()["disk_hits"] == 1
+        assert_matches_reference(matrix, table)
+        assert histogram_rows() == 400
+        for k in (30, 12, 25):
+            rows_before = histogram_rows()
+            table.append_rows(random_rows(rng, k))
+            assert analyze() is matrix
+            assert_matches_reference(matrix, table)
+            assert histogram_rows() == rows_before + k
+        assert matrix_cache_stats()["revalidated"] == 3
+        clear_matrix_cache()
+
+    def test_compaction_merge_codes_exactly_the_merged_rows(self):
+        table = fragmented_table(seed=80, n=1000, fragments=8, fragment_rows=2)
+        clear_matrix_cache()
+        matrix = workload_of("mixed", 40).analyze(SCHEMA)
+        assert_matches_reference(matrix, table)
+        assert histogram_rows() == 1016
+        assert matrix_cache_stats()["histogram_shards"] == 9
+        assert table.compact() and table.shard_sizes == (1000, 12, 4)
+        assert_matches_reference(matrix, table)
+        # The 1000-row shard is kept by identity; only the merges are read.
+        assert histogram_rows() == 1016 + 16
+        assert matrix_cache_stats()["histogram_shards"] == 9 + 2
         clear_matrix_cache()
 
 
