@@ -8,9 +8,20 @@ blocking task learns a *disjunction* of such predicates; the matching task a
 Because the exploration strategies evaluate many predicates that share the
 same ``(A, t, sim)`` triple (only the threshold differs), the expensive part
 -- computing the similarity score of every pair -- is cached per table in
-:class:`SimilarityCache`.  Predicates plug into the APEx query language as
+:class:`SimilarityCache`.  A score column is computed in one call of the
+similarity's column kernel (:func:`~repro.er.similarity.pairwise_scores`)
+over a transformed view of the two columns; each ``(left column, right
+column, transform)`` view is built once and shared by every similarity that
+scores it.
+
+Predicates plug into the APEx query language as
 :class:`~repro.queries.predicates.FunctionPredicate` instances, so the engine
-treats them like any other (opaque) predicate.
+treats them like any other (opaque) predicate.  Their masks are scoped by
+table: a predicate evaluated on the cache's table (at the version the cache
+pinned) reads the cached column, and on any other table it scores that
+table.  That keeps the declared ``(description, version)`` identity honest
+when an engine memo hands one table's matrix, built from equal predicates,
+to another table with the same schema.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ import numpy as np
 
 from repro.core.exceptions import ApexError
 from repro.data.table import Table
-from repro.er.similarity import SimilarityFunction, get_similarity
+from repro.er.similarity import TokenInput, get_similarity, pairwise_scores
 from repro.er.transforms import Transform, get_transform
 from repro.queries.predicates import FunctionPredicate, Predicate
 
@@ -60,16 +71,25 @@ class SimilarityPredicateSpec:
 
 
 class SimilarityCache:
-    """Caches per-pair similarity scores for one pair table.
+    """Caches per-pair similarity scores for one pair table at one version.
 
     The cache is keyed by ``(attribute, transform, similarity)``; thresholds
     are applied lazily, so evaluating dozens of candidate predicates that only
-    differ in ``theta`` costs a single pass over the data.
+    differ in ``theta`` costs a single pass over the data.  Each ``(left
+    column, right column, transform)`` view is transformed once and shared by
+    every similarity scored over it.
+
+    The cache pins a snapshot of the table it is built for, so every column
+    it scores reads the same rows.  A predicate it hands out is a function of
+    ``(spec, table)``: on a table at the pinned version it reads the cached
+    column, on any other table (or the same table after an append) it scores
+    that table afresh.
     """
 
     def __init__(self, table: Table) -> None:
-        self._table = table
+        self._table = table.snapshot()
         self._scores: dict[tuple[str, str, str], np.ndarray] = {}
+        self._views: dict[tuple[str, str, str], _PairView] = {}
         # The predicates declare a stable identity (description + version),
         # so downstream caches recognise re-asked conditions by value;
         # interning still saves rebuilding one closure per re-asked spec.
@@ -78,32 +98,33 @@ class SimilarityCache:
 
     @property
     def table(self) -> Table:
+        """The pinned snapshot of the table the cache scores."""
         return self._table
 
     def scores(self, spec: SimilarityPredicateSpec) -> np.ndarray:
         """The similarity score of every pair for the spec's score column."""
         key = spec.key()
         cached = self._scores.get(key)
-        if cached is not None:
-            return cached
-        transform: Transform = get_transform(spec.transform)
-        similarity: SimilarityFunction = get_similarity(spec.similarity)
-        left = self._table.column(spec.left_column)
-        right = self._table.column(spec.right_column)
-        values = np.empty(len(self._table), dtype=float)
-        for index in range(len(self._table)):
-            left_value = left[index]
-            right_value = right[index]
-            if _is_null(left_value) or _is_null(right_value):
-                values[index] = 0.0
-                continue
-            values[index] = similarity(transform(left_value), transform(right_value))
-        self._scores[key] = values
-        return values
+        if cached is None:
+            view_key = (spec.left_column, spec.right_column, spec.transform)
+            view = self._views.get(view_key)
+            if view is None:
+                view = self._views[view_key] = _PairView.of(self._table, *view_key)
+            cached = self._scores[key] = view.scores(spec.similarity)
+        return cached
 
-    def mask(self, spec: SimilarityPredicateSpec) -> np.ndarray:
-        """Boolean mask of pairs satisfying the predicate."""
-        return self.scores(spec) > spec.threshold
+    def mask(
+        self, spec: SimilarityPredicateSpec, table: Table | None = None
+    ) -> np.ndarray:
+        """Boolean mask of the pairs of ``table`` satisfying the predicate.
+
+        ``table`` defaults to the cache's own.  A table at the cache's
+        version reads the cached column; any other table is scored afresh.
+        """
+        if table is None or table.version_token == self._table.version_token:
+            return self.scores(spec) > spec.threshold
+        view = _PairView.of(table, spec.left_column, spec.right_column, spec.transform)
+        return view.scores(spec.similarity) > spec.threshold
 
     def predicate(self, spec: SimilarityPredicateSpec) -> Predicate:
         """The spec as an APEx query predicate (opaque function predicate).
@@ -114,7 +135,7 @@ class SimilarityCache:
         if cached is None:
             cached = FunctionPredicate(
                 spec.describe(),
-                lambda table, spec=spec: self._mask_for(table, spec),
+                lambda table, spec=spec: self.mask(spec, table),
                 attributes=(spec.left_column, spec.right_column),
                 version=_PREDICATE_IDENTITY_VERSION,
             )
@@ -127,7 +148,7 @@ class SimilarityCache:
         if cached is None:
             cached = FunctionPredicate(
                 formula.describe(),
-                lambda table, formula=formula: formula.evaluate(self),
+                lambda table, formula=formula: formula.evaluate(self, table),
                 attributes=frozenset(
                     column
                     for spec in formula.specs
@@ -138,15 +159,48 @@ class SimilarityCache:
             self._formula_predicates[formula] = cached
         return cached
 
-    def _mask_for(self, table: Table, spec: SimilarityPredicateSpec) -> np.ndarray:
-        if table is not self._table and len(table) != len(self._table):
-            raise ApexError(
-                "a cached similarity predicate was evaluated on a different table"
-            )
-        return self.mask(spec)
-
     def cached_keys(self) -> list[tuple[str, str, str]]:
         return list(self._scores)
+
+
+@dataclass(frozen=True, eq=False)
+class _PairView:
+    """One transformed ``(left column, right column)`` view of a pair table.
+
+    Only pairs with two non-NULL values are transformed (``rows``); the
+    others score 0 under every similarity.
+    """
+
+    n_rows: int
+    rows: np.ndarray
+    left: list[TokenInput]
+    right: list[TokenInput]
+
+    @classmethod
+    def of(
+        cls, table: Table, left_column: str, right_column: str, transform_name: str
+    ) -> "_PairView":
+        transform: Transform = get_transform(transform_name)
+        left = table.column(left_column)
+        right = table.column(right_column)
+        nulls = np.fromiter(
+            (_is_null(a) or _is_null(b) for a, b in zip(left, right)),
+            dtype=bool,
+            count=len(table),
+        )
+        rows = np.flatnonzero(~nulls)
+        return cls(
+            len(table),
+            rows,
+            [transform(left[index]) for index in rows],
+            [transform(right[index]) for index in rows],
+        )
+
+    def scores(self, similarity_name: str) -> np.ndarray:
+        values = np.zeros(self.n_rows)
+        similarity = get_similarity(similarity_name)
+        values[self.rows] = pairwise_scores(similarity, self.left, self.right)
+        return values
 
 
 @dataclass(frozen=True)
@@ -184,14 +238,19 @@ class BooleanFormula:
     def __len__(self) -> int:
         return len(self.specs)
 
-    def evaluate(self, cache: SimilarityCache) -> np.ndarray:
-        """Boolean mask of pairs captured by the formula."""
-        n_rows = len(cache.table)
+    def evaluate(
+        self, cache: SimilarityCache, table: Table | None = None
+    ) -> np.ndarray:
+        """Boolean mask of the pairs captured by the formula.
+
+        ``table`` defaults to the cache's own (see :meth:`SimilarityCache.mask`).
+        """
+        n_rows = len(table if table is not None else cache.table)
         if not self.specs:
             if self.conjunction:
                 return np.ones(n_rows, dtype=bool)
             return np.zeros(n_rows, dtype=bool)
-        masks = [cache.mask(spec) for spec in self.specs]
+        masks = [cache.mask(spec, table) for spec in self.specs]
         combined = masks[0].copy()
         for mask in masks[1:]:
             combined = (combined & mask) if self.conjunction else (combined | mask)

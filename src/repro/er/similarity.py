@@ -8,14 +8,27 @@ Character-based functions (edit distance, Jaro, Smith-Waterman) compare raw
 strings; token-based functions (Jaccard, cosine, overlap) compare token
 multisets produced by a tokenizing transform; ``diff`` compares numbers (used
 for the publication year).
+
+:func:`pairwise_scores` scores a whole column of aligned pairs, which is how
+:class:`~repro.er.predicates.SimilarityCache` calls every similarity.  Edit distance and
+Smith-Waterman score a column through one batched integer dynamic program
+(:func:`edit_scores`, :func:`smith_waterman_scores`) that sweeps a chunk of
+pairs a row at a time in numpy, with each row's left-to-right dependency in
+closed form; their scalar functions are one-pair calls of the same kernel,
+and the original row-at-a-time programs are the test oracle in
+:mod:`repro.er.reference`.  Jaro and the token similarities loop over the
+pairs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.core.exceptions import ApexError
 
@@ -24,8 +37,10 @@ __all__ = [
     "SIMILARITIES",
     "get_similarity",
     "edit_similarity",
+    "edit_scores",
     "jaro_similarity",
     "smith_waterman_similarity",
+    "smith_waterman_scores",
     "jaccard_similarity",
     "cosine_similarity",
     "overlap_similarity",
@@ -33,6 +48,7 @@ __all__ = [
 ]
 
 TokenInput = str | tuple[str, ...]
+ColumnKernel = Callable[[Sequence[TokenInput], Sequence[TokenInput]], np.ndarray]
 
 
 def _as_string(value: TokenInput) -> str:
@@ -49,30 +65,211 @@ def _as_tokens(value: TokenInput) -> tuple[str, ...]:
 
 def edit_similarity(left: TokenInput, right: TokenInput) -> float:
     """Normalised Levenshtein similarity: ``1 - distance / max_length``."""
-    a, b = _as_string(left), _as_string(right)
-    if not a and not b:
-        return 0.0
-    if not a or not b:
-        return 0.0
-    distance = _levenshtein(a, b)
-    return 1.0 - distance / max(len(a), len(b))
+    return float(edit_scores([left], [right])[0])
 
 
-def _levenshtein(a: str, b: str) -> int:
-    if a == b:
-        return 0
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, char_a in enumerate(a, start=1):
-        current = [i]
-        for j, char_b in enumerate(b, start=1):
-            insert_cost = current[j - 1] + 1
-            delete_cost = previous[j] + 1
-            substitute_cost = previous[j - 1] + (char_a != char_b)
-            current.append(min(insert_cost, delete_cost, substitute_cost))
+def edit_scores(
+    left: Sequence[TokenInput], right: Sequence[TokenInput]
+) -> np.ndarray:
+    """:func:`edit_similarity` of every aligned pair, in one batched DP."""
+    pairs, _, longer, distance = _align(left, right, _levenshtein_rows)
+    scores = np.zeros(len(left))
+    scores[pairs] = 1.0 - distance / longer
+    return scores
+
+
+def smith_waterman_similarity(
+    left: TokenInput,
+    right: TokenInput,
+    *,
+    match_score: int = 2,
+    mismatch_penalty: int = -1,
+    gap_penalty: int = -1,
+) -> float:
+    """Normalised Smith-Waterman local-alignment similarity.
+
+    The raw local alignment score is divided by the best possible score of the
+    shorter string, giving a value in ``[0, 1]``.
+    """
+    scores = smith_waterman_scores(
+        [left],
+        [right],
+        match_score=match_score,
+        mismatch_penalty=mismatch_penalty,
+        gap_penalty=gap_penalty,
+    )
+    return float(scores[0])
+
+
+def smith_waterman_scores(
+    left: Sequence[TokenInput],
+    right: Sequence[TokenInput],
+    *,
+    match_score: int = 2,
+    mismatch_penalty: int = -1,
+    gap_penalty: int = -1,
+) -> np.ndarray:
+    """:func:`smith_waterman_similarity` of every aligned pair, in one batched DP."""
+    kernel = functools.partial(
+        _smith_waterman_rows,
+        match=match_score,
+        mismatch=mismatch_penalty,
+        gap=gap_penalty,
+    )
+    pairs, shorter, _, best = _align(left, right, kernel)
+    normaliser = match_score * shorter
+    scores = np.zeros(len(left))
+    scores[pairs] = np.divide(
+        best, normaliser, out=np.zeros(len(pairs)), where=normaliser != 0
+    )
+    return scores
+
+
+# -- the batched alignment kernel ---------------------------------------------
+#
+# Both programs fill an integer table row by row.  A row's cells depend on
+# the row above (the diagonal and "up" moves) and on the cell to their left
+# through a linear gap ``g``: ``cur[j] = best(t[j], cur[j - 1] + g)``, where
+# ``t[j]`` is the best of the moves from the row above.  That recurrence has a
+# closed form -- ``cur[j] - g*j`` is the cumulative best of ``t[j] - g*j`` --
+# so one row of a whole chunk of pairs is a handful of numpy calls over a
+# ``(chunk, longer + 1)`` array.  Everything stays in integers, and the final
+# float formula is the scalar one, so every score is bit-identical to the
+# row-at-a-time programs kept in :mod:`repro.er.reference`.
+#
+# Both programs are symmetric in their arguments, so each pair's shorter
+# string sweeps the rows (fewer rows, fewer numpy calls).  Pairs are sorted by
+# (shorter, longer) length and cut into chunks; strings are coded as int code
+# points and padded to the chunk's widest.  Padding never reaches a result:
+# a pair leaves the sweep after its last real row, so its padded rows are
+# never compared, and padded columns lie right of its real cells, which the
+# left-to-right dependency never carries back (Smith-Waterman masks them out
+# of its best cell).  ``tests/er/test_similarity_kernels.py`` pins this by
+# padding with a code point that does match.
+
+#: Pairs swept together: enough to amortise each numpy call, few enough that
+#: a chunk's rows stay in cache.
+_CHUNK = 512
+_PAD = -1
+
+
+def _align(
+    left: Sequence[TokenInput],
+    right: Sequence[TokenInput],
+    kernel: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run a row kernel over every pair of two non-empty strings.
+
+    Returns those pairs' indices, their shorter and longer lengths and the
+    kernel's integer result per pair; a pair with an empty side scores 0.
+    """
+    a = [_as_string(value) for value in left]
+    b = [_as_string(value) for value in right]
+    len_a = np.fromiter(map(len, a), dtype=np.int64, count=len(a))
+    len_b = np.fromiter(map(len, b), dtype=np.int64, count=len(b))
+    pairs = np.flatnonzero((len_a > 0) & (len_b > 0))
+    shorter = np.minimum(len_a, len_b)[pairs]
+    longer = np.maximum(len_a, len_b)[pairs]
+    swapped = (len_a > len_b).tolist()
+    result = np.empty(len(pairs), dtype=np.int64)
+    order = np.lexsort((longer, shorter))
+    for start in range(0, len(order), _CHUNK):
+        chunk = order[start : start + _CHUNK]
+        members = pairs[chunk].tolist()
+        rows = [b[k] if swapped[k] else a[k] for k in members]
+        columns = [a[k] if swapped[k] else b[k] for k in members]
+        result[chunk] = kernel(
+            _code_points(rows, shorter[chunk]),
+            _code_points(columns, longer[chunk]),
+            shorter[chunk],
+            longer[chunk],
+        )
+    return pairs, shorter, longer, result
+
+
+def _code_points(strings: list[str], lengths: np.ndarray) -> np.ndarray:
+    """The strings as rows of int code points, padded with :data:`_PAD`."""
+    codes = np.full((len(strings), int(lengths.max())), _PAD, dtype=np.int64)
+    # surrogatepass: a lone surrogate is a code point like any other.
+    flat = "".join(strings).encode("utf-32-le", "surrogatepass")
+    codes[np.arange(codes.shape[1]) < lengths[:, None]] = np.frombuffer(flat, "<u4")
+    return codes
+
+
+def _levenshtein_rows(
+    a: np.ndarray, b: np.ndarray, a_len: np.ndarray, b_len: np.ndarray
+) -> np.ndarray:
+    """Edit distance of each row pair; ``a_len`` ascends."""
+    n, width = b.shape
+    j = np.arange(width + 1)
+    previous = np.tile(j, (n, 1))
+    distance = np.empty(n, dtype=np.int64)
+    done = 0
+    for i in range(1, int(a_len[-1]) + 1):
+        finished = int(np.searchsorted(a_len, i))
+        if finished > done:
+            distance[done:finished] = previous[
+                np.arange(finished - done), b_len[done:finished]
+            ]
+            previous = previous[finished - done :]
+            done = finished
+        current = np.empty_like(previous)
+        current[:, 0] = i
+        substitute = previous[:, :-1] + (a[done:, i - 1, None] != b[done:])
+        np.minimum(substitute, previous[:, 1:] + 1, out=current[:, 1:])
+        # Insertions: cur[j] = min(t[j], cur[j - 1] + 1).
+        current -= j
+        np.minimum.accumulate(current, axis=1, out=current)
+        current += j
         previous = current
-    return previous[-1]
+    distance[done:] = previous[np.arange(n - done), b_len[done:]]
+    return distance
+
+
+def _smith_waterman_rows(
+    a: np.ndarray,
+    b: np.ndarray,
+    a_len: np.ndarray,
+    b_len: np.ndarray,
+    *,
+    match: int,
+    mismatch: int,
+    gap: int,
+) -> np.ndarray:
+    """Best local-alignment score of each row pair; ``a_len`` ascends."""
+    n, width = b.shape
+    j = np.arange(width + 1)
+    slope = -gap * j
+    real = j <= b_len[:, None]
+    previous = np.zeros((n, width + 1), dtype=np.int64)
+    # Each pair's best cell so far, per column; the padded columns are
+    # masked out when the pair leaves the sweep.
+    peak = np.zeros_like(previous)
+    best = np.empty(n, dtype=np.int64)
+    done = 0
+    for i in range(1, int(a_len[-1]) + 1):
+        finished = int(np.searchsorted(a_len, i))
+        if finished > done:
+            best[done:finished] = np.where(
+                real[done:finished], peak[: finished - done], 0
+            ).max(axis=1)
+            previous = previous[finished - done :]
+            peak = peak[finished - done :]
+            done = finished
+        current = np.empty_like(previous)
+        current[:, 0] = 0
+        body = current[:, 1:]
+        step = np.where(a[done:, i - 1, None] == b[done:], match, mismatch)
+        np.maximum(previous[:, :-1] + step, previous[:, 1:] + gap, out=body)
+        np.maximum(body, 0, out=body)
+        # Gaps along the row: cur[j] = max(t[j], cur[j - 1] + gap).
+        current += slope
+        np.maximum.accumulate(current, axis=1, out=current)
+        current -= slope
+        np.maximum(peak, current, out=peak)
+        previous = current
+    best[done:] = np.where(real[done:], peak, 0).max(axis=1)
+    return best
 
 
 def jaro_similarity(left: TokenInput, right: TokenInput) -> float:
@@ -113,43 +310,6 @@ def jaro_similarity(left: TokenInput, right: TokenInput) -> float:
     return (
         matches / len(a) + matches / len(b) + (matches - transpositions) / matches
     ) / 3.0
-
-
-def smith_waterman_similarity(
-    left: TokenInput,
-    right: TokenInput,
-    *,
-    match_score: int = 2,
-    mismatch_penalty: int = -1,
-    gap_penalty: int = -1,
-) -> float:
-    """Normalised Smith-Waterman local-alignment similarity.
-
-    The raw local alignment score is divided by the best possible score of the
-    shorter string, giving a value in ``[0, 1]``.
-    """
-    a, b = _as_string(left), _as_string(right)
-    if not a or not b:
-        return 0.0
-    rows, cols = len(a) + 1, len(b) + 1
-    previous = [0] * cols
-    best = 0
-    for i in range(1, rows):
-        current = [0] * cols
-        char_a = a[i - 1]
-        for j in range(1, cols):
-            diagonal = previous[j - 1] + (
-                match_score if char_a == b[j - 1] else mismatch_penalty
-            )
-            up = previous[j] + gap_penalty
-            left_score = current[j - 1] + gap_penalty
-            value = max(0, diagonal, up, left_score)
-            current[j] = value
-            if value > best:
-                best = value
-        previous = current
-    normaliser = match_score * min(len(a), len(b))
-    return best / normaliser if normaliser else 0.0
 
 
 def jaccard_similarity(left: TokenInput, right: TokenInput) -> float:
@@ -199,20 +359,30 @@ def numeric_diff_similarity(
 
 @dataclass(frozen=True)
 class SimilarityFunction:
-    """A named similarity function plus the input view it expects."""
+    """A named similarity function plus the input view it expects.
+
+    ``column``, when set, scores a whole column of aligned pairs at once
+    (see :func:`pairwise_scores`).
+    """
 
     name: str
     fn: Callable[[TokenInput, TokenInput], float]
     token_based: bool
+    column: ColumnKernel | None = None
 
     def __call__(self, left: TokenInput, right: TokenInput) -> float:
         return self.fn(left, right)
 
 
 SIMILARITIES: dict[str, SimilarityFunction] = {
-    "edit": SimilarityFunction("edit", edit_similarity, token_based=False),
+    "edit": SimilarityFunction(
+        "edit", edit_similarity, token_based=False, column=edit_scores
+    ),
     "smith_waterman": SimilarityFunction(
-        "smith_waterman", smith_waterman_similarity, token_based=False
+        "smith_waterman",
+        smith_waterman_similarity,
+        token_based=False,
+        column=smith_waterman_scores,
     ),
     "jaro": SimilarityFunction("jaro", jaro_similarity, token_based=False),
     "jaccard": SimilarityFunction("jaccard", jaccard_similarity, token_based=True),
@@ -236,8 +406,18 @@ def pairwise_scores(
     similarity: SimilarityFunction,
     left_values: Sequence[TokenInput],
     right_values: Sequence[TokenInput],
-) -> list[float]:
-    """Similarity score for each aligned pair of values."""
+) -> np.ndarray:
+    """Similarity score for each aligned pair of values, as a float array.
+
+    Uses the similarity's column kernel when it has one, else scores the
+    pairs one by one.
+    """
     if len(left_values) != len(right_values):
         raise ApexError("pairwise_scores requires equally long value sequences")
-    return [similarity(a, b) for a, b in zip(left_values, right_values)]
+    if similarity.column is not None:
+        return similarity.column(left_values, right_values)
+    return np.fromiter(
+        map(similarity.fn, left_values, right_values),
+        dtype=float,
+        count=len(left_values),
+    )

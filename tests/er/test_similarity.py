@@ -147,7 +147,7 @@ class TestRegistry:
 
     def test_pairwise_scores(self):
         scores = pairwise_scores(get_similarity("jaccard"), [("a",), ("b",)], [("a",), ("c",)])
-        assert scores == [1.0, 0.0]
+        assert scores.tolist() == [1.0, 0.0]
 
     def test_pairwise_scores_length_mismatch(self):
         with pytest.raises(ApexError):
