@@ -12,7 +12,8 @@ same ``(A, t, sim)`` triple (only the threshold differs), the expensive part
 similarity's column kernel (:func:`~repro.er.similarity.pairwise_scores`)
 over a transformed view of the two columns; each ``(left column, right
 column, transform)`` view is built once and shared by every similarity that
-scores it.
+scores it, and cosine, Jaccard and overlap also share one coding of the
+view's tokens (:class:`~repro.er.similarity.TokenCounts`).
 
 Predicates plug into the APEx query language as
 :class:`~repro.queries.predicates.FunctionPredicate` instances, so the engine
@@ -26,6 +27,7 @@ to another table with the same schema.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -33,7 +35,7 @@ import numpy as np
 
 from repro.core.exceptions import ApexError
 from repro.data.table import Table
-from repro.er.similarity import TokenInput, get_similarity, pairwise_scores
+from repro.er.similarity import TokenCounts, TokenInput, get_similarity, pairwise_scores
 from repro.er.transforms import Transform, get_transform
 from repro.queries.predicates import FunctionPredicate, Predicate
 
@@ -168,7 +170,8 @@ class _PairView:
     """One transformed ``(left column, right column)`` view of a pair table.
 
     Only pairs with two non-NULL values are transformed (``rows``); the
-    others score 0 under every similarity.
+    others score 0 under every similarity.  The token similarities share the
+    view's :class:`~repro.er.similarity.TokenCounts`, coded on first use.
     """
 
     n_rows: int
@@ -196,10 +199,17 @@ class _PairView:
             [transform(right[index]) for index in rows],
         )
 
+    @functools.cached_property
+    def token_counts(self) -> TokenCounts:
+        return TokenCounts.of(self.left, self.right)
+
     def scores(self, similarity_name: str) -> np.ndarray:
         values = np.zeros(self.n_rows)
         similarity = get_similarity(similarity_name)
-        values[self.rows] = pairwise_scores(similarity, self.left, self.right)
+        if similarity.from_counts is not None:
+            values[self.rows] = similarity.from_counts(self.token_counts)
+        else:
+            values[self.rows] = pairwise_scores(similarity, self.left, self.right)
         return values
 
 

@@ -10,21 +10,24 @@ multisets produced by a tokenizing transform; ``diff`` compares numbers (used
 for the publication year).
 
 :func:`pairwise_scores` scores a whole column of aligned pairs, which is how
-:class:`~repro.er.predicates.SimilarityCache` calls every similarity.  Edit distance and
-Smith-Waterman score a column through one batched integer dynamic program
-(:func:`edit_scores`, :func:`smith_waterman_scores`) that sweeps a chunk of
-pairs a row at a time in numpy, with each row's left-to-right dependency in
-closed form; their scalar functions are one-pair calls of the same kernel,
-and the original row-at-a-time programs are the test oracle in
-:mod:`repro.er.reference`.  Jaro and the token similarities loop over the
-pairs.
+:class:`~repro.er.predicates.SimilarityCache` calls every similarity.  Every
+similarity has a numpy column kernel; its scalar function is a one-pair call
+of that kernel, and the original one-pair programs are the test oracle in
+:mod:`repro.er.reference`.  Edit distance and Smith-Waterman run one batched
+integer dynamic program (:func:`edit_scores`, :func:`smith_waterman_scores`)
+that sweeps a chunk of pairs a row at a time, with each row's left-to-right
+dependency in closed form.  Jaro (:func:`jaro_scores`) sweeps a chunk's left
+strings a position at a time, matching by candidate masks.  Jaccard, cosine
+and overlap read exact per-pair counts from one coding of a column's tokens
+(:class:`TokenCounts`), and ``diff`` is one array expression.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from collections import Counter
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -39,12 +42,18 @@ __all__ = [
     "edit_similarity",
     "edit_scores",
     "jaro_similarity",
+    "jaro_scores",
     "smith_waterman_similarity",
     "smith_waterman_scores",
+    "TokenCounts",
     "jaccard_similarity",
+    "jaccard_scores",
     "cosine_similarity",
+    "cosine_scores",
     "overlap_similarity",
+    "overlap_scores",
     "numeric_diff_similarity",
+    "numeric_diff_scores",
 ]
 
 TokenInput = str | tuple[str, ...]
@@ -274,72 +283,195 @@ def _smith_waterman_rows(
 
 def jaro_similarity(left: TokenInput, right: TokenInput) -> float:
     """The Jaro string similarity."""
-    a, b = _as_string(left), _as_string(right)
-    if not a or not b:
-        return 0.0
-    if a == b:
-        return 1.0
-    match_window = max(len(a), len(b)) // 2 - 1
-    match_window = max(match_window, 0)
-    a_matched = [False] * len(a)
-    b_matched = [False] * len(b)
-    matches = 0
-    for i, char_a in enumerate(a):
-        start = max(0, i - match_window)
-        end = min(i + match_window + 1, len(b))
-        for j in range(start, end):
-            if b_matched[j] or b[j] != char_a:
-                continue
-            a_matched[i] = True
-            b_matched[j] = True
-            matches += 1
-            break
-    if matches == 0:
-        return 0.0
-    transpositions = 0
-    j = 0
-    for i, matched in enumerate(a_matched):
-        if not matched:
-            continue
-        while not b_matched[j]:
-            j += 1
-        if a[i] != b[j]:
-            transpositions += 1
-        j += 1
-    transpositions //= 2
-    return (
-        matches / len(a) + matches / len(b) + (matches - transpositions) / matches
-    ) / 3.0
+    return float(jaro_scores([left], [right])[0])
+
+
+def jaro_scores(left: Sequence[TokenInput], right: Sequence[TokenInput]) -> np.ndarray:
+    """:func:`jaro_similarity` of every aligned pair, in batched match sweeps."""
+    a = [_as_string(value) for value in left]
+    b = [_as_string(value) for value in right]
+    len_a = np.fromiter(map(len, a), dtype=np.int64, count=len(a))
+    len_b = np.fromiter(map(len, b), dtype=np.int64, count=len(b))
+    equal = np.fromiter(map(operator.eq, a, b), dtype=bool, count=len(a))
+    filled = (len_a > 0) & (len_b > 0)
+    scores = np.zeros(len(a))
+    scores[filled & equal] = 1.0
+    pairs = np.flatnonzero(filled & ~equal)
+    order = pairs[np.lexsort((len_b[pairs], len_a[pairs]))]
+    for start in range(0, len(order), _CHUNK):
+        chunk = order[start : start + _CHUNK]
+        members = chunk.tolist()
+        scores[chunk] = _jaro_rows(
+            _code_points([a[k] for k in members], len_a[chunk]),
+            _code_points([b[k] for k in members], len_b[chunk]),
+            len_a[chunk],
+            len_b[chunk],
+        )
+    return scores
+
+
+# -- the batched Jaro kernel --------------------------------------------------
+#
+# The scalar program walks the left string and gives each character the first
+# unmatched equal character of the right string inside the match window.  A
+# chunk of pairs takes that step together, one left position at a time: a
+# boolean candidate mask over the right strings' positions (unmatched, equal
+# code point, inside the pair's window and both lengths) and ``argmax`` for
+# its first hit.  The left string stays the row string, as in the scalar
+# program.  Transpositions compare the matched characters in order: each row
+# matched as many left as right positions, so the row-major flats of the two
+# sides line up.  The counts are integers and the final float formula is the
+# scalar one, so every score is bit-identical to :mod:`repro.er.reference`.
+
+
+def _jaro_rows(
+    a: np.ndarray, b: np.ndarray, a_len: np.ndarray, b_len: np.ndarray
+) -> np.ndarray:
+    """Jaro similarity of each row pair of unequal strings; ``a_len`` ascends."""
+    n, width = b.shape
+    window = np.maximum(np.maximum(a_len, b_len) // 2 - 1, 0)
+    j = np.arange(width)
+    b_free = j < b_len[:, None]
+    a_matched = np.zeros(a.shape, dtype=bool)
+    for i in range(int(a_len[-1])):
+        # Rows whose left string is longer than i, a suffix as a_len ascends.
+        live = int(np.searchsorted(a_len, i, side="right"))
+        candidate = b[live:] == a[live:, i, None]
+        candidate &= b_free[live:]
+        candidate &= np.abs(j - i) <= window[live:, None]
+        first = candidate.argmax(axis=1)
+        rows = np.flatnonzero(candidate[np.arange(n - live), first])
+        b_free[rows + live, first[rows]] = False
+        a_matched[rows + live, i] = True
+    b_matched = ~b_free & (j < b_len[:, None])
+    matches = a_matched.sum(axis=1)
+    transposed = a[a_matched] != b[b_matched]
+    transpositions = np.bincount(np.nonzero(a_matched)[0][transposed], minlength=n) // 2
+    hit = matches > 0
+    m, t = matches[hit], transpositions[hit]
+    scores = np.zeros(n)
+    scores[hit] = (m / a_len[hit] + m / b_len[hit] + (m - t) / m) / 3.0
+    return scores
+
+
+# -- the token kernels --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TokenCounts:
+    """Exact integer statistics of every pair of a column of token pairs.
+
+    Cosine, Jaccard and overlap all read these, so a column's tokens are
+    coded once for the three (:class:`~repro.er.predicates.SimilarityCache`
+    keeps them on its transformed view).  Each side's tokens are coded as
+    sorted unique ``pair * vocabulary + token id`` keys with their counts;
+    the statistics are integers below 2**53 (stored as float where a
+    weighted ``bincount`` sums them), so the kernels' final float operations
+    are the scalar formulas' and every score is bit-identical.
+    """
+
+    #: Distinct tokens per pair on each side.
+    left_size: np.ndarray
+    right_size: np.ndarray
+    #: Distinct tokens per pair on both sides.
+    shared: np.ndarray
+    #: Sum over the shared tokens of their left count times right count.
+    dot: np.ndarray
+    #: Sum of the squared token counts per pair on each side.
+    left_square: np.ndarray
+    right_square: np.ndarray
+
+    @classmethod
+    def of(
+        cls, left: Sequence[TokenInput], right: Sequence[TokenInput]
+    ) -> "TokenCounts":
+        n = len(left)
+        # A token's id is the running index of its first occurrence on
+        # either side: one ``setdefault`` pass interns a side, and every id
+        # is below the number of tokens.
+        ids: dict[str, int] = {}
+        first_seen = itertools.count()
+        pairs, codes = [], []
+        for values in (left, right):
+            tokens = list(map(_as_tokens, values))
+            sizes = np.fromiter(map(len, tokens), dtype=np.int64, count=n)
+            pairs.append(np.repeat(np.arange(n), sizes))
+            flat = itertools.chain.from_iterable(tokens)
+            codes.append(
+                np.fromiter(
+                    map(ids.setdefault, flat, first_seen),
+                    dtype=np.int64,
+                    count=int(sizes.sum()),
+                )
+            )
+        vocabulary = max(len(codes[0]) + len(codes[1]), 1)
+        keys_a, counts_a = np.unique(pairs[0] * vocabulary + codes[0], return_counts=True)
+        keys_b, counts_b = np.unique(pairs[1] * vocabulary + codes[1], return_counts=True)
+        common, in_a, in_b = np.intersect1d(
+            keys_a, keys_b, assume_unique=True, return_indices=True
+        )
+        pair_a, pair_b, pair_common = (
+            keys_a // vocabulary, keys_b // vocabulary, common // vocabulary
+        )
+        return cls(
+            np.bincount(pair_a, minlength=n),
+            np.bincount(pair_b, minlength=n),
+            np.bincount(pair_common, minlength=n),
+            np.bincount(pair_common, weights=counts_a[in_a] * counts_b[in_b], minlength=n),
+            np.bincount(pair_a, weights=counts_a * counts_a, minlength=n),
+            np.bincount(pair_b, weights=counts_b * counts_b, minlength=n),
+        )
+
+    def _scored(self, numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+        """``numerator / denominator`` where both sides have tokens, else 0."""
+        scores = np.zeros(len(self.shared))
+        filled = (self.left_size > 0) & (self.right_size > 0)
+        scores[filled] = numerator[filled] / denominator[filled]
+        return scores
+
+    def jaccard(self) -> np.ndarray:
+        union = self.left_size + self.right_size - self.shared
+        return self._scored(self.shared, union)
+
+    def cosine(self) -> np.ndarray:
+        norms = np.sqrt(self.left_square) * np.sqrt(self.right_square)
+        return self._scored(self.dot, norms)
+
+    def overlap(self) -> np.ndarray:
+        return self._scored(self.shared, np.minimum(self.left_size, self.right_size))
 
 
 def jaccard_similarity(left: TokenInput, right: TokenInput) -> float:
     """Jaccard similarity of the token sets."""
-    set_a, set_b = set(_as_tokens(left)), set(_as_tokens(right))
-    if not set_a or not set_b:
-        return 0.0
-    union = len(set_a | set_b)
-    return len(set_a & set_b) / union if union else 0.0
+    return float(jaccard_scores([left], [right])[0])
+
+
+def jaccard_scores(left: Sequence[TokenInput], right: Sequence[TokenInput]) -> np.ndarray:
+    """:func:`jaccard_similarity` of every aligned pair."""
+    return TokenCounts.of(left, right).jaccard()
 
 
 def cosine_similarity(left: TokenInput, right: TokenInput) -> float:
     """Cosine similarity of the token frequency vectors."""
-    counts_a, counts_b = Counter(_as_tokens(left)), Counter(_as_tokens(right))
-    if not counts_a or not counts_b:
-        return 0.0
-    dot = sum(counts_a[token] * counts_b[token] for token in counts_a.keys() & counts_b.keys())
-    norm_a = math.sqrt(sum(v * v for v in counts_a.values()))
-    norm_b = math.sqrt(sum(v * v for v in counts_b.values()))
-    if norm_a == 0 or norm_b == 0:
-        return 0.0
-    return dot / (norm_a * norm_b)
+    return float(cosine_scores([left], [right])[0])
+
+
+def cosine_scores(left: Sequence[TokenInput], right: Sequence[TokenInput]) -> np.ndarray:
+    """:func:`cosine_similarity` of every aligned pair."""
+    return TokenCounts.of(left, right).cosine()
 
 
 def overlap_similarity(left: TokenInput, right: TokenInput) -> float:
     """Overlap coefficient: ``|A & B| / min(|A|, |B|)``."""
-    set_a, set_b = set(_as_tokens(left)), set(_as_tokens(right))
-    if not set_a or not set_b:
-        return 0.0
-    return len(set_a & set_b) / min(len(set_a), len(set_b))
+    return float(overlap_scores([left], [right])[0])
+
+
+def overlap_scores(left: Sequence[TokenInput], right: Sequence[TokenInput]) -> np.ndarray:
+    """:func:`overlap_similarity` of every aligned pair."""
+    return TokenCounts.of(left, right).overlap()
+
+
+# -- numbers ------------------------------------------------------------------
 
 
 def numeric_diff_similarity(
@@ -349,46 +481,69 @@ def numeric_diff_similarity(
 
     Used for the publication year; a difference of ``scale`` or more scores 0.
     """
+    return float(numeric_diff_scores([left], [right], scale=scale)[0])
+
+
+def numeric_diff_scores(
+    left: Sequence[TokenInput], right: Sequence[TokenInput], *, scale: float = 5.0
+) -> np.ndarray:
+    """:func:`numeric_diff_similarity` of every aligned pair.
+
+    A value that does not parse as a number reads as NaN, and ``np.fmax``
+    (unlike ``np.maximum``) scores a NaN 0, as the scalar ``max(0.0, nan)``
+    does.
+    """
+    a = np.fromiter(map(_as_number, left), dtype=float, count=len(left))
+    b = np.fromiter(map(_as_number, right), dtype=float, count=len(right))
+    with np.errstate(invalid="ignore"):
+        return np.fmax(0.0, 1.0 - np.abs(a - b) / scale)
+
+
+def _as_number(value: TokenInput) -> float:
     try:
-        a = float(_as_string(left))
-        b = float(_as_string(right))
+        return float(_as_string(value))
     except (TypeError, ValueError):
-        return 0.0
-    return max(0.0, 1.0 - abs(a - b) / scale)
+        return math.nan
 
 
 @dataclass(frozen=True)
 class SimilarityFunction:
     """A named similarity function plus the input view it expects.
 
-    ``column``, when set, scores a whole column of aligned pairs at once
-    (see :func:`pairwise_scores`).
+    ``column`` scores a whole column of aligned pairs at once (see
+    :func:`pairwise_scores`); ``fn`` is its one-pair call.  A token-based
+    similarity also scores a column from its :class:`TokenCounts`
+    (``from_counts``), so that one coding of a column serves all three.
     """
 
     name: str
     fn: Callable[[TokenInput, TokenInput], float]
-    token_based: bool
-    column: ColumnKernel | None = None
+    column: ColumnKernel
+    from_counts: Callable[[TokenCounts], np.ndarray] | None = None
+
+    @property
+    def token_based(self) -> bool:
+        """Whether the similarity compares token multisets, not strings."""
+        return self.from_counts is not None
 
     def __call__(self, left: TokenInput, right: TokenInput) -> float:
         return self.fn(left, right)
 
 
 SIMILARITIES: dict[str, SimilarityFunction] = {
-    "edit": SimilarityFunction(
-        "edit", edit_similarity, token_based=False, column=edit_scores
-    ),
+    "edit": SimilarityFunction("edit", edit_similarity, edit_scores),
     "smith_waterman": SimilarityFunction(
-        "smith_waterman",
-        smith_waterman_similarity,
-        token_based=False,
-        column=smith_waterman_scores,
+        "smith_waterman", smith_waterman_similarity, smith_waterman_scores
     ),
-    "jaro": SimilarityFunction("jaro", jaro_similarity, token_based=False),
-    "jaccard": SimilarityFunction("jaccard", jaccard_similarity, token_based=True),
-    "cosine": SimilarityFunction("cosine", cosine_similarity, token_based=True),
-    "overlap": SimilarityFunction("overlap", overlap_similarity, token_based=True),
-    "diff": SimilarityFunction("diff", numeric_diff_similarity, token_based=False),
+    "jaro": SimilarityFunction("jaro", jaro_similarity, jaro_scores),
+    "jaccard": SimilarityFunction(
+        "jaccard", jaccard_similarity, jaccard_scores, TokenCounts.jaccard
+    ),
+    "cosine": SimilarityFunction("cosine", cosine_similarity, cosine_scores, TokenCounts.cosine),
+    "overlap": SimilarityFunction(
+        "overlap", overlap_similarity, overlap_scores, TokenCounts.overlap
+    ),
+    "diff": SimilarityFunction("diff", numeric_diff_similarity, numeric_diff_scores),
 }
 
 
@@ -407,17 +562,7 @@ def pairwise_scores(
     left_values: Sequence[TokenInput],
     right_values: Sequence[TokenInput],
 ) -> np.ndarray:
-    """Similarity score for each aligned pair of values, as a float array.
-
-    Uses the similarity's column kernel when it has one, else scores the
-    pairs one by one.
-    """
+    """Similarity score for each aligned pair of values, as a float array."""
     if len(left_values) != len(right_values):
         raise ApexError("pairwise_scores requires equally long value sequences")
-    if similarity.column is not None:
-        return similarity.column(left_values, right_values)
-    return np.fromiter(
-        map(similarity.fn, left_values, right_values),
-        dtype=float,
-        count=len(left_values),
-    )
+    return similarity.column(left_values, right_values)

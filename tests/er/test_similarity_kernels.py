@@ -1,20 +1,37 @@
-"""Parity of the batched edit-distance and Smith-Waterman kernels.
+"""Parity of the batched similarity kernels.
 
 The column kernels in :mod:`repro.er.similarity` must reproduce the
-row-at-a-time programs of :mod:`repro.er.reference` byte for byte: every
-score column is compared with ``tobytes()``, never with a tolerance.
+one-pair-at-a-time programs of :mod:`repro.er.reference` byte for byte:
+every score column is compared with ``tobytes()``, never with a tolerance.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.data.citations import generate_citation_pairs, pairs_to_table
 from repro.er import reference, similarity
+from repro.er.predicates import SimilarityCache, SimilarityPredicateSpec
 from repro.er.similarity import (
-    edit_scores,
+    SIMILARITIES,
+    TokenCounts,
     edit_similarity,
+    jaro_scores,
+    numeric_diff_scores,
     smith_waterman_scores,
     smith_waterman_similarity,
 )
+from repro.er.transforms import get_transform
+
+#: Every registry similarity's oracle.
+ORACLES = {
+    "edit": reference.edit_similarity,
+    "smith_waterman": reference.smith_waterman_similarity,
+    "jaro": reference.jaro_similarity,
+    "jaccard": reference.jaccard_similarity,
+    "cosine": reference.cosine_similarity,
+    "overlap": reference.overlap_similarity,
+    "diff": reference.numeric_diff_similarity,
+}
 
 #: Smith-Waterman ``(match_score, mismatch_penalty, gap_penalty)`` settings,
 #: the default first.  The positive penalties make padded cells score higher
@@ -29,16 +46,24 @@ def _sw_kwargs(params):
     return {"match_score": match, "mismatch_penalty": mismatch, "gap_penalty": gap}
 
 
+def _oracle_column(oracle, left, right, **kwargs):
+    return np.array([oracle(a, b, **kwargs) for a, b in zip(left, right)], dtype=float)
+
+
 def assert_parity(left, right):
-    """Both kernels equal the reference on every pair, byte for byte."""
-    expected = np.array([reference.edit_similarity(a, b) for a, b in zip(left, right)])
-    assert edit_scores(left, right).tobytes() == expected.tobytes()
+    """Every kernel equals its oracle on every pair, byte for byte."""
+    for name, oracle in ORACLES.items():
+        scores = SIMILARITIES[name].column(left, right)
+        assert scores.tobytes() == _oracle_column(oracle, left, right).tobytes(), name
     for params in SW_PARAMS:
         kwargs = _sw_kwargs(params)
-        expected = np.array(
-            [reference.smith_waterman_similarity(a, b, **kwargs) for a, b in zip(left, right)]
-        )
+        expected = _oracle_column(reference.smith_waterman_similarity, left, right, **kwargs)
         assert smith_waterman_scores(left, right, **kwargs).tobytes() == expected.tobytes(), params
+
+
+def _cross(texts):
+    """Every ordered pair of ``texts``, as two aligned columns."""
+    return [a for a in texts for _ in texts], [b for _ in texts for b in texts]
 
 
 class TestEdgeCases:
@@ -49,6 +74,7 @@ class TestEdgeCases:
         assert edit_similarity("", "") == 0.0
         assert edit_similarity("same", "same") == 1.0
         assert smith_waterman_similarity("same", "same") == 1.0
+        assert jaro_scores(["", "same", "same"], ["", "same", ""]).tolist() == [0.0, 1.0, 0.0]
 
     def test_one_character_strings(self):
         left = ["a", "a", "a", "b", "a", "abcdef"]
@@ -60,16 +86,14 @@ class TestEdgeCases:
         # surrogates: each is one code point, and none can make the
         # code-point encoding raise.
         texts = [
-            "café", "café", "日本語のテキスト", "日本", "\U0001f600 smile",
+            "café", "café", "日本語のテキスト", "日本", "\U0001f600 smile",
             "smile \U0001f600", "\x00a\x00", "a\x00", "\ud800", "x\udfffy", "𐀀",
             "ΑΒΓ", "αβγ",
         ]
-        left = [a for a in texts for _ in texts]
-        right = [b for _ in texts for b in texts]
-        assert_parity(left, right)
+        assert_parity(*_cross(texts))
 
     def test_token_tuples_are_joined(self):
-        assert edit_scores([("ab", "cd")], ["ab cd"]).tolist() == [1.0]
+        assert SIMILARITIES["edit"].column([("ab", "cd")], ["ab cd"]).tolist() == [1.0]
         assert_parity([("ab", "cd"), ()], ["ab cx", ("q",)])
 
     def test_chunks_with_widely_differing_lengths(self, monkeypatch):
@@ -104,9 +128,13 @@ class TestEdgeCases:
         assert_parity(left, right)
 
     def test_scalar_calls_are_one_pair_columns(self):
-        pairs = [("kitten", "sitting"), ("approximate queries", "approximate joins")]
+        pairs = [
+            ("kitten", "sitting"), ("approximate queries", "approximate joins"),
+            ("1999", "2001"), ("a b a", "a c"),
+        ]
         for a, b in pairs:
-            assert edit_similarity(a, b) == reference.edit_similarity(a, b)
+            for name, oracle in ORACLES.items():
+                assert SIMILARITIES[name](a, b) == oracle(a, b), name
             for params in SW_PARAMS:
                 kwargs = _sw_kwargs(params)
                 assert smith_waterman_similarity(a, b, **kwargs) == (
@@ -114,19 +142,121 @@ class TestEdgeCases:
                 )
 
     def test_registry_routes_through_the_kernels(self):
-        left, right = ["kitten", "", "database"], ["sitting", "x", "data"]
-        oracles = {
-            "edit": reference.edit_similarity,
-            "smith_waterman": reference.smith_waterman_similarity,
-        }
-        for name, oracle in oracles.items():
+        left, right = ["kitten", "", "database", "2001"], ["sitting", "x", "data", "1999"]
+        for name, oracle in ORACLES.items():
             scores = similarity.pairwise_scores(similarity.get_similarity(name), left, right)
-            expected = np.array([oracle(a, b) for a, b in zip(left, right)])
-            assert scores.tobytes() == expected.tobytes()
+            assert scores.tobytes() == _oracle_column(oracle, left, right).tobytes(), name
 
     def test_empty_column(self):
-        assert edit_scores([], []).shape == (0,)
-        assert smith_waterman_scores([], []).shape == (0,)
+        for name, function in SIMILARITIES.items():
+            assert function.column([], []).shape == (0,), name
+
+
+class TestJaro:
+    def test_short_strings_have_a_zero_window(self):
+        # Up to three characters the match window is 0: only aligned
+        # characters match, so "ab" and "ba" share nothing.
+        texts = ["a", "b", "ab", "ba", "aa", "abc", "cab", "bca", "acb", "aab", "aba"]
+        assert_parity(*_cross(texts))
+        assert jaro_scores(["ab"], ["ba"]).tolist() == [0.0]
+
+    def test_transposition_heavy_pairs_both_ways(self):
+        pairs = [
+            ("martha", "marhta"), ("dwayne", "duane"), ("dixon", "dicksonx"),
+            ("abcdefgh", "badcfehg"), ("abcdefgh", "hgfedcba"), ("aabbccdd", "abababcd"),
+            ("jellyfish", "smellyfish"), ("crate", "trace"), ("abcabcabc", "cbacbacba"),
+            ("aaaab", "baaaa"), ("ab" * 20, "ba" * 20), ("abcd" * 9, "dcba" * 9),
+            ("zyxwvutsrq", "qrstuvwxyz"), ("transposition", "tarnspositoin"),
+        ]
+        left = [a for a, _ in pairs] + [b for _, b in pairs]
+        right = [b for _, b in pairs] + [a for a, _ in pairs]
+        assert_parity(left, right)
+
+    def test_matches_at_the_window_edge(self):
+        # A character exactly at the window's edge, and one step beyond it,
+        # on either side.
+        left, right = [], []
+        for length in range(4, 24):
+            window = length // 2 - 1
+            for shift in (window, window + 1):
+                text = "".join(chr(ord("a") + k % 26) for k in range(length))
+                lone = "-" * shift + "x" + "-" * (length - 1 - shift)
+                left += [text, "x" + "-" * (length - 1)]
+                right += [text[shift:] + "#" * shift, lone]
+        assert_parity(left, right)
+        assert_parity(right, left)
+
+    def test_token_tuples_are_joined(self):
+        left = [("ab", "cd"), ("martha",), (), ("a", "b", "c")]
+        right = ["ab cd", ("marhta",), ("x",), "c b a"]
+        expected = _oracle_column(reference.jaro_similarity, left, right)
+        assert jaro_scores(left, right).tobytes() == expected.tobytes()
+        assert jaro_scores([("ab", "cd")], ["ab cd"]).tolist() == [1.0]
+
+
+class TestTokenSimilarities:
+    def test_repeated_tokens_are_multisets(self):
+        left = [("a", "a", "b"), ("a",) * 5, ("x", "y", "x", "y"), ("a", "b"), ("a", "a")]
+        right = [("a",), ("a", "a"), ("y", "x"), ("b", "b", "b", "a"), ("b", "b")]
+        assert_parity(left, right)
+        # Cosine counts repeats; Jaccard and overlap compare sets.
+        assert SIMILARITIES["jaccard"](("a", "a", "b"), ("a", "b")) == 1.0
+        assert SIMILARITIES["cosine"](("a", "a", "b"), ("a", "b")) < 1.0
+
+    def test_strings_are_split(self):
+        left = ["a b a", "  spaced   out ", "", "x", "one two three"]
+        right = [("a", "b"), "out spaced", "x", "", "three two one one"]
+        assert_parity(left, right)
+        assert SIMILARITIES["jaccard"].column(["a b"], [("a", "b")]).tolist() == [1.0]
+
+    def test_empty_tokens_and_empty_sides(self):
+        left = [(), ("",), ("", ""), ("a",), (), ("", "a")]
+        right = [(), ("",), ("",), (), ("a",), ("a", "")]
+        assert_parity(left, right)
+
+    def test_non_ascii_tokens_and_lone_surrogates(self):
+        texts = [
+            "café au lait", "café", "日本 語", "\ud800 x", "x \udfff", "\U0001f600 \U0001f600",
+        ]
+        left, right = _cross(texts)
+        assert_parity(left, right)
+        assert_parity([tuple(a) for a in left], [tuple(b) for b in right])
+
+    def test_the_cache_scores_every_token_similarity_from_one_coding(self, monkeypatch):
+        codings = []
+        of = TokenCounts.of.__func__
+        monkeypatch.setattr(
+            TokenCounts, "of", classmethod(lambda cls, *views: codings.append(1) or of(cls, *views))
+        )
+        table = pairs_to_table(generate_citation_pairs(150, seed=5))
+        cache = SimilarityCache(table)
+        left, right = table.column("title_l").tolist(), table.column("title_r").tolist()
+        for transform in ("2grams", "3grams", "space"):
+            tokens = get_transform(transform)
+            for name in ("jaccard", "cosine", "overlap"):
+                spec = SimilarityPredicateSpec("title", "title_l", "title_r", transform, name, 0.5)
+                expected = [
+                    0.0 if a is None or b is None else ORACLES[name](tokens(a), tokens(b))
+                    for a, b in zip(left, right)
+                ]
+                assert cache.scores(spec).tobytes() == np.array(expected).tobytes(), name
+        assert len(codings) == 3
+
+
+class TestNumericDiff:
+    def test_non_numbers_and_non_finite_values_score_zero(self):
+        left = ["1999", "nan", "abc", "inf", "inf", "-inf", "1e400", "", ("19", "99"), "2000"]
+        right = ["2001", "1999", "1999", "inf", "1999", "1999", "1", "1999", "1999", " 2002 "]
+        assert_parity(left, right)
+        assert numeric_diff_scores(["nan", "inf"], ["1", "inf"]).tolist() == [0.0, 0.0]
+
+    def test_numbers_and_scales(self):
+        left = [1999, 2000.5, "1_999", "2e3"]
+        right = [2000, 1990, "1999", "1998"]
+        for scale in (5.0, 1.0, 0.5, 3):
+            scores = numeric_diff_scores(left, right, scale=scale)
+            expected = _oracle_column(reference.numeric_diff_similarity, left, right, scale=scale)
+            assert scores.tobytes() == expected.tobytes(), scale
 
 
 # Small alphabets make matches (and so non-trivial alignments) likely.
@@ -135,6 +265,7 @@ _texts = st.one_of(
     st.text(alphabet="abcé日\U0001f600 ", max_size=20),
     st.text(max_size=8),
 )
+_tokens = st.lists(st.text(alphabet="abc", max_size=3), max_size=8).map(tuple)
 
 
 @settings(max_examples=60, deadline=None)
@@ -147,10 +278,19 @@ _texts = st.one_of(
 def test_kernels_match_reference(pairs, params):
     left = [a for a, _ in pairs]
     right = [b for _, b in pairs]
-    expected = np.array([reference.edit_similarity(a, b) for a, b in pairs])
-    assert edit_scores(left, right).tobytes() == expected.tobytes()
+    for name, oracle in ORACLES.items():
+        scores = SIMILARITIES[name].column(left, right)
+        assert scores.tobytes() == _oracle_column(oracle, left, right).tobytes(), name
     kwargs = _sw_kwargs(params)
-    expected = np.array(
-        [reference.smith_waterman_similarity(a, b, **kwargs) for a, b in pairs]
-    )
+    expected = _oracle_column(reference.smith_waterman_similarity, left, right, **kwargs)
     assert smith_waterman_scores(left, right, **kwargs).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.lists(st.tuples(_tokens, _tokens), max_size=40))
+def test_token_kernels_match_reference(pairs):
+    left = [a for a, _ in pairs]
+    right = [b for _, b in pairs]
+    for name in ("jaccard", "cosine", "overlap", "jaro"):
+        scores = SIMILARITIES[name].column(left, right)
+        assert scores.tobytes() == _oracle_column(ORACLES[name], left, right).tobytes(), name
