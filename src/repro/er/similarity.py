@@ -47,11 +47,8 @@ __all__ = [
     "smith_waterman_scores",
     "TokenCounts",
     "jaccard_similarity",
-    "jaccard_scores",
     "cosine_similarity",
-    "cosine_scores",
     "overlap_similarity",
-    "overlap_scores",
     "numeric_diff_similarity",
     "numeric_diff_scores",
 ]
@@ -443,32 +440,17 @@ class TokenCounts:
 
 def jaccard_similarity(left: TokenInput, right: TokenInput) -> float:
     """Jaccard similarity of the token sets."""
-    return float(jaccard_scores([left], [right])[0])
-
-
-def jaccard_scores(left: Sequence[TokenInput], right: Sequence[TokenInput]) -> np.ndarray:
-    """:func:`jaccard_similarity` of every aligned pair."""
-    return TokenCounts.of(left, right).jaccard()
+    return float(TokenCounts.of([left], [right]).jaccard()[0])
 
 
 def cosine_similarity(left: TokenInput, right: TokenInput) -> float:
     """Cosine similarity of the token frequency vectors."""
-    return float(cosine_scores([left], [right])[0])
-
-
-def cosine_scores(left: Sequence[TokenInput], right: Sequence[TokenInput]) -> np.ndarray:
-    """:func:`cosine_similarity` of every aligned pair."""
-    return TokenCounts.of(left, right).cosine()
+    return float(TokenCounts.of([left], [right]).cosine()[0])
 
 
 def overlap_similarity(left: TokenInput, right: TokenInput) -> float:
     """Overlap coefficient: ``|A & B| / min(|A|, |B|)``."""
-    return float(overlap_scores([left], [right])[0])
-
-
-def overlap_scores(left: Sequence[TokenInput], right: Sequence[TokenInput]) -> np.ndarray:
-    """:func:`overlap_similarity` of every aligned pair."""
-    return TokenCounts.of(left, right).overlap()
+    return float(TokenCounts.of([left], [right]).overlap()[0])
 
 
 # -- numbers ------------------------------------------------------------------
@@ -510,15 +492,14 @@ def _as_number(value: TokenInput) -> float:
 class SimilarityFunction:
     """A named similarity function plus the input view it expects.
 
-    ``column`` scores a whole column of aligned pairs at once (see
-    :func:`pairwise_scores`); ``fn`` is its one-pair call.  A token-based
-    similarity also scores a column from its :class:`TokenCounts`
-    (``from_counts``), so that one coding of a column serves all three.
+    A string or numeric similarity scores a column of aligned pairs with its
+    ``kernel``.  A token-based one scores it from the column's
+    :class:`TokenCounts` (``from_counts``), so that one coding of a column
+    can serve all three.  Calling the function scores one pair.
     """
 
     name: str
-    fn: Callable[[TokenInput, TokenInput], float]
-    column: ColumnKernel
+    kernel: ColumnKernel | None = None
     from_counts: Callable[[TokenCounts], np.ndarray] | None = None
 
     @property
@@ -526,24 +507,26 @@ class SimilarityFunction:
         """Whether the similarity compares token multisets, not strings."""
         return self.from_counts is not None
 
+    def column(self, left: Sequence[TokenInput], right: Sequence[TokenInput]) -> np.ndarray:
+        """Score every aligned pair of a column (see :func:`pairwise_scores`)."""
+        if self.from_counts is not None:
+            return self.from_counts(TokenCounts.of(left, right))
+        if self.kernel is None:
+            raise ApexError(f"similarity {self.name!r} has no column kernel")
+        return self.kernel(left, right)
+
     def __call__(self, left: TokenInput, right: TokenInput) -> float:
-        return self.fn(left, right)
+        return float(self.column([left], [right])[0])
 
 
 SIMILARITIES: dict[str, SimilarityFunction] = {
-    "edit": SimilarityFunction("edit", edit_similarity, edit_scores),
-    "smith_waterman": SimilarityFunction(
-        "smith_waterman", smith_waterman_similarity, smith_waterman_scores
-    ),
-    "jaro": SimilarityFunction("jaro", jaro_similarity, jaro_scores),
-    "jaccard": SimilarityFunction(
-        "jaccard", jaccard_similarity, jaccard_scores, TokenCounts.jaccard
-    ),
-    "cosine": SimilarityFunction("cosine", cosine_similarity, cosine_scores, TokenCounts.cosine),
-    "overlap": SimilarityFunction(
-        "overlap", overlap_similarity, overlap_scores, TokenCounts.overlap
-    ),
-    "diff": SimilarityFunction("diff", numeric_diff_similarity, numeric_diff_scores),
+    "edit": SimilarityFunction("edit", edit_scores),
+    "smith_waterman": SimilarityFunction("smith_waterman", smith_waterman_scores),
+    "jaro": SimilarityFunction("jaro", jaro_scores),
+    "jaccard": SimilarityFunction("jaccard", from_counts=TokenCounts.jaccard),
+    "cosine": SimilarityFunction("cosine", from_counts=TokenCounts.cosine),
+    "overlap": SimilarityFunction("overlap", from_counts=TokenCounts.overlap),
+    "diff": SimilarityFunction("diff", numeric_diff_scores),
 }
 
 

@@ -86,7 +86,7 @@ class TestEdgeCases:
         # surrogates: each is one code point, and none can make the
         # code-point encoding raise.
         texts = [
-            "café", "café", "日本語のテキスト", "日本", "\U0001f600 smile",
+            "cafe\u0301", "caf\u00e9", "日本語のテキスト", "日本", "\U0001f600 smile",
             "smile \U0001f600", "\x00a\x00", "a\x00", "\ud800", "x\udfffy", "𐀀",
             "ΑΒΓ", "αβγ",
         ]
@@ -216,7 +216,8 @@ class TestTokenSimilarities:
 
     def test_non_ascii_tokens_and_lone_surrogates(self):
         texts = [
-            "café au lait", "café", "日本 語", "\ud800 x", "x \udfff", "\U0001f600 \U0001f600",
+            "caf\u00e9 au lait", "cafe\u0301 au lait", "caf\u00e9", "cafe\u0301", "日本 語",
+            "\ud800 x", "x \udfff", "\U0001f600 \U0001f600",
         ]
         left, right = _cross(texts)
         assert_parity(left, right)
