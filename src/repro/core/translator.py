@@ -144,9 +144,10 @@ class AccuracyTranslator:
         """Whether :meth:`translations` would be answered from the memo.
 
         A pure peek: neither recency nor the hit/miss counters change.  The
-        service's batching front door uses this to skip the coalescing window
-        for requests that are already warm (they cost microseconds; only cold
-        builds are worth batching).  With a
+        exploration service calls it before submitting a preview to its
+        request batcher, and the batcher again under its lock before
+        starting a flight: warm requests cost microseconds and are answered
+        straight from the memo, so only cold builds are batched.  With a
         :class:`~repro.data.table.DomainStamp` the peek covers the
         revalidation tier too: a post-append request whose domains are
         unchanged is warm, it just has not been re-tagged yet.

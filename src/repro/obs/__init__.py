@@ -11,8 +11,8 @@ This package is the one place they meet:
   that existing ``stats()`` facades re-register into as *collectors*
   (pulled at snapshot time, zero hot-path cost, old dict shapes untouched);
 * :mod:`repro.obs.tracing` -- per-request :class:`Span` trees with
-  head-based sampling, thread-local context, and propagation helpers for
-  the asyncio front's worker threads and batcher follower->leader joins.
+  head-based sampling, thread-local context, and batcher follower->leader
+  joins.
   The disabled path is one module-global branch;
 * :mod:`repro.obs.export` -- Prometheus text exposition, JSON snapshots,
   and Chrome trace-event (``chrome://tracing`` / Perfetto) dumps;
@@ -45,7 +45,6 @@ from repro.obs.tracing import (
     Span,
     Tracer,
     annotate,
-    bind_current,
     current_span,
     get_tracer,
     install_tracer,
@@ -62,7 +61,6 @@ __all__ = [
     "Span",
     "Tracer",
     "annotate",
-    "bind_current",
     "chrome_trace_events",
     "current_span",
     "default_metrics",

@@ -69,9 +69,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     tables = {"adult": generate_adult(n_rows=args.rows, seed=args.seed)}
-    service = ExplorationService(
-        tables, budget=args.budget, seed=args.seed, batch_window=0.002
-    )
+    service = ExplorationService(tables, budget=args.budget, seed=args.seed)
     registry = MetricsRegistry()
     service.register_metrics(registry)
 

@@ -61,10 +61,9 @@ def chrome_trace_events(
     """Convert finished traces (lists of span dicts) to trace-event objects.
 
     Each span becomes one complete event; ``pid`` is the trace id (so the
-    viewer groups each request into its own lane) and ``tid`` the OS thread,
-    which makes cross-thread propagation (async-front workers) visible as
-    rows within the request.  Coalesce edges are emitted as
-    flow-event pairs keyed by the leader's span id.
+    viewer groups each request into its own lane) and ``tid`` the OS thread.
+    Coalesce edges are emitted as flow-event pairs keyed by the leader's
+    span id.
     """
     spans: list[dict[str, Any]] = []
     for trace in traces:

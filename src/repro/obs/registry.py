@@ -11,7 +11,7 @@ Two registration shapes cover the whole codebase:
   the lock -- so a snapshot can never observe a torn ``(count, sum)`` pair
   (e.g. a mean above the observed max);
 * **collectors** for the existing ``stats()`` facades (LRU, ledger, pool,
-  batcher, store, reliability, async front).  A collector is a zero-arg
+  batcher, store, reliability).  A collector is a zero-arg
   callable returning ``{metric_name: float}`` that the registry pulls at
   snapshot time.  The facades keep their dict shapes bit-compatible; the
   registry only *re-exports* them under the documented naming scheme --

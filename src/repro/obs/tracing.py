@@ -11,8 +11,8 @@ funnel through the three module-level entry points here:
 * :func:`root_span` -- opens a trace at a service entry point, applying
   **head-based sampling** (the keep/drop decision is made once, up front;
   an unsampled request pays nothing downstream).  Inside an already-open
-  trace it degrades to a child span, so nested entry points (async front
-  over service, service over engine) produce one tree, not three;
+  trace it degrades to a child span, so nested entry points (service over
+  engine) produce one tree, not two;
 * :func:`span` -- a child of the current thread-local span; a shared no-op
   when no tracer is installed or the request was not sampled;
 * :func:`annotate` -- attach a key/value to the current span (how the
@@ -23,12 +23,11 @@ entry point is one module-global load + ``is None`` branch returning a
 shared singleton; untraced ``benchmarks/e2e`` runs take this path, so its
 cost is part of every ``requests_per_cpu_s`` they report.
 
-**Cross-thread context.**  The current span lives in a ``threading.local``.
-:func:`bind_current` captures it into a wrapper callable; the asyncio front
-uses it so worker-thread spans join the submitting request's tree.  The
-batcher records the leader's span identity on each flight, and follower spans
-carry ``batch.leader_span`` / ``batch.leader_trace`` attributes -- the
-coalesce edges rendered as flow arrows in the Chrome trace export.
+**Coalesce edges.**  The current span lives in a ``threading.local``, so a
+request's spans are those of the thread that serves it.  The batcher records
+the leader's span identity on each flight, and follower spans carry
+``batch.leader_span`` / ``batch.leader_trace`` attributes -- the coalesce
+edges rendered as flow arrows in the Chrome trace export.
 
 Spans are buffered per trace (append-only lists owned by the running
 request -- no cross-request locking on the hot path) and published to the
@@ -42,13 +41,12 @@ import random
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 __all__ = [
     "Span",
     "Tracer",
     "annotate",
-    "bind_current",
     "current_span",
     "get_tracer",
     "install_tracer",
@@ -278,7 +276,7 @@ def root_span(name: str, **attributes: Any) -> Any:
     """Open a trace at a service entry point (head sampling happens here).
 
     Inside an already-open trace this degrades to a child span, so stacked
-    entry points (async front -> service -> engine) build one tree.
+    entry points (service -> engine) build one tree.
     """
     tracer = _tracer
     if tracer is None:
@@ -324,32 +322,6 @@ def annotate(key: str, value: Any) -> None:
     span_obj = _context.span
     if span_obj is not None:
         span_obj.attributes[key] = value
-
-
-def bind_current(fn: Callable[..., Any]) -> Callable[..., Any]:
-    """Capture the calling thread's span into ``fn`` for another thread.
-
-    Returns ``fn`` unchanged when tracing is off or no span is open, so
-    executors can wrap unconditionally at zero disabled-path cost.  The
-    wrapper installs the captured span as the worker thread's current span
-    for the duration of the call -- child spans opened there join the
-    submitting request's trace.
-    """
-    if _tracer is None:
-        return fn
-    captured = _context.span
-    if captured is None:
-        return fn
-
-    def bound(*args: Any, **kwargs: Any) -> Any:
-        previous = _context.span
-        _context.span = captured
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            _context.span = previous
-
-    return bound
 
 
 def span_tree(trace: list[dict[str, Any]]) -> Iterator[tuple[int, dict[str, Any]]]:

@@ -144,7 +144,6 @@ def run_script(
         budget=budget,
         registry=default_registry(mc_samples=mc_samples),
         seed=seed,
-        batch_window=0.0,
         store=None if store_dir is None else ArtifactStore(store_dir),
         journal=journal,
         request_deadline=request_deadline,

@@ -7,7 +7,8 @@ under a :class:`BudgetPolicy` (equal fixed shares, or first-come over the
 whole pool), serializes admission control and charging through a
 :class:`SharedBudgetPool` so concurrent ``explore`` calls can never jointly
 overspend ``B``, and coalesces structurally identical requests through a
-:class:`RequestBatcher` so one workload-matrix build serves a whole batch.
+:class:`RequestBatcher` so one workload-matrix build serves every
+concurrent duplicate.
 
 The merged, cross-analyst transcript is maintained in commit order and can be
 checked with the paper's Theorem 6.2 machinery at any time
@@ -17,7 +18,6 @@ checked with the paper's Theorem 6.2 machinery at any time
 the synthetic Adult / NYTaxi tables; see :mod:`repro.service.replay`.
 """
 
-from repro.service.async_front import AsyncExplorationFront
 from repro.service.batching import RequestBatcher
 from repro.service.budget import BudgetPolicy, SessionLedger, SharedBudgetPool
 from repro.service.exploration import AnalystSessionHandle, ExplorationService
@@ -34,7 +34,6 @@ from repro.service.replay import (
 __all__ = [
     "AnalystScript",
     "AnalystSessionHandle",
-    "AsyncExplorationFront",
     "BudgetPolicy",
     "ExplorationService",
     "ReplayReport",

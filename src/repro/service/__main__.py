@@ -63,12 +63,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--script", default=None, help="JSON replay script (see repro.service.replay)"
     )
-    parser.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.002,
-        help="request-coalescing window in seconds (0 disables the wait)",
-    )
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     parser.add_argument(
         "--output", default=None, help="write the full JSON report to this path"
@@ -105,7 +99,6 @@ def main(argv: list[str] | None = None) -> int:
         # which for --script may differ from --analysts.
         max_analysts=len(scripts) if args.policy == "fixed-share" else None,
         seed=args.seed,
-        batch_window=args.batch_window,
     )
 
     tracer = None
@@ -145,14 +138,6 @@ def main(argv: list[str] | None = None) -> int:
         f"{report.batching['coalesced']} coalesced"
     )
     for kind, agg in report.latency.items():
-        if kind == "batcher":
-            print(
-                f"  batcher linger: {agg['linger_seconds'] * 1000:.2f}ms "
-                f"(base window {agg['window_seconds'] * 1000:.2f}ms, "
-                f"duplicate-gap EWMA over {agg['interarrival_samples']:.0f} "
-                f"samples: {agg['interarrival_ewma_seconds'] * 1000:.2f}ms)"
-            )
-            continue
         print(
             f"  latency[{kind}]: n={agg['count']:.0f}, "
             f"mean={agg['mean_seconds'] * 1000:.2f}ms, "

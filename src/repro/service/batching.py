@@ -8,59 +8,46 @@ search of the strategy mechanisms) is a pure function of the request
 structure, so concurrent duplicates should share one computation instead of
 racing to rebuild it.
 
-:class:`RequestBatcher` implements the classic *single-flight* discipline
-with an optional collection window:
+:class:`RequestBatcher` implements the classic *single-flight* discipline:
 
 * the first thread to present a key becomes the **leader**: it computes the
   result immediately and publishes it through the flight's event;
 * every thread presenting the same key while the computation is in flight
   becomes a **follower**: it blocks on the leader's event and returns the
   shared result without touching the compute path at all;
-* with a positive ``window``, a completed flight *lingers*: a duplicate
-  arriving just after a fast computation finished still attaches to the
-  published result instead of recomputing.  The linger duration **adapts**
-  to the observed duplicate traffic: the batcher keeps an EWMA of the
-  inter-arrival time between requests that presented an already-known key,
-  and lingers completed flights for twice that EWMA, clamped to
-  ``[window/4, 4*window]``.  Bursty duplicate traffic (tight relaxation
-  loops, dashboard fan-outs) therefore retires flights quickly, while
-  slow-trickling duplicates keep coalescing up to four windows -- without
-  the operator re-tuning the constant per deployment.  ``stats()`` and
-  ``ExplorationService.latency_stats()`` expose the EWMA and the current
-  linger.
+* the flight retires the moment its leader finishes.
 
-The leader never sleeps before computing (earlier revisions parked the
-leader for the full window up front, taxing every request -- including a
-lone warm caller -- with the window's latency); collection now happens
-passively, during the computation and the post-completion linger, so a
-single caller's latency is exactly its compute time.  Followers wake through
-the flight's event the moment the result is published.
+Followers wake through the flight's event the moment the result is
+published, and a lone caller's latency is exactly its compute time.
+
+The batcher never caches results -- lasting reuse is the job of the LRU memo
+layers underneath (:mod:`repro.queries.workload`,
+:class:`~repro.core.translator.AccuracyTranslator`).  It only collapses
+*concurrent* duplicates, which is exactly the case the memos cannot help
+with: a cold matrix build takes long enough that every duplicate arriving
+meanwhile would also miss the cache and duplicate the work.  A caller that
+peeks the memo before submitting can still lose a race: it sees the memo
+cold, the leader then publishes and retires, and only then does the caller
+submit.  ``submit``'s ``warm`` peek closes that window: when no flight
+exists for the key it asks the memo *under the batcher's lock*.  A leader
+publishes to the memo before its flight retires under that same lock, so
+the straggler finds the memo warm and computes straight from it.
 
 Failures propagate: if the leader's computation raises, every follower of
 that flight re-raises a per-follower *copy* of the exception (chained to the
 leader's original via ``__cause__``) -- re-raising the shared object from
 several threads would make the racing ``raise`` statements fight over one
-``__traceback__``.  Failed flights are retired immediately (no linger), so a
-later request retries.
+``__traceback__``.  A later request retries.
 
-The batcher never caches results beyond the linger window -- lasting reuse
-is the job of the LRU memo layers underneath
-(:mod:`repro.queries.workload`,
-:class:`~repro.core.translator.AccuracyTranslator`).  It only collapses
-*near-simultaneous* duplicates, which is exactly the case the memos cannot
-help with: a cold matrix build takes long enough that every duplicate
-arriving meanwhile would also miss the cache and duplicate the work.  Keys
-must therefore capture the full structural identity of the request --
-including the table's version token (see
-``ExplorationService._batch_key``), so requests straddling an
-``append_rows`` never share a flight.
+Keys must capture the full structural identity of the request -- including
+the table's version token (see ``ExplorationService._batch_key``), so
+requests straddling an ``append_rows`` never share a flight.
 """
 
 from __future__ import annotations
 
 import copy
 import threading
-import time
 from typing import Callable, Hashable, NoReturn, TypeVar
 
 from repro.obs import tracing
@@ -69,106 +56,67 @@ __all__ = ["RequestBatcher"]
 
 T = TypeVar("T")
 
-#: Flight-map size above which completed-but-lingering flights are swept
-#: eagerly (they are otherwise replaced lazily, key by key).
-_PURGE_THRESHOLD = 128
-
 
 class _Flight:
     """One in-flight computation: the leader's event plus the shared outcome."""
 
-    __slots__ = (
-        "done",
-        "result",
-        "error",
-        "followers",
-        "expires_at",
-        "last_arrival",
-        "leader_span",
-    )
+    __slots__ = ("done", "result", "error", "leader_span")
 
-    def __init__(self, now: float) -> None:
+    def __init__(self) -> None:
         self.done = threading.Event()
         self.result: object = None
         self.error: BaseException | None = None
-        self.followers = 0
         #: ``(trace_id, span_id)`` of the leader's ``batch.leader`` span when
         #: the leader's request is being traced; followers annotate their own
         #: spans with it, forming the coalesce edges of the trace export.
         self.leader_span: tuple[int, int] | None = None
-        #: Monotonic deadline until which a *successful* flight keeps serving
-        #: late duplicates; ``None`` while the computation is in flight (and
-        #: forever for failed flights, which are retired immediately).
-        self.expires_at: float | None = None
-        #: Monotonic time the key was last presented; consecutive arrivals
-        #: feed the duplicate inter-arrival EWMA that sizes the linger.
-        self.last_arrival = now
 
 
 class RequestBatcher:
     """Coalesce concurrent identical requests into one computation.
 
-    :param window: base seconds a completed flight lingers so that
-        near-simultaneous duplicates of a *fast* computation still coalesce.
-        ``0`` disables the linger (pure single-flight: only duplicates
-        arriving while the computation is actually running share it).  The
-        leader never waits on the window -- it only bounds how long a
-        published result keeps serving stragglers.  The *effective* linger
-        adapts to the observed duplicate inter-arrival time (EWMA, factor
-        2), clamped to ``[window/4, 4*window]``; until the first duplicate
-        is observed it equals ``window``.
-
     Thread-safe.  Statistics (:meth:`stats`) count successful flights
-    (``computed``), coalesced followers (including linger hits), and
-    ``failed`` flights; a failed flight counts only as ``failed``.  They
-    also report the adaptive linger (``linger_seconds``,
-    ``interarrival_ewma_seconds``, ``interarrival_samples``).
+    (``computed``), coalesced followers, and ``failed`` flights; a failed
+    flight counts only as ``failed``, and a warm-peek hit counts nowhere.
     """
 
-    #: Weight of the newest duplicate inter-arrival sample in the EWMA.
-    EWMA_ALPHA = 0.25
-    #: The linger targets this many expected inter-arrival gaps.
-    LINGER_FACTOR = 2.0
-
-    def __init__(self, window: float = 0.0) -> None:
-        if window < 0:
-            raise ValueError("the batching window cannot be negative")
-        self.window = float(window)
+    def __init__(self) -> None:
         self._flights: dict[Hashable, _Flight] = {}
         self._lock = threading.Lock()
         self._computed = 0
         self._coalesced = 0
         self._failed = 0
-        self._interarrival_ewma: float | None = None
-        self._interarrival_samples = 0
 
-    def submit(self, key: Hashable, compute: Callable[[], T]) -> T:
+    def submit(
+        self,
+        key: Hashable,
+        compute: Callable[[], T],
+        warm: Callable[[], bool] | None = None,
+    ) -> T:
         """Return ``compute()`` for ``key``, sharing the call with duplicates.
 
         Exactly one of the threads concurrently presenting ``key`` runs
-        ``compute``; the rest receive the same result (or a per-follower copy
-        of the same raised exception).  ``key`` must capture the full
-        structural identity of the request -- two requests with equal keys
-        must be answerable by the same value.
+        ``compute`` as a flight; the rest receive the same result (or a
+        per-follower copy of the same raised exception).  ``key`` must
+        capture the full structural identity of the request -- two requests
+        with equal keys must be answerable by the same value.
+
+        ``warm`` is an optional memo peek.  When no flight exists for ``key``
+        it is called under the batcher's lock, and if it returns true the
+        caller runs ``compute`` directly -- no flight, no count.  Because a
+        leader publishes to the memo before its flight retires, a caller
+        arriving just after the retirement finds the memo warm and never
+        starts a second flight.  ``warm`` must be a cheap, non-blocking read
+        that never re-enters the batcher.
         """
-        now = time.monotonic()
         with self._lock:
             flight = self._flights.get(key)
-            if flight is not None and self._expired(flight):
-                # An expired flight still witnesses duplicate traffic for
-                # the EWMA before it is retired and replaced.
-                self._observe_interarrival_locked(now - flight.last_arrival)
-                self._flights.pop(key, None)
-                flight = None
-            if flight is not None:
-                self._observe_interarrival_locked(now - flight.last_arrival)
-                flight.last_arrival = now
-                flight.followers += 1
-                is_leader = False
-            else:
-                flight = _Flight(now)
-                self._flights[key] = flight
-                is_leader = True
+            is_leader = flight is None
+            if is_leader and not (warm is not None and warm()):
+                flight = self._flights[key] = _Flight()
+
+        if flight is None:
+            return compute()  # warm: the memo answers, no flight needed
 
         if not is_leader:
             with tracing.span("batch.follower") as follower_span:
@@ -193,67 +141,15 @@ class RequestBatcher:
         except BaseException as exc:
             flight.error = exc
             with self._lock:
-                # Failed flights retire immediately: a later request must
-                # retry, never inherit a stale failure.
                 self._flights.pop(key, None)
                 self._failed += 1
             flight.done.set()
             raise
         with self._lock:
+            self._flights.pop(key, None)
             self._computed += 1
-            if self.window > 0:
-                flight.expires_at = time.monotonic() + self._linger_locked()
-                if len(self._flights) > _PURGE_THRESHOLD:
-                    self._purge_expired_locked()
-            else:
-                self._flights.pop(key, None)
         flight.done.set()
         return flight.result  # type: ignore[return-value]
-
-    def _observe_interarrival_locked(self, delta: float) -> None:
-        """Feed one duplicate inter-arrival gap into the EWMA (lock held)."""
-        delta = max(delta, 0.0)
-        if self._interarrival_ewma is None:
-            self._interarrival_ewma = delta
-        else:
-            self._interarrival_ewma += self.EWMA_ALPHA * (
-                delta - self._interarrival_ewma
-            )
-        self._interarrival_samples += 1
-
-    def _linger_locked(self) -> float:
-        """Seconds a completed flight should linger (lock held).
-
-        ``LINGER_FACTOR`` expected duplicate gaps, clamped to
-        ``[window/4, 4*window]``; the base window until the first duplicate
-        is observed, and always ``0`` when the window is ``0``.
-        """
-        if self.window <= 0:
-            return 0.0
-        if self._interarrival_ewma is None:
-            return self.window
-        return min(
-            4.0 * self.window,
-            max(self.window / 4.0, self.LINGER_FACTOR * self._interarrival_ewma),
-        )
-
-    def effective_window(self) -> float:
-        """The linger a flight completing now would receive (seconds)."""
-        with self._lock:
-            return self._linger_locked()
-
-    @staticmethod
-    def _expired(flight: _Flight) -> bool:
-        return (
-            flight.expires_at is not None
-            and time.monotonic() >= flight.expires_at
-        )
-
-    def _purge_expired_locked(self) -> None:
-        """Drop every lingering flight past its deadline (lock held)."""
-        expired = [key for key, flight in self._flights.items() if self._expired(flight)]
-        for key in expired:
-            del self._flights[key]
 
     @staticmethod
     def _reraise_copy(error: BaseException) -> NoReturn:
@@ -273,21 +169,12 @@ class RequestBatcher:
             raise copied from error
         raise error
 
-    def stats(self) -> dict[str, float]:
+    def stats(self) -> dict[str, int]:
         """Counters: successful ``computed`` flights, ``coalesced`` followers
-        (waiters and linger hits), ``failed`` flights -- plus the adaptive
-        linger's current value, EWMA and sample count."""
+        and ``failed`` flights."""
         with self._lock:
             return {
                 "computed": self._computed,
                 "coalesced": self._coalesced,
                 "failed": self._failed,
-                "window_seconds": self.window,
-                "linger_seconds": self._linger_locked(),
-                "interarrival_ewma_seconds": (
-                    0.0
-                    if self._interarrival_ewma is None
-                    else self._interarrival_ewma
-                ),
-                "interarrival_samples": self._interarrival_samples,
             }

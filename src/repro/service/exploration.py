@@ -16,8 +16,8 @@ budget ``B``, and any number of analysts then register sessions and issue
   :class:`~repro.core.translator.AccuracyTranslator` (translation memo) and
   the process-wide workload-matrix memo, and a
   :class:`~repro.service.batching.RequestBatcher` coalesces structurally
-  identical requests arriving within a window so a cold workload-matrix
-  build happens once per batch rather than once per analyst;
+  identical concurrent requests so a cold workload-matrix build happens
+  once per flight rather than once per analyst;
 * **snapshot isolation** -- every request is admitted on a pinned
   :class:`~repro.data.table.TableSnapshot` (the snapshot's version token
   joins the batch key), so long-running explores are wait-free against
@@ -51,7 +51,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field as dataclasses_field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.core.accounting import Transcript
 from repro.core.accuracy import AccuracySpec
@@ -71,9 +71,6 @@ from repro.reliability.journal import LedgerJournal
 from repro.service.batching import RequestBatcher
 from repro.service.budget import BudgetPolicy, SessionLedger, SharedBudgetPool
 from repro.store import ArtifactStore
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.service.async_front import AsyncExplorationFront
 
 __all__ = ["AnalystSessionHandle", "ExplorationService"]
 
@@ -132,11 +129,6 @@ class ExplorationService:
     :param registry: mechanism suite; defaults per engine to the paper's.
     :param seed: base seed; session ``i`` gets ``seed + i`` so runs are
         reproducible yet sessions draw independent noise.
-    :param batch_window: collection window (seconds) of the request batcher;
-        ``0`` disables batching delays but keeps single-flight coalescing.
-        The linger of completed flights adapts to the observed duplicate
-        inter-arrival time within ``[window/4, 4*window]`` (see
-        :class:`~repro.service.batching.RequestBatcher`).
     :param store: an optional :class:`~repro.store.ArtifactStore` shared by
         every session's engine.  A restarted service pointed at the previous
         run's directory warm-starts: structurally identical previews are
@@ -169,7 +161,6 @@ class ExplorationService:
         mode: SelectionMode | str = SelectionMode.OPTIMISTIC,
         registry: MechanismRegistry | None = None,
         seed: int | None = None,
-        batch_window: float = 0.002,
         store: ArtifactStore | None = None,
         journal: LedgerJournal | None = None,
         request_deadline: float | None = None,
@@ -208,7 +199,7 @@ class ExplorationService:
         self._seed = seed
         self._store = store
         self._translator = AccuracyTranslator(registry, mode)
-        self._batcher = RequestBatcher(window=batch_window)
+        self._batcher = RequestBatcher()
         self._sessions: dict[str, AnalystSessionHandle] = {}
         self._lock = threading.RLock()
         self._session_counter = itertools.count()
@@ -343,12 +334,7 @@ class ExplorationService:
         }
 
     def latency_stats(self) -> dict[str, dict[str, float]]:
-        """Per-entry-point request latency aggregates (count/mean/max seconds).
-
-        The ``batcher`` entry reports the request batcher's adaptive linger:
-        its configured base window, the current effective linger, and the
-        duplicate inter-arrival EWMA it is derived from.
-        """
+        """Per-entry-point request latency aggregates (count/mean/max seconds)."""
         out: dict[str, dict[str, float]] = {}
         with self._lock:
             for kind, values in self._latencies.items():
@@ -360,15 +346,6 @@ class ExplorationService:
                     }
                 else:
                     out[kind] = {"count": 0.0, "mean_seconds": 0.0, "max_seconds": 0.0}
-        batcher = self._batcher.stats()
-        out["batcher"] = {
-            "window_seconds": float(batcher["window_seconds"]),
-            "linger_seconds": float(batcher["linger_seconds"]),
-            "interarrival_ewma_seconds": float(
-                batcher["interarrival_ewma_seconds"]
-            ),
-            "interarrival_samples": float(batcher["interarrival_samples"]),
-        }
         return out
 
     def as_metrics(self) -> dict[str, float]:
@@ -398,8 +375,6 @@ class ExplorationService:
                     fields[name]
                 )
         for kind, aggregate in self.latency_stats().items():
-            if kind == "batcher":
-                continue  # already exported via the batcher subsystem
             for name, value in aggregate.items():
                 out[f'repro_latency_{name}{{kind="{kind}"}}'] = float(value)
         out["repro_service_sessions_active"] = float(len(stats["sessions"]))
@@ -496,8 +471,8 @@ class ExplorationService:
         The request is admitted on a pinned snapshot whose version token
         joins the batch key (snapshots are memoised per version, so the
         token *is* the snapshot's identity): structurally identical previews
-        arriving within the batch window at the same version are answered by
-        one translation (and, cold, one workload-matrix build); see
+        racing each other at the same version are answered by one
+        translation (and, cold, one workload-matrix build); see
         :class:`~repro.service.batching.RequestBatcher`.  Costs no privacy;
         the analyst only needs to be registered.
 
@@ -517,22 +492,23 @@ class ExplorationService:
                 snapshot = self._tables[handle.table].snapshot()
                 stamp = handle.engine.domain_stamp(query, snapshot)
             key = self._batch_key(handle, snapshot, stamp, query, accuracy)
-            if key is None or self._translator.is_cached(
-                query, accuracy, snapshot.schema, version=stamp
-            ):
+
+            def compute() -> dict[str, tuple[float, float]]:
+                return handle.engine.preview_cost(query, accuracy, snapshot=snapshot)
+
+            def warm() -> bool:
+                return self._translator.is_cached(
+                    query, accuracy, snapshot.schema, version=stamp
+                )
+
+            if key is None or warm():
                 # Unbatchable, or already warm: the memo answers in
-                # microseconds, so paying the coalescing window would only
-                # add latency.
-                result = handle.engine.preview_cost(
-                    query, accuracy, snapshot=snapshot
-                )
+                # microseconds, so skip the batcher and its lock.
+                result = compute()
             else:
-                result = self._batcher.submit(
-                    key,
-                    lambda: handle.engine.preview_cost(
-                        query, accuracy, snapshot=snapshot
-                    ),
-                )
+                # Cold when peeked, but a leader may publish and retire
+                # before this submit: the batcher peeks again under its lock.
+                result = self._batcher.submit(key, compute, warm)
             self._note_latency("preview_cost", time.perf_counter() - start)
             # Each caller gets its own copy: coalesced followers share the
             # leader's flight result, and a mutable dict crossing analyst
@@ -585,38 +561,6 @@ class ExplorationService:
                 raise
             self._note_latency("explore", time.perf_counter() - start)
             return result
-
-    def serve_async(
-        self, *, max_concurrency: int | None = None
-    ) -> "AsyncExplorationFront":
-        """Build an asyncio front over this service (coroutine-per-session).
-
-        The returned :class:`~repro.service.async_front.AsyncExplorationFront`
-        holds any number of open analyst sessions as coroutines and admits
-        at most ``max_concurrency`` requests at a time into a bounded
-        thread pool -- the backpressure boundary in front of the
-        :class:`~repro.service.batching.RequestBatcher` and the budget
-        pool.  The service itself stays fully usable from plain threads at
-        the same time; both fronts land in the same admission protocol.
-
-        :param max_concurrency: admission bound (defaults to the front's
-            :data:`~repro.service.async_front.DEFAULT_MAX_CONCURRENCY`).
-        """
-        # Imported lazily: the blocking service must stay importable in
-        # environments that strip asyncio-based tooling.
-        from repro.service.async_front import (
-            DEFAULT_MAX_CONCURRENCY,
-            AsyncExplorationFront,
-        )
-
-        return AsyncExplorationFront(
-            self,
-            max_concurrency=(
-                DEFAULT_MAX_CONCURRENCY
-                if max_concurrency is None
-                else max_concurrency
-            ),
-        )
 
     def explore_text(
         self, analyst: str, query_text: str, accuracy: AccuracySpec | None = None

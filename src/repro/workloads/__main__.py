@@ -95,7 +95,6 @@ def main(argv: list[str] | None = None) -> int:
         {config.table: generator.build_table()},
         budget=config.budget,
         seed=config.seed,
-        batch_window=0.0,
     )
     payload = emit_script_payload(config)
     scripts = [

@@ -76,7 +76,7 @@ class TestBatcherStatsSnapshot:
         triple regresses against an earlier one."""
         from repro.service.batching import RequestBatcher
 
-        batcher = RequestBatcher(window=0.0)
+        batcher = RequestBatcher()
         stop = threading.Event()
         errors = []
         gate = threading.Event()
@@ -136,7 +136,6 @@ class TestLatencyStatsSnapshot:
             budget=1.0,
             registry=default_registry(mc_samples=50),
             seed=0,
-            batch_window=0.0,
         )
         stop = threading.Event()
         errors = []

@@ -268,7 +268,6 @@ class TestServiceSnapshotAdmission:
             budget=1e9,
             registry=default_registry(mc_samples=100),
             seed=7,
-            batch_window=0.0,
         )
         service.register_analyst("alice", table="t")
         query = WorkloadCountingQuery(make_workload(), name="svc-race")

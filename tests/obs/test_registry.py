@@ -263,7 +263,6 @@ class TestFacadeMetrics:
             budget=1.0,
             registry=default_registry(mc_samples=50),
             seed=0,
-            batch_window=0.0,
         )
         service.register_analyst("a-0")
         metrics = service.as_metrics()
@@ -283,7 +282,6 @@ class TestFacadeMetrics:
             budget=1.0,
             registry=default_registry(mc_samples=50),
             seed=0,
-            batch_window=0.0,
         )
         registry = MetricsRegistry()
         service.register_metrics(registry)

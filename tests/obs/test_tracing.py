@@ -8,7 +8,6 @@ import pytest
 from repro.obs.tracing import (
     Tracer,
     annotate,
-    bind_current,
     current_span,
     get_tracer,
     install_tracer,
@@ -71,16 +70,16 @@ class TestSpanTreeShape:
         ]
 
     def test_nested_entry_points_degrade_to_one_tree(self, tracer):
-        """Stacked root_span calls (async front over service over engine)
-        must produce a single trace, not three."""
-        with root_span("async.request"):
+        """Stacked root_span calls (a caller's own request over service over
+        engine) must produce a single trace, not three."""
+        with root_span("caller.request"):
             with root_span("service.explore"):
                 with root_span("engine.explore"):
                     pass
         traces = tracer.drain()
         assert len(traces) == 1
         names = {s["name"] for s in traces[0]}
-        assert names == {"async.request", "service.explore", "engine.explore"}
+        assert names == {"caller.request", "service.explore", "engine.explore"}
         stats = tracer.stats()
         assert stats["roots_started"] == 1.0
         assert stats["roots_sampled"] == 1.0
@@ -144,12 +143,6 @@ class TestSamplingAndDisabledPath:
         for trace in traces:
             assert {s["name"] for s in trace} == {"svc.request", "svc.child"}
 
-    def test_bind_current_returns_fn_unchanged_when_off(self, no_tracer):
-        def fn():
-            return 42
-
-        assert bind_current(fn) is fn
-
     def test_invalid_sample_rate_rejected(self):
         with pytest.raises(ValueError):
             Tracer(1.5)
@@ -165,53 +158,6 @@ class TestSamplingAndDisabledPath:
         assert [t[0]["attributes"]["index"] for t in traces] == [6, 7, 8, 9]
 
 
-class TestCrossThreadPropagation:
-    def test_bind_current_joins_worker_spans_to_the_trace(self, tracer):
-        results = []
-
-        def work():
-            with span("svc.worker"):
-                results.append(current_span().name)
-
-        with root_span("svc.request") as root:
-            bound = bind_current(work)
-            worker = threading.Thread(target=bound)
-            worker.start()
-            worker.join()
-        (trace,) = tracer.drain()
-        by_name = {s["name"]: s for s in trace}
-        assert results == ["svc.worker"]
-        assert by_name["svc.worker"]["parent_id"] == root.span_id
-        assert by_name["svc.worker"]["thread_id"] != root.thread_id
-
-    def test_async_front_explore_is_one_worker_side_trace(self, tracer):
-        """An awaited explore opens its root span on the front's worker
-        thread; the service and engine entry points nest beneath it."""
-        import asyncio
-
-        from tests.service.util import small_table
-
-        service = _traced_service(small_table(256))
-        query, accuracy = _trace_query()
-
-        async def scenario():
-            async with service.serve_async(max_concurrency=2) as front:
-                return await front.explore("a-0", query, accuracy)
-
-        assert not asyncio.run(scenario()).denied
-        (trace,) = tracer.drain()
-        by_name = {s["name"]: s for s in trace}
-        root = by_name["async.request"]
-        assert root["parent_id"] is None
-        assert root["attributes"]["entry"] == "explore"
-        assert by_name["service.explore"]["parent_id"] == root["span_id"]
-        assert "engine.explore" in by_name
-        assert all(s["trace_id"] == root["trace_id"] for s in trace)
-        assert root["thread_id"] != threading.get_ident()
-        for name in ("service.explore", "engine.explore"):
-            assert by_name[name]["thread_id"] == root["thread_id"]
-
-
 class TestBatcherCoalesceEdges:
     def test_follower_spans_carry_the_leader_identity(self, tracer):
         """Concurrent submits for one key: the leader's flight records its
@@ -220,7 +166,7 @@ class TestBatcherCoalesceEdges:
         as a flow arrow."""
         from repro.service.batching import RequestBatcher
 
-        batcher = RequestBatcher(window=0.0)
+        batcher = RequestBatcher()
         n_followers = 3
         leader_entered = threading.Event()
         release = threading.Event()
@@ -297,7 +243,6 @@ def _traced_service(table, store=None):
         budget=10.0,
         registry=default_registry(mc_samples=50),
         seed=0,
-        batch_window=0.0,
         store=store,
     )
     service.register_analyst("a-0")

@@ -53,7 +53,6 @@ class TestServiceTimeout:
             budget=kwargs.pop("budget", 2.0),
             registry=default_registry(mc_samples=150),
             seed=0,
-            batch_window=0.0,
             **kwargs,
         )
 

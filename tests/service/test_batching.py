@@ -3,14 +3,18 @@
 import threading
 import time
 
-import pytest
-
+from repro.core.accuracy import AccuracySpec
+from repro.mechanisms.registry import default_registry
+from repro.queries.builders import histogram_workload
+from repro.queries.query import WorkloadCountingQuery
+from repro.service import ExplorationService
 from repro.service.batching import RequestBatcher
+from tests.service.util import small_table
 
 
 class TestRequestBatcher:
     def test_concurrent_identical_requests_compute_once(self):
-        batcher = RequestBatcher(window=0.0)
+        batcher = RequestBatcher()
         n_threads = 8
         calls = []
         started = threading.Event()
@@ -47,7 +51,7 @@ class TestRequestBatcher:
         assert stats["coalesced"] == n_threads - 1
 
     def test_distinct_keys_do_not_coalesce(self):
-        batcher = RequestBatcher(window=0.0)
+        batcher = RequestBatcher()
         assert batcher.submit("a", lambda: 1) == 1
         assert batcher.submit("b", lambda: 2) == 2
         assert batcher.stats()["computed"] == 2
@@ -55,40 +59,13 @@ class TestRequestBatcher:
 
     def test_sequential_requests_recompute(self):
         """The batcher is not a cache: flights end when the leader finishes."""
-        batcher = RequestBatcher(window=0.0)
+        batcher = RequestBatcher()
         values = iter([10, 20])
         assert batcher.submit("k", lambda: next(values)) == 10
         assert batcher.submit("k", lambda: next(values)) == 20
-
-    def test_window_lingers_published_result_for_stragglers(self):
-        """Within the window a duplicate of a *completed* fast flight still
-        coalesces instead of recomputing (the window moved from a leader
-        pre-sleep to a post-completion linger)."""
-        batcher = RequestBatcher(window=30.0)
-        values = iter([10, 20])
-        assert batcher.submit("k", lambda: next(values)) == 10
-        assert batcher.submit("k", lambda: next(values)) == 10  # linger hit
-        stats = batcher.stats()
-        assert stats["computed"] == 1
-        assert stats["coalesced"] == 1
-
-    def test_window_expiry_recomputes(self):
-        batcher = RequestBatcher(window=0.02)
-        values = iter([10, 20])
-        assert batcher.submit("k", lambda: next(values)) == 10
-        time.sleep(0.03)
-        assert batcher.submit("k", lambda: next(values)) == 20
-        assert batcher.stats()["computed"] == 2
-
-    def test_leader_never_sleeps_before_computing(self):
-        """A lone caller's latency is its compute time, not the window."""
-        batcher = RequestBatcher(window=5.0)
-        start = time.perf_counter()
-        assert batcher.submit("k", lambda: "warm") == "warm"
-        assert time.perf_counter() - start < 1.0
 
     def test_leader_failure_propagates_to_followers(self):
-        batcher = RequestBatcher(window=0.0)
+        batcher = RequestBatcher()
         n_followers = 3
         started = threading.Event()
         release = threading.Event()
@@ -122,13 +99,12 @@ class TestRequestBatcher:
         assert stats["failed"] == 1
         # A failed flight is not a computation.
         assert stats["computed"] == 0
-        # The key is retired immediately (no linger for failures): a retry
-        # computes fresh.
+        # The flight has retired: a retry computes fresh.
         assert batcher.submit("key", lambda: "ok") == "ok"
 
     def test_followers_raise_distinct_exception_copies(self):
         """Concurrent re-raises must not fight over one shared traceback."""
-        batcher = RequestBatcher(window=0.0)
+        batcher = RequestBatcher()
         n_followers = 3
         started = threading.Event()
         release = threading.Event()
@@ -172,12 +148,8 @@ class TestRequestBatcher:
             assert copy_exc.__cause__ is original
             assert str(copy_exc) == "boom"
 
-    def test_negative_window_rejected(self):
-        with pytest.raises(ValueError):
-            RequestBatcher(window=-0.1)
-
-    def test_window_zero_still_coalesces_in_flight_requests(self):
-        batcher = RequestBatcher(window=0.0)
+    def test_follower_returns_the_leaders_result_not_its_own(self):
+        batcher = RequestBatcher()
         started = threading.Event()
         release = threading.Event()
 
@@ -201,67 +173,119 @@ class TestRequestBatcher:
         assert out == ["slow", "slow"]
 
 
-class TestAdaptiveLinger:
-    """The linger adapts to observed duplicate inter-arrival times (EWMA,
-    clamped to [window/4, 4*window])."""
+class TestWarmPeek:
+    """``submit``'s ``warm`` peek, taken under the batcher's lock when no
+    flight exists, is what keeps a straggler off a second flight once the
+    leader has published to the memo and retired."""
 
-    def test_defaults_to_the_base_window_before_any_duplicate(self):
-        batcher = RequestBatcher(window=0.1)
-        assert batcher.effective_window() == pytest.approx(0.1)
-        stats = batcher.stats()
-        assert stats["interarrival_samples"] == 0
-        assert stats["linger_seconds"] == pytest.approx(0.1)
-
-    def test_bursty_duplicates_shrink_the_linger_to_the_floor(self):
-        batcher = RequestBatcher(window=0.2)
-        for _ in range(30):  # back-to-back duplicates: near-zero gaps
-            batcher.submit("key", lambda: "value")
-        stats = batcher.stats()
-        assert stats["interarrival_samples"] >= 29
-        assert stats["interarrival_ewma_seconds"] < 0.01
-        assert batcher.effective_window() == pytest.approx(0.2 / 4.0)
-
-    def test_slow_duplicates_are_clamped_to_four_windows(self):
-        batcher = RequestBatcher(window=0.005)
-        batcher.submit("key", lambda: "value")
-        time.sleep(0.08)  # a gap far beyond 4*window
-        batcher.submit("key", lambda: "value")
-        assert batcher.effective_window() == pytest.approx(4 * 0.005)
-
-    def test_zero_window_stays_zero(self):
-        batcher = RequestBatcher(window=0.0)
-        for _ in range(5):
-            batcher.submit("key", lambda: "value")
-        assert batcher.effective_window() == 0.0
-
-    def test_adapted_linger_governs_flight_expiry(self):
-        batcher = RequestBatcher(window=0.4)
-        # Teach the EWMA a ~2ms duplicate gap: linger becomes ~4ms-100ms
-        # (clamped floor), far below the 400ms base window.
-        for _ in range(40):
-            batcher.submit("key", lambda: "burst")
-        linger = batcher.effective_window()
-        assert linger == pytest.approx(0.1)  # the window/4 floor
-        batcher.submit("fresh", lambda: "published")
-        time.sleep(linger + 0.05)  # beyond the adapted linger...
+    def test_straggler_after_a_retired_flight_starts_no_flight(self):
+        batcher = RequestBatcher()
+        memo = {}
         calls = []
-        batcher.submit("fresh", lambda: calls.append(1) or "recomputed")
-        assert calls == [1]  # ...so the flight expired and recomputed
 
-    def test_service_latency_stats_expose_the_batcher(self):
-        from repro.mechanisms.registry import default_registry
-        from repro.service import ExplorationService
+        def compute():
+            calls.append(1)
+            memo["k"] = "answer"
+            return memo["k"]
 
-        from tests.service.util import small_table
+        def warm():
+            return "k" in memo
 
+        assert not warm()  # the straggler peeks the memo cold...
+        assert batcher.submit("k", compute, warm) == "answer"  # leader retires
+        # ...and submits only now: the memo answers, no second flight.
+        assert batcher.submit("k", compute, warm) == "answer"
+        assert len(calls) == 2
+        stats = batcher.stats()
+        assert stats["computed"] == 1
+        assert stats["coalesced"] == 0
+
+    def test_duplicate_of_an_in_flight_key_attaches_without_peeking(self):
+        batcher = RequestBatcher()
+        started = threading.Event()
+        release = threading.Event()
+        peeks = []
+
+        def slow():
+            started.set()
+            release.wait(timeout=5)
+            return "slow"
+
+        def warm():
+            peeks.append(threading.current_thread().name)
+            return False
+
+        out = []
+        leader = threading.Thread(
+            target=lambda: out.append(batcher.submit("k", slow, warm)), name="leader"
+        )
+        leader.start()
+        assert started.wait(timeout=5)
+        follower = threading.Thread(
+            target=lambda: out.append(batcher.submit("k", lambda: "fast", warm)),
+            name="follower",
+        )
+        follower.start()
+        time.sleep(0.02)  # let the follower attach to the flight
+        release.set()
+        leader.join()
+        follower.join()
+        assert out == ["slow", "slow"]
+        assert peeks == ["leader"]
+        assert batcher.stats()["coalesced"] == 1
+
+
+class TestCheckThenSubmitRace:
+    def test_straggler_that_saw_the_memo_cold_starts_no_second_flight(
+        self, monkeypatch
+    ):
+        """Force the losing interleaving: the straggler reaches the batcher
+        while the memo is still cold, the leader's preview then publishes to
+        the memo and its flight retires, and only then does the straggler
+        submit.  It must be answered from the memo, not lead a second
+        flight."""
         service = ExplorationService(
-            small_table(200),
+            small_table(500),
             budget=1.0,
             registry=default_registry(mc_samples=100),
             seed=0,
-            batch_window=0.01,
         )
-        stats = service.latency_stats()
-        assert stats["batcher"]["window_seconds"] == pytest.approx(0.01)
-        assert stats["batcher"]["linger_seconds"] == pytest.approx(0.01)
-        assert stats["batcher"]["interarrival_samples"] == 0.0
+        service.register_analyst("leader")
+        service.register_analyst("straggler")
+        accuracy = AccuracySpec(alpha=200.0, beta=5e-4)
+
+        def query():
+            return WorkloadCountingQuery(
+                histogram_workload("amount", start=0, stop=10_000, bins=13),
+                name="hist",
+            )
+
+        real_submit = RequestBatcher.submit
+        arrived = threading.Event()
+        leader_done = threading.Event()
+
+        def submit(self, *args, **kwargs):
+            if threading.current_thread().name == "straggler":
+                arrived.set()
+                assert leader_done.wait(timeout=30)
+            return real_submit(self, *args, **kwargs)
+
+        monkeypatch.setattr(RequestBatcher, "submit", submit)
+        previews = {}
+        thread = threading.Thread(
+            target=lambda: previews.update(
+                straggler=service.preview_cost("straggler", query(), accuracy)
+            ),
+            name="straggler",
+        )
+        thread.start()
+        assert arrived.wait(timeout=30)
+        previews["leader"] = service.preview_cost("leader", query(), accuracy)
+        leader_done.set()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+
+        stats = service.stats()["batching"]
+        assert stats["computed"] == 1
+        assert stats["coalesced"] == 0
+        assert previews["straggler"] == previews["leader"]

@@ -24,7 +24,6 @@ def table() -> Table:
 def make_service(table, **kwargs):
     kwargs.setdefault("registry", default_registry(mc_samples=200))
     kwargs.setdefault("seed", 0)
-    kwargs.setdefault("batch_window", 0.0)
     return ExplorationService(table, budget=kwargs.pop("budget", 5.0), **kwargs)
 
 
@@ -161,7 +160,7 @@ class TestExploration:
 
 class TestPreviewBatching:
     def test_warm_preview_bypasses_batching_window(self, table):
-        service = make_service(table, batch_window=0.05)
+        service = make_service(table)
         service.register_analyst("alice")
         q = hist_query(table, bins=7)
         service.preview_cost("alice", q, ACC)  # cold: goes through the batcher
@@ -180,7 +179,7 @@ class TestPreviewBatching:
         # (late arrivals hit the translation memo), so one matrix build
         # serves every analyst the same answer.
         clear_matrix_cache()
-        service = make_service(table, batch_window=0.01)
+        service = make_service(table)
         n_threads = 8
         for i in range(n_threads):
             service.register_analyst(f"a{i}")
@@ -245,21 +244,11 @@ class TestObservability:
             "commits",
             "commit_batch_sizes",
         }
-        assert set(stats["batching"]) == {
-            "computed",
-            "coalesced",
-            "failed",
-            "window_seconds",
-            "linger_seconds",
-            "interarrival_ewma_seconds",
-            "interarrival_samples",
-        }
+        assert set(stats["batching"]) == {"computed", "coalesced", "failed"}
         assert stats["store"] is None  # no ArtifactStore configured
 
     def test_single_table_shorthand_and_table_required_when_ambiguous(self, table):
-        service = ExplorationService(
-            {"a": table, "b": table}, budget=1.0, seed=0, batch_window=0.0
-        )
+        service = ExplorationService({"a": table, "b": table}, budget=1.0, seed=0)
         with pytest.raises(ApexError, match="pass table="):
             service.register_analyst("alice")
         handle = service.register_analyst("alice", table="b")

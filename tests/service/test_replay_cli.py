@@ -53,9 +53,7 @@ class TestScripts:
 class TestReplay:
     def test_replay_merges_and_validates(self):
         table = small_table(2_000)
-        service = ExplorationService(
-            {"bench": table}, budget=5.0, seed=0, batch_window=0.0
-        )
+        service = ExplorationService({"bench": table}, budget=5.0, seed=0)
         text = (
             "BIN D ON COUNT(*) WHERE W = {"
             "  amount BETWEEN 0 AND 5000, amount BETWEEN 5000 AND 10000"

@@ -34,7 +34,6 @@ def make_service(table, **kwargs) -> ExplorationService:
     kwargs.setdefault("budget", 1e6)
     kwargs.setdefault("registry", default_registry(mc_samples=200))
     kwargs.setdefault("seed", 3)
-    kwargs.setdefault("batch_window", 0.0)
     return ExplorationService(table, **kwargs)
 
 

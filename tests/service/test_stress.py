@@ -76,7 +76,6 @@ def race_into_denials(table, policy, max_analysts, journal=None):
         max_analysts=max_analysts,
         registry=default_registry(mc_samples=200),
         seed=1,
-        batch_window=0.0,
         journal=journal,
     )
     for i in range(N_THREADS):
@@ -149,7 +148,6 @@ class TestConcurrentBudgetSafety:
             budget=50.0,
             registry=default_registry(mc_samples=200),
             seed=4,
-            batch_window=0.0,
         )
         service.register_analyst("solo")
         query = WorkloadCountingQuery(
@@ -173,7 +171,6 @@ class TestConcurrentBudgetSafety:
             budget=2.0,
             registry=default_registry(mc_samples=200),
             seed=2,
-            batch_window=0.0,
         )
         handles = [service.register_analyst(f"t{i}") for i in range(N_THREADS)]
         query = WorkloadCountingQuery(

@@ -38,7 +38,6 @@ def make_service(config: GeneratorConfig) -> ExplorationService:
         budget=config.budget,
         registry=default_registry(mc_samples=100),
         seed=config.seed,
-        batch_window=0.0,
     )
 
 
