@@ -118,8 +118,8 @@ class _Trace:
 
     def __init__(self, trace_id: int) -> None:
         self.trace_id = trace_id
-        #: Finished spans in completion order; list.append is atomic under
-        #: the GIL, so worker threads bound into this trace need no lock.
+        #: Finished spans in completion order; only the thread serving the
+        #: request appends to it, so it needs no lock.
         self.spans: list[Span] = []
 
 

@@ -158,6 +158,79 @@ class TestSamplingAndDisabledPath:
         assert [t[0]["attributes"]["index"] for t in traces] == [6, 7, 8, 9]
 
 
+class TestThreadLocalContext:
+    """The current span is per thread: a request's trace holds the spans of
+    the thread that serves it, and nothing leaks across threads."""
+
+    def test_worker_thread_span_outside_a_request_is_a_noop(self, tracer):
+        seen = []
+
+        def work():
+            seen.append(current_span())
+            with span("svc.worker") as handle:
+                seen.append(handle)
+
+        with root_span("svc.request") as root:
+            worker = threading.Thread(target=work)
+            worker.start()
+            worker.join()
+            assert current_span() is root
+        (trace,) = tracer.drain()
+        assert seen == [None, None]
+        assert [s["name"] for s in trace] == ["svc.request"]
+
+    def test_worker_thread_root_starts_its_own_trace(self, tracer):
+        def work():
+            with root_span("svc.worker_request"):
+                with span("svc.worker_child"):
+                    pass
+
+        with root_span("svc.request"):
+            worker = threading.Thread(target=work)
+            worker.start()
+            worker.join()
+        traces = tracer.drain()
+        assert len(traces) == 2
+        by_root = {
+            next(s["name"] for s in t if s["parent_id"] is None): t for t in traces
+        }
+        assert set(by_root) == {"svc.request", "svc.worker_request"}
+        assert [s["name"] for s in by_root["svc.request"]] == ["svc.request"]
+        worker_trace = by_root["svc.worker_request"]
+        assert {s["name"] for s in worker_trace} == {
+            "svc.worker_request",
+            "svc.worker_child",
+        }
+        assert len({s["thread_id"] for s in worker_trace}) == 1
+        assert (
+            worker_trace[0]["trace_id"] != by_root["svc.request"][0]["trace_id"]
+        )
+
+    def test_service_explore_on_a_worker_thread_is_one_trace(self, tracer):
+        """An explore served on a pool thread opens its root span there; the
+        engine entry point nests beneath it on the same thread."""
+        from tests.service.util import small_table
+
+        service = _traced_service(small_table(256))
+        query, accuracy = _trace_query()
+        results = []
+        worker = threading.Thread(
+            target=lambda: results.append(service.explore("a-0", query, accuracy))
+        )
+        worker.start()
+        worker.join()
+        assert len(results) == 1 and not results[0].denied
+        (trace,) = tracer.drain()
+        by_name = {s["name"]: s for s in trace}
+        root = by_name["service.explore"]
+        assert root["parent_id"] is None
+        assert root["attributes"]["analyst"] == "a-0"
+        assert by_name["engine.explore"]["parent_id"] == root["span_id"]
+        assert all(s["trace_id"] == root["trace_id"] for s in trace)
+        assert root["thread_id"] != threading.get_ident()
+        assert {s["thread_id"] for s in trace} == {root["thread_id"]}
+
+
 class TestBatcherCoalesceEdges:
     def test_follower_spans_carry_the_leader_identity(self, tracer):
         """Concurrent submits for one key: the leader's flight records its

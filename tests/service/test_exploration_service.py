@@ -1,6 +1,7 @@
 """ExplorationService: sessions, policies, batching and merged transcripts."""
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -140,6 +141,26 @@ class TestExploration:
         # The other analyst's share is untouched by greedy's attempts.
         assert not service.explore("other", hist_query(table), ACC).denied
 
+    def test_preview_and_explore_roundtrip(self, table):
+        """One analyst's whole loop: price a query, answer it, answer the
+        same question in the declarative language, and keep the merged
+        transcript valid throughout."""
+        service = make_service(table, budget=50.0)
+        service.register_analyst("alice")
+        costs = service.preview_cost("alice", hist_query(table), ACC)
+        assert costs and all(lo <= up for lo, up in costs.values())
+        result = service.explore("alice", hist_query(table), ACC)
+        assert not result.denied
+        assert result.epsilon_spent <= max(up for _, up in costs.values()) + 1e-9
+        text = (
+            "BIN D ON COUNT(*) WHERE W = {"
+            "  amount BETWEEN 0 AND 5000, amount BETWEEN 5000 AND 10000"
+            "} ERROR 200 CONFIDENCE 0.9995;"
+        )
+        assert not service.explore_text("alice", text).denied
+        assert len(service.merged_transcript()) == 2
+        assert service.validate()
+
     def test_shared_translator_memo_across_analysts(self, table):
         service = make_service(table)
         service.register_analyst("alice")
@@ -202,6 +223,73 @@ class TestPreviewBatching:
         assert stats["batching"]["computed"] == 1
         assert stats["workload_matrices"]["built"] - built_before == 1
         assert previews[0] and all(p == previews[0] for p in previews)
+
+    def test_thousand_sessions_share_one_cold_preview(self, table):
+        """2,000 open sessions previewing one never-seen query from a small
+        thread pool: one flight builds it, everyone gets the same answer."""
+        clear_matrix_cache()
+        service = make_service(table, budget=500.0)
+        n_sessions = 2_000
+        for i in range(n_sessions):
+            service.register_analyst(f"a{i}")
+        built_before = service.stats()["workload_matrices"]["built"]
+
+        def ask(i):
+            return service.preview_cost(f"a{i}", hist_query(table, bins=5), ACC)
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            previews = list(pool.map(ask, range(n_sessions)))
+        assert previews[0] and all(p == previews[0] for p in previews)
+        stats = service.stats()
+        assert stats["batching"]["computed"] == 1
+        assert stats["batching"]["failed"] == 0
+        assert stats["workload_matrices"]["built"] - built_before == 1
+        assert service.latency_stats()["preview_cost"]["count"] == n_sessions
+        assert service.budget_spent == 0.0  # previews cost no privacy
+
+    def test_explored_query_previews_without_a_flight(self, table):
+        """An explore warms the translation memo, so a later preview of the
+        same query is answered by the memo and never reaches the batcher."""
+        service = make_service(table)
+        service.register_analyst("alice")
+        service.explore("alice", hist_query(table, bins=10), ACC)
+        costs = service.preview_cost("alice", hist_query(table, bins=10), ACC)
+        assert costs
+        assert service.stats()["batching"] == {
+            "computed": 0,
+            "coalesced": 0,
+            "failed": 0,
+        }
+
+    def test_failed_preview_propagates_and_is_counted(self, table, monkeypatch):
+        service = make_service(table)
+        handle = service.register_analyst("alice")
+        real_preview = handle.engine.preview_cost
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("translation failed")
+
+        monkeypatch.setattr(handle.engine, "preview_cost", broken)
+        with pytest.raises(RuntimeError, match="translation failed"):
+            service.preview_cost("alice", hist_query(table, bins=12), ACC)
+        stats = service.stats()["batching"]
+        assert stats["failed"] == 1
+        assert stats["computed"] == 0
+        # The failed flight retired: a retry leads a fresh one.
+        monkeypatch.setattr(handle.engine, "preview_cost", real_preview)
+        assert service.preview_cost("alice", hist_query(table, bins=12), ACC)
+        assert service.stats()["batching"]["computed"] == 1
+
+    def test_unknown_analyst_preview_fails_before_batching(self, table):
+        service = make_service(table)
+        with pytest.raises(ApexError, match="no session"):
+            service.preview_cost("ghost", hist_query(table), ACC)
+        assert service.stats()["batching"] == {
+            "computed": 0,
+            "coalesced": 0,
+            "failed": 0,
+        }
+        assert service.latency_stats()["preview_cost"]["count"] == 0
 
     def test_preview_results_are_independent_copies(self, table):
         service = make_service(table)
