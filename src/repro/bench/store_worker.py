@@ -11,8 +11,8 @@ to stdout:
 * ``matrix_builds`` / ``mc_searches`` -- how many exact-domain enumerations
   and Monte-Carlo epsilon searches the fresh process had to run (the
   acceptance criterion is **zero** of each);
-* ``translation_disk_hits`` / ``matrix_disk_hits`` -- which disk artifacts
-  answered instead;
+* ``translation_builds`` / ``translation_disk_hits`` -- translation lists
+  computed, and loaded from disk instead;
 * ``costs`` -- the full preview, for bit-identical comparison against the
   cold process's answer.
 
@@ -68,7 +68,6 @@ def run_warm_start(
     return {
         "preview_seconds": preview_seconds,
         "matrix_builds": stats["workload_matrices"]["built"],
-        "matrix_disk_hits": stats["workload_matrices"]["disk_hits"],
         "translation_builds": stats["translations"]["built"],
         "translation_disk_hits": stats["translations"]["disk_hits"],
         "mc_searches": search_stats()["searches"],

@@ -95,16 +95,17 @@ class APExEngine:
         drawing on a shared budget pool.
     translator:
         An externally owned :class:`~repro.core.translator.AccuracyTranslator`
-        (its registry/mode win over ``registry``/``mode``).  Sharing one
-        translator between engines shares the translation memo, so analysts
-        asking structurally identical queries pay for translation once.
+        (its registry/mode win over ``registry``/``mode``, and its store is
+        the engine's).  Sharing one translator between engines shares the
+        translation memo, so analysts asking structurally identical queries
+        pay for translation once.
     store:
-        An optional :class:`~repro.store.ArtifactStore`.  When set, every
-        request's :class:`~repro.data.table.DomainStamp` carries the store
-        down the translation stack: cold derivations (workload matrices,
-        translation lists) persist to disk, and a fresh process pointed at
-        the same directory warm-starts from them with zero rebuilds and
-        zero Monte-Carlo searches (``docs/store.md``).
+        An optional :class:`~repro.store.ArtifactStore`, handed to the
+        engine's own translator.  Translation lists then persist to disk,
+        and a fresh process pointed at the same directory warm-starts from
+        them with zero Monte-Carlo searches (``docs/store.md``).  With an
+        external ``translator``, pass the store to the translator instead;
+        a different ``store`` here is an error.
 
     The engine is thread-safe when its ledger is: admission control and
     charging follow a two-phase reservation protocol
@@ -141,16 +142,20 @@ class APExEngine:
                 f"budget {budget} conflicts with the external ledger's "
                 f"budget {ledger.budget}; pass one or the other"
             )
+        if translator is None:
+            translator = AccuracyTranslator(registry, mode, store=store)
+        elif store is not None and store is not translator.store:
+            raise ApexError(
+                "store conflicts with the external translator's store; "
+                "pass one or the other"
+            )
         self._table = table
         self._ledger = ledger
-        self._translator = (
-            translator if translator is not None else AccuracyTranslator(registry, mode)
-        )
+        self._translator = translator
         self._rng = (
             seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         )
         self._deny_mode = deny_mode
-        self._store = store
 
     # -- owner-facing accessors ---------------------------------------------------
 
@@ -192,8 +197,8 @@ class APExEngine:
 
     @property
     def store(self) -> ArtifactStore | None:
-        """The attached artifact store, if any."""
-        return self._store
+        """The translator's artifact store, if any."""
+        return self._translator.store
 
     def transcript(self) -> Transcript:
         """The full transcript of interaction so far."""
@@ -203,24 +208,26 @@ class APExEngine:
         """Counters of every derivation cache the engine sits on.
 
         ``translations`` counts memoised accuracy-to-privacy translation
-        lists (per this engine's translator); ``workload_matrices`` counts
-        the process-wide workload-matrix memo.  Both include the hierarchy
-        counters (``built``/``revalidated``/``disk_hits``) of the memory ->
-        revalidate -> disk cascade.  ``wcqsm_search`` counts the
-        process-wide Monte-Carlo epsilon searches executed; the search has
-        no disk tier, so its ``disk_hits``/``disk_writes`` stay 0.  ``store``
-        reports the attached :class:`~repro.store.ArtifactStore`'s own
-        counters when one is configured.  Useful for verifying that a repeated (or revalidated,
-        or warm-started) ``preview_cost``/``explore`` does not re-derive
-        anything.
+        lists (per this engine's translator), with the hierarchy counters
+        (``built``/``revalidated``/``disk_hits``) of the memory ->
+        revalidate -> disk cascade; ``workload_matrices`` counts the
+        process-wide workload-matrix memo (``built``/``revalidated``; it
+        has no disk tier).  ``wcqsm_search`` counts the process-wide
+        Monte-Carlo epsilon searches executed; the search has no disk tier,
+        so its ``disk_hits``/``disk_writes`` stay 0.  ``store`` reports the
+        translator's :class:`~repro.store.ArtifactStore` counters when one
+        is configured.  Useful for verifying that a repeated (or
+        revalidated, or warm-started) ``preview_cost``/``explore`` does not
+        re-derive anything.
         """
         out: dict[str, dict[str, int]] = {
             "translations": self._translator.cache_stats,
             "workload_matrices": matrix_cache_stats(),
             "wcqsm_search": search_stats(),
         }
-        if self._store is not None:
-            out["store"] = self._store.stats()
+        store = self._translator.store
+        if store is not None:
+            out["store"] = store.stats()
         return out
 
     def as_metrics(self) -> dict[str, float]:
@@ -246,12 +253,10 @@ class APExEngine:
         """The :class:`~repro.data.table.DomainStamp` of one admitted request.
 
         Covers the domains of exactly the attributes the query's workload
-        references, and carries the engine's store; this is what every cache
-        key below the engine sees instead of a bare version token.
+        references; this is what every cache key below the engine sees
+        instead of a bare version token.
         """
-        return snapshot.domain_stamp(
-            query.workload.attributes(), store=self._store
-        )
+        return snapshot.domain_stamp(query.workload.attributes())
 
     # -- analyst-facing API --------------------------------------------------------
 

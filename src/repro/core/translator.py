@@ -23,15 +23,15 @@ exploration strategies' relaxation loops (which re-ask structurally identical
 queries round after round) and repeated ``preview_cost`` calls stop paying
 for mechanism translation more than once.
 
-Like the workload-matrix memo, the translation memo is three-tiered when
-the ``version`` argument is a :class:`~repro.data.table.DomainStamp`:
-a miss on the exact (version-scoped) key falls through to a revalidation
-tier keyed by the stamp's domain fingerprints (translation is data
-independent, so a mutation that preserved every referenced domain cannot
-change it) and then to the stamp's
-:class:`~repro.store.ArtifactStore`, from which a restarted process
-reloads whole translation lists without re-running a single mechanism
-translation.  The disk key includes each applicable mechanism's
+The translation memo is three-tiered when the ``version`` argument is a
+:class:`~repro.data.table.DomainStamp`: a miss on the exact
+(version-scoped) key falls through to a revalidation tier keyed by the
+stamp's domain fingerprints (translation is data independent, so a
+mutation that preserved every referenced domain cannot change it) and then
+to the translator's optional :class:`~repro.store.ArtifactStore`, from
+which a restarted process reloads whole translation lists without
+re-running a single mechanism translation.  The disk key includes each
+applicable mechanism's
 :meth:`~repro.mechanisms.base.Mechanism.cache_signature`, so stores are
 never shared across differently configured mechanism suites.
 """
@@ -50,6 +50,7 @@ from repro.mechanisms.base import Mechanism, TranslationResult
 from repro.mechanisms.registry import MechanismRegistry, default_registry
 from repro.obs import Counter, tracing
 from repro.queries.query import Query
+from repro.store import ArtifactStore
 from repro.store.fingerprint import stable_digest
 
 __all__ = ["SelectionMode", "MechanismChoice", "AccuracyTranslator"]
@@ -81,7 +82,12 @@ class MechanismChoice:
 
 
 class AccuracyTranslator:
-    """Chooses, per query, the mechanism that meets the accuracy bound cheapest."""
+    """Chooses, per query, the mechanism that meets the accuracy bound cheapest.
+
+    ``store`` is an optional :class:`~repro.store.ArtifactStore`: the disk
+    tier under the translation memo, consulted for requests versioned by a
+    :class:`~repro.data.table.DomainStamp`.
+    """
 
     #: Maximum number of memoised translation lists per translator.
     CACHE_MAX_ENTRIES = 512
@@ -90,9 +96,11 @@ class AccuracyTranslator:
         self,
         registry: MechanismRegistry | None = None,
         mode: SelectionMode = SelectionMode.OPTIMISTIC,
+        store: ArtifactStore | None = None,
     ) -> None:
         self._registry = registry if registry is not None else default_registry()
         self._mode = mode
+        self._store = store
         self._translation_cache: LRUCache[
             list[tuple[Mechanism, TranslationResult]]
         ] = LRUCache(self.CACHE_MAX_ENTRIES)
@@ -114,6 +122,11 @@ class AccuracyTranslator:
     @property
     def mode(self) -> SelectionMode:
         return self._mode
+
+    @property
+    def store(self) -> ArtifactStore | None:
+        """The artifact store under the translation memo, if any."""
+        return self._store
 
     @property
     def cache_stats(self) -> dict[str, int]:
@@ -188,8 +201,8 @@ class AccuracyTranslator:
         :class:`~repro.data.table.DomainStamp` a mutation that preserved
         every referenced domain *revalidates* (the cached list is re-tagged
         for the new version), and a fresh process warm-starts from the
-        stamp's :class:`~repro.store.ArtifactStore` before any mechanism
-        translation runs.
+        translator's :class:`~repro.store.ArtifactStore` before any
+        mechanism translation runs.
         """
         query_key = query.cache_key(schema, version)
         cache_key = None
@@ -216,13 +229,13 @@ class AccuracyTranslator:
             raise TranslationError(
                 f"no registered mechanism supports {query.kind.value} queries"
             )
-        store = stamp.store if stamp is not None else None
+        store = self._store
         store_digest = None
-        if store is not None and cache_key is not None:
+        if store is not None and stamp is not None and cache_key is not None:
             store_digest = self._store_digest(query, accuracy, schema, stamp, applicable)
-        if store_digest is not None:
+        if store is not None and store_digest is not None:
             loaded = self._from_payload(
-                store.load("translation", store_digest), applicable  # type: ignore[union-attr]
+                store.load("translation", store_digest), applicable
             )
             if loaded is not None:
                 self._tier_stats["disk_hits"].inc()
@@ -253,9 +266,9 @@ class AccuracyTranslator:
             self._translation_cache.put(cache_key, list(out))
         if domain_cache_key is not None:
             self._domain_cache.put(domain_cache_key, list(out))
-        if store_digest is not None:
+        if store is not None and store_digest is not None:
             payload = [(mechanism.name, result) for mechanism, result in out]
-            if store.save("translation", store_digest, payload):  # type: ignore[union-attr]
+            if store.save("translation", store_digest, payload):
                 self._tier_stats["disk_writes"].inc()
         return out
 

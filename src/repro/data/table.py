@@ -164,16 +164,11 @@ class DomainStamp:
     alone, that a *different* version left every referenced domain untouched
     and re-tag the existing artifact instead of rebuilding it (the
     "revalidate instead of rebuild" contract in ``docs/store.md``).
-
-    ``store`` optionally carries the process's
-    :class:`~repro.store.ArtifactStore` down the translation stack without
-    widening every signature; it never participates in equality or hashing.
     """
 
     version: TableVersion
     #: Sorted ``(attribute, digest)`` pairs for the referenced attributes.
     fingerprints: tuple[tuple[str, str], ...]
-    store: "object | None" = field(default=None, compare=False, repr=False)
 
     @property
     def domain_key(self) -> tuple:
@@ -893,21 +888,16 @@ class Table:
             (name, self.domain_fingerprint(name)) for name in sorted(known)
         )
 
-    def domain_stamp(
-        self, attributes: Iterable[str], store: object | None = None
-    ) -> DomainStamp:
+    def domain_stamp(self, attributes: Iterable[str]) -> DomainStamp:
         """Bundle the current version token with the attributes' fingerprints.
 
         The :class:`DomainStamp` slots into every cache key that previously
         carried the bare version token; see the class docstring for the
-        revalidation semantics.  ``store`` optionally attaches the process's
-        :class:`~repro.store.ArtifactStore` so the memo layers can fall back
-        to disk (it never affects stamp equality).
+        revalidation semantics.
         """
         return DomainStamp(
             version=self._version,
             fingerprints=self.domain_fingerprints(attributes),
-            store=store,
         )
 
     @property

@@ -55,19 +55,18 @@ keeps the memo honest under table growth: an ``append_rows`` advances the
 token, so the next analysis for that table misses instead of resurrecting a
 matrix derived for the previous state.
 
-The memo is **three-tiered** when the caller passes a
+The memo is **two-tiered** when the caller passes a
 :class:`~repro.data.table.DomainStamp` (what every engine entry point does)
 instead of a bare token: a miss on the exact (version-scoped) key falls
 through to a *revalidation* tier keyed by the stamp's domain fingerprints --
 exact domain analysis is a pure function of the workload structure and the
 referenced attribute domains, so a mutation that provably preserved those
 domains re-tags the existing matrix for the new version instead of
-re-enumerating millions of cells -- and then to the stamp's optional
-:class:`~repro.store.ArtifactStore`, so a fresh process warm-starts from a
-previous run's disk cache.  ``matrix_cache_stats()`` reports
-``built``/``revalidated``/``disk_hits`` alongside the LRU counters, and
-``histogram_rows``/``histogram_shards`` for the per-shard histogram pass;
-the full contract lives in ``docs/store.md``.
+re-enumerating millions of cells.  Matrices are not persisted: a restarted
+process is served by the translation lists on disk (``docs/store.md``).
+``matrix_cache_stats()`` reports ``built``/``revalidated`` alongside the
+LRU counters, and ``histogram_rows``/``histogram_shards`` for the per-shard
+histogram pass.
 """
 
 from __future__ import annotations
@@ -85,7 +84,6 @@ from repro.core.lru import LRUCache
 from repro.data.schema import AttributeKind, Schema
 from repro.data.table import DomainStamp, Shard, Table, TableVersion
 from repro.obs import Counter, tracing
-from repro.store.fingerprint import stable_digest
 from repro.queries.predicates import (
     And,
     Between,
@@ -160,14 +158,7 @@ _MATRIX_DOMAIN_CACHE: "LRUCache[WorkloadMatrix]" = LRUCache(128)
 #: than a bare ``int``.
 _MATRIX_TIER_STATS = {
     key: Counter()
-    for key in (
-        "built",
-        "revalidated",
-        "disk_hits",
-        "disk_writes",
-        "histogram_rows",
-        "histogram_shards",
-    )
+    for key in ("built", "revalidated", "histogram_rows", "histogram_shards")
 }
 
 
@@ -176,8 +167,8 @@ def matrix_cache_stats() -> dict[str, int]:
 
     ``hits``/``misses``/``size`` describe the exact (version-scoped) LRU;
     ``revalidated`` counts matrices re-tagged for a new version via the
-    domain-fingerprint tier, ``disk_hits``/``disk_writes`` the artifact
-    store, and ``built`` the analyses that actually enumerated.
+    domain-fingerprint tier, and ``built`` the analyses that actually
+    enumerated.
     ``histogram_shards`` counts the per-shard histograms exact matrices
     computed and ``histogram_rows`` the rows those passes coded (an append
     of k rows costs k, not the table).
@@ -316,9 +307,8 @@ class Workload:
             key either way: after ``append_rows``/``refresh`` a structurally
             identical analysis misses the exact key.  With a stamp, the miss
             falls through to the revalidation tier (same domain
-            fingerprints: re-tag, don't rebuild) and then to the stamp's
-            :class:`~repro.store.ArtifactStore` (cross-process warm start)
-            before anything is re-enumerated.
+            fingerprints: re-tag, don't rebuild) before anything is
+            re-enumerated.
 
         Results are memoised per workload structure: analysing a
         structurally identical workload (equal predicates and names, same
@@ -331,11 +321,10 @@ class Workload:
             if cached is not None:
                 tracing.annotate("matrix_tier", "exact")
                 return cached
-        stamp = version if isinstance(version, DomainStamp) else None
         domain_key = None
-        if key is not None and stamp is not None:
+        if key is not None and isinstance(version, DomainStamp):
             domain_key = self._analysis_key(
-                schema, disjoint, sensitivity, stamp.domain_key
+                schema, disjoint, sensitivity, version.domain_key
             )
             cached = _MATRIX_DOMAIN_CACHE.get(domain_key)
             if cached is not None:
@@ -352,21 +341,6 @@ class Workload:
             and schema is not None
             and not structural_hint
         )
-        store = stamp.store if stamp is not None else None
-        store_digest = None
-        if exact and stamp is not None and store is not None:
-            store_digest = self._store_digest(schema, disjoint, sensitivity, stamp)
-        if store_digest is not None:
-            payload = store.load("matrix", store_digest)  # type: ignore[union-attr]
-            matrix = self._matrix_from_payload(payload, schema, version)
-            if matrix is not None:
-                _MATRIX_TIER_STATS["disk_hits"].inc()
-                tracing.annotate("matrix_tier", "disk")
-                if key is not None:
-                    _MATRIX_CACHE.put(key, matrix)
-                if domain_key is not None:
-                    _MATRIX_DOMAIN_CACHE.put(domain_key, matrix)
-                return matrix
         with tracing.span("workload.matrix_build", exact=exact):
             if exact:
                 matrix = WorkloadMatrix.from_domain_analysis(
@@ -382,75 +356,7 @@ class Workload:
             _MATRIX_CACHE.put(key, matrix)
         if domain_key is not None:
             _MATRIX_DOMAIN_CACHE.put(domain_key, matrix)
-        if store_digest is not None and matrix.exact:
-            if store.save("matrix", store_digest, _matrix_payload(matrix)):  # type: ignore[union-attr]
-                _MATRIX_TIER_STATS["disk_writes"].inc()
         return matrix
-
-    def _store_digest(
-        self,
-        schema: Schema | None,
-        disjoint: bool | None,
-        sensitivity: float | None,
-        stamp: DomainStamp,
-    ) -> str | None:
-        """Process-stable disk key of this exact analysis, or ``None``.
-
-        Covers the workload structure, the schema *content* (declared
-        domains, not object identity), the analysis overrides and the
-        stamp's domain fingerprints -- everything the matrix is a function
-        of, and nothing process-local.
-        """
-        return stable_digest(
-            (
-                "matrix",
-                self._predicates,
-                self._names,
-                schema,
-                disjoint,
-                sensitivity,
-                stamp.fingerprints,
-            )
-        )
-
-    def _matrix_from_payload(
-        self,
-        payload: object,
-        schema: Schema | None,
-        version: object,
-    ) -> "WorkloadMatrix | None":
-        """Rebuild a :class:`WorkloadMatrix` from its store payload.
-
-        Any shape/content mismatch (a hash collision would be astronomically
-        unlikely, a half-migrated store less so) returns ``None`` so the
-        caller rebuilds from scratch.
-        """
-        if not isinstance(payload, dict):
-            return None
-        try:
-            matrix = np.asarray(payload["matrix"], dtype=float)
-            descriptions = list(payload["descriptions"])
-            if matrix.ndim != 2 or matrix.shape[0] != self.size:
-                return None
-            if len(descriptions) != matrix.shape[1]:
-                return None
-            partitions = [
-                DomainPartition(
-                    signature=tuple(bool(v) for v in matrix[:, j]),
-                    description=str(descriptions[j]),
-                )
-                for j in range(matrix.shape[1])
-            ]
-            instance = WorkloadMatrix(self, matrix, partitions, exact=True)
-        except (KeyError, TypeError, ValueError, QueryError):
-            return None
-        # The atoms and leaf vectors are not stored; the first histogram
-        # derives them from the schema.
-        instance._schema = schema
-        token = None if schema is None else _structural_token(self, schema)
-        if token is not None:
-            instance._cache_token = ("exact",) + token + (version,)
-        return instance
 
     def _analysis_key(
         self,
@@ -806,10 +712,8 @@ class WorkloadMatrix:
     def _code_shard(self, table: Table, shard: Shard) -> tuple[np.ndarray, np.ndarray]:
         """The atom pass over one shard's rows (see ``partition_histogram``)."""
         schema = self._schema
-        assert schema is not None  # every exact matrix has one
-        if self._domain is None:
-            atoms = _attribute_atoms(self._workload, schema)
-            self._domain = (atoms, _leaf_vectors(self._workload, atoms))
+        # from_domain_analysis sets both on every exact matrix.
+        assert schema is not None and self._domain is not None
         atoms, leaf_vectors = self._domain
         names = list(atoms)
         sizes = [len(atoms[name]) for name in names]
@@ -884,20 +788,6 @@ class WorkloadMatrix:
 # ---------------------------------------------------------------------------
 # Exact domain analysis helpers
 # ---------------------------------------------------------------------------
-
-
-def _matrix_payload(matrix: "WorkloadMatrix") -> dict[str, object]:
-    """The artifact-store payload of one exact matrix.
-
-    Signatures are *not* stored: an exact matrix is 0/1 and its columns are
-    the partition signatures in order, so they are reconstructed from the
-    matrix itself (`Workload._matrix_from_payload`).
-    """
-    return {
-        "matrix": np.asarray(matrix.matrix, dtype=float),
-        "descriptions": [p.description for p in matrix.partitions],
-        "exact": bool(matrix.exact),
-    }
 
 
 def _structural_token(workload: Workload, schema: Schema) -> tuple | None:

@@ -129,11 +129,11 @@ class ExplorationService:
     :param registry: mechanism suite; defaults per engine to the paper's.
     :param seed: base seed; session ``i`` gets ``seed + i`` so runs are
         reproducible yet sessions draw independent noise.
-    :param store: an optional :class:`~repro.store.ArtifactStore` shared by
-        every session's engine.  A restarted service pointed at the previous
-        run's directory warm-starts: structurally identical previews are
-        answered from disk with zero matrix rebuilds and zero Monte-Carlo
-        re-searches (``docs/store.md``).
+    :param store: an optional :class:`~repro.store.ArtifactStore` under the
+        translator every session shares.  A restarted service pointed at the
+        previous run's directory warm-starts: structurally identical
+        previews are answered from disk with zero Monte-Carlo re-searches
+        (``docs/store.md``).
     :param journal: an optional write-ahead
         :class:`~repro.reliability.journal.LedgerJournal`.  When given, the
         journal's recovered spend (replayed at open) is adopted into the
@@ -197,8 +197,7 @@ class ExplorationService:
         self._mode = mode
         self._registry = registry
         self._seed = seed
-        self._store = store
-        self._translator = AccuracyTranslator(registry, mode)
+        self._translator = AccuracyTranslator(registry, mode, store=store)
         self._batcher = RequestBatcher()
         self._sessions: dict[str, AnalystSessionHandle] = {}
         self._lock = threading.RLock()
@@ -309,6 +308,7 @@ class ExplorationService:
                 }
                 for name, handle in self._sessions.items()
             }
+        store = self._translator.store
         return {
             "budget": self._pool.stats(),
             "policy": self._policy.value,
@@ -324,7 +324,7 @@ class ExplorationService:
             "batching": self._batcher.stats(),
             "translations": self._translator.cache_stats,
             "workload_matrices": matrix_cache_stats(),
-            "store": None if self._store is None else self._store.stats(),
+            "store": None if store is None else store.stats(),
             "reliability": {
                 "journal": None if self._journal is None else self._journal.stats(),
                 "recovered_entries": self._recovered_entries,
@@ -442,7 +442,6 @@ class ExplorationService:
                 seed=None if self._seed is None else self._seed + index,
                 ledger=ledger,
                 translator=self._translator,
-                store=self._store,
             )
             handle = AnalystSessionHandle(analyst=analyst, table=table, engine=engine)
             self._sessions[analyst] = handle

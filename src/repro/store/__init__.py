@@ -1,14 +1,11 @@
 """Persistent artifact store with domain-fingerprint revalidation.
 
-This package is the disk-backed third tier under the engine's in-memory
-memos.  The expensive derivations of the APEx stack -- exact-domain
-workload matrices (:class:`~repro.queries.workload.WorkloadMatrix`),
-accuracy-to-privacy translation lists
-(:class:`~repro.core.translator.AccuracyTranslator`), and WCQ-SM's
-Monte-Carlo epsilon searches
-(:class:`~repro.mechanisms.strategy_mechanism.StrategyMechanism`) -- are
-pure functions of (workload structure, attribute domains, alpha, beta).
-Three cooperating pieces exploit that purity:
+This package is the disk-backed third tier under the translation memo.
+Accuracy-to-privacy translation lists
+(:class:`~repro.core.translator.AccuracyTranslator`), which include WCQ-SM's
+Monte-Carlo epsilon searches, are pure functions of (workload structure,
+attribute domains, alpha, beta), and so are the workload matrices beneath
+them.  Three cooperating pieces exploit that purity:
 
 * **domain fingerprints** (:meth:`repro.data.Table.domain_fingerprint`,
   bundled into :class:`repro.data.DomainStamp`) -- cheap per-attribute
@@ -23,8 +20,9 @@ Three cooperating pieces exploit that purity:
   write-rename publication, checksum-verified corruption-safe loads,
   advisory cross-process file locking, and size-capped LRU eviction.
 
-Attach a store with ``APExEngine(..., store=ArtifactStore(path))`` or
-``ExplorationService(..., store=...)``; a restarted service pointed at the
+Attach a store with ``APExEngine(..., store=ArtifactStore(path))``,
+``ExplorationService(..., store=...)`` or
+``AccuracyTranslator(..., store=...)``; a restarted service pointed at the
 previous run's directory answers structurally identical ``preview_cost``
 requests with zero matrix rebuilds and zero Monte-Carlo re-searches.  The
 full key schema, revalidation contract and eviction policy are documented

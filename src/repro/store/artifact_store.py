@@ -1,11 +1,11 @@
 """A content-addressed, disk-backed artifact cache shared across processes.
 
-The expensive artifacts of this engine -- exact-domain workload matrices,
-accuracy-to-privacy translation lists, WCQ-SM's Monte-Carlo epsilon
-searches -- are pure functions of (workload structure, attribute domains,
-alpha, beta).  :class:`ArtifactStore` persists them under content digests
-(:mod:`repro.store.fingerprint`) so a *restarted* process, or a sibling
-process on the same machine, warm-starts instead of re-deriving everything.
+The engine's accuracy-to-privacy translation lists, which include WCQ-SM's
+Monte-Carlo epsilon searches, are pure functions of (workload structure,
+attribute domains, alpha, beta).  :class:`ArtifactStore` persists them
+under content digests (:mod:`repro.store.fingerprint`) so a *restarted*
+process, or a sibling process on the same machine, warm-starts instead of
+re-translating.
 
 Design constraints, all stdlib-only:
 

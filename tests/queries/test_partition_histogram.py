@@ -9,9 +9,9 @@ seed's semantics kept in
 signature word boundaries (L = 63/64/65), for rows that satisfy nothing, for
 NULLs, for zero-row and multi-shard tables, after appends, at cut points and
 domain bounds, for 2-attribute marginals, for rows outside the declared
-domains, and for matrices loaded from the store or revalidated after an
-append.  Exact-matrix mechanisms read their counts through the same path,
-without evaluating a predicate mask.
+domains, and for matrices revalidated after an append.  Exact-matrix
+mechanisms read their counts through the same path, without evaluating a
+predicate mask.
 
 An exact histogram is the sum of per-shard histograms the matrix keeps for
 each shard it has read, so the sums are checked across shard layouts
@@ -61,7 +61,6 @@ from repro.queries.query import (
 )
 from repro.queries.reference import reference_partition_histogram
 from repro.queries.workload import Workload, clear_matrix_cache, matrix_cache_stats
-from repro.store import ArtifactStore
 from tests.data.test_compaction import append_uncompacted
 
 SCHEMA = Schema(
@@ -363,21 +362,41 @@ class TestMarginal:
 
 
 class TestMatrixProvenance:
-    def test_matrix_loaded_from_the_store(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
+    def test_first_histogram_reuses_the_analysis_atoms(self, monkeypatch):
+        """An exact matrix keeps its analysis's atoms and leaf vectors; its
+        first histogram derives neither again."""
+        import repro.queries.workload as workload_module
+
+        calls = {"atoms": 0, "leaf_vectors": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            workload_module,
+            "_attribute_atoms",
+            counted("atoms", workload_module._attribute_atoms),
+        )
+        monkeypatch.setattr(
+            workload_module,
+            "_leaf_vectors",
+            counted("leaf_vectors", workload_module._leaf_vectors),
+        )
         workload = workload_of("mixed", 40)
         table = random_table(seed=8)
         clear_matrix_cache()
-        built = workload.analyze(
-            SCHEMA, version=table.domain_stamp(workload.attributes(), store=store)
+        matrix = workload.analyze(
+            SCHEMA, version=table.domain_stamp(workload.attributes())
         )
-        clear_matrix_cache()
-        loaded = workload.analyze(
-            SCHEMA, version=table.domain_stamp(workload.attributes(), store=store)
-        )
-        assert matrix_cache_stats()["disk_hits"] == 1 and loaded is not built
+        assert calls == {"atoms": 1, "leaf_vectors": 1}
+        histogram = matrix.partition_histogram(table)
+        assert calls == {"atoms": 1, "leaf_vectors": 1}
         np.testing.assert_array_equal(
-            assert_matches_reference(loaded, table), built.partition_histogram(table)
+            histogram, reference_partition_histogram(matrix, table)
         )
         clear_matrix_cache()
 
@@ -504,23 +523,17 @@ class TestShardSums:
 class TestAppendCostsTheAppendedRows:
     """``histogram_rows`` counts the rows the atom pass codes."""
 
-    @pytest.mark.parametrize("provenance", ["revalidated", "store"])
-    def test_matrix_reused_across_appends_codes_k_rows(self, provenance, tmp_path):
-        store = ArtifactStore(tmp_path / "store") if provenance == "store" else None
+    def test_matrix_reused_across_appends_codes_k_rows(self):
         workload = workload_of("mixed", 40)
         table = random_table(seed=21, n=400)
         rng = np.random.default_rng(22)
 
         def analyze():
-            stamp = table.domain_stamp(workload.attributes(), store=store)
+            stamp = table.domain_stamp(workload.attributes())
             return workload.analyze(SCHEMA, version=stamp)
 
         clear_matrix_cache()
         matrix = analyze()
-        if store is not None:
-            clear_matrix_cache()
-            matrix = analyze()
-            assert matrix_cache_stats()["disk_hits"] == 1
         assert_matches_reference(matrix, table)
         assert histogram_rows() == 400
         for k in (30, 12, 25):

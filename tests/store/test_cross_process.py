@@ -4,7 +4,8 @@ The acceptance criterion of the subsystem, pinned as a test: a
 restarted process -- fresh interpreter, ``store=`` pointing at the prior
 run's directory -- answers a structurally identical ``preview_cost`` with
 **zero** matrix rebuilds and **zero** Monte-Carlo re-searches, bit-identical
-to the cold result.
+to the cold result.  The store holds translation lists only, so a restart
+asked a new ``(alpha, beta)`` rebuilds the matrix once, in memory.
 """
 
 import json
@@ -83,6 +84,52 @@ class TestWarmStartAcrossProcesses:
         assert worker["translation_builds"] == 0
         assert worker["translation_disk_hits"] >= 1
         # JSON round-trips floats exactly: this is bit-identity.
+        cold_json = json.loads(
+            json.dumps({name: list(pair) for name, pair in cold.items()})
+        )
+        assert worker["costs"] == cold_json
+
+    def test_restart_asking_a_new_alpha_builds_once_and_persists_no_matrix(
+        self, tmp_path
+    ):
+        """Only translation lists persist: a restarted process asked an
+        (alpha, beta) the store has no translation for rebuilds the matrix
+        and the translation once each, exactly as a one-process cold run."""
+        clear_matrix_cache()
+        store_dir = str(tmp_path / "store")
+        table = build_bench_table(N_ROWS, seed=SEED)
+        workload = build_bench_workload(N_PREDICATES, n_amount_cuts=N_AMOUNT_CUTS)
+        engine = APExEngine(
+            table,
+            budget=10.0,
+            registry=default_registry(mc_samples=MC_SAMPLES),
+            seed=7,
+            store=ArtifactStore(store_dir),
+        )
+        # The store holds this workload's translation for another alpha.
+        engine.preview_cost(
+            WorkloadCountingQuery(workload, name="bench-wcq"),
+            AccuracySpec(alpha=0.08 * N_ROWS, beta=5e-4),
+        )
+
+        worker = run_worker(store_dir)
+        assert worker["matrix_builds"] == 1
+        assert worker["translation_builds"] == 1
+        assert worker["translation_disk_hits"] == 0
+        assert worker["mc_searches"] == 1
+        assert os.path.isdir(os.path.join(store_dir, "translation"))
+        assert not os.path.exists(os.path.join(store_dir, "matrix"))
+
+        clear_matrix_cache()
+        cold = APExEngine(
+            build_bench_table(N_ROWS, seed=SEED),
+            budget=10.0,
+            registry=default_registry(mc_samples=MC_SAMPLES),
+            seed=7,
+        ).preview_cost(
+            WorkloadCountingQuery(workload, name="bench-wcq"),
+            AccuracySpec(alpha=0.05 * N_ROWS, beta=5e-4),
+        )
         cold_json = json.loads(
             json.dumps({name: list(pair) for name, pair in cold.items()})
         )

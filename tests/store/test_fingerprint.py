@@ -128,12 +128,6 @@ class TestDomainStamp:
         assert s3.fingerprints == s1.fingerprints  # ...but domains preserved
         assert s3.domain_key == s1.domain_key
 
-    def test_store_never_affects_equality(self):
-        table = make_table()
-        s1 = table.domain_stamp(["state"], store=object())
-        s2 = table.domain_stamp(["state"])
-        assert s1 == s2 and hash(s1) == hash(s2)
-
     def test_unknown_attributes_are_skipped(self):
         table = make_table()
         stamp = table.domain_stamp(["state", "no-such-column"])
