@@ -8,7 +8,10 @@ tests (``tests/queries/test_vectorized_parity.py``,
 ``tests/queries/test_partition_histogram.py``, the shard-parity, snapshot
 and streaming suites): the vectorized paths must produce bit-identical masks,
 workload matrices and partition histograms on randomized tables, including
-SQL NULL edge cases.
+SQL NULL edge cases.  :func:`reference_leaf_vectors` is the per-atom
+``evaluate_cell`` loop that exact domain analysis replaced with one array
+comparison per condition; ``tests/queries/test_leaf_vectors.py`` holds the
+two byte for byte, errors included.
 
 Nothing in the production path imports this module for answering queries.
 """
@@ -51,6 +54,7 @@ from repro.queries.workload import (
 __all__ = [
     "reference_mask",
     "reference_null_mask",
+    "reference_leaf_vectors",
     "reference_domain_partitions",
     "reference_domain_matrix",
     "reference_partition_histogram",
@@ -131,6 +135,42 @@ def _comparison_mask(predicate: Comparison, table: Table) -> np.ndarray:
         f"operator {predicate.op!r} is not supported on non-numeric attribute "
         f"{predicate.attribute!r}"
     )
+
+
+def reference_leaf_vectors(
+    workload: Workload, atoms: "dict[str, list[CellValue]]"
+) -> dict[int, np.ndarray]:
+    """The seed's leaf vectors: ``evaluate_cell`` once per (condition, atom),
+    keyed by condition id, as ``_leaf_vectors`` keys them."""
+    out: dict[int, np.ndarray] = {}
+    for pred in workload.predicates:
+        _collect_leaf_vectors(pred, atoms, out)
+    return out
+
+
+def _collect_leaf_vectors(
+    predicate: Predicate,
+    atoms: "dict[str, list[CellValue]]",
+    out: dict[int, np.ndarray],
+) -> None:
+    """Evaluate every atomic condition once per atom of its attribute."""
+    if isinstance(predicate, (And, Or)):
+        for child in predicate.children:
+            _collect_leaf_vectors(child, atoms, out)
+    elif isinstance(predicate, Not):
+        _collect_leaf_vectors(predicate.child, atoms, out)
+    elif isinstance(predicate, (TruePredicate, FalsePredicate)):
+        pass
+    elif isinstance(predicate, (Comparison, Between, In, IsNull)):
+        if id(predicate) in out:
+            return
+        attribute = next(iter(predicate.attributes()))
+        atom_list = atoms[attribute]
+        out[id(predicate)] = np.fromiter(
+            (bool(predicate.evaluate_cell({attribute: atom})) for atom in atom_list),
+            dtype=bool,
+            count=len(atom_list),
+        )
 
 
 def reference_domain_partitions(

@@ -16,12 +16,14 @@ Two analysis paths are provided:
   domain cells, and cells are grouped by their predicate signature.  This is
   data independent and yields the exact matrix and sensitivity.
 
-  The enumeration is fully vectorized: each atomic condition is evaluated once
-  per atom of its attribute (a tiny boolean vector), the predicate AST is then
-  combined over chunks of the cell cross-product by numpy broadcasting /
+  The enumeration is fully vectorized.  Each referenced attribute's atoms
+  become arrays once (NULL flag, interval flag, interval representative,
+  category code), and each atomic condition's *leaf vector* -- its truth
+  value per atom -- is one array comparison over them.  The predicate AST is
+  then combined over chunks of the cell cross-product by numpy broadcasting /
   fancy indexing, and partitions are deduplicated with ``np.unique`` over
-  bit-packed signature rows.  No per-cell Python loop remains, which is what
-  allows :data:`MAX_DOMAIN_CELLS` to sit in the millions.
+  bit-packed signature rows.  No per-atom or per-cell Python loop remains,
+  which is what allows :data:`MAX_DOMAIN_CELLS` to sit in the millions.
 * **structural analysis** -- fallback for workloads containing opaque
   predicates (e.g. string-similarity predicates in the entity-resolution case
   study).  The matrix is the identity over predicates and the sensitivity is
@@ -75,7 +77,7 @@ import math
 import threading
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -97,6 +99,7 @@ from repro.queries.predicates import (
     Or,
     Predicate,
     TruePredicate,
+    _apply_op,
 )
 
 __all__ = [
@@ -481,9 +484,11 @@ class WorkloadMatrix:
     ) -> "WorkloadMatrix":
         """Exact, data-independent matrix via vectorized domain-cell enumeration.
 
-        Each atomic condition is evaluated once per atom of its attribute,
-        then the predicate ASTs are combined over the cell cross-product by
-        indexing those per-attribute vectors with broadcast cell coordinates;
+        Each atomic condition's leaf vector is one array comparison over its
+        attribute's atom arrays (interval representatives, category codes,
+        NULL flags), then the predicate ASTs are combined over the cell
+        cross-product by indexing those per-attribute vectors with broadcast
+        cell coordinates;
         signatures are deduplicated chunk by chunk with bit packing and
         ``np.unique``.  Semantics (including which cell describes each
         partition: the first one in cross-product order) match the original
@@ -858,7 +863,7 @@ def _enumerate_partitions(
         for row in first_rows:
             found.setdefault(
                 packed[row].tobytes(),
-                (tuple(bool(v) for v in signatures[row]), int(flat[row])),
+                (tuple(signatures[row].tolist()), int(flat[row])),
             )
 
     partitions = []
@@ -887,9 +892,126 @@ def _leaf_vectors(
     workload: Workload, atoms: "dict[str, list[CellValue]]"
 ) -> dict[int, np.ndarray]:
     """Every atomic condition's truth value per atom, keyed by condition id."""
+    arrays: dict[str, _AtomArrays] = {}
     out: dict[int, np.ndarray] = {}
     for pred in workload.predicates:
-        _collect_leaf_vectors(pred, atoms, out)
+        _collect_leaf_vectors(pred, atoms, arrays, out)
+    return out
+
+
+def _collect_leaf_vectors(
+    predicate: Predicate,
+    atoms: "dict[str, list[CellValue]]",
+    arrays: dict[str, "_AtomArrays"],
+    out: dict[int, np.ndarray],
+) -> None:
+    """Build every atomic condition's leaf vector over its attribute's atom
+    arrays, which are built on first use."""
+    if isinstance(predicate, (And, Or)):
+        for child in predicate.children:
+            _collect_leaf_vectors(child, atoms, arrays, out)
+    elif isinstance(predicate, Not):
+        _collect_leaf_vectors(predicate.child, atoms, arrays, out)
+    elif isinstance(predicate, (Comparison, Between, In, IsNull)):
+        if id(predicate) in out:
+            return
+        attribute = predicate.attribute
+        if attribute not in arrays:
+            arrays[attribute] = _atom_arrays(atoms[attribute])
+        out[id(predicate)] = _leaf_vector(predicate, arrays[attribute])
+    # Unknown predicate kinds fall back to per-cell evaluation downstream.
+
+
+class _AtomArrays(NamedTuple):
+    """One attribute's atoms as parallel arrays (see :func:`_atom_arrays`)."""
+
+    is_null: np.ndarray
+    is_interval: np.ndarray
+    #: ``Interval.representative()`` of each interval atom, NaN elsewhere.
+    representative: np.ndarray
+    #: Each ``str`` atom's code in ``code_of``, -1 elsewhere.
+    category: np.ndarray
+    #: Empty when the attribute has no category atom.
+    code_of: dict[str, int]
+    any_interval: bool
+
+
+def _atom_arrays(atom_list: Sequence[CellValue]) -> _AtomArrays:
+    """The atoms of one attribute as arrays, for :func:`_leaf_vector`.
+
+    Category atoms are compared through integer codes (one per distinct
+    string), so no numpy string array, with its truncation of trailing NULs,
+    is involved.
+    """
+    n = len(atom_list)
+    code_of: dict[str, int] = {}
+    is_interval = np.fromiter(
+        (isinstance(a, Interval) for a in atom_list), dtype=bool, count=n
+    )
+    category = np.fromiter(
+        (code_of.setdefault(a, len(code_of)) if isinstance(a, str) else -1 for a in atom_list),
+        dtype=np.int64,
+        count=n,
+    )
+    return _AtomArrays(
+        is_null=np.fromiter((a is None for a in atom_list), dtype=bool, count=n),
+        is_interval=is_interval,
+        representative=np.fromiter(
+            (a.representative() if isinstance(a, Interval) else math.nan for a in atom_list),
+            dtype=float,
+            count=n,
+        ),
+        category=category,
+        code_of=code_of,
+        any_interval=bool(is_interval.any()),
+    )
+
+
+def _leaf_vector(
+    leaf: "Comparison | Between | In | IsNull", atoms: _AtomArrays
+) -> np.ndarray:
+    """``leaf.evaluate_cell`` over every atom, as one array expression.
+
+    A condition is constant over each atom (atoms are cut at every workload
+    constant), so an interval atom is decided by its representative, as
+    ``evaluate_cell`` decides it.  NULL atoms satisfy only ``IS NULL``.  The
+    errors ``evaluate_cell`` raises on a category atom are raised here too.
+    """
+    if isinstance(leaf, IsNull):
+        return ~atoms.is_null if leaf.negated else atoms.is_null.copy()
+    if isinstance(leaf, In):
+        allowed = [atoms.code_of[v] for v in leaf.values if v in atoms.code_of]
+        return np.isin(atoms.category, allowed)
+    representative = atoms.representative
+    if isinstance(leaf, Between):
+        if atoms.code_of:
+            raise PredicateError(
+                f"BETWEEN on attribute {leaf.attribute!r} requires a numeric cell"
+            )
+        # Interval.contains term by term (a NaN bound excludes nothing).
+        outside = (representative < leaf.low) | (representative > leaf.high)
+        if not leaf.low_inclusive:
+            outside |= representative == leaf.low
+        if not leaf.high_inclusive:
+            outside |= representative == leaf.high
+        return atoms.is_interval & ~outside
+    # evaluate_cell converts the constant only on an interval atom, so a
+    # categorical attribute never sees float('<category>') raise.
+    if atoms.any_interval:
+        target = float(leaf.value)  # type: ignore[arg-type]
+        out = atoms.is_interval & _apply_op(representative, leaf.op, target)
+    else:
+        out = np.zeros(len(representative), dtype=bool)
+    if atoms.code_of:
+        code = atoms.code_of.get(str(leaf.value), -2)
+        if leaf.op == "==":
+            out |= atoms.category == code
+        elif leaf.op == "!=":
+            out |= (atoms.category >= 0) & (atoms.category != code)
+        else:
+            raise PredicateError(
+                f"operator {leaf.op!r} cannot be evaluated on categorical cell value"
+            )
     return out
 
 
@@ -975,32 +1097,6 @@ def _atom_coder(
             return np.where(is_null, null, present)
 
     return coded
-
-
-def _collect_leaf_vectors(
-    predicate: Predicate,
-    atoms: "dict[str, list[CellValue]]",
-    out: dict[int, np.ndarray],
-) -> None:
-    """Evaluate every atomic condition once per atom of its attribute."""
-    if isinstance(predicate, (And, Or)):
-        for child in predicate.children:
-            _collect_leaf_vectors(child, atoms, out)
-    elif isinstance(predicate, Not):
-        _collect_leaf_vectors(predicate.child, atoms, out)
-    elif isinstance(predicate, (TruePredicate, FalsePredicate)):
-        pass
-    elif isinstance(predicate, (Comparison, Between, In, IsNull)):
-        if id(predicate) in out:
-            return
-        attribute = next(iter(predicate.attributes()))
-        atom_list = atoms[attribute]
-        out[id(predicate)] = np.fromiter(
-            (bool(predicate.evaluate_cell({attribute: atom})) for atom in atom_list),
-            dtype=bool,
-            count=len(atom_list),
-        )
-    # Unknown predicate kinds fall back to per-cell evaluation downstream.
 
 
 def _evaluate_over_cells(
@@ -1110,7 +1206,10 @@ def _numeric_atoms(
     low = getattr(domain, "low", -math.inf)
     high = getattr(domain, "high", math.inf)
     for cond in conditions:
-        if isinstance(cond, Comparison) and cond.is_numeric:
+        if isinstance(cond, Comparison):
+            # The conversion row evaluation applies, so a quoted constant
+            # cuts where it compares (and an unparsable one raises the same
+            # ValueError).
             cuts.add(float(cond.value))  # type: ignore[arg-type]
         elif isinstance(cond, Between):
             cuts.add(float(cond.low))
