@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Iterator, MutableMapping, Sequence
 import numpy as np
 
 from repro.core.accuracy import AccuracySpec
+from repro.core.exceptions import TranslationError
 from repro.core.engine import APExEngine
 from repro.core.translator import AccuracyTranslator, SelectionMode
 from repro.bench.queries import BenchmarkQuery, QueryBenchmark, build_benchmark
@@ -413,7 +414,9 @@ def _mechanism_costs(
 ) -> list[float]:
     try:
         translation = mechanism.translate(query, accuracy, table.schema)
-    except Exception:
+    except TranslationError:
+        # The accuracy is out of this mechanism's range: no row, as in the
+        # paper's tables.  Anything else (a schema mismatch) is a bug.
         return []
     if not translation.is_data_dependent:
         return [translation.epsilon_upper]

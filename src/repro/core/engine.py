@@ -12,8 +12,10 @@ Per query the engine
    applicable mechanisms, their translations, and the cheapest admissible one;
 2. denies the query (``ExplorationResult.denied``) when no mechanism fits the
    remaining budget;
-3. otherwise runs the chosen mechanism and charges the *actual* privacy loss
-   to the :class:`~repro.core.accounting.PrivacyLedger`.
+3. otherwise releases the chosen mechanism's answer on the admitted
+   snapshot, stamp and translation -- so it spends at most the epsilon
+   admission reserved -- and charges the *actual* privacy loss to the
+   :class:`~repro.core.accounting.PrivacyLedger`.
 
 The full interaction is recorded in a transcript whose validity (Definition
 6.1 / Theorem 6.2) can be checked at any time via
@@ -324,7 +326,9 @@ class APExEngine:
                 if deadline is not None:
                     deadline.check(f"explore({query.name})")
                 with tracing.span("mechanism.run", mechanism=choice.mechanism.name):
-                    result = choice.mechanism.run(query, accuracy, snap, rng=self._rng)
+                    result = choice.mechanism.release(
+                        query, accuracy, choice.translation, snap, stamp, self._rng
+                    )
                 fail_point("engine.explore.after_run")
                 if deadline is not None:
                     deadline.check(f"explore({query.name})")

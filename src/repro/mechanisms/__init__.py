@@ -7,7 +7,10 @@ each exposes the two functions of the paper's interface:
   privacy loss required to meet the ``(alpha, beta)`` accuracy bound, and
 * ``run(query, accuracy, table) -> (answer, actual_epsilon)`` -- execute the
   mechanism and report the privacy loss actually incurred (which can be below
-  the upper bound for data-dependent mechanisms such as ICQ-MPM).
+  the upper bound for data-dependent mechanisms such as ICQ-MPM).  ``run``
+  is written once in the base class as pin, stamp, translate and
+  ``release``; each mechanism implements ``release``, which the engine
+  calls directly on the translation it admitted.
 
 | Mechanism | Query types | Paper reference |
 |---|---|---|

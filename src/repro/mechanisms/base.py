@@ -9,9 +9,16 @@ Section 4 of the paper: each mechanism ``M`` exposes two functions,
   and returning the answer together with the privacy loss actually spent
   (which may be below ``epsilon_u`` for data-dependent mechanisms).
 
-The :class:`Mechanism` base class below encodes exactly that interface;
-:class:`TranslationResult` and :class:`MechanismResult` are the value objects
-it traffics in.
+The :class:`Mechanism` base class below encodes exactly that interface.
+``run`` is written once, here: it pins a snapshot of ``D``, stamps the
+workload's attributes, translates, and hands the translation to
+``release`` -- the only mechanism-specific step of a run, which answers on
+the snapshot, stamp and translation it is given with noise calibrated to
+``translation.epsilon_upper``.  The engine (Algorithm 1) makes the pin,
+stamp and translation itself at admission and calls ``release`` directly,
+so the mechanism spends exactly the epsilon that admission reserved.
+:class:`TranslationResult` and :class:`MechanismResult` are the value
+objects the interface traffics in.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import numpy as np
 from repro.core.accuracy import AccuracySpec
 from repro.core.exceptions import MechanismError
 from repro.data.schema import Schema
-from repro.data.table import Table
+from repro.data.table import DomainStamp, Table, TableSnapshot
 from repro.queries.query import Query, QueryKind
 
 __all__ = ["TranslationResult", "MechanismResult", "Mechanism"]
@@ -146,7 +153,6 @@ class Mechanism(abc.ABC):
         table state, it reveals nothing about the rows.
         """
 
-    @abc.abstractmethod
     def run(
         self,
         query: Query,
@@ -155,6 +161,32 @@ class Mechanism(abc.ABC):
         rng: np.random.Generator | int | None = None,
     ) -> MechanismResult:
         """Execute the mechanism and return the answer and actual privacy loss."""
+        self._check_supported(query)
+        snapshot = table.snapshot()  # pin one version for the whole run
+        # One stamp for translation and release, so the matrix memo hits.
+        stamp = snapshot.domain_stamp(query.workload.attributes())
+        translation = self.translate(query, accuracy, snapshot.schema, version=stamp)
+        return self.release(
+            query, accuracy, translation, snapshot, stamp, self._rng(rng)
+        )
+
+    @abc.abstractmethod
+    def release(
+        self,
+        query: Query,
+        accuracy: AccuracySpec,
+        translation: TranslationResult,
+        snapshot: TableSnapshot,
+        stamp: DomainStamp,
+        rng: np.random.Generator,
+    ) -> MechanismResult:
+        """Answer ``query`` on ``snapshot`` at ``translation.epsilon_upper``.
+
+        ``translation`` is this mechanism's translation of ``(query,
+        accuracy)`` at ``stamp``, the snapshot's domain stamp of the
+        workload's attributes.  ``release`` neither pins, stamps nor
+        translates; it draws all noise from ``rng``.
+        """
 
     # -- helpers -----------------------------------------------------------------
 

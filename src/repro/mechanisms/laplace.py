@@ -22,15 +22,10 @@ import numpy as np
 from repro.core.accuracy import AccuracySpec
 from repro.core.exceptions import TranslationError
 from repro.data.schema import Schema
-from repro.data.table import Table
+from repro.data.table import DomainStamp, TableSnapshot
 from repro.mechanisms.base import Mechanism, MechanismResult, TranslationResult
 from repro.mechanisms.noise import laplace_noise
-from repro.queries.query import (
-    IcebergCountingQuery,
-    Query,
-    QueryKind,
-    TopKCountingQuery,
-)
+from repro.queries.query import Query, QueryKind
 
 __all__ = ["LaplaceMechanism", "laplace_epsilon_for_accuracy"]
 
@@ -104,39 +99,28 @@ class LaplaceMechanism(Mechanism):
             },
         )
 
-    def run(
+    def release(
         self,
         query: Query,
         accuracy: AccuracySpec,
-        table: Table,
-        rng: np.random.Generator | int | None = None,
+        translation: TranslationResult,
+        snapshot: TableSnapshot,
+        stamp: DomainStamp,
+        rng: np.random.Generator,
     ) -> MechanismResult:
-        self._check_supported(query)
-        generator = self._rng(rng)
-        table = table.snapshot()  # pin one version for the whole run
-        schema = table.schema
-        # One stamp for both reads, so the query's matrix memo hits.
-        stamp = table.domain_stamp(query.workload.attributes())
-        translation = self.translate(query, accuracy, schema, version=stamp)
         epsilon = translation.epsilon_upper
-        sensitivity = translation.details["sensitivity"]
+        matrix = query.workload_matrix(snapshot.schema, stamp)
+        sensitivity = matrix.sensitivity
         scale = sensitivity / epsilon
-
-        true_counts = query.workload_matrix(schema, stamp).true_answers(table)
-        noisy_counts = true_counts + laplace_noise(scale, len(true_counts), generator)
-
-        if query.kind is QueryKind.WCQ:
-            value: np.ndarray | list[str] = noisy_counts
-        elif query.kind is QueryKind.ICQ:
-            assert isinstance(query, IcebergCountingQuery)
-            value = query.select_by_counts(noisy_counts)
-        else:
-            assert isinstance(query, TopKCountingQuery)
-            value = query.select_by_counts(noisy_counts)
-
+        true_counts = matrix.true_answers(snapshot)
+        noisy_counts = true_counts + laplace_noise(scale, len(true_counts), rng)
         return MechanismResult(
             mechanism=self.name,
-            value=value,
+            value=(
+                noisy_counts
+                if query.kind is QueryKind.WCQ
+                else query.select_by_counts(noisy_counts)
+            ),
             epsilon_spent=epsilon,
             epsilon_upper=epsilon,
             noisy_counts=noisy_counts,

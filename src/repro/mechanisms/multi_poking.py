@@ -31,7 +31,7 @@ import numpy as np
 from repro.core.accuracy import AccuracySpec
 from repro.core.exceptions import MechanismError, TranslationError
 from repro.data.schema import Schema
-from repro.data.table import Table
+from repro.data.table import DomainStamp, TableSnapshot
 from repro.mechanisms.base import Mechanism, MechanismResult, TranslationResult
 from repro.mechanisms.noise import laplace_noise, relax_laplace_noise
 from repro.queries.query import IcebergCountingQuery, Query, QueryKind
@@ -100,36 +100,32 @@ class MultiPokingMechanism(Mechanism):
             )
         return sensitivity * math.log(argument) / alpha
 
-    # -- run -----------------------------------------------------------------------
+    # -- release -------------------------------------------------------------------
 
-    def run(
+    def release(
         self,
         query: Query,
         accuracy: AccuracySpec,
-        table: Table,
-        rng: np.random.Generator | int | None = None,
+        translation: TranslationResult,
+        snapshot: TableSnapshot,
+        stamp: DomainStamp,
+        rng: np.random.Generator,
     ) -> MechanismResult:
-        self._check_supported(query)
         assert isinstance(query, IcebergCountingQuery)
-        generator = self._rng(rng)
-        table = table.snapshot()  # pin one version for the whole poking loop
-        schema: Schema = table.schema
         alpha, beta = accuracy.alpha, accuracy.beta
         m = self._n_pokes
-        matrix = query.workload_matrix(
-            schema, table.domain_stamp(query.workload.attributes())
-        )
+        matrix = query.workload_matrix(snapshot.schema, stamp)
         sensitivity = matrix.sensitivity
         workload_size = query.workload_size
-        epsilon_max = self._epsilon_max(sensitivity, workload_size, alpha, beta)
+        epsilon_max = translation.epsilon_upper
 
         names = query.bin_names()
-        true_differences = matrix.true_answers(table) - query.threshold
+        true_differences = matrix.true_answers(snapshot) - query.threshold
         log_term = math.log(m * workload_size / (2.0 * beta))
 
         epsilon_i = epsilon_max / m
         scale_i = sensitivity / epsilon_i
-        noise = laplace_noise(scale_i, workload_size, generator)
+        noise = laplace_noise(scale_i, workload_size, rng)
         noisy_differences = true_differences + noise
 
         for poke in range(m - 1):
@@ -144,7 +140,7 @@ class MultiPokingMechanism(Mechanism):
             epsilon_next = epsilon_i + epsilon_max / m
             scale_next = sensitivity / epsilon_next
             noise = np.asarray(
-                relax_laplace_noise(noise, scale_i, scale_next, generator)
+                relax_laplace_noise(noise, scale_i, scale_next, rng)
             )
             noisy_differences = true_differences + noise
             epsilon_i = epsilon_next

@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.accuracy import AccuracySpec
 from repro.core.exceptions import TranslationError
 from repro.data.schema import Schema
-from repro.data.table import Table
+from repro.data.table import DomainStamp, TableSnapshot
 from repro.mechanisms.base import Mechanism, MechanismResult, TranslationResult
 from repro.mechanisms.noise import laplace_noise
 from repro.queries.query import Query, QueryKind, TopKCountingQuery
@@ -72,28 +72,21 @@ class LaplaceTopKMechanism(Mechanism):
             )
         return 2.0 * k * math.log(argument) / alpha
 
-    def run(
+    def release(
         self,
         query: Query,
         accuracy: AccuracySpec,
-        table: Table,
-        rng: np.random.Generator | int | None = None,
+        translation: TranslationResult,
+        snapshot: TableSnapshot,
+        stamp: DomainStamp,
+        rng: np.random.Generator,
     ) -> MechanismResult:
-        self._check_supported(query)
         assert isinstance(query, TopKCountingQuery)
-        generator = self._rng(rng)
-        table = table.snapshot()  # pin one version for the whole run
-        translation = self.translate(
-            query,
-            accuracy,
-            table.schema,
-            version=table.domain_stamp(query.workload.attributes()),
-        )
         epsilon = translation.epsilon_upper
         scale = query.k / epsilon
 
-        true_counts = query.true_counts(table)
-        noisy_counts = true_counts + laplace_noise(scale, len(true_counts), generator)
+        true_counts = query.true_counts(snapshot)
+        noisy_counts = true_counts + laplace_noise(scale, len(true_counts), rng)
         selected = query.select_by_counts(noisy_counts)
 
         return MechanismResult(

@@ -21,6 +21,10 @@ The smallest passing epsilon is therefore an order statistic of ``M`` --
 numbers converges to.  It is clamped to the Theorem A.1 (Chebyshev plus a
 union bound over rows) epsilon, which suffices on its own.  The simulation
 is data independent, so results are cached per (workload, accuracy) pair.
+The search runs only inside ``translate``: ``release`` answers at the
+translation's epsilon with the strategy and reconstruction memoised per
+workload matrix, so a translation loaded from the artifact store is
+released without a search.
 
 ``Z`` itself is drawn once per process, not once per search.  numpy fills a
 ``(l, N)`` draw row by row, so ``default_rng(seed).laplace(0, 1, (l, N))``
@@ -33,10 +37,12 @@ grows to the largest ``l`` searched, ``8 * l_max * N`` bytes (16 MB for
 ``l = 199`` at the default ``N = 10**4``) -- the block the largest search
 would allocate anyway.
 
-``ICQ-SM`` (Section 5.3.1) reuses the same machinery: it answers the workload
-with a WCQ-accuracy requirement whose failure probability is doubled (the ICQ
-error events are one sided), then thresholds the noisy counts locally -- a
-post-processing step that costs no additional privacy.
+``ICQ-SM`` (Section 5.3.1) is the same mechanism admitted for ICQ: it
+translates the workload under a WCQ-accuracy requirement whose failure
+probability is doubled (the ICQ error events are one sided), then thresholds
+the noisy counts locally -- a post-processing step that costs no additional
+privacy.  :class:`StrategyMechanism` dispatches both on ``query.kind``, so
+:class:`IcebergStrategyMechanism` only names itself and its query kind.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from repro.core.accuracy import AccuracySpec
 from repro.core.exceptions import TranslationError
 from repro.core.lru import LRUCache
 from repro.data.schema import Schema
-from repro.data.table import Table, TableSnapshot
+from repro.data.table import DomainStamp, TableSnapshot
 from repro.mechanisms.base import Mechanism, MechanismResult, TranslationResult
 from repro.obs import Counter, tracing
 from repro.mechanisms.noise import laplace_noise
@@ -61,7 +67,7 @@ from repro.mechanisms.strategies import (
     hierarchical_strategy,
     identity_strategy,
 )
-from repro.queries.query import IcebergCountingQuery, Query, QueryKind
+from repro.queries.query import Query, QueryKind
 from repro.queries.workload import WorkloadMatrix
 
 __all__ = [
@@ -128,15 +134,18 @@ class StrategyTranslation:
     """Internal record of a completed accuracy-to-privacy search."""
 
     epsilon: float
-    strategy: StrategyMatrix
-    reconstruction: np.ndarray
     chebyshev_upper: float
-    mc_samples: int
 
 
 class StrategyMechanism(Mechanism):
-    """WCQ-SM: the strategy/matrix mechanism for workload counting queries."""
+    """WCQ-SM: the strategy/matrix mechanism for workload counting queries.
 
+    Answers ICQ too when a subclass lists it in ``supported_kinds`` (see
+    :class:`IcebergStrategyMechanism`): translation doubles ``beta`` and
+    release thresholds the noisy counts.
+    """
+
+    name = "WCQ-SM"
     supported_kinds = frozenset({QueryKind.WCQ})
 
     def __init__(
@@ -147,19 +156,23 @@ class StrategyMechanism(Mechanism):
         name: str | None = None,
         seed: int = 20190501,
     ) -> None:
-        self.name = name or "WCQ-SM"
+        self.name = name or self.name
         self._strategy_factory = strategy_factory
         self._mc_samples = int(mc_samples)
         self._seed = seed
-        # Keyed by (matrix cache token, alpha, beta): the token identifies the
+        # Both memos key on the matrix cache token, which identifies the
         # matrix *values* plus the table version it was derived for, so
         # structurally identical workloads (every single-predicate screening
         # query of the ER strategies, every re-asked workload of a relaxation
-        # loop) share one Monte-Carlo epsilon search -- while a table
-        # mutation (new version token) forces a fresh search instead of
-        # resurrecting a stale one.  Tokens hold their referents, so ids
-        # never alias.
+        # loop) share one strategy and one Monte-Carlo epsilon search per
+        # accuracy -- while a table mutation (new version token) forces a
+        # rebuild instead of resurrecting a stale one.  Tokens hold their
+        # referents, so ids never alias.  ``_strategies`` holds the
+        # ``(strategy, reconstruction)`` pair release needs, so a release on
+        # a translation loaded from the store builds the strategy but never
+        # searches.
         self._cache: LRUCache[StrategyTranslation] = LRUCache(256)
+        self._strategies: LRUCache[tuple[StrategyMatrix, np.ndarray]] = LRUCache(256)
 
     # -- public API ---------------------------------------------------------------
 
@@ -172,20 +185,23 @@ class StrategyMechanism(Mechanism):
         version: object | None = None,
     ) -> TranslationResult:
         self._check_supported(query)
-        translation = self._translate_matrix(
-            query.workload_matrix(schema, version),
-            accuracy.alpha,
-            accuracy.beta,
-        )
+        beta = accuracy.beta
+        if query.kind is QueryKind.ICQ:
+            # The ICQ error events are one sided: the equivalent two-sided
+            # WCQ requirement doubles the failure probability.
+            beta = min(2.0 * beta, 0.999)
+        workload_matrix = query.workload_matrix(schema, version)
+        translation = self._search(workload_matrix, accuracy.alpha, beta)
+        strategy, _ = self._strategy(workload_matrix)
         return TranslationResult(
             mechanism=self.name,
             epsilon_upper=translation.epsilon,
             epsilon_lower=translation.epsilon,
             details={
-                "strategy": translation.strategy.name,
-                "strategy_sensitivity": translation.strategy.sensitivity,
+                "strategy": strategy.name,
+                "strategy_sensitivity": strategy.sensitivity,
                 "chebyshev_upper": translation.chebyshev_upper,
-                "mc_samples": translation.mc_samples,
+                "mc_samples": self._mc_samples,
             },
         )
 
@@ -200,58 +216,55 @@ class StrategyMechanism(Mechanism):
             self._seed,
         )
 
-    def run(
+    def release(
         self,
         query: Query,
         accuracy: AccuracySpec,
-        table: Table,
-        rng: np.random.Generator | int | None = None,
+        translation: TranslationResult,
+        snapshot: TableSnapshot,
+        stamp: DomainStamp,
+        rng: np.random.Generator,
     ) -> MechanismResult:
-        self._check_supported(query)
-        generator = self._rng(rng)
-        table = table.snapshot()  # pin one version for search + histogram
-        # A domain stamp rather than the bare token: if translate-time work
-        # populated the memos at an equal stamp (same version, same
-        # fingerprints), the run reuses it -- and a run straddling a
-        # domain-preserving append revalidates instead of rebuilding.
-        stamp = table.domain_stamp(query.workload.attributes())
-        workload_matrix = query.workload_matrix(table.schema, stamp)
-        translation = self._translate_matrix(
-            workload_matrix, accuracy.alpha, accuracy.beta
+        epsilon = translation.epsilon_upper
+        workload_matrix = query.workload_matrix(snapshot.schema, stamp)
+        strategy, reconstruction = self._strategy(workload_matrix)
+        histogram = workload_matrix.partition_histogram(snapshot)
+        scale = strategy.sensitivity / epsilon
+        strategy_answers = strategy.matrix @ histogram + laplace_noise(
+            scale, strategy.n_queries, rng
         )
-        noisy_counts = self._noisy_workload_answers(
-            workload_matrix, translation, table, generator
-        )
+        noisy_counts = reconstruction @ strategy_answers
         return MechanismResult(
             mechanism=self.name,
-            value=noisy_counts,
-            epsilon_spent=translation.epsilon,
-            epsilon_upper=translation.epsilon,
+            value=(
+                noisy_counts
+                if query.kind is QueryKind.WCQ
+                else query.select_by_counts(noisy_counts)
+            ),
+            epsilon_spent=epsilon,
+            epsilon_upper=epsilon,
             noisy_counts=noisy_counts,
             metadata={
-                "strategy": translation.strategy.name,
-                "strategy_sensitivity": translation.strategy.sensitivity,
+                "strategy": strategy.name,
+                "strategy_sensitivity": strategy.sensitivity,
             },
         )
 
-    # -- shared internals (also used by ICQ-SM) -------------------------------------
+    # -- internals ------------------------------------------------------------------
 
-    def _noisy_workload_answers(
-        self,
-        workload_matrix: WorkloadMatrix,
-        translation: StrategyTranslation,
-        snapshot: TableSnapshot,
-        generator: np.random.Generator,
-    ) -> np.ndarray:
-        strategy = translation.strategy
-        histogram = workload_matrix.partition_histogram(snapshot)
-        scale = strategy.sensitivity / translation.epsilon
-        strategy_answers = strategy.matrix @ histogram + laplace_noise(
-            scale, strategy.n_queries, generator
-        )
-        return translation.reconstruction @ strategy_answers
+    def _strategy(
+        self, workload_matrix: WorkloadMatrix
+    ) -> tuple[StrategyMatrix, np.ndarray]:
+        """The strategy for ``workload_matrix`` and its reconstruction matrix."""
+        token = workload_matrix.cache_token
+        cached = self._strategies.get(token)
+        if cached is None:
+            strategy = self._build_strategy(workload_matrix)
+            cached = (strategy, strategy.reconstruction(workload_matrix.matrix))
+            self._strategies.put(token, cached)
+        return cached
 
-    def _translate_matrix(
+    def _search(
         self, workload_matrix: WorkloadMatrix, alpha: float, beta: float
     ) -> StrategyTranslation:
         cache_key = (workload_matrix.cache_token, float(alpha), float(beta))
@@ -260,8 +273,7 @@ class StrategyMechanism(Mechanism):
             tracing.annotate("search_tier", "exact")
             return cached
 
-        strategy = self._build_strategy(workload_matrix)
-        reconstruction = strategy.reconstruction(workload_matrix.matrix)
+        strategy, reconstruction = self._strategy(workload_matrix)
         frobenius = float(np.linalg.norm(reconstruction, ord="fro"))
         sensitivity = strategy.sensitivity
         chebyshev_upper = sensitivity * frobenius / (alpha * math.sqrt(beta / 2.0))
@@ -278,13 +290,7 @@ class StrategyMechanism(Mechanism):
             epsilon = float(min(sensitivity * order_statistic / alpha, chebyshev_upper))
         _SEARCH_STATS["searches"].inc()
         tracing.annotate("search_tier", "built")
-        translation = StrategyTranslation(
-            epsilon=epsilon,
-            strategy=strategy,
-            reconstruction=reconstruction,
-            chebyshev_upper=chebyshev_upper,
-            mc_samples=n_samples,
-        )
+        translation = StrategyTranslation(epsilon=epsilon, chebyshev_upper=chebyshev_upper)
         self._cache.put(cache_key, translation)
         return translation
 
@@ -301,85 +307,11 @@ class StrategyMechanism(Mechanism):
         return strategy
 
 
-class IcebergStrategyMechanism(Mechanism):
+class IcebergStrategyMechanism(StrategyMechanism):
     """ICQ-SM: strategy mechanism plus local thresholding (Section 5.3.1)."""
 
+    name = "ICQ-SM"
     supported_kinds = frozenset({QueryKind.ICQ})
-
-    def __init__(
-        self,
-        strategy_factory: StrategyFactory = hierarchical_strategy,
-        *,
-        mc_samples: int = 10_000,
-        name: str | None = None,
-        **kwargs,
-    ) -> None:
-        self.name = name or "ICQ-SM"
-        self._inner = StrategyMechanism(
-            strategy_factory, mc_samples=mc_samples, name=f"{self.name}/WCQ", **kwargs
-        )
-
-    def _wcq_accuracy(self, accuracy: AccuracySpec) -> AccuracySpec:
-        """The equivalent two-sided WCQ requirement (doubled failure probability)."""
-        beta = min(2.0 * accuracy.beta, 0.999)
-        return AccuracySpec(alpha=accuracy.alpha, beta=beta)
-
-    def cache_signature(self) -> tuple:
-        return (type(self).__name__, self.name) + self._inner.cache_signature()
-
-    def translate(
-        self,
-        query: Query,
-        accuracy: AccuracySpec,
-        schema: Schema | None = None,
-        *,
-        version: object | None = None,
-    ) -> TranslationResult:
-        self._check_supported(query)
-        translation = self._inner._translate_matrix(
-            query.workload_matrix(schema, version),
-            accuracy.alpha,
-            self._wcq_accuracy(accuracy).beta,
-        )
-        return TranslationResult(
-            mechanism=self.name,
-            epsilon_upper=translation.epsilon,
-            epsilon_lower=translation.epsilon,
-            details={
-                "strategy": translation.strategy.name,
-                "strategy_sensitivity": translation.strategy.sensitivity,
-                "chebyshev_upper": translation.chebyshev_upper,
-            },
-        )
-
-    def run(
-        self,
-        query: Query,
-        accuracy: AccuracySpec,
-        table: Table,
-        rng: np.random.Generator | int | None = None,
-    ) -> MechanismResult:
-        self._check_supported(query)
-        assert isinstance(query, IcebergCountingQuery)
-        generator = self._rng(rng)
-        table = table.snapshot()  # pin one version for search + histogram
-        stamp = table.domain_stamp(query.workload.attributes())
-        workload_matrix = query.workload_matrix(table.schema, stamp)
-        translation = self._inner._translate_matrix(
-            workload_matrix, accuracy.alpha, self._wcq_accuracy(accuracy).beta
-        )
-        noisy_counts = self._inner._noisy_workload_answers(
-            workload_matrix, translation, table, generator
-        )
-        selected = query.select_by_counts(noisy_counts)
-        return MechanismResult(
-            mechanism=self.name,
-            value=selected,
-            epsilon_spent=translation.epsilon,
-            epsilon_upper=translation.epsilon,
-            noisy_counts=noisy_counts,
-            metadata={"strategy": translation.strategy.name},
-        )
 
 
 def _accepted_failures(n_samples: int, beta: float) -> int:

@@ -10,6 +10,7 @@ from repro.bench.harness import (
     RunTimings,
     ERExperimentConfig,
     ExperimentConfig,
+    _mechanism_costs,
     _timed,
     clear_run_timings,
     empirical_error,
@@ -24,7 +25,10 @@ from repro.bench.harness import (
     run_table2,
 )
 from repro.bench.queries import build_benchmark
-from repro.queries.builders import histogram_workload, point_workload
+from repro.core.accuracy import AccuracySpec
+from repro.core.exceptions import SchemaError
+from repro.mechanisms.registry import default_registry
+from repro.queries.builders import histogram_workload, point_workload, prefix_workload
 from repro.queries.query import (
     IcebergCountingQuery,
     TopKCountingQuery,
@@ -124,6 +128,29 @@ class TestTable2:
         tiny_config.queries = None
         costs = {r["mechanism"]: r["epsilon_median"] for r in records}
         assert costs["TCQ-LTM"] < costs["TCQ-LM"]
+
+
+class TestMechanismCosts:
+    def test_schema_errors_propagate(self, adult_small):
+        """A workload over a missing attribute raises instead of silently
+        dropping the mechanism's Table 2 row."""
+        query = WorkloadCountingQuery(prefix_workload("no_such_attr", [1.0, 2.0]))
+        accuracy = AccuracySpec(alpha=0.08 * len(adult_small), beta=5e-4)
+        for mechanism in default_registry(mc_samples=300).for_query(query):
+            with pytest.raises(SchemaError):
+                _mechanism_costs(
+                    mechanism, query, accuracy, adult_small, 1, np.random.default_rng(0)
+                )
+
+    def test_untranslatable_accuracy_yields_no_costs(self, adult_small):
+        """ICQ-LM has no positive epsilon for a one-bin iceberg at beta = 0.9."""
+        query = IcebergCountingQuery(point_workload("age", [30.0]), threshold=10)
+        mechanism = default_registry(mc_samples=300).get("ICQ-LM")
+        accuracy = AccuracySpec(alpha=50.0, beta=0.9)
+        costs = _mechanism_costs(
+            mechanism, query, accuracy, adult_small, 1, np.random.default_rng(0)
+        )
+        assert costs == []
 
 
 class TestFigure4:

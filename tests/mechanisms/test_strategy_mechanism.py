@@ -247,7 +247,7 @@ class TestSharedNoise:
             icq_result = icq.translate(icq_query, accuracy, adult_small.schema)
             icq_beta = min(2.0 * beta, 0.999)
             assert icq_result.epsilon_upper == fresh_draw_epsilon(
-                icq._inner, matrix, alpha, icq_beta
+                icq, matrix, alpha, icq_beta
             )
 
 
