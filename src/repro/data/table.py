@@ -15,9 +15,10 @@ Storage is a list of immutable **row shards** (one frozen column-chunk
 :meth:`Table.column` lazily concatenates the shard chunks.  Shards are the
 unit of incremental work: after an append only the new shard is interned,
 fingerprinted and histogrammed.  :attr:`Table.shards`,
-:meth:`Table.shard_category_codes` and :meth:`Table.shard_rows` are the
-per-shard read surface; an exact workload matrix keeps one histogram per
-shard it has read (weakly keyed by the shard) and sums them per snapshot.
+:meth:`Table.shard_category_codes`, :meth:`Table.shard_sorted_values` and
+:meth:`Table.shard_rows` are the per-shard read surface; an exact workload
+matrix keeps one histogram per shard it has read (weakly keyed by the
+shard) and sums them per snapshot.
 
 Tables are *versioned*, not frozen: :meth:`Table.append_rows` adds a new
 shard and :meth:`Table.refresh` replaces the contents wholesale.  Both
@@ -195,12 +196,20 @@ class Shard:
     entries die with the shard, so a shard merged away by compaction (and
     no longer pinned by any snapshot) drops out, and the merged shard is
     histogrammed afresh on first read.
+
+    ``sorted_values`` holds per-column read-only ``float64`` copies of a
+    numeric column in ascending order (NaN last), filled on first touch by
+    :meth:`Table.shard_sorted_values` for exact matrices that reference
+    that one attribute.  Like ``codes`` it never goes stale and survives
+    ``clear_caches``; unlike ``codes``, compaction does not carry it over,
+    so a merged shard sorts once on its first touch.
     """
 
     columns: dict[str, np.ndarray]
     n_rows: int
     codes: dict[str, np.ndarray] = field(default_factory=dict)
     distinct: dict[str, frozenset] = field(default_factory=dict)
+    sorted_values: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 class Table:
@@ -340,7 +349,8 @@ class Table:
 
         Read it from a snapshot so the list describes one version.  A
         shard's ``columns`` are frozen arrays and ``n_rows`` its row count;
-        :meth:`shard_category_codes` and :meth:`shard_rows` read the rest.
+        :meth:`shard_category_codes`, :meth:`shard_sorted_values` and
+        :meth:`shard_rows` read the rest.
         """
         with self._mutation_lock:
             self._ensure_open()
@@ -801,6 +811,23 @@ class Table:
         index = self._category_index.setdefault(name, {})
         return self._shard_codes(shard, name, index), index
 
+    def shard_sorted_values(self, shard: Shard, name: str) -> np.ndarray:
+        """One shard's numeric column as read-only sorted ``float64`` values.
+
+        NaN (NULL) sorts last.  The copy is made once in the shard's
+        lifetime and shared by every table, snapshot and matrix reading the
+        shard.  The sort runs outside the intern lock (it is the slow part,
+        and ``_merge_shards`` only ever tries that lock); racers publish
+        through ``setdefault`` under it, so all of them get one array.
+        """
+        values = shard.sorted_values.get(name)
+        if values is not None:
+            return values
+        values = np.sort(np.asarray(shard.columns[name], dtype=float))
+        values.flags.writeable = False
+        with self._intern_lock:
+            return shard.sorted_values.setdefault(name, values)
+
     def shard_rows(self, shard: Shard, rows: np.ndarray) -> "Table":
         """A new table holding the rows at ``rows`` of one shard."""
         return Table(
@@ -955,9 +982,10 @@ class Table:
         code arrays are retained -- they are append-only facts about the
         data, never renumbered, so "cold" runs still share them (build a
         fresh ``Table`` to measure interning itself).  So are the per-shard
-        histograms exact workload matrices keep: they live on the matrix,
-        keyed by the immutable shard (build a fresh ``Table``, or a fresh
-        matrix, to measure the histogram pass).
+        sorted numeric columns, and the per-shard histograms exact workload
+        matrices keep: they live on the matrix, keyed by the immutable shard
+        (build a fresh ``Table``, or a fresh matrix, to measure the
+        histogram pass).
         """
         with self._mutation_lock:
             self._null_masks.clear()

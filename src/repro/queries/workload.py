@@ -68,7 +68,7 @@ re-enumerating millions of cells.  Matrices are not persisted: a restarted
 process is served by the translation lists on disk (``docs/store.md``).
 ``matrix_cache_stats()`` reports ``built``/``revalidated`` alongside the
 LRU counters, and ``histogram_rows``/``histogram_shards`` for the per-shard
-histogram pass.
+histograms.
 """
 
 from __future__ import annotations
@@ -173,8 +173,9 @@ def matrix_cache_stats() -> dict[str, int]:
     domain-fingerprint tier, and ``built`` the analyses that actually
     enumerated.
     ``histogram_shards`` counts the per-shard histograms exact matrices
-    computed and ``histogram_rows`` the rows those passes coded (an append
-    of k rows costs k, not the table).
+    computed and ``histogram_rows`` the rows of those shards, read by either
+    the one-attribute counts or the row pass (an append of k rows costs k,
+    not the table).
     """
     tiers = {key: int(counter.value()) for key, counter in _MATRIX_TIER_STATS.items()}
     return {**_MATRIX_CACHE.stats(), **tiers}
@@ -457,7 +458,7 @@ class WorkloadMatrix:
         self._domain: (
             tuple[dict[str, list[CellValue]], dict[int, np.ndarray]] | None
         ) = None
-        self._coders: list[Callable[[Table, Shard], np.ndarray]] | None = None
+        self._coders: list[tuple[_RowCoder, _ShardCounter | None]] | None = None
         #: Exact matrices only: each shard's histogram as its occupied
         #: ``(partition ids, counts)``, at most ``min(P, rows)`` of each per
         #: shard.  Weak keys: an entry dies with its shard.  ``_shard_lock``
@@ -616,16 +617,24 @@ class WorkloadMatrix:
         dies with its shard, so a shard merged away by compaction drops out
         and the merged shard is read afresh.
 
-        A missing entry is computed by the atom pass over that shard's rows
-        alone.  Each referenced attribute maps every row to an atom of the
-        analysis in one pass: categorical values through a dictionary-code
-        -> atom lookup over the shard's codes, numbers through one
-        ``np.searchsorted`` over the atom endpoints (a value equal to a cut
-        is its point atom, any other value the open atom around it), NULL
-        (code -1, NaN) to the NULL atom.  The atoms' offsets (atom index
-        times row-major stride) sum to one flat cell index per row, and
-        ``np.bincount`` counts the cells; :data:`MAX_DOMAIN_CELLS` bounds
-        that ``n_cells + 1`` counter array.  Only the occupied cells get a
+        A missing entry starts from the count of each domain cell in that
+        shard alone; :data:`MAX_DOMAIN_CELLS` bounds that ``n_cells + 1``
+        counter array (the last slot counts rows in no atom).  When the
+        workload references one attribute, the counts take no pass over the
+        rows: a numeric shard's atom endpoints are searched, left and right,
+        in its sorted values (:meth:`Table.shard_sorted_values
+        <repro.data.table.Table.shard_sorted_values>`, made once per shard),
+        the differences being the open- and point-atom counts and the NaN
+        tail the NULL count; a categorical shard's codes are counted once
+        and mapped through the dictionary-code -> atom lookup.  Otherwise,
+        or when such counts find rows in no atom, the row pass codes the
+        shard: each referenced attribute maps every row to an atom, through
+        the same lookup for categorical values and one ``np.searchsorted``
+        over the atom endpoints for numbers (a value equal to a cut is its
+        point atom, any other value the open atom around it), NULL (code -1,
+        NaN) to the NULL atom; the atoms' offsets (atom index times
+        row-major stride) sum to one flat cell index per row, and
+        ``np.bincount`` counts the cells.  Only the occupied cells get a
         signature, from the analysis's per-atom leaf vectors.  Rows that map
         to no atom -- a value outside the declared domain, a NULL where no
         NULL atom exists, a categorical value that is no atom -- take their
@@ -715,7 +724,7 @@ class WorkloadMatrix:
             return self._shard_histograms.setdefault(shard, entry)
 
     def _code_shard(self, table: Table, shard: Shard) -> tuple[np.ndarray, np.ndarray]:
-        """The atom pass over one shard's rows (see ``partition_histogram``)."""
+        """One shard's occupied partitions (see ``partition_histogram``)."""
         schema = self._schema
         # from_domain_analysis sets both on every exact matrix.
         assert schema is not None and self._domain is not None
@@ -729,12 +738,17 @@ class WorkloadMatrix:
                 _atom_coder(self._workload, schema, name, atoms[name], stride, n_cells)
                 for name, stride in zip(names, strides)
             ]
-        # One flat cell index per row; n_cells stands for "no atom".
-        flat = np.zeros(shard.n_rows, dtype=np.int64)
-        for coder in self._coders:
-            flat += coder(table, shard)
-        np.minimum(flat, n_cells, out=flat)
-        counts = np.bincount(flat, minlength=n_cells + 1)
+        # Per-cell counts; index n_cells stands for "no atom".  One attribute
+        # is counted without a row pass; rows with no atom need the rows.
+        counts = None
+        if len(self._coders) == 1 and self._coders[0][1] is not None:
+            counts = self._coders[0][1](table, shard)
+        if counts is None or counts[n_cells]:
+            flat = np.zeros(shard.n_rows, dtype=np.int64)
+            for coded, _ in self._coders:
+                flat += coded(table, shard)
+            np.minimum(flat, n_cells, out=flat)
+            counts = np.bincount(flat, minlength=n_cells + 1)
         occupied = np.flatnonzero(counts[:n_cells])
         coordinates = {
             name: occupied // strides[j] % sizes[j] for j, name in enumerate(names)
@@ -1015,6 +1029,13 @@ def _leaf_vector(
     return out
 
 
+#: ``(table, shard) -> int64`` cell offset of every row of the shard.
+_RowCoder = Callable[[Table, Shard], np.ndarray]
+#: ``(table, shard) -> float64`` count of each cell in the shard, with the
+#: rows in no atom counted last (at index ``n_cells``).
+_ShardCounter = Callable[[Table, Shard], np.ndarray]
+
+
 def _atom_coder(
     workload: Workload,
     schema: Schema,
@@ -1022,18 +1043,25 @@ def _atom_coder(
     atom_list: Sequence[CellValue],
     stride: int,
     n_cells: int,
-) -> Callable[[Table, Shard], np.ndarray]:
-    """``(table, shard) -> int64`` cell offset (atom index times ``stride``)
-    of every ``name`` value in one shard of ``table``, with ``n_cells`` for
-    a value that is no atom.
+) -> tuple[_RowCoder, _ShardCounter | None]:
+    """The row coder and, where one exists, the shard counter of ``name``.
 
-    Categorical rows go through a lookup over the shard's dictionary codes,
-    numeric
-    rows through one ``np.searchsorted`` over the atom endpoints, and text
-    rows to the attribute's one non-NULL atom -- but only when the workload
-    tests the attribute for NULL alone, since row evaluation of any other
-    condition on text differs from its evaluation on that atom.  NULL goes
-    to the NULL atom if there is one.
+    The row coder maps every ``name`` value in one shard of ``table`` to its
+    ``int64`` cell offset (atom index times ``stride``), with ``n_cells``
+    for a value that is no atom.  Categorical rows go through a lookup over
+    the shard's dictionary codes, numeric rows through one
+    ``np.searchsorted`` over the atom endpoints, and text rows to the
+    attribute's one non-NULL atom -- but only when the workload tests the
+    attribute for NULL alone, since row evaluation of any other condition
+    on text differs from its evaluation on that atom.  NULL goes to the
+    NULL atom if there is one.
+
+    The shard counter, used when ``name`` is the only attribute (so the
+    offset is the cell), returns the ``n_cells + 1`` cell counts the row
+    coder's offsets would ``bincount`` to, without a per-row pass: the
+    numeric endpoints are searched in the shard's sorted values, and the
+    categorical codes are counted once and mapped through the lookup.
+    Text has no counter.
     """
     kind = schema[name].kind
     null = next((i * stride for i, a in enumerate(atom_list) if a is None), n_cells)
@@ -1041,19 +1069,32 @@ def _atom_coder(
     if kind is AttributeKind.CATEGORICAL:
         values = {a: i * stride for i, a in enumerate(atom_list) if a is not None}
 
-        def coded(table: Table, shard: Shard) -> np.ndarray:
+        def lookup_of(table: Table, shard: Shard) -> tuple[np.ndarray, np.ndarray]:
+            """The shard's codes plus one, and the offset of each: NULL
+            (code -1) first, then every code interned so far."""
             codes, index = table.shard_category_codes(shard, name)
             # The dictionary is shared and append-only, so it may grow while
             # this reads it.  Every code in ``codes`` was interned before
             # ``size`` is read; a value interned since is no row here.
             size = len(index)
             lookup = np.full(size + 1, n_cells, dtype=np.int64)
-            lookup[size] = null  # code -1 is NULL
+            lookup[0] = null
             for value, offset in values.items():
                 code = index.get(value, size)  # type: ignore[arg-type]
                 if code < size:
-                    lookup[code] = offset
+                    lookup[code + 1] = offset
+            return codes + 1, lookup
+
+        def coded(table: Table, shard: Shard) -> np.ndarray:
+            codes, lookup = lookup_of(table, shard)
             return lookup[codes]
+
+        def counted(table: Table, shard: Shard) -> np.ndarray:
+            codes, lookup = lookup_of(table, shard)
+            per_code = np.bincount(codes, minlength=len(lookup))
+            return np.bincount(lookup, weights=per_code, minlength=n_cells + 1)
+
+        return coded, counted
 
     elif kind is AttributeKind.NUMERIC:
         # Slot 2j is the open gap (edges[j - 1], edges[j]) and slot 2j + 1
@@ -1082,6 +1123,19 @@ def _atom_coder(
             slot = np.searchsorted(edge_array, values)
             return slots[2 * slot + (edge_or_nan[slot] == values)]
 
+        def counted(table: Table, shard: Shard) -> np.ndarray:
+            values = table.shard_sorted_values(shard, name)
+            valid = int(np.searchsorted(values, np.nan))  # NaN sorts last
+            left = np.searchsorted(values[:valid], edge_array, "left")
+            right = np.searchsorted(values[:valid], edge_array, "right")
+            per_slot = np.empty(len(slots), dtype=np.int64)
+            per_slot[0:-1:2] = left - np.append(0, right[:-1])  # open gaps
+            per_slot[1::2] = right - left  # points
+            per_slot[-1] = len(values) - valid  # NaN
+            return np.bincount(slots, weights=per_slot, minlength=n_cells + 1)
+
+        return coded, counted
+
     else:
         null_only = all(
             isinstance(cond, IsNull)
@@ -1096,7 +1150,7 @@ def _atom_coder(
             is_null = np.fromiter((v is None for v in col), dtype=bool, count=len(col))
             return np.where(is_null, null, present)
 
-    return coded
+        return coded, None
 
 
 def _evaluate_over_cells(

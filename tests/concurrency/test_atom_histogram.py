@@ -14,6 +14,11 @@ them.  In the second test the appender's small appends also trigger
 compaction, so readers see shards merged away and merged shards read
 afresh; every access to the per-shard entries must hold the matrix's own
 lock, not lean on the GIL.
+
+A one-attribute numeric matrix counts a shard from the shard's sorted
+column, which the first reader sorts and publishes.  In the third test
+eight threads read one fresh shard at once: every histogram must be exact,
+and every thread must get the one published array.
 """
 
 import sys
@@ -27,7 +32,8 @@ from repro.data.schema import Attribute, CategoricalDomain, NumericDomain, Schem
 from repro.data.table import Table
 from repro.queries.predicates import Comparison, In
 from repro.queries.reference import reference_partition_histogram
-from repro.queries.workload import Workload
+from repro.queries.builders import prefix_workload
+from repro.queries.workload import Workload, WorkloadMatrix
 
 VALUES = tuple(f"v{i:02d}" for i in range(300))
 SCHEMA = Schema(
@@ -223,3 +229,55 @@ def test_shard_sums_stay_exact_while_appends_compact_and_grow_the_dictionary():
         expected = reference_partition_histogram(matrix, snapshot)
         for histogram in histograms:
             np.testing.assert_array_equal(histogram, expected)
+
+
+def test_first_touch_of_a_shard_publishes_one_sorted_array(monkeypatch):
+    threads_n = 8
+    rng = np.random.default_rng(2)
+    n = 200_000  # long enough a sort that the threads overlap in it
+    table = Table(
+        SCHEMA,
+        {
+            "cat": np.array(rng.choice(VALUES[:3], n), dtype=object),
+            "num": rng.integers(0, 101, n).astype(float),
+        },
+    )
+    shard = table.shards[0]
+    workload = prefix_workload("num", [10.0 * i for i in range(1, 10)])
+    expected = reference_partition_histogram(workload.analyze(SCHEMA), table)
+    assert not shard.sorted_values
+    received: dict[int, list[np.ndarray]] = {}
+    sorted_values = Table.shard_sorted_values
+
+    def recording(self, shard, name):
+        values = sorted_values(self, shard, name)
+        received.setdefault(threading.get_ident(), []).append(values)
+        return values
+
+    monkeypatch.setattr(Table, "shard_sorted_values", recording)
+    start = threading.Barrier(threads_n)
+    histograms: list[np.ndarray] = []
+    errors: list[BaseException] = []
+
+    def reader():
+        try:
+            # A matrix per thread, so no thread reuses another's histogram.
+            matrix = WorkloadMatrix.from_domain_analysis(workload, SCHEMA)
+            start.wait(timeout=30)
+            histograms.append(matrix.partition_histogram(table.open_snapshot()))
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=reader) for _ in range(threads_n)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert len(histograms) == threads_n
+    for histogram in histograms:
+        np.testing.assert_array_equal(histogram, expected)
+    published = shard.sorted_values["num"]
+    assert len(received) == threads_n
+    assert all(v is published for held in received.values() for v in held)
