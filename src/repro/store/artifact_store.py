@@ -17,15 +17,22 @@ Design constraints, all stdlib-only:
   checksum of its payload; a truncated, torn or bit-flipped file fails
   verification, is deleted best-effort, and the caller silently rebuilds
   (a cache must never turn disk rot into a wrong answer);
-* **cross-process exclusion** -- size accounting and eviction serialize on
-  an advisory file lock (``fcntl.flock`` where available, no-op otherwise;
-  reads and writes themselves need no lock thanks to atomic renames).
+* **cross-process exclusion** -- eviction rescans and :meth:`clear`
+  serialize on an advisory file lock (``fcntl.flock`` where available,
+  no-op otherwise; reads and writes themselves need no lock thanks to
+  atomic renames).
   Acquisition is bounded: instead of blocking indefinitely on a stuck
   sibling process, a :class:`~repro.core.exceptions.StoreLockTimeout` is
   raised after ``lock_timeout`` seconds, and the internal callers (the
   eviction pass) degrade past it -- skip the pass, count it, keep serving;
 * **bounded footprint** -- the store is LRU-evicted by file mtime (bumped
-  on every hit) down to ``max_bytes`` whenever a write pushes it over;
+  on every hit) whenever a write pushes it over ``max_bytes``.  The check
+  is O(1): a running byte total, seeded by one scan at construction and
+  grown by every successful save, never underestimates this process's
+  writes; only when it passes the cap is the directory rescanned (under
+  the file lock, counting sibling processes' writes) and evicted down to
+  80% of the cap.  Siblings' writes since this process's last scan can
+  therefore overshoot the cap until the next rescan;
 * **fault tolerance** -- transient IO failures are retried with exponential
   backoff (``io_retries``); a persistent streak of failures trips a
   degradation gate that bypasses the disk tier entirely (loads miss, saves
@@ -187,6 +194,10 @@ class ArtifactStore:
         self._degrade_after = int(degrade_after)
         self._degrade_cooldown = float(degrade_cooldown)
         self._stats_lock = threading.Lock()
+        with self._stats_lock:
+            #: Running artifact byte total: an upper bound on this process's
+            #: view of the store, exact after each rescan.
+            self._bytes = sum(size for _, size, _ in self._iter_files())
         self._fail_streak = 0
         self._degraded_until: float | None = None
         self._stats = {
@@ -345,7 +356,10 @@ class ArtifactStore:
             self._record_io_failure()
             return False
         self._record_io_success()
-        self._count("writes")
+        with self._stats_lock:
+            self._stats["writes"] += 1
+            # An overwrite counts its key again: an overestimate, no stat.
+            self._bytes += len(blob)
         self._evict_if_needed()
         return True
 
@@ -357,12 +371,14 @@ class ArtifactStore:
         silently did nothing would be worse than a typed failure.
         """
         with _FileLock(self._lock_path, timeout=self._lock_timeout):
+            seen = self._running_bytes()
             for path, _, _ in self._iter_files():
                 try:
                     os.remove(path)
                 except OSError:
                     pass
             self._sweep_stale_tmp_locked(max_age_seconds=0.0)
+            self._rebase_bytes(seen, 0)
 
     # -- internals ---------------------------------------------------------------
 
@@ -401,15 +417,32 @@ class ArtifactStore:
                     continue
                 yield path, status.st_size, status.st_mtime
 
+    def _running_bytes(self) -> int:
+        with self._stats_lock:
+            return self._bytes
+
+    def _rebase_bytes(self, seen: int, total: int) -> None:
+        """Replace the ``seen`` running total with a rescan's ``total``.
+
+        Saves that landed after ``seen`` was read stay counted on top (a
+        save inside the scan window counts twice: an overestimate).
+        """
+        with self._stats_lock:
+            self._bytes += total - seen
+
     def _evict_if_needed(self) -> None:
         """LRU-evict (by mtime) down to 80% of the cap when over it.
 
-        A lock-acquisition timeout skips the pass (counted in
-        ``lock_timeouts``): whichever sibling holds the lock is evicting
-        on our behalf, and a late eviction never threatens correctness.
+        O(1) while the running total is under the cap.  Over it, the store
+        is rescanned under the file lock -- the rescan is where sibling
+        processes' writes are counted -- and the total is reset to what
+        the rescan found.  A lock-acquisition timeout skips the pass
+        (counted in ``lock_timeouts``) and leaves the total over the cap,
+        so the next save retries: whichever sibling holds the lock is
+        evicting on our behalf, and a late eviction never threatens
+        correctness.
         """
-        files = list(self._iter_files())
-        if sum(size for _, size, _ in files) <= self._max_bytes:
+        if self._running_bytes() <= self._max_bytes:
             return
         try:
             lock = _FileLock(self._lock_path, timeout=self._lock_timeout)
@@ -418,9 +451,12 @@ class ArtifactStore:
             self._count("lock_timeouts")
             return
         try:
+            seen = self._running_bytes()
             files = list(self._iter_files())  # re-scan under the lock
             total = sum(size for _, size, _ in files)
             target = int(self._max_bytes * _EVICT_TO_FRACTION)
+            if total <= self._max_bytes:
+                target = total  # an overestimated total: nothing to evict
             for path, size, _ in sorted(files, key=lambda item: item[2]):
                 if total <= target:
                     break
@@ -431,6 +467,7 @@ class ArtifactStore:
                 total -= size
                 self._count("evicted")
             self._sweep_stale_tmp_locked()
+            self._rebase_bytes(seen, total)
         finally:
             lock.__exit__(None, None, None)
 
