@@ -211,6 +211,9 @@ class Schema:
     _by_name: dict[str, Attribute] = field(
         default_factory=dict, repr=False, compare=False
     )
+    _attribute_names: tuple[str, ...] = field(
+        default=(), repr=False, compare=False
+    )
 
     def __init__(self, attributes: Sequence[Attribute], name: str = "R") -> None:
         attrs = tuple(attributes)
@@ -223,12 +226,13 @@ class Schema:
         object.__setattr__(self, "attributes", attrs)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_by_name", {a.name: a for a in attrs})
+        object.__setattr__(self, "_attribute_names", tuple(names))
 
     # -- lookup ------------------------------------------------------------
 
     @property
     def attribute_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.attributes)
+        return self._attribute_names
 
     def __contains__(self, name: object) -> bool:
         return name in self._by_name

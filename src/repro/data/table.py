@@ -58,10 +58,18 @@ keep their own pinned shard lists.
 
 **Shared category dictionary.** Categorical columns are dictionary-encoded
 once per *shard* against a per-table, append-only ``value -> code`` index
-shared by the table and its snapshots.  After an append the parent
-concatenates the per-shard code arrays instead of re-interning the whole
-column; refresh and compaction keep the index (codes are only ever added,
-never renumbered), so a value's code is stable for the table's lifetime.
+shared by the table and its snapshots.  A shard is interned in two C-level
+passes (new values in first-occurrence order, then one code lookup per
+row), and after an append the parent concatenates the per-shard code
+arrays instead of re-interning the whole column; refresh and compaction
+keep the index (codes are only ever added, never renumbered), so a value's
+code is stable for the table's lifetime.
+
+**Ingest.** :meth:`Table.append_rows` gathers each attribute's values from
+the row dicts, then coerces the column in one numpy pass when every value
+has an exact ``int``/``float``/``None`` (numeric) or ``str``/``None``
+(text, categorical) type; other values take a per-value loop with the same
+result.
 
 **Domain fingerprints.** Every attribute has a cheap, incrementally
 maintained **domain fingerprint** (:meth:`Table.domain_fingerprint`): a
@@ -450,8 +458,16 @@ class Table:
         :data:`COMPACT_MIN_FRACTION` of the rows), adjacent small shards are
         merged before returning -- contents and the just-advanced version
         token are unchanged by that merge.
+
+        A zero-row chunk is validated like any other, then ignored: no shard
+        is added and the current token is returned unchanged, so an empty
+        append neither drops the per-version caches nor leaves behind a
+        0-row shard that would trip the compaction policy on every later
+        append.
         """
         shard = self._freeze_shard(columns)
+        if shard.n_rows == 0:
+            return self._version
         with self._mutation_lock:
             self._shards.append(shard)
             self._n_rows += shard.n_rows
@@ -581,8 +597,10 @@ class Table:
         *non-blocking*: a reader mid-way through interning a large shard
         must never stall an auto-compacting appender (which holds the
         mutation lock here -- blocking would serialize admission behind the
-        reader's Python loop).  When the lock is busy the merged shard
+        reader's interning pass).  When the lock is busy the merged shard
         simply starts with no codes and re-interns lazily on first use.
+        Sorted numeric copies and per-matrix histograms are never carried:
+        a merged shard sorts and histograms afresh on first touch.
         """
         columns: dict[str, np.ndarray] = {}
         for name in self._schema.attribute_names:
@@ -636,7 +654,7 @@ class Table:
         col = self._materialized.get(name)
         if col is not None:
             return col
-        if name not in self._schema.attribute_names:
+        if name not in self._schema:
             raise SchemaError(
                 f"table has no column {name!r}; "
                 f"known columns: {list(self._schema.attribute_names)}"
@@ -739,8 +757,8 @@ class Table:
         to codes.  Encoding is **per shard** against the table's shared
         append-only dictionary: each shard is interned at most once in its
         lifetime, and the per-version result here is a concatenation of the
-        per-shard code arrays -- after an append only the new shard pays the
-        interning loop.  ``index`` is the live shared dictionary: it may
+        per-shard code arrays -- after an append only the new shard is
+        interned.  ``index`` is the live shared dictionary: it may
         contain values that no current row carries (from refreshed-away rows
         or sibling shards), which is harmless -- their codes match nothing --
         and callers must treat it as read-only.
@@ -748,7 +766,7 @@ class Table:
         cached = self._category_codes.get(name)
         if cached is not None:
             return cached
-        if name not in self._schema.attribute_names:
+        if name not in self._schema:
             raise SchemaError(
                 f"table has no column {name!r}; "
                 f"known columns: {list(self._schema.attribute_names)}"
@@ -775,7 +793,13 @@ class Table:
     def _shard_codes(
         self, shard: Shard, name: str, index: dict[str, int]
     ) -> np.ndarray:
-        """The shard's code array under the shared dictionary (intern once)."""
+        """The shard's code array under the shared dictionary (intern once).
+
+        The shard's unseen non-NULL values join ``index`` in first-occurrence
+        order (``dict.fromkeys``), which assigns exactly the codes a
+        row-by-row walk would; one ``np.fromiter`` over ``index.get`` then
+        maps every row, NULL to ``-1``.
+        """
         codes = shard.codes.get(name)
         if codes is not None:
             return codes
@@ -783,17 +807,15 @@ class Table:
             codes = shard.codes.get(name)
             if codes is not None:
                 return codes
-            col = shard.columns[name]
-            out = np.empty(len(col), dtype=np.int32)
-            for i, value in enumerate(col):
-                if value is None:
-                    out[i] = -1
-                    continue
-                code = index.get(value)
-                if code is None:
-                    code = len(index)
-                    index[value] = code
-                out[i] = code
+            values = shard.columns[name].tolist()
+            for value in dict.fromkeys(values):
+                if value is not None and value not in index:
+                    index[value] = len(index)
+            out = np.fromiter(
+                map(index.get, values, itertools.repeat(-1)),
+                np.int32,
+                count=len(values),
+            )
             out.flags.writeable = False
             shard.codes[name] = out
             return out
@@ -910,7 +932,7 @@ class Table:
         may declare attributes the hosting table does not carry; they cannot
         influence any domain-analysed artifact).
         """
-        known = [n for n in set(names) if n in self._schema.attribute_names]
+        known = [n for n in set(names) if n in self._schema]
         return tuple(
             (name, self.domain_fingerprint(name)) for name in sorted(known)
         )
@@ -1252,14 +1274,35 @@ def _rows_to_columns(
     return columns
 
 
+#: Exact value types whose column numpy converts in one C-level pass, with
+#: the same result as the per-value loop (``None`` becomes NaN).
+_NUMERIC_FAST_TYPES = frozenset({int, float, type(None)})
+#: Exact value types a text column stores unchanged (``str(v) is v``).
+_TEXT_FAST_TYPES = frozenset({str, type(None)})
+
+
 def _coerce_column(kind: AttributeKind, values: list[object]) -> np.ndarray:
-    """Build the storage array for one attribute from python values."""
+    """Build the storage array for one attribute from python values.
+
+    Columns whose values all have an exact fast-path type are converted in
+    one pass; anything else (``bool``, numpy scalars, ``Decimal``, strings
+    in a numeric column, ``str`` subclasses) takes the per-value loop.
+    Both give the same array, and the same error.  A stored text value is
+    always an exact ``str``, so hashing it under the intern lock runs no
+    user code.
+    """
+    types = set(map(type, values))
     if kind is AttributeKind.NUMERIC:
+        if types <= _NUMERIC_FAST_TYPES:
+            return np.array(values, dtype=float)
         out = np.empty(len(values), dtype=float)
         for i, value in enumerate(values):
             out[i] = np.nan if value is None else float(value)  # type: ignore[arg-type]
         return out
     col = np.empty(len(values), dtype=object)
+    if types <= _TEXT_FAST_TYPES:
+        col[:] = values
+        return col
     for i, value in enumerate(values):
         col[i] = None if value is None else str(value)
     return col

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro.data.table as table_module
+from repro.core.exceptions import SchemaError
 from repro.data.schema import (
     Attribute,
     CategoricalDomain,
@@ -117,6 +118,47 @@ class TestCompactionPolicy:
         assert table.n_shards == 2  # nothing adjacent to merge with
         assert table.compact() is False
         assert table.n_shards == 2
+
+
+class TestZeroRowAppend:
+    def test_empty_append_is_a_no_op(self):
+        table = Table.from_rows(make_schema(), make_rows(100))
+        snap = table.snapshot()
+        token = table.version_token
+        assert table.append_rows([]) == token
+        assert table.version_token == token
+        assert table.shard_sizes == (100,)
+        # The per-version caches survive: the memoised snapshot is reused.
+        assert table.snapshot() is snap
+
+    def test_malformed_empty_chunk_still_raises(self):
+        table = Table.from_rows(make_schema(), make_rows(10))
+        with pytest.raises(SchemaError):
+            table.append_columns({"state": np.empty(0, dtype=object)})
+        with pytest.raises(SchemaError):
+            table.append_columns(
+                {
+                    "state": np.empty(0, dtype=object),
+                    "score": np.empty(0),
+                    "extra": np.empty(0),
+                }
+            )
+
+    def test_empty_append_never_arms_the_policy(self, monkeypatch):
+        table = Table.from_rows(make_schema(), make_rows(1000))
+        table.append_rows(make_rows(100))
+        table.append_rows([])
+        passes = []
+        compact_locked = Table._compact_locked
+        monkeypatch.setattr(
+            Table,
+            "_compact_locked",
+            lambda self: passes.append(1) or compact_locked(self),
+        )
+        for i in range(3):
+            table.append_rows(make_rows(100, offset=i))
+        assert table.shard_sizes == (1000, 100, 100, 100, 100)
+        assert passes == []
 
 
 class TestCompactionContract:

@@ -1,11 +1,16 @@
 """The shared append-only category dictionary and per-shard code interning.
 
 Categorical columns are dictionary-encoded per *shard* against one
-append-only ``value -> code`` index shared by a table and its snapshots.  The contract: codes are stable for the table's lifetime
-(values are only ever added), a shard is interned at most once, and the
-parent's per-version code column is a concatenation of per-shard arrays --
-so after an append only the new shard pays the interning loop.
+append-only ``value -> code`` index shared by a table and its snapshots.
+The contract: codes are stable for the table's lifetime (values are only
+ever added), a shard is interned at most once, and the parent's per-version
+code column is a concatenation of per-shard arrays -- so after an append
+only the new shard is interned.  Racing readers of one fresh shard all get
+the one published code array.
 """
+
+import sys
+import threading
 
 import numpy as np
 
@@ -123,3 +128,50 @@ class TestSharedDictionary:
         # NULLs never match; only TX rows exist, so != TX matches nothing.
         assert int(ne_tx.evaluate(table).sum()) == 0
         assert int(In("state", ["CA", "NY"]).evaluate(table).sum()) == 0
+
+
+class TestConcurrentInterning:
+    def test_racing_readers_share_one_code_array(self):
+        table = Table.from_rows(make_schema(), make_rows(10))
+        states = tuple(f"s{i}" for i in range(3000)) + (None,)
+        table.append_rows(make_rows(20_000, states=states))
+        fresh = table.shards[-1]
+        n_readers = 8
+        barrier = threading.Barrier(n_readers + 1, timeout=60)
+        results: list = [None] * n_readers
+        errors: list = []
+
+        def reader(slot: int) -> None:
+            try:
+                barrier.wait()
+                results[slot] = table.shard_category_codes(fresh, "state")[0]
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                errors.append(exc)
+
+        def appender() -> None:
+            try:
+                barrier.wait()
+                for i in range(20):
+                    table.append_rows(make_rows(50, states=(f"new{i}", "CA", None)))
+                    table.category_codes("state")
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(i,)) for i in range(n_readers)]
+            threads.append(threading.Thread(target=appender))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert all(codes is results[0] for codes in results)
+        assert results[0] is fresh.codes["state"]
+        codes, index = table.category_codes("state")
+        assert list(index.values()) == list(range(len(index)))
+        assert decode(codes, index) == list(table.column("state"))
