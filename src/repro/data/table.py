@@ -109,7 +109,7 @@ import numpy as np
 from repro.core.exceptions import SchemaError, SnapshotError
 from repro.core.lru import LRUCache
 from repro.data.schema import AttributeKind, Schema
-from repro.store.fingerprint import stable_digest
+from repro.store.fingerprint import hash_once, stable_digest
 
 __all__ = ["DomainStamp", "Shard", "Table", "TableSnapshot", "TableVersion"]
 
@@ -140,6 +140,7 @@ SNAPSHOT_MEMO_MAX_ENTRIES = 4
 _TABLE_UIDS = itertools.count()
 
 
+@hash_once
 @dataclass(frozen=True)
 class TableVersion:
     """Immutable identity of one state of one table.
@@ -161,6 +162,7 @@ class TableVersion:
         return TableVersion(self.table_uid, self.ordinal + 1)
 
 
+@hash_once
 @dataclass(frozen=True)
 class DomainStamp:
     """A revalidation-aware stand-in for a bare :class:`TableVersion`.

@@ -11,7 +11,7 @@ gradually increasing privacy (and therefore gradually shrinking noise):
    (relative to the per-poke accuracy ``alpha_i``), stop and return -- the
    privacy loss is only ``epsilon_i``;
 4. otherwise *refine* the noise to the next privacy level using the gradual
-   release construction (:func:`repro.mechanisms.noise.relax_laplace_noise`)
+   release construction (:func:`repro.mechanisms.noise.relax_floats`)
    so the total loss of all pokes equals the loss of the last one.
 
 When the true counts are far from the threshold the mechanism often stops
@@ -33,7 +33,7 @@ from repro.core.exceptions import MechanismError, TranslationError
 from repro.data.schema import Schema
 from repro.data.table import DomainStamp, TableSnapshot
 from repro.mechanisms.base import Mechanism, MechanismResult, TranslationResult
-from repro.mechanisms.noise import laplace_noise, relax_laplace_noise
+from repro.mechanisms.noise import laplace_noise, relax_floats
 from repro.queries.query import IcebergCountingQuery, Query, QueryKind
 
 __all__ = ["MultiPokingMechanism"]
@@ -120,43 +120,44 @@ class MultiPokingMechanism(Mechanism):
         epsilon_max = translation.epsilon_upper
 
         names = query.bin_names()
-        true_differences = matrix.true_answers(snapshot) - query.threshold
+        # The pokes run on Python floats: on the entity-resolution path L is
+        # 1, where numpy's per-call dispatch would dominate.  Each operation
+        # matches the array form (the parity oracle in
+        # ``repro.mechanisms.reference``) bit for bit, draw for draw.
+        true_differences = (matrix.true_answers(snapshot) - query.threshold).tolist()
         log_term = math.log(m * workload_size / (2.0 * beta))
 
         epsilon_i = epsilon_max / m
         scale_i = sensitivity / epsilon_i
-        noise = laplace_noise(scale_i, workload_size, rng)
-        noisy_differences = true_differences + noise
+        noise = laplace_noise(scale_i, workload_size, rng).tolist()
 
         for poke in range(m - 1):
+            noisy = [t + n for t, n in zip(true_differences, noise)]
             alpha_i = sensitivity * log_term / epsilon_i
-            confidently_above = (noisy_differences - alpha_i) / alpha >= -1.0
-            confidently_below = (noisy_differences + alpha_i) / alpha <= 1.0
-            if bool(np.all(confidently_above | confidently_below)):
-                selected = [names[j] for j in np.flatnonzero(confidently_above)]
+            above = [(d - alpha_i) / alpha >= -1.0 for d in noisy]
+            if all(
+                up or (d + alpha_i) / alpha <= 1.0 for up, d in zip(above, noisy)
+            ):
+                selected = [name for name, up in zip(names, above) if up]
                 return self._result(
-                    selected, epsilon_i, epsilon_max, noisy_differences, query, poke + 1
+                    selected, epsilon_i, epsilon_max, noisy, query, poke + 1
                 )
             epsilon_next = epsilon_i + epsilon_max / m
             scale_next = sensitivity / epsilon_next
-            noise = np.asarray(
-                relax_laplace_noise(noise, scale_i, scale_next, rng)
-            )
-            noisy_differences = true_differences + noise
+            noise = relax_floats(noise, scale_i, scale_next, rng)
             epsilon_i = epsilon_next
             scale_i = scale_next
 
-        selected = [names[j] for j in np.flatnonzero(noisy_differences > 0.0)]
-        return self._result(
-            selected, epsilon_max, epsilon_max, noisy_differences, query, m
-        )
+        noisy = [t + n for t, n in zip(true_differences, noise)]
+        selected = [name for name, d in zip(names, noisy) if d > 0.0]
+        return self._result(selected, epsilon_max, epsilon_max, noisy, query, m)
 
     def _result(
         self,
         selected: list[str],
         epsilon_spent: float,
         epsilon_max: float,
-        noisy_differences: np.ndarray,
+        noisy_differences: list[float],
         query: IcebergCountingQuery,
         pokes_used: int,
     ) -> MechanismResult:
@@ -172,6 +173,6 @@ class MultiPokingMechanism(Mechanism):
                 "pokes_used": pokes_used,
                 "n_pokes": self._n_pokes,
                 "threshold": query.threshold,
-                "internal_noisy_differences": noisy_differences,
+                "internal_noisy_differences": np.array(noisy_differences),
             },
         )

@@ -32,10 +32,12 @@ stay probability above is ``(b_new/b_old) * e``.  Relative to
 
 for ``v`` uniform on ``(0, 1]``.  ``expm1``/``log1p`` keep the middle segment
 precise as ``b_new/b_old -> 1``, and all three masses stay finite for any
-``|y|``, so :func:`relax_laplace_noise` needs no log-space bookkeeping: three
-uniforms per element (stay, segment, position) from one ``rng.random`` call.
-The original segment-search sampler is kept as the test oracle in
-:mod:`repro.mechanisms.reference`.
+``|y|``, so the sampler needs no log-space bookkeeping: three uniforms per
+element (stay, segment, position) from one ``rng.random`` call.
+:func:`relax_floats` runs it on a list of Python floats, the form ICQ-MPM's
+poke loop keeps its noise in; :func:`relax_laplace_noise` wraps it for
+arrays and scalars.  The original segment-search sampler is kept as the
+test oracle in :mod:`repro.mechanisms.reference`.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ __all__ = [
     "laplace_scale_for_tail",
     "laplace_max_error_bound",
     "relax_laplace_noise",
+    "relax_floats",
 ]
 
 
@@ -108,7 +111,29 @@ def relax_laplace_noise(
     marginal distribution is ``Lap(scale_new)`` (``scale_new <= scale_old``)
     and which are maximally correlated with the input, so that the pair
     ``(noise, refined)`` only leaks the privacy of the refined value
-    (Koufogiannis et al. 2015, Theorems 9-10).
+    (Koufogiannis et al. 2015, Theorems 9-10).  An array/scalar wrapper over
+    :func:`relax_floats`.
+    """
+    scalar_input = np.isscalar(noise)
+    values = np.atleast_1d(np.asarray(noise, dtype=float)).tolist()
+    out = relax_floats(values, scale_old, scale_new, rng)
+    if scalar_input:
+        return out[0]
+    return np.array(out)
+
+
+def relax_floats(
+    values: list[float],
+    scale_old: float,
+    scale_new: float,
+    rng: np.random.Generator,
+) -> list[float]:
+    """:func:`relax_laplace_noise` on a list of Python floats; returns a new list.
+
+    The closed form of the module docstring, per element: cheaper than numpy
+    ufunc dispatch at the workload sizes ICQ-MPM refines (one to a few
+    hundred bins).  Draws ``rng.random((len(values), 3))`` once, unless the
+    scales are equal (then nothing is drawn).
     """
     if scale_new <= 0 or scale_old <= 0:
         raise MechanismError("Laplace scales must be positive")
@@ -116,20 +141,15 @@ def relax_laplace_noise(
         raise MechanismError(
             f"refinement requires scale_new ({scale_new}) <= scale_old ({scale_old})"
         )
-    scalar_input = np.isscalar(noise)
-    values = np.atleast_1d(np.asarray(noise, dtype=float))
+    out = list(values)
     if scale_new == scale_old:
-        return float(values[0]) if scalar_input else values.copy()
-    # The closed form of the module docstring, on Python floats: per element
-    # this is cheaper than numpy ufunc dispatch at the workload sizes
-    # ICQ-MPM refines (one to a few hundred bins).
+        return out
     ratio = scale_new / scale_old
     d = 1.0 / scale_new - 1.0 / scale_old
     r = 1.0 / scale_new + 1.0 / scale_old
     tail = 1.0 / r
-    out = values.tolist()
     for index, (y, (stay, segment, v)) in enumerate(
-        zip(out, rng.random((len(out), 3)).tolist())
+        zip(values, rng.random((len(values), 3)).tolist())
     ):
         a = abs(y)
         em1 = math.expm1(-d * a)
@@ -147,6 +167,4 @@ def relax_laplace_noise(
         else:
             x = a - math.log(v) / r
         out[index] = x if y >= 0.0 else -x
-    if scalar_input:
-        return out[0]
-    return np.array(out)
+    return out

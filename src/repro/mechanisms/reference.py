@@ -1,5 +1,6 @@
-"""Reference (scalar, segment-search) gradual-release refinement.
+"""Reference implementations kept as test oracles.
 
+**Gradual-release refinement (scalar, segment search).**
 :func:`repro.mechanisms.noise.relax_laplace_noise` samples the conditional of
 Koufogiannis et al. (2015) in one closed-form pass over all elements.  This
 module preserves the original per-element sampler **unchanged** -- it builds
@@ -9,6 +10,14 @@ the oracle of the distributional contract in ``tests/mechanisms/test_noise.py``:
 on a grid of old noise values, the moved part of the closed form must match
 this sampler in a two-sample KS test.
 
+**ICQ-MPM's poke loop on numpy arrays.**
+:meth:`repro.mechanisms.multi_poking.MultiPokingMechanism.release` runs its
+pokes on Python floats.  :func:`multi_poking_release` keeps the array form it
+replaced, unchanged, as the oracle of ``tests/mechanisms/test_mpm_parity.py``:
+for the same generator state both must return the same selection, epsilon,
+poke count and noisy-difference bytes, and leave the generator in the same
+state.
+
 Nothing in the production path imports this module.
 """
 
@@ -17,6 +26,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from repro.core.accuracy import AccuracySpec
+from repro.data.table import DomainStamp, TableSnapshot
+from repro.mechanisms.base import MechanismResult, TranslationResult
+from repro.mechanisms.multi_poking import MultiPokingMechanism
+from repro.mechanisms.noise import laplace_noise, relax_laplace_noise
+from repro.queries.query import IcebergCountingQuery
 
 
 def _relax_single(
@@ -112,3 +128,53 @@ def _sample_segment_towards_anchor(
     if anchor == upper:
         return anchor - distance
     return anchor + distance
+
+
+def multi_poking_release(
+    mechanism: MultiPokingMechanism,
+    query: IcebergCountingQuery,
+    accuracy: AccuracySpec,
+    translation: TranslationResult,
+    snapshot: TableSnapshot,
+    stamp: DomainStamp,
+    rng: np.random.Generator,
+) -> MechanismResult:
+    """``mechanism.release`` with the pokes on numpy arrays."""
+    alpha, beta = accuracy.alpha, accuracy.beta
+    m = mechanism.n_pokes
+    matrix = query.workload_matrix(snapshot.schema, stamp)
+    sensitivity = matrix.sensitivity
+    workload_size = query.workload_size
+    epsilon_max = translation.epsilon_upper
+
+    names = query.bin_names()
+    true_differences = matrix.true_answers(snapshot) - query.threshold
+    log_term = math.log(m * workload_size / (2.0 * beta))
+
+    epsilon_i = epsilon_max / m
+    scale_i = sensitivity / epsilon_i
+    noise = laplace_noise(scale_i, workload_size, rng)
+    noisy_differences = true_differences + noise
+
+    for poke in range(m - 1):
+        alpha_i = sensitivity * log_term / epsilon_i
+        confidently_above = (noisy_differences - alpha_i) / alpha >= -1.0
+        confidently_below = (noisy_differences + alpha_i) / alpha <= 1.0
+        if bool(np.all(confidently_above | confidently_below)):
+            selected = [names[j] for j in np.flatnonzero(confidently_above)]
+            return mechanism._result(
+                selected, epsilon_i, epsilon_max, noisy_differences, query, poke + 1
+            )
+        epsilon_next = epsilon_i + epsilon_max / m
+        scale_next = sensitivity / epsilon_next
+        noise = np.asarray(
+            relax_laplace_noise(noise, scale_i, scale_next, rng)
+        )
+        noisy_differences = true_differences + noise
+        epsilon_i = epsilon_next
+        scale_i = scale_next
+
+    selected = [names[j] for j in np.flatnonzero(noisy_differences > 0.0)]
+    return mechanism._result(
+        selected, epsilon_max, epsilon_max, noisy_differences, query, m
+    )

@@ -38,6 +38,7 @@ import numpy as np
 from repro.core.exceptions import PredicateError
 from repro.data.schema import AttributeKind
 from repro.data.table import Table
+from repro.store.fingerprint import hash_once
 
 __all__ = [
     "Interval",
@@ -180,6 +181,7 @@ class Predicate:
         return f"{type(self).__name__}({self.describe()})"
 
 
+@hash_once
 @dataclass(frozen=True, repr=False)
 class Comparison(Predicate):
     """``attribute OP constant`` for OP in ``== != < <= > >=``."""
@@ -250,6 +252,7 @@ class Comparison(Predicate):
         return f"{self.attribute} {op} {value}"
 
 
+@hash_once
 @dataclass(frozen=True, repr=False)
 class Between(Predicate):
     """``low <= attribute < high`` (bounds configurable on both ends)."""
@@ -299,6 +302,7 @@ class Between(Predicate):
         return f"{self.low} {lo} {self.attribute} {hi} {self.high}"
 
 
+@hash_once
 @dataclass(frozen=True, repr=False)
 class In(Predicate):
     """``attribute IN (v1, v2, ...)`` over categorical values."""
@@ -343,6 +347,7 @@ class In(Predicate):
         return f"{self.attribute} IN ({rendered})"
 
 
+@hash_once
 @dataclass(frozen=True, repr=False)
 class IsNull(Predicate):
     """``attribute IS NULL`` (or ``IS NOT NULL`` when ``negated=True``)."""
@@ -368,6 +373,7 @@ class IsNull(Predicate):
         return f"{self.attribute} IS {'NOT ' if self.negated else ''}NULL"
 
 
+@hash_once
 @dataclass(frozen=True, repr=False)
 class And(Predicate):
     """Conjunction of child predicates."""
@@ -414,6 +420,7 @@ class And(Predicate):
         )
 
 
+@hash_once
 @dataclass(frozen=True, repr=False)
 class Or(Predicate):
     """Disjunction of child predicates."""
@@ -457,6 +464,7 @@ class Or(Predicate):
         return " OR ".join(c.describe() for c in self.children)
 
 
+@hash_once
 @dataclass(frozen=True, repr=False)
 class Not(Predicate):
     """Negation of a child predicate."""
@@ -483,6 +491,7 @@ class Not(Predicate):
         return f"NOT ({self.child.describe()})"
 
 
+@hash_once
 @dataclass(frozen=True, repr=False)
 class TruePredicate(Predicate):
     """Matches every row (the ``COUNT(*)`` bin with no condition)."""
@@ -503,6 +512,7 @@ class TruePredicate(Predicate):
         return "TRUE"
 
 
+@hash_once
 @dataclass(frozen=True, repr=False)
 class FalsePredicate(Predicate):
     """Matches no row."""
@@ -523,6 +533,7 @@ class FalsePredicate(Predicate):
         return "FALSE"
 
 
+@hash_once
 class FunctionPredicate(Predicate):
     """A predicate defined by an arbitrary row-mask callable.
 

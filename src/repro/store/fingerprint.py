@@ -39,6 +39,11 @@ chain above in order (so ``np.float64`` encodes as a float and an
 identity, held weakly: a frozen schema's text never goes stale, and two
 equal schemas still encode independently (``NumericDomain(0, 100)`` and
 ``NumericDomain(0.0, 100.0)`` compare equal but digest differently).
+
+The in-process counterpart, :func:`hash_once`, keeps an immutable key
+object's ordinary ``hash()`` on the object after its first use.  That value
+is salted per process, so it is dropped whenever the object is pickled or
+copied.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
-__all__ = ["stable_digest", "canonical_form"]
+__all__ = ["stable_digest", "canonical_form", "hash_once"]
 
 #: Dataclasses whose encoded text is memoized per instance (by identity).
 #: Named rather than imported: ``repro.data`` depends on this module.
@@ -195,3 +200,36 @@ def _remember(obj: object, text: str) -> None:
             _text_memo.pop(key, None)
 
     _text_memo[key] = (weakref.ref(obj, forget), text)
+
+
+def hash_once(cls: type) -> type:
+    """Class decorator: compute an immutable object's hash once, on first use.
+
+    Wraps the class's own ``__hash__`` (for a frozen dataclass, the generated
+    structural one), so the value is unchanged, and leaves ``__eq__`` alone.
+    The value lives on the object itself, as its ``_hash`` attribute (set
+    through ``object.__setattr__``, not ``__dict__``, so the instance keeps
+    its compact attribute storage), never in a table keyed by equality:
+    equal objects may differ in ways a shared entry would hide.  Frozen objects cannot change, so the cached
+    value is never stale.  A hash derived from strings depends on the
+    process's ``PYTHONHASHSEED``, so ``__getstate__`` leaves the value out of
+    every pickle and copy; the receiving object recomputes it on first use.
+    """
+    structural = cls.__hash__
+
+    def __hash__(self) -> int:
+        value = getattr(self, "_hash", None)
+        if value is None:
+            value = structural(self)
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        if "_hash" in state:
+            state = {k: v for k, v in state.items() if k != "_hash"}
+        return state
+
+    cls.__hash__ = __hash__  # type: ignore[method-assign]
+    cls.__getstate__ = __getstate__  # type: ignore[attr-defined]
+    return cls

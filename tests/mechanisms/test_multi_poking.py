@@ -7,7 +7,7 @@ from repro.core.accuracy import AccuracySpec
 from repro.core.exceptions import MechanismError, TranslationError
 from repro.mechanisms.laplace import LaplaceMechanism
 from repro.mechanisms.multi_poking import MultiPokingMechanism
-from repro.queries.builders import histogram_workload, point_workload
+from repro.queries.builders import histogram_workload, point_workload, range_workload
 from repro.queries.query import IcebergCountingQuery, QueryKind, WorkloadCountingQuery
 from tests.mechanisms.util import binomial_allowance, iceberg_failed
 
@@ -147,6 +147,35 @@ class TestRun:
             pokes = result.metadata["pokes_used"]
             assert result.epsilon_spent == pytest.approx(pokes * epsilon_upper / 5)
             assert result.epsilon_spent <= epsilon_upper + 1e-12
+        assert failures <= binomial_allowance(trials, beta)
+
+    @pytest.mark.parametrize(
+        "offset_alphas", [0.0, 0.5, -0.5, 2.0, -2.0], ids=["c", "+a/2", "-a/2", "+2a", "-2a"]
+    )
+    def test_accuracy_guarantee_single_bin(self, adult_small, offset_alphas):
+        """The entity-resolution shape (L = 1): the threshold at the bin's true
+        count, within alpha of it, and 2 alpha away.  Misses stay within the
+        binomial allowance at beta, and every run spends ``k epsilon_max / m``
+        for the ``k <= m`` pokes it used, never more than ``epsilon_upper``."""
+        mechanism = MultiPokingMechanism(n_pokes=10)
+        query_workload = range_workload("age", [30, 50])
+        count = float(query_workload.evaluate(adult_small).sum())
+        beta = 0.05
+        accuracy = AccuracySpec(alpha=0.01 * len(adult_small), beta=beta)
+        query = IcebergCountingQuery(
+            query_workload, threshold=count + offset_alphas * accuracy.alpha
+        )
+        truth = query.true_counts(adult_small)
+        epsilon_upper = mechanism.translate(query, accuracy, adult_small.schema).epsilon_upper
+        rng = np.random.default_rng(29)
+        trials, failures = 400, 0
+        for _ in range(trials):
+            result = mechanism.run(query, accuracy, adult_small, rng)
+            failures += iceberg_failed(query, truth, accuracy.alpha, result.value)
+            pokes = result.metadata["pokes_used"]
+            assert 1 <= pokes <= mechanism.n_pokes
+            assert result.epsilon_spent == pytest.approx(pokes * epsilon_upper / 10)
+            assert result.epsilon_spent <= epsilon_upper
         assert failures <= binomial_allowance(trials, beta)
 
     def test_single_poke_mechanism(self, adult_small, rng):
