@@ -88,12 +88,10 @@ class RunTimings(MutableMapping[str, float]):
     Drop-in compatible with the plain dict this used to be
     (``RUN_TIMINGS[name] = seconds``; iteration/lookup sees the most recent
     sample per key), but every assignment additionally feeds a per-key
-    :class:`repro.obs.registry.Histogram` -- the old dict raced concurrent
-    writers (the service records request latencies from many threads at
-    once) and silently kept only the last sample, so "mean service latency
-    during the bench run" was unanswerable.  :meth:`stats` exposes
-    count/mean/min/max/p50/p95 per key; :func:`last_run_timings` keeps its
-    historical last-sample shape.
+    :class:`repro.obs.registry.Histogram`, so concurrent writers never lose
+    a sample and the full distribution stays answerable.  :meth:`stats`
+    exposes count/mean/min/max/p50/p95 per key; :func:`last_run_timings`
+    keeps its historical last-sample shape.
     """
 
     def __init__(self) -> None:
@@ -144,8 +142,7 @@ class RunTimings(MutableMapping[str, float]):
 
 
 #: Wall-clock seconds of the timed runs recorded so far: the most recent
-#: invocation of each ``run_*`` experiment (``"figure2"``, ``"table2"``, ...)
-#: plus the service's per-request latencies (``"service.explore"``, ...).
+#: invocation of each ``run_*`` experiment (``"figure2"``, ``"table2"``, ...).
 #: Mapping reads see the last sample per key; ``RUN_TIMINGS.stats()`` /
 #: :func:`run_timing_stats` aggregate the full per-key distributions.
 RUN_TIMINGS = RunTimings()

@@ -37,7 +37,6 @@ from repro.data.table import DomainStamp, Table, TableSnapshot
 from repro.mechanisms.registry import MechanismRegistry
 from repro.mechanisms.strategy_mechanism import search_stats
 from repro.obs import tracing
-from repro.obs.registry import flatten_stats
 from repro.queries.parser import parse_query
 from repro.queries.query import Query
 from repro.queries.workload import matrix_cache_stats
@@ -230,25 +229,6 @@ class APExEngine:
         store = self._translator.store
         if store is not None:
             out["store"] = store.stats()
-        return out
-
-    def as_metrics(self) -> dict[str, float]:
-        """:meth:`cache_stats` under the ``repro_<subsystem>_<name>`` scheme.
-
-        The dict shapes of :meth:`cache_stats` stay untouched; this is a
-        flat re-export suitable for
-        :meth:`repro.obs.MetricsRegistry.register_collector` (see
-        ``docs/observability.md`` for the catalog).
-        """
-        stats = self.cache_stats()
-        out = flatten_stats("translations", stats["translations"])
-        out.update(flatten_stats("matrix", stats["workload_matrices"]))
-        out.update(flatten_stats("wcqsm", stats["wcqsm_search"]))
-        if "store" in stats:
-            out.update(flatten_stats("store", stats["store"]))
-        out["repro_engine_budget_total"] = self._ledger.budget
-        out["repro_engine_budget_spent"] = self._ledger.spent
-        out["repro_engine_budget_remaining"] = self._ledger.remaining
         return out
 
     def domain_stamp(self, query: Query, snapshot: TableSnapshot) -> DomainStamp:

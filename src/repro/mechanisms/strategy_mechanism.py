@@ -84,8 +84,8 @@ StrategyFactory = Callable[[int], StrategyMatrix]
 #: counts searches actually executed (memo misses).  The search has no disk
 #: tier, so ``disk_hits`` and ``disk_writes`` stay 0; they are kept for
 #: readers of the counter shape.  Benchmarks and the warm-start acceptance
-#: tests use these to pin "zero re-searches".  Service and executor threads
-#: search concurrently, so each is a locked :class:`~repro.obs.Counter`.
+#: tests use these to pin "zero re-searches".  Concurrent analyst requests
+#: search on their own threads, so each is a locked :class:`~repro.obs.Counter`.
 _SEARCH_STATS = {key: Counter() for key in ("searches", "disk_hits", "disk_writes")}
 
 

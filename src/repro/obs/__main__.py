@@ -5,7 +5,8 @@ A smoke-sized demonstration of the observability surface: spin up an
 Adult table, replay the built-in multi-analyst workload with a tracer
 installed, then emit
 
-* the metrics registry snapshot -- Prometheus text (default) or JSON
+* the service's flat metric view (:meth:`ExplorationService.as_metrics`)
+  -- Prometheus text (default) or JSON
   (``--format json``) -- on stdout or to ``--output``;
 * optionally, the sampled span trees as a Chrome trace-event file
   (``--trace-out trace.json``; open in ``chrome://tracing`` or Perfetto).
@@ -24,8 +25,7 @@ import json
 import sys
 
 from repro.data.adult import generate_adult
-from repro.obs.export import prometheus_text, registry_json, write_chrome_trace
-from repro.obs.registry import MetricsRegistry
+from repro.obs.export import prometheus_text, write_chrome_trace
 from repro.obs.tracing import Tracer, install_tracer
 from repro.service.exploration import ExplorationService
 from repro.service.replay import default_script, replay
@@ -70,8 +70,6 @@ def main(argv: list[str] | None = None) -> int:
 
     tables = {"adult": generate_adult(n_rows=args.rows, seed=args.seed)}
     service = ExplorationService(tables, budget=args.budget, seed=args.seed)
-    registry = MetricsRegistry()
-    service.register_metrics(registry)
 
     tracer = Tracer(args.sample_rate, seed=args.seed)
     previous = install_tracer(tracer)
@@ -81,10 +79,11 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         install_tracer(previous)
 
+    metrics = service.as_metrics()
     if args.format == "json":
-        dump = json.dumps(registry_json(registry), indent=2) + "\n"
+        dump = json.dumps(metrics, indent=2, sort_keys=True) + "\n"
     else:
-        dump = prometheus_text(registry)
+        dump = prometheus_text(metrics)
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(dump)

@@ -1,13 +1,10 @@
-"""Exporters: Prometheus text, JSON snapshots, Chrome trace-event dumps.
-
-Three consumers, three formats:
+"""Exporters: Prometheus text and Chrome trace-event dumps.
 
 * :func:`prometheus_text` -- the text exposition format scrapers expect.
-  Metric names produced by the registry already carry their label block
-  (``repro_lru_hits{cache="translation"}``), so a snapshot maps 1:1 onto
-  exposition lines;
-* :func:`registry_json` -- the same flat snapshot as a JSON-ready dict,
-  for ``python -m repro.obs --format json`` and bench payloads;
+  The names of a flat ``as_metrics()`` mapping already carry their label
+  block (``repro_lru_hits{cache="translation"}``), so the mapping maps 1:1
+  onto exposition lines (``python -m repro.obs --format json`` dumps the
+  same mapping as JSON);
 * :func:`chrome_trace_events` / :func:`write_chrome_trace` -- sampled span
   trees as Chrome trace-event JSON (load in ``chrome://tracing`` or
   Perfetto).  Spans become complete (``"ph": "X"``) events; batcher
@@ -23,36 +20,35 @@ everything is in integer microseconds, as the trace-event spec expects.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping
 
-from repro.obs.registry import MetricsRegistry, default_metrics
+from repro.obs.registry import MetricNameError, metric_name_is_valid
 
 __all__ = [
     "chrome_trace_events",
     "prometheus_text",
-    "registry_json",
     "write_chrome_trace",
 ]
 
 
-def prometheus_text(registry: MetricsRegistry | None = None) -> str:
-    """Render a registry snapshot in the Prometheus text exposition format.
+def prometheus_text(metrics: Mapping[str, float]) -> str:
+    """Render a flat ``{metric_name: value}`` mapping as Prometheus text.
 
-    Series are sorted by name so successive scrapes diff cleanly.
+    Series are sorted by name so successive scrapes diff cleanly.  A name
+    off the ``repro_<subsystem>_<name>{labels}`` scheme raises
+    :class:`~repro.obs.registry.MetricNameError`.
     """
-    snapshot = (registry or default_metrics()).snapshot()
     lines = []
-    for name in sorted(snapshot):
-        value = snapshot[name]
+    for name in sorted(metrics):
+        if not metric_name_is_valid(name):
+            raise MetricNameError(
+                f"metric name {name!r} does not match the scheme "
+                "repro_<subsystem>_<name>{labels}"
+            )
+        value = float(metrics[name])
         rendered = repr(value) if value != int(value) else str(int(value))
         lines.append(f"{name} {rendered}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def registry_json(registry: MetricsRegistry | None = None) -> dict[str, float]:
-    """A registry snapshot as a JSON-serializable ``{name: value}`` dict."""
-    snapshot = (registry or default_metrics()).snapshot()
-    return {name: snapshot[name] for name in sorted(snapshot)}
 
 
 def chrome_trace_events(

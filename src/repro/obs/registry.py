@@ -1,27 +1,21 @@
-"""The central metrics registry: seqlock-consistent primitives + collectors.
+"""Metric primitives and the metric naming scheme.
 
-Two registration shapes cover the whole codebase:
+The component ``stats()`` dicts (LRU, ledger, pool, batcher, store,
+reliability) are the only counter store; this module holds what they are
+built from and how they are named:
 
-* **primitives** (:class:`Counter`, :class:`Gauge`, :class:`Histogram`) for
-  code that has no counter surface of its own yet (the bench harness's
-  ``RUN_TIMINGS`` histograms, ad-hoc service gauges).  Every primitive is
-  thread-safe, and every multi-field snapshot follows a seqlock
-  discipline: writers bump an even/odd sequence counter around the
-  mutation, readers speculate a bounded number of times and fall back to
-  the lock -- so a snapshot can never observe a torn ``(count, sum)`` pair
-  (e.g. a mean above the observed max);
-* **collectors** for the existing ``stats()`` facades (LRU, ledger, pool,
-  batcher, store, reliability).  A collector is a zero-arg
-  callable returning ``{metric_name: float}`` that the registry pulls at
-  snapshot time.  The facades keep their dict shapes bit-compatible; the
-  registry only *re-exports* them under the documented naming scheme --
-  nothing is double-counted and the hot paths never see the registry.
-
-Naming scheme (checked at registration and at snapshot):
-``repro_<subsystem>_<name>`` in snake case, with optional Prometheus-style
-labels -- ``repro_lru_hits{cache="translation"}``.  Metric names
-must be unique across primitives and collectors; a collision raises
-:class:`MetricNameError` rather than silently shadowing a series.
+* :class:`Counter` and :class:`Histogram` -- thread-safe primitives.  A
+  histogram's multi-field snapshot follows a seqlock discipline: writers
+  bump an even/odd sequence counter around the mutation, readers speculate
+  a bounded number of times and fall back to the lock -- so a snapshot can
+  never observe a torn ``(count, sum)`` pair (e.g. a mean above the
+  observed max);
+* the naming scheme ``repro_<subsystem>_<name>`` in snake case, with
+  optional Prometheus-style labels -- ``repro_lru_hits{cache="translation"}``
+  (:func:`metric_name_is_valid`; the Prometheus exporter rejects off-scheme
+  names);
+* :func:`flatten_stats`, which maps a nested ``stats()`` dict onto the
+  scheme for the ``as_metrics()`` view.
 
 This module is dependency-free (stdlib only) so every layer -- core, bench,
 service -- can import it without dragging numpy or the engine along.
@@ -31,16 +25,13 @@ from __future__ import annotations
 
 import re
 import threading
-from typing import Callable, Mapping
+from typing import Mapping
 
 __all__ = [
     "OPTIMISTIC_RETRIES",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricNameError",
-    "MetricsRegistry",
-    "default_metrics",
     "flatten_stats",
     "metric_name_is_valid",
     "quantile",
@@ -58,7 +49,7 @@ _NAME_RE = re.compile(
 
 
 class MetricNameError(ValueError):
-    """A metric name violates the scheme or collides with a registered one."""
+    """A metric name violates the ``repro_<subsystem>_<name>`` scheme."""
 
 
 def metric_name_is_valid(name: str) -> bool:
@@ -105,17 +96,15 @@ def quantile(sorted_values: list[float], q: float) -> float:
 class Counter:
     """A monotonically increasing float counter (thread-safe)."""
 
-    __slots__ = ("name", "help", "_lock", "_value")
+    __slots__ = ("_lock", "_value")
 
-    def __init__(self, name: str = "", help: str = "") -> None:  # noqa: A002
-        self.name = name
-        self.help = help
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
-            raise ValueError("counters only go up; use a Gauge for deltas")
+            raise ValueError("counters only go up")
         with self._lock:
             self._value += amount
 
@@ -126,29 +115,6 @@ class Counter:
     def reset(self) -> None:
         with self._lock:
             self._value = 0.0
-
-
-class Gauge:
-    """A settable point-in-time value (thread-safe)."""
-
-    __slots__ = ("name", "help", "_lock", "_value")
-
-    def __init__(self, name: str = "", help: str = "") -> None:  # noqa: A002
-        self.name = name
-        self.help = help
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def add(self, delta: float) -> None:
-        with self._lock:
-            self._value += delta
-
-    def value(self) -> float:
-        return self._value
 
 
 class Histogram:
@@ -165,8 +131,6 @@ class Histogram:
     """
 
     __slots__ = (
-        "name",
-        "help",
         "_lock",
         "_seq",
         "_count",
@@ -178,13 +142,9 @@ class Histogram:
         "_reservoir",
     )
 
-    def __init__(
-        self, name: str = "", help: str = "", *, reservoir: int = 512  # noqa: A002
-    ) -> None:
+    def __init__(self, *, reservoir: int = 512) -> None:
         if reservoir < 1:
             raise ValueError("the reservoir needs at least one slot")
-        self.name = name
-        self.help = help
         self._lock = threading.Lock()
         self._seq = 0
         self._count = 0
@@ -262,145 +222,3 @@ class Histogram:
             self._samples = []
             self._next = 0
             self._seq += 1
-
-
-#: The suffixes one histogram expands to in a flat registry snapshot.
-_HISTOGRAM_SUFFIXES = ("count", "sum", "mean", "min", "max", "p50", "p95")
-
-
-class MetricsRegistry:
-    """Name-unique home of every primitive and every re-registered facade.
-
-    Primitives are created *through* the registry
-    (:meth:`counter`/:meth:`gauge`/:meth:`histogram`) so their names are
-    validated and reserved once.  Collectors (:meth:`register_collector`)
-    are pulled lazily by :meth:`snapshot`; their metric names are validated
-    on every pull, and a name collision -- between two collectors, or
-    between a collector and a primitive -- fails loudly.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
-        self._collectors: dict[str, Callable[[], Mapping[str, float]]] = {}
-
-    # -- primitive registration ----------------------------------------------------
-
-    def _reserve(self, name: str) -> None:
-        if not metric_name_is_valid(name):
-            raise MetricNameError(
-                f"metric name {name!r} does not match the scheme "
-                "repro_<subsystem>_<name>{labels}"
-            )
-        if name in self._counters or name in self._gauges or name in self._histograms:
-            raise MetricNameError(f"metric {name!r} is already registered")
-
-    def counter(self, name: str, help: str = "") -> Counter:  # noqa: A002
-        with self._lock:
-            self._reserve(name)
-            metric = Counter(name, help)
-            self._counters[name] = metric
-            return metric
-
-    def gauge(self, name: str, help: str = "") -> Gauge:  # noqa: A002
-        with self._lock:
-            self._reserve(name)
-            metric = Gauge(name, help)
-            self._gauges[name] = metric
-            return metric
-
-    def histogram(
-        self, name: str, help: str = "", *, reservoir: int = 512  # noqa: A002
-    ) -> Histogram:
-        with self._lock:
-            self._reserve(name)
-            metric = Histogram(name, help, reservoir=reservoir)
-            self._histograms[name] = metric
-            return metric
-
-    # -- collector registration ----------------------------------------------------
-
-    def register_collector(
-        self, subsystem: str, collect: Callable[[], Mapping[str, float]]
-    ) -> None:
-        """Pull-register an existing ``stats()`` facade.
-
-        :param subsystem: unique key identifying the facade (used to
-            unregister, and in error messages).
-        :param collect: zero-arg callable returning ``{name: value}``; called
-            on every :meth:`snapshot`, never on the facade's own hot path.
-        """
-        with self._lock:
-            if subsystem in self._collectors:
-                raise MetricNameError(
-                    f"collector {subsystem!r} is already registered"
-                )
-            self._collectors[subsystem] = collect
-
-    def unregister_collector(self, subsystem: str) -> None:
-        with self._lock:
-            self._collectors.pop(subsystem, None)
-
-    # -- snapshots -------------------------------------------------------------------
-
-    def names(self) -> list[str]:
-        """Registered primitive names (collectors contribute at snapshot time)."""
-        with self._lock:
-            return sorted(
-                [*self._counters, *self._gauges, *self._histograms]
-            )
-
-    def snapshot(self) -> dict[str, float]:
-        """One flat, validated ``{metric_name: value}`` view of everything.
-
-        Histograms expand to ``<name>_count`` / ``_sum`` / ``_mean`` /
-        ``_min`` / ``_max`` / ``_p50`` / ``_p95`` series (labels, if any,
-        stay attached to each expanded series).  Collector output is
-        validated against the naming scheme and cross-checked for
-        collisions on every call.
-        """
-        with self._lock:
-            counters = list(self._counters.values())
-            gauges = list(self._gauges.values())
-            histograms = list(self._histograms.values())
-            collectors = list(self._collectors.items())
-        out: dict[str, float] = {}
-        for counter in counters:
-            out[counter.name] = counter.value()
-        for gauge in gauges:
-            out[gauge.name] = gauge.value()
-        for histogram in histograms:
-            aggregates = histogram.snapshot()
-            for suffix in _HISTOGRAM_SUFFIXES:
-                out[_suffixed(histogram.name, suffix)] = aggregates[suffix]
-        for subsystem, collect in collectors:
-            for name, value in collect().items():
-                if not metric_name_is_valid(name):
-                    raise MetricNameError(
-                        f"collector {subsystem!r} produced invalid metric "
-                        f"name {name!r}"
-                    )
-                if name in out:
-                    raise MetricNameError(
-                        f"collector {subsystem!r} redefines metric {name!r}"
-                    )
-                out[name] = float(value)
-        return out
-
-
-def _suffixed(name: str, suffix: str) -> str:
-    """Append a histogram suffix to the base name, before any label block."""
-    brace = name.find("{")
-    if brace < 0:
-        return f"{name}_{suffix}"
-    return f"{name[:brace]}_{suffix}{name[brace:]}"
-
-
-_default = MetricsRegistry()
-
-
-def default_metrics() -> MetricsRegistry:
-    """The process-wide default registry (what ``python -m repro.obs`` exports)."""
-    return _default

@@ -34,15 +34,12 @@ budget ``B``, and any number of analysts then register sessions and issue
   deadlines abort overlong explores and release their reservations.  See
   ``docs/reliability.md`` for the journal format and recovery semantics.
 
-Every request's wall-clock latency is recorded as it completes: each sample
-lands in the benchmark machinery
-(:data:`repro.bench.harness.RUN_TIMINGS`, keys ``service.preview_cost`` /
-``service.explore``; histogram-backed and thread-safe, see
-:func:`repro.bench.harness.run_timing_stats`), and the full per-request
-history is aggregated by :meth:`~ExplorationService.latency_stats`
-(count/mean/max).  For tracing and the unified metric view see
-:meth:`~ExplorationService.as_metrics`,
-:meth:`~ExplorationService.register_metrics` and ``docs/observability.md``.
+Every request's wall-clock latency is recorded once, as it completes, into
+a per-kind :class:`~repro.obs.registry.Histogram`;
+:meth:`~ExplorationService.latency_stats` is a view of those histograms
+(count/mean/max over the service's lifetime).  For tracing and the flat
+metric view see :meth:`~ExplorationService.as_metrics` and
+``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -61,7 +58,7 @@ from repro.core.translator import AccuracyTranslator, SelectionMode
 from repro.data.table import Table, TableVersion
 from repro.mechanisms.registry import MechanismRegistry
 from repro.obs import tracing
-from repro.obs.registry import MetricsRegistry, default_metrics, flatten_stats
+from repro.obs.registry import Histogram, flatten_stats
 from repro.queries.parser import parse_query
 from repro.queries.query import Query
 from repro.queries.workload import matrix_cache_stats
@@ -73,15 +70,6 @@ from repro.service.budget import BudgetPolicy, SessionLedger, SharedBudgetPool
 from repro.store import ArtifactStore
 
 __all__ = ["AnalystSessionHandle", "ExplorationService"]
-
-
-def _record_latency(kind: str, seconds: float) -> None:
-    """Publish one request's latency into the bench harness's RUN_TIMINGS."""
-    # Imported lazily so importing the service never drags the full benchmark
-    # harness (and its experiment configs) into memory-constrained servers.
-    from repro.bench.harness import RUN_TIMINGS
-
-    RUN_TIMINGS[f"service.{kind}"] = seconds
 
 
 @dataclass(frozen=True)
@@ -202,7 +190,7 @@ class ExplorationService:
         self._sessions: dict[str, AnalystSessionHandle] = {}
         self._lock = threading.RLock()
         self._session_counter = itertools.count()
-        self._latencies: dict[str, list[float]] = {"preview_cost": [], "explore": []}
+        self._latencies = {"preview_cost": Histogram(), "explore": Histogram()}
 
     # -- owner-facing accessors ---------------------------------------------------
 
@@ -335,28 +323,29 @@ class ExplorationService:
         }
 
     def latency_stats(self) -> dict[str, dict[str, float]]:
-        """Per-entry-point request latency aggregates (count/mean/max seconds)."""
+        """Per-entry-point request latency aggregates (count/mean/max seconds).
+
+        Each kind's aggregates come from one untorn histogram snapshot and
+        cover every request the service has served.
+        """
         out: dict[str, dict[str, float]] = {}
-        with self._lock:
-            for kind, values in self._latencies.items():
-                if values:
-                    out[kind] = {
-                        "count": float(len(values)),
-                        "mean_seconds": sum(values) / len(values),
-                        "max_seconds": max(values),
-                    }
-                else:
-                    out[kind] = {"count": 0.0, "mean_seconds": 0.0, "max_seconds": 0.0}
+        for kind, histogram in self._latencies.items():
+            snap = histogram.snapshot()
+            out[kind] = {
+                "count": snap["count"],
+                "mean_seconds": snap["mean"],
+                "max_seconds": snap["max"],
+            }
         return out
 
     def as_metrics(self) -> dict[str, float]:
         """:meth:`stats` + :meth:`latency_stats` under the metric naming scheme.
 
-        A flat ``{metric_name: value}`` re-export of the existing facades
-        (whose dict shapes stay bit-compatible) using
-        ``repro_<subsystem>_<name>{labels}`` names -- per-table and
-        per-latency-kind series carry labels, everything else flattens via
-        :func:`repro.obs.registry.flatten_stats`.  See
+        The one flat ``{metric_name: value}`` view of the service's counters
+        (what ``python -m repro.obs`` exports), using
+        ``repro_<subsystem>_<name>{labels}`` names -- per-table,
+        per-session and per-latency-kind series carry labels, everything
+        else flattens via :func:`repro.obs.registry.flatten_stats`.  See
         ``docs/observability.md`` for the catalog.
         """
         stats: dict = self.stats()
@@ -380,20 +369,6 @@ class ExplorationService:
                 out[f'repro_latency_{name}{{kind="{kind}"}}'] = float(value)
         out["repro_service_sessions_active"] = float(len(stats["sessions"]))
         return out
-
-    def register_metrics(self, registry: MetricsRegistry | None = None) -> None:
-        """Opt-in hook: re-register this service's counters as a collector.
-
-        Registers :meth:`as_metrics` under the ``"service"`` collector key of
-        ``registry`` (the process-wide default when omitted); the registry
-        pulls it at snapshot time only, so the request hot paths never see
-        it.  Unregister with
-        ``registry.unregister_collector("service")`` when tearing the
-        service down.
-        """
-        (registry or default_metrics()).register_collector(
-            "service", self.as_metrics
-        )
 
     # -- session management -------------------------------------------------------
 
@@ -600,11 +575,4 @@ class ExplorationService:
         return ("preview", handle.table, query_key, accuracy.alpha, accuracy.beta)
 
     def _note_latency(self, kind: str, seconds: float) -> None:
-        _record_latency(kind, seconds)
-        with self._lock:
-            bucket = self._latencies[kind]
-            bucket.append(seconds)
-            # Bound the in-memory latency log; the aggregates keep only the
-            # most recent 10k requests, which is plenty for monitoring.
-            if len(bucket) > 10_000:
-                del bucket[: len(bucket) - 10_000]
+        self._latencies[kind].observe(seconds)

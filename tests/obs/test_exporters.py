@@ -1,51 +1,50 @@
-"""Exporter battery: Prometheus text, JSON snapshots, Chrome trace events."""
+"""Exporter battery: Prometheus text, Chrome trace events."""
 
 import json
 
+import pytest
+
 from repro.obs import (
-    MetricsRegistry,
+    MetricNameError,
     chrome_trace_events,
     install_tracer,
     prometheus_text,
-    registry_json,
     root_span,
     span,
     write_chrome_trace,
 )
 from repro.obs.tracing import Tracer
 
-
-def _populated_registry() -> MetricsRegistry:
-    registry = MetricsRegistry()
-    registry.counter("repro_test_total").inc(3)
-    registry.gauge("repro_test_level").set(0.125)
-    registry.histogram("repro_test_seconds").observe(1.0)
-    return registry
+METRICS = {
+    "repro_test_total": 3.0,
+    "repro_test_level": 0.125,
+    'repro_test_seconds_count{kind="explore"}': 1.0,
+}
 
 
 class TestPrometheusText:
     def test_lines_are_sorted_and_newline_terminated(self):
-        text = prometheus_text(_populated_registry())
+        text = prometheus_text(METRICS)
         lines = text.splitlines()
         assert text.endswith("\n")
         assert lines == sorted(lines)
         assert "repro_test_total 3" in lines
 
     def test_whole_floats_render_as_integers(self):
-        text = prometheus_text(_populated_registry())
+        text = prometheus_text(METRICS)
         assert "repro_test_total 3" in text.splitlines()
         assert "repro_test_level 0.125" in text.splitlines()
 
-    def test_empty_registry_renders_empty(self):
-        assert prometheus_text(MetricsRegistry()) == ""
+    def test_labelled_names_keep_their_label_block(self):
+        text = prometheus_text(METRICS)
+        assert 'repro_test_seconds_count{kind="explore"} 1' in text.splitlines()
 
+    def test_empty_mapping_renders_empty(self):
+        assert prometheus_text({}) == ""
 
-class TestRegistryJson:
-    def test_snapshot_is_sorted_and_json_serializable(self):
-        payload = registry_json(_populated_registry())
-        assert list(payload) == sorted(payload)
-        assert json.loads(json.dumps(payload)) == payload
-        assert payload["repro_test_seconds_count"] == 1.0
+    def test_off_scheme_name_is_rejected(self):
+        with pytest.raises(MetricNameError):
+            prometheus_text({**METRICS, "NotValid": 1.0})
 
 
 def _traced_request(tracer: Tracer) -> list[list[dict]]:

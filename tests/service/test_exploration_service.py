@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.bench.harness import RUN_TIMINGS
+from repro.bench import harness
 from repro.core.accuracy import AccuracySpec
 from repro.core.exceptions import ApexError
 from repro.data.table import Table
@@ -304,19 +304,25 @@ class TestPreviewBatching:
 
 
 class TestObservability:
-    def test_latency_recorded_in_run_timings_and_aggregates(self, table):
+    def test_latency_recorded_once_in_aggregates_not_run_timings(self, table):
         service = make_service(table)
         service.register_analyst("alice")
-        RUN_TIMINGS.pop("service.preview_cost", None)
-        RUN_TIMINGS.pop("service.explore", None)
+        harness.RUN_TIMINGS.clear()
         service.preview_cost("alice", hist_query(table), ACC)
         service.explore("alice", hist_query(table), ACC)
-        assert RUN_TIMINGS["service.preview_cost"] > 0
-        assert RUN_TIMINGS["service.explore"] > 0
+        assert not [k for k in harness.RUN_TIMINGS if k.startswith("service.")]
         stats = service.latency_stats()
         assert stats["preview_cost"]["count"] == 1
         assert stats["explore"]["count"] == 1
         assert stats["explore"]["max_seconds"] >= stats["explore"]["mean_seconds"]
+
+    def test_latency_count_covers_the_service_lifetime(self, table):
+        service = make_service(table)
+        for _ in range(10_050):
+            service._note_latency("explore", 0.5)
+        stats = service.latency_stats()["explore"]
+        assert stats["count"] == 10_050
+        assert stats["mean_seconds"] == stats["max_seconds"] == 0.5
 
     def test_stats_snapshot_shape(self, table):
         service = make_service(table)
