@@ -46,6 +46,26 @@ class TestPrometheusText:
         with pytest.raises(MetricNameError):
             prometheus_text({**METRICS, "NotValid": 1.0})
 
+    def test_service_metrics_render_one_line_per_series(self):
+        from repro.mechanisms.registry import default_registry
+        from repro.service import ExplorationService
+        from tests.service.util import small_table
+
+        service = ExplorationService(
+            small_table(256),
+            budget=1.0,
+            registry=default_registry(mc_samples=50),
+            seed=0,
+        )
+        service.register_analyst("a-0")
+        metrics = service.as_metrics()
+        lines = prometheus_text(metrics).splitlines()
+        assert len(lines) == len(metrics)
+        for line in lines:
+            name, value = line.rsplit(" ", 1)
+            assert float(value) == metrics[name]
+        assert any(line.startswith("repro_pool_") for line in lines)
+
 
 def _traced_request(tracer: Tracer) -> list[list[dict]]:
     previous = install_tracer(tracer)

@@ -85,6 +85,30 @@ class TestPrimitives:
         # Quantiles come from the last 8 observations only.
         assert snap["p50"] >= 92.0
 
+    def test_histogram_rejects_an_empty_reservoir(self):
+        with pytest.raises(ValueError):
+            Histogram(reservoir=0)
+
+    def test_histogram_reset_clears_every_aggregate(self):
+        histogram = Histogram(reservoir=4)
+        for value in (1.0, 2.0, 3.0, 4.0, 5.0):
+            histogram.observe(value)
+        histogram.reset()
+        assert all(value == 0.0 for value in histogram.snapshot().values())
+        # The ring restarts too: quantiles describe only post-reset samples.
+        histogram.observe(7.0)
+        snap = histogram.snapshot()
+        assert snap["count"] == 1.0
+        assert snap["min"] == snap["max"] == snap["p50"] == 7.0
+
+    def test_counter_reset_returns_to_zero(self):
+        counter = Counter()
+        counter.inc(2.5)
+        counter.reset()
+        assert counter.value() == 0.0
+        counter.inc()
+        assert counter.value() == 1.0
+
     def test_quantile_interpolates(self):
         assert quantile([1.0, 3.0], 0.5) == 2.0
         assert quantile([5.0], 0.95) == 5.0
@@ -202,3 +226,74 @@ class TestFacadeMetrics:
         assert 'repro_session_share{analyst="a-0"}' in metrics
         for tier in ("hits", "revalidated", "disk_hits", "built"):
             assert f"repro_translations_{tier}" in metrics
+
+    def test_families_never_overwrite_each_other(self):
+        """Every ``stats()`` field lands on its own series: the flat view has
+        exactly as many names as the component dicts have numeric leaves."""
+        service = _explored_service()
+        stats = service.stats()
+        expected = 0
+        for subsystem, key in (
+            ("pool", "budget"),
+            ("batcher", "batching"),
+            ("translations", "translations"),
+            ("matrix", "workload_matrices"),
+            ("reliability", "reliability"),
+        ):
+            expected += len(flatten_stats(subsystem, stats[key]))
+        if stats["store"] is not None:
+            expected += len(flatten_stats("store", stats["store"]))
+        expected += sum(len(fields) for fields in stats["tables"].values())
+        expected += 2 * len(stats["sessions"])
+        expected += sum(len(agg) for agg in service.latency_stats().values())
+        expected += 1  # repro_service_sessions_active
+        assert len(service.as_metrics()) == expected
+
+    def test_latency_series_match_latency_stats(self):
+        service = _explored_service()
+        metrics = service.as_metrics()
+        latency = service.latency_stats()
+        assert set(latency) == {"preview_cost", "explore"}
+        for kind, aggregate in latency.items():
+            for name, value in aggregate.items():
+                assert metrics[f'repro_latency_{name}{{kind="{kind}"}}'] == value
+        assert metrics['repro_latency_count{kind="explore"}'] == 1.0
+
+    def test_session_series_follow_the_ledger(self):
+        service = _explored_service()
+        service.register_analyst("b-1")
+        metrics = service.as_metrics()
+        sessions = service.stats()["sessions"]
+        assert metrics["repro_service_sessions_active"] == 2.0
+        for analyst, fields in sessions.items():
+            assert metrics[f'repro_session_spent{{analyst="{analyst}"}}'] == (
+                fields["spent"]
+            )
+            assert metrics[f'repro_session_share{{analyst="{analyst}"}}'] == (
+                fields["share"]
+            )
+        assert metrics['repro_session_spent{analyst="a-0"}'] > 0.0
+        assert metrics['repro_session_spent{analyst="b-1"}'] == 0.0
+
+
+def _explored_service():
+    """A service over a small table after one preview and one explore."""
+    from repro.core.accuracy import AccuracySpec
+    from repro.mechanisms.registry import default_registry
+    from repro.queries.builders import histogram_workload
+    from repro.queries.query import WorkloadCountingQuery
+    from repro.service import ExplorationService
+    from tests.service.util import small_table
+
+    table = small_table(256)
+    service = ExplorationService(
+        table, budget=5.0, registry=default_registry(mc_samples=50), seed=0
+    )
+    service.register_analyst("a-0")
+    query = WorkloadCountingQuery(
+        histogram_workload("amount", start=0, stop=10_000, bins=8), name="hist"
+    )
+    accuracy = AccuracySpec(alpha=200.0, beta=5e-4)
+    service.preview_cost("a-0", query, accuracy)
+    service.explore("a-0", query, accuracy)
+    return service
