@@ -291,10 +291,13 @@ class AccuracyTranslator:
         structural_key = query.cache_key(None, None)
         if structural_key is None:
             return None
+        # The digest spells the pre-hashed (predicates, names) pair out
+        # in place, so the encoded fields are the flat ones stores hold.
+        kind, structure, *rest = structural_key
         return stable_digest(
             (
                 "translation",
-                structural_key,
+                (kind, *structure.value, *rest),
                 schema,
                 stamp.fingerprints,
                 accuracy.alpha,

@@ -49,8 +49,11 @@ snapshot object, which is what keeps the identity-keyed data caches
 **Compaction.** Streaming appends accumulate shards; many tiny shards
 degrade evaluation through per-shard fixed costs.  :meth:`Table.compact`
 (automatic after every ``append_columns``) merges adjacent undersized shards
-when the table has more than :data:`COMPACT_MAX_SHARDS` shards or its
-smallest shard holds less than :data:`COMPACT_MIN_FRACTION` of the rows.
+when the table has more than :data:`COMPACT_MAX_SHARDS` shards or a shard
+other than the newest holds less than :data:`COMPACT_MIN_FRACTION` of the
+rows.  The newest shard is the open end the next append extends; every
+other undersized run is merged into a neighbour, so one pass always leaves
+a layout the policy accepts.
 Compaction rewrites the physical layout only: row order, contents and the
 version token are unchanged (so every version-keyed cache stays valid),
 untouched shards keep their interned codes, and snapshots taken earlier
@@ -122,8 +125,8 @@ MASK_CACHE_MAX_ENTRIES = 4096
 
 #: Compaction trigger: merge shards once the table has more than this many.
 COMPACT_MAX_SHARDS = 64
-#: Compaction trigger: merge shards once the smallest shard holds less than
-#: this fraction of the table's rows.
+#: Compaction trigger: merge shards once a shard other than the newest holds
+#: less than this fraction of the table's rows.
 COMPACT_MIN_FRACTION = 0.01
 
 #: How many recent versions' snapshots a table memoises.  Bounding the memo
@@ -456,9 +459,9 @@ class Table:
         """Append a pre-built column chunk as a new shard (see ``append_rows``).
 
         When the compaction policy fires (more than
-        :data:`COMPACT_MAX_SHARDS` shards, or a smallest shard under
-        :data:`COMPACT_MIN_FRACTION` of the rows), adjacent small shards are
-        merged before returning -- contents and the just-advanced version
+        :data:`COMPACT_MAX_SHARDS` shards, or a shard other than the newest
+        under :data:`COMPACT_MIN_FRACTION` of the rows), adjacent small shards
+        are merged before returning -- contents and the just-advanced version
         token are unchanged by that merge.
 
         A zero-row chunk is validated like any other, then ignored: no shard
@@ -532,12 +535,16 @@ class Table:
             return self._compact_locked()
 
     def _needs_compaction_locked(self) -> bool:
-        """Whether the compaction policy fires for the current shard layout."""
+        """Whether the compaction policy fires for the current shard layout.
+
+        The newest shard is exempt from the size test: the next append
+        either runs on from it or leaves it behind, and then it is tested.
+        """
         if len(self._shards) <= 1:
             return False
         if len(self._shards) > COMPACT_MAX_SHARDS:
             return True
-        smallest = min(shard.n_rows for shard in self._shards)
+        smallest = min(shard.n_rows for shard in self._shards[:-1])
         return smallest < self._compact_threshold_locked()
 
     def _compact_threshold_locked(self) -> int:
@@ -545,7 +552,12 @@ class Table:
         return max(1, math.ceil(max(self._n_rows, 1) * COMPACT_MIN_FRACTION))
 
     def _compact_locked(self) -> bool:
-        """Greedy adjacent-run merge (mutation lock held); order-preserving."""
+        """Greedy adjacent-run merge (mutation lock held); order-preserving.
+
+        Afterwards every shard but the newest reaches the threshold and at
+        most :data:`COMPACT_MAX_SHARDS` remain, so the policy is quiet until
+        the next append.
+        """
         shards = self._shards
         if len(shards) <= 1:
             return False
@@ -555,6 +567,7 @@ class Table:
                 threshold, math.ceil(self._n_rows / COMPACT_MAX_SHARDS)
             )
         groups: list[list[Shard]] = []
+        sizes: list[int] = []
         current: list[Shard] = []
         current_rows = 0
         for shard in shards:
@@ -563,21 +576,32 @@ class Table:
                 # keep this shard untouched (its codes stay warm).
                 if current:
                     groups.append(current)
+                    sizes.append(current_rows)
                     current, current_rows = [], 0
                 groups.append([shard])
+                sizes.append(shard.n_rows)
                 continue
             current.append(shard)
             current_rows += shard.n_rows
             if current_rows >= threshold:
                 groups.append(current)
+                sizes.append(current_rows)
                 current, current_rows = [], 0
         if current:
             groups.append(current)
+            sizes.append(current_rows)
+        # A small run a large shard closed (so not the newest) would stay
+        # small forever: fold it into its smaller neighbour.  Both
+        # neighbours reach the threshold, so the merged group does too.
+        for i in range(len(groups) - 2, -1, -1):
+            if sizes[i] >= threshold:
+                continue
+            j = i + 1 if i == 0 or sizes[i + 1] < sizes[i - 1] else i - 1
+            self._fold_groups(groups, sizes, min(i, j))
         while len(groups) > COMPACT_MAX_SHARDS:
             # Hard bound: fold the adjacent pair with the fewest rows.
-            sizes = [sum(s.n_rows for s in g) for g in groups]
             i = min(range(len(groups) - 1), key=lambda j: sizes[j] + sizes[j + 1])
-            groups[i : i + 2] = [groups[i] + groups[i + 1]]
+            self._fold_groups(groups, sizes, i)
         if all(len(group) == 1 for group in groups):
             return False
         self._shards = [
@@ -591,6 +615,12 @@ class Table:
         # nothing version-keyed goes cold.
         self._snapshots.pop(self._version, None)
         return True
+
+    @staticmethod
+    def _fold_groups(groups: list[list[Shard]], sizes: list[int], i: int) -> None:
+        """Merge group ``i + 1`` into group ``i``, keeping ``sizes`` in step."""
+        groups[i : i + 2] = [groups[i] + groups[i + 1]]
+        sizes[i : i + 2] = [sizes[i] + sizes[i + 1]]
 
     def _merge_shards(self, group: Sequence[Shard]) -> Shard:
         """Concatenate adjacent shards into one, carrying over interned codes.

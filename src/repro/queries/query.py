@@ -130,16 +130,16 @@ class Query:
         analysis overrides, (identity-wise) schema and table version, so
         accuracy-to-privacy translations computed for one are valid for the
         other.  Subclasses append their own parameters (ICQ threshold, TCQ
-        k).
+        k).  Predicates and names enter as the workload's
+        :attr:`~repro.queries.workload.Workload.structure_key`, hashed once
+        per workload, so probing a memo with this key costs O(1) in ``L``.
         """
-        try:
-            hash(self._workload.predicates)
-        except TypeError:
+        structure = self._workload.structure_key
+        if structure is None:
             return None
         return (
             self.kind.value,
-            self._workload.predicates,
-            self._workload.names,
+            structure,
             self._disjoint,
             self._sensitivity_override,
             None if schema is None else _IdKey(schema),

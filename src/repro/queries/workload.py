@@ -145,6 +145,37 @@ class _IdKey:
         return isinstance(other, _IdKey) and other.obj is self.obj
 
 
+class _StructureKey:
+    """A hashable value with its hash computed once, for memo keys.
+
+    Tuples do not keep their hash, so a key holding a workload's ``L``
+    predicates re-hashes all of them on every dict probe.  This wrapper
+    hashes its value in ``__init__`` (raising :class:`TypeError` when the
+    value is unhashable) and answers every later probe from the stored
+    number.  Equality is the value's own, tried by identity first, so a key
+    equals another exactly when their values are equal.  A hash derived from
+    strings depends on the process's ``PYTHONHASHSEED``, so pickles and copies
+    carry the value alone and rebuild the hash where they land.
+    """
+
+    __slots__ = ("value", "_hash")
+
+    def __init__(self, value: object) -> None:
+        self.value = value
+        self._hash = hash(value)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            isinstance(other, _StructureKey) and self.value == other.value
+        )
+
+    def __reduce__(self) -> tuple:
+        return (_StructureKey, (self.value,))
+
+
 #: Process-wide LRU of :class:`WorkloadMatrix` keyed by workload structure
 #: plus the exact table version (or stamp) the analysis was requested for.
 _MATRIX_CACHE: "LRUCache[WorkloadMatrix]" = LRUCache(128)
@@ -209,6 +240,16 @@ class Workload:
             )
         self._predicates = tuple(preds)
         self._names = tuple(names)
+        # Both are immutable facts every request's memo keys and domain
+        # stamp need, so they are derived here once instead of per probe.
+        self._attributes: frozenset[str] = frozenset().union(
+            *(pred.attributes() for pred in preds)
+        )
+        try:
+            key: _StructureKey | None = _StructureKey((self._predicates, self._names))
+        except TypeError:
+            key = None
+        self._structure_key = key
 
     # -- container protocol ---------------------------------------------------
 
@@ -245,10 +286,19 @@ class Workload:
 
     def attributes(self) -> frozenset[str]:
         """All attributes referenced anywhere in the workload."""
-        out: frozenset[str] = frozenset()
-        for pred in self._predicates:
-            out = out | pred.attributes()
-        return out
+        return self._attributes
+
+    @property
+    def structure_key(self) -> _StructureKey | None:
+        """``(predicates, names)`` as one pre-hashed key, or ``None``.
+
+        ``None`` when a predicate is unhashable; every memo keyed on the
+        workload structure is then skipped.  Structured predicates hash by
+        value; opaque function predicates hash by identity, which still
+        caches correctly for re-used predicate objects (the
+        entity-resolution strategies intern theirs).
+        """
+        return self._structure_key
 
     @property
     def supports_domain_analysis(self) -> bool:
@@ -369,19 +419,11 @@ class Workload:
         sensitivity: float | None,
         version: object | None,
     ) -> tuple | None:
-        """Hashable memo key for :meth:`analyze`; ``None`` disables caching.
-
-        Structured predicates hash by value; opaque function predicates hash
-        by identity, which still caches correctly for re-used predicate
-        objects (the entity-resolution strategies intern theirs).
-        """
-        try:
-            hash(self._predicates)
-        except TypeError:
+        """Hashable memo key for :meth:`analyze`; ``None`` disables caching."""
+        if self._structure_key is None:
             return None
         return (
-            self._predicates,
-            self._names,
+            self._structure_key,
             None if schema is None else _IdKey(schema),
             disjoint,
             sensitivity,
@@ -810,12 +852,14 @@ class WorkloadMatrix:
 
 
 def _structural_token(workload: Workload, schema: Schema) -> tuple | None:
-    """Hashable (predicates, schema) token shared by equal exact analyses."""
-    try:
-        hash(workload.predicates)
-    except TypeError:
+    """Hashable (predicates, schema) token shared by equal exact analyses.
+
+    Names do not change the matrix, so the token keys on the predicates
+    alone, hashed once here rather than on every probe of a token-keyed memo.
+    """
+    if workload.structure_key is None:
         return None
-    return (workload.predicates, _IdKey(schema))
+    return (_StructureKey(workload.predicates), _IdKey(schema))
 
 
 def _enumerate_partitions(

@@ -11,6 +11,7 @@ from typing import Iterable
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import repro.data.table as table_module
 from repro.core.exceptions import SchemaError
@@ -59,6 +60,13 @@ def make_rows(n: int, offset: int = 0) -> list[dict]:
         }
         for i in range(n)
     ]
+
+
+def make_columns(n: int) -> dict[str, np.ndarray]:
+    return {
+        "state": np.array([("CA", "NY", "TX", None)[i % 4] for i in range(n)], dtype=object),
+        "score": np.arange(n, dtype=float) % 97,
+    }
 
 
 def columns_equal(a: Table, b: Table) -> bool:
@@ -111,6 +119,30 @@ class TestCompactionPolicy:
         # Small shards merge into ~threshold-sized groups (here: the 1000-row
         # base stands alone, the 8x2-row tail folds into two groups).
         assert table.shard_sizes == (1000, 12, 4)
+
+    def test_small_shard_between_large_ones_merges(self):
+        table = Table.from_rows(make_schema(), make_rows(10_000))
+        table.append_rows(make_rows(50))
+        table.append_rows(make_rows(10_000))
+        assert table.shard_sizes == (10_050, 10_000)
+        assert not table._needs_compaction_locked()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.integers(1, 60) | st.integers(1_000, 12_000) | st.just(200),
+            min_size=2,
+            max_size=10,
+        )
+    )
+    @example([10_000, 50, 10_000])
+    @example([10_000, 50, 30, 10_000])
+    def test_policy_is_quiet_after_every_append(self, sizes):
+        table = Table(make_schema(), make_columns(sizes[0]))
+        for n in sizes[1:]:
+            table.append_columns(make_columns(n))
+            assert not table._needs_compaction_locked()
+        assert table.shard_sizes and sum(table.shard_sizes) == sum(sizes)
 
     def test_singleton_small_run_is_a_noop(self):
         table = Table.from_rows(make_schema(), make_rows(10_000))
