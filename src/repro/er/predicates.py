@@ -13,7 +13,8 @@ similarity's column kernel (:func:`~repro.er.similarity.pairwise_scores`)
 over a transformed view of the two columns; each ``(left column, right
 column, transform)`` view is built once and shared by every similarity that
 scores it, and cosine, Jaccard and overlap also share one coding of the
-view's tokens (:class:`~repro.er.similarity.TokenCounts`).
+view's tokens (:class:`~repro.er.similarity.TokenCounts`).  A 2grams or
+3grams view codes each gram as one packed integer (:func:`_gram_codes`).
 
 Predicates plug into the APEx query language as
 :class:`~repro.queries.predicates.FunctionPredicate` instances, so the engine
@@ -36,7 +37,7 @@ import numpy as np
 from repro.core.exceptions import ApexError
 from repro.data.table import Table
 from repro.er.similarity import TokenCounts, TokenInput, get_similarity, pairwise_scores
-from repro.er.transforms import Transform, get_transform
+from repro.er.transforms import Transform, _normalise, get_transform
 from repro.queries.predicates import FunctionPredicate, Predicate
 
 __all__ = ["SimilarityPredicateSpec", "SimilarityCache", "BooleanFormula"]
@@ -170,38 +171,54 @@ class _PairView:
     """One transformed ``(left column, right column)`` view of a pair table.
 
     Only pairs with two non-NULL values are transformed (``rows``); the
-    others score 0 under every similarity.  The token similarities share the
-    view's :class:`~repro.er.similarity.TokenCounts`, coded on first use.
+    others score 0 under every similarity.  The view keeps those pairs' raw
+    values and transforms them on first use: the token similarities share
+    one :class:`~repro.er.similarity.TokenCounts`, which an n-gram view
+    counts from packed integer gram codes (:func:`_gram_codes`), and the
+    per-value transformed tokens or strings are built only when a
+    character similarity scores the view.
     """
 
     n_rows: int
     rows: np.ndarray
-    left: list[TokenInput]
-    right: list[TokenInput]
+    transform: Transform
+    left_values: np.ndarray
+    right_values: np.ndarray
 
     @classmethod
     def of(
         cls, table: Table, left_column: str, right_column: str, transform_name: str
     ) -> "_PairView":
-        transform: Transform = get_transform(transform_name)
-        left = table.column(left_column)
-        right = table.column(right_column)
-        nulls = np.fromiter(
-            (_is_null(a) or _is_null(b) for a, b in zip(left, right)),
-            dtype=bool,
-            count=len(table),
-        )
+        # A stored text value is an exact str or None and a numeric NULL is
+        # NaN, so the cached NULL masks are the per-value NULL test.
+        nulls = table.null_mask(left_column) | table.null_mask(right_column)
         rows = np.flatnonzero(~nulls)
         return cls(
             len(table),
             rows,
-            [transform(left[index]) for index in rows],
-            [transform(right[index]) for index in rows],
+            get_transform(transform_name),
+            table.column(left_column)[rows],
+            table.column(right_column)[rows],
         )
 
     @functools.cached_property
+    def left(self) -> list[TokenInput]:
+        return list(map(self.transform, self.left_values))
+
+    @functools.cached_property
+    def right(self) -> list[TokenInput]:
+        return list(map(self.transform, self.right_values))
+
+    @functools.cached_property
     def token_counts(self) -> TokenCounts:
-        return TokenCounts.of(self.left, self.right)
+        n = _GRAM_SIZES.get(self.transform)
+        if n is None:
+            return TokenCounts.of(self.left, self.right)
+        return TokenCounts.from_codes(
+            len(self.rows),
+            *_gram_codes(self.left_values, n),
+            *_gram_codes(self.right_values, n),
+        )
 
     def scores(self, similarity_name: str) -> np.ndarray:
         values = np.zeros(self.n_rows)
@@ -211,6 +228,50 @@ class _PairView:
         else:
             values[self.rows] = pairwise_scores(similarity, self.left, self.right)
         return values
+
+
+#: The n-gram transforms by gram size.  Their views code each gram as one
+#: integer instead of slicing it out as a string.
+_GRAM_SIZES = {get_transform("2grams"): 2, get_transform("3grams"): 3}
+#: Every code point is below 2**21, so three fit in a non-negative int64.
+_POINT_BITS = 21
+
+
+def _gram_codes(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n``-gram tokens of ``values`` as int64 codes (``n`` <= 3).
+
+    Returns each token's value index and its code; two tokens of
+    :func:`~repro.er.transforms._ngrams` are equal exactly when their codes
+    are.  A full gram packs its code points 21 bits apiece, first point
+    highest (``c0 << 42 | c1 << 21 | c2``), so its code is non-negative.  A
+    normalised value shorter than ``n`` is one token; it is coded
+    ``-1 - (packed << 2 | length)``, negative and tagged with its length, so
+    it never equals a full gram or a short token of another length.
+    """
+    texts = [_normalise(str(value)).replace(" ", "_") for value in values]
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    # surrogatepass: a lone surrogate is a code point like any other.
+    flat = "".join(texts).encode("utf-32-le", "surrogatepass")
+    points = np.frombuffer(flat, dtype="<u4").astype(np.int64)
+    value_of = np.repeat(np.arange(len(texts)), lengths)
+    ends = np.cumsum(lengths)
+    # A gram starts at every point with at least n points left in its value.
+    starts = max(len(points) - n + 1, 0)
+    full = (np.repeat(ends, lengths) - np.arange(len(points)))[:starts] >= n
+    packed = points[:starts].copy()
+    for k in range(1, n):
+        packed <<= _POINT_BITS
+        packed |= points[k : starts + k]
+    short = np.flatnonzero((lengths > 0) & (lengths < n))
+    first = (ends - lengths)[short]
+    prefix = points[first]
+    for k in range(1, n - 1):
+        longer = lengths[short] > k
+        prefix[longer] = prefix[longer] << _POINT_BITS | points[first[longer] + k]
+    return (
+        np.concatenate((value_of[:starts][full], short)),
+        np.concatenate((packed[full], -1 - (prefix << 2 | lengths[short]))),
+    )
 
 
 @dataclass(frozen=True)
@@ -275,14 +336,6 @@ class BooleanFormula:
             return "FALSE" if not self.conjunction else "TRUE"
         connector = " AND " if self.conjunction else " OR "
         return connector.join(spec.describe() for spec in self.specs)
-
-
-def _is_null(value: object) -> bool:
-    if value is None:
-        return True
-    if isinstance(value, float) and np.isnan(value):
-        return True
-    return False
 
 
 def enumerate_thresholds(

@@ -360,8 +360,10 @@ class TokenCounts:
 
     Cosine, Jaccard and overlap all read these, so a column's tokens are
     coded once for the three (:class:`~repro.er.predicates.SimilarityCache`
-    keeps them on its transformed view).  Each side's tokens are coded as
-    sorted unique ``pair * vocabulary + token id`` keys with their counts;
+    keeps them on its transformed view).  :meth:`from_codes` counts from
+    int64 token codes (the n-gram views pack each gram into one), and
+    :meth:`of` interns string tokens into such codes.  Each side's tokens
+    are keyed as sorted unique ``pair * vocabulary + token id`` with counts;
     the statistics are integers below 2**53 (stored as float where a
     weighted ``bincount`` sums them), so the kernels' final float operations
     are the scalar formulas' and every score is bit-identical.
@@ -383,27 +385,47 @@ class TokenCounts:
         cls, left: Sequence[TokenInput], right: Sequence[TokenInput]
     ) -> "TokenCounts":
         n = len(left)
-        # A token's id is the running index of its first occurrence on
-        # either side: one ``setdefault`` pass interns a side, and every id
-        # is below the number of tokens.
+        # A token's code is the running index of its first occurrence on
+        # either side: one ``setdefault`` pass interns a side.
         ids: dict[str, int] = {}
         first_seen = itertools.count()
-        pairs, codes = [], []
+        sides = []
         for values in (left, right):
             tokens = list(map(_as_tokens, values))
             sizes = np.fromiter(map(len, tokens), dtype=np.int64, count=n)
-            pairs.append(np.repeat(np.arange(n), sizes))
+            sides.append(np.repeat(np.arange(n), sizes))
             flat = itertools.chain.from_iterable(tokens)
-            codes.append(
+            sides.append(
                 np.fromiter(
                     map(ids.setdefault, flat, first_seen),
                     dtype=np.int64,
                     count=int(sizes.sum()),
                 )
             )
-        vocabulary = max(len(codes[0]) + len(codes[1]), 1)
-        keys_a, counts_a = np.unique(pairs[0] * vocabulary + codes[0], return_counts=True)
-        keys_b, counts_b = np.unique(pairs[1] * vocabulary + codes[1], return_counts=True)
+        return cls.from_codes(n, *sides)
+
+    @classmethod
+    def from_codes(
+        cls,
+        n: int,
+        pair_a: np.ndarray,
+        codes_a: np.ndarray,
+        pair_b: np.ndarray,
+        codes_b: np.ndarray,
+    ) -> "TokenCounts":
+        """The counts of ``n`` pairs from each side's integer token codes.
+
+        ``codes_a[k]`` is one token of pair ``pair_a[k]`` on the left side
+        (likewise ``_b`` on the right); two tokens are equal exactly when
+        their int64 codes are, and the codes' order within a pair is free.
+        The codes are ranked into ids below the vocabulary size, so the
+        counts do not depend on how the codes were assigned.
+        """
+        tokens, ids = np.unique(np.concatenate((codes_a, codes_b)), return_inverse=True)
+        ids_a, ids_b = ids[: len(codes_a)], ids[len(codes_a) :]
+        vocabulary = max(len(tokens), 1)
+        keys_a, counts_a = np.unique(pair_a * vocabulary + ids_a, return_counts=True)
+        keys_b, counts_b = np.unique(pair_b * vocabulary + ids_b, return_counts=True)
         common, in_a, in_b = np.intersect1d(
             keys_a, keys_b, assume_unique=True, return_indices=True
         )

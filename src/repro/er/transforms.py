@@ -10,6 +10,13 @@ Smith-Waterman) operate on the raw string.
 A transform maps a raw attribute value to either a string (character-based
 view) or a tuple of tokens (set-based view); similarity functions declare
 which view they expect.
+
+These per-value functions are the public single-value API.  They are also
+the oracle of the column path: :class:`~repro.er.predicates.SimilarityCache`
+counts a whole 2grams/3grams view from packed integer gram codes
+(:func:`repro.er.predicates._gram_codes`) without slicing the grams out as
+strings, and ``tests/er/test_token_coding.py`` holds those counts equal to
+the ones of :func:`_ngrams`'s tuples.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.exceptions import ApexError
 from repro.data.citations import ER_ATTRIBUTE_PAIRS, generate_citation_pairs, pairs_to_table
-from repro.er import transforms
+from repro.er import predicates
 from repro.er.predicates import (
     _PREDICATE_IDENTITY_VERSION,
     BooleanFormula,
@@ -15,7 +15,7 @@ from repro.er.predicates import (
     SimilarityPredicateSpec,
     enumerate_thresholds,
 )
-from repro.er.transforms import DEFAULT_TRANSFORM_NAMES, Transform
+from repro.er.transforms import DEFAULT_TRANSFORM_NAMES
 from repro.queries.workload import Workload
 
 
@@ -164,19 +164,38 @@ class TestTableScopedMasks:
 
 class TestSharedTransforms:
     def test_each_view_is_transformed_once(self, citation_table, monkeypatch):
-        calls = []
-        grams = transforms.TRANSFORMS["2grams"]
-        monkeypatch.setitem(
-            transforms.TRANSFORMS, "2grams",
-            Transform("2grams", lambda text: calls.append(text) or grams.fn(text), True),
+        coded = []
+        gram_codes = predicates._gram_codes
+        monkeypatch.setattr(
+            predicates, "_gram_codes",
+            lambda values, n: coded.append(len(values)) or gram_codes(values, n),
         )
         cache = SimilarityCache(citation_table)
         non_null = ~(citation_table.is_null("title_l") | citation_table.is_null("title_r"))
         cache.scores(_spec(similarity="cosine"))
-        assert len(calls) == 2 * int(non_null.sum())
+        assert sum(coded) == 2 * int(non_null.sum())
         cache.scores(_spec(similarity="jaccard"))
         cache.scores(_spec(similarity="overlap"))
-        assert len(calls) == 2 * int(non_null.sum())
+        assert sum(coded) == 2 * int(non_null.sum())
+
+
+class TestPairViewRows:
+    def test_null_masks_are_the_per_value_null_test(self, citation_table):
+        for name in citation_table.schema.attribute_names:
+            per_value = [
+                value is None or (isinstance(value, float) and np.isnan(value))
+                for value in citation_table.column(name)
+            ]
+            assert np.array_equal(citation_table.null_mask(name), per_value), name
+        assert citation_table.null_mask("year_l").any()
+        assert citation_table.null_mask("year_r").any()
+
+    def test_a_view_holds_the_pairs_with_two_values(self, citation_table):
+        view = predicates._PairView.of(citation_table, "year_l", "year_r", "2grams")
+        both = ~(citation_table.is_null("year_l") | citation_table.is_null("year_r"))
+        assert np.array_equal(view.rows, np.flatnonzero(both))
+        assert view.left_values.tolist() == citation_table.column("year_l")[both].tolist()
+        assert view.right_values.tolist() == citation_table.column("year_r")[both].tolist()
 
 
 #: SHA-256 of every score column of a seeded 300-pair citation table, per

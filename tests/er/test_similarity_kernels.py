@@ -225,9 +225,10 @@ class TestTokenSimilarities:
 
     def test_the_cache_scores_every_token_similarity_from_one_coding(self, monkeypatch):
         codings = []
-        of = TokenCounts.of.__func__
+        from_codes = TokenCounts.from_codes.__func__
         monkeypatch.setattr(
-            TokenCounts, "of", classmethod(lambda cls, *views: codings.append(1) or of(cls, *views))
+            TokenCounts, "from_codes",
+            classmethod(lambda cls, *codes: codings.append(1) or from_codes(cls, *codes)),
         )
         table = pairs_to_table(generate_citation_pairs(150, seed=5))
         cache = SimilarityCache(table)
