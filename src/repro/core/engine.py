@@ -210,8 +210,8 @@ class APExEngine:
 
         ``translations`` counts memoised accuracy-to-privacy translation
         lists (per this engine's translator), with the hierarchy counters
-        (``built``/``revalidated``/``disk_hits``) of the memory ->
-        revalidate -> disk cascade; ``workload_matrices`` counts the
+        (``token``/``disk_hits``/``built``) of the exact -> token -> disk ->
+        build cascade; ``workload_matrices`` counts the
         process-wide workload-matrix memo (``built``/``revalidated``; it
         has no disk tier).  ``wcqsm_search`` counts the process-wide
         Monte-Carlo epsilon searches executed; the search has no disk tier,

@@ -23,15 +23,15 @@ exploration strategies' relaxation loops (which re-ask structurally identical
 queries round after round) and repeated ``preview_cost`` calls stop paying
 for mechanism translation more than once.
 
-The translation memo is three-tiered when the ``version`` argument is a
-:class:`~repro.data.table.DomainStamp`: a miss on the exact
-(version-scoped) key falls through to a revalidation tier keyed by the
-stamp's domain fingerprints (translation is data independent, so a
-mutation that preserved every referenced domain cannot change it) and then
-to the translator's optional :class:`~repro.store.ArtifactStore`, from
-which a restarted process reloads whole translation lists without
-re-running a single mechanism translation.  The disk key includes each
-applicable mechanism's
+Translation reads only the query kind, the workload matrix's values (its
+``cache_token``), TCQ ``k`` and ``(alpha, beta)``, so a *token* tier keys
+lists by exactly that (:meth:`~repro.queries.query.Query.translation_key`):
+queries sharing a matrix share one list.  The tiers are exact (query and
+version) -> token, with an already-memoised matrix only -> the optional
+:class:`~repro.store.ArtifactStore`, keyed by the query structure and the
+stamp's domain fingerprints, so a restarted process reloads lists without
+building a matrix -> build the matrix -> token -> translate.  The disk key
+includes each applicable mechanism's
 :meth:`~repro.mechanisms.base.Mechanism.cache_signature`, so stores are
 never shared across differently configured mechanism suites.
 """
@@ -50,6 +50,7 @@ from repro.mechanisms.base import Mechanism, TranslationResult
 from repro.mechanisms.registry import MechanismRegistry, default_registry
 from repro.obs import Counter, tracing
 from repro.queries.query import Query
+from repro.queries.workload import WorkloadMatrix
 from repro.store import ArtifactStore
 from repro.store.fingerprint import stable_digest
 
@@ -104,15 +105,15 @@ class AccuracyTranslator:
         self._translation_cache: LRUCache[
             list[tuple[Mechanism, TranslationResult]]
         ] = LRUCache(self.CACHE_MAX_ENTRIES)
-        #: Revalidation tier: the same lists keyed by domain fingerprints
-        #: instead of the version, so domain-preserving mutations re-tag.
-        self._domain_cache: LRUCache[
+        #: Token tier: the same lists keyed by ``Query.translation_key``
+        #: plus ``(alpha, beta)``.
+        self._token_cache: LRUCache[
             list[tuple[Mechanism, TranslationResult]]
         ] = LRUCache(self.CACHE_MAX_ENTRIES)
         #: Tier counters beneath the exact LRU.  Sessions share one
         #: translator, so each is a locked :class:`~repro.obs.Counter`.
         self._tier_stats = {
-            key: Counter() for key in ("built", "revalidated", "disk_hits", "disk_writes")
+            key: Counter() for key in ("built", "token", "disk_hits", "disk_writes")
         }
 
     @property
@@ -133,16 +134,16 @@ class AccuracyTranslator:
         """Counters of the translation memo hierarchy.
 
         ``hits``/``misses``/``size`` describe the exact (version-scoped)
-        LRU; ``revalidated`` counts lists re-tagged via the
-        domain-fingerprint tier, ``disk_hits``/``disk_writes`` the artifact
-        store, and ``built`` the translation lists actually computed.
+        LRU; ``token`` counts lists answered by the token tier,
+        ``disk_hits``/``disk_writes`` the artifact store, and ``built`` the
+        translation lists actually computed.
         """
         tiers = {key: int(counter.value()) for key, counter in self._tier_stats.items()}
         return {**self._translation_cache.stats(), **tiers}
 
     def clear_cache(self) -> None:
         self._translation_cache.clear()
-        self._domain_cache.clear()
+        self._token_cache.clear()
         for counter in self._tier_stats.values():
             counter.reset()
 
@@ -160,25 +161,21 @@ class AccuracyTranslator:
         exploration service calls it before submitting a preview to its
         request batcher, and the batcher again under its lock before
         starting a flight: warm requests cost microseconds and are answered
-        straight from the memo, so only cold builds are batched.  With a
-        :class:`~repro.data.table.DomainStamp` the peek covers the
-        revalidation tier too: a post-append request whose domains are
-        unchanged is warm, it just has not been re-tagged yet.
+        straight from the memo, so only cold builds are batched.  The token
+        tier is consulted only through the query's own memoised matrix
+        (:meth:`~repro.queries.query.Query.memoised_matrix` with ``peek``):
+        a peek never builds or probes the matrix memo.  A post-append
+        request of a query already priced at the old version is warm.
         """
         query_key = query.cache_key(schema, version)
         if query_key is None:
             return False
         if (query_key, accuracy.alpha, accuracy.beta) in self._translation_cache:
             return True
-        if isinstance(version, DomainStamp):
-            domain_key = query.cache_key(schema, version.domain_key)
-            if domain_key is not None:
-                return (
-                    domain_key,
-                    accuracy.alpha,
-                    accuracy.beta,
-                ) in self._domain_cache
-        return False
+        matrix = query.memoised_matrix(schema, version, peek=True)
+        if matrix is None:
+            return False
+        return self._token_key(query, matrix, accuracy) in self._token_cache
 
     # -- translation ---------------------------------------------------------------
 
@@ -194,15 +191,12 @@ class AccuracyTranslator:
 
         Mechanisms whose translation fails (e.g. the accuracy requirement is
         too loose for their closed form) are skipped.  Results are memoised
-        per (query structure, accuracy, table version): translation is data
-        independent and deterministic, so a structurally identical repeat (a
-        re-asked query, a second ``preview_cost``) is answered from the
-        cache -- until the table mutates.  With a
-        :class:`~repro.data.table.DomainStamp` a mutation that preserved
-        every referenced domain *revalidates* (the cached list is re-tagged
-        for the new version), and a fresh process warm-starts from the
-        translator's :class:`~repro.store.ArtifactStore` before any
-        mechanism translation runs.
+        per (query structure, accuracy, table version) and per
+        (:meth:`~repro.queries.query.Query.translation_key`, accuracy):
+        translation is data independent and deterministic, so a repeat, or
+        another query over the same matrix, is answered from the memo.  The
+        tier order is exact -> token (memoised matrices only) -> disk ->
+        build the matrix -> token -> translate; see the module docstring.
         """
         query_key = query.cache_key(schema, version)
         cache_key = None
@@ -212,65 +206,60 @@ class AccuracyTranslator:
             if cached is not None:
                 tracing.annotate("cache_tier", "exact")
                 return list(cached)
-        stamp = version if isinstance(version, DomainStamp) else None
-        domain_cache_key = None
-        if cache_key is not None and stamp is not None:
-            domain_query_key = query.cache_key(schema, stamp.domain_key)
-            if domain_query_key is not None:
-                domain_cache_key = (domain_query_key, accuracy.alpha, accuracy.beta)
-                cached = self._domain_cache.get(domain_cache_key)
-                if cached is not None:
-                    self._tier_stats["revalidated"].inc()
-                    tracing.annotate("cache_tier", "revalidated")
-                    self._translation_cache.put(cache_key, list(cached))
-                    return list(cached)
-        applicable = self._registry.for_query(query)
-        if not applicable:
-            raise TranslationError(
-                f"no registered mechanism supports {query.kind.value} queries"
-            )
-        store = self._store
-        store_digest = None
-        if store is not None and stamp is not None and cache_key is not None:
-            store_digest = self._store_digest(query, accuracy, schema, stamp, applicable)
-        if store is not None and store_digest is not None:
-            loaded = self._from_payload(
-                store.load("translation", store_digest), applicable
-            )
-            if loaded is not None:
-                self._tier_stats["disk_hits"].inc()
-                tracing.annotate("cache_tier", "disk")
-                self._translation_cache.put(cache_key, list(loaded))
-                if domain_cache_key is not None:
-                    self._domain_cache.put(domain_cache_key, list(loaded))
-                return list(loaded)
-        out: list[tuple[Mechanism, TranslationResult]] = []
-        for mechanism in applicable:
-            try:
-                out.append(
-                    (
-                        mechanism,
-                        mechanism.translate(query, accuracy, schema, version=version),
-                    )
+        # Only an already-memoised matrix is probed before the disk, so a
+        # restarted process answers from disk without deriving a matrix.
+        matrix = query.memoised_matrix(schema, version)
+        out: list[tuple[Mechanism, TranslationResult]] | None = None
+        if matrix is not None:
+            out = self._token_cache.get(self._token_key(query, matrix, accuracy))
+        tier, store, store_digest = "token", self._store, None
+        if out is None:
+            applicable = self._registry.for_query(query)
+            if not applicable:
+                raise TranslationError(
+                    f"no registered mechanism supports {query.kind.value} queries"
                 )
-            except TranslationError:
-                continue
-        if not out:
-            raise TranslationError(
-                f"no mechanism could translate the accuracy requirement {accuracy} "
-                f"for query {query.name!r}"
-            )
-        self._tier_stats["built"].inc()
-        tracing.annotate("cache_tier", "built")
+            if store is not None and isinstance(version, DomainStamp) and cache_key is not None:
+                store_digest = self._store_digest(query, accuracy, schema, version, applicable)
+            if store is not None and store_digest is not None:
+                tier = "disk"
+                out = self._from_payload(store.load("translation", store_digest), applicable)
+            if out is None and matrix is None:
+                tier, matrix = "token", query.build_matrix(schema, version)
+                out = self._token_cache.get(self._token_key(query, matrix, accuracy))
+            if out is None:
+                tier, out = "built", []
+                for mechanism in applicable:
+                    try:
+                        out.append(
+                            (
+                                mechanism,
+                                mechanism.translate(query, accuracy, schema, version=version),
+                            )
+                        )
+                    except TranslationError:
+                        continue
+                if not out:
+                    raise TranslationError(
+                        f"no mechanism could translate the accuracy requirement "
+                        f"{accuracy} for query {query.name!r}"
+                    )
+        self._tier_stats["disk_hits" if tier == "disk" else tier].inc()
+        tracing.annotate("cache_tier", tier)
         if cache_key is not None:
             self._translation_cache.put(cache_key, list(out))
-        if domain_cache_key is not None:
-            self._domain_cache.put(domain_cache_key, list(out))
-        if store is not None and store_digest is not None:
+        if matrix is not None and tier != "token":
+            self._token_cache.put(self._token_key(query, matrix, accuracy), list(out))
+        # A list the disk missed is stored, whichever tier answered it.
+        if store is not None and store_digest is not None and tier != "disk":
             payload = [(mechanism.name, result) for mechanism, result in out]
             if store.save("translation", store_digest, payload):
                 self._tier_stats["disk_writes"].inc()
-        return out
+        return list(out)
+
+    @staticmethod
+    def _token_key(query: Query, matrix: WorkloadMatrix, accuracy: AccuracySpec) -> tuple:
+        return (*query.translation_key(matrix), accuracy.alpha, accuracy.beta)
 
     def _store_digest(
         self,

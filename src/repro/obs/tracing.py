@@ -3,7 +3,7 @@
 One trace covers one service request (``explore`` / ``preview_cost``): a
 tree of :class:`Span` nodes from admission through snapshot pin, the
 batcher (leader/follower plus coalesce edges), the cache-tier outcome
-(exact / revalidated / disk / rebuild), matrix build / Monte-Carlo search,
+(exact / token / disk / rebuild), matrix build / Monte-Carlo search,
 the mechanism run, and reserve/commit.  The instrumentation sites live in
 the service, engine, translator, workload and batching modules; they all
 funnel through the three module-level entry points here:

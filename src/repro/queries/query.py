@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.exceptions import QueryError
 from repro.data.schema import Schema
-from repro.data.table import Table, TableVersion
+from repro.data.table import DomainStamp, Table, TableVersion
 from repro.queries.workload import Workload, WorkloadMatrix, _IdKey
 
 __all__ = [
@@ -63,9 +63,8 @@ class Query:
         self._name = name or self.__class__.__name__
         self._disjoint = disjoint
         self._sensitivity_override = sensitivity
-        self._matrix_cache: WorkloadMatrix | None = None
-        self._matrix_schema: Schema | None = None
-        self._matrix_version: TableVersion | None = None
+        #: ``(matrix, schema, version)`` of the last matrix this query used.
+        self._matrix_memo: tuple[WorkloadMatrix, Schema | None, object] | None = None
         self._true_counts_cache: (
             tuple[weakref.ref[Table], TableVersion, np.ndarray] | None
         ) = None
@@ -93,7 +92,7 @@ class Query:
     def workload_matrix(
         self,
         schema: Schema | None = None,
-        version: TableVersion | None = None,
+        version: TableVersion | DomainStamp | None = None,
     ) -> WorkloadMatrix:
         """The (cached) matrix representation of the query workload.
 
@@ -102,22 +101,47 @@ class Query:
         per-query memo here and the module-level matrix memo key on it, so a
         table mutation forces a rebuild instead of reusing a stale matrix.
         """
-        if (
-            self._matrix_cache is not None
-            and schema is self._matrix_schema
-            and version == self._matrix_version
-        ):
-            return self._matrix_cache
-        matrix = self._workload.analyze(
-            schema,
-            disjoint=self._disjoint,
-            sensitivity=self._sensitivity_override,
-            version=version,
-        )
-        self._matrix_cache = matrix
-        self._matrix_schema = schema
-        self._matrix_version = version
+        return self.memoised_matrix(schema, version) or self.build_matrix(schema, version)
+
+    def memoised_matrix(
+        self, schema: Schema | None, version: object | None, *, peek: bool = False
+    ) -> WorkloadMatrix | None:
+        """The memoised matrix for ``(schema, version)``, or ``None``; never builds.
+
+        This query's own memo answers the schema object it was built for at
+        an equal ``version``, or at a stamp with equal ``fingerprints`` (the
+        matrix memo's revalidation rule, applied without a memo lookup).  On
+        a miss the matrix memo is probed, unless ``peek`` asks for a pure
+        peek of the query's own memo.
+        """
+        memo = self._matrix_memo
+        if memo is not None and memo[1] is schema:
+            if version == memo[2] or (
+                isinstance(version, DomainStamp)
+                and isinstance(memo[2], DomainStamp)
+                and version.fingerprints == memo[2].fingerprints
+            ):
+                return memo[0]
+        if peek:
+            return None
+        matrix = self._workload.memoised(schema, self._disjoint, self._sensitivity_override, version)
+        if matrix is not None:
+            self._matrix_memo = (matrix, schema, version)
         return matrix
+
+    def build_matrix(self, schema: Schema | None, version: object | None) -> WorkloadMatrix:
+        """Build and memoise the matrix without probing any memo first."""
+        matrix = self._workload.build(schema, self._disjoint, self._sensitivity_override, version)
+        self._matrix_memo = (matrix, schema, version)
+        return matrix
+
+    def translation_key(self, matrix: WorkloadMatrix) -> tuple:
+        """What accuracy translation reads of this query over ``matrix``.
+
+        Queries with equal keys get equal translations, so a subclass whose
+        translations read a parameter appends it (TCQ ``k``).
+        """
+        return (self.kind, matrix.cache_token)
 
     def cache_key(
         self,
@@ -279,6 +303,9 @@ class TopKCountingQuery(Query):
     ) -> tuple | None:
         base = super().cache_key(schema, version)
         return None if base is None else base + (self._k,)
+
+    def translation_key(self, matrix: WorkloadMatrix) -> tuple:
+        return super().translation_key(matrix) + (self._k,)
 
     def true_answer(self, table: Table) -> list[str]:
         counts = self.true_counts(table)

@@ -367,19 +367,26 @@ class Workload:
         Results are memoised per workload structure: analysing a
         structurally identical workload (equal predicates and names, same
         schema object, same overrides, same table version) returns the
-        previously built matrix without re-deriving it.
+        previously built matrix without re-deriving it.  :meth:`memoised`
+        and :meth:`build` are its two halves.
         """
+        return self.memoised(schema, disjoint, sensitivity, version) or self.build(
+            schema, disjoint, sensitivity, version
+        )
+
+    def memoised(
+        self, schema: Schema | None, disjoint: bool | None, sensitivity: float | None, version: object
+    ) -> "WorkloadMatrix | None":
+        """:meth:`analyze`'s memo probe (exact, then revalidation tier); never builds."""
         key = self._analysis_key(schema, disjoint, sensitivity, version)
-        if key is not None:
-            cached = _MATRIX_CACHE.get(key)
-            if cached is not None:
-                tracing.annotate("matrix_tier", "exact")
-                return cached
-        domain_key = None
-        if key is not None and isinstance(version, DomainStamp):
-            domain_key = self._analysis_key(
-                schema, disjoint, sensitivity, version.domain_key
-            )
+        if key is None:
+            return None
+        cached = _MATRIX_CACHE.get(key)
+        if cached is not None:
+            tracing.annotate("matrix_tier", "exact")
+            return cached
+        if isinstance(version, DomainStamp):
+            domain_key = self._analysis_key(schema, disjoint, sensitivity, version.domain_key)
             cached = _MATRIX_DOMAIN_CACHE.get(domain_key)
             if cached is not None:
                 # Same workload, same referenced domains, different version:
@@ -388,7 +395,12 @@ class Workload:
                 _MATRIX_TIER_STATS["revalidated"].inc()
                 tracing.annotate("matrix_tier", "revalidated")
                 _MATRIX_CACHE.put(key, cached)
-                return cached
+        return cached
+
+    def build(
+        self, schema: Schema | None, disjoint: bool | None, sensitivity: float | None, version: object
+    ) -> "WorkloadMatrix":
+        """:meth:`analyze`'s build: derive the matrix and memoise it, unprobed."""
         structural_hint = disjoint is not None or sensitivity is not None
         exact = (
             self.supports_domain_analysis
@@ -406,10 +418,12 @@ class Workload:
                 )
         _MATRIX_TIER_STATS["built"].inc()
         tracing.annotate("matrix_tier", "built")
+        key = self._analysis_key(schema, disjoint, sensitivity, version)
         if key is not None:
             _MATRIX_CACHE.put(key, matrix)
-        if domain_key is not None:
-            _MATRIX_DOMAIN_CACHE.put(domain_key, matrix)
+            if isinstance(version, DomainStamp):
+                domain_key = self._analysis_key(schema, disjoint, sensitivity, version.domain_key)
+                _MATRIX_DOMAIN_CACHE.put(domain_key, matrix)
         return matrix
 
     def _analysis_key(

@@ -90,19 +90,19 @@ def test_translator_built_counter_is_exact():
     translator = AccuracyTranslator(
         MechanismRegistry([LaplaceMechanism(name="WCQ-LM", kinds=frozenset({QueryKind.WCQ}))])
     )
-    accuracy = AccuracySpec(alpha=10.0, beta=0.05)
 
     def work(tid):
         for i in range(PER_THREAD):
-            query = WorkloadCountingQuery(
-                Workload([Comparison("x", ">", float(tid * PER_THREAD + i))])
-            )
-            translator.translations(query, accuracy)
+            # Every query has the same structural matrix, so a distinct
+            # alpha per call keeps each one a token-tier miss.
+            call = tid * PER_THREAD + i
+            query = WorkloadCountingQuery(Workload([Comparison("x", ">", float(call))]))
+            translator.translations(query, AccuracySpec(alpha=10.0 + call, beta=0.05))
 
     run_threads(work)
     stats = translator.cache_stats
     assert stats["built"] == THREADS * PER_THREAD
-    tiers = ("built", "revalidated", "disk_hits", "disk_writes")
+    tiers = ("built", "token", "disk_hits", "disk_writes")
     assert all(type(stats[key]) is int for key in tiers)
     translator.clear_cache()
     assert translator.cache_stats["built"] == 0

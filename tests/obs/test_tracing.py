@@ -301,7 +301,7 @@ class TestBatcherCoalesceEdges:
 #: ``cache_tier`` span label -> translator counter that one such span bumps.
 _TIER_COUNTERS = {
     "exact": "hits",
-    "revalidated": "revalidated",
+    "token": "token",
     "disk": "disk_hits",
     "built": "built",
 }
@@ -402,13 +402,14 @@ class TestServiceSpans:
         assert _traced_preview(service, tracer)[1] == ["built"]
         assert _traced_preview(service, tracer)[1] == ["exact"]
         # The query reads only ``amount``, whose domain no append can
-        # change: the post-append preview re-tags instead of rebuilding.
+        # change: the post-append preview reuses the matrix, whose token
+        # answers it, instead of rebuilding.
         rows = [
             {"region": "region-00", "channel": "web", "amount": 50.0 * i, "age": 30.0}
             for i in range(32)
         ]
         service.append_rows("default", rows)
-        assert _traced_preview(service, tracer)[1] == ["revalidated"]
+        assert _traced_preview(service, tracer)[1] == ["token"]
         # A fresh service over the same store answers from disk.
         clear_matrix_cache()
         restarted = _traced_service(small_table(256), store=store)

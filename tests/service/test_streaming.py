@@ -79,41 +79,41 @@ class TestAppendBetweenPreviews:
             stats = service.stats()
             return (
                 stats["translations"]["hits"],
-                stats["translations"]["revalidated"],
+                stats["translations"]["token"],
                 stats["workload_matrices"]["built"],
             )
 
         first = service.preview_cost("alice", make_query(), ACCURACY)
-        hits_0, revalidated_0, built_0 = counters()
+        hits_0, token_0, built_0 = counters()
         assert built_0 == 1
 
         # Warm repeat on the same version: exact memo hit, nothing rebuilt.
         warm = service.preview_cost("alice", make_query(), ACCURACY)
-        hits_1, revalidated_1, built_1 = counters()
+        hits_1, token_1, built_1 = counters()
         assert warm == first
         assert hits_1 > hits_0
-        assert (revalidated_1, built_1) == (revalidated_0, built_0)
+        assert (token_1, built_1) == (token_0, built_0)
 
         version = service.append_rows("default", append_batch())
         assert version.ordinal == 1
         assert service.stats()["tables"]["default"]["shards"] == 2
 
         # Structurally identical preview after the append: the exact key
-        # misses (no stale hit), the fingerprint tier re-tags, and the
-        # answer is the same data-independent translation.
+        # misses (no stale hit), the matrix memo re-tags the matrix, whose
+        # token answers with the same data-independent translation.
         post = service.preview_cost("alice", make_query(), ACCURACY)
-        hits_2, revalidated_2, built_2 = counters()
+        hits_2, token_2, built_2 = counters()
         assert post == first
         assert hits_2 == hits_1  # no stale exact-key hit
-        assert revalidated_2 == revalidated_1 + 1  # re-tagged...
+        assert token_2 == token_1 + 1  # answered by the token tier...
         assert built_2 == built_1  # ...not rebuilt
 
         # The re-tag made the new version warm: a further repeat hits the
         # exact tier again.
         service.preview_cost("alice", make_query(), ACCURACY)
-        hits_3, revalidated_3, built_3 = counters()
+        hits_3, token_3, built_3 = counters()
         assert hits_3 > hits_2
-        assert (revalidated_3, built_3) == (revalidated_2, built_2)
+        assert (token_3, built_3) == (token_2, built_2)
 
     def test_domain_changing_append_rebuilds(self):
         """An append that introduces a previously unobserved categorical
@@ -148,20 +148,20 @@ class TestAppendBetweenPreviews:
         def counters() -> tuple[int, int]:
             stats = service.stats()
             return (
-                stats["translations"]["revalidated"],
+                stats["translations"]["token"],
                 stats["workload_matrices"]["built"],
             )
 
         service.preview_cost("alice", make_region_query(), ACCURACY)
-        revalidated_0, built_0 = counters()
+        token_0, built_0 = counters()
 
         # Preserving append: only already-observed regions.
         service.append_rows(
             "default", [dict(rows[0], region="region-03") for _ in range(5)]
         )
         service.preview_cost("alice", make_region_query(), ACCURACY)
-        revalidated_1, built_1 = counters()
-        assert revalidated_1 == revalidated_0 + 1
+        token_1, built_1 = counters()
+        assert token_1 == token_0 + 1
         assert built_1 == built_0
 
         # Changing append: region-06 is declared but was never observed.
@@ -169,8 +169,8 @@ class TestAppendBetweenPreviews:
             "default", [dict(rows[0], region="region-06") for _ in range(5)]
         )
         service.preview_cost("alice", make_region_query(), ACCURACY)
-        revalidated_2, built_2 = counters()
-        assert revalidated_2 == revalidated_1  # fingerprints differ: no re-tag
+        token_2, built_2 = counters()
+        assert token_2 == token_1  # fingerprints differ: new matrix, new token
         assert built_2 > built_1  # conservative rebuild
 
     def test_post_append_answers_match_reference_semantics(self):

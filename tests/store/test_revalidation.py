@@ -134,7 +134,7 @@ class TestEngineRevalidation:
         assert post == first
         assert search_stats()["searches"] == searches_before
         assert stats["workload_matrices"]["built"] == 1
-        assert stats["translations"]["revalidated"] == 1
+        assert stats["translations"]["token"] == 1
         assert stats["translations"]["built"] == 1
 
     def test_explore_after_preserving_append_reuses_search_but_recounts(self):
@@ -172,8 +172,8 @@ class TestEngineRevalidation:
         )
         engine.preview_cost(WorkloadCountingQuery(make_workload(), name="q"), ACCURACY)
         stats = engine.cache_stats()
-        for section in ("translations", "workload_matrices"):
-            for key in ("hits", "misses", "built", "revalidated"):
+        for section, tier in (("translations", "token"), ("workload_matrices", "revalidated")):
+            for key in ("hits", "misses", "built", tier):
                 assert key in stats[section], (section, key)
         assert "disk_hits" in stats["translations"]
         assert set(stats["wcqsm_search"]) == {"searches", "disk_hits", "disk_writes"}

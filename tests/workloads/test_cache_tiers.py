@@ -3,7 +3,7 @@
 The generator's contract is that its drift knob *predicts* the engine's
 memo-hierarchy behaviour: a preserve-mode stream never changes a domain
 fingerprint, so after warmup every structurally repeated preview is
-answered by the revalidation tier (re-tag, zero rebuilds); a drift-mode
+answered by the token tier (the matrix is re-tagged, zero rebuilds); a drift-mode
 stream changes exactly the scheduled attribute's fingerprint, so queries
 referencing that attribute rebuild on exactly the scheduled periods while
 everything else keeps revalidating.  These tests assert the engine's
@@ -80,9 +80,9 @@ class TestPreserveStream:
             periods += 1
             stats = engine.cache_stats()["translations"]
             # Zero rebuilds after warmup: every post-append preview was
-            # re-tagged by the fingerprint tier, never recomputed.
+            # answered by the token tier, never recomputed.
             assert stats["built"] == len(KINDS)
-            assert stats["revalidated"] == periods * len(KINDS)
+            assert stats["token"] == periods * len(KINDS)
         assert search_stats()["searches"] == searches_after_warmup
 
 
@@ -103,7 +103,7 @@ class TestDriftStream:
             engine.preview_cost(make_query(kind), accuracy)
 
         expected_built = len(KINDS)
-        expected_revalidated = 0
+        expected_token = 0
         for batch in generator.batches():
             table.append_rows(list(batch.rows))
             event = plan.get(batch.period)
@@ -114,17 +114,17 @@ class TestDriftStream:
             if event is not None:
                 assert batch.changes_fingerprint
                 expected_built += 1
-                expected_revalidated += len(KINDS) - 1
+                expected_token += len(KINDS) - 1
             else:
-                expected_revalidated += len(KINDS)
+                expected_token += len(KINDS)
             stats = engine.cache_stats()["translations"]
             assert stats["built"] == expected_built, f"period {batch.period}"
-            assert stats["revalidated"] == expected_revalidated
+            assert stats["token"] == expected_token
 
     def test_income_queries_never_rebuild_under_categorical_drift(self):
         # Numeric fingerprints are declared-shape only, so a stream that
         # drifts categorical codes leaves income queries on the
-        # revalidation path for the whole run.
+        # token path for the whole run.
         config = GeneratorConfig(
             seed=9,
             initial_rows=500,
@@ -140,4 +140,4 @@ class TestDriftStream:
             engine.preview_cost(make_query("income"), accuracy)
         stats = engine.cache_stats()["translations"]
         assert stats["built"] == 1
-        assert stats["revalidated"] == config.periods
+        assert stats["token"] == config.periods

@@ -1,11 +1,11 @@
-"""Revalidation-tier accounting under ``mixed`` drift (the satellite check).
+"""Token-tier accounting under ``mixed`` drift.
 
 One query referencing *both* categorical attributes streams through a
 ``mixed`` run with an artifact store attached.  The tier counters must match
 the per-period drift schedule exactly:
 
 * ``built`` = 1 (cold) + one per scheduled fingerprint change;
-* ``revalidated`` = every other period -- including the numeric-widening
+* ``token`` = every other period -- including the numeric-widening
   periods, whose data-only drift must be invisible to the fingerprints;
 * ``disk_hits`` = 0 in-process (fingerprints only ever grow, so no disk key
   recurs within one run) while ``disk_writes`` tracks ``built``.
@@ -60,17 +60,17 @@ def test_mixed_drift_counters_match_the_schedule(tmp_path):
     engine.preview_cost(make_query(), accuracy)
 
     expected_built = 1
-    expected_revalidated = 0
+    expected_token = 0
     for batch in generator.batches():
         table.append_rows(list(batch.rows))
         engine.preview_cost(make_query(), accuracy)
         if schedule[batch.period - 1]:
             expected_built += 1
         else:
-            expected_revalidated += 1
+            expected_token += 1
         stats = engine.cache_stats()["translations"]
         assert stats["built"] == expected_built, f"period {batch.period}"
-        assert stats["revalidated"] == expected_revalidated, f"period {batch.period}"
+        assert stats["token"] == expected_token, f"period {batch.period}"
         assert stats["disk_hits"] == 0
         assert stats["disk_writes"] == expected_built
 
@@ -78,7 +78,7 @@ def test_mixed_drift_counters_match_the_schedule(tmp_path):
     # every preserve/widening period revalidated, nothing else.
     stats = engine.cache_stats()["translations"]
     assert stats["built"] == 1 + sum(schedule)
-    assert stats["revalidated"] == config.periods - sum(schedule)
+    assert stats["token"] == config.periods - sum(schedule)
 
 
 def test_widening_periods_revalidate_even_for_income_queries(tmp_path):
@@ -122,4 +122,4 @@ def test_widening_periods_revalidate_even_for_income_queries(tmp_path):
     assert widened_periods > 0
     stats = engine.cache_stats()["translations"]
     assert stats["built"] == 1
-    assert stats["revalidated"] == config.periods
+    assert stats["token"] == config.periods
