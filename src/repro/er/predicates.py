@@ -13,8 +13,10 @@ similarity's column kernel (:func:`~repro.er.similarity.pairwise_scores`)
 over a transformed view of the two columns; each ``(left column, right
 column, transform)`` view is built once and shared by every similarity that
 scores it, and cosine, Jaccard and overlap also share one coding of the
-view's tokens (:class:`~repro.er.similarity.TokenCounts`).  A 2grams or
-3grams view codes each gram as one packed integer (:func:`_gram_codes`).
+view's tokens (:class:`~repro.er.similarity.TokenCounts`).  A view scores
+each distinct pair of values once (a venue column repeats most pairs).  A
+2grams or 3grams view codes each gram as one packed integer
+(:func:`_gram_codes`).
 
 Predicates plug into the APEx query language as
 :class:`~repro.queries.predicates.FunctionPredicate` instances, so the engine
@@ -170,13 +172,16 @@ class SimilarityCache:
 class _PairView:
     """One transformed ``(left column, right column)`` view of a pair table.
 
-    Only pairs with two non-NULL values are transformed (``rows``); the
-    others score 0 under every similarity.  The view keeps those pairs' raw
-    values and transforms them on first use: the token similarities share
-    one :class:`~repro.er.similarity.TokenCounts`, which an n-gram view
-    counts from packed integer gram codes (:func:`_gram_codes`), and the
-    per-value transformed tokens or strings are built only when a
-    character similarity scores the view.
+    Only pairs with two non-NULL values are scored (``rows``); the others
+    score 0 under every similarity.  The view keeps those pairs' raw values
+    and interns them on first use into the distinct ``(left, right)`` pairs
+    (:attr:`distinct`) plus an ``inverse`` index from each pair to its
+    distinct one.  Every similarity is a pure function of the two values, so
+    a view scores each distinct pair once and scatters the scores back.  The
+    token similarities share one :class:`~repro.er.similarity.TokenCounts`
+    of the distinct pairs, which an n-gram view counts from packed integer
+    gram codes (:func:`_gram_codes`), and the per-value transformed tokens or
+    strings are built only when a character similarity scores the view.
     """
 
     n_rows: int
@@ -202,31 +207,49 @@ class _PairView:
         )
 
     @functools.cached_property
+    def distinct(self) -> tuple[list[str], list[str], np.ndarray]:
+        """The distinct pairs' left and right values, and ``inverse``.
+
+        ``inverse[k]`` is the index of pair ``k``'s distinct pair.  A
+        transform reads a value as ``str(value)``, so the pairs are keyed
+        by their values' strings: ``0.0`` and ``-0.0`` stay apart.
+        """
+        ids: dict[tuple[str, str], int] = {}
+        keys = zip(map(str, self.left_values.tolist()), map(str, self.right_values.tolist()))
+        inverse = np.fromiter(
+            (ids.setdefault(key, len(ids)) for key in keys),
+            dtype=np.int64,
+            count=len(self.rows),
+        )
+        return [left for left, _ in ids], [right for _, right in ids], inverse
+
+    @functools.cached_property
     def left(self) -> list[TokenInput]:
-        return list(map(self.transform, self.left_values))
+        return list(map(self.transform, self.distinct[0]))
 
     @functools.cached_property
     def right(self) -> list[TokenInput]:
-        return list(map(self.transform, self.right_values))
+        return list(map(self.transform, self.distinct[1]))
 
     @functools.cached_property
     def token_counts(self) -> TokenCounts:
         n = _GRAM_SIZES.get(self.transform)
         if n is None:
             return TokenCounts.of(self.left, self.right)
+        left, right, _ = self.distinct
         return TokenCounts.from_codes(
-            len(self.rows),
-            *_gram_codes(self.left_values, n),
-            *_gram_codes(self.right_values, n),
+            len(left), *_gram_codes(left, n), *_gram_codes(right, n)
         )
 
     def scores(self, similarity_name: str) -> np.ndarray:
-        values = np.zeros(self.n_rows)
         similarity = get_similarity(similarity_name)
         if similarity.from_counts is not None:
-            values[self.rows] = similarity.from_counts(self.token_counts)
+            scored = similarity.from_counts(self.token_counts)
         else:
-            values[self.rows] = pairwise_scores(similarity, self.left, self.right)
+            scored = pairwise_scores(similarity, self.left, self.right)
+        _, _, inverse = self.distinct
+        values = np.zeros(self.n_rows)
+        values[self.rows] = scored[inverse]
         return values
 
 
@@ -237,7 +260,7 @@ _GRAM_SIZES = {get_transform("2grams"): 2, get_transform("3grams"): 3}
 _POINT_BITS = 21
 
 
-def _gram_codes(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _gram_codes(values: Sequence[object], n: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``n``-gram tokens of ``values`` as int64 codes (``n`` <= 3).
 
     Returns each token's value index and its code; two tokens of

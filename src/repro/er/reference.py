@@ -1,9 +1,10 @@
 """Reference (one pair at a time) similarity functions.
 
 :mod:`repro.er.similarity` scores whole columns of pairs with batched numpy
-kernels: one integer dynamic program per chunk for edit distance and
-Smith-Waterman, match sweeps per chunk for Jaro, coded token counts for
-Jaccard, cosine and overlap, and one array expression for ``diff``.  This
+kernels: bit-vector column sweeps (or, beyond 64 code points, an integer
+dynamic program) per chunk for edit distance, one integer dynamic program per
+chunk for Smith-Waterman, match sweeps per chunk for Jaro, coded token counts
+for Jaccard, cosine and overlap, and one array expression for ``diff``.  This
 module preserves the original scalar programs **unchanged** -- Python loops
 over characters, sets and ``Counter``s -- as the oracle of the parity battery
 in ``tests/er/test_similarity_kernels.py``: the kernels must produce

@@ -13,13 +13,16 @@ for the publication year).
 :class:`~repro.er.predicates.SimilarityCache` calls every similarity.  Every
 similarity has a numpy column kernel; its scalar function is a one-pair call
 of that kernel, and the original one-pair programs are the test oracle in
-:mod:`repro.er.reference`.  Edit distance and Smith-Waterman run one batched
-integer dynamic program (:func:`edit_scores`, :func:`smith_waterman_scores`)
-that sweeps a chunk of pairs a row at a time, with each row's left-to-right
-dependency in closed form.  Jaro (:func:`jaro_scores`) sweeps a chunk's left
-strings a position at a time, matching by candidate masks.  Jaccard, cosine
-and overlap read exact per-pair counts from one coding of a column's tokens
-(:class:`TokenCounts`), and ``diff`` is one array expression.
+:mod:`repro.er.reference`.  Edit distance (:func:`edit_scores`) runs Hyyrö's
+bit-parallel algorithm over a chunk of pairs a column at a time when the
+shorter string has at most 64 code points, and a batched integer dynamic
+program beyond.  Smith-Waterman (:func:`smith_waterman_scores`) always runs
+the dynamic program, which sweeps a chunk of pairs a row at a time with each
+row's left-to-right dependency in closed form.  Jaro (:func:`jaro_scores`)
+sweeps a chunk's left strings a position at a time, matching by candidate
+masks.  Jaccard, cosine and overlap read exact per-pair counts from one
+coding of a column's tokens (:class:`TokenCounts`), and ``diff`` is one array
+expression.
 """
 
 from __future__ import annotations
@@ -131,7 +134,7 @@ def smith_waterman_scores(
     return scores
 
 
-# -- the batched alignment kernel ---------------------------------------------
+# -- the batched alignment kernels --------------------------------------------
 #
 # Both programs fill an integer table row by row.  A row's cells depend on
 # the row above (the diagonal and "up" moves) and on the cell to their left
@@ -152,11 +155,27 @@ def smith_waterman_scores(
 # left-to-right dependency never carries back (Smith-Waterman masks them out
 # of its best cell).  ``tests/er/test_similarity_kernels.py`` pins this by
 # padding with a code point that does match.
+#
+# Edit distance has a faster form when the shorter string fits one word
+# (Hyyrö, "A bit-vector algorithm for computing Levenshtein and Damerau edit
+# distances", 2003, after Myers, JACM 1999).  Adjacent cells differ by
+# -1, 0 or +1, so a column of the table is two bit-vectors of its vertical
+# deltas, bit i for row i + 1, and the next column is ~15 ``uint64``
+# operations on ``(chunk,)`` arrays.  Each column's match mask (``Peq``) is
+# one broadcast equality packed to bits.  Bit i of every operation depends
+# only on bits <= i (``+`` and ``<<`` carry upwards), so the padded rows
+# (bits >= m) never reach bit m - 1, row m, whose horizontal deltas sum to
+# the distance; a pair adds only its own columns' deltas.  Pairs whose
+# shorter string is longer than a word (rare 65-character venues) keep the
+# row DP.
 
 #: Pairs swept together: enough to amortise each numpy call, few enough that
 #: a chunk's rows stay in cache.
 _CHUNK = 512
 _PAD = -1
+#: Code points per machine word: the longest row string the bit-vector edit
+#: distance takes.
+_WORD = 64
 
 
 def _align(
@@ -195,7 +214,7 @@ def _align(
 
 def _code_points(strings: list[str], lengths: np.ndarray) -> np.ndarray:
     """The strings as rows of int code points, padded with :data:`_PAD`."""
-    codes = np.full((len(strings), int(lengths.max())), _PAD, dtype=np.int64)
+    codes = np.full((len(strings), int(lengths.max())), _PAD, dtype=np.int32)
     # surrogatepass: a lone surrogate is a code point like any other.
     flat = "".join(strings).encode("utf-32-le", "surrogatepass")
     codes[np.arange(codes.shape[1]) < lengths[:, None]] = np.frombuffer(flat, "<u4")
@@ -205,7 +224,67 @@ def _code_points(strings: list[str], lengths: np.ndarray) -> np.ndarray:
 def _levenshtein_rows(
     a: np.ndarray, b: np.ndarray, a_len: np.ndarray, b_len: np.ndarray
 ) -> np.ndarray:
-    """Edit distance of each row pair; ``a_len`` ascends."""
+    """Edit distance of each row pair; ``a_len`` ascends.
+
+    The pairs whose row string fits one word (a prefix, as ``a_len``
+    ascends) take the bit-vector kernel, the rest the row DP.
+    """
+    distance = np.empty(len(a_len), dtype=np.int64)
+    fit = int(np.searchsorted(a_len, _WORD, side="right"))
+    if fit:
+        width = int(b_len[:fit].max())
+        distance[:fit] = _levenshtein_bits(
+            a[:fit, :_WORD], b[:fit, :width], a_len[:fit], b_len[:fit]
+        )
+    if fit < len(a_len):
+        distance[fit:] = _levenshtein_dp(a[fit:], b[fit:], a_len[fit:], b_len[fit:])
+    return distance
+
+
+def _levenshtein_bits(
+    a: np.ndarray, b: np.ndarray, a_len: np.ndarray, b_len: np.ndarray
+) -> np.ndarray:
+    """Edit distance of each row pair; no row string exceeds :data:`_WORD`."""
+    n, width = b.shape
+    one = np.uint64(1)
+    # peq[j, k] has bit i set where a[k, i] == b[k, j].  It is built a word
+    # of columns at a time, which bounds the unpacked equality's size.
+    word = np.full((n, _WORD), _PAD, dtype=a.dtype)
+    word[:, : a.shape[1]] = a
+    peq = np.empty((width, n), dtype="<u8")
+    for start in range(0, width, _WORD):
+        columns = b.T[start : start + _WORD, :, None]
+        equal = np.equal(columns, word, out=np.empty((len(columns), n, _WORD), dtype=bool))
+        packed = np.packbits(equal, axis=None, bitorder="little")
+        peq[start : start + _WORD] = packed.view("<u8").reshape(len(columns), n)
+    # The vertical deltas +1 (pv) and -1 (mv) of the current column, and
+    # each column's horizontal deltas +1 (up[j]) and -1 (down[j]).  Column 0
+    # is D[i][0] = i: every vertical delta is +1.
+    up = np.empty_like(peq)
+    down = np.empty_like(peq)
+    pv = np.full(n, ~np.uint64(0))
+    mv = np.zeros(n, dtype=np.uint64)
+    for eq, ph, mh in zip(peq, up, down):
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        np.bitwise_or(mv, ~(xh | pv), out=ph)
+        np.bitwise_and(pv, xh, out=mh)
+        # Row 0 is D[0][j] = j: its horizontal delta is +1 in every column.
+        shifted = ph << one | one
+        pv = mh << one | ~(xv | shifted)
+        mv = shifted & xv
+    # D[m][n] is m plus row m's deltas over the pair's own columns.
+    top = one << (a_len - 1).astype(np.uint64)
+    live = np.arange(width)[:, None] < b_len
+    rises = np.count_nonzero(((up & top) != 0) & live, axis=0)
+    falls = np.count_nonzero(((down & top) != 0) & live, axis=0)
+    return a_len + rises - falls
+
+
+def _levenshtein_dp(
+    a: np.ndarray, b: np.ndarray, a_len: np.ndarray, b_len: np.ndarray
+) -> np.ndarray:
+    """Edit distance of each row pair by the row DP; ``a_len`` ascends."""
     n, width = b.shape
     j = np.arange(width + 1)
     previous = np.tile(j, (n, 1))

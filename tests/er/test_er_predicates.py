@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from repro.core.exceptions import ApexError
-from repro.data.citations import ER_ATTRIBUTE_PAIRS, generate_citation_pairs, pairs_to_table
-from repro.er import predicates
+from repro.data.citations import (
+    CITATION_PAIR_SCHEMA,
+    ER_ATTRIBUTE_PAIRS,
+    generate_citation_pairs,
+    pairs_to_table,
+)
+from repro.data.table import Table
+from repro.er import predicates, reference
 from repro.er.predicates import (
     _PREDICATE_IDENTITY_VERSION,
     BooleanFormula,
@@ -15,7 +21,7 @@ from repro.er.predicates import (
     SimilarityPredicateSpec,
     enumerate_thresholds,
 )
-from repro.er.transforms import DEFAULT_TRANSFORM_NAMES
+from repro.er.transforms import DEFAULT_TRANSFORM_NAMES, get_transform
 from repro.queries.workload import Workload
 
 
@@ -196,6 +202,92 @@ class TestPairViewRows:
         assert np.array_equal(view.rows, np.flatnonzero(both))
         assert view.left_values.tolist() == citation_table.column("year_l")[both].tolist()
         assert view.right_values.tolist() == citation_table.column("year_r")[both].tolist()
+
+
+#: Every similarity's one-pair oracle.
+_ORACLES = {
+    "edit": reference.edit_similarity,
+    "smith_waterman": reference.smith_waterman_similarity,
+    "jaro": reference.jaro_similarity,
+    "jaccard": reference.jaccard_similarity,
+    "cosine": reference.cosine_similarity,
+    "overlap": reference.overlap_similarity,
+    "diff": reference.numeric_diff_similarity,
+}
+
+
+def _repeated_pairs_table(n_rows=400, seed=3):
+    """A pair table drawn from a small pool of values: most pairs repeat.
+
+    Either side may be NULL, and the years include ``0.0`` and ``-0.0``,
+    which compare equal but transform to different strings.
+    """
+    rng = np.random.default_rng(seed)
+    records = [r for pair in generate_citation_pairs(3, seed=seed) for r in (pair.left, pair.right)]
+    pools = {
+        "title": [r.title for r in records][:5],
+        "authors": [r.authors for r in records][:5],
+        "venue": ["VLDB", "vldb ", "SIGMOD Conference", "\U0001f600 ICDE \ud800"],
+        "year": [0.0, -0.0, 1999.0, 2001.0],
+    }
+    rows = []
+    for _ in range(n_rows):
+        row = {"label": "MATCH"}
+        for logical, pool in pools.items():
+            for side in ("_l", "_r"):
+                null = rng.random() < 0.1
+                row[logical + side] = None if null else pool[rng.integers(len(pool))]
+        rows.append(row)
+    return Table.from_rows(CITATION_PAIR_SCHEMA, rows)
+
+
+class TestDistinctPairs:
+    def test_columns_equal_the_per_row_oracle(self):
+        # Every similarity with each transform the cleaners pair it with, on
+        # every attribute: the character similarities score the years too,
+        # where 0.0 and -0.0 read "0.0" and "-0.0".
+        table = _repeated_pairs_table()
+        cache = SimilarityCache(table)
+        distinct_shares = []
+        for logical, left_column, right_column in ER_ATTRIBUTE_PAIRS:
+            left, right = table.column(left_column), table.column(right_column)
+            nulls = table.null_mask(left_column) | table.null_mask(right_column)
+            combos = [(name, "identity") for name in ("edit", "smith_waterman", "jaro", "diff")]
+            combos += [
+                (name, transform)
+                for name in ("jaccard", "cosine", "overlap")
+                for transform in DEFAULT_TRANSFORM_NAMES
+            ]
+            for name, transform in combos:
+                tokens = get_transform(transform)
+                expected = [
+                    0.0 if null else _ORACLES[name](tokens(a), tokens(b))
+                    for a, b, null in zip(left, right, nulls)
+                ]
+                scores = cache.scores(_spec(logical, transform, name, 0.5))
+                assert scores.tobytes() == np.array(expected).tobytes(), (logical, transform, name)
+            view = predicates._PairView.of(table, left_column, right_column, "identity")
+            distinct_shares.append(len(view.distinct[0]) / len(view.rows))
+        # The pools make most non-NULL pairs repeats of another.
+        assert max(distinct_shares) < 0.25
+
+    def test_a_character_kernel_scores_each_distinct_pair_once(self, citation_table, monkeypatch):
+        scored = []
+        pairwise_scores = predicates.pairwise_scores
+        monkeypatch.setattr(
+            predicates, "pairwise_scores",
+            lambda similarity, left, right: scored.append(len(left))
+            or pairwise_scores(similarity, left, right),
+        )
+        non_null = ~(citation_table.is_null("venue_l") | citation_table.is_null("venue_r"))
+        pairs = zip(
+            citation_table.column("venue_l")[non_null].tolist(),
+            citation_table.column("venue_r")[non_null].tolist(),
+        )
+        distinct = len(set(pairs))
+        assert distinct < int(non_null.sum()) // 2
+        SimilarityCache(citation_table).scores(_spec("venue", "identity", "edit"))
+        assert scored == [distinct]
 
 
 #: SHA-256 of every score column of a seeded 300-pair citation table, per

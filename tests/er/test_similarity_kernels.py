@@ -113,11 +113,39 @@ class TestEdgeCases:
 
     def test_padding_never_reaches_a_score(self, monkeypatch):
         # Pad with a code point the strings contain: padded cells now match
-        # real characters, and the scores must still not change.
+        # real characters, and the scores must still not change.  The
+        # shorter strings span both edit-distance kernels: the bit-vector
+        # one up to 64 code points, the row DP beyond.
         monkeypatch.setattr(similarity, "_PAD", ord("a"))
-        left = ["a", "ab", "aaaa", "ba", "a" * 25, "bab"]
-        right = ["aaaaaaaaaa", "a", "aa", "aaaaab", "b", "a" * 30]
+        left = ["a", "ab", "aaaa", "ba", "a" * 25, "bab", "b" * 64, "ab" * 33, "b" * 70]
+        right = ["aaaaaaaaaa", "a", "aa", "aaaaab", "b", "a" * 30, "ba" * 40, "b" * 90, "ba" * 35]
         assert_parity(left, right)
+
+    def test_the_word_boundary(self):
+        # Shorter strings of 63, 64 and 65 code points, with astral and
+        # lone-surrogate code points, in one chunk: the pairs on either side
+        # of the word boundary take different edit-distance kernels.
+        left, right = [], []
+        for length in (63, 64, 65):
+            for fill in ("ab", "\U0001f600a", "\ud800b\udfff"):
+                text = (fill * length)[:length]
+                for other in (text[::-1], text[1:] + "\U0001f600", "x" + text, "ab" * 40):
+                    left += [text, other]
+                    right += [other, text]
+        assert_parity(left, right)
+
+    def test_the_bit_kernel_serves_up_to_64_code_points(self, monkeypatch):
+        served = []
+        bits = similarity._levenshtein_bits
+        monkeypatch.setattr(
+            similarity, "_levenshtein_bits",
+            lambda a, b, a_len, b_len: served.extend(a_len.tolist()) or bits(a, b, a_len, b_len),
+        )
+        left = ["a" * n for n in (80, 64, 1, 65, 63)]
+        right = ["ab" * 35] * len(left)
+        expected = _oracle_column(reference.edit_similarity, left, right)
+        assert SIMILARITIES["edit"].column(left, right).tobytes() == expected.tobytes()
+        assert served == [1, 63, 64]
 
     def test_default_chunk_spans_several_chunks(self):
         rng = np.random.default_rng(4)
@@ -264,6 +292,8 @@ class TestNumericDiff:
 # Small alphabets make matches (and so non-trivial alignments) likely.
 _texts = st.one_of(
     st.text(alphabet="ab", max_size=12),
+    # Around the 64-code-point word of the bit-vector edit distance.
+    st.text(alphabet="ab\U0001f600", min_size=60, max_size=70),
     st.text(alphabet="abcé日\U0001f600 ", max_size=20),
     st.text(max_size=8),
 )
