@@ -16,9 +16,9 @@ Storage is a list of immutable **row shards** (one frozen column-chunk
 unit of incremental work: after an append only the new shard is interned,
 fingerprinted and histogrammed.  :attr:`Table.shards`,
 :meth:`Table.shard_category_codes`, :meth:`Table.shard_sorted_values` and
-:meth:`Table.shard_rows` are the per-shard read surface; an exact workload
-matrix keeps one histogram per shard it has read (weakly keyed by the
-shard) and sums them per snapshot.
+:meth:`Table.shard_rows` are the per-shard read surface; exact workload
+matrices keep one histogram per shard read (weakly keyed by the shard, one
+store per matrix value) and sum them per snapshot.
 
 Tables are *versioned*, not frozen: :meth:`Table.append_rows` adds a new
 shard and :meth:`Table.refresh` replaces the contents wholesale.  Both
@@ -204,11 +204,12 @@ class Shard:
     intern lock), so sharing can never observe a torn state.
 
     ``eq=False`` keeps identity hashing, so a shard can key a cache weakly:
-    each exact :class:`~repro.queries.workload.WorkloadMatrix` keeps its
-    histogram of every shard it has read in a ``WeakKeyDictionary``.  Those
-    entries die with the shard, so a shard merged away by compaction (and
-    no longer pinned by any snapshot) drops out, and the merged shard is
-    histogrammed afresh on first read.
+    exact :class:`~repro.queries.workload.WorkloadMatrix` objects keep the
+    histogram of every shard read in a ``WeakKeyDictionary`` per value
+    token, not per matrix, so a matrix rebuilt with equal value reads no
+    shard again.  Those entries die with the shard, so a shard merged away
+    by compaction (and no longer pinned by any snapshot) drops out, and the
+    merged shard is histogrammed afresh on first read.
 
     ``sorted_values`` holds per-column read-only ``float64`` copies of a
     numeric column in ascending order (NaN last), filled on first touch by
@@ -1037,8 +1038,9 @@ class Table:
         data, never renumbered, so "cold" runs still share them (build a
         fresh ``Table`` to measure interning itself).  So are the per-shard
         sorted numeric columns, and the per-shard histograms exact workload
-        matrices keep: they live on the matrix, keyed by the immutable shard
-        (build a fresh ``Table``, or a fresh matrix, to measure the
+        matrices keep: they live per matrix value, keyed by the immutable
+        shard (build a fresh ``Table``, or call
+        :func:`~repro.queries.workload.clear_matrix_cache`, to measure the
         histogram pass).
         """
         with self._mutation_lock:

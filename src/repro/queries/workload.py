@@ -42,9 +42,11 @@ domain, a NULL with no NULL atom, a categorical value the workload never
 names) takes its signature from the predicate masks of just those rows
 instead, so it lands in the same partition, or raises the same
 :class:`QueryError`, as a row-at-a-time evaluation would.  Shards are
-immutable and ``x`` is additive over disjoint rows, so the matrix keeps
-each shard's histogram (weakly keyed by the shard) and a snapshot's ``x``
-is the sum over its shards: after an append only the new shard is read.
+immutable and ``x`` is additive over disjoint rows, so each shard's
+histogram is kept (weakly keyed by the shard, one store per matrix value)
+and a snapshot's ``x`` is the sum over its shards: after an append only the
+new shard is read, even by a matrix rebuilt because the append changed a
+domain fingerprint.
 The true counts of an exact matrix are ``W @ x`` (exact in float64: counts
 stay below ``2**53``); structural matrices count each predicate's mask.
 
@@ -186,6 +188,13 @@ _MATRIX_CACHE: "LRUCache[WorkloadMatrix]" = LRUCache(128)
 #: version instead of rebuilding.
 _MATRIX_DOMAIN_CACHE: "LRUCache[WorkloadMatrix]" = LRUCache(128)
 
+#: Per-shard histogram stores, one ``(entries, lock)`` pair per exact value
+#: token (:func:`_structural_token`, no stamp): an exact matrix's columns
+#: are a pure function of (predicates, schema), so equal matrices share.
+_SHARD_HISTOGRAM_CACHE: "LRUCache[tuple[weakref.WeakKeyDictionary, threading.Lock]]" = (
+    LRUCache(128)
+)
+
 #: Counters of the tiers beneath the exact-key LRU and of the per-shard
 #: histogram pass (see matrix_cache_stats).  Service threads bump them
 #: concurrently, so each is a locked :class:`~repro.obs.Counter` rather
@@ -206,7 +215,8 @@ def matrix_cache_stats() -> dict[str, int]:
     ``histogram_shards`` counts the per-shard histograms exact matrices
     computed and ``histogram_rows`` the rows of those shards, read by either
     the one-attribute counts or the row pass (an append of k rows costs k,
-    not the table).
+    not the table).  Entries are kept per value token, not per matrix, so a
+    matrix rebuilt after a drifting append also costs k.
     """
     tiers = {key: int(counter.value()) for key, counter in _MATRIX_TIER_STATS.items()}
     return {**_MATRIX_CACHE.stats(), **tiers}
@@ -216,6 +226,7 @@ def clear_matrix_cache() -> None:
     """Drop every memoised workload matrix and reset every counter."""
     _MATRIX_CACHE.clear()
     _MATRIX_DOMAIN_CACHE.clear()
+    _SHARD_HISTOGRAM_CACHE.clear()
     for counter in _MATRIX_TIER_STATS.values():
         counter.reset()
 
@@ -412,6 +423,12 @@ class Workload:
                 matrix = WorkloadMatrix.from_domain_analysis(
                     self, schema, version=version
                 )
+                token = _structural_token(self, schema)
+                if token is not None:
+                    store = _SHARD_HISTOGRAM_CACHE.get(token) or _SHARD_HISTOGRAM_CACHE.put(
+                        token, (matrix._shard_histograms, matrix._shard_lock)
+                    )
+                    matrix._shard_histograms, matrix._shard_lock = store
             else:
                 matrix = WorkloadMatrix.from_structure(
                     self, disjoint=bool(disjoint), sensitivity=sensitivity
@@ -517,8 +534,9 @@ class WorkloadMatrix:
         self._coders: list[tuple[_RowCoder, _ShardCounter | None]] | None = None
         #: Exact matrices only: each shard's histogram as its occupied
         #: ``(partition ids, counts)``, at most ``min(P, rows)`` of each per
-        #: shard.  Weak keys: an entry dies with its shard.  ``_shard_lock``
-        #: guards every access and is a leaf (nothing is computed under it).
+        #: shard, shared by every exact matrix of equal value token.  Weak
+        #: keys: an entry dies with its shard.  ``_shard_lock`` guards every
+        #: access and is a leaf (nothing is computed under it).
         self._shard_histograms: (
             "weakref.WeakKeyDictionary[Shard, tuple[np.ndarray, np.ndarray]]"
         ) = weakref.WeakKeyDictionary()
@@ -554,7 +572,9 @@ class WorkloadMatrix:
         ``version`` stamps the matrix's :attr:`cache_token` with the table
         state the analysis was requested for, so version-aware consumers
         (the WCQ-SM Monte-Carlo search in particular) never share artifacts
-        across table mutations.
+        across table mutations.  The matrix built here keeps its per-shard
+        histograms to itself; :meth:`Workload.analyze` shares them among
+        every matrix of equal value token.
         """
         if not workload.supports_domain_analysis:
             raise QueryError(
@@ -666,12 +686,15 @@ class WorkloadMatrix:
         An exact matrix never evaluates a predicate over the rows, and reads
         each table shard at most once in the shard's lifetime.  The
         histogram of a snapshot is the sum of its shards' histograms, which
-        the matrix keeps as occupied ``(partition id, count)`` pairs in a
+        are kept as occupied ``(partition id, count)`` pairs in a
         ``WeakKeyDictionary`` keyed by the immutable shard: one
         ``np.bincount`` adds them up (exact, since counts stay below
-        ``2**53``), so after an append only the new shard is read.  An entry
-        dies with its shard, so a shard merged away by compaction drops out
-        and the merged shard is read afresh.
+        ``2**53``), so after an append only the new shard is read.  The
+        entries belong to the value token (predicates + schema), not the
+        matrix, so a matrix rebuilt because the append changed a domain
+        fingerprint reads only that shard too.  An entry dies with its
+        shard, so a shard merged away by compaction drops out and the merged
+        shard is read afresh.
 
         A missing entry starts from the count of each domain cell in that
         shard alone; :data:`MAX_DOMAIN_CELLS` bounds that ``n_cells + 1``

@@ -15,8 +15,14 @@ compaction, so readers see shards merged away and merged shards read
 afresh; every access to the per-shard entries must hold the matrix's own
 lock, not lean on the GIL.
 
+Exact matrices of equal value share those entries and their lock.  In the
+third test a matrix rebuilt after an append that changed a domain
+fingerprint and its predecessor histogram the same fresh shards from
+racing threads: both must give the reference histogram, through the one
+guarded store.
+
 A one-attribute numeric matrix counts a shard from the shard's sorted
-column, which the first reader sorts and publishes.  In the third test
+column, which the first reader sorts and publishes.  In the last test
 eight threads read one fresh shard at once: every histogram must be exact,
 and every thread must get the one published array.
 """
@@ -33,7 +39,13 @@ from repro.data.table import Table
 from repro.queries.predicates import Comparison, In
 from repro.queries.reference import reference_partition_histogram
 from repro.queries.builders import prefix_workload
-from repro.queries.workload import Workload, WorkloadMatrix
+from repro.queries.workload import (
+    _SHARD_HISTOGRAM_CACHE,
+    Workload,
+    WorkloadMatrix,
+    _structural_token,
+    clear_matrix_cache,
+)
 
 VALUES = tuple(f"v{i:02d}" for i in range(300))
 SCHEMA = Schema(
@@ -229,6 +241,59 @@ def test_shard_sums_stay_exact_while_appends_compact_and_grow_the_dictionary():
         expected = reference_partition_histogram(matrix, snapshot)
         for histogram in histograms:
             np.testing.assert_array_equal(histogram, expected)
+
+
+def test_equal_matrices_under_two_stamps_share_one_guarded_store():
+    rng = np.random.default_rng(3)
+    table = Table.from_rows(SCHEMA, rows(VALUES[:4] + (None,), 20_000, rng))
+    workload = Workload(
+        [Comparison("cat", "==", v) for v in VALUES[::40]]
+        + [In("cat", VALUES[1::7]), Comparison("num", "<", 50.0)]
+    )
+
+    def analyze():
+        return workload.analyze(SCHEMA, version=table.domain_stamp(workload.attributes()))
+
+    clear_matrix_cache()
+    lock = OwnedLock()
+    entries = GuardedEntries(lock)
+    _SHARD_HISTOGRAM_CACHE.put(_structural_token(workload, SCHEMA), (entries, lock))
+    try:
+        first = analyze()
+        table.append_rows(rows(VALUES[4:5], 500, rng))  # a new value drifts "cat"
+        second = analyze()
+        assert first is not second and first.cache_token != second.cache_token
+        assert first._shard_histograms is entries and second._shard_histograms is entries
+        assert first._shard_lock is lock and second._shard_lock is lock
+        start = threading.Barrier(2 * READERS)
+        histograms: list[np.ndarray] = []
+        errors: list[BaseException] = []
+
+        def reader(matrix):
+            try:
+                start.wait(timeout=30)
+                histograms.append(matrix.partition_histogram(table.open_snapshot()))
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=reader, args=(matrix,))
+            for matrix in (first, second) * READERS
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        expected = reference_partition_histogram(second, table)
+        assert len(histograms) == 2 * READERS
+        for histogram in histograms:
+            np.testing.assert_array_equal(histogram, expected)
+        assert len(entries) == table.n_shards
+        assert entries.accesses > 0 and entries.unguarded == 0
+    finally:
+        clear_matrix_cache()
 
 
 def test_first_touch_of_a_shard_publishes_one_sorted_array(monkeypatch):

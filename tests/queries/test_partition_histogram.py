@@ -13,10 +13,12 @@ domains, and for matrices revalidated after an append.  Exact-matrix
 mechanisms read their counts through the same path, without evaluating a
 predicate mask.
 
-An exact histogram is the sum of per-shard histograms the matrix keeps for
-each shard it has read, so the sums are checked across shard layouts
-(appends, one-row fragments, compaction merges), and the
-``histogram_rows`` counter pins that an append of k rows codes k rows.
+An exact histogram is the sum of per-shard histograms kept for each shard
+read, so the sums are checked across shard layouts (appends, one-row
+fragments, compaction merges), and the ``histogram_rows`` counter pins that
+an append of k rows codes k rows.  The entries are kept per value token
+(predicates + schema object), shared by every equal exact matrix, so the
+same holds for a matrix rebuilt after an append that drifted a domain.
 """
 
 import gc
@@ -558,6 +560,91 @@ class TestAppendCostsTheAppendedRows:
         assert histogram_rows() == 1016 + 16
         assert matrix_cache_stats()["histogram_shards"] == 9 + 2
         clear_matrix_cache()
+
+
+def histogram_shards() -> int:
+    return matrix_cache_stats()["histogram_shards"]
+
+
+class TestSharedAcrossEqualMatrices:
+    """Exact matrices of equal value token share one per-shard store.
+
+    The token is the predicates plus the schema object, without the stamp:
+    a matrix rebuilt because an append changed a domain fingerprint reads
+    the appended shard only.
+    """
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        clear_matrix_cache()
+        yield
+        clear_matrix_cache()
+
+    def test_drift_rebuild_reads_only_the_appended_shard(self):
+        workload = workload_of("mixed", 40)
+        rng = np.random.default_rng(31)
+        # No "d" yet: appending one changes the "cat" fingerprint.
+        base = [dict(row, cat="a") if row["cat"] == "d" else row for row in random_rows(rng, 400)]
+        table = Table.from_rows(SCHEMA, base)
+
+        def analyze():
+            return workload.analyze(SCHEMA, version=table.domain_stamp(workload.attributes()))
+
+        before = analyze()
+        assert_matches_reference(before, table)
+        built, shards, rows = matrix_cache_stats()["built"], histogram_shards(), histogram_rows()
+        k = 9
+        table.append_rows([{"cat": "d", "num": 5.0}] + random_rows(rng, k - 1))
+        after = analyze()
+        assert after is not before and after.cache_token != before.cache_token
+        assert matrix_cache_stats()["built"] == built + 1
+        histogram = assert_matches_reference(after, table)
+        assert histogram_shards() == shards + 1
+        assert histogram_rows() == rows + k
+        clear_matrix_cache()
+        fresh = analyze()
+        assert fresh is not after
+        np.testing.assert_array_equal(fresh.partition_histogram(table), histogram)
+        assert histogram_rows() == 400 + k
+
+    def test_schemas_with_other_declared_domains_never_share(self):
+        # Same attribute names; the wider domain adds the partition of
+        # cat == "c" (signature 11), which shifts the ids of "a" and "b".
+        narrow = Schema([Attribute("cat", CategoricalDomain(("a", "b")))])
+        wide = Schema([Attribute("cat", CategoricalDomain(("a", "b", "c")))])
+        workload = Workload([Comparison("cat", "!=", "b"), Comparison("cat", "!=", "a")])
+        table = Table.from_rows(narrow, [{"cat": c} for c in "aabab"])
+        first, second = workload.analyze(narrow), workload.analyze(wide)
+        assert first._shard_histograms is not second._shard_histograms
+        np.testing.assert_array_equal(assert_matches_reference(first, table), [3, 2])
+        np.testing.assert_array_equal(assert_matches_reference(second, table), [0, 3, 2])
+        assert histogram_shards() == 2
+
+    def test_unhashable_workload_keeps_a_private_store(self):
+        workload = Workload([Comparison("cat", "==", ["a"]), Comparison("num", "<", 30.0)])
+        assert workload.structure_key is None
+        table = random_table(seed=32)
+        first, second = workload.analyze(SCHEMA), workload.analyze(SCHEMA)
+        assert first.exact and first is not second
+        assert first._shard_histograms is not second._shard_histograms
+        for matrix in (first, second):
+            # The predicate-mask cache cannot key an unhashable predicate.
+            np.testing.assert_array_equal(
+                matrix.partition_histogram(table), reference_partition_histogram(matrix, table)
+            )
+        assert histogram_shards() == 2
+
+    def test_equal_predicates_with_differently_typed_constants_share(self):
+        ints = Workload([Comparison("num", "<", 30), IsNull("cat")], names=["young", "no cat"])
+        floats = Workload([Comparison("num", "<", 30.0), IsNull("cat")])
+        table = random_table(seed=33)
+        first, second = ints.analyze(SCHEMA), floats.analyze(SCHEMA)
+        # Different names: two memo entries, one value token.
+        assert first is not second
+        assert first._shard_histograms is second._shard_histograms
+        expected = assert_matches_reference(first, table)
+        np.testing.assert_array_equal(assert_matches_reference(second, table), expected)
+        assert histogram_shards() == 1
 
 
 class TestCountsReadNoMasks:
