@@ -1,6 +1,6 @@
 """APX003 -- lock-order: the static acquisition graph must stay acyclic.
 
-Seventeen ``threading.Lock``/``RLock`` instances live across the codebase
+About twenty ``threading.Lock``/``RLock`` instances live across the codebase
 with no enforced acquisition order.  Any two code paths that take two of
 them in opposite orders can deadlock under the right interleaving -- the
 classic latent bug that only fires at scale.  This rule extracts the
@@ -22,9 +22,8 @@ Resolution is deliberately conservative: lock identities are
 ``module.Class.attr`` (or ``module.name`` for module-level locks), receiver
 types come from ``self._attr = ClassName(...)`` / annotated-parameter
 assignments in ``__init__``, ``self.method`` dispatches over the statically
-known class hierarchy (overrides included -- that is how the
-``SessionLedger -> SharedBudgetPool`` edge is found), and property reads
-count as calls.  Unresolvable receivers contribute no edges (documented
+known class hierarchy (overrides included), and property reads count as
+calls.  Unresolvable receivers contribute no edges (documented
 limitation; the runtime watchdog in :mod:`repro.analysis.runtime` covers
 the dynamic remainder).  Non-blocking ``acquire(blocking=False)`` sites are
 inventoried but add no edges -- a trylock cannot participate in a deadlock.
@@ -515,7 +514,7 @@ def _extract_function_body(corpus, info: _FunctionInfo, fn, cls, module) -> None
         elif isinstance(node, ast.Attribute) and not isinstance(
             getattr(node, "ctx", None), ast.Store
         ):
-            # property read: self.remaining / self._pool.remaining
+            # property read: self.remaining / self._book.remaining
             value = node.value
             if isinstance(value, ast.Name) and value.id == "self":
                 return _Callee("self", node.attr)

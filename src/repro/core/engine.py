@@ -90,10 +90,11 @@ class APExEngine:
         ``"raise"`` raises :class:`~repro.core.exceptions.BudgetExceededError`
         instead.
     ledger:
-        An externally minted :class:`~repro.core.accounting.PrivacyLedger`
-        (its budget wins over ``budget``).  This is how
-        :class:`repro.service.ExplorationService` hands each analyst a ledger
-        drawing on a shared budget pool.
+        An externally minted :class:`~repro.core.accounting.PrivacyLedger`,
+        or a handle with its interface (its budget wins over ``budget``).
+        This is how :class:`repro.service.ExplorationService` hands each
+        analyst a :class:`~repro.service.budget.SessionLedger` on its
+        account in the service's one budget book.
     translator:
         An externally owned :class:`~repro.core.translator.AccuracyTranslator`
         (its registry/mode win over ``registry``/``mode``, and its store is

@@ -64,7 +64,6 @@ CRASH_SITES = (
     "engine.explore.after_reserve",
     "engine.explore.after_run",
     "service.explore.admitted",
-    "pool.commit",
 )
 
 _EPS_TOLERANCE = 1e-9

@@ -93,9 +93,8 @@ FAILPOINT_SITES: tuple[str, ...] = (
     "store.load.read",  # disk read of an artifact
     "store.save.write",  # disk write/rename of an artifact
     "store.lock.acquire",  # advisory-lock acquisition (stalls)
-    # service (repro/service/exploration.py, repro/service/budget.py)
+    # service (repro/service/exploration.py)
     "service.explore.admitted",  # request admitted, engine not yet entered
-    "pool.commit",  # share-level commit journaled, pool mirror not yet applied
 )
 
 _SITE_SET = frozenset(FAILPOINT_SITES)

@@ -216,7 +216,7 @@ class LedgerJournal:
 
     Opening the journal scans (and, for a torn tail, repairs) whatever a
     previous process left behind; the replayed state is available as
-    :attr:`recovery` and must be adopted by exactly one ledger or pool
+    :attr:`recovery` and must be adopted by exactly one ledger
     (:meth:`~repro.core.accounting.PrivacyLedger.adopt_recovery`) before
     new operations are journaled.  Appends are thread-safe; the journal is
     single-writer by design -- one service process owns one journal file

@@ -4,8 +4,9 @@ This package turns the single-analyst :class:`~repro.core.engine.APExEngine`
 into a thread-safe server: an :class:`ExplorationService` owns the sensitive
 tables and the owner's total privacy budget ``B``, mints per-analyst ledgers
 under a :class:`BudgetPolicy` (equal fixed shares, or first-come over the
-whole pool), serializes admission control and charging through a
-:class:`SharedBudgetPool` so concurrent ``explore`` calls can never jointly
+whole budget), serializes admission control and charging through one budget
+book (a :class:`~repro.core.accounting.PrivacyLedger` holding every
+analyst's account) so concurrent ``explore`` calls can never jointly
 overspend ``B``, and coalesces structurally identical requests through a
 :class:`RequestBatcher` so one workload-matrix build serves every
 concurrent duplicate.
@@ -19,7 +20,7 @@ the synthetic Adult / NYTaxi tables; see :mod:`repro.service.replay`.
 """
 
 from repro.service.batching import RequestBatcher
-from repro.service.budget import BudgetPolicy, SessionLedger, SharedBudgetPool
+from repro.service.budget import BudgetPolicy, SessionLedger
 from repro.service.exploration import AnalystSessionHandle, ExplorationService
 from repro.service.replay import (
     AnalystScript,
@@ -41,7 +42,6 @@ __all__ = [
     "RequestOutcome",
     "ScriptRequest",
     "SessionLedger",
-    "SharedBudgetPool",
     "default_script",
     "load_script",
     "replay",

@@ -5,12 +5,12 @@ the data owner stands one up over the sensitive table(s) with a total privacy
 budget ``B``, and any number of analysts then register sessions and issue
 ``preview_cost`` / ``explore`` calls concurrently.  The service guarantees:
 
-* **joint budget safety** -- admission control and charging go through a
-  :class:`~repro.service.budget.SharedBudgetPool` using the two-phase
-  reservation protocol of :class:`~repro.core.accounting.PrivacyLedger`, so
-  no interleaving of concurrent explores can spend more than ``B`` in total;
-* **transcript validity** -- every commit and denial is appended to a merged
-  cross-analyst transcript in commit order, on which
+* **joint budget safety** -- admission control and charging go through one
+  budget book, a :class:`~repro.core.accounting.PrivacyLedger` holding every
+  analyst's account, using its two-phase reservation protocol, so no
+  interleaving of concurrent explores can spend more than ``B`` in total;
+* **transcript validity** -- every commit and denial is appended to the
+  book's one cross-analyst transcript in commit order, on which
   :meth:`ExplorationService.validate` runs the paper's Theorem 6.2 check;
 * **shared derivation** -- all sessions on a table share one
   :class:`~repro.core.translator.AccuracyTranslator` (translation memo) and
@@ -50,7 +50,7 @@ import time
 from dataclasses import dataclass, field as dataclasses_field
 from typing import Mapping, Sequence
 
-from repro.core.accounting import Transcript
+from repro.core.accounting import PrivacyLedger, Transcript
 from repro.core.accuracy import AccuracySpec
 from repro.core.engine import APExEngine, ExplorationResult
 from repro.core.exceptions import ApexError, RequestTimeoutError
@@ -66,7 +66,7 @@ from repro.reliability.deadline import Deadline
 from repro.reliability.faults import fail_point
 from repro.reliability.journal import LedgerJournal
 from repro.service.batching import RequestBatcher
-from repro.service.budget import BudgetPolicy, SessionLedger, SharedBudgetPool
+from repro.service.budget import BudgetPolicy, SessionLedger
 from repro.store import ArtifactStore
 
 __all__ = ["AnalystSessionHandle", "ExplorationService"]
@@ -79,10 +79,11 @@ class AnalystSessionHandle:
     :ivar analyst: the session's identity (unique within the service).
     :ivar table: name of the table the session explores.
     :ivar engine: the session's :class:`~repro.core.engine.APExEngine`; its
-        ledger is a :class:`~repro.service.budget.SessionLedger` drawing on
-        the service's shared pool.  Use the service's ``explore`` /
-        ``preview_cost`` entry points rather than the engine directly to get
-        batching, per-session serialization and latency accounting.
+        ledger is a :class:`~repro.service.budget.SessionLedger`, a handle on
+        the analyst's account in the service's budget book.  Use the
+        service's ``explore`` / ``preview_cost`` entry points rather than the
+        engine directly to get batching, per-session serialization and
+        latency accounting.
     """
 
     analyst: str
@@ -95,7 +96,7 @@ class AnalystSessionHandle:
 
     @property
     def ledger(self) -> SessionLedger:
-        """The session's pooled ledger (`engine`'s ledger, typed)."""
+        """The session's ledger handle (`engine`'s ledger, typed)."""
         return self.engine._ledger  # noqa: SLF001 - handle owns the engine
 
     def transcript(self) -> Transcript:
@@ -125,9 +126,9 @@ class ExplorationService:
     :param journal: an optional write-ahead
         :class:`~repro.reliability.journal.LedgerJournal`.  When given, the
         journal's recovered spend (replayed at open) is adopted into the
-        shared pool *before* any analyst registers -- committed charges
-        replay exactly -- and every session ledger journals its own commits
-        and denials through it.
+        budget book *before* any analyst registers -- committed charges
+        replay exactly, each to its analyst's account -- and the book
+        journals every session's commits and denials through it.
     :param request_deadline: optional per-request wall-clock budget in
         seconds for :meth:`explore`.  An expired deadline aborts the request
         with :class:`~repro.core.exceptions.RequestTimeoutError` at the next
@@ -170,7 +171,7 @@ class ExplorationService:
         if request_deadline is not None and request_deadline <= 0:
             raise ApexError("request_deadline must be positive (or None)")
         self._tables = dict(tables)
-        self._pool = SharedBudgetPool(budget)
+        self._book = PrivacyLedger(budget, journal=journal)
         self._journal = journal
         self._request_deadline = request_deadline
         self._timeouts = 0
@@ -179,7 +180,7 @@ class ExplorationService:
             # Crash recovery happens here, before any analyst can register:
             # the previous incarnation's committed spend replays exactly, so
             # no interleaving of old crash and new requests can overspend.
-            self._recovered_entries = self._pool.adopt_recovery(journal.recovery)
+            self._recovered_entries = self._book.adopt_recovery(journal.recovery)
         self._policy = policy
         self._max_analysts = max_analysts
         self._mode = mode
@@ -195,9 +196,9 @@ class ExplorationService:
     # -- owner-facing accessors ---------------------------------------------------
 
     @property
-    def pool(self) -> SharedBudgetPool:
-        """The shared budget pool (source of truth for ``B``)."""
-        return self._pool
+    def pool(self) -> PrivacyLedger:
+        """The budget book: ``B``, every analyst's account, the transcript."""
+        return self._book
 
     @property
     def policy(self) -> BudgetPolicy:
@@ -209,19 +210,19 @@ class ExplorationService:
 
     @property
     def budget(self) -> float:
-        return self._pool.budget
+        return self._book.budget
 
     @property
     def budget_spent(self) -> float:
-        return self._pool.spent
+        return self._book.spent
 
     @property
     def budget_remaining(self) -> float:
-        return self._pool.remaining
+        return self._book.remaining
 
     def merged_transcript(self) -> Transcript:
         """The cross-analyst transcript in commit order."""
-        return self._pool.merged_transcript
+        return self._book.transcript
 
     # -- owner-facing table mutation ------------------------------------------------
 
@@ -271,20 +272,18 @@ class ExplorationService:
 
     def validate(self) -> bool:
         """Theorem 6.2: is the merged transcript valid for the owner's ``B``?"""
-        return self._pool.merged_transcript.is_valid(self._pool.budget)
+        return self._book.transcript.is_valid(self._book.budget)
 
     def assert_invariants(self) -> None:
-        """Check the pool's and every session ledger's accounting invariants.
+        """Check the budget book's accounting invariants, every account's too.
 
         Raises :class:`~repro.core.exceptions.LedgerInvariantError` on the
-        first violation (spend past ``B``, negative or orphaned
-        reservations, transcript drift).  Cheap enough to call after every
-        request in tests and in the reliability exerciser; production
-        callers typically invoke it at checkpoints.
+        first violation (spend past ``B``, orphaned reservations, transcript
+        drift).  Cheap enough to call after every request in tests and in
+        the reliability exerciser; production callers typically invoke it
+        at checkpoints.
         """
-        self._pool.assert_invariants()
-        for handle in self.sessions():
-            handle.ledger.assert_invariants()
+        self._book.assert_invariants()
 
     def stats(self) -> dict[str, object]:
         """Budget, batching, cache and per-session counters in one snapshot."""
@@ -299,7 +298,7 @@ class ExplorationService:
             }
         store = self._translator.store
         return {
-            "budget": self._pool.stats(),
+            "budget": self._book.stats(),
             "policy": self._policy.value,
             "sessions": sessions,
             "tables": {
@@ -407,10 +406,10 @@ class ExplorationService:
                     raise ApexError(
                         f"fixed-share service is full ({self._max_analysts} analysts)"
                     )
-                share = self._pool.budget / self._max_analysts
+                share = self._book.budget / self._max_analysts
             else:
-                share = self._pool.budget
-            ledger = SessionLedger(self._pool, share, analyst, journal=self._journal)
+                share = self._book.budget
+            ledger = SessionLedger(self._book, share, analyst)
             engine = APExEngine(
                 self._tables[table],
                 mode=self._mode,
@@ -502,7 +501,7 @@ class ExplorationService:
         describes exactly the admitted version even if the table grows while
         the mechanism runs.  The mechanism run and the privacy charge are
         individual to the analyst (each answer draws fresh noise and is
-        charged to the analyst's ledger and the shared pool); only the
+        charged to the analyst's account in the budget book); only the
         data-independent derivations underneath are shared.  Requests for
         the *same* analyst are serialized on the session's lock -- an
         analyst is a sequential agent, and the engine's noise generator must

@@ -116,18 +116,19 @@ class TestCrashDuringJournalAppend:
 
 class TestCrashInsidePoolCommit:
     def test_pool_commit_crash_recovers_conservatively(self, tmp_path):
-        """SIGKILL inside the pool commit: the share-level commit record
-        hit the WAL before the pool mirror ran, so recovery must charge the
-        unacked op (the safe direction) and stay valid."""
+        """SIGKILL after the commit record hit the WAL but before the book
+        applied it (the instant the old pool-mirror failpoint marked), so
+        recovery must charge the unacked op (the safe direction) and stay
+        valid."""
         journal = str(tmp_path / "ledger.wal")
         rc, events, stderr = run_worker(
             journal,
             SCRIPT,
-            failpoints="pool.commit=crash:1",
+            failpoints="ledger.charge.after_journal=crash:1",
             **COMMON,
         )
         assert rc == -9, f"rc={rc} {stderr!r}"
-        # The pool commit runs after the share charge but before the ack.
+        # The book applies the commit after the journal but before the ack.
         assert events_of("ack", events) == []
         rc2, events2, stderr2 = run_worker(journal, [], **COMMON)
         assert rc2 == 0, stderr2

@@ -17,7 +17,7 @@ from repro.queries.builders import histogram_workload
 from repro.queries.query import WorkloadCountingQuery
 from repro.reliability import faults
 from repro.reliability.journal import LedgerJournal
-from repro.service.budget import SessionLedger, SharedBudgetPool
+from repro.service.budget import SessionLedger
 from tests.service.util import small_table
 
 ACC = AccuracySpec(alpha=100.0, beta=5e-4)
@@ -146,28 +146,28 @@ class TestAdoptRecovery:
         first = PrivacyLedger(1.0, journal=journal)
         charge(first, first.reserve(0.3), "q1", 0.3, 0.3)
         journal.close()
-        pool = SharedBudgetPool(1.0)
+        pool = PrivacyLedger(1.0)
         pool.adopt_recovery(LedgerJournal(journal.path).recovery)
         assert pool.spent == pytest.approx(0.3)
-        assert pool.merged_transcript.is_valid(1.0)
+        assert pool.transcript.is_valid(1.0)
         pool.assert_invariants()
 
     def test_interleaved_sessions_replay_in_commit_order(self, journal):
         # Alice reserves first but bob commits first.  Alice's reservation is
         # still held in the pool when her commit is appended, so the journal
         # order rebuilds a Definition 6.1-valid transcript (tight at B here).
-        pool = SharedBudgetPool(1.0)
-        alice = SessionLedger(pool, 1.0, "alice", journal=journal)
-        bob = SessionLedger(pool, 1.0, "bob", journal=journal)
+        pool = PrivacyLedger(1.0, journal=journal)
+        alice = SessionLedger(pool, 1.0, "alice")
+        bob = SessionLedger(pool, 1.0, "bob")
         held = alice.reserve(0.6)
         charge(bob, bob.reserve(0.4), "qb", 0.4, 0.4)
         charge(alice, held, "qa", 0.6, 0.5)
         journal.close()
         recovery = LedgerJournal(journal.path).recovery
         assert [r["analyst"] for r in recovery.committed] == ["bob", "alice"]
-        restarted = SharedBudgetPool(1.0)
+        restarted = PrivacyLedger(1.0)
         assert restarted.adopt_recovery(recovery) == 2
-        assert restarted.merged_transcript.is_valid(1.0)
+        assert restarted.transcript.is_valid(1.0)
         assert restarted.spent == pytest.approx(0.9)
         restarted.assert_invariants()
 
@@ -234,16 +234,15 @@ class TestExceptionPathAudit:
         ledger.assert_invariants()
 
     def test_session_ledger_pool_refusal_keeps_books_clean(self, journal):
-        pool = SharedBudgetPool(0.5)
+        pool = PrivacyLedger(0.5, journal=journal)
         # Two sessions, each individually allowed 0.5: the pool is the
         # binding constraint for the second reserve.
-        first = SessionLedger(pool, 0.5, "alice", journal=journal)
-        second = SessionLedger(pool, 0.5, "bob", journal=journal)
+        first = SessionLedger(pool, 0.5, "alice")
+        second = SessionLedger(pool, 0.5, "bob")
         held = first.reserve(0.4)
         assert held is not None
         refused = second.reserve(0.4)  # share OK, pool says no
         assert refused is None
-        second.assert_invariants()
         pool.assert_invariants()
         first.release(held)
         assert pool.reserved == 0.0

@@ -1,4 +1,4 @@
-"""Shared budget pool, session ledgers and the reservation protocol."""
+"""The budget book, session ledger handles and the reservation protocol."""
 
 import threading
 
@@ -6,8 +6,11 @@ import pytest
 
 from repro.core.accounting import PrivacyLedger
 from repro.core.accuracy import AccuracySpec
-from repro.core.exceptions import ApexError, LedgerInvariantError
-from repro.service.budget import BudgetPolicy, SessionLedger, SharedBudgetPool
+from repro.core.exceptions import ApexError, BudgetExceededError
+from repro.reliability.journal import LedgerJournal
+from repro.service import ExplorationService
+from repro.service.budget import BudgetPolicy, SessionLedger
+from tests.service.util import small_table
 
 ACC = AccuracySpec(alpha=10.0, beta=1e-3)
 
@@ -116,35 +119,12 @@ class TestPrivacyLedgerReservations:
         assert ledger.exhausted
 
 
-class TestSharedBudgetPool:
-    def test_reserve_commit_release_accounting(self):
-        pool = SharedBudgetPool(1.0)
-        assert pool.try_reserve(0.7)
-        assert not pool.try_reserve(0.4)
-        pool.release(0.7)
-        assert pool.remaining == pytest.approx(1.0)
-
-    def test_over_release_raises_instead_of_clamping(self):
-        """A double release means broken reservation accounting; clamping at
-        zero would silently mask it as spare headroom."""
-        pool = SharedBudgetPool(1.0)
-        assert pool.try_reserve(0.7)
-        pool.release(0.7)
-        with pytest.raises(ApexError, match="double-released or never taken"):
-            pool.release(0.7)
-        assert pool.reserved == pytest.approx(0.0)
-        assert pool.remaining == pytest.approx(1.0)
-
-    def test_release_without_reservation_raises(self):
-        pool = SharedBudgetPool(1.0)
-        with pytest.raises(ApexError):
-            pool.release(0.1)
-
+class TestBudgetBook:
     def test_locked_accessors_are_consistent_under_concurrency(self):
         """spent/reserved/remaining read under the pool lock: a racing
         reader can never observe torn accounting (e.g. spent and reserved
         both counting the same epsilon)."""
-        pool = SharedBudgetPool(1_000.0)
+        pool = PrivacyLedger(1_000.0)
         ledger = SessionLedger(pool, 1_000.0, "racer")
         stop = threading.Event()
         violations = []
@@ -175,13 +155,13 @@ class TestSharedBudgetPool:
         assert pool.reserved == pytest.approx(0.0)
 
     def test_merged_transcript_commit_order(self):
-        pool = SharedBudgetPool(2.0)
+        pool = PrivacyLedger(2.0)
         alice = SessionLedger(pool, 2.0, "alice")
         bob = SessionLedger(pool, 2.0, "bob")
         alice.charge(**charge_kwargs(alice, 0.5, 0.5, name="qa"))
         bob.charge(**charge_kwargs(bob, 0.25, 0.25, name="qb"))
         bob.deny(query_name="qd", query_kind="WCQ", accuracy=ACC)
-        merged = pool.merged_transcript
+        merged = pool.transcript
         assert [e.query_name for e in merged] == ["alice:qa", "bob:qb", "bob:qd"]
         assert merged.is_valid(pool.budget)
         assert merged.total_epsilon() == pytest.approx(0.75)
@@ -190,7 +170,7 @@ class TestSharedBudgetPool:
 
 class TestSessionLedger:
     def test_fixed_share_cap_binds_before_pool(self):
-        pool = SharedBudgetPool(1.0)
+        pool = PrivacyLedger(1.0)
         ledger = SessionLedger(pool, 0.25, "alice")
         assert ledger.reserve(0.3) is None
         reservation = ledger.reserve(0.25)
@@ -198,7 +178,7 @@ class TestSessionLedger:
         ledger.release(reservation)
 
     def test_pool_refusal_rolls_back_share_reservation(self):
-        pool = SharedBudgetPool(0.5)
+        pool = PrivacyLedger(0.5)
         greedy = SessionLedger(pool, 0.5, "greedy")
         other = SessionLedger(pool, 0.5, "other")
         greedy.charge(**charge_kwargs(greedy, 0.4, 0.4))
@@ -208,7 +188,7 @@ class TestSessionLedger:
         assert other.reserve(0.1) is not None
 
     def test_rejected_charge_does_not_leak_pool_reservation(self):
-        pool = SharedBudgetPool(1.0)
+        pool = PrivacyLedger(1.0)
         ledger = SessionLedger(pool, 1.0, "alice")
         reservation = ledger.reserve(0.4)
         with pytest.raises(ApexError, match="must lie in"):
@@ -228,79 +208,54 @@ class TestSessionLedger:
         assert pool.remaining == pytest.approx(1.0)
         assert ledger.remaining == pytest.approx(1.0)
 
-    def test_charge_requires_reservation(self):
-        pool = SharedBudgetPool(1.0)
-        ledger = SessionLedger(pool, 1.0, "alice")
-        with pytest.raises(ApexError, match="requires a reservation"):
-            ledger.charge(
-                query_name="q",
-                query_kind="WCQ",
-                accuracy=ACC,
-                mechanism="LM",
-                epsilon_upper=0.1,
-                epsilon_spent=0.1,
-                answer=None,
-            )
+    def test_unreserved_charge_reserves_against_share_and_book(self):
+        pool = PrivacyLedger(1.0)
+        ledger = SessionLedger(pool, 0.5, "alice")
+        kwargs = dict(
+            query_name="q",
+            query_kind="WCQ",
+            accuracy=ACC,
+            mechanism="LM",
+            epsilon_spent=0.25,
+            answer=None,
+        )
+        with pytest.raises(BudgetExceededError):
+            ledger.charge(epsilon_upper=0.75, **kwargs)  # past the share
+        ledger.charge(epsilon_upper=0.5, **kwargs)
+        assert ledger.spent == pool.spent == 0.25
+        assert pool.reserved == 0.0
+        assert [e.query_name for e in pool.transcript] == ["alice:q"]
+        pool.assert_invariants()
 
     def test_policy_values(self):
         assert BudgetPolicy("fixed-share") is BudgetPolicy.FIXED_SHARE
         assert BudgetPolicy("first-come") is BudgetPolicy.FIRST_COME
 
 
-class TestSessionReserveRollback:
-    """Raise paths between SessionLedger.reserve and its commit must not
-    leak either book.
+class TestJournalFailure:
+    """A failed commit append must leave the reservation for the caller's
+    release, and the book untouched."""
 
-    Regression: a pool admission that *raised* (rather than refused) used
-    to leave the share-level reservation permanently held (APX001 finding).
-    """
-
-    def test_pool_failure_rolls_back_the_share_reservation(self):
-        pool = SharedBudgetPool(2.0)
-        ledger = SessionLedger(pool, 1.0, "alice")
-
-        class Boom(RuntimeError):
-            pass
-
-        def exploding_try_reserve(epsilon_upper):
-            raise Boom("pool fault")
-
-        ledger._pool = type(
-            "ExplodingPool",
-            (),
-            {
-                "try_reserve": staticmethod(exploding_try_reserve),
-                "remaining": property(lambda self: pool.remaining),
-            },
-        )()
-        with pytest.raises(Boom):
-            ledger.reserve(0.5)
-        ledger._pool = pool
-        assert ledger.reserved == 0.0
-        assert pool.reserved == 0.0
-        ledger.assert_invariants()
-
-    def test_journal_failure_rolls_back_share_and_pool(self, tmp_path):
+    def test_journal_failure_leaves_the_reservation_releasable(self, tmp_path):
         from repro.core.exceptions import FaultInjected
         from repro.reliability import faults
-        from repro.reliability.journal import LedgerJournal
 
         journal = LedgerJournal(tmp_path / "wal.jsonl")
-        pool = SharedBudgetPool(2.0)
-        ledger = SessionLedger(pool, 1.0, "alice", journal=journal)
+        pool = PrivacyLedger(2.0, journal=journal)
+        ledger = SessionLedger(pool, 1.0, "alice")
         kwargs = charge_kwargs(ledger, 0.5, 0.5)
         with faults.armed("journal.append.before_write", "error"):
             with pytest.raises(FaultInjected):
                 ledger.charge(**kwargs)
-        # The commit never became durable, so the pool never mirrored it;
-        # the caller's release returns the headroom to both books.
+        # The commit never became durable, so nothing was applied; the
+        # caller's release returns the headroom to the share and to B.
         assert pool.spent == 0.0
-        assert len(pool.merged_transcript) == 0
+        assert len(pool.transcript) == 0
+        assert kwargs["reservation"].active
         ledger.release(kwargs["reservation"])
         assert ledger.reserved == 0.0
         assert pool.reserved == 0.0
         assert ledger.remaining == 1.0
-        ledger.assert_invariants()
         pool.assert_invariants()
         journal.close()
 
@@ -342,13 +297,13 @@ class TestConcurrentCommits:
         n_analysts, n_ops = 8, 48
         budget = 10_000 * UNIT * n_analysts  # ample: every op admits
 
-        serial_pool = SharedBudgetPool(budget)
+        serial_pool = PrivacyLedger(budget)
         for a in range(n_analysts):
             ledger = SessionLedger(serial_pool, budget, f"a{a}")
             for upper, spent, name in mixed_schedule(a, n_ops):
                 assert charge_once(ledger, upper, spent, name) is not None
 
-        pool = SharedBudgetPool(budget)
+        pool = PrivacyLedger(budget)
         ledgers = [SessionLedger(pool, budget, f"a{a}") for a in range(n_analysts)]
         barrier = threading.Barrier(n_analysts)
         errors = []
@@ -378,11 +333,9 @@ class TestConcurrentCommits:
         assert not errors, errors[:3]
         assert pool.spent == serial_pool.spent  # exact: binary-fraction sums
         assert pool.reserved == 0.0
-        assert len(pool.merged_transcript) == n_analysts * n_ops
-        assert pool.merged_transcript.is_valid(budget)
+        assert len(pool.transcript) == n_analysts * n_ops
+        assert pool.transcript.is_valid(budget)
         pool.assert_invariants()
-        for ledger in ledgers:
-            ledger.assert_invariants()
         stats = pool.stats()
         assert stats["commits"] == n_analysts * n_ops
         assert stats["commit_batch_sizes"] == [1]
@@ -391,7 +344,7 @@ class TestConcurrentCommits:
         """A tight budget admits only some of the concurrent demand; no
         interleaving of commits may push spend past B."""
         budget = 64 * UNIT
-        pool = SharedBudgetPool(budget)
+        pool = PrivacyLedger(budget)
         ledgers = [SessionLedger(pool, budget, f"a{a}") for a in range(8)]
         barrier = threading.Barrier(8)
         answered = []
@@ -411,27 +364,115 @@ class TestConcurrentCommits:
             assert not t.is_alive()
         assert answered  # the budget admits at least a few
         assert pool.spent <= budget + 1e-12
-        assert pool.merged_transcript.is_valid(budget)
+        assert pool.transcript.is_valid(budget)
         pool.assert_invariants()
 
-    def test_share_and_pool_disagreement_is_loud(self):
-        """A pool-level ApexError inside the commit surfaces through the
-        session ledger as LedgerInvariantError."""
-        pool = SharedBudgetPool(1.0)
-        ledger = SessionLedger(pool, 1.0, "a0")
-        reservation = ledger.reserve(0.5)
-        assert reservation is not None
-        # Sabotage: consume the pool-side reservation behind the ledger's
-        # back, so the pool commit must fail with ApexError.
-        pool.release(0.5)
-        with pytest.raises(LedgerInvariantError, match="pool commit failed"):
-            ledger.charge(
-                query_name="q",
-                query_kind="WCQ",
-                accuracy=ACC,
-                mechanism="LM",
-                epsilon_upper=0.5,
-                epsilon_spent=0.25,
-                answer=None,
-                reservation=reservation,
-            )
+
+def fixed_share_service(budget, journal):
+    return ExplorationService(
+        small_table(64),
+        budget=budget,
+        policy=BudgetPolicy.FIXED_SHARE,
+        max_analysts=2,
+        journal=journal,
+    )
+
+
+class TestFixedShareSurvivesRestart:
+    """Recovery charges each journaled commit to its analyst's account, so a
+    restart does not hand an analyst a fresh share (regression: every share
+    used to restart at 0, letting one analyst eat into another's)."""
+
+    def first_run(self, path, spend):
+        with LedgerJournal(path) as journal:
+            service = fixed_share_service(4.0, journal)
+            ledger = service.register_analyst("a").ledger
+            for i, eps in enumerate(spend):
+                assert charge_once(ledger, eps, eps, f"q{i}") is not None
+
+    def test_recovered_spend_counts_against_the_share(self, tmp_path):
+        path = str(tmp_path / "ledger.wal")
+        self.first_run(path, [1.0, 0.5])
+        with LedgerJournal(path) as journal:
+            service = fixed_share_service(4.0, journal)
+            a = service.register_analyst("a").ledger
+            b = service.register_analyst("b").ledger
+            assert a.spent == 1.5
+            assert a.remaining == 0.5
+            assert a.reserve(1.0) is None  # past the 2.0 share
+            assert charge_once(a, 0.5, 0.5, "q-after") is not None
+            assert a.exhausted
+            assert b.remaining == 2.0  # b's share is untouched
+            assert service.budget_spent == 2.0
+            assert [e.query_name for e in a.transcript] == ["a:q0", "a:q1", "a:q-after"]
+            service.assert_invariants()
+
+    def test_account_past_a_smaller_cap_is_admitted_nothing(self, tmp_path):
+        path = str(tmp_path / "ledger.wal")
+        self.first_run(path, [1.5])
+        with LedgerJournal(path) as journal:
+            service = fixed_share_service(2.0, journal)  # shares shrink to 1.0
+            a = service.register_analyst("a").ledger
+            b = service.register_analyst("b").ledger
+            assert a.spent == 1.5
+            assert a.remaining == 0.0
+            assert a.reserve(2.0**-20) is None
+            assert b.remaining == 0.5  # what is left of B
+            assert charge_once(b, 0.5, 0.5, "qb") is not None
+            service.assert_invariants()  # an over-cap account is not an error
+            assert service.validate()
+
+
+class BlockingJournal:
+    """A journal stub whose ``commit`` for one analyst blocks until released."""
+
+    def __init__(self, analyst):
+        self.analyst = analyst
+        self.entered = threading.Event()
+        self.proceed = threading.Event()
+        self.records = []
+
+    def append(self, op, **fields):
+        if op == "commit" and fields.get("analyst") == self.analyst:
+            self.entered.set()
+            assert self.proceed.wait(timeout=30)
+        self.records.append((op, fields))
+        return len(self.records)
+
+
+class TestJournalOutsideBookLock:
+    def test_other_analysts_proceed_while_a_commit_is_journaled(self):
+        journal = BlockingJournal("A")
+        book = PrivacyLedger(4.0, journal=journal)
+        a = SessionLedger(book, 2.0, "A")
+        b = SessionLedger(book, 2.0, "B")
+        kwargs = charge_kwargs(a, 1.0, 0.5, name="qa")
+        charging = threading.Thread(target=lambda: a.charge(**kwargs))
+        charging.start()
+        assert journal.entered.wait(timeout=30)
+        seen = {}
+
+        def analyst_b():
+            reservation = b.reserve(0.5)
+            seen["admitted"] = reservation is not None
+            b.release(reservation)
+            seen["remaining"] = b.remaining
+            seen["book_remaining"] = book.remaining
+
+        try:
+            probe = threading.Thread(target=analyst_b)
+            probe.start()
+            probe.join(timeout=5)
+            # A's commit is inside the journal append: B must not wait on it.
+            assert not probe.is_alive(), "the book lock is held across the journal"
+            assert seen == {"admitted": True, "remaining": 2.0, "book_remaining": 3.0}
+            # A's reservation still holds its headroom; nothing is applied yet.
+            assert book.reserved == 1.0
+            assert book.spent == 0.0
+        finally:
+            journal.proceed.set()
+            charging.join(timeout=30)
+        assert book.spent == a.spent == 0.5
+        assert book.reserved == 0.0
+        assert [op for op, _ in journal.records] == ["commit"]
+        book.assert_invariants()

@@ -17,6 +17,7 @@ binary and "agree" means equality, not approximation.
 """
 
 import random
+import sys
 import threading
 
 import pytest
@@ -243,11 +244,16 @@ class TestConcurrentHistories:
                 errors.append((analyst, repr(exc)))
 
         threads = [threading.Thread(target=run, args=(a,)) for a in ledgers]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-            assert not thread.is_alive()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the analysts as finely as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
         journal.close()
         assert errors == []
 

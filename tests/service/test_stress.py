@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+from repro.core.accounting import PrivacyLedger
 from repro.core.accuracy import AccuracySpec
 from repro.core.lru import LRUCache
 from repro.mechanisms.registry import default_registry
@@ -20,7 +21,7 @@ from repro.queries.builders import histogram_workload
 from repro.queries.query import WorkloadCountingQuery
 from repro.queries.workload import Workload, clear_matrix_cache
 from repro.reliability.journal import LedgerJournal
-from repro.service import BudgetPolicy, ExplorationService, SharedBudgetPool
+from repro.service import BudgetPolicy, ExplorationService
 from tests.service.util import small_table
 
 N_THREADS = 8
@@ -135,9 +136,9 @@ class TestConcurrentBudgetSafety:
         assert recovery.spent == pytest.approx(service.budget_spent)
         # Eight analysts shared one journal; its commit order must still
         # rebuild a Definition 6.1-valid transcript with the same spend.
-        pool = SharedBudgetPool(service.budget)
+        pool = PrivacyLedger(service.budget)
         assert pool.adopt_recovery(recovery) == len(merged)
-        assert pool.merged_transcript.is_valid(service.budget)
+        assert pool.transcript.is_valid(service.budget)
         assert pool.spent == pytest.approx(service.budget_spent)
         pool.assert_invariants()
 
