@@ -34,11 +34,17 @@ building a matrix -> build the matrix -> token -> translate.  The disk key
 includes each applicable mechanism's
 :meth:`~repro.mechanisms.base.Mechanism.cache_signature`, so stores are
 never shared across differently configured mechanism suites.
+
+Below the token tier, concurrent requests with one exact key share a single
+flight: one caller computes while the rest wait and then read the exact
+memo, so a burst of identical cold requests (previews and explores alike)
+builds one matrix and runs one Monte-Carlo search.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass
 
 from repro.core.accuracy import AccuracySpec
@@ -113,8 +119,12 @@ class AccuracyTranslator:
         #: Tier counters beneath the exact LRU.  Sessions share one
         #: translator, so each is a locked :class:`~repro.obs.Counter`.
         self._tier_stats = {
-            key: Counter() for key in ("built", "token", "disk_hits", "disk_writes")
+            key: Counter()
+            for key in ("built", "token", "disk_hits", "disk_writes", "coalesced")
         }
+        #: In-flight cold translations: exact key -> the leader's latch.
+        self._flights: dict[tuple, threading.Lock] = {}
+        self._flights_lock = threading.Lock()
 
     @property
     def registry(self) -> MechanismRegistry:
@@ -135,8 +145,9 @@ class AccuracyTranslator:
 
         ``hits``/``misses``/``size`` describe the exact (version-scoped)
         LRU; ``token`` counts lists answered by the token tier,
-        ``disk_hits``/``disk_writes`` the artifact store, and ``built`` the
-        translation lists actually computed.
+        ``disk_hits``/``disk_writes`` the artifact store, ``built`` the
+        translation lists actually computed, and ``coalesced`` the callers
+        that waited on another caller's flight (see :meth:`translations`).
         """
         tiers = {key: int(counter.value()) for key, counter in self._tier_stats.items()}
         return {**self._translation_cache.stats(), **tiers}
@@ -146,36 +157,6 @@ class AccuracyTranslator:
         self._token_cache.clear()
         for counter in self._tier_stats.values():
             counter.reset()
-
-    def is_cached(
-        self,
-        query: Query,
-        accuracy: AccuracySpec,
-        schema: Schema | None = None,
-        *,
-        version: object | None = None,
-    ) -> bool:
-        """Whether :meth:`translations` would be answered from the memo.
-
-        A pure peek: neither recency nor the hit/miss counters change.  The
-        exploration service calls it before submitting a preview to its
-        request batcher, and the batcher again under its lock before
-        starting a flight: warm requests cost microseconds and are answered
-        straight from the memo, so only cold builds are batched.  The token
-        tier is consulted only through the query's own memoised matrix
-        (:meth:`~repro.queries.query.Query.memoised_matrix` with ``peek``):
-        a peek never builds or probes the matrix memo.  A post-append
-        request of a query already priced at the old version is warm.
-        """
-        query_key = query.cache_key(schema, version)
-        if query_key is None:
-            return False
-        if (query_key, accuracy.alpha, accuracy.beta) in self._translation_cache:
-            return True
-        matrix = query.memoised_matrix(schema, version, peek=True)
-        if matrix is None:
-            return False
-        return self._token_key(query, matrix, accuracy) in self._token_cache
 
     # -- translation ---------------------------------------------------------------
 
@@ -197,21 +178,70 @@ class AccuracyTranslator:
         another query over the same matrix, is answered from the memo.  The
         tier order is exact -> token (memoised matrices only) -> disk ->
         build the matrix -> token -> translate; see the module docstring.
+
+        Concurrent cold duplicates share one computation (single flight).
+        When the exact and token probes miss, the caller registers a flight
+        under the exact key: a per-flight latch, created and acquired before
+        the registry lock is taken, so latches only ever nest outside it.  A
+        caller finding a flight already registered is a follower: it waits
+        on the latch, counts ``coalesced`` and starts over from the exact
+        probe.  The leader re-probes the exact memo once (a flight may have
+        retired between its probe and its registration), computes, publishes
+        to the memo and only then retires the flight.  A leader's error is
+        its own: each follower starts over and computes for itself.
         """
         query_key = query.cache_key(schema, version)
-        cache_key = None
-        if query_key is not None:
-            cache_key = (query_key, accuracy.alpha, accuracy.beta)
-            cached = self._translation_cache.get(cache_key)
-            if cached is not None:
-                tracing.annotate("cache_tier", "exact")
-                return list(cached)
-        # Only an already-memoised matrix is probed before the disk, so a
-        # restarted process answers from disk without deriving a matrix.
-        matrix = query.memoised_matrix(schema, version)
-        out: list[tuple[Mechanism, TranslationResult]] | None = None
-        if matrix is not None:
-            out = self._token_cache.get(self._token_key(query, matrix, accuracy))
+        cache_key = None if query_key is None else (query_key, accuracy.alpha, accuracy.beta)
+        while True:
+            if cache_key is not None:
+                cached = self._translation_cache.get(cache_key)
+                if cached is not None:
+                    tracing.annotate("cache_tier", "exact")
+                    return list(cached)
+            # Only an already-memoised matrix is probed before the disk, so a
+            # restarted process answers from disk without deriving a matrix.
+            matrix = query.memoised_matrix(schema, version)
+            out: list[tuple[Mechanism, TranslationResult]] | None = None
+            if matrix is not None:
+                out = self._token_cache.get(self._token_key(query, matrix, accuracy))
+            if out is not None or cache_key is None:
+                return self._resolve(query, accuracy, schema, version, cache_key, matrix, out)
+            latch = threading.Lock()
+            latch.acquire()
+            with self._flights_lock:
+                flight = self._flights.setdefault(cache_key, latch)
+            if flight is not latch:
+                latch.release()
+                with flight:  # held by the leader until its flight retires
+                    pass
+                self._tier_stats["coalesced"].inc()
+                continue
+            try:
+                if cache_key not in self._translation_cache:
+                    return self._resolve(query, accuracy, schema, version, cache_key, matrix, None)
+                # A flight retired after this caller's probe: start over and
+                # take the exact hit.
+            finally:
+                with self._flights_lock:
+                    del self._flights[cache_key]
+                latch.release()
+
+    def _resolve(
+        self,
+        query: Query,
+        accuracy: AccuracySpec,
+        schema: Schema | None,
+        version: object | None,
+        cache_key: tuple | None,
+        matrix: WorkloadMatrix | None,
+        out: list[tuple[Mechanism, TranslationResult]] | None,
+    ) -> list[tuple[Mechanism, TranslationResult]]:
+        """Answer past the exact tier, then publish to every tier that missed.
+
+        ``out`` is the token tier's answer for a memoised ``matrix``, or
+        ``None``: then the disk is probed, the matrix built if need be and
+        the token tier probed again before translating.
+        """
         tier, store, store_digest = "token", self._store, None
         if out is None:
             applicable = self._registry.for_query(query)

@@ -9,9 +9,8 @@ is where they meet the operator:
   naming scheme, and :func:`flatten_stats`, which maps a ``stats()`` dict
   onto it (``ExplorationService.as_metrics()`` is the one flat view);
 * :mod:`repro.obs.tracing` -- per-request :class:`Span` trees with
-  head-based sampling, thread-local context, and batcher follower->leader
-  joins.
-  The disabled path is one module-global branch;
+  head-based sampling and thread-local context.  The disabled path is one
+  module-global branch;
 * :mod:`repro.obs.export` -- Prometheus text exposition and Chrome
   trace-event (``chrome://tracing`` / Perfetto) dumps;
 * ``python -m repro.obs`` -- run a small replay and export what it saw.

@@ -7,10 +7,7 @@
   same mapping as JSON);
 * :func:`chrome_trace_events` / :func:`write_chrome_trace` -- sampled span
   trees as Chrome trace-event JSON (load in ``chrome://tracing`` or
-  Perfetto).  Spans become complete (``"ph": "X"``) events; batcher
-  coalesce edges -- follower spans annotated with ``batch.leader_span`` --
-  become flow arrows (``"ph": "s"`` at the leader, ``"ph": "f"`` at the
-  follower) so a coalesced burst reads as one fan-in in the viewer.
+  Perfetto).  Spans become complete (``"ph": "X"``) events.
 
 Span timestamps are ``time.perf_counter()`` values; the Chrome exporter
 rebases them so the earliest span in the dump sits at ``ts=0`` and
@@ -58,8 +55,6 @@ def chrome_trace_events(
 
     Each span becomes one complete event; ``pid`` is the trace id (so the
     viewer groups each request into its own lane) and ``tid`` the OS thread.
-    Coalesce edges are emitted as flow-event pairs keyed by the leader's
-    span id.
     """
     spans: list[dict[str, Any]] = []
     for trace in traces:
@@ -72,53 +67,22 @@ def chrome_trace_events(
         return int(round((stamp - origin) * 1_000_000))
 
     events: list[dict[str, Any]] = []
-    leader_sites: dict[int, dict[str, Any]] = {}
-    followers: list[dict[str, Any]] = []
     for entry in spans:
         end = entry["end"] if entry["end"] is not None else entry["start"]
-        event = {
-            "ph": "X",
-            "name": entry["name"],
-            "cat": entry["name"].split(".", 1)[0],
-            "pid": entry["trace_id"],
-            "tid": entry["thread_id"],
-            "ts": _us(entry["start"]),
-            "dur": max(_us(end) - _us(entry["start"]), 0),
-            "args": {
-                "span_id": entry["span_id"],
-                "parent_id": entry["parent_id"],
-                **entry["attributes"],
-            },
-        }
-        events.append(event)
-        leader_sites[entry["span_id"]] = event
-        if "batch.leader_span" in entry["attributes"]:
-            followers.append(event)
-    for event in followers:
-        leader_id = event["args"]["batch.leader_span"]
-        leader = leader_sites.get(leader_id)
-        if leader is not None:
-            events.append(
-                {
-                    "ph": "s",
-                    "id": leader_id,
-                    "name": "batch.coalesce",
-                    "cat": "batch",
-                    "pid": leader["pid"],
-                    "tid": leader["tid"],
-                    "ts": leader["ts"],
-                }
-            )
         events.append(
             {
-                "ph": "f",
-                "bp": "e",
-                "id": leader_id,
-                "name": "batch.coalesce",
-                "cat": "batch",
-                "pid": event["pid"],
-                "tid": event["tid"],
-                "ts": event["ts"],
+                "ph": "X",
+                "name": entry["name"],
+                "cat": entry["name"].split(".", 1)[0],
+                "pid": entry["trace_id"],
+                "tid": entry["thread_id"],
+                "ts": _us(entry["start"]),
+                "dur": max(_us(end) - _us(entry["start"]), 0),
+                "args": {
+                    "span_id": entry["span_id"],
+                    "parent_id": entry["parent_id"],
+                    **entry["attributes"],
+                },
             }
         )
     return events

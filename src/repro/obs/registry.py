@@ -1,6 +1,6 @@
 """Metric primitives and the metric naming scheme.
 
-The component ``stats()`` dicts (LRU, ledger, pool, batcher, store,
+The component ``stats()`` dicts (LRU, ledger, pool, translator, store,
 reliability) are the only counter store; this module holds what they are
 built from and how they are named:
 

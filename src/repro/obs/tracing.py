@@ -2,11 +2,10 @@
 
 One trace covers one service request (``explore`` / ``preview_cost``): a
 tree of :class:`Span` nodes from admission through snapshot pin, the
-batcher (leader/follower plus coalesce edges), the cache-tier outcome
-(exact / token / disk / rebuild), matrix build / Monte-Carlo search,
-the mechanism run, and reserve/commit.  The instrumentation sites live in
-the service, engine, translator, workload and batching modules; they all
-funnel through the three module-level entry points here:
+cache-tier outcome (exact / token / disk / rebuild), matrix build /
+Monte-Carlo search, the mechanism run, and reserve/commit.  The
+instrumentation sites live in the service, engine, translator and workload
+modules; they all funnel through the three module-level entry points here:
 
 * :func:`root_span` -- opens a trace at a service entry point, applying
   **head-based sampling** (the keep/drop decision is made once, up front;
@@ -23,11 +22,10 @@ entry point is one module-global load + ``is None`` branch returning a
 shared singleton; untraced ``benchmarks/e2e`` runs take this path, so its
 cost is part of every ``requests_per_cpu_s`` they report.
 
-**Coalesce edges.**  The current span lives in a ``threading.local``, so a
-request's spans are those of the thread that serves it.  The batcher records
-the leader's span identity on each flight, and follower spans carry
-``batch.leader_span`` / ``batch.leader_trace`` attributes -- the coalesce
-edges rendered as flow arrows in the Chrome trace export.
+The current span lives in a ``threading.local``, so a request's spans are
+those of the thread that serves it.  A request that waited on another
+request's translation flight spends that wait inside its own
+``engine.translate`` span.
 
 Spans are buffered per trace (append-only lists owned by the running
 request -- no cross-request locking on the hot path) and published to the

@@ -104,15 +104,14 @@ class Query:
         return self.memoised_matrix(schema, version) or self.build_matrix(schema, version)
 
     def memoised_matrix(
-        self, schema: Schema | None, version: object | None, *, peek: bool = False
+        self, schema: Schema | None, version: object | None
     ) -> WorkloadMatrix | None:
         """The memoised matrix for ``(schema, version)``, or ``None``; never builds.
 
         This query's own memo answers the schema object it was built for at
         an equal ``version``, or at a stamp with equal ``fingerprints`` (the
         matrix memo's revalidation rule, applied without a memo lookup).  On
-        a miss the matrix memo is probed, unless ``peek`` asks for a pure
-        peek of the query's own memo.
+        a miss the matrix memo is probed.
         """
         memo = self._matrix_memo
         if memo is not None and memo[1] is schema:
@@ -122,8 +121,6 @@ class Query:
                 and version.fingerprints == memo[2].fingerprints
             ):
                 return memo[0]
-        if peek:
-            return None
         matrix = self._workload.memoised(schema, self._disjoint, self._sensitivity_override, version)
         if matrix is not None:
             self._matrix_memo = (matrix, schema, version)

@@ -7,8 +7,8 @@ under a :class:`BudgetPolicy` (equal fixed shares, or first-come over the
 whole budget), serializes admission control and charging through one budget
 book (a :class:`~repro.core.accounting.PrivacyLedger` holding every
 analyst's account) so concurrent ``explore`` calls can never jointly
-overspend ``B``, and coalesces structurally identical requests through a
-:class:`RequestBatcher` so one workload-matrix build serves every
+overspend ``B``, and shares one translator, which coalesces concurrent
+identical cold translations so one workload-matrix build serves every
 concurrent duplicate.
 
 The merged, cross-analyst transcript is maintained in commit order and can be
@@ -19,7 +19,6 @@ checked with the paper's Theorem 6.2 machinery at any time
 the synthetic Adult / NYTaxi tables; see :mod:`repro.service.replay`.
 """
 
-from repro.service.batching import RequestBatcher
 from repro.service.budget import BudgetPolicy, SessionLedger
 from repro.service.exploration import AnalystSessionHandle, ExplorationService
 from repro.service.replay import (
@@ -38,7 +37,6 @@ __all__ = [
     "BudgetPolicy",
     "ExplorationService",
     "ReplayReport",
-    "RequestBatcher",
     "RequestOutcome",
     "ScriptRequest",
     "SessionLedger",

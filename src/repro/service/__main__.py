@@ -133,10 +133,6 @@ def main(argv: list[str] | None = None) -> int:
         f"  privacy spent: {report.epsilon_spent:.4f} of {report.budget} "
         f"(remaining {service.budget_remaining:.4f})"
     )
-    print(
-        f"  batching: {report.batching['computed']} computed, "
-        f"{report.batching['coalesced']} coalesced"
-    )
     for kind, agg in report.latency.items():
         print(
             f"  latency[{kind}]: n={agg['count']:.0f}, "

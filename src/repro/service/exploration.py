@@ -12,15 +12,15 @@ budget ``B``, and any number of analysts then register sessions and issue
 * **transcript validity** -- every commit and denial is appended to the
   book's one cross-analyst transcript in commit order, on which
   :meth:`ExplorationService.validate` runs the paper's Theorem 6.2 check;
-* **shared derivation** -- all sessions on a table share one
+* **shared derivation** -- all sessions share one
   :class:`~repro.core.translator.AccuracyTranslator` (translation memo) and
-  the process-wide workload-matrix memo, and a
-  :class:`~repro.service.batching.RequestBatcher` coalesces structurally
-  identical concurrent requests so a cold workload-matrix build happens
-  once per flight rather than once per analyst;
+  the process-wide workload-matrix memo; the translator coalesces
+  structurally identical concurrent cold translations, so a cold
+  workload-matrix build happens once per burst rather than once per
+  analyst;
 * **snapshot isolation** -- every request is admitted on a pinned
-  :class:`~repro.data.table.TableSnapshot` (the snapshot's version token
-  joins the batch key), so long-running explores are wait-free against
+  :class:`~repro.data.table.TableSnapshot` (whose version token every
+  memo key carries), so long-running explores are wait-free against
   concurrent :meth:`ExplorationService.append_rows` /
   :meth:`ExplorationService.refresh_table` and always answer for exactly
   the version they were admitted at.  See ``docs/consistency.md`` for the
@@ -65,7 +65,6 @@ from repro.queries.workload import matrix_cache_stats
 from repro.reliability.deadline import Deadline
 from repro.reliability.faults import fail_point
 from repro.reliability.journal import LedgerJournal
-from repro.service.batching import RequestBatcher
 from repro.service.budget import BudgetPolicy, SessionLedger
 from repro.store import ArtifactStore
 
@@ -82,8 +81,8 @@ class AnalystSessionHandle:
         ledger is a :class:`~repro.service.budget.SessionLedger`, a handle on
         the analyst's account in the service's budget book.  Use the
         service's ``explore`` / ``preview_cost`` entry points rather than the
-        engine directly to get batching, per-session serialization and
-        latency accounting.
+        engine directly to get per-session serialization and latency
+        accounting.
     """
 
     analyst: str
@@ -187,7 +186,6 @@ class ExplorationService:
         self._registry = registry
         self._seed = seed
         self._translator = AccuracyTranslator(registry, mode, store=store)
-        self._batcher = RequestBatcher()
         self._sessions: dict[str, AnalystSessionHandle] = {}
         self._lock = threading.RLock()
         self._session_counter = itertools.count()
@@ -232,7 +230,7 @@ class ExplorationService:
         """Append rows to a hosted table (streaming ingest, any time).
 
         Advances the table's version token, which every request-path cache
-        (batch key, translation memo, workload-matrix memo, WCQ-SM search,
+        (translation memo and its flights, workload-matrix memo, WCQ-SM search,
         mask LRU, histogram/true-count caches) keys on -- the next
         structurally identical request misses everywhere and rebuilds against
         the grown table.  Requests admitted after this call observe the new
@@ -286,7 +284,12 @@ class ExplorationService:
         self._book.assert_invariants()
 
     def stats(self) -> dict[str, object]:
-        """Budget, batching, cache and per-session counters in one snapshot."""
+        """Budget, cache and per-session counters in one snapshot.
+
+        ``batching`` repeats the translator's ``coalesced`` count for the
+        end-to-end benchmark, which reads it there; the metric view exports
+        it once, as ``repro_translations_coalesced``.
+        """
         with self._lock:
             sessions = {
                 name: {
@@ -297,6 +300,7 @@ class ExplorationService:
                 for name, handle in self._sessions.items()
             }
         store = self._translator.store
+        translations = self._translator.cache_stats
         return {
             "budget": self._book.stats(),
             "policy": self._policy.value,
@@ -309,8 +313,8 @@ class ExplorationService:
                 }
                 for name, tbl in self._tables.items()
             },
-            "batching": self._batcher.stats(),
-            "translations": self._translator.cache_stats,
+            "batching": {"coalesced": translations["coalesced"]},
+            "translations": translations,
             "workload_matrices": matrix_cache_stats(),
             "store": None if store is None else store.stats(),
             "reliability": {
@@ -349,7 +353,6 @@ class ExplorationService:
         """
         stats: dict = self.stats()
         out = flatten_stats("pool", stats["budget"])
-        out.update(flatten_stats("batcher", stats["batching"]))
         out.update(flatten_stats("translations", stats["translations"]))
         out.update(flatten_stats("matrix", stats["workload_matrices"]))
         if stats["store"] is not None:
@@ -440,15 +443,13 @@ class ExplorationService:
     def preview_cost(
         self, analyst: str, query: Query, accuracy: AccuracySpec
     ) -> dict[str, tuple[float, float]]:
-        """Data-independent cost preview, batched across concurrent duplicates.
+        """Data-independent cost preview; costs no privacy.
 
-        The request is admitted on a pinned snapshot whose version token
-        joins the batch key (snapshots are memoised per version, so the
-        token *is* the snapshot's identity): structurally identical previews
-        racing each other at the same version are answered by one
-        translation (and, cold, one workload-matrix build); see
-        :class:`~repro.service.batching.RequestBatcher`.  Costs no privacy;
-        the analyst only needs to be registered.
+        The request is admitted on a pinned snapshot and priced by the
+        session's engine.  Structurally identical cold previews racing each
+        other at the same version share one translation (and one
+        workload-matrix build) in the translator.  The analyst only needs
+        to be registered.
 
         :param analyst: a registered session identity.
         :param query: the query whose mechanisms to price.
@@ -464,30 +465,8 @@ class ExplorationService:
             start = time.perf_counter()
             with tracing.span("service.snapshot_pin"):
                 snapshot = self._tables[handle.table].snapshot()
-                stamp = handle.engine.domain_stamp(query, snapshot)
-            key = self._batch_key(handle, snapshot, stamp, query, accuracy)
-
-            def compute() -> dict[str, tuple[float, float]]:
-                return handle.engine.preview_cost(query, accuracy, snapshot=snapshot)
-
-            def warm() -> bool:
-                return self._translator.is_cached(
-                    query, accuracy, snapshot.schema, version=stamp
-                )
-
-            if key is None or warm():
-                # Unbatchable, or already warm: the memo answers in
-                # microseconds, so skip the batcher and its lock.
-                result = compute()
-            else:
-                # Cold when peeked, but a leader may publish and retire
-                # before this submit: the batcher peeks again under its lock.
-                result = self._batcher.submit(key, compute, warm)
+            result = handle.engine.preview_cost(query, accuracy, snapshot=snapshot)
             self._note_latency("preview_cost", time.perf_counter() - start)
-            # Each caller gets its own copy: coalesced followers share the
-            # leader's flight result, and a mutable dict crossing analyst
-            # boundaries would let one analyst corrupt another's preview.
-            result = dict(result)
             return result
 
     def explore(
@@ -502,7 +481,8 @@ class ExplorationService:
         the mechanism runs.  The mechanism run and the privacy charge are
         individual to the analyst (each answer draws fresh noise and is
         charged to the analyst's account in the budget book); only the
-        data-independent derivations underneath are shared.  Requests for
+        data-independent derivations underneath are shared, concurrent cold
+        translations of one query included.  Requests for
         the *same* analyst are serialized on the session's lock -- an
         analyst is a sequential agent, and the engine's noise generator must
         not be shared by concurrent draws; requests for different analysts
@@ -550,28 +530,6 @@ class ExplorationService:
         return self.explore(analyst, query, spec)
 
     # -- internals ------------------------------------------------------------------
-
-    def _batch_key(
-        self,
-        handle: AnalystSessionHandle,
-        snapshot: Table,
-        stamp: object,
-        query: Query,
-        accuracy: AccuracySpec,
-    ) -> tuple | None:
-        """Structural identity of a preview request; ``None`` disables batching.
-
-        Includes the admission snapshot's :class:`~repro.data.table.DomainStamp`
-        (version token plus referenced domain fingerprints): previews
-        admitted at different versions are *different* requests, so a
-        post-append duplicate can never coalesce onto a pre-append flight --
-        it goes through the memo hierarchy instead, where a
-        domain-preserving append revalidates rather than rebuilds.
-        """
-        query_key = query.cache_key(snapshot.schema, stamp)
-        if query_key is None:
-            return None
-        return ("preview", handle.table, query_key, accuracy.alpha, accuracy.beta)
 
     def _note_latency(self, kind: str, seconds: float) -> None:
         self._latencies[kind].observe(seconds)

@@ -126,7 +126,6 @@ class ReplayReport:
     transcript_valid: bool = False
     transcript_summary: dict = field(default_factory=dict)
     latency: dict = field(default_factory=dict)
-    batching: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         """A JSON-serialisable view of the report."""
@@ -136,7 +135,6 @@ class ReplayReport:
             "transcript_valid": self.transcript_valid,
             "transcript_summary": self.transcript_summary,
             "latency": self.latency,
-            "batching": self.batching,
             "outcomes": [
                 {
                     "analyst": o.analyst,
@@ -228,7 +226,7 @@ def default_script(
 
     Analysts round-robin over ``tables``; each gets the table's request mix,
     with a variant offset so neighbouring analysts ask overlapping but not
-    identical sequences (some requests coalesce in the batcher, some don't).
+    identical sequences (some cold translations coalesce, some don't).
     """
     if n_analysts <= 0:
         raise ApexError("n_analysts must be positive")
@@ -434,5 +432,4 @@ def replay(
     report.transcript_valid = service.validate()
     report.transcript_summary = merged.summary()
     report.latency = service.latency_stats()
-    report.batching = service.stats()["batching"]
     return report

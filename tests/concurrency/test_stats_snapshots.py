@@ -3,10 +3,10 @@
 A multi-field snapshot is *torn* when its fields are read at different
 instants: a reader can then observe, say, a ``count`` from before an
 update and a ``sum`` from after it.  The tests here pin atomic snapshots
-in :meth:`LRUCache.stats`, :class:`RequestBatcher.stats` and
-:meth:`ExplorationService.latency_stats`, so that a future refactor
-moving any of those reads outside their lock fails loudly instead of
-silently re-introducing the race.
+in :meth:`LRUCache.stats` and :meth:`ExplorationService.latency_stats`,
+and monotone counters in :attr:`AccuracyTranslator.cache_stats`, so that
+a future refactor moving any of those reads outside their lock fails
+loudly instead of silently re-introducing the race.
 
 Detector design: writers only ever publish values for which a sharp
 cross-field identity holds (e.g. every latency sample is exactly ``0.5``
@@ -17,6 +17,7 @@ two instants breaks the identity.
 
 import sys
 import threading
+import time
 
 import pytest
 
@@ -67,57 +68,66 @@ class TestLRUCacheStatsSnapshot:
         assert not errors, errors[:1]
 
 
-class TestBatcherStatsSnapshot:
-    def test_counters_snapshot_atomically_under_traffic(self):
-        """Every flight retires as exactly one of ``computed``/``failed``,
-        and each follower adds exactly one ``coalesced`` -- so in an untorn
-        snapshot ``computed + failed <= leaders_started`` and the counter
-        triple is monotone.  A torn read shows up as a snapshot whose
-        triple regresses against an earlier one."""
-        from repro.service.batching import RequestBatcher
+class TestTranslatorStatsSnapshot:
+    def test_counters_stay_monotone_under_traffic(self):
+        """Three threads walk the same cold keys in step, so their requests
+        lead flights, coalesce onto them and hit the memo.  Every counter of
+        ``cache_stats`` only ever grows, so a snapshot field that regresses
+        against an earlier snapshot is a lost or torn update."""
+        from repro.core.accuracy import AccuracySpec
+        from repro.core.translator import AccuracyTranslator
+        from repro.mechanisms.laplace import LaplaceMechanism
+        from repro.mechanisms.registry import MechanismRegistry
+        from repro.queries.predicates import Comparison
+        from repro.queries.query import QueryKind, WorkloadCountingQuery
+        from repro.queries.workload import Workload
 
-        batcher = RequestBatcher()
+        class SlowLaplace(LaplaceMechanism):
+            def translate(self, *args, **kwargs):
+                time.sleep(0.0005)  # long enough for the others to pile on
+                return super().translate(*args, **kwargs)
+
+        translator = AccuracyTranslator(
+            MechanismRegistry(
+                [SlowLaplace(name="WCQ-LM", kinds=frozenset({QueryKind.WCQ}))]
+            )
+        )
         stop = threading.Event()
         errors = []
-        gate = threading.Event()
 
-        def traffic(tid):
+        def traffic():
+            alpha = 10.0
             while not stop.is_set():
-                # One shared key: concurrent submits coalesce; leader blocks
-                # on the gate long enough for followers to pile on.
-                gate.clear()
+                alpha += 1.0
+                query = WorkloadCountingQuery(Workload([Comparison("x", ">", 0.0)]))
                 try:
-                    batcher.submit("k", lambda: gate.wait(0.0005) or tid)
+                    translator.translations(query, AccuracySpec(alpha=alpha, beta=0.05))
                 except Exception as exc:  # pragma: no cover - diagnostic
                     errors.append(repr(exc))
 
-        workers = [
-            threading.Thread(target=traffic, args=(t,)) for t in range(3)
-        ]
+        workers = [threading.Thread(target=traffic) for _ in range(3)]
         for t in workers:
             t.start()
         prev = None
         try:
             for _ in range(2_000):
-                snap = batcher.stats()
-                triple = (snap["computed"], snap["coalesced"], snap["failed"])
-                if any(v < 0 for v in triple):
+                snap = translator.cache_stats
+                snap.pop("size")  # the one field that may shrink
+                if any(v < 0 for v in snap.values()):
                     errors.append(("negative", snap))
                     break
-                if prev is not None and any(
-                    a < b for a, b in zip(triple, prev)
-                ):
-                    errors.append(("regressed", prev, triple))
+                if prev is not None and any(snap[k] < prev[k] for k in snap):
+                    errors.append(("regressed", prev, snap))
                     break
-                prev = triple
+                prev = snap
         finally:
             stop.set()
-            gate.set()
             for t in workers:
                 t.join()
         assert not errors, errors[:1]
-        final = batcher.stats()
-        assert final["computed"] + final["failed"] >= 1
+        final = translator.cache_stats
+        assert final["built"] >= 1
+        assert final["hits"] + final["misses"] >= final["built"]
 
 
 class TestLatencyStatsSnapshot:

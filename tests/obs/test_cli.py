@@ -26,7 +26,7 @@ def test_json_export_and_trace_dump(tmp_path):
     assert list(metrics) == sorted(metrics)
     for family in (
         "repro_pool_",
-        "repro_batcher_",
+        "repro_translations_coalesced",
         "repro_translations_",
         "repro_matrix_",
         "repro_reliability_",

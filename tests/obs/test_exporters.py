@@ -96,49 +96,6 @@ class TestChromeTraceEvents:
         # pid groups by request: both spans share the trace's lane.
         assert by_name["service.request"]["pid"] == by_name["engine.translate"]["pid"]
 
-    def test_coalesce_edges_become_flow_event_pairs(self):
-        leader = {
-            "trace_id": 1,
-            "span_id": 10,
-            "parent_id": None,
-            "name": "batch.leader",
-            "start": 0.0,
-            "end": 0.002,
-            "thread_id": 111,
-            "attributes": {},
-        }
-        follower = {
-            "trace_id": 2,
-            "span_id": 20,
-            "parent_id": None,
-            "name": "batch.follower",
-            "start": 0.001,
-            "end": 0.002,
-            "thread_id": 222,
-            "attributes": {"batch.leader_trace": 1, "batch.leader_span": 10},
-        }
-        events = chrome_trace_events([[leader], [follower]])
-        starts = [e for e in events if e["ph"] == "s"]
-        finishes = [e for e in events if e["ph"] == "f"]
-        assert len(starts) == 1 and len(finishes) == 1
-        assert starts[0]["id"] == finishes[0]["id"] == 10
-        assert starts[0]["pid"] == 1 and finishes[0]["pid"] == 2
-        assert finishes[0]["bp"] == "e"
-
-    def test_follower_without_leader_still_emits_the_finish(self):
-        follower = {
-            "trace_id": 2,
-            "span_id": 20,
-            "parent_id": None,
-            "name": "batch.follower",
-            "start": 0.001,
-            "end": 0.002,
-            "thread_id": 222,
-            "attributes": {"batch.leader_trace": 1, "batch.leader_span": 99},
-        }
-        events = chrome_trace_events([[follower]])
-        assert [e["ph"] for e in events] == ["X", "f"]
-
     def test_empty_input_yields_no_events(self):
         assert chrome_trace_events([]) == []
         assert chrome_trace_events([[]]) == []

@@ -235,7 +235,6 @@ class TestFacadeMetrics:
         expected = 0
         for subsystem, key in (
             ("pool", "budget"),
-            ("batcher", "batching"),
             ("translations", "translations"),
             ("matrix", "workload_matrices"),
             ("reliability", "reliability"),

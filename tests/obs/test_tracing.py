@@ -1,7 +1,6 @@
-"""Tracing battery: tree shape, sampling, propagation, batcher coalesce edges."""
+"""Tracing battery: tree shape, sampling, propagation, service span chains."""
 
 import threading
-import time
 
 import pytest
 
@@ -231,73 +230,6 @@ class TestThreadLocalContext:
         assert {s["thread_id"] for s in trace} == {root["thread_id"]}
 
 
-class TestBatcherCoalesceEdges:
-    def test_follower_spans_carry_the_leader_identity(self, tracer):
-        """Concurrent submits for one key: the leader's flight records its
-        (trace, span) identity, and every follower's ``batch.follower`` span
-        is annotated with it -- the coalesce edge the Chrome exporter renders
-        as a flow arrow."""
-        from repro.service.batching import RequestBatcher
-
-        batcher = RequestBatcher()
-        n_followers = 3
-        leader_entered = threading.Event()
-        release = threading.Event()
-        results = []
-
-        def compute():
-            leader_entered.set()
-            release.wait(2.0)
-            return "value"
-
-        def request(index):
-            with root_span("service.request", index=index):
-                results.append(batcher.submit("key", compute))
-
-        threads = [
-            threading.Thread(target=request, args=(i,))
-            for i in range(1 + n_followers)
-        ]
-        threads[0].start()
-        leader_entered.wait(2.0)
-        for t in threads[1:]:
-            t.start()
-        # Wait for the followers to actually coalesce onto the flight.
-        for _ in range(2_000):
-            if batcher.stats()["coalesced"] >= n_followers:
-                break
-            time.sleep(0.001)
-        release.set()
-        for t in threads:
-            t.join()
-
-        assert results == ["value"] * (1 + n_followers)
-        traces = tracer.drain()
-        assert len(traces) == 1 + n_followers
-        leaders = [
-            s
-            for trace in traces
-            for s in trace
-            if s["name"] == "batch.leader"
-        ]
-        followers = [
-            s
-            for trace in traces
-            for s in trace
-            if s["name"] == "batch.follower"
-        ]
-        assert len(leaders) == 1
-        leader = leaders[0]
-        assert len(followers) == n_followers
-        for follower in followers:
-            assert follower["attributes"]["batch.leader_span"] == leader["span_id"]
-            assert (
-                follower["attributes"]["batch.leader_trace"] == leader["trace_id"]
-            )
-            # The coalesce edge crosses trace boundaries by design.
-            assert follower["trace_id"] != leader["trace_id"]
-
-
 #: ``cache_tier`` span label -> translator counter that one such span bumps.
 _TIER_COUNTERS = {
     "exact": "hits",
@@ -367,7 +299,6 @@ class TestServiceSpans:
             "service.preview_cost",
             "service.admission",
             "service.snapshot_pin",
-            "batch.leader",
             "engine.preview_cost",
             "engine.translate",
             "workload.matrix_build",

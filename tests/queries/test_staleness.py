@@ -135,18 +135,23 @@ class TestTranslatorMemoStaleness:
         translator = AccuracyTranslator(default_registry(mc_samples=200))
         query = WorkloadCountingQuery(make_workload(), name="q")
 
-        translator.translations(query, ACCURACY, schema, version=table.version_token)
-        assert translator.is_cached(
-            query, ACCURACY, schema, version=table.version_token
-        )
+        def exact_lookup(version):
+            """(hits, misses) added by one translation at ``version``."""
+            before = translator.cache_stats
+            translator.translations(query, ACCURACY, schema, version=version)
+            after = translator.cache_stats
+            return after["hits"] - before["hits"], after["misses"] - before["misses"]
+
+        assert exact_lookup(table.version_token) == (0, 1)
+        assert exact_lookup(table.version_token) == (1, 0)
         old_version = table.version_token
         table.append_rows(extra_rows())
-        assert not translator.is_cached(
-            query, ACCURACY, schema, version=table.version_token
-        )
+        assert exact_lookup(table.version_token) == (0, 1)
         # The pre-append entry is still addressable under the old token --
         # stale *reuse* is prevented by keying, not by forgetting history.
-        assert translator.is_cached(query, ACCURACY, schema, version=old_version)
+        built = translator.cache_stats["built"]
+        assert exact_lookup(old_version) == (1, 0)
+        assert translator.cache_stats["built"] == built
 
 
 class TestDataCachesStaleness:

@@ -1,7 +1,7 @@
 """Shared fixtures: the service suite runs under the lock-order watchdog.
 
 The service layer is where most real lock nesting happens (session handles,
-the shared pool, the ledger, request batching), so this is the suite where
+the budget book, the translator's flights), so this is the suite where
 dynamic edges the static APX003 rule cannot resolve actually occur.
 """
 

@@ -1,8 +1,10 @@
-"""ExplorationService: sessions, policies, batching and merged transcripts."""
+"""ExplorationService: sessions, policies, shared translation and merged transcripts."""
 
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.bench import harness
@@ -10,6 +12,7 @@ from repro.core.accuracy import AccuracySpec
 from repro.core.exceptions import ApexError
 from repro.data.table import Table
 from repro.mechanisms.registry import default_registry
+from repro.mechanisms.strategy_mechanism import StrategyMechanism, search_stats
 from repro.queries.builders import histogram_workload
 from repro.queries.query import WorkloadCountingQuery
 from repro.queries.workload import clear_matrix_cache
@@ -180,25 +183,26 @@ class TestExploration:
 
 
 class TestPreviewBatching:
-    def test_warm_preview_bypasses_batching_window(self, table):
+    def test_warm_preview_builds_nothing(self, table):
         service = make_service(table)
         service.register_analyst("alice")
         q = hist_query(table, bins=7)
-        service.preview_cost("alice", q, ACC)  # cold: goes through the batcher
-        computed_after_cold = service.stats()["batching"]["computed"]
-        import time
-
+        service.preview_cost("alice", q, ACC)  # cold: builds the translation
+        built_after_cold = service.stats()["translations"]["built"]
+        hits_after_cold = service.stats()["translations"]["hits"]
         start = time.perf_counter()
-        service.preview_cost("alice", q, ACC)  # warm: must skip the window
+        service.preview_cost("alice", q, ACC)  # warm: the exact memo answers
         warm_seconds = time.perf_counter() - start
-        assert service.stats()["batching"]["computed"] == computed_after_cold
-        assert warm_seconds < 0.05  # did not sleep the batch window
+        stats = service.stats()["translations"]
+        assert stats["built"] == built_after_cold
+        assert stats["hits"] == hits_after_cold + 1
+        assert warm_seconds < 0.05
 
     def test_concurrent_identical_cold_previews_build_the_matrix_once(self, table):
         # Analysts racing a never-seen preview with structurally equal but
-        # distinct query objects: the batcher coalesces them onto one flight
-        # (late arrivals hit the translation memo), so one matrix build
-        # serves every analyst the same answer.
+        # distinct query objects: the translator coalesces them onto one
+        # flight (late arrivals hit the translation memo), so one matrix
+        # build serves every analyst the same answer.
         clear_matrix_cache()
         service = make_service(table)
         n_threads = 8
@@ -220,7 +224,7 @@ class TestPreviewBatching:
             t.join(timeout=60)
             assert not t.is_alive()
         stats = service.stats()
-        assert stats["batching"]["computed"] == 1
+        assert stats["translations"]["built"] == 1
         assert stats["workload_matrices"]["built"] - built_before == 1
         assert previews[0] and all(p == previews[0] for p in previews)
 
@@ -241,54 +245,50 @@ class TestPreviewBatching:
             previews = list(pool.map(ask, range(n_sessions)))
         assert previews[0] and all(p == previews[0] for p in previews)
         stats = service.stats()
-        assert stats["batching"]["computed"] == 1
-        assert stats["batching"]["failed"] == 0
+        assert stats["translations"]["built"] == 1
         assert stats["workload_matrices"]["built"] - built_before == 1
         assert service.latency_stats()["preview_cost"]["count"] == n_sessions
         assert service.budget_spent == 0.0  # previews cost no privacy
 
     def test_explored_query_previews_without_a_flight(self, table):
         """An explore warms the translation memo, so a later preview of the
-        same query is answered by the memo and never reaches the batcher."""
+        same query is an exact hit: nothing is built and nobody waits."""
         service = make_service(table)
         service.register_analyst("alice")
         service.explore("alice", hist_query(table, bins=10), ACC)
+        before = service.stats()["translations"]
         costs = service.preview_cost("alice", hist_query(table, bins=10), ACC)
         assert costs
-        assert service.stats()["batching"] == {
-            "computed": 0,
-            "coalesced": 0,
-            "failed": 0,
-        }
+        after = service.stats()["translations"]
+        assert after["built"] == before["built"] == 1
+        assert after["hits"] == before["hits"] + 1
+        assert after["coalesced"] == 0
 
-    def test_failed_preview_propagates_and_is_counted(self, table, monkeypatch):
+    def test_failed_preview_propagates_and_a_retry_builds(self, table, monkeypatch):
+        clear_matrix_cache()
         service = make_service(table)
-        handle = service.register_analyst("alice")
-        real_preview = handle.engine.preview_cost
+        service.register_analyst("alice")
+        real_build = WorkloadCountingQuery.build_matrix
 
         def broken(*args, **kwargs):
-            raise RuntimeError("translation failed")
+            raise RuntimeError("domain analysis failed")
 
-        monkeypatch.setattr(handle.engine, "preview_cost", broken)
-        with pytest.raises(RuntimeError, match="translation failed"):
+        monkeypatch.setattr(WorkloadCountingQuery, "build_matrix", broken)
+        with pytest.raises(RuntimeError, match="domain analysis failed"):
             service.preview_cost("alice", hist_query(table, bins=12), ACC)
-        stats = service.stats()["batching"]
-        assert stats["failed"] == 1
-        assert stats["computed"] == 0
+        assert service.stats()["translations"]["built"] == 0
+        assert service._translator._flights == {}
         # The failed flight retired: a retry leads a fresh one.
-        monkeypatch.setattr(handle.engine, "preview_cost", real_preview)
+        monkeypatch.setattr(WorkloadCountingQuery, "build_matrix", real_build)
         assert service.preview_cost("alice", hist_query(table, bins=12), ACC)
-        assert service.stats()["batching"]["computed"] == 1
+        assert service.stats()["translations"]["built"] == 1
 
-    def test_unknown_analyst_preview_fails_before_batching(self, table):
+    def test_unknown_analyst_preview_fails_before_translation(self, table):
         service = make_service(table)
+        before = service.stats()["translations"]
         with pytest.raises(ApexError, match="no session"):
             service.preview_cost("ghost", hist_query(table), ACC)
-        assert service.stats()["batching"] == {
-            "computed": 0,
-            "coalesced": 0,
-            "failed": 0,
-        }
+        assert service.stats()["translations"] == before
         assert service.latency_stats()["preview_cost"]["count"] == 0
 
     def test_preview_results_are_independent_copies(self, table):
@@ -301,6 +301,61 @@ class TestPreviewBatching:
         assert first == second
         first.clear()  # one analyst mutating its dict must not affect others
         assert second and service.preview_cost("alice", q, ACC) == second
+
+
+class TestExploreCoalescing:
+    def test_concurrent_cold_explores_share_only_the_translation(
+        self, table, monkeypatch
+    ):
+        """Two analysts explore one never-seen query at once.  The
+        data-independent translation runs once (one matrix build, one
+        WCQ-SM search); each analyst still draws its own noise, is charged
+        its own epsilon and gets its own transcript entry."""
+        clear_matrix_cache()
+        service = make_service(table)
+        for analyst in ("alice", "bob"):
+            service.register_analyst(analyst)
+        real_translate = StrategyMechanism.translate
+
+        def slow_translate(self, *args, **kwargs):
+            time.sleep(0.05)  # keep the flight open while the other arrives
+            return real_translate(self, *args, **kwargs)
+
+        monkeypatch.setattr(StrategyMechanism, "translate", slow_translate)
+        built_before = service.stats()["workload_matrices"]["built"]
+        searches_before = search_stats()["searches"]
+        barrier = threading.Barrier(2)
+        results = {}
+
+        def ask(analyst):
+            query = hist_query(table, bins=13)
+            barrier.wait(timeout=10)
+            results[analyst] = service.explore(analyst, query, ACC)
+
+        threads = [threading.Thread(target=ask, args=(a,)) for a in ("alice", "bob")]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+
+        assert service.stats()["workload_matrices"]["built"] - built_before == 1
+        assert search_stats()["searches"] - searches_before == 1
+        assert service.stats()["translations"]["built"] == 1
+        alice, bob = results["alice"], results["bob"]
+        assert alice and bob
+        # Independent noise: the sessions' generators are seeded apart.
+        assert not np.array_equal(alice.noisy_counts, bob.noisy_counts)
+        entries = service.merged_transcript().entries
+        assert sorted(e.analyst for e in entries) == ["alice", "bob"]
+        for entry in entries:
+            own = results[entry.analyst]
+            assert entry.epsilon_spent == own.epsilon_spent > 0.0
+            assert service.session(entry.analyst).ledger.spent == own.epsilon_spent
+        assert service.budget_spent == pytest.approx(
+            alice.epsilon_spent + bob.epsilon_spent
+        )
+        assert service.validate()
 
 
 class TestObservability:
@@ -338,7 +393,7 @@ class TestObservability:
             "commits",
             "commit_batch_sizes",
         }
-        assert set(stats["batching"]) == {"computed", "coalesced", "failed"}
+        assert stats["batching"] == {"coalesced": stats["translations"]["coalesced"]}
         assert stats["store"] is None  # no ArtifactStore configured
 
     def test_single_table_shorthand_and_table_required_when_ambiguous(self, table):
