@@ -3,10 +3,12 @@
 ``docs/consistency.md`` states the contract every cache in the stack obeys:
 *a cached artifact is addressable only under the table state it was derived
 from*.  Concretely, any memo keyed on "this table" must fold a
-``TableVersion`` token, a ``DomainStamp``, a domain fingerprint, or a
-derived ``cache_token``/``cache_key``/``stable_digest`` into the key -- a
-key built from a raw ``Table``/``TableSnapshot`` reference alone would keep
-serving pre-mutation artifacts after an ``append_rows``/``refresh``.
+``TableVersion`` token or a derived ``cache_token``/``cache_key``/
+``stable_digest`` into the key -- a key built from a raw
+``Table``/``TableSnapshot`` reference alone would keep serving
+pre-mutation artifacts after an ``append_rows``/``refresh``.  (Artifacts
+that read only the schema key on the schema and mention no table, which
+puts them out of scope.)
 
 This rule inspects every *key expression* flowing into a cache operation:
 

@@ -20,8 +20,7 @@ admission (``table = table.snapshot()``); from that line on it is trusted.
 Until then, only this surface is allowed on it:
 
 * ``.snapshot()`` / ``.open_snapshot()`` admission calls;
-* data-independent metadata: ``.version_token``, ``.domain_stamp``,
-  ``.domain_fingerprint``, ``.schema``;
+* data-independent metadata: ``.version_token``, ``.schema``;
 * identity/introspection builtins (``isinstance``, ``len`` is *not* exempt
   -- row counts are data).
 
@@ -55,8 +54,6 @@ _ALLOWED_ATTRS = frozenset(
         "snapshot",
         "open_snapshot",
         "version_token",
-        "domain_stamp",
-        "domain_fingerprint",
         "schema",
     }
 )

@@ -4,7 +4,7 @@ One four-attribute schema (two nullable categoricals, a nullable numeric and
 an integral numeric), a randomized table over it and a structured workload
 mixing every predicate type.  Both builders are deterministic in their
 arguments, so two processes that call them with the same seed and sizes see
-equal tables, equal domain fingerprints and structurally equal workloads --
+equal tables, equal schemas and structurally equal workloads --
 the property the cross-process warm-start worker
 (:mod:`repro.bench.store_worker`), the crash worker
 (:mod:`repro.reliability.crash_worker`) and the service tests rely on.

@@ -2,8 +2,8 @@
 
 ``python -m repro.bench.store_worker --store DIR ...`` simulates a service
 restart: a **fresh interpreter** rebuilds the same synthetic table and
-workload from their seeds (so the domain fingerprints match the previous
-process's), attaches the :class:`~repro.store.ArtifactStore` at ``DIR``,
+workload from their seeds (so the schema and the query structure match the
+previous process's), attaches the :class:`~repro.store.ArtifactStore` at ``DIR``,
 runs one structurally identical ``preview_cost``, and prints a JSON report
 to stdout:
 

@@ -13,8 +13,8 @@ Per query the engine
 2. denies the query (``ExplorationResult.denied``) when no mechanism fits the
    remaining budget;
 3. otherwise releases the chosen mechanism's answer on the admitted
-   snapshot, stamp and translation -- so it spends at most the epsilon
-   admission reserved -- and charges the *actual* privacy loss to the
+   snapshot and translation -- so it spends at most the epsilon admission
+   reserved -- and charges the *actual* privacy loss to the
    :class:`~repro.core.accounting.PrivacyLedger`.
 
 The full interaction is recorded in a transcript whose validity (Definition
@@ -33,7 +33,7 @@ from repro.core.accounting import PrivacyLedger, Transcript
 from repro.core.accuracy import AccuracySpec
 from repro.core.exceptions import ApexError, BudgetExceededError
 from repro.core.translator import AccuracyTranslator, SelectionMode
-from repro.data.table import DomainStamp, Table, TableSnapshot
+from repro.data.table import Table, TableSnapshot
 from repro.mechanisms.registry import MechanismRegistry
 from repro.mechanisms.strategy_mechanism import search_stats
 from repro.obs import tracing
@@ -168,8 +168,9 @@ class APExEngine:
         Mutating it (``table.append_rows`` / ``table.refresh``) advances its
         version token; each request pins a fresh snapshot at admission, so
         in-flight requests keep answering for their pinned version while the
-        next request observes the new one (and every version-keyed cache
-        underneath misses and rebuilds).
+        next request observes the new one.  Translations and matrices key on
+        the schema, so they survive the mutation; only the data-dependent
+        caches (masks, histograms, true counts) recompute.
         """
         return self._table
 
@@ -212,14 +213,15 @@ class APExEngine:
         ``translations`` counts memoised accuracy-to-privacy translation
         lists (per this engine's translator), with the hierarchy counters
         (``token``/``disk_hits``/``built``) of the exact -> token -> disk ->
-        build cascade; ``workload_matrices`` counts the
-        process-wide workload-matrix memo (``built``/``revalidated``; it
-        has no disk tier).  ``wcqsm_search`` counts the process-wide
-        Monte-Carlo epsilon searches executed; the search has no disk tier,
-        so its ``disk_hits``/``disk_writes`` stay 0.  ``store`` reports the
-        translator's :class:`~repro.store.ArtifactStore` counters when one
-        is configured.  Useful for verifying that a repeated (or
-        revalidated, or warm-started) ``preview_cost``/``explore`` does not
+        build cascade; ``workload_matrices`` counts the process-wide
+        workload-matrix memo (``built``; it has no disk tier, and its
+        ``revalidated`` is always 0).  ``wcqsm_search`` counts the
+        process-wide Monte-Carlo epsilon searches executed; the search has
+        no disk tier, so its ``disk_hits``/``disk_writes`` stay 0.
+        ``store`` reports the translator's
+        :class:`~repro.store.ArtifactStore` counters when one is
+        configured.  Useful for verifying that a repeated (or post-append,
+        or warm-started) ``preview_cost``/``explore`` does not
         re-derive anything.
         """
         out: dict[str, dict[str, int]] = {
@@ -231,15 +233,6 @@ class APExEngine:
         if store is not None:
             out["store"] = store.stats()
         return out
-
-    def domain_stamp(self, query: Query, snapshot: TableSnapshot) -> DomainStamp:
-        """The :class:`~repro.data.table.DomainStamp` of one admitted request.
-
-        Covers the domains of exactly the attributes the query's workload
-        references; this is what every cache key below the engine sees
-        instead of a bare version token.
-        """
-        return snapshot.domain_stamp(query.workload.attributes())
 
     # -- analyst-facing API --------------------------------------------------------
 
@@ -255,10 +248,8 @@ class APExEngine:
 
         The request is admitted on a pinned
         :class:`~repro.data.table.TableSnapshot` (``snapshot`` argument, else
-        one taken here): translation keys on the snapshot's
-        :class:`~repro.data.table.DomainStamp` (version token plus the
-        referenced attributes' domain fingerprints, so domain-preserving
-        mutations revalidate instead of rebuilding) and the mechanism
+        one taken here): translation keys on the query and the snapshot's
+        schema (no version, so an append leaves it warm) and the mechanism
         evaluates the snapshot's frozen shards, so a long-running explore is
         fully wait-free against concurrent ``append_rows``/``refresh`` and
         its answer describes exactly the admitted version.
@@ -282,7 +273,6 @@ class APExEngine:
             snap = self._pin_snapshot(snapshot)
             if deadline is not None:
                 deadline.check(f"explore({query.name})")
-            stamp = self.domain_stamp(query, snap)
             while True:
                 with tracing.span("engine.translate"):
                     choice = self._translator.choose(
@@ -290,7 +280,6 @@ class APExEngine:
                         accuracy,
                         snap.schema,
                         budget_remaining=self._ledger.remaining,
-                        version=stamp,
                     )
                 if choice is None:
                     tracing.annotate("denied", True)
@@ -308,7 +297,7 @@ class APExEngine:
                     deadline.check(f"explore({query.name})")
                 with tracing.span("mechanism.run", mechanism=choice.mechanism.name):
                     result = choice.mechanism.release(
-                        query, accuracy, choice.translation, snap, stamp, self._rng
+                        query, accuracy, choice.translation, snap, self._rng
                     )
                 fail_point("engine.explore.after_run")
                 if deadline is not None:
@@ -381,15 +370,13 @@ class APExEngine:
 
         This is a purely data-independent computation: it lets the analyst
         budget an exploration session without spending any privacy.  Like
-        :meth:`explore`, it is admitted on a pinned snapshot so the
-        translation memo keys on one stable version token.
+        :meth:`explore`, it is admitted on a pinned snapshot, whose schema
+        the translation memo keys on.
         """
         with tracing.root_span("engine.preview_cost", query=query.name):
             snap = self._pin_snapshot(snapshot)
             with tracing.span("engine.translate"):
-                translations = self._translator.translations(
-                    query, accuracy, snap.schema, version=self.domain_stamp(query, snap)
-                )
+                translations = self._translator.translations(query, accuracy, snap.schema)
             return {
                 mechanism.name: (t.epsilon_lower, t.epsilon_upper)
                 for mechanism, t in translations

@@ -8,8 +8,9 @@ implementation keeps them from drifting apart.
 Every operation holds one ``threading.Lock`` around one ``OrderedDict``, so
 eviction is exact global LRU and every ``stats()`` snapshot satisfies
 ``inserts - evictions == size``.  Staleness is excluded by key
-construction, not by locking: every table-derived key embeds its
-``TableVersion``/``DomainStamp``, and values are pure functions of their
+construction, not by locking: every key of a data-dependent value embeds
+its ``TableVersion``, every data-independent value is keyed by what it
+reads (query structure and schema), and values are pure functions of their
 keys (see ``docs/consistency.md``).
 """
 

@@ -18,19 +18,21 @@ Algorithm 1, lines 4-10 of the paper.  Given an analyst query with an
 The translator is deterministic and never looks at the data, which the
 privacy proof (Theorem 6.2) relies on.  Determinism also makes translations
 safe to memoise: the translator keeps an LRU of translation lists keyed by
-the query's structural identity and the accuracy requirement, so the
+the query's structural identity, the schema and the accuracy requirement --
+no table version, since nothing translated depends on the rows -- so the
 exploration strategies' relaxation loops (which re-ask structurally identical
-queries round after round) and repeated ``preview_cost`` calls stop paying
-for mechanism translation more than once.
+queries round after round), repeated ``preview_cost`` calls and every
+request after an append stop paying for mechanism translation more than
+once.
 
 Translation reads only the query kind, the workload matrix's values (its
 ``cache_token``), TCQ ``k`` and ``(alpha, beta)``, so a *token* tier keys
 lists by exactly that (:meth:`~repro.queries.query.Query.translation_key`):
 queries sharing a matrix share one list.  The tiers are exact (query and
-version) -> token, with an already-memoised matrix only -> the optional
+schema) -> token, with an already-memoised matrix only -> the optional
 :class:`~repro.store.ArtifactStore`, keyed by the query structure and the
-stamp's domain fingerprints, so a restarted process reloads lists without
-building a matrix -> build the matrix -> token -> translate.  The disk key
+schema's content, so a restarted process reloads lists without building a
+matrix -> build the matrix -> token -> translate.  The disk key
 includes each applicable mechanism's
 :meth:`~repro.mechanisms.base.Mechanism.cache_signature`, so stores are
 never shared across differently configured mechanism suites.
@@ -51,7 +53,6 @@ from repro.core.accuracy import AccuracySpec
 from repro.core.exceptions import TranslationError
 from repro.core.lru import LRUCache
 from repro.data.schema import Schema
-from repro.data.table import DomainStamp
 from repro.mechanisms.base import Mechanism, TranslationResult
 from repro.mechanisms.registry import MechanismRegistry, default_registry
 from repro.obs import Counter, tracing
@@ -92,8 +93,8 @@ class AccuracyTranslator:
     """Chooses, per query, the mechanism that meets the accuracy bound cheapest.
 
     ``store`` is an optional :class:`~repro.store.ArtifactStore`: the disk
-    tier under the translation memo, consulted for requests versioned by a
-    :class:`~repro.data.table.DomainStamp`.
+    tier under the translation memo, consulted for every request whose
+    query has a process-stable digest.
     """
 
     #: Maximum number of memoised translation lists per translator.
@@ -143,11 +144,11 @@ class AccuracyTranslator:
     def cache_stats(self) -> dict[str, int]:
         """Counters of the translation memo hierarchy.
 
-        ``hits``/``misses``/``size`` describe the exact (version-scoped)
-        LRU; ``token`` counts lists answered by the token tier,
-        ``disk_hits``/``disk_writes`` the artifact store, ``built`` the
-        translation lists actually computed, and ``coalesced`` the callers
-        that waited on another caller's flight (see :meth:`translations`).
+        ``hits``/``misses``/``size`` describe the exact LRU; ``token``
+        counts lists answered by the token tier, ``disk_hits``/
+        ``disk_writes`` the artifact store, ``built`` the translation lists
+        actually computed, and ``coalesced`` the callers that waited on
+        another caller's flight (see :meth:`translations`).
         """
         tiers = {key: int(counter.value()) for key, counter in self._tier_stats.items()}
         return {**self._translation_cache.stats(), **tiers}
@@ -165,14 +166,12 @@ class AccuracyTranslator:
         query: Query,
         accuracy: AccuracySpec,
         schema: Schema | None = None,
-        *,
-        version: object | None = None,
     ) -> list[tuple[Mechanism, TranslationResult]]:
         """Accuracy-to-privacy translations of every applicable mechanism.
 
         Mechanisms whose translation fails (e.g. the accuracy requirement is
         too loose for their closed form) are skipped.  Results are memoised
-        per (query structure, accuracy, table version) and per
+        per (query structure, schema, accuracy) and per
         (:meth:`~repro.queries.query.Query.translation_key`, accuracy):
         translation is data independent and deterministic, so a repeat, or
         another query over the same matrix, is answered from the memo.  The
@@ -190,7 +189,7 @@ class AccuracyTranslator:
         to the memo and only then retires the flight.  A leader's error is
         its own: each follower starts over and computes for itself.
         """
-        query_key = query.cache_key(schema, version)
+        query_key = query.cache_key(schema)
         cache_key = None if query_key is None else (query_key, accuracy.alpha, accuracy.beta)
         while True:
             if cache_key is not None:
@@ -200,12 +199,12 @@ class AccuracyTranslator:
                     return list(cached)
             # Only an already-memoised matrix is probed before the disk, so a
             # restarted process answers from disk without deriving a matrix.
-            matrix = query.memoised_matrix(schema, version)
+            matrix = query.memoised_matrix(schema)
             out: list[tuple[Mechanism, TranslationResult]] | None = None
             if matrix is not None:
                 out = self._token_cache.get(self._token_key(query, matrix, accuracy))
             if out is not None or cache_key is None:
-                return self._resolve(query, accuracy, schema, version, cache_key, matrix, out)
+                return self._resolve(query, accuracy, schema, cache_key, matrix, out)
             latch = threading.Lock()
             latch.acquire()
             with self._flights_lock:
@@ -218,7 +217,7 @@ class AccuracyTranslator:
                 continue
             try:
                 if cache_key not in self._translation_cache:
-                    return self._resolve(query, accuracy, schema, version, cache_key, matrix, None)
+                    return self._resolve(query, accuracy, schema, cache_key, matrix, None)
                 # A flight retired after this caller's probe: start over and
                 # take the exact hit.
             finally:
@@ -231,7 +230,6 @@ class AccuracyTranslator:
         query: Query,
         accuracy: AccuracySpec,
         schema: Schema | None,
-        version: object | None,
         cache_key: tuple | None,
         matrix: WorkloadMatrix | None,
         out: list[tuple[Mechanism, TranslationResult]] | None,
@@ -249,13 +247,13 @@ class AccuracyTranslator:
                 raise TranslationError(
                     f"no registered mechanism supports {query.kind.value} queries"
                 )
-            if store is not None and isinstance(version, DomainStamp) and cache_key is not None:
-                store_digest = self._store_digest(query, accuracy, schema, version, applicable)
+            if store is not None and cache_key is not None:
+                store_digest = self._store_digest(query, accuracy, schema, applicable)
             if store is not None and store_digest is not None:
                 tier = "disk"
                 out = self._from_payload(store.load("translation", store_digest), applicable)
             if out is None and matrix is None:
-                tier, matrix = "token", query.build_matrix(schema, version)
+                tier, matrix = "token", query.build_matrix(schema)
                 out = self._token_cache.get(self._token_key(query, matrix, accuracy))
             if out is None:
                 tier, out = "built", []
@@ -264,7 +262,7 @@ class AccuracyTranslator:
                         out.append(
                             (
                                 mechanism,
-                                mechanism.translate(query, accuracy, schema, version=version),
+                                mechanism.translate(query, accuracy, schema),
                             )
                         )
                     except TranslationError:
@@ -296,18 +294,18 @@ class AccuracyTranslator:
         query: Query,
         accuracy: AccuracySpec,
         schema: Schema | None,
-        stamp: DomainStamp,
         applicable: list[Mechanism],
     ) -> str | None:
         """Process-stable disk key of one translation list, or ``None``.
 
         Covers the query structure (kind, predicates, names, overrides,
-        ICQ threshold / TCQ k via ``cache_key``), the schema content, the
-        accuracy pair, the stamp's domain fingerprints and every applicable
-        mechanism's configuration signature -- so differently parameterised
-        suites (e.g. different ``mc_samples``) never share artifacts.
+        ICQ threshold / TCQ k via ``cache_key``), the schema content (every
+        declared domain the translation reads), the accuracy pair and every
+        applicable mechanism's configuration signature -- so differently
+        parameterised suites (e.g. different ``mc_samples``) never share
+        artifacts.
         """
-        structural_key = query.cache_key(None, None)
+        structural_key = query.cache_key(None)
         if structural_key is None:
             return None
         # The digest spells the pre-hashed (predicates, names) pair out
@@ -318,7 +316,6 @@ class AccuracyTranslator:
                 "translation",
                 (kind, *structure.value, *rest),
                 schema,
-                stamp.fingerprints,
                 accuracy.alpha,
                 accuracy.beta,
                 tuple(mechanism.cache_signature() for mechanism in applicable),
@@ -356,14 +353,13 @@ class AccuracyTranslator:
         schema: Schema | None = None,
         *,
         budget_remaining: float | None = None,
-        version: object | None = None,
     ) -> MechanismChoice | None:
         """Pick the cheapest admissible mechanism; ``None`` when M* is empty.
 
         ``budget_remaining`` enables the admission filter of Algorithm 1
         (line 5); leave it ``None`` to translate without budget constraints.
         """
-        translations = self.translations(query, accuracy, schema, version=version)
+        translations = self.translations(query, accuracy, schema)
         if budget_remaining is not None:
             admissible = [
                 (mechanism, translation)

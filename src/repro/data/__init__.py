@@ -23,7 +23,7 @@ from repro.data.schema import (
     Schema,
     TextDomain,
 )
-from repro.data.table import DomainStamp, Table, TableSnapshot, TableVersion
+from repro.data.table import Table, TableSnapshot, TableVersion
 from repro.data.adult import generate_adult, ADULT_SCHEMA
 from repro.data.nytaxi import generate_nytaxi, NYTAXI_SCHEMA
 from repro.data.citations import (
@@ -41,7 +41,6 @@ __all__ = [
     "NumericDomain",
     "TextDomain",
     "Schema",
-    "DomainStamp",
     "Table",
     "TableSnapshot",
     "TableVersion",

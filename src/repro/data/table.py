@@ -13,8 +13,8 @@ categorical/text NULLs as ``None``.
 Storage is a list of immutable **row shards** (one frozen column-chunk
 :class:`Shard` per chunk) behind the existing columnar API:
 :meth:`Table.column` lazily concatenates the shard chunks.  Shards are the
-unit of incremental work: after an append only the new shard is interned,
-fingerprinted and histogrammed.  :attr:`Table.shards`,
+unit of incremental work: after an append only the new shard is interned
+and histogrammed.  :attr:`Table.shards`,
 :meth:`Table.shard_category_codes`, :meth:`Table.shard_sorted_values` and
 :meth:`Table.shard_rows` are the per-shard read surface; exact workload
 matrices keep one histogram per shard read (weakly keyed by the shard, one
@@ -24,13 +24,12 @@ Tables are *versioned*, not frozen: :meth:`Table.append_rows` adds a new
 shard and :meth:`Table.refresh` replaces the contents wholesale.  Both
 advance the table's :attr:`Table.version_token` -- an immutable, hashable
 :class:`TableVersion` that uniquely identifies one state of one table.  Every
-cache keyed on "this table" anywhere in the stack (the predicate-mask LRU
-below, the workload-matrix memo, the translator memo, WCQ-SM's Monte-Carlo
-search, the histogram/true-count caches) incorporates the version token, so a
-mutation can never resurrect a stale artifact: post-append lookups simply
-miss and recompute against the grown table.  The full contract -- which
-cache keys on what, and which regression test pins it -- is tabulated in
-``docs/consistency.md``.
+cache keyed on "this table's data" anywhere in the stack (the predicate-mask
+LRU below, the partition-histogram and true-count caches) incorporates the
+version token, so a mutation can never resurrect a stale artifact:
+post-append lookups simply miss and recompute against the grown table.
+The full contract -- which cache keys on what, and which regression test
+pins it -- is tabulated in ``docs/consistency.md``.
 
 Three mechanisms ride on the shard structure:
 
@@ -74,19 +73,13 @@ has an exact ``int``/``float``/``None`` (numeric) or ``str``/``None``
 (text, categorical) type; other values take a per-value loop with the same
 result.
 
-**Domain fingerprints.** Every attribute has a cheap, incrementally
-maintained **domain fingerprint** (:meth:`Table.domain_fingerprint`): a
-digest of the attribute's declared schema domain plus -- for categorical
-attributes -- the set of values actually observed in the data.  Fingerprints
-are pure functions of (schema, data at one version), so two processes
-holding the same data compute the same fingerprints.  They are maintained
-per shard (a shard's distinct-value set is computed once, ever), so after an
-append only the new shard is scanned.  :meth:`Table.domain_stamp` bundles
-the fingerprints of a set of attributes with the version token into a
-:class:`DomainStamp`, which the translation/matrix memo layers use to
-*revalidate* data-independent artifacts across domain-preserving mutations
-instead of rebuilding them (see :mod:`repro.store` and
-``docs/store.md``).
+**Domains are declared, not observed.**  Nothing here describes a
+table's domain beyond its declared :class:`~repro.data.schema.Schema`.
+Workload matrices, accuracy translations and WCQ-SM's Monte-Carlo search
+read only the query and the declared domains, so the memo layers key them
+by ``(query structure, schema)`` and an append never touches them; only
+the data-dependent caches below (masks, histograms, true counts, columnar
+views) key on the version token (see ``docs/consistency.md``).
 
 Within one version the storage is immutable: shard arrays are frozen at
 construction (``writeable = False``; the table takes ownership of the arrays
@@ -112,9 +105,9 @@ import numpy as np
 from repro.core.exceptions import SchemaError, SnapshotError
 from repro.core.lru import LRUCache
 from repro.data.schema import AttributeKind, Schema
-from repro.store.fingerprint import hash_once, stable_digest
+from repro.store.fingerprint import hash_once
 
-__all__ = ["DomainStamp", "Shard", "Table", "TableSnapshot", "TableVersion"]
+__all__ = ["Shard", "Table", "TableSnapshot", "TableVersion"]
 
 #: Byte budget of the per-table predicate-mask LRU (masks are one byte per
 #: row, so the entry cap is ``budget // n_rows``): bounded memory regardless
@@ -165,43 +158,16 @@ class TableVersion:
         return TableVersion(self.table_uid, self.ordinal + 1)
 
 
-@hash_once
-@dataclass(frozen=True)
-class DomainStamp:
-    """A revalidation-aware stand-in for a bare :class:`TableVersion`.
-
-    Minted by :meth:`Table.domain_stamp` for the attributes one request
-    references.  Two stamps compare (and hash) equal when they carry the
-    same ``version`` *and* the same per-attribute ``fingerprints``; memo
-    layers that key on the stamp therefore behave exactly like version-token
-    keying -- but they can additionally recognise, via the fingerprints
-    alone, that a *different* version left every referenced domain untouched
-    and re-tag the existing artifact instead of rebuilding it (the
-    "revalidate instead of rebuild" contract in ``docs/store.md``).
-    """
-
-    version: TableVersion
-    #: Sorted ``(attribute, digest)`` pairs for the referenced attributes.
-    fingerprints: tuple[tuple[str, str], ...]
-
-    @property
-    def domain_key(self) -> tuple:
-        """The version-free part of the stamp (what revalidation keys on)."""
-        return ("domain", self.fingerprints)
-
-
 @dataclass(eq=False)
 class Shard:
     """One immutable row chunk plus its lazily derived per-shard artifacts.
 
     ``columns`` maps attribute name to a frozen storage array; ``codes``
     holds per-column ``int32`` dictionary codes interned against the owning
-    table's shared category index; ``distinct`` holds per-column frozen
-    distinct-value sets (the shard-local half of the domain fingerprints).
-    Shard objects are shared freely between a table, its snapshots and its
-    compacted descendants -- the arrays are read-only, and
-    ``codes``/``distinct`` only ever gain entries (guarded by the table's
-    intern lock), so sharing can never observe a torn state.
+    table's shared category index.  Shard objects are shared freely between
+    a table, its snapshots and its compacted descendants -- the arrays are
+    read-only, and ``codes`` only ever gains entries (guarded by the
+    table's intern lock), so sharing can never observe a torn state.
 
     ``eq=False`` keeps identity hashing, so a shard can key a cache weakly:
     exact :class:`~repro.queries.workload.WorkloadMatrix` objects keep the
@@ -222,7 +188,6 @@ class Shard:
     columns: dict[str, np.ndarray]
     n_rows: int
     codes: dict[str, np.ndarray] = field(default_factory=dict)
-    distinct: dict[str, frozenset] = field(default_factory=dict)
     sorted_values: dict[str, np.ndarray] = field(default_factory=dict)
 
 
@@ -249,8 +214,8 @@ class Table:
         #: Orders mutation (shard append + version advance) and lazy
         #: materialisation; per-version reads stay lock-free.
         self._mutation_lock = threading.RLock()
-        #: Guards shard-level lazy derivation (dictionary interning,
-        #: distinct-value scans).  Shared with snapshots, and deliberately
+        #: Guards shard-level lazy derivation (dictionary interning, sorted
+        #: numeric copies).  Shared with snapshots, and deliberately
         #: separate from the mutation lock so a reader interning a large
         #: shard never blocks an appender.
         self._intern_lock = threading.Lock()
@@ -264,7 +229,6 @@ class Table:
         self._null_masks: dict[str, np.ndarray] = {}
         self._float_values: dict[str, np.ndarray] = {}
         self._category_codes: dict[str, tuple[np.ndarray, dict[str, int]]] = {}
-        self._domain_fingerprints: dict[str, str] = {}
         self._mask_cache: LRUCache[np.ndarray] = LRUCache(
             self._mask_cache_capacity()
         )
@@ -507,7 +471,6 @@ class Table:
         self._null_masks = {}
         self._float_values = {}
         self._category_codes = {}
-        self._domain_fingerprints = {}
         # Versioned keys already make old entries unreachable; a fresh LRU
         # frees the memory immediately and re-derives the entry cap from the
         # new row count, keeping the byte budget honest as the table grows.
@@ -641,7 +604,6 @@ class Table:
             col.flags.writeable = False
             columns[name] = col
         codes: dict[str, np.ndarray] = {}
-        distinct: dict[str, frozenset] = {}
         if self._intern_lock.acquire(blocking=False):
             try:
                 interned_everywhere = set(group[0].codes)
@@ -653,20 +615,12 @@ class Table:
                     )
                     merged.flags.writeable = False
                     codes[name] = merged
-                scanned_everywhere = set(group[0].distinct)
-                for shard in group[1:]:
-                    scanned_everywhere &= set(shard.distinct)
-                for name in scanned_everywhere:
-                    distinct[name] = frozenset().union(
-                        *(shard.distinct[name] for shard in group)
-                    )
             finally:
                 self._intern_lock.release()
         return Shard(
             columns=columns,
             n_rows=sum(shard.n_rows for shard in group),
             codes=codes,
-            distinct=distinct,
         )
 
     # -- basic accessors ------------------------------------------------------
@@ -889,98 +843,14 @@ class Table:
             self._schema, {name: col[rows] for name, col in shard.columns.items()}
         )
 
-    # -- domain fingerprints ---------------------------------------------------
+    def domain_stamp(self, attributes: Iterable[str]) -> TableVersion:
+        """Vestigial: the version token.
 
-    def domain_fingerprint(self, name: str) -> str:
-        """Digest of the named attribute's *domain* at the current version.
-
-        The fingerprint covers the attribute's declared schema domain
-        (categorical values in order, numeric bounds and integrality, text
-        length cap, nullability) plus -- for categorical attributes -- the
-        sorted set of values actually observed in the data.  It is a pure
-        function of (schema, data at this version): two processes holding
-        the same rows compute the same digest, appends that introduce no new
-        categorical value leave it unchanged, and numeric/text appends never
-        change it.  Maintenance is incremental: each shard's distinct-value
-        set is computed once in its lifetime, so a post-append fingerprint
-        costs one scan of the appended chunk plus a set union.
-
-        This is the invalidation key of the revalidation layer: a
-        data-independent artifact (workload matrix, accuracy translation,
-        Monte-Carlo epsilon search) keyed by the fingerprints of the
-        attributes it references stays valid across every mutation that
-        preserves them.  The observed-value component is deliberately
-        conservative -- the exact domain analysis depends only on the
-        *declared* domains, so a changed fingerprint forces at worst an
-        unnecessary rebuild, never a stale reuse.
+        Nothing in the package calls this.  It stays only while the
+        end-to-end benchmark's layer table wraps the name, and goes with
+        that wrapper row.
         """
-        cached = self._domain_fingerprints.get(name)
-        if cached is not None:
-            return cached
-        attribute = self._schema[name]
-        with self._mutation_lock:
-            # Pair the shard list with the per-version memo dict, exactly as
-            # category_codes does: a concurrent version advance rebinding the
-            # memo can never publish version N+1's digest under version N.
-            self._ensure_open()
-            shards = list(self._shards)
-            per_version = self._domain_fingerprints
-        observed: tuple[str, ...] | None = None
-        if attribute.kind is AttributeKind.CATEGORICAL:
-            values: set = set()
-            for shard in shards:
-                values |= self._shard_distinct(shard, name)
-            observed = tuple(
-                sorted("\x00NULL" if v is None else str(v) for v in values)
-            )
-        # Text/numeric fingerprints cover the declared shape only (text
-        # distinct sets are unbounded; numeric bounds live in the schema).
-        # The Attribute dataclass canonicalises name, kind, nullability and
-        # the full domain spec through the same stable-digest scheme the
-        # disk keys use, so there is exactly one canonical form to keep
-        # process-stable.
-        fingerprint = stable_digest(("domain", attribute, observed))
-        assert fingerprint is not None  # Attribute/str/None are canonical
-        per_version[name] = fingerprint
-        return fingerprint
-
-    def _shard_distinct(self, shard: Shard, name: str) -> frozenset:
-        """The shard's distinct-value set for one column (computed once, ever)."""
-        distinct = shard.distinct.get(name)
-        if distinct is not None:
-            return distinct
-        with self._intern_lock:
-            distinct = shard.distinct.get(name)
-            if distinct is None:
-                distinct = frozenset(shard.columns[name])
-                shard.distinct[name] = distinct
-            return distinct
-
-    def domain_fingerprints(
-        self, names: Iterable[str]
-    ) -> tuple[tuple[str, str], ...]:
-        """Sorted ``(attribute, fingerprint)`` pairs for the named attributes.
-
-        Attributes absent from the schema are skipped (an opaque predicate
-        may declare attributes the hosting table does not carry; they cannot
-        influence any domain-analysed artifact).
-        """
-        known = [n for n in set(names) if n in self._schema]
-        return tuple(
-            (name, self.domain_fingerprint(name)) for name in sorted(known)
-        )
-
-    def domain_stamp(self, attributes: Iterable[str]) -> DomainStamp:
-        """Bundle the current version token with the attributes' fingerprints.
-
-        The :class:`DomainStamp` slots into every cache key that previously
-        carried the bare version token; see the class docstring for the
-        revalidation semantics.
-        """
-        return DomainStamp(
-            version=self._version,
-            fingerprints=self.domain_fingerprints(attributes),
-        )
+        return self._version
 
     @property
     def mask_cache(self) -> LRUCache[np.ndarray]:
@@ -1047,7 +917,6 @@ class Table:
             self._null_masks.clear()
             self._float_values.clear()
             self._category_codes.clear()
-            self._domain_fingerprints.clear()
             self._mask_cache.clear()
             self._materialized = (
                 dict(self._shards[0].columns) if len(self._shards) == 1 else {}
@@ -1170,7 +1039,6 @@ class TableSnapshot(Table):
         self._null_masks = dict(parent._null_masks)
         self._float_values = dict(parent._float_values)
         self._category_codes = dict(parent._category_codes)
-        self._domain_fingerprints = dict(parent._domain_fingerprints)
         # The mask LRU is shared *by reference* (it locks internally): masks
         # evaluated through the snapshot serve live-table readers at the
         # same version and vice versa.  After the parent advances, it swaps
@@ -1237,7 +1105,6 @@ class TableSnapshot(Table):
             self._null_masks = {}
             self._float_values = {}
             self._category_codes = {}
-            self._domain_fingerprints = {}
             self._mask_cache = LRUCache(16)
 
     def __enter__(self) -> "TableSnapshot":
@@ -1283,7 +1150,6 @@ class TableSnapshot(Table):
             self._null_masks = {}
             self._float_values = {}
             self._category_codes = {}
-            self._domain_fingerprints = {}
             self._materialized = (
                 dict(self._shards[0].columns) if len(self._shards) == 1 else {}
             )

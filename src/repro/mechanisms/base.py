@@ -10,13 +10,13 @@ Section 4 of the paper: each mechanism ``M`` exposes two functions,
   (which may be below ``epsilon_u`` for data-dependent mechanisms).
 
 The :class:`Mechanism` base class below encodes exactly that interface.
-``run`` is written once, here: it pins a snapshot of ``D``, stamps the
-workload's attributes, translates, and hands the translation to
-``release`` -- the only mechanism-specific step of a run, which answers on
-the snapshot, stamp and translation it is given with noise calibrated to
-``translation.epsilon_upper``.  The engine (Algorithm 1) makes the pin,
-stamp and translation itself at admission and calls ``release`` directly,
-so the mechanism spends exactly the epsilon that admission reserved.
+``run`` is written once, here: it pins a snapshot of ``D``, translates
+against the snapshot's schema, and hands the translation to ``release`` --
+the only mechanism-specific step of a run, which answers on the snapshot
+and translation it is given with noise calibrated to
+``translation.epsilon_upper``.  The engine (Algorithm 1) makes the pin and
+the translation itself at admission and calls ``release`` directly, so the
+mechanism spends exactly the epsilon that admission reserved.
 :class:`TranslationResult` and :class:`MechanismResult` are the value
 objects the interface traffics in.
 """
@@ -32,7 +32,7 @@ import numpy as np
 from repro.core.accuracy import AccuracySpec
 from repro.core.exceptions import MechanismError
 from repro.data.schema import Schema
-from repro.data.table import DomainStamp, Table, TableSnapshot
+from repro.data.table import Table, TableSnapshot
 from repro.queries.query import Query, QueryKind
 
 __all__ = ["TranslationResult", "MechanismResult", "Mechanism"]
@@ -140,17 +140,15 @@ class Mechanism(abc.ABC):
         query: Query,
         accuracy: AccuracySpec,
         schema: Schema | None = None,
-        *,
-        version: object | None = None,
     ) -> TranslationResult:
         """Privacy loss bounds needed to meet ``accuracy`` for ``query``.
 
-        ``version`` is the :attr:`~repro.data.table.Table.version_token` of
-        the table the translation is requested for; mechanisms that memoise
-        per-workload artifacts (the strategy mechanisms' Monte-Carlo search)
-        key them by it, so translations never survive a table mutation.
-        Translation itself stays data independent -- the token only names a
-        table state, it reveals nothing about the rows.
+        Translation is data independent: it reads the query, the accuracy
+        pair and ``schema``'s declared domains, never a table, so its result
+        holds at every version of every table with that schema.  Mechanisms
+        that memoise per-workload artifacts (the strategy mechanisms'
+        Monte-Carlo search) key them by the workload matrix's
+        ``cache_token``.
         """
 
     def run(
@@ -163,12 +161,8 @@ class Mechanism(abc.ABC):
         """Execute the mechanism and return the answer and actual privacy loss."""
         self._check_supported(query)
         snapshot = table.snapshot()  # pin one version for the whole run
-        # One stamp for translation and release, so the matrix memo hits.
-        stamp = snapshot.domain_stamp(query.workload.attributes())
-        translation = self.translate(query, accuracy, snapshot.schema, version=stamp)
-        return self.release(
-            query, accuracy, translation, snapshot, stamp, self._rng(rng)
-        )
+        translation = self.translate(query, accuracy, snapshot.schema)
+        return self.release(query, accuracy, translation, snapshot, self._rng(rng))
 
     @abc.abstractmethod
     def release(
@@ -177,15 +171,13 @@ class Mechanism(abc.ABC):
         accuracy: AccuracySpec,
         translation: TranslationResult,
         snapshot: TableSnapshot,
-        stamp: DomainStamp,
         rng: np.random.Generator,
     ) -> MechanismResult:
         """Answer ``query`` on ``snapshot`` at ``translation.epsilon_upper``.
 
         ``translation`` is this mechanism's translation of ``(query,
-        accuracy)`` at ``stamp``, the snapshot's domain stamp of the
-        workload's attributes.  ``release`` neither pins, stamps nor
-        translates; it draws all noise from ``rng``.
+        accuracy)`` against the snapshot's schema.  ``release`` neither pins
+        nor translates; it draws all noise from ``rng``.
         """
 
     # -- helpers -----------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.accuracy import AccuracySpec
 from repro.core.exceptions import TranslationError
 from repro.data.schema import Schema
-from repro.data.table import DomainStamp, TableSnapshot
+from repro.data.table import TableSnapshot
 from repro.mechanisms.base import Mechanism, MechanismResult, TranslationResult
 from repro.mechanisms.noise import laplace_noise
 from repro.queries.query import Query, QueryKind
@@ -80,11 +80,9 @@ class LaplaceMechanism(Mechanism):
         query: Query,
         accuracy: AccuracySpec,
         schema: Schema | None = None,
-        *,
-        version: object | None = None,
     ) -> TranslationResult:
         self._check_supported(query)
-        sensitivity = query.sensitivity(schema, version)
+        sensitivity = query.sensitivity(schema)
         epsilon = laplace_epsilon_for_accuracy(
             query.kind, sensitivity, query.workload_size, accuracy
         )
@@ -105,11 +103,10 @@ class LaplaceMechanism(Mechanism):
         accuracy: AccuracySpec,
         translation: TranslationResult,
         snapshot: TableSnapshot,
-        stamp: DomainStamp,
         rng: np.random.Generator,
     ) -> MechanismResult:
         epsilon = translation.epsilon_upper
-        matrix = query.workload_matrix(snapshot.schema, stamp)
+        matrix = query.workload_matrix(snapshot.schema)
         sensitivity = matrix.sensitivity
         scale = sensitivity / epsilon
         true_counts = matrix.true_answers(snapshot)

@@ -31,7 +31,7 @@ import numpy as np
 from repro.core.accuracy import AccuracySpec
 from repro.core.exceptions import MechanismError, TranslationError
 from repro.data.schema import Schema
-from repro.data.table import DomainStamp, TableSnapshot
+from repro.data.table import TableSnapshot
 from repro.mechanisms.base import Mechanism, MechanismResult, TranslationResult
 from repro.mechanisms.noise import laplace_noise, relax_floats
 from repro.queries.query import IcebergCountingQuery, Query, QueryKind
@@ -68,11 +68,9 @@ class MultiPokingMechanism(Mechanism):
         query: Query,
         accuracy: AccuracySpec,
         schema: Schema | None = None,
-        *,
-        version: object | None = None,
     ) -> TranslationResult:
         self._check_supported(query)
-        sensitivity = query.sensitivity(schema, version)
+        sensitivity = query.sensitivity(schema)
         epsilon_max = self._epsilon_max(
             sensitivity, query.workload_size, accuracy.alpha, accuracy.beta
         )
@@ -108,13 +106,12 @@ class MultiPokingMechanism(Mechanism):
         accuracy: AccuracySpec,
         translation: TranslationResult,
         snapshot: TableSnapshot,
-        stamp: DomainStamp,
         rng: np.random.Generator,
     ) -> MechanismResult:
         assert isinstance(query, IcebergCountingQuery)
         alpha, beta = accuracy.alpha, accuracy.beta
         m = self._n_pokes
-        matrix = query.workload_matrix(snapshot.schema, stamp)
+        matrix = query.workload_matrix(snapshot.schema)
         sensitivity = matrix.sensitivity
         workload_size = query.workload_size
         epsilon_max = translation.epsilon_upper

@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.accuracy import AccuracySpec
 from repro.core.exceptions import TranslationError
 from repro.data.schema import Schema
-from repro.data.table import DomainStamp, TableSnapshot
+from repro.data.table import TableSnapshot
 from repro.mechanisms.base import Mechanism, MechanismResult, TranslationResult
 from repro.mechanisms.noise import laplace_noise
 from repro.queries.query import Query, QueryKind, TopKCountingQuery
@@ -43,8 +43,6 @@ class LaplaceTopKMechanism(Mechanism):
         query: Query,
         accuracy: AccuracySpec,
         schema: Schema | None = None,
-        *,
-        version: object | None = None,
     ) -> TranslationResult:
         self._check_supported(query)
         assert isinstance(query, TopKCountingQuery)
@@ -78,7 +76,6 @@ class LaplaceTopKMechanism(Mechanism):
         accuracy: AccuracySpec,
         translation: TranslationResult,
         snapshot: TableSnapshot,
-        stamp: DomainStamp,
         rng: np.random.Generator,
     ) -> MechanismResult:
         assert isinstance(query, TopKCountingQuery)

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from repro.core.accuracy import AccuracySpec
-from repro.data.table import DomainStamp, TableSnapshot
+from repro.data.table import TableSnapshot
 from repro.mechanisms.base import MechanismResult, TranslationResult
 from repro.mechanisms.multi_poking import MultiPokingMechanism
 from repro.mechanisms.noise import laplace_noise, relax_laplace_noise
@@ -136,13 +136,12 @@ def multi_poking_release(
     accuracy: AccuracySpec,
     translation: TranslationResult,
     snapshot: TableSnapshot,
-    stamp: DomainStamp,
     rng: np.random.Generator,
 ) -> MechanismResult:
     """``mechanism.release`` with the pokes on numpy arrays."""
     alpha, beta = accuracy.alpha, accuracy.beta
     m = mechanism.n_pokes
-    matrix = query.workload_matrix(snapshot.schema, stamp)
+    matrix = query.workload_matrix(snapshot.schema)
     sensitivity = matrix.sensitivity
     workload_size = query.workload_size
     epsilon_max = translation.epsilon_upper

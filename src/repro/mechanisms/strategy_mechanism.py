@@ -58,7 +58,7 @@ from repro.core.accuracy import AccuracySpec
 from repro.core.exceptions import TranslationError
 from repro.core.lru import LRUCache
 from repro.data.schema import Schema
-from repro.data.table import DomainStamp, TableSnapshot
+from repro.data.table import TableSnapshot
 from repro.mechanisms.base import Mechanism, MechanismResult, TranslationResult
 from repro.obs import Counter, tracing
 from repro.mechanisms.noise import laplace_noise
@@ -161,12 +161,11 @@ class StrategyMechanism(Mechanism):
         self._mc_samples = int(mc_samples)
         self._seed = seed
         # Both memos key on the matrix cache token, which identifies the
-        # matrix *values* plus the table version it was derived for, so
+        # matrix *values* (predicates and schema, no table version), so
         # structurally identical workloads (every single-predicate screening
         # query of the ER strategies, every re-asked workload of a relaxation
-        # loop) share one strategy and one Monte-Carlo epsilon search per
-        # accuracy -- while a table mutation (new version token) forces a
-        # rebuild instead of resurrecting a stale one.  Tokens hold their
+        # loop, every request after an append) share one strategy and one
+        # Monte-Carlo epsilon search per accuracy.  Tokens hold their
         # referents, so ids never alias.  ``_strategies`` holds the
         # ``(strategy, reconstruction)`` pair release needs, so a release on
         # a translation loaded from the store builds the strategy but never
@@ -181,8 +180,6 @@ class StrategyMechanism(Mechanism):
         query: Query,
         accuracy: AccuracySpec,
         schema: Schema | None = None,
-        *,
-        version: object | None = None,
     ) -> TranslationResult:
         self._check_supported(query)
         beta = accuracy.beta
@@ -190,7 +187,7 @@ class StrategyMechanism(Mechanism):
             # The ICQ error events are one sided: the equivalent two-sided
             # WCQ requirement doubles the failure probability.
             beta = min(2.0 * beta, 0.999)
-        workload_matrix = query.workload_matrix(schema, version)
+        workload_matrix = query.workload_matrix(schema)
         translation = self._search(workload_matrix, accuracy.alpha, beta)
         strategy, _ = self._strategy(workload_matrix)
         return TranslationResult(
@@ -222,11 +219,10 @@ class StrategyMechanism(Mechanism):
         accuracy: AccuracySpec,
         translation: TranslationResult,
         snapshot: TableSnapshot,
-        stamp: DomainStamp,
         rng: np.random.Generator,
     ) -> MechanismResult:
         epsilon = translation.epsilon_upper
-        workload_matrix = query.workload_matrix(snapshot.schema, stamp)
+        workload_matrix = query.workload_matrix(snapshot.schema)
         strategy, reconstruction = self._strategy(workload_matrix)
         histogram = workload_matrix.partition_histogram(snapshot)
         scale = strategy.sensitivity / epsilon

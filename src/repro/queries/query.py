@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.exceptions import QueryError
 from repro.data.schema import Schema
-from repro.data.table import DomainStamp, Table, TableVersion
+from repro.data.table import Table, TableVersion
 from repro.queries.workload import Workload, WorkloadMatrix, _IdKey
 
 __all__ = [
@@ -63,8 +63,8 @@ class Query:
         self._name = name or self.__class__.__name__
         self._disjoint = disjoint
         self._sensitivity_override = sensitivity
-        #: ``(matrix, schema, version)`` of the last matrix this query used.
-        self._matrix_memo: tuple[WorkloadMatrix, Schema | None, object] | None = None
+        #: ``(matrix, schema)`` of the last matrix this query used.
+        self._matrix_memo: tuple[WorkloadMatrix, Schema | None] | None = None
         self._true_counts_cache: (
             tuple[weakref.ref[Table], TableVersion, np.ndarray] | None
         ) = None
@@ -89,47 +89,34 @@ class Query:
 
     # -- matrix representation ---------------------------------------------------
 
-    def workload_matrix(
-        self,
-        schema: Schema | None = None,
-        version: TableVersion | DomainStamp | None = None,
-    ) -> WorkloadMatrix:
+    def workload_matrix(self, schema: Schema | None = None) -> WorkloadMatrix:
         """The (cached) matrix representation of the query workload.
 
-        ``version`` is the state token of the table the matrix is requested
-        for (:attr:`~repro.data.table.Table.version_token`); both the
-        per-query memo here and the module-level matrix memo key on it, so a
-        table mutation forces a rebuild instead of reusing a stale matrix.
+        The matrix reads only the predicates and ``schema``'s declared
+        domains, so both the per-query memo here and the module-level matrix
+        memo key on the schema object alone: one matrix serves every version
+        of every table with that schema.
         """
-        return self.memoised_matrix(schema, version) or self.build_matrix(schema, version)
+        return self.memoised_matrix(schema) or self.build_matrix(schema)
 
-    def memoised_matrix(
-        self, schema: Schema | None, version: object | None
-    ) -> WorkloadMatrix | None:
-        """The memoised matrix for ``(schema, version)``, or ``None``; never builds.
+    def memoised_matrix(self, schema: Schema | None) -> WorkloadMatrix | None:
+        """The memoised matrix for ``schema``, or ``None``; never builds.
 
-        This query's own memo answers the schema object it was built for at
-        an equal ``version``, or at a stamp with equal ``fingerprints`` (the
-        matrix memo's revalidation rule, applied without a memo lookup).  On
-        a miss the matrix memo is probed.
+        This query's own memo answers the schema object it was built for
+        without a memo lookup.  On a miss the matrix memo is probed.
         """
         memo = self._matrix_memo
         if memo is not None and memo[1] is schema:
-            if version == memo[2] or (
-                isinstance(version, DomainStamp)
-                and isinstance(memo[2], DomainStamp)
-                and version.fingerprints == memo[2].fingerprints
-            ):
-                return memo[0]
-        matrix = self._workload.memoised(schema, self._disjoint, self._sensitivity_override, version)
+            return memo[0]
+        matrix = self._workload.memoised(schema, self._disjoint, self._sensitivity_override)
         if matrix is not None:
-            self._matrix_memo = (matrix, schema, version)
+            self._matrix_memo = (matrix, schema)
         return matrix
 
-    def build_matrix(self, schema: Schema | None, version: object | None) -> WorkloadMatrix:
+    def build_matrix(self, schema: Schema | None) -> WorkloadMatrix:
         """Build and memoise the matrix without probing any memo first."""
-        matrix = self._workload.build(schema, self._disjoint, self._sensitivity_override, version)
-        self._matrix_memo = (matrix, schema, version)
+        matrix = self._workload.build(schema, self._disjoint, self._sensitivity_override)
+        self._matrix_memo = (matrix, schema)
         return matrix
 
     def translation_key(self, matrix: WorkloadMatrix) -> tuple:
@@ -140,18 +127,15 @@ class Query:
         """
         return (self.kind, matrix.cache_token)
 
-    def cache_key(
-        self,
-        schema: Schema | None = None,
-        version: TableVersion | None = None,
-    ) -> tuple | None:
+    def cache_key(self, schema: Schema | None = None) -> tuple | None:
         """Hashable structural identity of this query, or ``None``.
 
         Two queries with equal keys have the same kind, predicates, names,
-        analysis overrides, (identity-wise) schema and table version, so
-        accuracy-to-privacy translations computed for one are valid for the
-        other.  Subclasses append their own parameters (ICQ threshold, TCQ
-        k).  Predicates and names enter as the workload's
+        analysis overrides and (identity-wise) schema, so accuracy-to-privacy
+        translations computed for one are valid for the other, at every
+        version of every table with that schema.  Subclasses append their
+        own parameters (ICQ threshold, TCQ k).  Predicates and names enter
+        as the workload's
         :attr:`~repro.queries.workload.Workload.structure_key`, hashed once
         per workload, so probing a memo with this key costs O(1) in ``L``.
         """
@@ -164,16 +148,11 @@ class Query:
             self._disjoint,
             self._sensitivity_override,
             None if schema is None else _IdKey(schema),
-            version,
         )
 
-    def sensitivity(
-        self,
-        schema: Schema | None = None,
-        version: TableVersion | None = None,
-    ) -> float:
+    def sensitivity(self, schema: Schema | None = None) -> float:
         """The workload sensitivity ``||W||_1``."""
-        return self.workload_matrix(schema, version).sensitivity
+        return self.workload_matrix(schema).sensitivity
 
     # -- exact answers -------------------------------------------------------------
 
@@ -242,12 +221,8 @@ class IcebergCountingQuery(Query):
         """The HAVING threshold ``c``."""
         return self._threshold
 
-    def cache_key(
-        self,
-        schema: Schema | None = None,
-        version: TableVersion | None = None,
-    ) -> tuple | None:
-        base = super().cache_key(schema, version)
+    def cache_key(self, schema: Schema | None = None) -> tuple | None:
+        base = super().cache_key(schema)
         return None if base is None else base + (self._threshold,)
 
     def true_answer(self, table: Table) -> list[str]:
@@ -293,12 +268,8 @@ class TopKCountingQuery(Query):
         """The number of bins to report."""
         return self._k
 
-    def cache_key(
-        self,
-        schema: Schema | None = None,
-        version: TableVersion | None = None,
-    ) -> tuple | None:
-        base = super().cache_key(schema, version)
+    def cache_key(self, schema: Schema | None = None) -> tuple | None:
+        base = super().cache_key(schema)
         return None if base is None else base + (self._k,)
 
     def translation_key(self, matrix: WorkloadMatrix) -> tuple:

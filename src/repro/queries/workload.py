@@ -45,32 +45,24 @@ instead, so it lands in the same partition, or raises the same
 immutable and ``x`` is additive over disjoint rows, so each shard's
 histogram is kept (weakly keyed by the shard, one store per matrix value)
 and a snapshot's ``x`` is the sum over its shards: after an append only the
-new shard is read, even by a matrix rebuilt because the append changed a
-domain fingerprint.
+new shard is read, even by an equal matrix built again after the memo
+evicted it.
 The true counts of an exact matrix are ``W @ x`` (exact in float64: counts
 stay below ``2**53``); structural matrices count each predicate's mask.
 
 Because the exploration strategies (and the APEx relaxation loops in
 particular) re-ask structurally identical workloads many times,
 :meth:`Workload.analyze` memoises matrices in a module-level LRU keyed by the
-workload structure (predicates + names + schema identity + overrides + table
-version token); see :func:`matrix_cache_stats`.  The version token is what
-keeps the memo honest under table growth: an ``append_rows`` advances the
-token, so the next analysis for that table misses instead of resurrecting a
-matrix derived for the previous state.
-
-The memo is **two-tiered** when the caller passes a
-:class:`~repro.data.table.DomainStamp` (what every engine entry point does)
-instead of a bare token: a miss on the exact (version-scoped) key falls
-through to a *revalidation* tier keyed by the stamp's domain fingerprints --
-exact domain analysis is a pure function of the workload structure and the
-referenced attribute domains, so a mutation that provably preserved those
-domains re-tags the existing matrix for the new version instead of
-re-enumerating millions of cells.  Matrices are not persisted: a restarted
+workload structure (predicates + names + schema identity + overrides); see
+:func:`matrix_cache_stats`.  No table version enters the key: a matrix reads
+only the predicates and the schema's *declared* domains, and a frozen schema
+object never changes, so a matrix stays valid across every append and
+refresh of every table with that schema.  Only the data-dependent caches a
+matrix carries (the summed histogram per snapshot, the per-shard histograms)
+name the data they describe.  Matrices are not persisted: a restarted
 process is served by the translation lists on disk (``docs/store.md``).
-``matrix_cache_stats()`` reports ``built``/``revalidated`` alongside the
-LRU counters, and ``histogram_rows``/``histogram_shards`` for the per-shard
-histograms.
+``matrix_cache_stats()`` reports ``built`` alongside the LRU counters, and
+``histogram_rows``/``histogram_shards`` for the per-shard histograms.
 """
 
 from __future__ import annotations
@@ -86,7 +78,7 @@ import numpy as np
 from repro.core.exceptions import PredicateError, QueryError
 from repro.core.lru import LRUCache
 from repro.data.schema import AttributeKind, Schema
-from repro.data.table import DomainStamp, Shard, Table, TableVersion
+from repro.data.table import Shard, Table, TableVersion
 from repro.obs import Counter, tracing
 from repro.queries.predicates import (
     And,
@@ -179,17 +171,11 @@ class _StructureKey:
 
 
 #: Process-wide LRU of :class:`WorkloadMatrix` keyed by workload structure
-#: plus the exact table version (or stamp) the analysis was requested for.
+#: and schema identity (see :meth:`Workload._analysis_key`).
 _MATRIX_CACHE: "LRUCache[WorkloadMatrix]" = LRUCache(128)
 
-#: Revalidation tier: the same matrices keyed by workload structure plus the
-#: *domain fingerprints* only -- version-free, so a domain-preserving
-#: mutation finds the existing matrix here and re-tags it for its new
-#: version instead of rebuilding.
-_MATRIX_DOMAIN_CACHE: "LRUCache[WorkloadMatrix]" = LRUCache(128)
-
 #: Per-shard histogram stores, one ``(entries, lock)`` pair per exact value
-#: token (:func:`_structural_token`, no stamp): an exact matrix's columns
+#: token (:func:`_structural_token`): an exact matrix's columns
 #: are a pure function of (predicates, schema), so equal matrices share.
 _SHARD_HISTOGRAM_CACHE: "LRUCache[tuple[weakref.WeakKeyDictionary, threading.Lock]]" = (
     LRUCache(128)
@@ -201,31 +187,30 @@ _SHARD_HISTOGRAM_CACHE: "LRUCache[tuple[weakref.WeakKeyDictionary, threading.Loc
 #: than a bare ``int``.
 _MATRIX_TIER_STATS = {
     key: Counter()
-    for key in ("built", "revalidated", "histogram_rows", "histogram_shards")
+    for key in ("built", "histogram_rows", "histogram_shards")
 }
 
 
 def matrix_cache_stats() -> dict[str, int]:
     """Counters of the workload-matrix memo hierarchy.
 
-    ``hits``/``misses``/``size`` describe the exact (version-scoped) LRU;
-    ``revalidated`` counts matrices re-tagged for a new version via the
-    domain-fingerprint tier, and ``built`` the analyses that actually
-    enumerated.
+    ``hits``/``misses``/``size`` describe the LRU and ``built`` counts the
+    analyses that actually ran.  ``revalidated`` is always 0: the tier it
+    counted is gone, and the key stays only for readers of the old shape.
     ``histogram_shards`` counts the per-shard histograms exact matrices
     computed and ``histogram_rows`` the rows of those shards, read by either
     the one-attribute counts or the row pass (an append of k rows costs k,
-    not the table).  Entries are kept per value token, not per matrix, so a
-    matrix rebuilt after a drifting append also costs k.
+    not the table).  Entries are kept per value token, not per matrix, so an
+    equal matrix built again (after an eviction, or under other names) also
+    costs k.
     """
     tiers = {key: int(counter.value()) for key, counter in _MATRIX_TIER_STATS.items()}
-    return {**_MATRIX_CACHE.stats(), **tiers}
+    return {**_MATRIX_CACHE.stats(), **tiers, "revalidated": 0}
 
 
 def clear_matrix_cache() -> None:
     """Drop every memoised workload matrix and reset every counter."""
     _MATRIX_CACHE.clear()
-    _MATRIX_DOMAIN_CACHE.clear()
     _SHARD_HISTOGRAM_CACHE.clear()
     for counter in _MATRIX_TIER_STATS.values():
         counter.reset()
@@ -251,8 +236,8 @@ class Workload:
             )
         self._predicates = tuple(preds)
         self._names = tuple(names)
-        # Both are immutable facts every request's memo keys and domain
-        # stamp need, so they are derived here once instead of per probe.
+        # Both are immutable facts the memo keys and the domain analysis
+        # need, so they are derived here once instead of per probe.
         self._attributes: frozenset[str] = frozenset().union(
             *(pred.attributes() for pred in preds)
         )
@@ -349,7 +334,6 @@ class Workload:
         *,
         disjoint: bool | None = None,
         sensitivity: float | None = None,
-        version: TableVersion | DomainStamp | None = None,
     ) -> "WorkloadMatrix":
         """Compute the matrix representation of this workload.
 
@@ -364,52 +348,31 @@ class Workload:
             An explicit sensitivity override; also skips the exact domain
             enumeration (useful for huge cross-attribute workloads such as the
             QT2/QT4 benchmarks, where the sensitivity is known structurally).
-        version:
-            The :attr:`~repro.data.table.Table.version_token` of the table
-            the analysis is performed for -- or, preferably, a
-            :class:`~repro.data.table.DomainStamp` minted by
-            :meth:`~repro.data.table.Table.domain_stamp`.  Part of the memo
-            key either way: after ``append_rows``/``refresh`` a structurally
-            identical analysis misses the exact key.  With a stamp, the miss
-            falls through to the revalidation tier (same domain
-            fingerprints: re-tag, don't rebuild) before anything is
-            re-enumerated.
 
         Results are memoised per workload structure: analysing a
         structurally identical workload (equal predicates and names, same
-        schema object, same overrides, same table version) returns the
-        previously built matrix without re-deriving it.  :meth:`memoised`
-        and :meth:`build` are its two halves.
+        schema object, same overrides) returns the previously built matrix
+        without re-deriving it, whatever the tables with that schema hold.
+        :meth:`memoised` and :meth:`build` are its two halves.
         """
-        return self.memoised(schema, disjoint, sensitivity, version) or self.build(
-            schema, disjoint, sensitivity, version
+        return self.memoised(schema, disjoint, sensitivity) or self.build(
+            schema, disjoint, sensitivity
         )
 
     def memoised(
-        self, schema: Schema | None, disjoint: bool | None, sensitivity: float | None, version: object
+        self, schema: Schema | None, disjoint: bool | None, sensitivity: float | None
     ) -> "WorkloadMatrix | None":
-        """:meth:`analyze`'s memo probe (exact, then revalidation tier); never builds."""
-        key = self._analysis_key(schema, disjoint, sensitivity, version)
+        """:meth:`analyze`'s memo probe; never builds."""
+        key = self._analysis_key(schema, disjoint, sensitivity)
         if key is None:
             return None
         cached = _MATRIX_CACHE.get(key)
         if cached is not None:
             tracing.annotate("matrix_tier", "exact")
-            return cached
-        if isinstance(version, DomainStamp):
-            domain_key = self._analysis_key(schema, disjoint, sensitivity, version.domain_key)
-            cached = _MATRIX_DOMAIN_CACHE.get(domain_key)
-            if cached is not None:
-                # Same workload, same referenced domains, different version:
-                # the enumeration would reproduce this matrix bit for bit, so
-                # re-tag it for the new version instead of rebuilding.
-                _MATRIX_TIER_STATS["revalidated"].inc()
-                tracing.annotate("matrix_tier", "revalidated")
-                _MATRIX_CACHE.put(key, cached)
         return cached
 
     def build(
-        self, schema: Schema | None, disjoint: bool | None, sensitivity: float | None, version: object
+        self, schema: Schema | None, disjoint: bool | None, sensitivity: float | None
     ) -> "WorkloadMatrix":
         """:meth:`analyze`'s build: derive the matrix and memoise it, unprobed."""
         structural_hint = disjoint is not None or sensitivity is not None
@@ -420,9 +383,7 @@ class Workload:
         )
         with tracing.span("workload.matrix_build", exact=exact):
             if exact:
-                matrix = WorkloadMatrix.from_domain_analysis(
-                    self, schema, version=version
-                )
+                matrix = WorkloadMatrix.from_domain_analysis(self, schema)
                 token = _structural_token(self, schema)
                 if token is not None:
                     store = _SHARD_HISTOGRAM_CACHE.get(token) or _SHARD_HISTOGRAM_CACHE.put(
@@ -435,12 +396,9 @@ class Workload:
                 )
         _MATRIX_TIER_STATS["built"].inc()
         tracing.annotate("matrix_tier", "built")
-        key = self._analysis_key(schema, disjoint, sensitivity, version)
+        key = self._analysis_key(schema, disjoint, sensitivity)
         if key is not None:
             _MATRIX_CACHE.put(key, matrix)
-            if isinstance(version, DomainStamp):
-                domain_key = self._analysis_key(schema, disjoint, sensitivity, version.domain_key)
-                _MATRIX_DOMAIN_CACHE.put(domain_key, matrix)
         return matrix
 
     def _analysis_key(
@@ -448,9 +406,13 @@ class Workload:
         schema: Schema | None,
         disjoint: bool | None,
         sensitivity: float | None,
-        version: object | None,
     ) -> tuple | None:
-        """Hashable memo key for :meth:`analyze`; ``None`` disables caching."""
+        """Hashable memo key for :meth:`analyze`; ``None`` disables caching.
+
+        Everything an analysis reads: the predicates and names, the schema
+        (by identity, so equal-but-distinct schemas never share), and the
+        overrides.
+        """
         if self._structure_key is None:
             return None
         return (
@@ -458,7 +420,6 @@ class Workload:
             None if schema is None else _IdKey(schema),
             disjoint,
             sensitivity,
-            version,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -554,8 +515,6 @@ class WorkloadMatrix:
         cls,
         workload: Workload,
         schema: Schema,
-        *,
-        version: TableVersion | DomainStamp | None = None,
     ) -> "WorkloadMatrix":
         """Exact, data-independent matrix via vectorized domain-cell enumeration.
 
@@ -569,10 +528,10 @@ class WorkloadMatrix:
         partition: the first one in cross-product order) match the original
         per-cell enumeration.
 
-        ``version`` stamps the matrix's :attr:`cache_token` with the table
-        state the analysis was requested for, so version-aware consumers
-        (the WCQ-SM Monte-Carlo search in particular) never share artifacts
-        across table mutations.  The matrix built here keeps its per-shard
+        The matrix's :attr:`cache_token` names its values by the predicates
+        and the schema object, so every consumer keyed by it (the WCQ-SM
+        Monte-Carlo search in particular) serves every version of every
+        table with that schema.  The matrix built here keeps its per-shard
         histograms to itself; :meth:`Workload.analyze` shares them among
         every matrix of equal value token.
         """
@@ -595,7 +554,7 @@ class WorkloadMatrix:
         instance._domain = (atoms, leaf_vectors)
         token = _structural_token(workload, schema)
         if token is not None:
-            instance._cache_token = ("exact",) + token + (version,)
+            instance._cache_token = ("exact",) + token
         return instance
 
     @classmethod
@@ -691,8 +650,7 @@ class WorkloadMatrix:
         ``np.bincount`` adds them up (exact, since counts stay below
         ``2**53``), so after an append only the new shard is read.  The
         entries belong to the value token (predicates + schema), not the
-        matrix, so a matrix rebuilt because the append changed a domain
-        fingerprint reads only that shard too.  An entry dies with its
+        matrix, so an equal matrix built again reads only new shards too.  An entry dies with its
         shard, so a shard merged away by compaction drops out and the merged
         shard is read afresh.
 
@@ -736,7 +694,9 @@ class WorkloadMatrix:
         recycled ``id()``; the version token makes a histogram computed
         before ``append_rows`` unservable afterwards; and a matrix parked in
         the module-level memo does not pin a discarded table (and its mask
-        cache) in memory.
+        cache) in memory.  The matrix itself serves every version, so this
+        one entry is all it keeps of any table's data besides the per-shard
+        histograms.
         """
         table = table.snapshot()
         cached = self._cached(table)

@@ -7,8 +7,8 @@ seeded, deterministic liam2-style microsimulation
 synthetic population over simulated periods (births, deaths, ageing,
 migration, income dynamics) and emits
 
-* per-period **append batches** whose effect on the engine's domain
-  fingerprints is *planned in advance* by the drift knob
+* per-period **append batches** whose new categorical codes are *planned
+  in advance* by the drift knob
   (:attr:`~repro.workloads.config.GeneratorConfig.drift`):
   ``preserve`` keeps every batch inside the already-observed categorical
   domains, ``drift`` introduces declared-but-unobserved codes on a fixed
@@ -18,10 +18,12 @@ migration, income dynamics) and emits
   parameterised structure templates, so a million-row streaming run is one
   ``python -m repro.workloads`` command.
 
-Because every batch carries its predicted ``changes_fingerprint`` flag, the
-test battery in ``tests/workloads`` can assert cache-tier *outcomes* --
-preserve-only streams revalidate and never rebuild after warmup; drift
-streams rebuild exactly when the schedule says the fingerprint changed.
+Every batch carries its predicted ``changes_fingerprint`` flag (true when
+it introduces a declared but unobserved code).  Drift shapes the data only:
+the engine keys translations, matrices and searches by the query and the
+declared schema, so the test battery in ``tests/workloads`` asserts that
+preserve and drift streams alike rebuild nothing after warmup, while the
+drift periods follow the schedule.
 """
 
 from repro.workloads.config import DRIFT_MODES, GeneratorConfig

@@ -75,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
     schedule = config.drift_schedule()
     print(
         f"stream: {config.describe()} "
-        f"({sum(schedule)} fingerprint-changing periods of {config.periods})"
+        f"({sum(schedule)} code-introducing periods of {config.periods})"
     )
     if args.out is not None:
         write_script(config, args.out)

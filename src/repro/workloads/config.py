@@ -1,14 +1,12 @@
 """Generator configuration and the predictable drift schedule.
 
-The whole point of the workload generator is that its effect on the engine's
-domain fingerprints is *known before a single row is generated*: categorical
-fingerprints change exactly when a batch introduces a declared-but-unobserved
-code, and numeric/text fingerprints never change (they are declared-shape
-only).  So the drift schedule lives here, computed purely from the config --
-:meth:`GeneratorConfig.drift_plan` says which period introduces which new
-code, and the generator's emitted batches are *required* to match it.  Tests
-and benchmarks assert cache-tier counters against this plan, not against
-whatever the data happened to do.
+The whole point of the workload generator is that the periods introducing a
+declared-but-unobserved categorical code are *known before a single row is
+generated*.  So the drift schedule lives here, computed purely from the
+config -- :meth:`GeneratorConfig.drift_plan` says which period introduces
+which new code, and the generator's emitted batches are *required* to match
+it.  Tests and benchmarks assert against this plan, not against whatever
+the data happened to do.
 """
 
 from __future__ import annotations
@@ -22,17 +20,17 @@ from repro.core.exceptions import ApexError
 __all__ = ["DRIFT_MODES", "DriftEvent", "GeneratorConfig"]
 
 #: The drift knob's positions.  ``preserve``: every batch stays inside the
-#: observed categorical domains (fingerprints never change).  ``drift``:
+#: observed categorical domains (no new code).  ``drift``:
 #: declared-but-unobserved categorical codes are introduced on the
 #: ``drift_every`` schedule.  ``mixed``: the same categorical schedule, plus
 #: data-only numeric widening (income climbs toward the declared cap) on the
-#: in-between periods -- which must *not* change fingerprints.
+#: in-between periods -- which introduce no code.
 DRIFT_MODES = ("preserve", "drift", "mixed")
 
 
 @dataclass(frozen=True)
 class DriftEvent:
-    """One scheduled fingerprint change: ``period`` first observes ``value``."""
+    """One scheduled new code: ``period`` first observes ``value``."""
 
     period: int
     attribute: str
@@ -76,7 +74,7 @@ class GeneratorConfig:
     # -- the drift schedule --------------------------------------------------
 
     def drift_plan(self) -> tuple[DriftEvent, ...]:
-        """The scheduled fingerprint changes, computed from the config alone.
+        """The scheduled new codes, computed from the config alone.
 
         Every ``drift_every``-th period (periods are 1-based) consumes the
         next code from the pool of declared-but-unobserved categorical
@@ -102,7 +100,7 @@ class GeneratorConfig:
         return tuple(events)
 
     def drift_schedule(self) -> tuple[bool, ...]:
-        """Per-period prediction: does period ``p`` change a fingerprint?
+        """Per-period prediction: does period ``p`` introduce a new code?
 
         Index 0 is period 1.  This is the contract the generator's
         ``PeriodBatch.changes_fingerprint`` flags must reproduce exactly.
@@ -115,7 +113,7 @@ class GeneratorConfig:
 
         Only ``mixed`` mode widens, and only on periods that do not already
         carry a categorical drift event -- widening is the data-only drift
-        whose *absence* from the fingerprints the test battery pins.
+        that introduces no code.
         """
         if self.drift != "mixed":
             return tuple(False for _ in range(self.periods))

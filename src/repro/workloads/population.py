@@ -11,13 +11,11 @@ sample of the survivors, shaped as ``{attribute: value}`` rows ready for
 The schema declares more categorical codes than the initial population
 observes (regions 16 declared / 8 seeded, occupations 24 declared / 12
 seeded), which is what makes the drift knob work: a *preserve* batch samples
-strictly from codes already emitted, so the engine's observed-set
-fingerprints cannot change; a *drift* period assigns the next
-declared-but-unobserved code (from :func:`unobserved_code_pool`, on the
-config's schedule) to a slice of its rows, changing exactly one attribute's
-fingerprint.  Numeric widening (``mixed`` mode) pushes incomes toward the
-declared cap -- legal data, different distribution, *same* fingerprints,
-because numeric fingerprints are declared-shape only.
+strictly from codes already emitted, so it observes no new code; a *drift*
+period assigns the next declared-but-unobserved code (from
+:func:`unobserved_code_pool`, on the config's schedule) to a slice of its
+rows.  Numeric widening (``mixed`` mode) pushes incomes toward the declared
+cap -- legal data, different distribution, no new code.
 
 Everything is driven by one ``numpy`` PCG64 generator seeded from the
 config, and every emitted value is a native Python scalar, so two equal
@@ -90,7 +88,7 @@ def unobserved_code_pool() -> tuple[tuple[str, str], ...]:
     """Declared-but-unseeded ``(attribute, code)`` pairs, in drift order.
 
     The pool alternates region and occupation codes so a long drift schedule
-    spreads fingerprint changes over both attributes; its order is part of
+    spreads new codes over both attributes; its order is part of
     the deterministic contract between :meth:`GeneratorConfig.drift_plan`
     and the generator.
     """
@@ -109,16 +107,17 @@ def unobserved_code_pool() -> tuple[tuple[str, str], ...]:
 
 @dataclass(frozen=True)
 class PeriodBatch:
-    """One period's append batch, with its *predicted* fingerprint effect.
+    """One period's append batch, with the new codes it is *predicted* to bring.
 
     :ivar period: 1-based simulated period number.
     :ivar rows: the ``{attribute: value}`` dicts to append, in order.
     :ivar introduces: per attribute, the categorical codes this batch
         observes for the first time in the stream (empty on preserve
         periods).
-    :ivar changes_fingerprint: whether appending this batch changes any
-        attribute's domain fingerprint -- true exactly when ``introduces``
-        is non-empty.  Tests assert engine counters against this flag.
+    :ivar changes_fingerprint: whether this batch introduces a declared but
+        unobserved code -- true exactly when ``introduces`` is non-empty.
+        (The name predates schema-keyed memos, under which such a batch
+        rebuilds nothing; tests check the flag against the schedule.)
     :ivar widened: whether this period applied data-only numeric widening
         (``mixed`` mode); widening must *not* set ``changes_fingerprint``.
     """
@@ -150,8 +149,8 @@ class MicrosimulationGenerator:
             self._rng.gamma(2.0, self._income_scale / 2.0, n), 0.0, INCOME_CAP
         )
         # Codes already emitted into the stream (indices into the declared
-        # domains).  Preserve periods sample strictly from these, so the
-        # engine's observed-set fingerprints provably cannot change.
+        # domains).  Preserve periods sample strictly from these, so they
+        # provably observe no new code.
         self._emitted_regions = sorted(set(self._region.tolist()))
         self._emitted_occupations = sorted(set(self._occupation.tolist()))
         self._initial_rows = self._materialise_rows(np.arange(n))
@@ -251,7 +250,7 @@ class MicrosimulationGenerator:
         widened = bool(self._widening[period - 1])
         if widened:
             # Data-only drift: push the income distribution toward the
-            # declared cap.  Legal values, new territory, same fingerprints.
+            # declared cap.  Legal values, new territory, no new code.
             self._income_scale = min(self._income_scale * 1.6, INCOME_CAP / 2.0)
         working = self._age >= 18
         drift_factor = np.exp(rng.normal(0.0, 0.05, len(self._income)))

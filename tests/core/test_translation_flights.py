@@ -39,10 +39,9 @@ from repro.queries.predicates import Comparison
 from repro.queries.query import IcebergCountingQuery, QueryKind, WorkloadCountingQuery
 from repro.queries.workload import Workload, clear_matrix_cache, matrix_cache_stats
 from repro.store import ArtifactStore
-from tests.store.test_revalidation import make_schema, make_table
+from tests.store.test_schema_keys import make_schema
 
 SCHEMA = make_schema()
-STAMP = make_table(SCHEMA).domain_stamp(["score"])
 ACCURACY = AccuracySpec(alpha=20.0, beta=1e-3)
 THREADS = 8
 
@@ -75,10 +74,10 @@ class SlowLaplace(LaplaceMechanism):
         self.before = before
         self.calls = []
 
-    def translate(self, query, accuracy, schema=None, *, version=None):
+    def translate(self, query, accuracy, schema=None):
         self.calls.append(threading.get_ident())
         self.before()
-        return super().translate(query, accuracy, schema, version=version)
+        return super().translate(query, accuracy, schema)
 
 
 def make_query(*cuts):
@@ -88,7 +87,7 @@ def make_query(*cuts):
 
 
 def translate(translator, query, accuracy=ACCURACY):
-    return translator.translations(query, accuracy, SCHEMA, version=STAMP)
+    return translator.translations(query, accuracy, SCHEMA)
 
 
 def results(translations):
@@ -96,7 +95,7 @@ def results(translations):
 
 
 def exact_key(query, accuracy=ACCURACY):
-    return (query.cache_key(SCHEMA, STAMP), accuracy.alpha, accuracy.beta)
+    return (query.cache_key(SCHEMA), accuracy.alpha, accuracy.beta)
 
 
 class RecordingFlights(dict):
@@ -210,7 +209,7 @@ class TestFlights:
 
         assert translate(translator, query)
 
-        key = (query.cache_key(SCHEMA, STAMP), ACCURACY.alpha, ACCURACY.beta)
+        key = (query.cache_key(SCHEMA), ACCURACY.alpha, ACCURACY.beta)
         assert inside == [[key]]
         assert translator._flights == {}
         stats = translator.cache_stats
@@ -303,7 +302,7 @@ class TestFlights:
         """Followers share the leader's translation list, not its decision:
         each applies its own remaining budget to it."""
         epsilon = AccuracyTranslator(MechanismRegistry([SlowLaplace()])).choose(
-            make_query(), ACCURACY, SCHEMA, version=STAMP
+            make_query(), ACCURACY, SCHEMA
         ).epsilon_upper
         translator = AccuracyTranslator(
             MechanismRegistry([SlowLaplace(lambda: time.sleep(0.05))])
@@ -313,7 +312,7 @@ class TestFlights:
         outcomes = burst(
             THREADS,
             lambda i: translator.choose(
-                make_query(), ACCURACY, SCHEMA, budget_remaining=budgets[i], version=STAMP
+                make_query(), ACCURACY, SCHEMA, budget_remaining=budgets[i]
             ),
         )
 
@@ -443,7 +442,7 @@ class TestNoFlight:
 
     def test_unkeyed_request_registers_no_flight(self):
         class Unkeyed(WorkloadCountingQuery):
-            def cache_key(self, schema=None, version=None):
+            def cache_key(self, schema=None):
                 return None
 
         mechanism = SlowLaplace(lambda: time.sleep(0.01))
@@ -475,7 +474,7 @@ class TestNoFlight:
 
     def test_failing_matrix_build_leaves_no_flight(self):
         class Broken(WorkloadCountingQuery):
-            def build_matrix(self, schema=None, version=None):
+            def build_matrix(self, schema=None):
                 raise RuntimeError("domain analysis failed")
 
         translator = AccuracyTranslator(MechanismRegistry([SlowLaplace()]))
@@ -576,7 +575,7 @@ class TestStraggler:
         probed, leader_done = threading.Event(), threading.Event()
 
         class LateProbe(WorkloadCountingQuery):
-            def memoised_matrix(self, schema, version):
+            def memoised_matrix(self, schema):
                 probed.set()
                 assert leader_done.wait(timeout=30)
                 return None  # the probe ran before the leader's build

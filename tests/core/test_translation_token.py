@@ -15,9 +15,9 @@ checks pin the key:
 
 The rest pins the tier order exact -> token -> disk -> build -> token: a
 query over an already-memoised matrix is a token hit, a post-append preview
-of the same query object needs no matrix-memo lookup, and a fresh query
-after a domain-preserving append is answered by the token tier, not the
-disk.
+of the same query object needs no matrix-memo lookup (even after an append
+that introduces a declared but unobserved value), and a fresh but equal
+query after an append is answered by the exact tier, not the disk.
 """
 
 import pytest
@@ -39,7 +39,7 @@ from repro.queries.query import (
 )
 from repro.queries.workload import Workload, clear_matrix_cache, matrix_cache_stats
 from repro.store import ArtifactStore
-from tests.store.test_revalidation import (
+from tests.store.test_schema_keys import (
     make_schema,
     make_table,
     make_workload,
@@ -59,8 +59,6 @@ MATRIX_READS = frozenset({"cache_token", "matrix", "sensitivity", "n_partitions"
 CUTS = (10.0, 50.0, 90.0)
 SCORE_CUTS = [Comparison("score", ">", cut) for cut in CUTS]
 SCHEMA = make_schema()
-TABLE = make_table(SCHEMA)
-STAMP = TABLE.domain_stamp(["score"])
 
 
 @pytest.fixture(autouse=True)
@@ -82,14 +80,14 @@ def make_query(kind, predicates, names, *, threshold=0.0, k=1, **overrides):
 def outcome(mechanism, query, accuracy):
     """Every field of one translation, or the error it raised."""
     try:
-        result = mechanism.translate(query, accuracy, SCHEMA, version=STAMP)
+        result = mechanism.translate(query, accuracy, SCHEMA)
     except TranslationError as exc:
         return ("error", str(exc))
     return (result.mechanism, result.epsilon_upper, result.epsilon_lower, dict(result.details))
 
 
 def token_key(query, accuracy):
-    matrix = query.workload_matrix(SCHEMA, STAMP)
+    matrix = query.workload_matrix(SCHEMA)
     return (*query.translation_key(matrix), accuracy.alpha, accuracy.beta)
 
 
@@ -205,22 +203,22 @@ class TestKeySafety:
             for mechanism in default_registry(mc_samples=MC_SAMPLES).for_query(query):
                 audited = _ReadAudit(query, QUERY_READS, violations)
                 try:
-                    mechanism.translate(audited, ACCURACY, SCHEMA, version=STAMP)
+                    mechanism.translate(audited, ACCURACY, SCHEMA)
                 except TranslationError:
                     pass
         assert violations == []
 
     def test_the_audit_catches_a_read_outside_the_key(self):
         class ThresholdReading(LaplaceMechanism):
-            def translate(self, query, accuracy, schema=None, *, version=None):
+            def translate(self, query, accuracy, schema=None):
                 query.threshold  # an input the token key does not carry
-                return super().translate(query, accuracy, schema, version=version)
+                return super().translate(query, accuracy, schema)
 
         violations = []
         query = make_query(QueryKind.ICQ, SCORE_CUTS, None, threshold=5.0)
         mechanism = ThresholdReading(name="ICQ-LM", kinds=frozenset({QueryKind.ICQ}))
         mechanism.translate(
-            _ReadAudit(query, QUERY_READS, violations), ACCURACY, SCHEMA, version=STAMP
+            _ReadAudit(query, QUERY_READS, violations), ACCURACY, SCHEMA
         )
         assert violations == ["IcebergCountingQuery.threshold"]
 
@@ -232,16 +230,16 @@ class TestTierOrder:
         def iceberg(threshold):
             return IcebergCountingQuery(make_workload(), threshold)
 
-        translator.translations(iceberg(5.0), ACCURACY, SCHEMA, version=STAMP)
+        translator.translations(iceberg(5.0), ACCURACY, SCHEMA)
         built = matrix_cache_stats()["built"]
         # Another threshold misses the exact tier but shares the memoised
         # matrix and its token: no matrix build, no translation.
-        translator.translations(iceberg(50.0), ACCURACY, SCHEMA, version=STAMP)
+        translator.translations(iceberg(50.0), ACCURACY, SCHEMA)
         stats = translator.cache_stats
         assert (stats["token"], stats["built"], stats["coalesced"]) == (1, 1, 0)
         assert matrix_cache_stats()["built"] == built
 
-    def test_same_query_after_append_needs_a_matrix_lookup_only_on_drift(self):
+    def test_same_query_after_append_needs_no_matrix_lookup_even_on_drift(self):
         table = make_table(make_schema())
         engine = APExEngine(
             table, budget=1e6, registry=default_registry(mc_samples=MC_SAMPLES), seed=5
@@ -258,15 +256,17 @@ class TestTierOrder:
         engine.preview_cost(query, ACCURACY)
         engine.explore(query, ACCURACY)
         assert lookups() == before
-        assert engine.cache_stats()["translations"]["token"] == 1
+        assert engine.cache_stats()["translations"]["token"] == 0
 
-        # "TX" is declared but was never observed: the fingerprint changes.
+        # "TX" is declared but was never observed: the matrix already has
+        # its column, so nothing is looked up or built.
         table.append_rows([{"state": "TX", "score": 1.0}])
         engine.preview_cost(query, ACCURACY)
-        assert lookups() == before + 1
-        assert matrix_cache_stats()["built"] == 2
+        assert lookups() == before
+        assert matrix_cache_stats()["built"] == 1
+        assert engine.cache_stats()["translations"]["built"] == 1
 
-    def test_fresh_query_after_preserving_append_hits_token_not_disk(self, tmp_path):
+    def test_fresh_query_after_append_hits_exact_not_disk(self, tmp_path):
         table = make_table(make_schema())
         engine = APExEngine(
             table,
@@ -279,7 +279,7 @@ class TestTierOrder:
         table.append_rows(preserving_rows())
         engine.preview_cost(WorkloadCountingQuery(make_workload(), name="q"), ACCURACY)
         stats = engine.cache_stats()["translations"]
-        assert (stats["token"], stats["disk_hits"], stats["built"]) == (1, 0, 1)
+        assert (stats["hits"], stats["token"], stats["disk_hits"], stats["built"]) == (1, 0, 0, 1)
 
     def test_a_list_the_disk_missed_is_stored_whichever_tier_answered(self, tmp_path):
         def structural(op):
@@ -292,17 +292,17 @@ class TestTierOrder:
             )
 
         warm = translator()
-        first = warm.translations(structural(">"), ACCURACY, SCHEMA, version=STAMP)
+        first = warm.translations(structural(">"), ACCURACY, SCHEMA)
         # Other predicates, the same structural matrix: the disk misses, the
         # matrix is built, and the token tier answers -- and is stored.
-        second = warm.translations(structural("<"), ACCURACY, SCHEMA, version=STAMP)
+        second = warm.translations(structural("<"), ACCURACY, SCHEMA)
         stats = warm.cache_stats
         assert (stats["built"], stats["token"], stats["disk_writes"]) == (1, 1, 2)
         assert second == first
 
         clear_matrix_cache()
         restarted = translator()
-        reloaded = restarted.translations(structural("<"), ACCURACY, SCHEMA, version=STAMP)
+        reloaded = restarted.translations(structural("<"), ACCURACY, SCHEMA)
         assert [result for _, result in reloaded] == [result for _, result in second]
         assert restarted.cache_stats["disk_hits"] == 1
         assert matrix_cache_stats()["built"] == 0

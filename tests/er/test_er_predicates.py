@@ -109,9 +109,9 @@ class TestTableScopedMasks:
 
     @staticmethod
     def _counts_through_shared_matrix(n_first, n_second):
-        # Two pair tables with one schema: equal predicates and equal domain
-        # fingerprints, so the second analysis is served the first table's
-        # matrix (built from the first cache's predicates) by revalidation.
+        # Two pair tables with one schema and equal predicates, so the
+        # second analysis is served the first table's matrix (built from the
+        # first cache's predicates) by the memo.
         specs = [_spec(), _spec("authors", "space", "edit", 0.5)]
         counts = []
         for n_pairs, seed in ((n_first, 1), (n_second, 2)):
@@ -122,10 +122,7 @@ class TestTableScopedMasks:
                 [cache.predicate(spec) for spec in specs] + [formula.predicate(cache)],
                 ["title", "authors", "either"],
             )
-            matrix = workload.analyze(
-                table.schema, sensitivity=3.0,
-                version=table.domain_stamp(workload.attributes()),
-            )
+            matrix = workload.analyze(table.schema, sensitivity=3.0)
             truth = [int(cache.mask(spec).sum()) for spec in specs]
             truth.append(int(formula.evaluate(cache).sum()))
             counts.append((matrix.true_answers(table).tolist(), truth))

@@ -43,12 +43,11 @@ def _threshold(kind: str, counts: np.ndarray) -> float:
 
 def _assert_parity(mechanism, query, accuracy, table, seed: int) -> None:
     snapshot = table.snapshot()
-    stamp = snapshot.domain_stamp(query.workload.attributes())
-    translation = mechanism.translate(query, accuracy, snapshot.schema, version=stamp)
+    translation = mechanism.translate(query, accuracy, snapshot.schema)
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    result = mechanism.release(query, accuracy, translation, snapshot, stamp, rng)
+    result = mechanism.release(query, accuracy, translation, snapshot, rng)
     expected = multi_poking_release(
-        mechanism, query, accuracy, translation, snapshot, stamp, oracle_rng
+        mechanism, query, accuracy, translation, snapshot, oracle_rng
     )
     assert result.value == expected.value
     assert result.epsilon_spent == expected.epsilon_spent

@@ -1,7 +1,7 @@
 """Pinned answers of every registry mechanism, on every release path.
 
 A mechanism answers through ``release`` on an admitted translation; its
-``run`` (pin, stamp, translate, release) and ``APExEngine.explore`` both
+``run`` (pin, translate, release) and ``APExEngine.explore`` both
 reach that one method.  Each answer ``(value, noisy_counts, epsilon_spent,
 epsilon_upper)`` is digested and compared with the digest recorded for the
 same seed, so a refactor of the mechanism layer that changes a single
@@ -122,21 +122,18 @@ class TestPinnedAnswers:
         store = ArtifactStore(str(tmp_path / "store"))
         mechanism, query, accuracy = case(name, len(adult_small))
         snapshot = adult_small.snapshot()
-        stamp = snapshot.domain_stamp(query.workload.attributes())
         AccuracyTranslator(MechanismRegistry([mechanism]), store=store).translations(
-            query, accuracy, snapshot.schema, version=stamp
+            query, accuracy, snapshot.schema
         )
 
         clear_matrix_cache()
         reset_search_stats()
         mechanism, query, accuracy = case(name, len(adult_small))
         translator = AccuracyTranslator(MechanismRegistry([mechanism]), store=store)
-        ((_, translation),) = translator.translations(
-            query, accuracy, snapshot.schema, version=stamp
-        )
+        ((_, translation),) = translator.translations(query, accuracy, snapshot.schema)
         assert translator.cache_stats["disk_hits"] == 1
         result = mechanism.release(
-            query, accuracy, translation, snapshot, stamp, np.random.default_rng(SEED)
+            query, accuracy, translation, snapshot, np.random.default_rng(SEED)
         )
         assert search_stats()["searches"] == 0
         assert digest(result) == PINNED[name]

@@ -266,13 +266,14 @@ def _trace_query():
     return query, AccuracySpec(alpha=8.0, beta=1e-3)
 
 
-def _traced_preview(service, tracer):
+def _traced_preview(service, tracer, query=None):
     """One traced preview: its spans and its ``engine.translate`` tier labels.
 
     Every label must be exactly one bump of the matching translator
     counter, so the span labels and ``stats()["translations"]`` agree.
     """
-    query, accuracy = _trace_query()
+    default, accuracy = _trace_query()
+    query = query or default
     before = dict(service.stats()["translations"])
     service.preview_cost("a-0", query, accuracy)
     after = dict(service.stats()["translations"])
@@ -332,15 +333,23 @@ class TestServiceSpans:
         service = _traced_service(small_table(256), store=store)
         assert _traced_preview(service, tracer)[1] == ["built"]
         assert _traced_preview(service, tracer)[1] == ["exact"]
-        # The query reads only ``amount``, whose domain no append can
-        # change: the post-append preview reuses the matrix, whose token
-        # answers it, instead of rebuilding.
+        # Translation reads no row: the post-append preview is an exact hit.
         rows = [
             {"region": "region-00", "channel": "web", "amount": 50.0 * i, "age": 30.0}
             for i in range(32)
         ]
         service.append_rows("default", rows)
-        assert _traced_preview(service, tracer)[1] == ["token"]
+        assert _traced_preview(service, tracer)[1] == ["exact"]
+        # The same bins under other names: the exact key misses, and the
+        # memoised matrix's token answers.
+        from repro.queries.query import WorkloadCountingQuery
+        from repro.queries.workload import Workload
+
+        query, _ = _trace_query()
+        renamed = WorkloadCountingQuery(
+            Workload(query.workload.predicates, [f"bin-{i}" for i in range(query.workload_size)])
+        )
+        assert _traced_preview(service, tracer, renamed)[1] == ["token"]
         # A fresh service over the same store answers from disk.
         clear_matrix_cache()
         restarted = _traced_service(small_table(256), store=store)

@@ -1,7 +1,7 @@
 """Structural hashes cached on frozen predicates and version tokens.
 
-Predicates, :class:`TableVersion` and :class:`DomainStamp` keep their hash on
-the object after its first use (:func:`repro.store.fingerprint.hash_once`).
+Predicates and :class:`TableVersion` keep their hash on the object after its
+first use (:func:`repro.store.fingerprint.hash_once`).
 Pinned here: the cached value is the structural one, equality is unchanged,
 a bare :class:`FunctionPredicate` still hashes by identity, and a cached hash
 never travels through ``pickle`` or ``copy`` -- string hashes are salted per
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.data.table import DomainStamp, TableVersion
+from repro.data.table import TableVersion
 from repro.queries.predicates import (
     And,
     Between,
@@ -41,9 +41,9 @@ def _keys():
             Or([IsNull("title"), Comparison("age", ">=", 40)]),
         ]
     )
-    stamp = DomainStamp(TableVersion(3, 7), (("age", "a1b2"), ("title", "c3d4")))
+    members = In("title", ["a1b2", "c3d4"])
     named = FunctionPredicate("jaccard>0.7", len, ["title"], version="v1")
-    return [predicate, stamp, named]
+    return [predicate, members, named]
 
 
 def _structural_hash(obj) -> int:

@@ -9,7 +9,7 @@ seed's semantics kept in
 signature word boundaries (L = 63/64/65), for rows that satisfy nothing, for
 NULLs, for zero-row and multi-shard tables, after appends, at cut points and
 domain bounds, for 2-attribute marginals, for rows outside the declared
-domains, and for matrices revalidated after an append.  Exact-matrix
+domains, and for one matrix serving appends that bring new values.  Exact-matrix
 mechanisms read their counts through the same path, without evaluating a
 predicate mask.
 
@@ -18,7 +18,7 @@ read, so the sums are checked across shard layouts (appends, one-row
 fragments, compaction merges), and the ``histogram_rows`` counter pins that
 an append of k rows codes k rows.  The entries are kept per value token
 (predicates + schema object), shared by every equal exact matrix, so the
-same holds for a matrix rebuilt after an append that drifted a domain.
+same holds for an equal matrix under other names.
 """
 
 import gc
@@ -391,9 +391,7 @@ class TestMatrixProvenance:
         workload = workload_of("mixed", 40)
         table = random_table(seed=8)
         clear_matrix_cache()
-        matrix = workload.analyze(
-            SCHEMA, version=table.domain_stamp(workload.attributes())
-        )
+        matrix = workload.analyze(SCHEMA)
         assert calls == {"atoms": 1, "leaf_vectors": 1}
         histogram = matrix.partition_histogram(table)
         assert calls == {"atoms": 1, "leaf_vectors": 1}
@@ -402,7 +400,7 @@ class TestMatrixProvenance:
         )
         clear_matrix_cache()
 
-    def test_revalidated_matrix_after_appends_that_add_categorical_values(self):
+    def test_one_matrix_after_appends_that_add_categorical_values(self):
         schema = Schema(
             [
                 Attribute("cat", CategoricalDomain(("a", "b", "c", "d")), nullable=True),
@@ -421,24 +419,22 @@ class TestMatrixProvenance:
         table = Table.from_rows(schema, rows("ab", "x"))
         workload = workload_of("mixed", 12)
         clear_matrix_cache()
-        matrix = workload.analyze(schema, version=table.domain_stamp(workload.attributes()))
+        matrix = workload.analyze(schema)
         before = table.snapshot()
         assert_matches_reference(matrix, before)
-        # A new value of an unreferenced attribute: the referenced domains are
-        # unchanged, so the matrix is revalidated, not rebuilt.
+        # A new value of an unreferenced attribute: the memo serves the
+        # same matrix.
         table.append_rows(rows("ab", "y"))
-        again = workload.analyze(schema, version=table.domain_stamp(workload.attributes()))
-        assert again is matrix and matrix_cache_stats()["revalidated"] == 1
+        again = workload.analyze(schema)
+        assert again is matrix
         assert_matches_reference(again, table)
-        # New values of a referenced attribute get new dictionary codes.
+        # New values of a referenced attribute get new dictionary codes;
+        # the matrix already has an atom for every declared value.
         table.append_rows(rows("cd", "x"))
         assert_matches_reference(matrix, table)
         assert_matches_reference(matrix, before)
-        rebuilt = workload.analyze(schema, version=table.domain_stamp(workload.attributes()))
-        assert matrix_cache_stats()["built"] == 2
-        np.testing.assert_array_equal(
-            rebuilt.partition_histogram(table), matrix.partition_histogram(table)
-        )
+        assert workload.analyze(schema) is matrix
+        assert matrix_cache_stats()["built"] == 1
         clear_matrix_cache()
 
 
@@ -531,8 +527,7 @@ class TestAppendCostsTheAppendedRows:
         rng = np.random.default_rng(22)
 
         def analyze():
-            stamp = table.domain_stamp(workload.attributes())
-            return workload.analyze(SCHEMA, version=stamp)
+            return workload.analyze(SCHEMA)
 
         clear_matrix_cache()
         matrix = analyze()
@@ -544,7 +539,7 @@ class TestAppendCostsTheAppendedRows:
             assert analyze() is matrix
             assert_matches_reference(matrix, table)
             assert histogram_rows() == rows_before + k
-        assert matrix_cache_stats()["revalidated"] == 3
+        assert matrix_cache_stats()["built"] == 1
         clear_matrix_cache()
 
     def test_compaction_merge_codes_exactly_the_merged_rows(self):
@@ -569,8 +564,8 @@ def histogram_shards() -> int:
 class TestSharedAcrossEqualMatrices:
     """Exact matrices of equal value token share one per-shard store.
 
-    The token is the predicates plus the schema object, without the stamp:
-    a matrix rebuilt because an append changed a domain fingerprint reads
+    The token is the predicates plus the schema object, without the names:
+    an equal matrix under other names, first built after an append, reads
     the appended shard only.
     """
 
@@ -580,30 +575,29 @@ class TestSharedAcrossEqualMatrices:
         yield
         clear_matrix_cache()
 
-    def test_drift_rebuild_reads_only_the_appended_shard(self):
+    def test_renamed_matrix_after_an_append_reads_only_the_appended_shard(self):
         workload = workload_of("mixed", 40)
+        renamed = Workload(workload.predicates, [f"bin-{i}" for i in range(workload.size)])
         rng = np.random.default_rng(31)
-        # No "d" yet: appending one changes the "cat" fingerprint.
+        # No "d" yet: the append brings a declared but unobserved value.
         base = [dict(row, cat="a") if row["cat"] == "d" else row for row in random_rows(rng, 400)]
         table = Table.from_rows(SCHEMA, base)
 
-        def analyze():
-            return workload.analyze(SCHEMA, version=table.domain_stamp(workload.attributes()))
-
-        before = analyze()
+        before = workload.analyze(SCHEMA)
         assert_matches_reference(before, table)
         built, shards, rows = matrix_cache_stats()["built"], histogram_shards(), histogram_rows()
         k = 9
         table.append_rows([{"cat": "d", "num": 5.0}] + random_rows(rng, k - 1))
-        after = analyze()
-        assert after is not before and after.cache_token != before.cache_token
+        assert workload.analyze(SCHEMA) is before
+        after = renamed.analyze(SCHEMA)
+        assert after is not before and after.cache_token == before.cache_token
         assert matrix_cache_stats()["built"] == built + 1
         histogram = assert_matches_reference(after, table)
         assert histogram_shards() == shards + 1
         assert histogram_rows() == rows + k
         clear_matrix_cache()
-        fresh = analyze()
-        assert fresh is not after
+        fresh = workload.analyze(SCHEMA)
+        assert fresh is not before
         np.testing.assert_array_equal(fresh.partition_histogram(table), histogram)
         assert histogram_rows() == 400 + k
 

@@ -1,19 +1,15 @@
-"""The staleness regression class: no cache survives a table mutation.
+"""The staleness regression class: no data cache survives a table mutation.
 
 Every memo this stack grew (per-table mask LRU, workload-matrix memo,
 translator memo, WCQ-SM's Monte-Carlo search, the histogram/true-count
 caches) was built under a "tables never change" assumption.  These tests pin
-the fix: each cache keys on the table's version token, so after
-``append_rows`` a structurally identical request misses everywhere and
-recomputes against the grown data.
-
-These tests deliberately pass **bare version tokens**, which keep the
-original, strictly conservative behaviour: every mutation rebuilds.  The
-engine entry points pass :class:`~repro.data.table.DomainStamp` objects
-instead, which additionally allow *revalidation* (re-tagging
-data-independent artifacts across domain-preserving mutations) -- that
-contract is pinned by ``tests/store/test_revalidation.py`` and
-``tests/service/test_streaming.py``.
+the fix.  Each *data* cache keys on the table's version token, so after
+``append_rows`` a structurally identical request recounts against the grown
+data.  The *data-independent* memos (matrix, translation, search) read only
+the query and the declared schema, so they key on those alone and serve the
+grown table unchanged: there is nothing in them an append could make stale
+(``tests/store/test_schema_keys.py`` and
+``tests/queries/test_no_stale_reuse.py`` pin that contract).
 """
 
 import numpy as np
@@ -71,87 +67,88 @@ def make_workload() -> Workload:
 ACCURACY = AccuracySpec(alpha=20.0, beta=1e-3)
 
 
-class TestMatrixMemoStaleness:
-    def test_matrix_memo_misses_after_append(self):
+class TestMatrixMemoAcrossAppends:
+    def test_matrix_memo_hits_after_append(self):
         clear_matrix_cache()
         schema = make_schema()
         table = make_table(schema)
         workload = make_workload()
 
-        first = workload.analyze(schema, version=table.version_token)
+        first = workload.analyze(schema)
         misses_after_first = matrix_cache_stats()["misses"]
-        again = workload.analyze(schema, version=table.version_token)
-        assert again is first  # same version: memo hit
+        again = workload.analyze(schema)
+        assert again is first  # memo hit
         assert matrix_cache_stats()["misses"] == misses_after_first
 
         table.append_rows(extra_rows())
-        rebuilt = workload.analyze(schema, version=table.version_token)
-        assert rebuilt is not first  # new version: memo miss, fresh build
-        assert matrix_cache_stats()["misses"] == misses_after_first + 1
-        # The matrix *values* are identical (domain analysis is data
-        # independent) -- only the cached identity is version-scoped.
-        assert np.array_equal(rebuilt.matrix, first.matrix)
+        # Domain analysis is data independent: the same object serves the
+        # grown table, and nothing is rebuilt.
+        assert workload.analyze(schema) is first
+        assert matrix_cache_stats()["misses"] == misses_after_first
+        assert matrix_cache_stats()["built"] == 1
 
-    def test_query_level_matrix_cache_is_version_scoped(self):
+    def test_query_level_matrix_slot_survives_append(self):
         clear_matrix_cache()
         schema = make_schema()
         table = make_table(schema)
         query = WorkloadCountingQuery(make_workload(), name="q")
-        m1 = query.workload_matrix(schema, table.version_token)
-        assert query.workload_matrix(schema, table.version_token) is m1
+        m1 = query.workload_matrix(schema)
+        assert query.workload_matrix(schema) is m1
         table.append_rows(extra_rows())
-        assert query.workload_matrix(schema, table.version_token) is not m1
+        lookups = matrix_cache_stats()["hits"] + matrix_cache_stats()["misses"]
+        assert query.workload_matrix(schema) is m1
+        # The slot answers without probing the module-level memo.
+        assert matrix_cache_stats()["hits"] + matrix_cache_stats()["misses"] == lookups
 
 
-class TestStrategyMechanismStaleness:
-    def test_wcq_sm_search_key_misses_after_append(self):
+class TestStrategyMechanismAcrossAppends:
+    def test_wcq_sm_search_is_shared_after_append(self):
         clear_matrix_cache()
         schema = make_schema()
         table = make_table(schema)
         query = WorkloadCountingQuery(make_workload(), name="q")
         mechanism = StrategyMechanism(mc_samples=200)
 
-        mechanism.translate(query, ACCURACY, schema, version=table.version_token)
+        mechanism.translate(query, ACCURACY, schema)
         stats = mechanism._cache.stats()
         assert stats["size"] == 1
 
-        # Same version: the Monte-Carlo search is shared, no new entry.
-        mechanism.translate(query, ACCURACY, schema, version=table.version_token)
+        # A repeat shares the Monte-Carlo search: no new entry.
+        mechanism.translate(query, ACCURACY, schema)
         stats = mechanism._cache.stats()
         assert stats["size"] == 1
         assert stats["hits"] >= 1
 
+        hits = stats["hits"]
         table.append_rows(extra_rows())
-        mechanism.translate(query, ACCURACY, schema, version=table.version_token)
+        mechanism.translate(query, ACCURACY, schema)
         stats = mechanism._cache.stats()
-        assert stats["size"] == 2  # new version token => new search key
+        assert stats["size"] == 1  # the search reads no row: same key
+        assert stats["hits"] == hits + 1
 
 
-class TestTranslatorMemoStaleness:
-    def test_translator_memo_misses_after_append(self):
+class TestTranslatorMemoAcrossAppends:
+    def test_translator_memo_hits_after_append(self):
         clear_matrix_cache()
         schema = make_schema()
         table = make_table(schema)
         translator = AccuracyTranslator(default_registry(mc_samples=200))
         query = WorkloadCountingQuery(make_workload(), name="q")
 
-        def exact_lookup(version):
-            """(hits, misses) added by one translation at ``version``."""
+        def exact_lookup():
+            """(hits, misses) added by one translation."""
             before = translator.cache_stats
-            translator.translations(query, ACCURACY, schema, version=version)
+            translator.translations(query, ACCURACY, schema)
             after = translator.cache_stats
             return after["hits"] - before["hits"], after["misses"] - before["misses"]
 
-        assert exact_lookup(table.version_token) == (0, 1)
-        assert exact_lookup(table.version_token) == (1, 0)
-        old_version = table.version_token
+        assert exact_lookup() == (0, 1)
+        assert exact_lookup() == (1, 0)
         table.append_rows(extra_rows())
-        assert exact_lookup(table.version_token) == (0, 1)
-        # The pre-append entry is still addressable under the old token --
-        # stale *reuse* is prevented by keying, not by forgetting history.
-        built = translator.cache_stats["built"]
-        assert exact_lookup(old_version) == (1, 0)
-        assert translator.cache_stats["built"] == built
+        # Translation never reads the rows, so the grown table is served
+        # the same list.
+        assert exact_lookup() == (1, 0)
+        assert translator.cache_stats["built"] == 1
 
 
 class TestDataCachesStaleness:
@@ -174,7 +171,7 @@ class TestDataCachesStaleness:
         schema = make_schema()
         table = make_table(schema)
         workload = make_workload()
-        matrix = workload.analyze(schema, version=table.version_token)
+        matrix = workload.analyze(schema)
         before = matrix.partition_histogram(table).copy()
         table.append_rows(extra_rows())
         after = matrix.partition_histogram(table)
@@ -186,7 +183,7 @@ class TestDataCachesStaleness:
         schema = make_schema()
         table = make_table(schema)
         workload = make_workload()
-        matrix = workload.analyze(schema, version=table.version_token)
+        matrix = workload.analyze(schema)
         assert matrix.exact
         pinned = table.snapshot()
         before = matrix.true_answers(pinned).copy()

@@ -169,10 +169,9 @@ def queries(draw):
 
 
 SCHEMAS = [object(), object()]
-VERSIONS = [None, "v1", ("fp", 1)]
 
 
-def old_cache_key(query, schema, version) -> tuple:
+def old_cache_key(query, schema) -> tuple:
     """``Query.cache_key`` as it was: the structure spelled out flat."""
     workload = query.workload
     key = (
@@ -182,7 +181,6 @@ def old_cache_key(query, schema, version) -> tuple:
         query._disjoint,
         query._sensitivity_override,
         None if schema is None else _IdKey(schema),
-        version,
     )
     if isinstance(query, IcebergCountingQuery):
         return key + (query.threshold,)
@@ -198,25 +196,25 @@ def old_attributes(workload) -> frozenset[str]:
     return out
 
 
-contexts = st.tuples(st.sampled_from([None] + SCHEMAS), st.sampled_from(VERSIONS))
+contexts = st.sampled_from([None] + SCHEMAS)
 
 
 @settings(max_examples=300, deadline=None)
 @given(queries(), queries(), contexts, contexts)
 def test_cache_key_equality_matches_the_flat_key(first, second, at_first, at_second):
-    new = first.cache_key(*at_first), second.cache_key(*at_second)
-    old = old_cache_key(first, *at_first), old_cache_key(second, *at_second)
+    new = first.cache_key(at_first), second.cache_key(at_second)
+    old = old_cache_key(first, at_first), old_cache_key(second, at_second)
     assert (new[0] == new[1]) == (old[0] == old[1])
     if new[0] == new[1]:
         assert hash(new[0]) == hash(new[1])
-    assert new[0] == first.cache_key(*at_first)
+    assert new[0] == first.cache_key(at_first)
 
 
 @settings(max_examples=200, deadline=None)
-@given(workloads(), workloads(), st.sampled_from(SCHEMAS), st.sampled_from(VERSIONS))
-def test_memo_keys_and_tokens_match_their_flat_forms(first, second, schema, version):
-    old = lambda w: (w.predicates, w.names, _IdKey(schema), None, None, version)  # noqa: E731
-    new = [w._analysis_key(schema, None, None, version) for w in (first, second)]
+@given(workloads(), workloads(), st.sampled_from(SCHEMAS))
+def test_memo_keys_and_tokens_match_their_flat_forms(first, second, schema):
+    old = lambda w: (w.predicates, w.names, _IdKey(schema), None, None)  # noqa: E731
+    new = [w._analysis_key(schema, None, None) for w in (first, second)]
     assert (new[0] == new[1]) == (old(first) == old(second))
     # The exact matrix token keys on the predicates alone.
     tokens = [_structural_token(w, schema) for w in (first, second)]
@@ -233,8 +231,8 @@ def test_attributes_is_the_per_predicate_union(workload):
 def test_unhashable_predicate_disables_every_key():
     workload = Workload([Comparison("tags", "==", ["a", "b"])])
     assert workload.structure_key is None
-    assert WorkloadCountingQuery(workload).cache_key(None, "v1") is None
-    assert workload._analysis_key(None, None, None, "v1") is None
+    assert WorkloadCountingQuery(workload).cache_key(None) is None
+    assert workload._analysis_key(None, None, None) is None
     assert workload.attributes() == frozenset({"tags"})
 
 
@@ -283,4 +281,4 @@ def test_pickle_from_a_process_with_another_hash_seed():
         assert hash(workload.structure_key) == hash(local.structure_key)
         assert {local.structure_key: "entry"}[workload.structure_key] == "entry"
         query, twin = WorkloadCountingQuery(workload), WorkloadCountingQuery(local)
-        assert {twin.cache_key(None, "v1"): "entry"}[query.cache_key(None, "v1")] == "entry"
+        assert {twin.cache_key(None): "entry"}[query.cache_key(None)] == "entry"

@@ -4,8 +4,8 @@
 recursive ``old_canonical`` below (the form the text used to be dumped
 from) is kept here as the oracle: every digest must equal the SHA-256 of
 ``json.dumps(old_canonical(x), separators=(",", ":"))``, and the golden
-digests pin real translation keys and a domain fingerprint, so a store
-written before the encoder changed keeps hitting.
+digests pin real translation keys and one nested schema-attribute tuple, so
+a store written before the encoder changed keeps hitting.
 """
 
 import dataclasses
@@ -267,33 +267,35 @@ class TestEncoderParity:
 # -- golden digests ---------------------------------------------------------------
 
 #: Translation-list store keys of the twelve Table 1 queries (2,000-row
-#: tables, seed 0, alpha = 0.08 |D|, beta = 5e-4, mc_samples = 200).
+#: tables, seed 0, alpha = 0.08 |D|, beta = 5e-4, mc_samples = 200).  The
+#: keys read the schema, never the rows.
 TABLE1_KEYS = {
-    "QW1": "3d321386563ae083b8303566f09e38c7349f71e8d9d59ea995d63f1f403e0309",
-    "QW2": "54d7d11fa00135567b501bff4e5b0983a360ed8de9183363a8369b0a77f77f9b",
-    "QW3": "6ce1fdd6f9a18f909b68a186bb78d32039a3f92f495fd14f90347ae81fd07b9d",
-    "QW4": "5b97d48d0f3c4b72435182f50ed843568f2e6d9320ed9762eaac5b0f5dd0c2a8",
-    "QI1": "2b07651296e2d4d9294eaa74a54988503bccb06e3d89c78de1b4fb504ad7746d",
-    "QI2": "c2929c852abd907ea9ab79f4a2b934c2ce19a19857aab2ad936c0402e00bfee9",
-    "QI3": "7d5bdb44b28248443aa18ca70ed4bc94ed764b82ce9d81ab99db496b2ae035d4",
-    "QI4": "cc04f9f35754ad6a1f30e865b243979c34c9a3db1cbb66aacc331a5b37e79c16",
-    "QT1": "ea0b95815110927b00058f629289000367f7d035de24c6e665525c06df9b63fc",
-    "QT2": "e8203a6d6710aeea7b88fd5be35a5707ec265eb12941db71db098595a02b80b3",
-    "QT3": "5773d31370ce5c96e8519f9d64b9c05a43b7c9cf3afec4065197cef367c45e21",
-    "QT4": "e73a6138b8010a7c8912dbe3e36878fb870990d700eb53090c6a17f33a3f8f5d",
+    "QW1": "668cecc4884d52511a1bc97dd184edb542759cc695ab8be54c4dbeaa3ae8f9f9",
+    "QW2": "395e74cf4be438c9147866c99e1b03c04c9367e29fe57049819f1dbaa3f589e7",
+    "QW3": "40fab1540413e4d678eff9f6e46659517219d58575d26afb71b0f55473cb285d",
+    "QW4": "63d4fb55149c23f392aba83170ba0a0dd10cf5bacdaac884ffece391c6a56524",
+    "QI1": "49a6073e37a82c7d26f51fc288f4b9423471b44b8ddb12545faf7219089defd7",
+    "QI2": "7ed338edbe2319372647c98345c23eedb8a4e34923710ba753ed7e5fd2ffc102",
+    "QI3": "3cd1a8f6ff8229e6d6e7f2a6ad84de6a79ef76f8beecd6b652a0a7e28fae57d6",
+    "QI4": "9d15614e77284440268db63fda6f32fdae3d9bc1f1ccd150d2d8937a6a82188a",
+    "QT1": "165d26bef6dc63065252d21df4f08581d3b0e8e22192ffd3d6a4f831082858eb",
+    "QT2": "75abc1d0bb2b4c4d28dddaa8b8671bacf10416431ec2faf1993ea0dd5148c360",
+    "QT3": "67d819b73d49ecaf05c73ebb9f8acd57485e8a44fbf5a484c51d0b15a6b724e3",
+    "QT4": "b3623d4ae6b65c2edeb00fe3bd4800f938e6797ddd8dbd283f4cc326ec7aaf17",
 }
 
 #: Store keys of the five ``append_stream`` query templates (seed 2,
 #: 500 initial rows, mixed drift, mc_samples = 200).
 APPEND_TEMPLATE_KEYS = [
-    "e6a8667d027180bd1aba3f9cda7db656a06b7d82c284949797aa45b73ca3414a",
-    "fc2f4577c6432a3777b192ef0756011bca72fc22a5c5338f0acbbddcfd252065",
-    "a62169a563ae7ec803411376dc08795c902dc883118683ea7c9c544f715da035",
-    "6f41a5becd2d9959a190504f1a8f3da79101dfa3867664df33b87764d8eb9910",
-    "dab6f04ec61ba38d7e6bbb347ac71caee94084b0a13cc7c2a8072361bb31ac5d",
+    "bcca43ff3bbe51d7ea75e767b3c3150f9f758dd6c74f072e6b6a2d3f994664ed",
+    "bc58492e2e4aeeed8c4b3015507d9a8993cc85ea058f69405f942304f816a262",
+    "5a3b26274fc645bfa1ca5f76bbeb37a86ea318d1c1ce9b7fe533e80e701df991",
+    "c0dd26b422dc664c334498f0317094b15c31d99479194d5ccc6d1b614be5bc90",
+    "5dcd1cd4e167f96a5c1feec31d1b8c24406ec20f0e5da7dd3a39f970aa12bfcb",
 ]
 
-#: ``make_table().domain_fingerprint("state")`` (categorical: observed values).
+#: ``("domain", attribute, observed values)`` for ``make_table()``'s
+#: categorical ``state``: a schema attribute nested in a tuple.
 STATE_FINGERPRINT = "ed93407041ecbd40721bf92422d5a532a6b354d443db1035e3cb17478821208e"
 
 
@@ -304,10 +306,8 @@ class TestGoldenDigests:
         translator = AccuracyTranslator(registry=registry)
 
         def key(query, accuracy, table):
-            snapshot = table.snapshot()
-            stamp = snapshot.domain_stamp(query.workload.attributes())
             return translator._store_digest(
-                query, accuracy, snapshot.schema, stamp, registry.for_query(query)
+                query, accuracy, table.schema, registry.for_query(query)
             )
 
         return key
@@ -331,8 +331,9 @@ class TestGoldenDigests:
         ]
         assert keys == APPEND_TEMPLATE_KEYS
 
-    def test_categorical_domain_fingerprint(self):
-        assert make_table().domain_fingerprint("state") == STATE_FINGERPRINT
+    def test_attribute_tuple_digest(self):
+        state = make_table().schema["state"]
+        assert stable_digest(("domain", state, ("CA", "NY"))) == STATE_FINGERPRINT
 
 
 # -- the per-schema text memo ----------------------------------------------------------

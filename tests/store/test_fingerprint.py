@@ -1,10 +1,9 @@
-"""Domain fingerprints and process-stable digests.
+"""Process-stable digests: the disk keys of the artifact store.
 
-The revalidation layer's soundness rests on two properties pinned here:
-fingerprints are pure functions of (schema, data at one version) -- equal
-across processes, equal across domain-preserving mutations, different after
-domain-changing ones -- and the store digests are content-stable (no
-``hash()`` salting, no object identity).
+A disk key must mean the same in every process, so the store digests are
+content-stable: no ``hash()`` salting, no object identity.  Keys cover the
+declared schema, never the data (``tests/queries/test_no_stale_reuse.py``
+pins that an append leaves every data-independent key unchanged).
 """
 
 import numpy as np
@@ -17,10 +16,9 @@ from repro.data.schema import (
     Schema,
     TextDomain,
 )
-from repro.data.table import DomainStamp, Table
+from repro.data.table import Table
 from repro.queries.predicates import And, Between, Comparison, FunctionPredicate, In
 from repro.store import canonical_form, stable_digest
-from tests.data.test_compaction import append_uncompacted
 
 
 def make_schema() -> Schema:
@@ -41,98 +39,6 @@ def make_table(schema=None) -> Table:
         for i in range(50)
     ]
     return Table.from_rows(schema, rows)
-
-
-class TestDomainFingerprint:
-    def test_pure_function_of_schema_and_data(self):
-        schema = make_schema()
-        a, b = make_table(schema), make_table(schema)
-        for name in ("state", "score", "note"):
-            assert a.domain_fingerprint(name) == b.domain_fingerprint(name)
-
-    def test_distinct_per_attribute(self):
-        table = make_table()
-        assert table.domain_fingerprint("state") != table.domain_fingerprint("score")
-
-    def test_domain_preserving_append_keeps_fingerprints(self):
-        table = make_table()
-        before = {n: table.domain_fingerprint(n) for n in ("state", "score", "note")}
-        table.append_rows([{"state": "CA", "score": 3.0, "note": "zzz"}])
-        for name, fingerprint in before.items():
-            assert table.domain_fingerprint(name) == fingerprint
-
-    def test_new_categorical_value_changes_fingerprint(self):
-        table = make_table()
-        before = table.domain_fingerprint("state")
-        score_before = table.domain_fingerprint("score")
-        table.append_rows([{"state": "TX", "score": 1.0, "note": "x"}])
-        assert table.domain_fingerprint("state") != before
-        # Numeric fingerprints depend on the declared bounds only.
-        assert table.domain_fingerprint("score") == score_before
-
-    def test_first_null_changes_categorical_fingerprint(self):
-        schema = make_schema()
-        rows = [{"state": "CA", "score": 1.0, "note": "a"}] * 5
-        table = Table.from_rows(schema, rows)
-        before = table.domain_fingerprint("state")
-        table.append_rows([{"state": None, "score": 1.0, "note": "a"}])
-        assert table.domain_fingerprint("state") != before
-
-    def test_text_fingerprint_ignores_values(self):
-        table = make_table()
-        before = table.domain_fingerprint("note")
-        table.append_rows([{"state": "CA", "score": 1.0, "note": "never-seen"}])
-        assert table.domain_fingerprint("note") == before
-
-    def test_snapshot_shares_fingerprints_and_pins_them(self):
-        table = make_table()
-        snap = table.snapshot()
-        before = snap.domain_fingerprint("state")
-        table.append_rows([{"state": "TX", "score": 1.0, "note": "x"}])
-        assert snap.domain_fingerprint("state") == before
-        assert table.domain_fingerprint("state") != before
-
-    def test_refresh_recomputes_fingerprints(self):
-        table = make_table()
-        before = table.domain_fingerprint("state")
-        table.refresh([{"state": "TX", "score": 1.0, "note": "x"}])
-        assert table.domain_fingerprint("state") != before
-
-    def test_compaction_preserves_fingerprints(self):
-        table = Table(
-            make_schema(),
-            {
-                "state": np.array(["CA"] * 100, dtype=object),
-                "score": np.ones(100),
-                "note": np.array(["n"] * 100, dtype=object),
-            },
-        )
-        append_uncompacted(
-            table,
-            ([{"state": "NY", "score": float(i), "note": "m"}] for i in range(10)),
-        )
-        before = table.domain_fingerprint("state")
-        assert table.compact()
-        assert table.domain_fingerprint("state") == before
-
-
-class TestDomainStamp:
-    def test_equality_covers_version_and_fingerprints(self):
-        table = make_table()
-        s1 = table.domain_stamp(["state", "score"])
-        s2 = table.domain_stamp(["score", "state"])  # order-insensitive
-        assert s1 == s2 and hash(s1) == hash(s2)
-        table.append_rows([{"state": "CA", "score": 1.0, "note": "x"}])
-        s3 = table.domain_stamp(["state", "score"])
-        assert s3 != s1  # version advanced
-        assert s3.fingerprints == s1.fingerprints  # ...but domains preserved
-        assert s3.domain_key == s1.domain_key
-
-    def test_unknown_attributes_are_skipped(self):
-        table = make_table()
-        stamp = table.domain_stamp(["state", "no-such-column"])
-        assert [name for name, _ in stamp.fingerprints] == ["state"]
-        assert isinstance(stamp, DomainStamp)
 
 
 class TestStableDigest:

@@ -1,11 +1,12 @@
-"""Fingerprint revalidation: re-tag across domain-preserving appends.
+"""Data-independent artifacts are keyed by the declared schema, not the data.
 
-The contract (``docs/store.md``): a mutation that preserves every referenced
-attribute domain must never force a rebuild of the data-independent
-artifacts -- the workload matrix is re-tagged (same object), the translation
-list is re-tagged, and the WCQ-SM Monte-Carlo search is never re-run --
-while a domain-changing mutation rebuilds conservatively.  Data-dependent
-caches (true counts, histograms) stay strictly version-scoped either way.
+The contract (``docs/store.md``): a workload matrix, a translation list and
+a WCQ-SM Monte-Carlo search read only the query and the schema's declared
+domains, so an append -- whatever values it brings, inside the declared
+domains -- serves the same matrix object, the same translation list and the
+same search, while a different schema object never shares them.
+Data-dependent caches (true counts, histograms) stay strictly
+version-scoped.
 """
 
 import numpy as np
@@ -67,54 +68,47 @@ def _fresh_process_wide_caches():
     yield
 
 
-class TestMatrixRevalidation:
-    def test_preserving_append_retags_the_same_matrix_object(self):
+class TestMatrixAcrossAppends:
+    def test_preserving_append_serves_the_same_matrix_object(self):
         schema = make_schema()
         table = make_table(schema)
         workload = make_workload()
-        first = workload.analyze(schema, version=table.domain_stamp(workload.attributes()))
+        first = workload.analyze(schema)
         assert matrix_cache_stats()["built"] == 1
 
         table.append_rows(preserving_rows())
-        again = workload.analyze(schema, version=table.domain_stamp(workload.attributes()))
+        again = workload.analyze(schema)
         stats = matrix_cache_stats()
-        assert again is first  # the *object* is re-tagged, not rebuilt
+        assert again is first  # the memo's own object, not a rebuild
         assert stats["built"] == 1
-        assert stats["revalidated"] == 1
-
-        # The re-tag makes the new version warm at the exact tier.
-        third = workload.analyze(schema, version=table.domain_stamp(workload.attributes()))
-        assert third is first
-        assert matrix_cache_stats()["revalidated"] == 1
-
-    def test_changing_append_rebuilds(self):
-        schema = make_schema()
-        table = make_table(schema)
-        workload = make_workload()
-        first = workload.analyze(schema, version=table.domain_stamp(workload.attributes()))
-        table.append_rows([{"state": "TX", "score": 1.0}])  # TX never observed
-        rebuilt = workload.analyze(schema, version=table.domain_stamp(workload.attributes()))
-        stats = matrix_cache_stats()
-        assert rebuilt is not first
-        assert stats["built"] == 2
         assert stats["revalidated"] == 0
-        # Data-independent content is nevertheless identical.
-        assert np.array_equal(rebuilt.matrix, first.matrix)
+        assert stats["hits"] == 1
 
-    def test_bare_version_tokens_stay_strictly_version_scoped(self):
-        """Callers that pass raw tokens (no stamp) keep the conservative
-        pre-store behaviour: every mutation rebuilds."""
+    def test_declared_but_unobserved_value_serves_the_same_matrix(self):
         schema = make_schema()
         table = make_table(schema)
         workload = make_workload()
-        first = workload.analyze(schema, version=table.version_token)
-        table.append_rows(preserving_rows())
-        rebuilt = workload.analyze(schema, version=table.version_token)
-        assert rebuilt is not first
+        first = workload.analyze(schema)
+        table.append_rows([{"state": "TX", "score": 1.0}])  # TX never observed
+        again = workload.analyze(schema)
+        assert again is first
+        assert matrix_cache_stats()["built"] == 1
+        # The matrix already had a column for every declared value.
+        assert np.array_equal(again.matrix, first.matrix)
+
+    def test_an_equal_but_distinct_schema_builds_its_own_matrix(self):
+        """The memo keys the schema by identity: equal schemas never share
+        (``NumericDomain(0, 100)`` and ``NumericDomain(0.0, 100.0)`` compare
+        equal but digest differently)."""
+        workload = make_workload()
+        first = workload.analyze(make_schema())
+        second = workload.analyze(make_schema())
+        assert second is not first
+        assert second.cache_token != first.cache_token
         assert matrix_cache_stats()["built"] == 2
 
 
-class TestEngineRevalidation:
+class TestEngineAcrossAppends:
     def make_engine(self, table) -> APExEngine:
         return APExEngine(
             table, budget=1e6, registry=default_registry(mc_samples=200), seed=5
@@ -134,7 +128,9 @@ class TestEngineRevalidation:
         assert post == first
         assert search_stats()["searches"] == searches_before
         assert stats["workload_matrices"]["built"] == 1
-        assert stats["translations"]["token"] == 1
+        # A fresh but equal query after an append is an exact hit.
+        assert stats["translations"]["hits"] == 1
+        assert stats["translations"]["token"] == 0
         assert stats["translations"]["built"] == 1
 
     def test_explore_after_preserving_append_reuses_search_but_recounts(self):
@@ -147,7 +143,7 @@ class TestEngineRevalidation:
 
         table.append_rows(preserving_rows())
         second = engine.explore(query, tight)
-        # Derivations were revalidated, not rebuilt...
+        # Derivations were reused, not rebuilt...
         assert search_stats()["searches"] == searches_before
         assert engine.cache_stats()["workload_matrices"]["built"] == 1
         # ...but the data-dependent answer tracks the grown table.
@@ -175,6 +171,7 @@ class TestEngineRevalidation:
         for section, tier in (("translations", "token"), ("workload_matrices", "revalidated")):
             for key in ("hits", "misses", "built", tier):
                 assert key in stats[section], (section, key)
+        assert stats["workload_matrices"]["revalidated"] == 0
         assert "disk_hits" in stats["translations"]
         assert set(stats["wcqsm_search"]) == {"searches", "disk_hits", "disk_writes"}
         assert stats["store"]["writes"] >= 1

@@ -1,12 +1,12 @@
 """The artifact store belongs to the translator, its one reader.
 
-Stamps carry no store: a translator built with ``store=`` consults its disk
-tier for any request versioned by a :class:`~repro.data.table.DomainStamp`,
-whoever minted the stamp.  An engine hands its ``store`` to the translator
-it builds, and refuses a ``store`` that disagrees with an external
-translator's.
+A translator built with ``store=`` consults its disk tier for every request
+whose query has a process-stable digest; no table enters the key.  An
+engine hands its ``store`` to the translator it builds, and refuses a
+``store`` that disagrees with an external translator's.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.engine import APExEngine
@@ -14,11 +14,12 @@ from repro.core.exceptions import ApexError
 from repro.core.translator import AccuracyTranslator
 from repro.mechanisms.registry import default_registry
 from repro.mechanisms.strategy_mechanism import reset_search_stats, search_stats
+from repro.queries.predicates import FunctionPredicate
 from repro.queries.query import WorkloadCountingQuery
-from repro.queries.workload import clear_matrix_cache, matrix_cache_stats
+from repro.queries.workload import Workload, clear_matrix_cache, matrix_cache_stats
 from repro.service import ExplorationService
 from repro.store import ArtifactStore
-from tests.store.test_revalidation import (
+from tests.store.test_schema_keys import (
     ACCURACY,
     make_schema,
     make_table,
@@ -34,16 +35,13 @@ def _fresh_process_wide_caches():
 
 
 class TestTranslatorDiskTier:
-    def test_warm_start_from_a_storeless_stamp(self, tmp_path):
+    def test_warm_start_needs_no_table(self, tmp_path):
         schema = make_schema()
-        table = make_table(schema)
         query = WorkloadCountingQuery(make_workload(), name="q")
         cold = AccuracyTranslator(
             default_registry(mc_samples=200), store=ArtifactStore(tmp_path / "store")
         )
-        built = cold.translations(
-            query, ACCURACY, schema, version=table.domain_stamp(query.workload.attributes())
-        )
+        built = cold.translations(query, ACCURACY, schema)
         assert cold.cache_stats["built"] == 1
         assert cold.cache_stats["disk_writes"] == 1
 
@@ -53,25 +51,26 @@ class TestTranslatorDiskTier:
         warm = AccuracyTranslator(
             default_registry(mc_samples=200), store=ArtifactStore(tmp_path / "store")
         )
-        loaded = warm.translations(
-            query, ACCURACY, schema, version=table.domain_stamp(query.workload.attributes())
-        )
+        loaded = warm.translations(query, ACCURACY, schema)
         assert warm.cache_stats["disk_hits"] == 1
         assert warm.cache_stats["built"] == 0
         assert matrix_cache_stats()["built"] == 0
         assert search_stats()["searches"] == 0
         assert [(m.name, t) for m, t in loaded] == [(m.name, t) for m, t in built]
 
-    def test_bare_version_token_skips_the_disk_tier(self, tmp_path):
+    def test_a_query_without_a_stable_digest_skips_the_disk_tier(self, tmp_path):
         schema = make_schema()
-        table = make_table(schema)
         store = ArtifactStore(tmp_path / "store")
         translator = AccuracyTranslator(default_registry(mc_samples=200), store=store)
+        # A bare function predicate hashes by identity: memoisable in
+        # process, but it has no content form a restarted process could match.
+        opaque = FunctionPredicate(
+            "opaque", lambda table: np.ones(len(table), dtype=bool), attributes=("score",)
+        )
         translator.translations(
-            WorkloadCountingQuery(make_workload(), name="q"),
+            WorkloadCountingQuery(Workload([opaque]), name="q", disjoint=True),
             ACCURACY,
             schema,
-            version=table.version_token,
         )
         assert translator.cache_stats["built"] == 1
         assert translator.cache_stats["disk_writes"] == 0
