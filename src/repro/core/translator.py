@@ -28,8 +28,11 @@ once.
 Translation reads only the query kind, the workload matrix's values (its
 ``cache_token``), TCQ ``k`` and ``(alpha, beta)``, so a *token* tier keys
 lists by exactly that (:meth:`~repro.queries.query.Query.translation_key`):
-queries sharing a matrix share one list.  The tiers are exact (query and
-schema) -> token, with an already-memoised matrix only -> the optional
+queries sharing a matrix share one list.  Both tiers (and the flights
+below) also key on the registry's ``generation``, so a list of an old
+mechanism set never answers after a ``register`` or ``unregister``.  The
+tiers are exact (query and schema) -> token, with an already-memoised
+matrix only -> the optional
 :class:`~repro.store.ArtifactStore`, keyed by the query structure and the
 schema's content, so a restarted process reloads lists without building a
 matrix -> build the matrix -> token -> translate.  The disk key
@@ -172,7 +175,8 @@ class AccuracyTranslator:
         Mechanisms whose translation fails (e.g. the accuracy requirement is
         too loose for their closed form) are skipped.  Results are memoised
         per (query structure, schema, accuracy) and per
-        (:meth:`~repro.queries.query.Query.translation_key`, accuracy):
+        (:meth:`~repro.queries.query.Query.translation_key`, accuracy), both
+        at the registry's generation:
         translation is data independent and deterministic, so a repeat, or
         another query over the same matrix, is answered from the memo.  The
         tier order is exact -> token (memoised matrices only) -> disk ->
@@ -190,7 +194,13 @@ class AccuracyTranslator:
         its own: each follower starts over and computes for itself.
         """
         query_key = query.cache_key(schema)
-        cache_key = None if query_key is None else (query_key, accuracy.alpha, accuracy.beta)
+        # Read once, before the registry is: a list is never filed under a
+        # generation newer than the mechanism set it was computed from.
+        generation = self._registry.generation
+        cache_key = (
+            None if query_key is None
+            else (query_key, accuracy.alpha, accuracy.beta, generation)
+        )
         while True:
             if cache_key is not None:
                 cached = self._translation_cache.get(cache_key)
@@ -202,9 +212,9 @@ class AccuracyTranslator:
             matrix = query.memoised_matrix(schema)
             out: list[tuple[Mechanism, TranslationResult]] | None = None
             if matrix is not None:
-                out = self._token_cache.get(self._token_key(query, matrix, accuracy))
+                out = self._token_cache.get(self._token_key(query, matrix, accuracy, generation))
             if out is not None or cache_key is None:
-                return self._resolve(query, accuracy, schema, cache_key, matrix, out)
+                return self._resolve(query, accuracy, schema, generation, cache_key, matrix, out)
             latch = threading.Lock()
             latch.acquire()
             with self._flights_lock:
@@ -217,7 +227,9 @@ class AccuracyTranslator:
                 continue
             try:
                 if cache_key not in self._translation_cache:
-                    return self._resolve(query, accuracy, schema, cache_key, matrix, None)
+                    return self._resolve(
+                        query, accuracy, schema, generation, cache_key, matrix, None
+                    )
                 # A flight retired after this caller's probe: start over and
                 # take the exact hit.
             finally:
@@ -230,6 +242,7 @@ class AccuracyTranslator:
         query: Query,
         accuracy: AccuracySpec,
         schema: Schema | None,
+        generation: int,
         cache_key: tuple | None,
         matrix: WorkloadMatrix | None,
         out: list[tuple[Mechanism, TranslationResult]] | None,
@@ -254,7 +267,7 @@ class AccuracyTranslator:
                 out = self._from_payload(store.load("translation", store_digest), applicable)
             if out is None and matrix is None:
                 tier, matrix = "token", query.build_matrix(schema)
-                out = self._token_cache.get(self._token_key(query, matrix, accuracy))
+                out = self._token_cache.get(self._token_key(query, matrix, accuracy, generation))
             if out is None:
                 tier, out = "built", []
                 for mechanism in applicable:
@@ -277,7 +290,7 @@ class AccuracyTranslator:
         if cache_key is not None:
             self._translation_cache.put(cache_key, list(out))
         if matrix is not None and tier != "token":
-            self._token_cache.put(self._token_key(query, matrix, accuracy), list(out))
+            self._token_cache.put(self._token_key(query, matrix, accuracy, generation), list(out))
         # A list the disk missed is stored, whichever tier answered it.
         if store is not None and store_digest is not None and tier != "disk":
             payload = [(mechanism.name, result) for mechanism, result in out]
@@ -286,8 +299,10 @@ class AccuracyTranslator:
         return list(out)
 
     @staticmethod
-    def _token_key(query: Query, matrix: WorkloadMatrix, accuracy: AccuracySpec) -> tuple:
-        return (*query.translation_key(matrix), accuracy.alpha, accuracy.beta)
+    def _token_key(
+        query: Query, matrix: WorkloadMatrix, accuracy: AccuracySpec, generation: int
+    ) -> tuple:
+        return (*query.translation_key(matrix), accuracy.alpha, accuracy.beta, generation)
 
     def _store_digest(
         self,

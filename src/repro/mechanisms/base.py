@@ -34,6 +34,7 @@ from repro.core.exceptions import MechanismError
 from repro.data.schema import Schema
 from repro.data.table import Table, TableSnapshot
 from repro.queries.query import Query, QueryKind
+from repro.queries.workload import WorkloadMatrix
 
 __all__ = ["TranslationResult", "MechanismResult", "Mechanism"]
 
@@ -181,6 +182,20 @@ class Mechanism(abc.ABC):
         """
 
     # -- helpers -----------------------------------------------------------------
+
+    @staticmethod
+    def _true_counts(
+        query: Query, matrix: WorkloadMatrix, snapshot: TableSnapshot
+    ) -> np.ndarray:
+        """The true per-bin counts a release perturbs.
+
+        ``W @ x`` over an exact matrix.  A structural matrix is shared by
+        every workload of its size and sensitivity, so the counts come from
+        the query's own workload (its masks are cached per version).
+        """
+        if matrix.exact:
+            return matrix.true_answers(snapshot)
+        return query.workload.true_answers(snapshot)
 
     @staticmethod
     def _rng(rng: np.random.Generator | int | None) -> np.random.Generator:

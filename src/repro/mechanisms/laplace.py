@@ -109,7 +109,7 @@ class LaplaceMechanism(Mechanism):
         matrix = query.workload_matrix(snapshot.schema)
         sensitivity = matrix.sensitivity
         scale = sensitivity / epsilon
-        true_counts = matrix.true_answers(snapshot)
+        true_counts = self._true_counts(query, matrix, snapshot)
         noisy_counts = true_counts + laplace_noise(scale, len(true_counts), rng)
         return MechanismResult(
             mechanism=self.name,

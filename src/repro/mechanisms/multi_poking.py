@@ -121,7 +121,9 @@ class MultiPokingMechanism(Mechanism):
         # 1, where numpy's per-call dispatch would dominate.  Each operation
         # matches the array form (the parity oracle in
         # ``repro.mechanisms.reference``) bit for bit, draw for draw.
-        true_differences = (matrix.true_answers(snapshot) - query.threshold).tolist()
+        true_differences = (
+            self._true_counts(query, matrix, snapshot) - query.threshold
+        ).tolist()
         log_term = math.log(m * workload_size / (2.0 * beta))
 
         epsilon_i = epsilon_max / m

@@ -147,7 +147,12 @@ def multi_poking_release(
     epsilon_max = translation.epsilon_upper
 
     names = query.bin_names()
-    true_differences = matrix.true_answers(snapshot) - query.threshold
+    counts = (
+        matrix.true_answers(snapshot)
+        if matrix.exact
+        else query.workload.true_answers(snapshot)
+    )
+    true_differences = counts - query.threshold
     log_term = math.log(m * workload_size / (2.0 * beta))
 
     epsilon_i = epsilon_max / m

@@ -14,6 +14,7 @@ without touching the engine.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator
 
 from repro.core.exceptions import MechanismError
@@ -35,20 +36,33 @@ class MechanismRegistry:
 
     def __init__(self, mechanisms: Iterable[Mechanism] = ()) -> None:
         self._mechanisms: list[Mechanism] = []
+        self._generations = itertools.count()
+        self._generation = next(self._generations)
         for mechanism in mechanisms:
             self.register(mechanism)
+
+    @property
+    def generation(self) -> int:
+        """A number that changes on every ``register`` and ``unregister``.
+
+        Memos of what the registry answered (the translator's tiers) key on
+        it, so a change of the mechanism set is never served a stale list.
+        """
+        return self._generation
 
     def register(self, mechanism: Mechanism) -> None:
         """Add a mechanism; names must be unique within the registry."""
         if any(existing.name == mechanism.name for existing in self._mechanisms):
             raise MechanismError(f"a mechanism named {mechanism.name!r} is already registered")
         self._mechanisms.append(mechanism)
+        self._generation = next(self._generations)
 
     def unregister(self, name: str) -> None:
         before = len(self._mechanisms)
         self._mechanisms = [m for m in self._mechanisms if m.name != name]
         if len(self._mechanisms) == before:
             raise MechanismError(f"no mechanism named {name!r} is registered")
+        self._generation = next(self._generations)
 
     def __iter__(self) -> Iterator[Mechanism]:
         return iter(self._mechanisms)

@@ -224,7 +224,12 @@ class StrategyMechanism(Mechanism):
         epsilon = translation.epsilon_upper
         workload_matrix = query.workload_matrix(snapshot.schema)
         strategy, reconstruction = self._strategy(workload_matrix)
-        histogram = workload_matrix.partition_histogram(snapshot)
+        # A structural W is the identity, so its histogram is the counts.
+        histogram = (
+            workload_matrix.partition_histogram(snapshot)
+            if workload_matrix.exact
+            else self._true_counts(query, workload_matrix, snapshot)
+        )
         scale = strategy.sensitivity / epsilon
         strategy_answers = strategy.matrix @ histogram + laplace_noise(
             scale, strategy.n_queries, rng

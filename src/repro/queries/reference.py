@@ -208,15 +208,18 @@ def reference_domain_matrix(
     return _signatures_to_matrix(workload.size, partitions), partitions
 
 
-def reference_partition_histogram(matrix: WorkloadMatrix, table: Table) -> np.ndarray:
-    """The seed's partition histogram, one row at a time.
+def reference_partition_histogram(
+    matrix: WorkloadMatrix, workload: Workload, table: Table
+) -> np.ndarray:
+    """The seed's partition histogram of ``workload``'s rows, one row at a time.
 
-    Each row's signature is looked up among the partition signatures.  A
-    signature no partition carries raises :class:`QueryError` on an exact
-    matrix; on a structural matrix (one unit partition per predicate) the row
-    counts once in each partition it flags.
+    Each row's signature (over ``workload``'s predicates) is looked up among
+    ``matrix``'s partition signatures.  A signature no partition carries
+    raises :class:`QueryError` on an exact matrix; on a structural matrix
+    (one unit partition per predicate) the row counts once in each partition
+    it flags.
     """
-    masks = [reference_mask(pred, table) for pred in matrix.workload.predicates]
+    masks = [reference_mask(pred, table) for pred in workload.predicates]
     index_of_signature = {p.signature: j for j, p in enumerate(matrix.partitions)}
     histogram = np.zeros(matrix.n_partitions, dtype=float)
     for row in range(len(table)):

@@ -28,7 +28,9 @@ Two analysis paths are provided:
   predicates (e.g. string-similarity predicates in the entity-resolution case
   study).  The matrix is the identity over predicates and the sensitivity is
   either declared by the caller (``disjoint=True`` => 1) or conservatively set
-  to ``L``.
+  to ``L``.  Its value is fixed by ``(L, sensitivity)``, so one matrix object
+  serves every such workload and holds none of them: it counts no rows, and
+  a release counts a structural workload with :meth:`Workload.true_answers`.
 
 An exact matrix keeps the analysis's atoms and per-atom leaf vectors, and
 reads the data through them, one table shard at a time:
@@ -48,16 +50,17 @@ and a snapshot's ``x`` is the sum over its shards: after an append only the
 new shard is read, even by an equal matrix built again after the memo
 evicted it.
 The true counts of an exact matrix are ``W @ x`` (exact in float64: counts
-stay below ``2**53``); structural matrices count each predicate's mask.
+stay below ``2**53``).
 
 Because the exploration strategies (and the APEx relaxation loops in
 particular) re-ask structurally identical workloads many times,
-:meth:`Workload.analyze` memoises matrices in a module-level LRU keyed by the
-workload structure (predicates + names + schema identity + overrides); see
-:func:`matrix_cache_stats`.  No table version enters the key: a matrix reads
-only the predicates and the schema's *declared* domains, and a frozen schema
-object never changes, so a matrix stays valid across every append and
-refresh of every table with that schema.  Only the data-dependent caches a
+:meth:`Workload.analyze` memoises matrices in a module-level LRU: an exact
+matrix keyed by the workload structure (predicates + names + schema
+identity), a structural one by its value token ``("structural", L,
+sensitivity)``; see :func:`matrix_cache_stats`.  No table version enters a
+key: a matrix reads only the predicates and the schema's *declared* domains,
+and a frozen schema object never changes, so a matrix stays valid across
+every append and refresh of every table with that schema.  Only the data-dependent caches a
 matrix carries (the summed histogram per snapshot, the per-shard histograms)
 name the data they describe.  Matrices are not persisted: a restarted
 process is served by the translation lists on disk (``docs/store.md``).
@@ -170,8 +173,9 @@ class _StructureKey:
         return (_StructureKey, (self.value,))
 
 
-#: Process-wide LRU of :class:`WorkloadMatrix` keyed by workload structure
-#: and schema identity (see :meth:`Workload._analysis_key`).
+#: Process-wide LRU of :class:`WorkloadMatrix`: exact matrices keyed by
+#: workload structure and schema identity, structural ones by
+#: ``("structural", L, sensitivity)`` (see :meth:`Workload._analysis_key`).
 _MATRIX_CACHE: "LRUCache[WorkloadMatrix]" = LRUCache(128)
 
 #: Per-shard histogram stores, one ``(entries, lock)`` pair per exact value
@@ -293,6 +297,10 @@ class Workload:
         value; opaque function predicates hash by identity, which still
         caches correctly for re-used predicate objects (the
         entity-resolution strategies intern theirs).
+
+        The key names exact matrices and translation lists.  A structural
+        matrix is keyed by ``(L, sensitivity)`` instead, not by this key, and
+        its counts come from :meth:`true_answers`, not from the matrix.
         """
         return self._structure_key
 
@@ -349,11 +357,13 @@ class Workload:
             enumeration (useful for huge cross-attribute workloads such as the
             QT2/QT4 benchmarks, where the sensitivity is known structurally).
 
-        Results are memoised per workload structure: analysing a
-        structurally identical workload (equal predicates and names, same
-        schema object, same overrides) returns the previously built matrix
-        without re-deriving it, whatever the tables with that schema hold.
-        :meth:`memoised` and :meth:`build` are its two halves.
+        Results are memoised: analysing a structurally identical workload
+        (equal predicates and names, same schema object) returns the
+        previously built exact matrix without re-deriving it, whatever the
+        tables with that schema hold, and every workload analysed
+        structurally with the same ``L`` and effective sensitivity gets one
+        shared matrix.  :meth:`memoised` and :meth:`build` are its two
+        halves.
         """
         return self.memoised(schema, disjoint, sensitivity) or self.build(
             schema, disjoint, sensitivity
@@ -375,14 +385,10 @@ class Workload:
         self, schema: Schema | None, disjoint: bool | None, sensitivity: float | None
     ) -> "WorkloadMatrix":
         """:meth:`analyze`'s build: derive the matrix and memoise it, unprobed."""
-        structural_hint = disjoint is not None or sensitivity is not None
-        exact = (
-            self.supports_domain_analysis
-            and schema is not None
-            and not structural_hint
-        )
-        with tracing.span("workload.matrix_build", exact=exact):
-            if exact:
+        structural = self._structural_key(schema, disjoint, sensitivity)
+        with tracing.span("workload.matrix_build", exact=structural is None):
+            if structural is None:
+                assert schema is not None
                 matrix = WorkloadMatrix.from_domain_analysis(self, schema)
                 token = _structural_token(self, schema)
                 if token is not None:
@@ -391,15 +397,25 @@ class Workload:
                     )
                     matrix._shard_histograms, matrix._shard_lock = store
             else:
-                matrix = WorkloadMatrix.from_structure(
-                    self, disjoint=bool(disjoint), sensitivity=sensitivity
-                )
+                matrix = WorkloadMatrix.from_structure(self.size, structural[2])
         _MATRIX_TIER_STATS["built"].inc()
         tracing.annotate("matrix_tier", "built")
         key = self._analysis_key(schema, disjoint, sensitivity)
         if key is not None:
             _MATRIX_CACHE.put(key, matrix)
         return matrix
+
+    def _structural_key(
+        self, schema: Schema | None, disjoint: bool | None, sensitivity: float | None
+    ) -> tuple | None:
+        """``("structural", L, sensitivity)`` when :meth:`analyze` builds the
+        structural matrix (the override, 1 when disjoint, else ``L``), or
+        ``None`` when it runs the exact domain analysis."""
+        if sensitivity is None:
+            if disjoint is None and schema is not None and self.supports_domain_analysis:
+                return None
+            sensitivity = 1.0 if disjoint else self.size
+        return ("structural", self.size, float(sensitivity))
 
     def _analysis_key(
         self,
@@ -409,18 +425,17 @@ class Workload:
     ) -> tuple | None:
         """Hashable memo key for :meth:`analyze`; ``None`` disables caching.
 
-        Everything an analysis reads: the predicates and names, the schema
-        (by identity, so equal-but-distinct schemas never share), and the
-        overrides.
+        Everything an analysis reads.  An exact matrix reads the predicates
+        and the schema (by identity, so equal-but-distinct schemas never
+        share).  A structural matrix reads only ``L`` and the effective
+        sensitivity, so its key is its value token
+        ``("structural", L, sensitivity)`` and every workload of that size
+        and sensitivity shares one matrix object.
         """
         if self._structure_key is None:
             return None
-        return (
-            self._structure_key,
-            None if schema is None else _IdKey(schema),
-            disjoint,
-            sensitivity,
-        )
+        structural = self._structural_key(schema, disjoint, sensitivity)
+        return structural or (self._structure_key, _IdKey(schema))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Workload(size={self.size})"
@@ -456,7 +471,7 @@ class WorkloadMatrix:
 
     def __init__(
         self,
-        workload: Workload,
+        workload: Workload | None,
         matrix: np.ndarray,
         partitions: Sequence[DomainPartition],
         *,
@@ -465,7 +480,7 @@ class WorkloadMatrix:
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
             raise QueryError("workload matrix must be two-dimensional")
-        if matrix.shape[0] != workload.size:
+        if workload is not None and matrix.shape[0] != workload.size:
             raise QueryError(
                 f"matrix has {matrix.shape[0]} rows, workload has {workload.size} "
                 "predicates"
@@ -475,6 +490,7 @@ class WorkloadMatrix:
                 f"matrix has {matrix.shape[1]} columns, {len(partitions)} partitions "
                 "were provided"
             )
+        #: Exact matrices only: the workload whose predicates code the rows.
         self._workload = workload
         self._matrix = matrix
         self._partitions = tuple(partitions)
@@ -558,43 +574,27 @@ class WorkloadMatrix:
         return instance
 
     @classmethod
-    def from_structure(
-        cls,
-        workload: Workload,
-        *,
-        disjoint: bool = False,
-        sensitivity: float | None = None,
-    ) -> "WorkloadMatrix":
-        """Identity matrix over predicates with a declared/conservative sensitivity."""
-        size = workload.size
+    def from_structure(cls, size: int, sensitivity: float) -> "WorkloadMatrix":
+        """The ``size x size`` identity with a declared sensitivity.
+
+        Its value is fixed by ``(size, sensitivity)``, so it holds no
+        workload: :meth:`Workload.analyze` shares one object among every
+        workload of that size and effective sensitivity, and the matrix
+        counts no rows (a release counts a structural workload's predicates
+        with :meth:`Workload.true_answers`).
+        """
+        if sensitivity <= 0:
+            raise QueryError("an explicit sensitivity must be positive")
         partitions = [
-            DomainPartition(
-                signature=tuple(i == j for j in range(size)),
-                description=workload.name_of(i),
-            )
+            DomainPartition(signature=tuple(i == j for j in range(size)))
             for i in range(size)
         ]
-        matrix = np.eye(size)
-        instance = cls(workload, matrix, partitions, exact=False)
-        if sensitivity is not None:
-            if sensitivity <= 0:
-                raise QueryError("an explicit sensitivity must be positive")
-            instance._sensitivity = float(sensitivity)
-        elif disjoint:
-            instance._sensitivity = 1.0
-        else:
-            instance._sensitivity = float(size)
-        # Every structural matrix with the same size and sensitivity is the
-        # same identity matrix, so downstream strategy translations can be
-        # shared between them regardless of which predicates produced it.
+        instance = cls(None, np.eye(size), partitions, exact=False)
+        instance._sensitivity = float(sensitivity)
         instance._cache_token = ("structural", size, instance._sensitivity)
         return instance
 
     # -- accessors -------------------------------------------------------------
-
-    @property
-    def workload(self) -> Workload:
-        return self._workload
 
     @property
     def matrix(self) -> np.ndarray:
@@ -682,8 +682,8 @@ class WorkloadMatrix:
         once per matrix) by binary search.  A non-zero signature matching
         no partition means values outside the declared domains:
         :class:`QueryError`, and the shard's entry is not kept.  A
-        structural matrix is the identity over predicates, so its histogram
-        is the predicates' true counts.
+        structural matrix is shared by every workload of its size and
+        sensitivity, so it has no rows to count: :class:`QueryError`.
 
         Evaluation pins the table's snapshot up front, so the histogram
         always describes exactly one version even under concurrent appends,
@@ -698,14 +698,16 @@ class WorkloadMatrix:
         one entry is all it keeps of any table's data besides the per-shard
         histograms.
         """
+        if not self._exact:
+            raise QueryError(
+                "a structural matrix counts no rows; count the workload with "
+                "Workload.true_answers"
+            )
         table = table.snapshot()
         cached = self._cached(table)
         if cached is not None:
             return cached[2]
-        if self._exact:
-            histogram = self._atom_histogram(table)
-        else:
-            histogram = self._workload.true_answers(table)
+        histogram = self._atom_histogram(table)
         # The snapshot's version never advances, so the histogram is a pure
         # function of (snapshot, version) and admission is unconditional.
         self._data_cache = (weakref.ref(table), table.version_token, histogram, None)
@@ -715,14 +717,15 @@ class WorkloadMatrix:
         """True per-predicate counts ``W @ x``, cached beside the histogram.
 
         The counts are integers below ``2**53``, so the float64 product is
-        exact: it equals counting each predicate's rows.
+        exact: it equals counting each predicate's rows.  Exact matrices
+        only, like :meth:`partition_histogram`.
         """
         table = table.snapshot()
         cached = self._cached(table)
         if cached is not None and cached[3] is not None:
             return cached[3]
         histogram = self.partition_histogram(table)
-        answers = self._matrix @ histogram if self._exact else histogram
+        answers = self._matrix @ histogram
         self._data_cache = (weakref.ref(table), table.version_token, histogram, answers)
         return answers
 
@@ -764,9 +767,9 @@ class WorkloadMatrix:
 
     def _code_shard(self, table: Table, shard: Shard) -> tuple[np.ndarray, np.ndarray]:
         """One shard's occupied partitions (see ``partition_histogram``)."""
-        schema = self._schema
-        # from_domain_analysis sets both on every exact matrix.
-        assert schema is not None and self._domain is not None
+        schema, workload = self._schema, self._workload
+        # from_domain_analysis sets all three on every exact matrix.
+        assert schema is not None and workload is not None and self._domain is not None
         atoms, leaf_vectors = self._domain
         names = list(atoms)
         sizes = [len(atoms[name]) for name in names]
@@ -774,7 +777,7 @@ class WorkloadMatrix:
         n_cells = math.prod(sizes)
         if self._coders is None:
             self._coders = [
-                _atom_coder(self._workload, schema, name, atoms[name], stride, n_cells)
+                _atom_coder(workload, schema, name, atoms[name], stride, n_cells)
                 for name, stride in zip(names, strides)
             ]
         # Per-cell counts; index n_cells stands for "no atom".  One attribute
@@ -797,7 +800,7 @@ class WorkloadMatrix:
                 _evaluate_over_cells(
                     pred, coordinates, leaf_vectors, atoms, names, len(occupied)
                 )
-                for pred in self._workload.predicates
+                for pred in workload.predicates
             ],
             axis=1,
         )
@@ -805,7 +808,7 @@ class WorkloadMatrix:
         if counts[n_cells]:
             rows = np.flatnonzero(flat == n_cells)
             signatures = np.concatenate(
-                [signatures, self._workload.evaluate(table.shard_rows(shard, rows))]
+                [signatures, workload.evaluate(table.shard_rows(shard, rows))]
             )
             weights = np.concatenate([weights, np.ones(len(rows), dtype=weights.dtype)])
         histogram = self._count_signatures(signatures, weights)

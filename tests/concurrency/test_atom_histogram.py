@@ -124,7 +124,7 @@ def test_snapshot_histograms_stay_exact_while_appends_add_categorical_values():
     assert not errors, errors
     assert len(seen) > 1
     for snapshot, histograms in seen.values():
-        expected = reference_partition_histogram(matrix, snapshot)
+        expected = reference_partition_histogram(matrix, workload, snapshot)
         for histogram in histograms:
             np.testing.assert_array_equal(histogram, expected)
 
@@ -237,7 +237,7 @@ def test_shard_sums_stay_exact_while_appends_compact_and_grow_the_dictionary():
     assert merges and len(seen) > 1
     assert entries.accesses > 0 and entries.unguarded == 0
     for snapshot, histograms in seen.values():
-        expected = reference_partition_histogram(matrix, snapshot)
+        expected = reference_partition_histogram(matrix, workload, snapshot)
         for histogram in histograms:
             np.testing.assert_array_equal(histogram, expected)
 
@@ -283,7 +283,7 @@ def test_equal_matrices_under_two_names_share_one_guarded_store():
             thread.join(timeout=120)
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors
-        expected = reference_partition_histogram(second, table)
+        expected = reference_partition_histogram(second, renamed, table)
         assert len(histograms) == 2 * READERS
         for histogram in histograms:
             np.testing.assert_array_equal(histogram, expected)
@@ -306,7 +306,7 @@ def test_first_touch_of_a_shard_publishes_one_sorted_array(monkeypatch):
     )
     shard = table.shards[0]
     workload = prefix_workload("num", [10.0 * i for i in range(1, 10)])
-    expected = reference_partition_histogram(workload.analyze(SCHEMA), table)
+    expected = reference_partition_histogram(workload.analyze(SCHEMA), workload, table)
     assert not shard.sorted_values
     received: dict[int, list[np.ndarray]] = {}
     sorted_values = Table.shard_sorted_values

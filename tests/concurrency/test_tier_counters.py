@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.accuracy import AccuracySpec
 from repro.core.translator import AccuracyTranslator
+from repro.data.schema import Attribute, NumericDomain, Schema
 from repro.mechanisms.laplace import LaplaceMechanism
 from repro.mechanisms.registry import MechanismRegistry
 from repro.mechanisms.strategy_mechanism import (
@@ -54,11 +55,17 @@ def run_threads(work) -> None:
 
 
 def test_matrix_built_counter_is_exact():
+    # Exact analyses: every structural workload of one (L, sensitivity)
+    # shares a single matrix, so only exact matrices are built per workload.
+    schema = Schema([Attribute("x", NumericDomain(0, 1000))])
     clear_matrix_cache()
 
     def work(tid):
         for i in range(PER_THREAD):
-            Workload([Comparison("x", ">", float(tid * PER_THREAD + i))]).analyze(None)
+            matrix = Workload([Comparison("x", ">", float(tid * PER_THREAD + i))]).analyze(
+                schema
+            )
+            assert matrix.exact
 
     run_threads(work)
     stats = matrix_cache_stats()

@@ -94,8 +94,14 @@ def results(translations):
     return [result for _, result in translations]
 
 
-def exact_key(query, accuracy=ACCURACY):
-    return (query.cache_key(SCHEMA), accuracy.alpha, accuracy.beta)
+def exact_key(translator, query, accuracy=ACCURACY):
+    """The exact tier's (and the flights') key, at the registry's generation."""
+    return (
+        query.cache_key(SCHEMA),
+        accuracy.alpha,
+        accuracy.beta,
+        translator.registry.generation,
+    )
 
 
 class RecordingFlights(dict):
@@ -209,7 +215,7 @@ class TestFlights:
 
         assert translate(translator, query)
 
-        key = (query.cache_key(SCHEMA), ACCURACY.alpha, ACCURACY.beta)
+        key = exact_key(translator, query)
         assert inside == [[key]]
         assert translator._flights == {}
         stats = translator.cache_stats
@@ -277,7 +283,10 @@ class TestFlights:
         assert translate(translator, outer_query)
 
         assert inner and inner[0]
-        assert seen[1] == {exact_key(outer_query), exact_key(make_query(99.0))}
+        assert seen[1] == {
+            exact_key(translator, outer_query),
+            exact_key(translator, make_query(99.0)),
+        }
         stats = translator.cache_stats
         assert (stats["built"], stats["coalesced"]) == (2, 0)
         assert translator._flights == {}
@@ -348,7 +357,8 @@ class TestFollowers:
             thread.join(timeout=30)
             assert not thread.is_alive()
 
-        assert flights.joins == [(exact_key(query), True), (exact_key(query), False)]
+        key = exact_key(translator, query)
+        assert flights.joins == [(key, True), (key, False)]
         assert out["follower"] == out["leader"]
         assert len(mechanism.calls) == 1
         stats = translator.cache_stats
@@ -407,7 +417,7 @@ class TestFollowers:
 
         assert isinstance(out["leader"], RuntimeError)
         assert isinstance(out["follower"], list) and out["follower"]
-        key = exact_key(query)
+        key = exact_key(translator, query)
         assert flights.joins == [(key, True), (key, False), (key, True)]
         stats = translator.cache_stats
         assert (stats["built"], stats["coalesced"]) == (1, 1)
@@ -515,7 +525,7 @@ class TestNoFlight:
         translator.clear_cache()
         assert translate(translator, query) == first
 
-        assert flights.joins == [(exact_key(query), True)] * 2
+        assert flights.joins == [(exact_key(translator, query), True)] * 2
         assert len(mechanism.calls) == 2
         assert translator.cache_stats["coalesced"] == 0
         assert flights == {}

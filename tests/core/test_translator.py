@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core.accuracy import AccuracySpec
-from repro.core.exceptions import TranslationError
+from repro.core.exceptions import MechanismError, TranslationError
 from repro.core.translator import AccuracyTranslator, SelectionMode
+from repro.mechanisms.laplace import LaplaceMechanism
 from repro.mechanisms.registry import MechanismRegistry, default_registry
+from repro.mechanisms.strategy_mechanism import StrategyMechanism
 from repro.queries.builders import (
     histogram_workload,
     point_workload,
@@ -13,6 +15,7 @@ from repro.queries.builders import (
 )
 from repro.queries.query import (
     IcebergCountingQuery,
+    QueryKind,
     TopKCountingQuery,
     WorkloadCountingQuery,
 )
@@ -140,3 +143,51 @@ class TestChoice:
     def test_mode_exposed(self):
         translator = AccuracyTranslator(mode=SelectionMode.PESSIMISTIC)
         assert translator.mode is SelectionMode.PESSIMISTIC
+
+
+class TestRegistryChanges:
+    """A registry change is never answered by a list of the old mechanism set."""
+
+    @staticmethod
+    def _wcq(names=None) -> WorkloadCountingQuery:
+        return WorkloadCountingQuery(prefix_workload("age", [30.0, 50.0], names=names))
+
+    @staticmethod
+    def _only_wcq_lm() -> MechanismRegistry:
+        return MechanismRegistry(
+            [LaplaceMechanism(name="WCQ-LM", kinds=frozenset({QueryKind.WCQ}))]
+        )
+
+    def test_generation_changes_on_every_register_and_unregister(self):
+        registry = self._only_wcq_lm()
+        seen = [registry.generation]
+        registry.register(StrategyMechanism(mc_samples=64, name="WCQ-SM"))
+        seen.append(registry.generation)
+        registry.unregister("WCQ-LM")
+        seen.append(registry.generation)
+        assert len(set(seen)) == 3
+        with pytest.raises(MechanismError):
+            registry.unregister("WCQ-LM")
+        assert registry.generation == seen[-1]
+
+    def test_exact_and_token_tiers_follow_the_registry(self, adult_small):
+        registry = self._only_wcq_lm()
+        translator = AccuracyTranslator(registry)
+        accuracy = AccuracySpec(alpha=0.05 * len(adult_small))
+        query = self._wcq()
+
+        def names(asked):
+            return [m.name for m, _ in translator.translations(asked, accuracy, adult_small.schema)]
+
+        assert names(query) == ["WCQ-LM"]
+
+        registry.register(StrategyMechanism(mc_samples=64, name="WCQ-SM"))
+        registry.unregister("WCQ-LM")
+        # The same query (exact tier) and another query over the same matrix
+        # (token tier) both see the new mechanism set.
+        renamed = self._wcq(names=["young", "middle"])
+        for asked in (query, renamed):
+            assert names(asked) == ["WCQ-SM"]
+            choice = translator.choose(asked, accuracy, adult_small.schema)
+            assert choice is not None and choice.mechanism.name == "WCQ-SM"
+        assert translator.cache_stats["built"] == 2

@@ -22,6 +22,8 @@ from repro.er.predicates import (
     enumerate_thresholds,
 )
 from repro.er.transforms import DEFAULT_TRANSFORM_NAMES, get_transform
+from repro.mechanisms.base import Mechanism
+from repro.queries.query import WorkloadCountingQuery
 from repro.queries.workload import Workload
 
 
@@ -111,9 +113,10 @@ class TestTableScopedMasks:
     def _counts_through_shared_matrix(n_first, n_second):
         # Two pair tables with one schema and equal predicates, so the
         # second analysis is served the first table's matrix (built from the
-        # first cache's predicates) by the memo.
+        # first cache's predicates) by the memo.  The counts are the ones a
+        # release reads over that shared structural matrix.
         specs = [_spec(), _spec("authors", "space", "edit", 0.5)]
-        counts = []
+        counts, matrices = [], []
         for n_pairs, seed in ((n_first, 1), (n_second, 2)):
             table = pairs_to_table(generate_citation_pairs(n_pairs, seed=seed))
             cache = SimilarityCache(table)
@@ -122,10 +125,14 @@ class TestTableScopedMasks:
                 [cache.predicate(spec) for spec in specs] + [formula.predicate(cache)],
                 ["title", "authors", "either"],
             )
-            matrix = workload.analyze(table.schema, sensitivity=3.0)
+            query = WorkloadCountingQuery(workload, sensitivity=3.0)
+            matrix = query.workload_matrix(table.schema)
+            matrices.append(matrix)
             truth = [int(cache.mask(spec).sum()) for spec in specs]
             truth.append(int(formula.evaluate(cache).sum()))
-            counts.append((matrix.true_answers(table).tolist(), truth))
+            answered = Mechanism._true_counts(query, matrix, table.snapshot())
+            counts.append((answered.tolist(), truth))
+        assert matrices[0] is matrices[1]
         return counts
 
     def test_equal_sized_tables_answer_for_themselves(self):

@@ -153,7 +153,8 @@ class TestEveryMutationKeepsTheSchemaKeyedArtifacts:
         # The data-dependent side tracks the rows, at both snapshots.
         now = table.snapshot()
         np.testing.assert_array_equal(
-            matrix.partition_histogram(now), reference_partition_histogram(matrix, now)
+            matrix.partition_histogram(now),
+            reference_partition_histogram(matrix, query.workload, now),
         )
         np.testing.assert_array_equal(matrix.true_answers(now), reference_counts(query, now))
         np.testing.assert_array_equal(matrix.true_answers(before), old_counts)

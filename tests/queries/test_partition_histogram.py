@@ -3,8 +3,9 @@
 An exact matrix maps each row to its domain atom per attribute and counts
 the flat cell index; only the occupied cells get a signature, and rows whose
 values are no atom take theirs from the predicate masks.  Structural
-matrices count each predicate's mask.  Both must reproduce, bit for bit, the
-seed's semantics kept in
+matrices are shared by every workload of their size and sensitivity, count
+no rows, and raise; a release counts a structural workload's own masks.
+Both must reproduce, bit for bit, the seed's semantics kept in
 :func:`repro.queries.reference.reference_partition_histogram` -- across the
 signature word boundaries (L = 63/64/65), for rows that satisfy nothing, for
 NULLs, for zero-row and multi-shard tables, after appends, at cut points and
@@ -104,13 +105,23 @@ def workload_of(kind: str, size: int) -> Workload:
     return Workload(head + [Comparison("num", "<", c) for c in cuts(size - len(head))])
 
 
-def assert_matches_reference(matrix, table):
+def assert_matches_reference(matrix, workload, table):
+    """``workload``'s histogram over ``matrix`` equals the reference's.
+
+    A structural matrix is shared by every workload of its size and
+    sensitivity and counts no rows: the workload's own counts (what a
+    release reads) must equal the reference histogram instead.
+    """
+    expected = reference_partition_histogram(matrix, workload, table)
+    if not matrix.exact:
+        with pytest.raises(QueryError, match="counts no rows"):
+            matrix.partition_histogram(table)
+        np.testing.assert_array_equal(workload.true_answers(table), expected)
+        return expected
     histogram = matrix.partition_histogram(table)
     assert histogram.shape == (matrix.n_partitions,)
-    np.testing.assert_array_equal(histogram, reference_partition_histogram(matrix, table))
-    np.testing.assert_array_equal(
-        matrix.matrix @ histogram, matrix.workload.true_answers(table)
-    )
+    np.testing.assert_array_equal(histogram, expected)
+    np.testing.assert_array_equal(matrix.matrix @ histogram, workload.true_answers(table))
     return histogram
 
 
@@ -130,7 +141,7 @@ class TestExactParity:
         # The table exercises rows that satisfy no predicate and NULL rows.
         assert (~membership.any(axis=1)).any()
         assert np.isnan(table.column("num").astype(float)).any()
-        histogram = assert_matches_reference(matrix, table)
+        histogram = assert_matches_reference(matrix, workload, table)
         assert histogram.sum() == membership.any(axis=1).sum()
 
 
@@ -145,7 +156,7 @@ class TestStructuralParity:
         matrix = workload.analyze(None)
         assert not matrix.exact
         assert workload.evaluate(table).sum(axis=1).max() == 4
-        assert_matches_reference(matrix, table)
+        assert_matches_reference(matrix, workload, table)
 
     @pytest.mark.parametrize("size", [8, 100])
     def test_overlapping_structured_predicates_with_declared_sensitivity(self, size):
@@ -153,7 +164,7 @@ class TestStructuralParity:
         table = random_table(seed=size + 1)
         matrix = workload.analyze(SCHEMA, sensitivity=float(size))
         assert not matrix.exact
-        assert_matches_reference(matrix, table)
+        assert_matches_reference(matrix, workload, table)
 
 
 class TestTableShapes:
@@ -162,9 +173,10 @@ class TestTableShapes:
         workload = workload_of("prefix", 65)
         matrix = workload.analyze(SCHEMA, sensitivity=65.0 if structural else None)
         table = Table.from_rows(SCHEMA, [])
-        first = matrix.partition_histogram(table)
+        first = assert_matches_reference(matrix, workload, table)
         np.testing.assert_array_equal(first, np.zeros(matrix.n_partitions))
-        assert matrix.partition_histogram(table) is first
+        if matrix.exact:
+            assert matrix.partition_histogram(table) is first
 
     @pytest.mark.parametrize("size", [8, 100])
     @pytest.mark.parametrize("sizes", [(100,), (40, 25, 35), (140, 90, 120)])
@@ -174,16 +186,18 @@ class TestTableShapes:
         table = append_uncompacted(Table.from_rows(SCHEMA, chunks[0]), chunks[1:])
         assert table.shard_sizes == sizes
         flat = Table.from_rows(SCHEMA, [row for chunk in chunks for row in chunk])
-        matrix = workload_of("mixed", size).analyze(SCHEMA)
-        sharded = assert_matches_reference(matrix, table)
+        workload = workload_of("mixed", size)
+        matrix = workload.analyze(SCHEMA)
+        sharded = assert_matches_reference(matrix, workload, table)
         np.testing.assert_array_equal(sharded, matrix.partition_histogram(flat))
 
     def test_reread_after_append_rows(self):
         table = random_table(seed=5)
-        matrix = workload_of("prefix", 100).analyze(SCHEMA)
-        before = assert_matches_reference(matrix, table).copy()
+        workload = workload_of("prefix", 100)
+        matrix = workload.analyze(SCHEMA)
+        before = assert_matches_reference(matrix, workload, table).copy()
         table.append_rows([{"cat": "a", "num": 0.0}] * 30)
-        after = assert_matches_reference(matrix, table)
+        after = assert_matches_reference(matrix, workload, table)
         assert after.sum() == before.sum() + 30
 
 
@@ -208,7 +222,7 @@ class TestOutOfDomain:
             schema, [{"cat": "a", "num": 5.0}, {"cat": "d", "num": 5.0}]
         )
         with pytest.raises(QueryError):
-            reference_partition_histogram(matrix, table)
+            reference_partition_histogram(matrix, workload, table)
         with pytest.raises(QueryError, match="outside the declared attribute domains"):
             matrix.partition_histogram(table)
 
@@ -254,7 +268,7 @@ class TestAtomBoundaries:
         matrix = workload.analyze(SCHEMA)
         assert matrix.exact
         fallbacks = count_mask_fallbacks(monkeypatch)
-        histogram = assert_matches_reference(matrix, table)
+        histogram = assert_matches_reference(matrix, workload, table)
         # Every value, NULL included, is an atom; every non-NULL row
         # satisfies a predicate.
         assert fallbacks == []
@@ -293,7 +307,7 @@ class TestRowsWithNoAtom:
         ]
         table = Table.from_rows(self.SCHEMA, in_domain + no_atom)
         fallbacks = count_mask_fallbacks(monkeypatch)
-        histogram = assert_matches_reference(matrix, table)
+        histogram = assert_matches_reference(matrix, workload, table)
         assert fallbacks[0] == len(no_atom)
         # ("a", 0) and ("a", 5) in the domain, and -3 outside it, satisfy nothing.
         assert histogram.sum() == len(in_domain) - 2 + len(no_atom) - 1
@@ -310,7 +324,7 @@ class TestRowsWithNoAtom:
         rows = [{"cat": v, "num": 1.0} for v in ("zz", "yy", "a", "b", "c", None) * 3]
         table = Table.from_rows(SCHEMA, rows)
         fallbacks = count_mask_fallbacks(monkeypatch)
-        histogram = assert_matches_reference(matrix, table)
+        histogram = assert_matches_reference(matrix, workload, table)
         # "zz" and "yy" are atoms (the workload names them), so no row
         # needs the masks.
         assert fallbacks == []
@@ -339,14 +353,14 @@ class TestRowsWithNoAtom:
         ]
         table = Table.from_rows(schema, rows)
         fallbacks = count_mask_fallbacks(monkeypatch)
-        assert_matches_reference(matrix, table)
+        assert_matches_reference(matrix, workload, table)
         assert fallbacks == []
         # Any other condition on text evaluates differently over the rows
         # than over the single text atom, so the rows keep their masks.
         other = Workload([In("note", ["free text"]), IsNull("note", negated=True)])
         matrix = other.analyze(schema)
         with pytest.raises(QueryError):
-            reference_partition_histogram(matrix, table)
+            reference_partition_histogram(matrix, other, table)
         with pytest.raises(QueryError, match="outside the declared attribute domains"):
             matrix.partition_histogram(table)
 
@@ -360,7 +374,7 @@ class TestMarginal:
         )
         matrix = workload.analyze(SCHEMA)
         assert matrix.exact and matrix.shape[0] == 4 * bins
-        assert_matches_reference(matrix, random_table(seed=bins))
+        assert_matches_reference(matrix, workload, random_table(seed=bins))
 
 
 class TestMatrixProvenance:
@@ -396,7 +410,7 @@ class TestMatrixProvenance:
         histogram = matrix.partition_histogram(table)
         assert calls == {"atoms": 1, "leaf_vectors": 1}
         np.testing.assert_array_equal(
-            histogram, reference_partition_histogram(matrix, table)
+            histogram, reference_partition_histogram(matrix, workload, table)
         )
         clear_matrix_cache()
 
@@ -421,18 +435,18 @@ class TestMatrixProvenance:
         clear_matrix_cache()
         matrix = workload.analyze(schema)
         before = table.snapshot()
-        assert_matches_reference(matrix, before)
+        assert_matches_reference(matrix, workload, before)
         # A new value of an unreferenced attribute: the memo serves the
         # same matrix.
         table.append_rows(rows("ab", "y"))
         again = workload.analyze(schema)
         assert again is matrix
-        assert_matches_reference(again, table)
+        assert_matches_reference(again, workload, table)
         # New values of a referenced attribute get new dictionary codes;
         # the matrix already has an atom for every declared value.
         table.append_rows(rows("cd", "x"))
-        assert_matches_reference(matrix, table)
-        assert_matches_reference(matrix, before)
+        assert_matches_reference(matrix, workload, table)
+        assert_matches_reference(matrix, workload, before)
         assert workload.analyze(schema) is matrix
         assert matrix_cache_stats()["built"] == 1
         clear_matrix_cache()
@@ -457,13 +471,14 @@ class TestShardSums:
     def test_one_row_appends_then_a_compaction_merge(self):
         table = fragmented_table(seed=60, n=200, fragments=60, fragment_rows=1)
         assert table.n_shards == 61
-        matrix = workload_of("mixed", 40).analyze(SCHEMA)
+        workload = workload_of("mixed", 40)
+        matrix = workload.analyze(SCHEMA)
         fragmented = table.snapshot()
-        before = assert_matches_reference(matrix, fragmented).copy()
+        before = assert_matches_reference(matrix, workload, fragmented).copy()
         assert table.compact() and table.n_shards < 61
         merged = table.snapshot()
         assert merged is not fragmented
-        np.testing.assert_array_equal(assert_matches_reference(matrix, merged), before)
+        np.testing.assert_array_equal(assert_matches_reference(matrix, workload, merged), before)
 
     def test_no_atom_rows_only_in_the_appended_shard(self, monkeypatch):
         schema = TestRowsWithNoAtom.SCHEMA
@@ -475,11 +490,11 @@ class TestShardSums:
         )
         matrix = workload.analyze(schema)
         fallbacks = count_mask_fallbacks(monkeypatch)
-        assert_matches_reference(matrix, table)
+        assert_matches_reference(matrix, workload, table)
         assert fallbacks == []
         no_atom = [{"cat": "z", "num": 5.0}, {"cat": "b", "num": None}]
         table.append_rows(no_atom + [{"cat": "b", "num": 900.0}] * 3)
-        assert_matches_reference(matrix, table)
+        assert_matches_reference(matrix, workload, table)
         # Only the appended shard is read, and only its no-atom rows take masks.
         assert fallbacks == [len(no_atom)]
 
@@ -490,28 +505,28 @@ class TestShardSums:
                 Attribute("num", NumericDomain(0, 1000)),
             ]
         )
-        matrix = Workload(
-            [Comparison("cat", "==", "a"), Comparison("cat", "!=", "b")]
-        ).analyze(schema)
+        workload = Workload([Comparison("cat", "==", "a"), Comparison("cat", "!=", "b")])
+        matrix = workload.analyze(schema)
         table = Table.from_rows(schema, [{"cat": c, "num": 5.0} for c in "abab"])
         before = table.snapshot()
-        expected = assert_matches_reference(matrix, before).copy()
+        expected = assert_matches_reference(matrix, workload, before).copy()
         table.append_rows([{"cat": "d", "num": 5.0}])
         for _ in range(2):  # a failed shard is never cached
             with pytest.raises(QueryError, match="outside the declared attribute domains"):
                 matrix.partition_histogram(table)
         with pytest.raises(QueryError):
-            reference_partition_histogram(matrix, table)
+            reference_partition_histogram(matrix, workload, table)
         np.testing.assert_array_equal(matrix.partition_histogram(before), expected)
 
     def test_entries_die_with_the_shards_compaction_merged_away(self):
         table = fragmented_table(seed=70, n=1000, fragments=8, fragment_rows=2)
-        matrix = workload_of("mixed", 40).analyze(SCHEMA)
+        workload = workload_of("mixed", 40)
+        matrix = workload.analyze(SCHEMA)
         fragmented = table.snapshot()
-        assert_matches_reference(matrix, fragmented)
+        assert_matches_reference(matrix, workload, fragmented)
         assert len(matrix._shard_histograms) == 9
         assert table.compact() and table.shard_sizes == (1000, 12, 4)
-        assert_matches_reference(matrix, table)
+        assert_matches_reference(matrix, workload, table)
         assert len(matrix._shard_histograms) == 11
         del fragmented
         gc.collect()
@@ -531,13 +546,13 @@ class TestAppendCostsTheAppendedRows:
 
         clear_matrix_cache()
         matrix = analyze()
-        assert_matches_reference(matrix, table)
+        assert_matches_reference(matrix, workload, table)
         assert histogram_rows() == 400
         for k in (30, 12, 25):
             rows_before = histogram_rows()
             table.append_rows(random_rows(rng, k))
             assert analyze() is matrix
-            assert_matches_reference(matrix, table)
+            assert_matches_reference(matrix, workload, table)
             assert histogram_rows() == rows_before + k
         assert matrix_cache_stats()["built"] == 1
         clear_matrix_cache()
@@ -545,12 +560,13 @@ class TestAppendCostsTheAppendedRows:
     def test_compaction_merge_codes_exactly_the_merged_rows(self):
         table = fragmented_table(seed=80, n=1000, fragments=8, fragment_rows=2)
         clear_matrix_cache()
-        matrix = workload_of("mixed", 40).analyze(SCHEMA)
-        assert_matches_reference(matrix, table)
+        workload = workload_of("mixed", 40)
+        matrix = workload.analyze(SCHEMA)
+        assert_matches_reference(matrix, workload, table)
         assert histogram_rows() == 1016
         assert matrix_cache_stats()["histogram_shards"] == 9
         assert table.compact() and table.shard_sizes == (1000, 12, 4)
-        assert_matches_reference(matrix, table)
+        assert_matches_reference(matrix, workload, table)
         # The 1000-row shard is kept by identity; only the merges are read.
         assert histogram_rows() == 1016 + 16
         assert matrix_cache_stats()["histogram_shards"] == 9 + 2
@@ -584,7 +600,7 @@ class TestSharedAcrossEqualMatrices:
         table = Table.from_rows(SCHEMA, base)
 
         before = workload.analyze(SCHEMA)
-        assert_matches_reference(before, table)
+        assert_matches_reference(before, workload, table)
         built, shards, rows = matrix_cache_stats()["built"], histogram_shards(), histogram_rows()
         k = 9
         table.append_rows([{"cat": "d", "num": 5.0}] + random_rows(rng, k - 1))
@@ -592,7 +608,7 @@ class TestSharedAcrossEqualMatrices:
         after = renamed.analyze(SCHEMA)
         assert after is not before and after.cache_token == before.cache_token
         assert matrix_cache_stats()["built"] == built + 1
-        histogram = assert_matches_reference(after, table)
+        histogram = assert_matches_reference(after, renamed, table)
         assert histogram_shards() == shards + 1
         assert histogram_rows() == rows + k
         clear_matrix_cache()
@@ -610,8 +626,8 @@ class TestSharedAcrossEqualMatrices:
         table = Table.from_rows(narrow, [{"cat": c} for c in "aabab"])
         first, second = workload.analyze(narrow), workload.analyze(wide)
         assert first._shard_histograms is not second._shard_histograms
-        np.testing.assert_array_equal(assert_matches_reference(first, table), [3, 2])
-        np.testing.assert_array_equal(assert_matches_reference(second, table), [0, 3, 2])
+        np.testing.assert_array_equal(assert_matches_reference(first, workload, table), [3, 2])
+        np.testing.assert_array_equal(assert_matches_reference(second, workload, table), [0, 3, 2])
         assert histogram_shards() == 2
 
     def test_unhashable_workload_keeps_a_private_store(self):
@@ -624,7 +640,8 @@ class TestSharedAcrossEqualMatrices:
         for matrix in (first, second):
             # The predicate-mask cache cannot key an unhashable predicate.
             np.testing.assert_array_equal(
-                matrix.partition_histogram(table), reference_partition_histogram(matrix, table)
+                matrix.partition_histogram(table),
+                reference_partition_histogram(matrix, workload, table),
             )
         assert histogram_shards() == 2
 
@@ -636,8 +653,8 @@ class TestSharedAcrossEqualMatrices:
         # Different names: two memo entries, one value token.
         assert first is not second
         assert first._shard_histograms is second._shard_histograms
-        expected = assert_matches_reference(first, table)
-        np.testing.assert_array_equal(assert_matches_reference(second, table), expected)
+        expected = assert_matches_reference(first, ints, table)
+        np.testing.assert_array_equal(assert_matches_reference(second, floats, table), expected)
         assert histogram_shards() == 1
 
 

