@@ -17,21 +17,26 @@ unit of incremental work: after an append only the new shard is interned
 and histogrammed.  :attr:`Table.shards`,
 :meth:`Table.shard_category_codes`, :meth:`Table.shard_sorted_values` and
 :meth:`Table.shard_rows` are the per-shard read surface; exact workload
-matrices keep one histogram per shard read (weakly keyed by the shard, one
-store per matrix value) and sum them per snapshot.
+matrices keep one histogram per shard read (weakly keyed by the shard) and
+sum them per snapshot.
 
-Tables are *versioned*, not frozen: :meth:`Table.append_rows` adds a new
-shard and :meth:`Table.refresh` replaces the contents wholesale.  Both
-advance the table's :attr:`Table.version_token` -- an immutable, hashable
-:class:`TableVersion` that uniquely identifies one state of one table.  Every
+**The shard list only grows at its end.**  :meth:`Table.append_rows` adds
+one shard after the last; :meth:`Table.refresh` replaces the whole list
+with one new shard; nothing else rewrites it.  Shard objects never cross
+lineages (:meth:`Table.filter`, :meth:`Table.take`, :meth:`Table.concat`
+freeze new ones), so two snapshots of one table that hold the same shard at
+position ``n - 1`` hold the same first ``n`` shards -- which is what lets an
+exact histogram add only the shards its last read lacked.
+
+Tables are *versioned*, not frozen: both mutations advance the table's
+:attr:`Table.version_token` -- an immutable, hashable :class:`TableVersion`
+that uniquely identifies one state of one table.  Every
 cache keyed on "this table's data" anywhere in the stack (the predicate-mask
 LRU below, the partition-histogram and true-count caches) incorporates the
 version token, so a mutation can never resurrect a stale artifact:
 post-append lookups simply miss and recompute against the grown table.
 The full contract -- which cache keys on what, and which regression test
 pins it -- is tabulated in ``docs/consistency.md``.
-
-Three mechanisms ride on the shard structure:
 
 **Snapshots.** :meth:`Table.snapshot` returns a :class:`TableSnapshot`: an
 immutable table view that pins the shard list *and* the version token at the
@@ -45,27 +50,14 @@ memoised per version: every reader admitted at the same version shares one
 snapshot object, which is what keeps the identity-keyed data caches
 (true counts, partition histograms) warm across requests.
 
-**Compaction.** Streaming appends accumulate shards; many tiny shards
-degrade evaluation through per-shard fixed costs.  :meth:`Table.compact`
-(automatic after every ``append_columns``) merges adjacent undersized shards
-when the table has more than :data:`COMPACT_MAX_SHARDS` shards or a shard
-other than the newest holds less than :data:`COMPACT_MIN_FRACTION` of the
-rows.  The newest shard is the open end the next append extends; every
-other undersized run is merged into a neighbour, so one pass always leaves
-a layout the policy accepts.
-Compaction rewrites the physical layout only: row order, contents and the
-version token are unchanged (so every version-keyed cache stays valid),
-untouched shards keep their interned codes, and snapshots taken earlier
-keep their own pinned shard lists.
-
 **Shared category dictionary.** Categorical columns are dictionary-encoded
 once per *shard* against a per-table, append-only ``value -> code`` index
 shared by the table and its snapshots.  A shard is interned in two C-level
 passes (new values in first-occurrence order, then one code lookup per
 row), and after an append the parent concatenates the per-shard code
-arrays instead of re-interning the whole column; refresh and compaction
-keep the index (codes are only ever added, never renumbered), so a value's
-code is stable for the table's lifetime.
+arrays instead of re-interning the whole column; a refresh keeps the
+index (codes are only ever added, never renumbered), so a value's code is
+stable for the table's lifetime.
 
 **Ingest.** :meth:`Table.append_rows` gathers each attribute's values from
 the row dicts, then coerces the column in one numpy pass when every value
@@ -93,7 +85,6 @@ predicate masks) are computed lazily and dropped on every version advance.
 from __future__ import annotations
 
 import itertools
-import math
 import threading
 import weakref
 from collections import OrderedDict
@@ -115,12 +106,6 @@ __all__ = ["Shard", "Table", "TableSnapshot", "TableVersion"]
 MASK_CACHE_BYTE_BUDGET = 64 * 1024 * 1024
 #: Entry-count ceiling of the mask LRU (reached only by small tables).
 MASK_CACHE_MAX_ENTRIES = 4096
-
-#: Compaction trigger: merge shards once the table has more than this many.
-COMPACT_MAX_SHARDS = 64
-#: Compaction trigger: merge shards once a shard other than the newest holds
-#: less than this fraction of the table's rows.
-COMPACT_MIN_FRACTION = 0.01
 
 #: How many recent versions' snapshots a table memoises.  Bounding the memo
 #: keeps identity-keyed data caches (true counts, histograms) warm across a
@@ -165,24 +150,22 @@ class Shard:
     ``columns`` maps attribute name to a frozen storage array; ``codes``
     holds per-column ``int32`` dictionary codes interned against the owning
     table's shared category index.  Shard objects are shared freely between
-    a table, its snapshots and its compacted descendants -- the arrays are
+    a table and its snapshots, never with another table -- the arrays are
     read-only, and ``codes`` only ever gains entries (guarded by the
     table's intern lock), so sharing can never observe a torn state.
 
     ``eq=False`` keeps identity hashing, so a shard can key a cache weakly:
-    exact :class:`~repro.queries.workload.WorkloadMatrix` objects keep the
-    histogram of every shard read in a ``WeakKeyDictionary`` per value
-    token, not per matrix, so a matrix rebuilt with equal value reads no
-    shard again.  Those entries die with the shard, so a shard merged away
-    by compaction (and no longer pinned by any snapshot) drops out, and the
-    merged shard is histogrammed afresh on first read.
+    an exact :class:`~repro.queries.workload.WorkloadMatrix` keeps the
+    histogram of every shard it reads in a ``WeakKeyDictionary``, and an
+    entry dies with its shard once no table or snapshot holds it (after a
+    ``refresh``, say).  Identity also marks a position in a lineage: a
+    shard sits at one place in one table's list for its whole life.
 
     ``sorted_values`` holds per-column read-only ``float64`` copies of a
     numeric column in ascending order (NaN last), filled on first touch by
     :meth:`Table.shard_sorted_values` for exact matrices that reference
     that one attribute.  Like ``codes`` it never goes stale and survives
-    ``clear_caches``; unlike ``codes``, compaction does not carry it over,
-    so a merged shard sorts once on its first touch.
+    ``clear_caches``.
     """
 
     columns: dict[str, np.ndarray]
@@ -222,7 +205,7 @@ class Table:
         #: The shared append-only ``column -> (value -> code)`` dictionary.
         #: Created once per table lineage and *never* rebound: codes are
         #: stable for the lifetime of the table, so per-shard code arrays
-        #: survive appends, refreshes and compaction unchanged.
+        #: survive appends and refreshes unchanged.
         self._category_index: dict[str, dict[str, int]] = {}
         # Lazy per-version caches (dropped on every version advance).
         self._materialized: dict[str, np.ndarray] = dict(shard.columns)
@@ -298,8 +281,7 @@ class Table:
     def version_token(self) -> TableVersion:
         """The immutable token identifying this table's current state.
 
-        Advances on every :meth:`append_rows` / :meth:`refresh` (but *not*
-        on :meth:`compact`, which changes layout, never contents); any cache
+        Advances on every :meth:`append_rows` / :meth:`refresh`; any cache
         keyed by this token can never serve an artifact derived from a
         different state of the data.
         """
@@ -423,17 +405,11 @@ class Table:
     def append_columns(self, columns: Mapping[str, np.ndarray]) -> TableVersion:
         """Append a pre-built column chunk as a new shard (see ``append_rows``).
 
-        When the compaction policy fires (more than
-        :data:`COMPACT_MAX_SHARDS` shards, or a shard other than the newest
-        under :data:`COMPACT_MIN_FRACTION` of the rows), adjacent small shards
-        are merged before returning -- contents and the just-advanced version
-        token are unchanged by that merge.
-
+        The shard goes after the last one; earlier shards are never touched.
         A zero-row chunk is validated like any other, then ignored: no shard
         is added and the current token is returned unchanged, so an empty
-        append neither drops the per-version caches nor leaves behind a
-        0-row shard that would trip the compaction policy on every later
-        append.
+        append neither drops the per-version caches nor leaves a 0-row shard
+        behind.
         """
         shard = self._freeze_shard(columns)
         if shard.n_rows == 0:
@@ -442,8 +418,6 @@ class Table:
             self._shards.append(shard)
             self._n_rows += shard.n_rows
             self._advance_version_locked()
-            if self._needs_compaction_locked():
-                self._compact_locked()
         return self._version
 
     def refresh(self, rows: Iterable[Mapping[str, object]]) -> TableVersion:
@@ -478,150 +452,6 @@ class Table:
         # stay warm for in-flight readers) and stay in the bounded snapshot
         # memo until evicted by newer versions.
         self._mask_cache = LRUCache(self._mask_cache_capacity())
-
-    # -- compaction ------------------------------------------------------------
-
-    def compact(self) -> bool:
-        """Merge small or over-numerous shards into larger ones.
-
-        Purely a physical-layout rewrite: row order, contents and the
-        version token are unchanged, so every cache keyed on the token (or
-        on the table's per-version artifacts) remains valid.  Shards large
-        enough to stand alone are kept untouched -- their interned code
-        arrays are reused as-is -- and merged shards inherit concatenated
-        code arrays wherever every constituent was already interned.
-        Snapshots taken before the call keep their own pinned shard lists.
-
-        :returns: ``True`` when the layout changed, ``False`` when the
-            table was already compact.
-        """
-        with self._mutation_lock:
-            return self._compact_locked()
-
-    def _needs_compaction_locked(self) -> bool:
-        """Whether the compaction policy fires for the current shard layout.
-
-        The newest shard is exempt from the size test: the next append
-        either runs on from it or leaves it behind, and then it is tested.
-        """
-        if len(self._shards) <= 1:
-            return False
-        if len(self._shards) > COMPACT_MAX_SHARDS:
-            return True
-        smallest = min(shard.n_rows for shard in self._shards[:-1])
-        return smallest < self._compact_threshold_locked()
-
-    def _compact_threshold_locked(self) -> int:
-        """Rows below which a shard counts as "small" for the policy."""
-        return max(1, math.ceil(max(self._n_rows, 1) * COMPACT_MIN_FRACTION))
-
-    def _compact_locked(self) -> bool:
-        """Greedy adjacent-run merge (mutation lock held); order-preserving.
-
-        Afterwards every shard but the newest reaches the threshold and at
-        most :data:`COMPACT_MAX_SHARDS` remain, so the policy is quiet until
-        the next append.
-        """
-        shards = self._shards
-        if len(shards) <= 1:
-            return False
-        threshold = self._compact_threshold_locked()
-        if len(shards) > COMPACT_MAX_SHARDS:
-            threshold = max(
-                threshold, math.ceil(self._n_rows / COMPACT_MAX_SHARDS)
-            )
-        groups: list[list[Shard]] = []
-        sizes: list[int] = []
-        current: list[Shard] = []
-        current_rows = 0
-        for shard in shards:
-            if shard.n_rows >= threshold:
-                # Large enough to stand alone: close any open small run and
-                # keep this shard untouched (its codes stay warm).
-                if current:
-                    groups.append(current)
-                    sizes.append(current_rows)
-                    current, current_rows = [], 0
-                groups.append([shard])
-                sizes.append(shard.n_rows)
-                continue
-            current.append(shard)
-            current_rows += shard.n_rows
-            if current_rows >= threshold:
-                groups.append(current)
-                sizes.append(current_rows)
-                current, current_rows = [], 0
-        if current:
-            groups.append(current)
-            sizes.append(current_rows)
-        # A small run a large shard closed (so not the newest) would stay
-        # small forever: fold it into its smaller neighbour.  Both
-        # neighbours reach the threshold, so the merged group does too.
-        for i in range(len(groups) - 2, -1, -1):
-            if sizes[i] >= threshold:
-                continue
-            j = i + 1 if i == 0 or sizes[i + 1] < sizes[i - 1] else i - 1
-            self._fold_groups(groups, sizes, min(i, j))
-        while len(groups) > COMPACT_MAX_SHARDS:
-            # Hard bound: fold the adjacent pair with the fewest rows.
-            i = min(range(len(groups) - 1), key=lambda j: sizes[j] + sizes[j + 1])
-            self._fold_groups(groups, sizes, i)
-        if all(len(group) == 1 for group in groups):
-            return False
-        self._shards = [
-            group[0] if len(group) == 1 else self._merge_shards(group)
-            for group in groups
-        ]
-        # Readers admitted from now on must see the merged layout: drop the
-        # memoised snapshot so the next snapshot() call re-pins.  Snapshots
-        # already handed out keep their (equivalent) pre-compact shard lists,
-        # and the new snapshot shares the same version token and mask LRU, so
-        # nothing version-keyed goes cold.
-        self._snapshots.pop(self._version, None)
-        return True
-
-    @staticmethod
-    def _fold_groups(groups: list[list[Shard]], sizes: list[int], i: int) -> None:
-        """Merge group ``i + 1`` into group ``i``, keeping ``sizes`` in step."""
-        groups[i : i + 2] = [groups[i] + groups[i + 1]]
-        sizes[i : i + 2] = [sizes[i] + sizes[i + 1]]
-
-    def _merge_shards(self, group: Sequence[Shard]) -> Shard:
-        """Concatenate adjacent shards into one, carrying over interned codes.
-
-        The carry-over is an optimisation only, so the intern lock is taken
-        *non-blocking*: a reader mid-way through interning a large shard
-        must never stall an auto-compacting appender (which holds the
-        mutation lock here -- blocking would serialize admission behind the
-        reader's interning pass).  When the lock is busy the merged shard
-        simply starts with no codes and re-interns lazily on first use.
-        Sorted numeric copies and per-matrix histograms are never carried:
-        a merged shard sorts and histograms afresh on first touch.
-        """
-        columns: dict[str, np.ndarray] = {}
-        for name in self._schema.attribute_names:
-            col = np.concatenate([shard.columns[name] for shard in group])
-            col.flags.writeable = False
-            columns[name] = col
-        codes: dict[str, np.ndarray] = {}
-        if self._intern_lock.acquire(blocking=False):
-            try:
-                interned_everywhere = set(group[0].codes)
-                for shard in group[1:]:
-                    interned_everywhere &= set(shard.codes)
-                for name in interned_everywhere:
-                    merged = np.concatenate(
-                        [shard.codes[name] for shard in group]
-                    )
-                    merged.flags.writeable = False
-                    codes[name] = merged
-            finally:
-                self._intern_lock.release()
-        return Shard(
-            columns=columns,
-            n_rows=sum(shard.n_rows for shard in group),
-            codes=codes,
-        )
 
     # -- basic accessors ------------------------------------------------------
 
@@ -814,8 +644,8 @@ class Table:
         ``int32`` codes (NULL is ``-1``) and the live shared dictionary.
 
         The shard is interned at most once in its lifetime, under the
-        table lineage's dictionary, so the codes mean the same in every
-        table, snapshot and compacted layout that holds the shard.
+        table lineage's dictionary, so the codes mean the same in the table
+        and every snapshot that holds the shard.
         """
         index = self._category_index.setdefault(name, {})
         return self._shard_codes(shard, name, index), index
@@ -825,9 +655,9 @@ class Table:
 
         NaN (NULL) sorts last.  The copy is made once in the shard's
         lifetime and shared by every table, snapshot and matrix reading the
-        shard.  The sort runs outside the intern lock (it is the slow part,
-        and ``_merge_shards`` only ever tries that lock); racers publish
-        through ``setdefault`` under it, so all of them get one array.
+        shard.  The sort runs outside the intern lock (it is the slow part);
+        racers publish through ``setdefault`` under it, so all of them get
+        one array.
         """
         values = shard.sorted_values.get(name)
         if values is not None:
@@ -908,7 +738,7 @@ class Table:
         data, never renumbered, so "cold" runs still share them (build a
         fresh ``Table`` to measure interning itself).  So are the per-shard
         sorted numeric columns, and the per-shard histograms exact workload
-        matrices keep: they live per matrix value, keyed by the immutable
+        matrices keep: they live on the matrix, keyed by the immutable
         shard (build a fresh ``Table``, or call
         :func:`~repro.queries.workload.clear_matrix_cache`, to measure the
         histogram pass).
@@ -1015,8 +845,8 @@ class TableSnapshot(Table):
     the old read path are vacuous: a snapshot-scoped evaluation is *always*
     cacheable.
 
-    Mutators (:meth:`append_rows`, :meth:`append_columns`, :meth:`refresh`,
-    :meth:`compact`) raise :class:`~repro.core.exceptions.SnapshotError`;
+    Mutators (:meth:`append_rows`, :meth:`append_columns`, :meth:`refresh`)
+    raise :class:`~repro.core.exceptions.SnapshotError`;
     derivations (:meth:`Table.filter`, :meth:`Table.take`, ...) still return
     fresh mutable tables.
     """
@@ -1135,9 +965,6 @@ class TableSnapshot(Table):
 
     def refresh(self, rows: Iterable[Mapping[str, object]]) -> TableVersion:
         self._refuse_mutation("refresh")
-
-    def compact(self) -> bool:
-        self._refuse_mutation("compact")
 
     def clear_caches(self) -> None:
         """Drop the snapshot's own lazy caches (cold-run helper).

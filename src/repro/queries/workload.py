@@ -45,25 +45,26 @@ names) takes its signature from the predicate masks of just those rows
 instead, so it lands in the same partition, or raises the same
 :class:`QueryError`, as a row-at-a-time evaluation would.  Shards are
 immutable and ``x`` is additive over disjoint rows, so each shard's
-histogram is kept (weakly keyed by the shard, one store per matrix value)
-and a snapshot's ``x`` is the sum over its shards: after an append only the
-new shard is read, even by an equal matrix built again after the memo
-evicted it.
+histogram is kept (weakly keyed by the shard) and a snapshot's ``x`` is the
+sum over its shards.  A table's shard list only grows at its end, so the
+next snapshot's ``x`` is the last read's plus the shards appended since:
+after an append only the new shard is read and added.
 The true counts of an exact matrix are ``W @ x`` (exact in float64: counts
 stay below ``2**53``).
 
 Because the exploration strategies (and the APEx relaxation loops in
 particular) re-ask structurally identical workloads many times,
 :meth:`Workload.analyze` memoises matrices in a module-level LRU: an exact
-matrix keyed by the workload structure (predicates + names + schema
-identity), a structural one by its value token ``("structural", L,
+matrix keyed by its value token (predicates + schema identity, without
+the names), a structural one by its value token ``("structural", L,
 sensitivity)``; see :func:`matrix_cache_stats`.  No table version enters a
 key: a matrix reads only the predicates and the schema's *declared* domains,
 and a frozen schema object never changes, so a matrix stays valid across
-every append and refresh of every table with that schema.  Only the data-dependent caches a
-matrix carries (the summed histogram per snapshot, the per-shard histograms)
-name the data they describe.  Matrices are not persisted: a restarted
-process is served by the translation lists on disk (``docs/store.md``).
+every append and refresh of every table with that schema.  Only the
+data-dependent caches a matrix carries (the summed histogram of the last
+snapshot read, the per-shard histograms) name the data they describe.
+Matrices are not persisted: a restarted process is served by the
+translation lists on disk (``docs/store.md``).
 ``matrix_cache_stats()`` reports ``built`` alongside the LRU counters, and
 ``histogram_rows``/``histogram_shards`` for the per-shard histograms.
 """
@@ -173,17 +174,11 @@ class _StructureKey:
         return (_StructureKey, (self.value,))
 
 
-#: Process-wide LRU of :class:`WorkloadMatrix`: exact matrices keyed by
-#: workload structure and schema identity, structural ones by
-#: ``("structural", L, sensitivity)`` (see :meth:`Workload._analysis_key`).
+#: Process-wide LRU of :class:`WorkloadMatrix`, keyed by value: exact
+#: matrices by predicates and schema identity (:func:`_structural_token`),
+#: structural ones by ``("structural", L, sensitivity)`` (see
+#: :meth:`Workload._analysis_key`).
 _MATRIX_CACHE: "LRUCache[WorkloadMatrix]" = LRUCache(128)
-
-#: Per-shard histogram stores, one ``(entries, lock)`` pair per exact value
-#: token (:func:`_structural_token`): an exact matrix's columns
-#: are a pure function of (predicates, schema), so equal matrices share.
-_SHARD_HISTOGRAM_CACHE: "LRUCache[tuple[weakref.WeakKeyDictionary, threading.Lock]]" = (
-    LRUCache(128)
-)
 
 #: Counters of the tiers beneath the exact-key LRU and of the per-shard
 #: histogram pass (see matrix_cache_stats).  Service threads bump them
@@ -204,9 +199,9 @@ def matrix_cache_stats() -> dict[str, int]:
     ``histogram_shards`` counts the per-shard histograms exact matrices
     computed and ``histogram_rows`` the rows of those shards, read by either
     the one-attribute counts or the row pass (an append of k rows costs k,
-    not the table).  Entries are kept per value token, not per matrix, so an
-    equal matrix built again (after an eviction, or under other names) also
-    costs k.
+    not the table).  Workloads that differ only in names share one exact
+    matrix, so they share its entries too; a matrix built again after an
+    eviction reads every shard afresh.
     """
     tiers = {key: int(counter.value()) for key, counter in _MATRIX_TIER_STATS.items()}
     return {**_MATRIX_CACHE.stats(), **tiers, "revalidated": 0}
@@ -215,7 +210,6 @@ def matrix_cache_stats() -> dict[str, int]:
 def clear_matrix_cache() -> None:
     """Drop every memoised workload matrix and reset every counter."""
     _MATRIX_CACHE.clear()
-    _SHARD_HISTOGRAM_CACHE.clear()
     for counter in _MATRIX_TIER_STATS.values():
         counter.reset()
 
@@ -250,6 +244,9 @@ class Workload:
         except TypeError:
             key = None
         self._structure_key = key
+        #: The predicates alone as one pre-hashed key, made on the first
+        #: exact-matrix memo probe (see :func:`_structural_token`).
+        self._predicates_key: _StructureKey | None = None
 
     # -- container protocol ---------------------------------------------------
 
@@ -298,9 +295,10 @@ class Workload:
         caches correctly for re-used predicate objects (the
         entity-resolution strategies intern theirs).
 
-        The key names exact matrices and translation lists.  A structural
-        matrix is keyed by ``(L, sensitivity)`` instead, not by this key, and
-        its counts come from :meth:`true_answers`, not from the matrix.
+        The key names translation lists.  Matrices are keyed by value: an
+        exact one by the predicates alone and the schema, a structural one by
+        ``(L, sensitivity)``, whose counts come from :meth:`true_answers`,
+        not from the matrix.
         """
         return self._structure_key
 
@@ -357,8 +355,8 @@ class Workload:
             enumeration (useful for huge cross-attribute workloads such as the
             QT2/QT4 benchmarks, where the sensitivity is known structurally).
 
-        Results are memoised: analysing a structurally identical workload
-        (equal predicates and names, same schema object) returns the
+        Results are memoised: analysing a workload with equal predicates
+        (whatever their names) over the same schema object returns the
         previously built exact matrix without re-deriving it, whatever the
         tables with that schema hold, and every workload analysed
         structurally with the same ``L`` and effective sensitivity gets one
@@ -390,12 +388,6 @@ class Workload:
             if structural is None:
                 assert schema is not None
                 matrix = WorkloadMatrix.from_domain_analysis(self, schema)
-                token = _structural_token(self, schema)
-                if token is not None:
-                    store = _SHARD_HISTOGRAM_CACHE.get(token) or _SHARD_HISTOGRAM_CACHE.put(
-                        token, (matrix._shard_histograms, matrix._shard_lock)
-                    )
-                    matrix._shard_histograms, matrix._shard_lock = store
             else:
                 matrix = WorkloadMatrix.from_structure(self.size, structural[2])
         _MATRIX_TIER_STATS["built"].inc()
@@ -425,17 +417,18 @@ class Workload:
     ) -> tuple | None:
         """Hashable memo key for :meth:`analyze`; ``None`` disables caching.
 
-        Everything an analysis reads.  An exact matrix reads the predicates
-        and the schema (by identity, so equal-but-distinct schemas never
-        share).  A structural matrix reads only ``L`` and the effective
-        sensitivity, so its key is its value token
-        ``("structural", L, sensitivity)`` and every workload of that size
-        and sensitivity shares one matrix object.
+        Everything an analysis reads, so every key is a value token and
+        workloads of equal value share one matrix object.  An exact matrix
+        reads the predicates and the schema (by identity, so
+        equal-but-distinct schemas never share), never the names: its key is
+        :func:`_structural_token`.  A structural matrix reads only ``L`` and
+        the effective sensitivity, so its key is
+        ``("structural", L, sensitivity)``.
         """
         if self._structure_key is None:
             return None
         structural = self._structural_key(schema, disjoint, sensitivity)
-        return structural or (self._structure_key, _IdKey(schema))
+        return structural or _structural_token(self, schema)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Workload(size={self.size})"
@@ -495,9 +488,18 @@ class WorkloadMatrix:
         self._matrix = matrix
         self._partitions = tuple(partitions)
         self._exact = exact
-        #: ``(weakref(snapshot), version, histogram, answers or None)``.
+        #: ``(weakref(snapshot), version, histogram, answers or None,
+        #: n_shards, weakref(last shard))`` of the last snapshot read; the
+        #: last two let the next read add only the shards after them.
         self._data_cache: (
-            tuple[weakref.ref[Table], TableVersion, np.ndarray, np.ndarray | None]
+            tuple[
+                weakref.ref[Table],
+                TableVersion,
+                np.ndarray,
+                np.ndarray | None,
+                int,
+                weakref.ref[Shard],
+            ]
             | None
         ) = None
         self._partition_keys: tuple[np.ndarray, np.ndarray] | None = None
@@ -511,9 +513,8 @@ class WorkloadMatrix:
         self._coders: list[tuple[_RowCoder, _ShardCounter | None]] | None = None
         #: Exact matrices only: each shard's histogram as its occupied
         #: ``(partition ids, counts)``, at most ``min(P, rows)`` of each per
-        #: shard, shared by every exact matrix of equal value token.  Weak
-        #: keys: an entry dies with its shard.  ``_shard_lock`` guards every
-        #: access and is a leaf (nothing is computed under it).
+        #: shard.  Weak keys: an entry dies with its shard.  ``_shard_lock``
+        #: guards every access and is a leaf (nothing is computed under it).
         self._shard_histograms: (
             "weakref.WeakKeyDictionary[Shard, tuple[np.ndarray, np.ndarray]]"
         ) = weakref.WeakKeyDictionary()
@@ -547,9 +548,8 @@ class WorkloadMatrix:
         The matrix's :attr:`cache_token` names its values by the predicates
         and the schema object, so every consumer keyed by it (the WCQ-SM
         Monte-Carlo search in particular) serves every version of every
-        table with that schema.  The matrix built here keeps its per-shard
-        histograms to itself; :meth:`Workload.analyze` shares them among
-        every matrix of equal value token.
+        table with that schema.  :meth:`Workload.analyze` memoises it under
+        the same value, so workloads that differ only in names share it.
         """
         if not workload.supports_domain_analysis:
             raise QueryError(
@@ -646,13 +646,16 @@ class WorkloadMatrix:
         each table shard at most once in the shard's lifetime.  The
         histogram of a snapshot is the sum of its shards' histograms, which
         are kept as occupied ``(partition id, count)`` pairs in a
-        ``WeakKeyDictionary`` keyed by the immutable shard: one
-        ``np.bincount`` adds them up (exact, since counts stay below
-        ``2**53``), so after an append only the new shard is read.  The
-        entries belong to the value token (predicates + schema), not the
-        matrix, so an equal matrix built again reads only new shards too.  An entry dies with its
-        shard, so a shard merged away by compaction drops out and the merged
-        shard is read afresh.
+        ``WeakKeyDictionary`` keyed by the immutable shard (an entry dies
+        with its shard); one ``np.bincount`` adds them up.  A table's shard
+        list only grows at its end, so when a snapshot holds the last read's
+        last shard at the same position, its first shards are the ones that
+        read summed: the sum starts from that histogram and adds only the
+        shards after them.  An append of k rows therefore reads k rows and
+        sums one shard, whatever the table's history.  Counts stay integers
+        below ``2**53``, so either sum is exact and bit-identical to the
+        other.  Any other snapshot -- an older one, one after a refresh, one
+        of another table with the schema -- sums all its shards' entries.
 
         A missing entry starts from the count of each domain cell in that
         shard alone; :data:`MAX_DOMAIN_CELLS` bounds that ``n_cells + 1``
@@ -710,7 +713,7 @@ class WorkloadMatrix:
         histogram = self._atom_histogram(table)
         # The snapshot's version never advances, so the histogram is a pure
         # function of (snapshot, version) and admission is unconditional.
-        self._data_cache = (weakref.ref(table), table.version_token, histogram, None)
+        self._data_cache = _data_entry(table, histogram, None)
         return histogram
 
     def true_answers(self, table: Table) -> np.ndarray:
@@ -726,7 +729,7 @@ class WorkloadMatrix:
             return cached[3]
         histogram = self.partition_histogram(table)
         answers = self._matrix @ histogram
-        self._data_cache = (weakref.ref(table), table.version_token, histogram, answers)
+        self._data_cache = _data_entry(table, histogram, answers)
         return answers
 
     def _cached(self, snapshot: Table) -> tuple | None:
@@ -741,13 +744,25 @@ class WorkloadMatrix:
         return None
 
     def _atom_histogram(self, table: Table) -> np.ndarray:
-        """The exact histogram: the sum of the snapshot's shard histograms."""
-        entries = [self._shard_histogram(table, shard) for shard in table.shards]
-        return np.bincount(
+        """The exact histogram: the sum of the snapshot's shard histograms,
+        continued from the last read when that read summed a prefix of them
+        (see :meth:`partition_histogram`)."""
+        shards = table.shards
+        start, base = 0, None
+        cached = self._data_cache
+        if cached is not None:
+            n, last = cached[4], cached[5]
+            if len(shards) >= n and shards[n - 1] is last():
+                start, base = n, cached[2]
+        if start == len(shards):
+            return base
+        entries = [self._shard_histogram(table, shard) for shard in shards[start:]]
+        added = np.bincount(
             np.concatenate([ids for ids, _ in entries]),
             weights=np.concatenate([counts for _, counts in entries]),
             minlength=self.n_partitions,
         )
+        return added if base is None else base + added
 
     def _shard_histogram(
         self, table: Table, shard: Shard
@@ -851,15 +866,35 @@ class WorkloadMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _data_entry(
+    snapshot: Table, histogram: np.ndarray, answers: np.ndarray | None
+) -> tuple:
+    """A :attr:`WorkloadMatrix._data_cache` entry for ``snapshot``."""
+    shards = snapshot.shards
+    return (
+        weakref.ref(snapshot),
+        snapshot.version_token,
+        histogram,
+        answers,
+        len(shards),
+        weakref.ref(shards[-1]),
+    )
+
+
 def _structural_token(workload: Workload, schema: Schema) -> tuple | None:
     """Hashable (predicates, schema) token shared by equal exact analyses.
 
     Names do not change the matrix, so the token keys on the predicates
-    alone, hashed once here rather than on every probe of a token-keyed memo.
+    alone.  It is the exact matrix's memo key, and tagged ``"exact"`` its
+    :attr:`WorkloadMatrix.cache_token`.  The predicates are hashed once per
+    workload, on its first probe: racing first probes build equal keys.
     """
     if workload.structure_key is None:
         return None
-    return (_StructureKey(workload.predicates), _IdKey(schema))
+    key = workload._predicates_key
+    if key is None:
+        key = workload._predicates_key = _StructureKey(workload.predicates)
+    return (key, _IdKey(schema))
 
 
 def _enumerate_partitions(

@@ -19,7 +19,7 @@ valid" hold *across* process crashes, and makes that claim testable:
   cooperative timeout abort that releases budget reservations;
 * :mod:`repro.reliability.exerciser` -- a property-based history exerciser
   that generates interleavings of explores / previews / appends /
-  compactions / crashes / corruptions against real killed-and-restarted
+  crashes / corruptions against real killed-and-restarted
   subprocesses (:mod:`repro.reliability.crash_worker`) and checks budget
   conservation, Theorem 6.2 transcript validity and snapshot isolation
   after every recovery.

@@ -32,7 +32,6 @@ Supported operations (``--ops`` is a JSON list of objects):
 ``append``      ``n`` rows appended to the table, generated from ``seed``
 ``append_rows`` ``rows``: explicit ``{attribute: value}`` dicts to append
                 (how generated microsimulation batches reach the worker)
-``compact``     fold the table's small shards together
 ``crash``       ``os.kill(SIGKILL)`` -- an unconditional scripted crash
 ==============  ================================================================
 
@@ -229,8 +228,6 @@ def run_script(
                 version = service.append_rows("default", rows)
                 ack["version"] = version.ordinal
                 ack["rows"] = len(rows)
-            elif kind == "compact":
-                ack["compacted"] = bool(table.compact())
             elif kind == "crash":
                 _emit({"event": "crashing", "index": index})
                 os.kill(os.getpid(), signal.SIGKILL)

@@ -3,8 +3,8 @@
 :func:`run_history` is the reliability subsystem's acceptance engine.  From
 one integer seed it derives a random but **reproducible** scenario:
 
-1. a script of service operations (explores, previews, streaming appends,
-   shard compactions) across a few concurrent analyst sessions;
+1. a script of service operations (explores, previews, streaming appends)
+   across a few concurrent analyst sessions;
 2. a *fault plan* -- either a scripted ``kill -9``, or a crash failpoint
    armed (via ``REPRO_FAILPOINTS``) at one of the accounting-critical sites
    in :data:`~repro.reliability.faults.FAILPOINT_SITES`, sometimes after a
@@ -28,9 +28,9 @@ and each violation is recorded in the returned report:
 * **deterministic recovery** -- incarnation 2 is run *twice* against
   byte-for-byte copies of the post-crash journal (and artifact store); the
   two acknowledgement streams, noisy answers included, must be
-  bit-identical.  Post-recovery appends and compactions are part of the
-  replayed script, so snapshot-pinned answers surviving concurrent table
-  mutation is covered by the same bit-identity check.
+  bit-identical.  Post-recovery appends are part of the replayed script,
+  so snapshot-pinned answers surviving concurrent table mutation is
+  covered by the same bit-identity check.
 
 The tests (``tests/reliability/test_exerciser.py``) drive this module with
 bounded seed sets; CI runs them as a named gate.
@@ -95,12 +95,10 @@ def generate_script(rng: random.Random, n_ops: int) -> list[dict[str, object]]:
                     "name": f"q-{index}",
                 }
             )
-        elif roll < 0.92:
+        else:
             script.append(
                 {"op": "append", "n": rng.randint(10, 120), "seed": rng.randint(0, 2**31)}
             )
-        else:
-            script.append({"op": "compact"})
     return script
 
 
@@ -112,7 +110,8 @@ def generate_workload_script(
     Appends consume the stream's period batches *in order* (so the drift
     schedule survives the shuffle); explores and previews are income
     histograms against the generated population.  Once the configured
-    periods are exhausted, would-be appends degrade to compactions.
+    periods are exhausted, would-be appends are dropped, so the script may
+    hold fewer than ``n_ops`` operations.
     """
     from repro.workloads import GeneratorConfig, MicrosimulationGenerator
 
@@ -146,7 +145,7 @@ def generate_workload_script(
                     "name": f"wq-{index}",
                 }
             )
-        elif roll < 0.92 and batches:
+        elif batches:
             batch = batches.pop(0)
             script.append(
                 {
@@ -156,8 +155,6 @@ def generate_workload_script(
                     "changes_fingerprint": batch.changes_fingerprint,
                 }
             )
-        else:
-            script.append({"op": "compact"})
     return script
 
 

@@ -239,9 +239,9 @@ class ExplorationService:
         frozen shards the append cannot reach, so concurrent readers neither
         fail nor mix versions -- appends may land at any time, mid-request
         included (pinned by ``tests/data/test_snapshot_isolation.py``).
-        Small appends are folded into larger shards automatically by the
-        table's compaction policy.  An empty ``rows`` changes nothing and
-        returns the current token.
+        The rows become one new shard after the table's last; no earlier
+        shard is touched.  An empty ``rows`` changes nothing and returns the
+        current token.
 
         :param table: name of a hosted table.
         :param rows: the rows to append (missing keys become NULL).

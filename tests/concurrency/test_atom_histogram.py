@@ -9,16 +9,16 @@ value.  Here an appender adds rows carrying never-seen categorical values
 snapshots, with aggressive preemption.  Every histogram must equal the
 row-at-a-time reference on its snapshot.
 
-The matrix keeps one histogram per shard it has read, and snapshots sum
-them.  In the second test the appender's small appends also trigger
-compaction, so readers see shards merged away and merged shards read
-afresh; every access to the per-shard entries must hold the matrix's own
-lock, not lean on the GIL.
+The matrix keeps one histogram per shard it has read, and a snapshot's
+histogram continues the last one read by adding the shards appended since.
+In the second test the appender's many small appends grow the shard list
+while readers race on those sums; every access to the per-shard entries
+must hold the matrix's own lock, not lean on the GIL.
 
-Exact matrices of equal value share those entries and their lock.  In the
-third test two matrices whose workloads differ only in names histogram the
-same fresh shards from racing threads: both must give the reference
-histogram, through the one guarded store.
+Workloads that differ only in names share one exact matrix.  In the third
+test both workloads' readers histogram the same fresh shards from racing
+threads: all must give the reference histogram, through the one guarded
+store, which keeps one entry per shard.
 
 A one-attribute numeric matrix counts a shard from the shard's sorted
 column, which the first reader sorts and publishes.  In the last test
@@ -39,11 +39,10 @@ from repro.queries.predicates import Comparison, In
 from repro.queries.reference import reference_partition_histogram
 from repro.queries.builders import prefix_workload
 from repro.queries.workload import (
-    _SHARD_HISTOGRAM_CACHE,
     Workload,
     WorkloadMatrix,
-    _structural_token,
     clear_matrix_cache,
+    matrix_cache_stats,
 )
 
 VALUES = tuple(f"v{i:02d}" for i in range(300))
@@ -181,7 +180,7 @@ class GuardedEntries(weakref.WeakKeyDictionary):
         return super().__contains__(key)
 
 
-def test_shard_sums_stay_exact_while_appends_compact_and_grow_the_dictionary():
+def test_shard_sums_stay_exact_while_appends_grow_the_shard_list_and_the_dictionary():
     rng = np.random.default_rng(1)
     table = Table.from_rows(SCHEMA, rows(VALUES[:4] + (None,), 300, rng))
     workload = Workload(
@@ -197,16 +196,12 @@ def test_shard_sums_stay_exact_while_appends_compact_and_grow_the_dictionary():
     seen: dict = {}
     seen_lock = threading.Lock()
     errors: list[BaseException] = []
-    merges = []
 
     def appender():
         try:
             start.wait(timeout=30)
             for i, value in enumerate(VALUES[4:160]):
-                shards = table.n_shards
                 table.append_rows(rows((value,), 1 + i % 3, rng))
-                if table.n_shards <= shards:
-                    merges.append(i)
         except BaseException as exc:  # noqa: BLE001 - reported below
             errors.append(exc)
         finally:
@@ -234,7 +229,7 @@ def test_shard_sums_stay_exact_while_appends_compact_and_grow_the_dictionary():
         thread.join(timeout=120)
     assert not any(thread.is_alive() for thread in threads)
     assert not errors, errors
-    assert merges and len(seen) > 1
+    assert table.n_shards == 157 and len(seen) > 1
     assert entries.accesses > 0 and entries.unguarded == 0
     for snapshot, histograms in seen.values():
         expected = reference_partition_histogram(matrix, workload, snapshot)
@@ -252,30 +247,29 @@ def test_equal_matrices_under_two_names_share_one_guarded_store():
     renamed = Workload(workload.predicates, [f"bin-{i}" for i in range(workload.size)])
 
     clear_matrix_cache()
-    lock = OwnedLock()
-    entries = GuardedEntries(lock)
-    _SHARD_HISTOGRAM_CACHE.put(_structural_token(workload, SCHEMA), (entries, lock))
     try:
-        first = workload.analyze(SCHEMA)
+        matrix = workload.analyze(SCHEMA)
+        lock = OwnedLock()
+        matrix._shard_lock = lock
+        matrix._shard_histograms = entries = GuardedEntries(lock)
         table.append_rows(rows(VALUES[4:5], 500, rng))  # a value not yet seen
-        second = renamed.analyze(SCHEMA)
-        assert first is not second and first.cache_token == second.cache_token
-        assert first._shard_histograms is entries and second._shard_histograms is entries
-        assert first._shard_lock is lock and second._shard_lock is lock
+        assert renamed.analyze(SCHEMA) is matrix
         start = threading.Barrier(2 * READERS)
         histograms: list[np.ndarray] = []
         errors: list[BaseException] = []
 
-        def reader(matrix):
+        def reader(named):
             try:
                 start.wait(timeout=30)
-                histograms.append(matrix.partition_histogram(table.open_snapshot()))
+                histograms.append(
+                    named.analyze(SCHEMA).partition_histogram(table.open_snapshot())
+                )
             except BaseException as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 
         threads = [
-            threading.Thread(target=reader, args=(matrix,))
-            for matrix in (first, second) * READERS
+            threading.Thread(target=reader, args=(named,))
+            for named in (workload, renamed) * READERS
         ]
         for thread in threads:
             thread.start()
@@ -283,12 +277,13 @@ def test_equal_matrices_under_two_names_share_one_guarded_store():
             thread.join(timeout=120)
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors
-        expected = reference_partition_histogram(second, renamed, table)
+        expected = reference_partition_histogram(matrix, renamed, table)
         assert len(histograms) == 2 * READERS
         for histogram in histograms:
             np.testing.assert_array_equal(histogram, expected)
         assert len(entries) == table.n_shards
         assert entries.accesses > 0 and entries.unguarded == 0
+        assert matrix_cache_stats()["built"] == 1  # one matrix for both names
     finally:
         clear_matrix_cache()
 

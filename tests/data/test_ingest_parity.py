@@ -26,7 +26,6 @@ from repro.data.schema import (
     Schema,
 )
 from repro.data.table import Shard, Table, _coerce_column
-from tests.data.test_compaction import append_uncompacted
 
 
 def reference_coerce_column(kind: AttributeKind, values: list) -> np.ndarray:
@@ -232,7 +231,8 @@ class TestShardInterningParity:
         table = make_table()
         first, *rest = shards
         table.refresh([{"state": v, "score": 1.0} for v in first])
-        append_uncompacted(table, [[{"state": v} for v in chunk] for chunk in rest])
+        for chunk in rest:
+            table.append_rows([{"state": v} for v in chunk])
         codes, index = table.category_codes("state")
         oracle: dict = {}
         expected = [reference_shard_codes(s.columns["state"], oracle) for s in table.shards]

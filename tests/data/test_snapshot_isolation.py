@@ -100,8 +100,6 @@ class TestSnapshotBasics:
             snap.append_columns({})
         with pytest.raises(SnapshotError):
             snap.refresh(make_rows(1))
-        with pytest.raises(SnapshotError):
-            snap.compact()
 
     def test_snapshot_derivations_are_mutable_tables(self):
         table = Table.from_rows(make_schema(), make_rows(8))

@@ -4,9 +4,9 @@ A workload matrix, a translation list, a WCQ-SM search and a disk key read
 only the query and the schema's *declared* domains, so they are keyed by
 ``(query structure, schema)`` and an append never touches them.  That is
 safe only if nothing the data can do -- a declared value seen for the first
-time, the first NULL, a refresh, a compaction -- changes what they would
-compute, while every data-dependent answer still tracks the rows.  Pinned
-here:
+time, the first NULL, a refresh, a run of one-row shards -- changes what
+they would compute, while every data-dependent answer still tracks the
+rows.  Pinned here:
 
 * after each kind of mutation the same matrix object and the same
   translation list serve the grown table (exact tier, zero matrix builds,
@@ -42,7 +42,6 @@ from repro.queries.query import IcebergCountingQuery, WorkloadCountingQuery
 from repro.queries.reference import reference_mask, reference_partition_histogram
 from repro.queries.workload import Workload, clear_matrix_cache, matrix_cache_stats
 from repro.store import ArtifactStore
-from tests.data.test_compaction import append_uncompacted
 
 MC_SAMPLES = 200
 #: Sub-row noise: a released count within alpha of the truth rounds to it.
@@ -110,9 +109,9 @@ def _mutate(kind: str, table: Table) -> None:
         table.append_rows([{"state": "CA", "score": 1.0, "note": "never-seen"}])
     elif kind == "refresh":
         table.refresh(rows_with("TX", 40) + rows_with(None, 5))
-    elif kind == "compaction":
-        append_uncompacted(table, (rows_with("TX", 1) for _ in range(6)))
-        assert table.compact()
+    elif kind == "one_row_appends":
+        for _ in range(6):
+            table.append_rows(rows_with("TX", 1))
     else:  # pragma: no cover - a typo in the parametrisation
         raise AssertionError(kind)
 
@@ -123,7 +122,7 @@ MUTATIONS = (
     "first_null",
     "new_text_value",
     "refresh",
-    "compaction",
+    "one_row_appends",
 )
 
 

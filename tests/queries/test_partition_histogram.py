@@ -16,10 +16,10 @@ predicate mask.
 
 An exact histogram is the sum of per-shard histograms kept for each shard
 read, so the sums are checked across shard layouts (appends, one-row
-fragments, compaction merges), and the ``histogram_rows`` counter pins that
-an append of k rows codes k rows.  The entries are kept per value token
-(predicates + schema object), shared by every equal exact matrix, so the
-same holds for an equal matrix under other names.
+fragments), and the ``histogram_rows`` counter pins that an append of k rows
+codes k rows.  Exact matrices are memoised by value (predicates + schema
+object), so a workload under other names gets the same matrix, and the same
+holds for it.
 """
 
 import gc
@@ -64,7 +64,6 @@ from repro.queries.query import (
 )
 from repro.queries.reference import reference_partition_histogram
 from repro.queries.workload import Workload, clear_matrix_cache, matrix_cache_stats
-from tests.data.test_compaction import append_uncompacted
 
 SCHEMA = Schema(
     [
@@ -183,7 +182,9 @@ class TestTableShapes:
     def test_multi_shard_table(self, size, sizes):
         rng = np.random.default_rng(size)
         chunks = [random_rows(rng, n) for n in sizes]
-        table = append_uncompacted(Table.from_rows(SCHEMA, chunks[0]), chunks[1:])
+        table = Table.from_rows(SCHEMA, chunks[0])
+        for chunk in chunks[1:]:
+            table.append_rows(chunk)
         assert table.shard_sizes == sizes
         flat = Table.from_rows(SCHEMA, [row for chunk in chunks for row in chunk])
         workload = workload_of("mixed", size)
@@ -456,29 +457,39 @@ def histogram_rows() -> int:
     return matrix_cache_stats()["histogram_rows"]
 
 
-def fragmented_table(seed: int, n: int, fragments: int, fragment_rows: int) -> Table:
-    """An ``n``-row shard followed by uncompacted small fragments."""
-    rng = np.random.default_rng(seed)
-    table = random_table(seed=seed, n=n)
-    return append_uncompacted(
-        table, (random_rows(rng, fragment_rows) for _ in range(fragments))
-    )
-
-
 class TestShardSums:
     """A snapshot's histogram is the sum of its shards' histograms."""
 
-    def test_one_row_appends_then_a_compaction_merge(self):
-        table = fragmented_table(seed=60, n=200, fragments=60, fragment_rows=1)
-        assert table.n_shards == 61
+    def test_sixty_one_row_appends(self):
+        rng = np.random.default_rng(60)
+        table = random_table(seed=60, n=200)
+        for _ in range(60):
+            table.append_rows(random_rows(rng, 1))
+        assert table.shard_sizes == (200,) + (1,) * 60
+        flat = Table.from_rows(SCHEMA, table.to_rows())
         workload = workload_of("mixed", 40)
         matrix = workload.analyze(SCHEMA)
-        fragmented = table.snapshot()
-        before = assert_matches_reference(matrix, workload, fragmented).copy()
-        assert table.compact() and table.n_shards < 61
-        merged = table.snapshot()
-        assert merged is not fragmented
-        np.testing.assert_array_equal(assert_matches_reference(matrix, workload, merged), before)
+        shards = histogram_shards()
+        histogram = assert_matches_reference(matrix, workload, table)
+        assert histogram_shards() == shards + 61
+        np.testing.assert_array_equal(assert_matches_reference(matrix, workload, flat), histogram)
+
+    def test_entries_die_with_the_shards_a_refresh_replaced(self):
+        rng = np.random.default_rng(70)
+        table = random_table(seed=70, n=1000)
+        for _ in range(8):
+            table.append_rows(random_rows(rng, 2))
+        workload = workload_of("mixed", 40)
+        matrix = workload.analyze(SCHEMA)
+        # Private snapshots only: the table's snapshot memo pins nothing.
+        with table.open_snapshot() as fragmented:
+            assert_matches_reference(matrix, workload, fragmented)
+        assert len(matrix._shard_histograms) == 9
+        table.refresh(random_rows(rng, 30))
+        with table.open_snapshot() as refreshed:
+            assert_matches_reference(matrix, workload, refreshed)
+        gc.collect()
+        assert len(matrix._shard_histograms) == 1
 
     def test_no_atom_rows_only_in_the_appended_shard(self, monkeypatch):
         schema = TestRowsWithNoAtom.SCHEMA
@@ -518,20 +529,6 @@ class TestShardSums:
             reference_partition_histogram(matrix, workload, table)
         np.testing.assert_array_equal(matrix.partition_histogram(before), expected)
 
-    def test_entries_die_with_the_shards_compaction_merged_away(self):
-        table = fragmented_table(seed=70, n=1000, fragments=8, fragment_rows=2)
-        workload = workload_of("mixed", 40)
-        matrix = workload.analyze(SCHEMA)
-        fragmented = table.snapshot()
-        assert_matches_reference(matrix, workload, fragmented)
-        assert len(matrix._shard_histograms) == 9
-        assert table.compact() and table.shard_sizes == (1000, 12, 4)
-        assert_matches_reference(matrix, workload, table)
-        assert len(matrix._shard_histograms) == 11
-        del fragmented
-        gc.collect()
-        assert len(matrix._shard_histograms) == 3
-
 
 class TestAppendCostsTheAppendedRows:
     """``histogram_rows`` counts the rows the atom pass codes."""
@@ -557,19 +554,21 @@ class TestAppendCostsTheAppendedRows:
         assert matrix_cache_stats()["built"] == 1
         clear_matrix_cache()
 
-    def test_compaction_merge_codes_exactly_the_merged_rows(self):
-        table = fragmented_table(seed=80, n=1000, fragments=8, fragment_rows=2)
+    def test_a_refresh_codes_exactly_the_refreshed_rows(self):
+        rng = np.random.default_rng(80)
+        table = random_table(seed=80, n=1000)
+        for _ in range(8):
+            table.append_rows(random_rows(rng, 2))
         clear_matrix_cache()
         workload = workload_of("mixed", 40)
         matrix = workload.analyze(SCHEMA)
         assert_matches_reference(matrix, workload, table)
         assert histogram_rows() == 1016
-        assert matrix_cache_stats()["histogram_shards"] == 9
-        assert table.compact() and table.shard_sizes == (1000, 12, 4)
+        assert histogram_shards() == 9
+        table.refresh(random_rows(rng, 300))
         assert_matches_reference(matrix, workload, table)
-        # The 1000-row shard is kept by identity; only the merges are read.
-        assert histogram_rows() == 1016 + 16
-        assert matrix_cache_stats()["histogram_shards"] == 9 + 2
+        assert histogram_rows() == 1016 + 300
+        assert histogram_shards() == 9 + 1
         clear_matrix_cache()
 
 
@@ -578,11 +577,11 @@ def histogram_shards() -> int:
 
 
 class TestSharedAcrossEqualMatrices:
-    """Exact matrices of equal value token share one per-shard store.
+    """Workloads of equal value token share one exact matrix.
 
     The token is the predicates plus the schema object, without the names:
-    an equal matrix under other names, first built after an append, reads
-    the appended shard only.
+    a workload under other names, first analysed after an append, gets the
+    same matrix, and its read after the append reads the appended shard only.
     """
 
     @pytest.fixture(autouse=True)
@@ -606,8 +605,8 @@ class TestSharedAcrossEqualMatrices:
         table.append_rows([{"cat": "d", "num": 5.0}] + random_rows(rng, k - 1))
         assert workload.analyze(SCHEMA) is before
         after = renamed.analyze(SCHEMA)
-        assert after is not before and after.cache_token == before.cache_token
-        assert matrix_cache_stats()["built"] == built + 1
+        assert after is before
+        assert matrix_cache_stats()["built"] == built
         histogram = assert_matches_reference(after, renamed, table)
         assert histogram_shards() == shards + 1
         assert histogram_rows() == rows + k
@@ -650,11 +649,14 @@ class TestSharedAcrossEqualMatrices:
         floats = Workload([Comparison("num", "<", 30.0), IsNull("cat")])
         table = random_table(seed=33)
         first, second = ints.analyze(SCHEMA), floats.analyze(SCHEMA)
-        # Different names: two memo entries, one value token.
-        assert first is not second
-        assert first._shard_histograms is second._shard_histograms
+        # Different names, equal predicates: one memo entry, one matrix.
+        assert first is second
+        assert matrix_cache_stats()["built"] == 1
         expected = assert_matches_reference(first, ints, table)
-        np.testing.assert_array_equal(assert_matches_reference(second, floats, table), expected)
+        with table.open_snapshot() as private:
+            np.testing.assert_array_equal(
+                assert_matches_reference(second, floats, private), expected
+            )
         assert histogram_shards() == 1
 
 

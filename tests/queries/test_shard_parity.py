@@ -68,9 +68,8 @@ def sharded_and_flat(rng: np.random.Generator, shard_sizes=(40, 25, 35)):
     return table, flat
 
 
-#: Shard layouts the parity tests run over.  The 1-row appends stay below
-#: the compaction threshold (100 rows in total), so every append keeps its
-#: own shard.
+#: Shard layouts the parity tests run over; every append keeps its own
+#: shard.
 SHARD_LAYOUTS = {
     "one-shard": (100,),
     "three-shards": (40, 25, 35),

@@ -10,11 +10,11 @@ byte, errors included, and
 :func:`repro.queries.reference.reference_partition_histogram` -- at cuts
 and their ``nextafter`` neighbours, for NaN with and without a NULL atom,
 for +-inf, for values outside the declared domain, and over empty shards
-and multi-shard and compaction-merged layouts.
+and multi-shard layouts.
 
 The sorted copy lives on the immutable shard: every matrix reading the
-shard shares it, it survives ``clear_caches``, and compaction does not carry
-it over.  Multi-attribute, categorical and text workloads never make one.
+shard shares it, and it survives ``clear_caches``.  Multi-attribute,
+categorical and text workloads never make one.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from repro.queries.workload import (
     clear_matrix_cache,
     matrix_cache_stats,
 )
-from tests.data.test_compaction import append_uncompacted
 
 CUTS = (-5.0, 0.0, 2.5, 10.0, 50.0, 100.0)
 #: The cuts, the floats either side of each, and values no bounded domain
@@ -116,9 +115,11 @@ def count_mask_fallbacks(monkeypatch) -> list[int]:
 
 def layout(schema: Schema, chunks: list[list[dict]]) -> Table:
     """The first chunk as the base shard, the rest appended as shards of
-    their own (empty ones included)."""
+    their own (an empty one adds no shard)."""
     table = Table.from_rows(schema, chunks[0])
-    return append_uncompacted(table, chunks[1:])
+    for rows in chunks[1:]:
+        table.append_rows(rows)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +240,6 @@ def chunks_of(values):
     return st.lists(st.lists(values, max_size=12), min_size=1, max_size=4)
 
 
-def assert_parity_across_compaction(workload, schema, chunks, compact):
-    table = layout(schema, chunks)
-    before = table.snapshot()
-    counted = assert_parity(workload, schema, before)
-    if compact and table.compact():
-        # Merged shards carry no sorted copy; they sort afresh, to the
-        # same histogram.
-        after = assert_parity(workload, schema, table.snapshot())
-        assert after == counted
-
-
 class TestRandomLayouts:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -258,24 +248,22 @@ class TestRandomLayouts:
         nullable=st.booleans(),
         predicates=st.lists(numeric_predicate(), min_size=1, max_size=5),
         chunks=chunks_of(row_numbers),
-        compact=st.booleans(),
     )
-    def test_numeric(self, low, high, nullable, predicates, chunks, compact):
+    def test_numeric(self, low, high, nullable, predicates, chunks):
         schema = numeric_schema(low, high, nullable)
         rows = [[{"num": v} for v in chunk] for chunk in chunks]
-        assert_parity_across_compaction(Workload(predicates), schema, rows, compact)
+        assert_parity(Workload(predicates), schema, layout(schema, rows).snapshot())
 
     @settings(max_examples=100, deadline=None)
     @given(
         nullable=st.booleans(),
         predicates=st.lists(category_predicate(), min_size=1, max_size=5),
         chunks=chunks_of(st.sampled_from(CATEGORIES + ("zz", "q", None))),
-        compact=st.booleans(),
     )
-    def test_categorical(self, nullable, predicates, chunks, compact):
+    def test_categorical(self, nullable, predicates, chunks):
         schema = categorical_schema(nullable)
         rows = [[{"cat": v} for v in chunk] for chunk in chunks]
-        assert_parity_across_compaction(Workload(predicates), schema, rows, compact)
+        assert_parity(Workload(predicates), schema, layout(schema, rows).snapshot())
 
 
 # ---------------------------------------------------------------------------
@@ -355,23 +343,22 @@ class TestSortedCopyLifetime:
         )
         assert all(not shard.sorted_values for shard in table.shards)
 
-    def test_compaction_does_not_carry_the_copy(self):
-        table = append_uncompacted(
-            mixed_table(1000, seed=3),
-            (mixed_rows(np.random.default_rng(4), 2) for _ in range(6)),
-        )
+    def test_a_refresh_sorts_only_its_new_shard(self):
+        table = mixed_table(500, seed=3)
+        table.append_rows(mixed_rows(np.random.default_rng(4), 20))
         workload = prefix_workload("num", [250.0, 500.0, 750.0])
         matrix = workload.analyze(MIXED_SCHEMA)
-        matrix.partition_histogram(table.snapshot())
-        assert all("num" in shard.sorted_values for shard in table.shards)
-        assert table.compact()
-        fresh = [shard for shard in table.shards if not shard.sorted_values]
-        assert fresh
+        matrix.partition_histogram(table)
+        old = table.shards
+        assert all("num" in shard.sorted_values for shard in old)
+        table.refresh(mixed_rows(np.random.default_rng(5), 60))
+        (fresh,) = table.shards
+        assert fresh not in old and not fresh.sorted_values
         np.testing.assert_array_equal(
             matrix.partition_histogram(table),
             reference_partition_histogram(matrix, workload, table),
         )
-        assert all("num" in shard.sorted_values for shard in fresh)
+        assert "num" in fresh.sorted_values
 
     def test_an_append_of_k_rows_counts_k_rows(self):
         table = mixed_table(400, seed=5)

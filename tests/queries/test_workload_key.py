@@ -214,13 +214,16 @@ def test_cache_key_equality_matches_the_flat_key(first, second, at_first, at_sec
 @given(workloads(), workloads(), st.sampled_from(SCHEMAS))
 def test_memo_keys_and_tokens_match_their_flat_forms(first, second, schema):
     def old(w):
-        # A structural matrix is keyed by its value, (L, sensitivity = L).
+        # Every matrix is keyed by its value: a structural one by
+        # (L, sensitivity = L), an exact one by its predicates and schema.
         if not w.supports_domain_analysis:
             return ("structural", w.size)
-        return (w.predicates, w.names, _IdKey(schema), None, None)
+        return (w.predicates, _IdKey(schema))
 
     new = [w._analysis_key(schema, None, None) for w in (first, second)]
     assert (new[0] == new[1]) == (old(first) == old(second))
+    if new[0] == new[1]:
+        assert hash(new[0]) == hash(new[1])
     # The exact matrix token keys on the predicates alone.
     tokens = [_structural_token(w, schema) for w in (first, second)]
     assert (tokens[0] == tokens[1]) == (first.predicates == second.predicates)
