@@ -118,8 +118,9 @@ class MultiPokingMechanism(Mechanism):
 
         names = query.bin_names()
         # The pokes run on Python floats: on the entity-resolution path L is
-        # 1, where numpy's per-call dispatch would dominate.  Each operation
-        # matches the array form (the parity oracle in
+        # 1, where numpy's per-call dispatch would dominate.  A failing poke
+        # stops at its first unconfident bin.  The result matches the array
+        # form (the parity oracle in
         # ``repro.mechanisms.reference``) bit for bit, draw for draw.
         true_differences = (
             self._true_counts(query, matrix, snapshot) - query.threshold
@@ -131,13 +132,14 @@ class MultiPokingMechanism(Mechanism):
         noise = laplace_noise(scale_i, workload_size, rng).tolist()
 
         for poke in range(m - 1):
-            noisy = [t + n for t, n in zip(true_differences, noise)]
             alpha_i = sensitivity * log_term / epsilon_i
-            above = [(d - alpha_i) / alpha >= -1.0 for d in noisy]
-            if all(
-                up or (d + alpha_i) / alpha <= 1.0 for up, d in zip(above, noisy)
-            ):
-                selected = [name for name, up in zip(names, above) if up]
+            for t, n in zip(true_differences, noise):
+                d = t + n
+                if not ((d - alpha_i) / alpha >= -1.0 or (d + alpha_i) / alpha <= 1.0):
+                    break
+            else:
+                noisy = [t + n for t, n in zip(true_differences, noise)]
+                selected = [name for name, d in zip(names, noisy) if (d - alpha_i) / alpha >= -1.0]
                 return self._result(
                     selected, epsilon_i, epsilon_max, noisy, query, poke + 1
                 )

@@ -33,11 +33,12 @@ stay probability above is ``(b_new/b_old) * e``.  Relative to
 for ``v`` uniform on ``(0, 1]``.  ``expm1``/``log1p`` keep the middle segment
 precise as ``b_new/b_old -> 1``, and all three masses stay finite for any
 ``|y|``, so the sampler needs no log-space bookkeeping: three uniforms per
-element (stay, segment, position) from one ``rng.random`` call.
-:func:`relax_floats` runs it on a list of Python floats, the form ICQ-MPM's
-poke loop keeps its noise in; :func:`relax_laplace_noise` wraps it for
-arrays and scalars.  The original segment-search sampler is kept as the
-test oracle in :mod:`repro.mechanisms.reference`.
+element (stay, segment, position), read flat from one ``rng.random(3 L)``
+call.  :func:`relax_floats` runs it on a list of Python floats, the form
+ICQ-MPM's poke loop keeps its noise in; :func:`relax_laplace_noise` wraps it
+for arrays and scalars.  :mod:`repro.mechanisms.reference` keeps the test
+oracles: the original segment-search sampler, and the row-draw kernel this
+one must match bit for bit.
 """
 
 from __future__ import annotations
@@ -112,14 +113,14 @@ def relax_laplace_noise(
     and which are maximally correlated with the input, so that the pair
     ``(noise, refined)`` only leaks the privacy of the refined value
     (Koufogiannis et al. 2015, Theorems 9-10).  An array/scalar wrapper over
-    :func:`relax_floats`.
+    :func:`relax_floats`: a Python or numpy scalar comes back as a ``float``,
+    an array as an array of its own shape, refined in C order.
     """
-    scalar_input = np.isscalar(noise)
-    values = np.atleast_1d(np.asarray(noise, dtype=float)).tolist()
-    out = relax_floats(values, scale_old, scale_new, rng)
-    if scalar_input:
-        return out[0]
-    return np.array(out)
+    if np.isscalar(noise):
+        return relax_floats([float(noise)], scale_old, scale_new, rng)[0]
+    values = np.asarray(noise, dtype=float)
+    out = relax_floats(values.ravel().tolist(), scale_old, scale_new, rng)
+    return np.array(out, dtype=float).reshape(values.shape)
 
 
 def relax_floats(
@@ -132,8 +133,9 @@ def relax_floats(
 
     The closed form of the module docstring, per element: cheaper than numpy
     ufunc dispatch at the workload sizes ICQ-MPM refines (one to a few
-    hundred bins).  Draws ``rng.random((len(values), 3))`` once, unless the
-    scales are equal (then nothing is drawn).
+    hundred bins).  Draws ``rng.random(3 * len(values))`` once, read flat as
+    (stay, segment, position) triples, unless the scales are equal (then
+    nothing is drawn).
     """
     if scale_new <= 0 or scale_old <= 0:
         raise MechanismError("Laplace scales must be positive")
@@ -141,30 +143,33 @@ def relax_floats(
         raise MechanismError(
             f"refinement requires scale_new ({scale_new}) <= scale_old ({scale_old})"
         )
-    out = list(values)
     if scale_new == scale_old:
-        return out
+        return list(values)
     ratio = scale_new / scale_old
     d = 1.0 / scale_new - 1.0 / scale_old
     r = 1.0 / scale_new + 1.0 / scale_old
     tail = 1.0 / r
-    for index, (y, (stay, segment, v)) in enumerate(
-        zip(values, rng.random((len(values), 3)).tolist())
-    ):
-        a = abs(y)
-        em1 = math.expm1(-d * a)
+    expm1, log, log1p = math.expm1, math.log, math.log1p
+    out: list[float] = []
+    append = out.append
+    uniforms = iter(rng.random(3 * len(values)).tolist())
+    for y, stay, segment, v in zip(values, uniforms, uniforms, uniforms):
+        # abs() except at y = -0.0: a = -0.0 flips the sign of a zero em1, which no result sees
+        a = y if y >= 0.0 else -y
+        em1 = expm1(-d * a)
         e = 1.0 + em1
         if stay < ratio * e:
+            append(y)
             continue
         middle = -em1 / d
         pick = segment * (tail + middle + e * tail)
         # random() is in [0, 1): clamp so v == 0 cannot reach log(0)
-        v = max(v, 1e-300)
+        v = v if v >= 1e-300 else 1e-300
         if pick < tail:
-            x = math.log(v) / r
+            x = log(v) / r
         elif pick < tail + middle:
-            x = -math.log1p(v * em1) / d
+            x = -log1p(v * em1) / d
         else:
-            x = a - math.log(v) / r
-        out[index] = x if y >= 0.0 else -x
+            x = a - log(v) / r
+        append(x if y >= 0.0 else -x)
     return out

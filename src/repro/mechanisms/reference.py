@@ -18,6 +18,16 @@ for the same generator state both must return the same selection, epsilon,
 poke count and noisy-difference bytes, and leave the generator in the same
 state.
 
+**The refinement kernel before its flat-draw rewrite.**
+:func:`relax_floats` is :func:`repro.mechanisms.noise.relax_floats` as it
+stood when it drew ``rng.random((L, 3))`` and read it row by row, with
+builtin ``abs``/``max`` and attribute lookups of ``math``, frozen verbatim.
+``tests/mechanisms/test_relax_kernel_parity.py`` requires the production
+kernel to return the same bytes and leave the generator in the same state,
+and :func:`multi_poking_release` refines through it, so a bit change in the
+production kernel fails the MPM parity grid too instead of moving product
+and oracle together.
+
 Nothing in the production path imports this module.
 """
 
@@ -28,10 +38,11 @@ import math
 import numpy as np
 
 from repro.core.accuracy import AccuracySpec
+from repro.core.exceptions import MechanismError
 from repro.data.table import TableSnapshot
 from repro.mechanisms.base import MechanismResult, TranslationResult
 from repro.mechanisms.multi_poking import MultiPokingMechanism
-from repro.mechanisms.noise import laplace_noise, relax_laplace_noise
+from repro.mechanisms.noise import laplace_noise
 from repro.queries.query import IcebergCountingQuery
 
 
@@ -171,9 +182,7 @@ def multi_poking_release(
             )
         epsilon_next = epsilon_i + epsilon_max / m
         scale_next = sensitivity / epsilon_next
-        noise = np.asarray(
-            relax_laplace_noise(noise, scale_i, scale_next, rng)
-        )
+        noise = np.array(relax_floats(noise.tolist(), scale_i, scale_next, rng))
         noisy_differences = true_differences + noise
         epsilon_i = epsilon_next
         scale_i = scale_next
@@ -182,3 +191,51 @@ def multi_poking_release(
     return mechanism._result(
         selected, epsilon_max, epsilon_max, noisy_differences, query, m
     )
+
+
+def relax_floats(
+    values: list[float],
+    scale_old: float,
+    scale_new: float,
+    rng: np.random.Generator,
+) -> list[float]:
+    """:func:`relax_laplace_noise` on a list of Python floats; returns a new list.
+
+    The closed form of the module docstring, per element: cheaper than numpy
+    ufunc dispatch at the workload sizes ICQ-MPM refines (one to a few
+    hundred bins).  Draws ``rng.random((len(values), 3))`` once, unless the
+    scales are equal (then nothing is drawn).
+    """
+    if scale_new <= 0 or scale_old <= 0:
+        raise MechanismError("Laplace scales must be positive")
+    if scale_new > scale_old:
+        raise MechanismError(
+            f"refinement requires scale_new ({scale_new}) <= scale_old ({scale_old})"
+        )
+    out = list(values)
+    if scale_new == scale_old:
+        return out
+    ratio = scale_new / scale_old
+    d = 1.0 / scale_new - 1.0 / scale_old
+    r = 1.0 / scale_new + 1.0 / scale_old
+    tail = 1.0 / r
+    for index, (y, (stay, segment, v)) in enumerate(
+        zip(values, rng.random((len(values), 3)).tolist())
+    ):
+        a = abs(y)
+        em1 = math.expm1(-d * a)
+        e = 1.0 + em1
+        if stay < ratio * e:
+            continue
+        middle = -em1 / d
+        pick = segment * (tail + middle + e * tail)
+        # random() is in [0, 1): clamp so v == 0 cannot reach log(0)
+        v = max(v, 1e-300)
+        if pick < tail:
+            x = math.log(v) / r
+        elif pick < tail + middle:
+            x = -math.log1p(v * em1) / d
+        else:
+            x = a - math.log(v) / r
+        out[index] = x if y >= 0.0 else -x
+    return out

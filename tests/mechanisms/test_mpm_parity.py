@@ -22,9 +22,11 @@ from repro.queries.predicates import FunctionPredicate
 from repro.queries.query import IcebergCountingQuery
 from repro.queries.workload import Workload
 
-WORKLOAD_SIZES = (1, 2, 8, 47, 300)
+WORKLOAD_SIZES = (1, 2, 8, 47, 100, 300)
 POKE_COUNTS = (1, 2, 10)
-THRESHOLDS = ("zero", "true-count", "mean", "far-above")
+# "first-count"/"last-count" put the likeliest unconfident bin at either end
+# of a failing poke's scan
+THRESHOLDS = ("zero", "true-count", "first-count", "last-count", "mean", "far-above")
 
 
 def _workload(size: int) -> Workload:
@@ -36,6 +38,10 @@ def _threshold(kind: str, counts: np.ndarray) -> float:
         return 0.0
     if kind == "true-count":
         return float(counts[len(counts) // 2])
+    if kind == "first-count":
+        return float(counts[0])
+    if kind == "last-count":
+        return float(counts[-1])
     if kind == "mean":
         return float(counts.mean())
     return float(counts.max()) * 10.0 + 1000.0
@@ -118,12 +124,23 @@ class TestRelaxWrapper:
         assert refined.tobytes() == np.array(expected).tobytes()
         assert rng.bit_generator.state == core_rng.bit_generator.state
 
-    @pytest.mark.parametrize("value", [0.0, -3.25, 0.5, 40.0])
+    @pytest.mark.parametrize("shape", [(), (2, 3), (0,)])
+    def test_any_shape_matches_float_core_on_flattened_values(self, shape):
+        values = np.random.default_rng(7).laplace(scale=4.0, size=shape)
+        rng, core_rng = np.random.default_rng(1), np.random.default_rng(1)
+        refined = relax_laplace_noise(values, 4.0, 1.5, rng)
+        expected = relax_floats(values.ravel(order="C").tolist(), 4.0, 1.5, core_rng)
+        assert isinstance(refined, np.ndarray)
+        assert refined.shape == shape and refined.dtype == np.float64
+        assert refined.tobytes() == np.array(expected, dtype=float).tobytes()
+        assert rng.bit_generator.state == core_rng.bit_generator.state
+
+    @pytest.mark.parametrize("value", [0.0, -3.25, 0.5, 40.0, np.float64(-1.5), np.float32(2.5)])
     def test_scalar_matches_float_core(self, value):
         rng, core_rng = np.random.default_rng(2), np.random.default_rng(2)
         refined = relax_laplace_noise(value, 2.0, 0.5, rng)
         assert isinstance(refined, float)
-        assert refined == relax_floats([value], 2.0, 0.5, core_rng)[0]
+        assert refined == relax_floats([float(value)], 2.0, 0.5, core_rng)[0]
         assert rng.bit_generator.state == core_rng.bit_generator.state
 
     def test_equal_scales_copy_without_drawing(self):
