@@ -211,9 +211,10 @@ class APExEngine:
         """Counters of every derivation cache the engine sits on.
 
         ``translations`` counts memoised accuracy-to-privacy translation
-        lists (per this engine's translator), with the hierarchy counters
-        (``token``/``disk_hits``/``built``) of the exact -> token -> disk ->
-        build cascade; ``workload_matrices`` counts the process-wide
+        lists (per this engine's translator): ``hits``/``misses`` of the
+        one memo, keyed by the workload matrix's value, then
+        ``disk_hits``/``built`` of the memo -> disk -> translate order
+        beneath it; ``workload_matrices`` counts the process-wide
         workload-matrix memo (``built``; it has no disk tier, and its
         ``revalidated`` is always 0).  ``wcqsm_search`` counts the
         process-wide Monte-Carlo epsilon searches executed; the search has

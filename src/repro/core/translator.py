@@ -17,33 +17,30 @@ Algorithm 1, lines 4-10 of the paper.  Given an analyst query with an
 
 The translator is deterministic and never looks at the data, which the
 privacy proof (Theorem 6.2) relies on.  Determinism also makes translations
-safe to memoise: the translator keeps an LRU of translation lists keyed by
-the query's structural identity, the schema and the accuracy requirement --
-no table version, since nothing translated depends on the rows -- so the
-exploration strategies' relaxation loops (which re-ask structurally identical
-queries round after round), repeated ``preview_cost`` calls and every
-request after an append stop paying for mechanism translation more than
-once.
+safe to memoise, so the exploration strategies' relaxation loops (which
+re-ask structurally identical queries round after round), repeated
+``preview_cost`` calls and every request after an append stop paying for
+mechanism translation more than once.
 
-Translation reads only the query kind, the workload matrix's values (its
-``cache_token``), TCQ ``k`` and ``(alpha, beta)``, so a *token* tier keys
-lists by exactly that (:meth:`~repro.queries.query.Query.translation_key`):
-queries sharing a matrix share one list.  Both tiers (and the flights
-below) also key on the registry's ``generation``, so a list of an old
-mechanism set never answers after a ``register`` or ``unregister``.  The
-tiers are exact (query and schema) -> token, with an already-memoised
-matrix only -> the optional
-:class:`~repro.store.ArtifactStore`, keyed by the query structure and the
-schema's content, so a restarted process reloads lists without building a
-matrix -> build the matrix -> token -> translate.  The disk key
-includes each applicable mechanism's
+Translation reads only the query kind, the workload matrix's values, TCQ
+``k`` and ``(alpha, beta)``.  One LRU keys lists by exactly that:
+:meth:`~repro.queries.query.Query.translation_key`, which names the matrix's
+values without building it (it equals the matrix's ``cache_token``), plus
+``(alpha, beta)`` and the registry's ``generation``, so a list of an old
+mechanism set never answers after a ``register`` or ``unregister``.
+Queries that share a matrix share one list, whatever their names and ICQ
+thresholds.  The order is memo -> the optional
+:class:`~repro.store.ArtifactStore` -> translate.  The disk is keyed by the
+query structure and the schema's content, and a list loaded from it is
+memoised without building a matrix, so a restarted process warm-starts with
+no matrix builds.  The disk key includes each applicable mechanism's
 :meth:`~repro.mechanisms.base.Mechanism.cache_signature`, so stores are
 never shared across differently configured mechanism suites.
 
-Below the token tier, concurrent requests with one exact key share a single
-flight: one caller computes while the rest wait and then read the exact
-memo, so a burst of identical cold requests (previews and explores alike)
-builds one matrix and runs one Monte-Carlo search.
+Concurrent requests with one memo key share a single flight: one caller
+computes while the rest wait and then read the memo, so a burst of cold
+requests over one matrix (previews and explores alike) builds one matrix and
+runs one Monte-Carlo search.
 """
 
 from __future__ import annotations
@@ -60,7 +57,6 @@ from repro.mechanisms.base import Mechanism, TranslationResult
 from repro.mechanisms.registry import MechanismRegistry, default_registry
 from repro.obs import Counter, tracing
 from repro.queries.query import Query
-from repro.queries.workload import WorkloadMatrix
 from repro.store import ArtifactStore
 from repro.store.fingerprint import stable_digest
 
@@ -112,21 +108,17 @@ class AccuracyTranslator:
         self._registry = registry if registry is not None else default_registry()
         self._mode = mode
         self._store = store
+        #: Translation lists keyed by ``Query.translation_key`` plus
+        #: ``(alpha, beta, registry generation)``.
         self._translation_cache: LRUCache[
             list[tuple[Mechanism, TranslationResult]]
         ] = LRUCache(self.CACHE_MAX_ENTRIES)
-        #: Token tier: the same lists keyed by ``Query.translation_key``
-        #: plus ``(alpha, beta)``.
-        self._token_cache: LRUCache[
-            list[tuple[Mechanism, TranslationResult]]
-        ] = LRUCache(self.CACHE_MAX_ENTRIES)
-        #: Tier counters beneath the exact LRU.  Sessions share one
-        #: translator, so each is a locked :class:`~repro.obs.Counter`.
+        #: Counters beneath the memo.  Sessions share one translator, so
+        #: each is a locked :class:`~repro.obs.Counter`.
         self._tier_stats = {
-            key: Counter()
-            for key in ("built", "token", "disk_hits", "disk_writes", "coalesced")
+            key: Counter() for key in ("built", "disk_hits", "disk_writes", "coalesced")
         }
-        #: In-flight cold translations: exact key -> the leader's latch.
+        #: In-flight cold translations: memo key -> the leader's latch.
         self._flights: dict[tuple, threading.Lock] = {}
         self._flights_lock = threading.Lock()
 
@@ -145,20 +137,19 @@ class AccuracyTranslator:
 
     @property
     def cache_stats(self) -> dict[str, int]:
-        """Counters of the translation memo hierarchy.
+        """Counters of the translation memo and the store beneath it.
 
-        ``hits``/``misses``/``size`` describe the exact LRU; ``token``
-        counts lists answered by the token tier, ``disk_hits``/
-        ``disk_writes`` the artifact store, ``built`` the translation lists
-        actually computed, and ``coalesced`` the callers that waited on
-        another caller's flight (see :meth:`translations`).
+        ``hits``/``misses``/``size`` describe the memo (``hits`` counts
+        every memo answer), ``disk_hits``/``disk_writes`` the artifact
+        store, ``built`` the translation lists actually computed, and
+        ``coalesced`` the callers that waited on another caller's flight
+        (see :meth:`translations`).
         """
         tiers = {key: int(counter.value()) for key, counter in self._tier_stats.items()}
         return {**self._translation_cache.stats(), **tiers}
 
     def clear_cache(self) -> None:
         self._translation_cache.clear()
-        self._token_cache.clear()
         for counter in self._tier_stats.values():
             counter.reset()
 
@@ -174,47 +165,36 @@ class AccuracyTranslator:
 
         Mechanisms whose translation fails (e.g. the accuracy requirement is
         too loose for their closed form) are skipped.  Results are memoised
-        per (query structure, schema, accuracy) and per
-        (:meth:`~repro.queries.query.Query.translation_key`, accuracy), both
-        at the registry's generation:
-        translation is data independent and deterministic, so a repeat, or
-        another query over the same matrix, is answered from the memo.  The
-        tier order is exact -> token (memoised matrices only) -> disk ->
-        build the matrix -> token -> translate; see the module docstring.
+        per (:meth:`~repro.queries.query.Query.translation_key`, accuracy)
+        at the registry's generation: translation is data independent and
+        deterministic, so a repeat, or another query over the same matrix,
+        is answered from the memo.  The order is memo -> disk -> translate;
+        see the module docstring.
 
         Concurrent cold duplicates share one computation (single flight).
-        When the exact and token probes miss, the caller registers a flight
-        under the exact key: a per-flight latch, created and acquired before
-        the registry lock is taken, so latches only ever nest outside it.  A
-        caller finding a flight already registered is a follower: it waits
-        on the latch, counts ``coalesced`` and starts over from the exact
-        probe.  The leader re-probes the exact memo once (a flight may have
-        retired between its probe and its registration), computes, publishes
-        to the memo and only then retires the flight.  A leader's error is
-        its own: each follower starts over and computes for itself.
+        When the memo misses, the caller registers a flight under the memo
+        key: a per-flight latch, created and acquired before the registry
+        lock is taken, so latches only ever nest outside it.  A caller
+        finding a flight already registered is a follower: it waits on the
+        latch, counts ``coalesced`` and starts over from the memo probe.
+        The leader re-probes the memo once (a flight may have retired
+        between its probe and its registration), computes, publishes to the
+        memo and only then retires the flight.  A leader's error is its own:
+        each follower starts over and computes for itself.
         """
-        query_key = query.cache_key(schema)
+        translation_key = query.translation_key(schema)
+        if translation_key is None:
+            return self._resolve(query, accuracy, schema, None)
         # Read once, before the registry is: a list is never filed under a
         # generation newer than the mechanism set it was computed from.
-        generation = self._registry.generation
         cache_key = (
-            None if query_key is None
-            else (query_key, accuracy.alpha, accuracy.beta, generation)
+            translation_key, accuracy.alpha, accuracy.beta, self._registry.generation
         )
         while True:
-            if cache_key is not None:
-                cached = self._translation_cache.get(cache_key)
-                if cached is not None:
-                    tracing.annotate("cache_tier", "exact")
-                    return list(cached)
-            # Only an already-memoised matrix is probed before the disk, so a
-            # restarted process answers from disk without deriving a matrix.
-            matrix = query.memoised_matrix(schema)
-            out: list[tuple[Mechanism, TranslationResult]] | None = None
-            if matrix is not None:
-                out = self._token_cache.get(self._token_key(query, matrix, accuracy, generation))
-            if out is not None or cache_key is None:
-                return self._resolve(query, accuracy, schema, generation, cache_key, matrix, out)
+            cached = self._translation_cache.get(cache_key)
+            if cached is not None:
+                tracing.annotate("cache_tier", "exact")
+                return list(cached)
             latch = threading.Lock()
             latch.acquire()
             with self._flights_lock:
@@ -227,11 +207,9 @@ class AccuracyTranslator:
                 continue
             try:
                 if cache_key not in self._translation_cache:
-                    return self._resolve(
-                        query, accuracy, schema, generation, cache_key, matrix, None
-                    )
+                    return self._resolve(query, accuracy, schema, cache_key)
                 # A flight retired after this caller's probe: start over and
-                # take the exact hit.
+                # take the memo hit.
             finally:
                 with self._flights_lock:
                     del self._flights[cache_key]
@@ -242,67 +220,44 @@ class AccuracyTranslator:
         query: Query,
         accuracy: AccuracySpec,
         schema: Schema | None,
-        generation: int,
         cache_key: tuple | None,
-        matrix: WorkloadMatrix | None,
-        out: list[tuple[Mechanism, TranslationResult]] | None,
     ) -> list[tuple[Mechanism, TranslationResult]]:
-        """Answer past the exact tier, then publish to every tier that missed.
-
-        ``out`` is the token tier's answer for a memoised ``matrix``, or
-        ``None``: then the disk is probed, the matrix built if need be and
-        the token tier probed again before translating.
-        """
-        tier, store, store_digest = "token", self._store, None
+        """Answer a memo miss from the disk or by translating, then publish
+        to the memo (under ``cache_key``, if any) and to a disk that missed."""
+        applicable = self._registry.for_query(query)
+        if not applicable:
+            raise TranslationError(
+                f"no registered mechanism supports {query.kind.value} queries"
+            )
+        store = self._store
+        store_digest = (
+            None if store is None else self._store_digest(query, accuracy, schema, applicable)
+        )
+        out = None
+        if store_digest is not None:
+            out = self._from_payload(store.load("translation", store_digest), applicable)
+        tier = "disk"
         if out is None:
-            applicable = self._registry.for_query(query)
-            if not applicable:
+            tier, out = "built", []
+            for mechanism in applicable:
+                try:
+                    out.append((mechanism, mechanism.translate(query, accuracy, schema)))
+                except TranslationError:
+                    continue
+            if not out:
                 raise TranslationError(
-                    f"no registered mechanism supports {query.kind.value} queries"
+                    f"no mechanism could translate the accuracy requirement "
+                    f"{accuracy} for query {query.name!r}"
                 )
-            if store is not None and cache_key is not None:
-                store_digest = self._store_digest(query, accuracy, schema, applicable)
-            if store is not None and store_digest is not None:
-                tier = "disk"
-                out = self._from_payload(store.load("translation", store_digest), applicable)
-            if out is None and matrix is None:
-                tier, matrix = "token", query.build_matrix(schema)
-                out = self._token_cache.get(self._token_key(query, matrix, accuracy, generation))
-            if out is None:
-                tier, out = "built", []
-                for mechanism in applicable:
-                    try:
-                        out.append(
-                            (
-                                mechanism,
-                                mechanism.translate(query, accuracy, schema),
-                            )
-                        )
-                    except TranslationError:
-                        continue
-                if not out:
-                    raise TranslationError(
-                        f"no mechanism could translate the accuracy requirement "
-                        f"{accuracy} for query {query.name!r}"
-                    )
         self._tier_stats["disk_hits" if tier == "disk" else tier].inc()
         tracing.annotate("cache_tier", tier)
         if cache_key is not None:
             self._translation_cache.put(cache_key, list(out))
-        if matrix is not None and tier != "token":
-            self._token_cache.put(self._token_key(query, matrix, accuracy, generation), list(out))
-        # A list the disk missed is stored, whichever tier answered it.
-        if store is not None and store_digest is not None and tier != "disk":
+        if store_digest is not None and tier == "built":
             payload = [(mechanism.name, result) for mechanism, result in out]
             if store.save("translation", store_digest, payload):
                 self._tier_stats["disk_writes"].inc()
         return list(out)
-
-    @staticmethod
-    def _token_key(
-        query: Query, matrix: WorkloadMatrix, accuracy: AccuracySpec, generation: int
-    ) -> tuple:
-        return (*query.translation_key(matrix), accuracy.alpha, accuracy.beta, generation)
 
     def _store_digest(
         self,

@@ -37,8 +37,8 @@ __all__ = [
     "quantile",
 ]
 
-#: Optimistic snapshot attempts before falling back to the primitive's lock
-#: (mirrors :data:`repro.core.lru.OPTIMISTIC_RETRIES`).
+#: Optimistic snapshot attempts a :class:`Histogram` makes before falling
+#: back to its lock.
 OPTIMISTIC_RETRIES = 3
 
 #: ``repro_<subsystem>_<name>`` with optional ``{key="value",...}`` labels.

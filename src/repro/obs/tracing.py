@@ -2,7 +2,7 @@
 
 One trace covers one service request (``explore`` / ``preview_cost``): a
 tree of :class:`Span` nodes from admission through snapshot pin, the
-cache-tier outcome (exact / token / disk / rebuild), matrix build /
+cache-tier outcome (memo hit ``exact`` / ``disk`` / ``built``), matrix build /
 Monte-Carlo search, the mechanism run, and reserve/commit.  The
 instrumentation sites live in the service, engine, translator and workload
 modules; they all funnel through the three module-level entry points here:

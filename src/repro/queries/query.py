@@ -95,37 +95,33 @@ class Query:
         The matrix reads only the predicates and ``schema``'s declared
         domains, so both the per-query memo here and the module-level matrix
         memo key on the schema object alone: one matrix serves every version
-        of every table with that schema.
-        """
-        return self.memoised_matrix(schema) or self.build_matrix(schema)
-
-    def memoised_matrix(self, schema: Schema | None) -> WorkloadMatrix | None:
-        """The memoised matrix for ``schema``, or ``None``; never builds.
-
-        This query's own memo answers the schema object it was built for
-        without a memo lookup.  On a miss the matrix memo is probed.
+        of every table with that schema.  This query's own memo answers the
+        schema object it was built for without a memo lookup.
         """
         memo = self._matrix_memo
         if memo is not None and memo[1] is schema:
             return memo[0]
-        matrix = self._workload.memoised(schema, self._disjoint, self._sensitivity_override)
-        if matrix is not None:
-            self._matrix_memo = (matrix, schema)
-        return matrix
-
-    def build_matrix(self, schema: Schema | None) -> WorkloadMatrix:
-        """Build and memoise the matrix without probing any memo first."""
-        matrix = self._workload.build(schema, self._disjoint, self._sensitivity_override)
+        matrix = self._workload.analyze(
+            schema, disjoint=self._disjoint, sensitivity=self._sensitivity_override
+        )
         self._matrix_memo = (matrix, schema)
         return matrix
 
-    def translation_key(self, matrix: WorkloadMatrix) -> tuple:
-        """What accuracy translation reads of this query over ``matrix``.
+    def translation_key(self, schema: Schema | None = None) -> tuple | None:
+        """What accuracy translation reads of this query, or ``None``.
 
-        Queries with equal keys get equal translations, so a subclass whose
-        translations read a parameter appends it (TCQ ``k``).
+        ``(kind, value)``, where ``value`` names the workload matrix's
+        values: it is :meth:`Workload._analysis_key
+        <repro.queries.workload.Workload._analysis_key>`, which equals the
+        matrix's ``cache_token`` and is computed without building or
+        probing anything.  Queries with equal keys get equal translations,
+        so a subclass whose translations read a parameter appends it
+        (TCQ ``k``).  ``None`` when the workload is unhashable.
         """
-        return (self.kind, matrix.cache_token)
+        value = self._workload._analysis_key(
+            schema, self._disjoint, self._sensitivity_override
+        )
+        return None if value is None else (self.kind, value)
 
     def cache_key(self, schema: Schema | None = None) -> tuple | None:
         """Hashable structural identity of this query, or ``None``.
@@ -137,7 +133,9 @@ class Query:
         own parameters (ICQ threshold, TCQ k).  Predicates and names enter
         as the workload's
         :attr:`~repro.queries.workload.Workload.structure_key`, hashed once
-        per workload, so probing a memo with this key costs O(1) in ``L``.
+        per workload.  ``cache_key(None)`` is the query half of the
+        translation store's digest; the in-memory translation memo keys on
+        :meth:`translation_key` instead.
         """
         structure = self._workload.structure_key
         if structure is None:
@@ -272,8 +270,9 @@ class TopKCountingQuery(Query):
         base = super().cache_key(schema)
         return None if base is None else base + (self._k,)
 
-    def translation_key(self, matrix: WorkloadMatrix) -> tuple:
-        return super().translation_key(matrix) + (self._k,)
+    def translation_key(self, schema: Schema | None = None) -> tuple | None:
+        base = super().translation_key(schema)
+        return None if base is None else base + (self._k,)
 
     def true_answer(self, table: Table) -> list[str]:
         counts = self.true_counts(table)

@@ -234,10 +234,13 @@ class Workload:
             )
         self._predicates = tuple(preds)
         self._names = tuple(names)
-        # Both are immutable facts the memo keys and the domain analysis
-        # need, so they are derived here once instead of per probe.
+        # Immutable facts the memo keys and the domain analysis need, so
+        # they are derived here once instead of per probe.
         self._attributes: frozenset[str] = frozenset().union(
             *(pred.attributes() for pred in preds)
+        )
+        self._supports_domain_analysis = all(
+            pred.supports_domain_analysis for pred in preds
         )
         try:
             key: _StructureKey | None = _StructureKey((self._predicates, self._names))
@@ -295,16 +298,18 @@ class Workload:
         caches correctly for re-used predicate objects (the
         entity-resolution strategies intern theirs).
 
-        The key names translation lists.  Matrices are keyed by value: an
-        exact one by the predicates alone and the schema, a structural one by
-        ``(L, sensitivity)``, whose counts come from :meth:`true_answers`,
-        not from the matrix.
+        The key names translation lists on disk.  Matrices, and the
+        translation lists in memory, are keyed by value
+        (:meth:`_analysis_key`): an exact matrix by the predicates alone and
+        the schema, a structural one by ``(L, sensitivity)``, whose counts
+        come from :meth:`true_answers`, not from the matrix.
         """
         return self._structure_key
 
     @property
     def supports_domain_analysis(self) -> bool:
-        return all(p.supports_domain_analysis for p in self._predicates)
+        """True when every predicate is structured (exact analysis applies)."""
+        return self._supports_domain_analysis
 
     # -- evaluation -------------------------------------------------------------
 
@@ -360,29 +365,15 @@ class Workload:
         previously built exact matrix without re-deriving it, whatever the
         tables with that schema hold, and every workload analysed
         structurally with the same ``L`` and effective sensitivity gets one
-        shared matrix.  :meth:`memoised` and :meth:`build` are its two
-        halves.
+        shared matrix.  The memo key is :meth:`_analysis_key`, which is also
+        the matrix's :attr:`~WorkloadMatrix.cache_token`.
         """
-        return self.memoised(schema, disjoint, sensitivity) or self.build(
-            schema, disjoint, sensitivity
-        )
-
-    def memoised(
-        self, schema: Schema | None, disjoint: bool | None, sensitivity: float | None
-    ) -> "WorkloadMatrix | None":
-        """:meth:`analyze`'s memo probe; never builds."""
         key = self._analysis_key(schema, disjoint, sensitivity)
-        if key is None:
-            return None
-        cached = _MATRIX_CACHE.get(key)
-        if cached is not None:
-            tracing.annotate("matrix_tier", "exact")
-        return cached
-
-    def build(
-        self, schema: Schema | None, disjoint: bool | None, sensitivity: float | None
-    ) -> "WorkloadMatrix":
-        """:meth:`analyze`'s build: derive the matrix and memoise it, unprobed."""
+        if key is not None:
+            cached = _MATRIX_CACHE.get(key)
+            if cached is not None:
+                tracing.annotate("matrix_tier", "exact")
+                return cached
         structural = self._structural_key(schema, disjoint, sensitivity)
         with tracing.span("workload.matrix_build", exact=structural is None):
             if structural is None:
@@ -392,7 +383,6 @@ class Workload:
                 matrix = WorkloadMatrix.from_structure(self.size, structural[2])
         _MATRIX_TIER_STATS["built"].inc()
         tracing.annotate("matrix_tier", "built")
-        key = self._analysis_key(schema, disjoint, sensitivity)
         if key is not None:
             _MATRIX_CACHE.put(key, matrix)
         return matrix
@@ -423,7 +413,10 @@ class Workload:
         equal-but-distinct schemas never share), never the names: its key is
         :func:`_structural_token`.  A structural matrix reads only ``L`` and
         the effective sensitivity, so its key is
-        ``("structural", L, sensitivity)``.
+        ``("structural", L, sensitivity)``.  The key is computed without
+        building or probing anything; it is the built matrix's
+        :attr:`~WorkloadMatrix.cache_token` and the value part of
+        :meth:`~repro.queries.query.Query.translation_key`.
         """
         if self._structure_key is None:
             return None
@@ -546,9 +539,9 @@ class WorkloadMatrix:
         per-cell enumeration.
 
         The matrix's :attr:`cache_token` names its values by the predicates
-        and the schema object, so every consumer keyed by it (the WCQ-SM
-        Monte-Carlo search in particular) serves every version of every
-        table with that schema.  :meth:`Workload.analyze` memoises it under
+        and the schema object, so every consumer keyed by it (the
+        translation memo, the WCQ-SM search and strategy memos) serves every
+        version of every table with that schema.  :meth:`Workload.analyze` memoises it under
         the same value, so workloads that differ only in names share it.
         """
         if not workload.supports_domain_analysis:
@@ -570,7 +563,7 @@ class WorkloadMatrix:
         instance._domain = (atoms, leaf_vectors)
         token = _structural_token(workload, schema)
         if token is not None:
-            instance._cache_token = ("exact",) + token
+            instance._cache_token = token
         return instance
 
     @classmethod
@@ -882,10 +875,11 @@ def _data_entry(
 
 
 def _structural_token(workload: Workload, schema: Schema) -> tuple | None:
-    """Hashable (predicates, schema) token shared by equal exact analyses.
+    """Hashable ``("exact", predicates, schema)`` token shared by equal exact
+    analyses.
 
     Names do not change the matrix, so the token keys on the predicates
-    alone.  It is the exact matrix's memo key, and tagged ``"exact"`` its
+    alone.  It is the exact matrix's memo key and its
     :attr:`WorkloadMatrix.cache_token`.  The predicates are hashed once per
     workload, on its first probe: racing first probes build equal keys.
     """
@@ -894,7 +888,7 @@ def _structural_token(workload: Workload, schema: Schema) -> tuple | None:
     key = workload._predicates_key
     if key is None:
         key = workload._predicates_key = _StructureKey(workload.predicates)
-    return (key, _IdKey(schema))
+    return ("exact", key, _IdKey(schema))
 
 
 def _enumerate_partitions(

@@ -101,7 +101,7 @@ def test_translator_built_counter_is_exact():
     def work(tid):
         for i in range(PER_THREAD):
             # Every query has the same structural matrix, so a distinct
-            # alpha per call keeps each one a token-tier miss.
+            # alpha per call keeps each one a memo miss.
             call = tid * PER_THREAD + i
             query = WorkloadCountingQuery(Workload([Comparison("x", ">", float(call))]))
             translator.translations(query, AccuracySpec(alpha=10.0 + call, beta=0.05))
@@ -109,7 +109,7 @@ def test_translator_built_counter_is_exact():
     run_threads(work)
     stats = translator.cache_stats
     assert stats["built"] == THREADS * PER_THREAD
-    tiers = ("built", "token", "disk_hits", "disk_writes")
+    tiers = ("built", "disk_hits", "disk_writes", "coalesced")
     assert all(type(stats[key]) is int for key in tiers)
     translator.clear_cache()
     assert translator.cache_stats["built"] == 0

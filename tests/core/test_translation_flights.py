@@ -1,18 +1,21 @@
 """Single flight in the translator: concurrent cold duplicates share one build.
 
-When the exact and token probes miss, ``AccuracyTranslator.translations``
-registers a flight under the exact key.  Followers wait on the leader's
-latch and start over from the exact probe; the leader re-probes the exact
-memo once, computes, publishes and retires the flight.  These tests pin:
+When the memo misses, ``AccuracyTranslator.translations`` registers a
+flight under the memo key (the query's ``translation_key`` plus accuracy
+and registry generation).  Followers wait on the leader's latch and start
+over from the memo probe; the leader re-probes the memo once, computes,
+publishes and retires the flight.  These tests pin:
 
-* a burst of identical cold requests builds one list and one matrix;
+* a burst of identical cold requests builds one list and one matrix, and so
+  does a burst over equal predicates under other names and ICQ thresholds;
 * distinct keys never wait on each other;
 * a failing leader shares no exception: each follower computes (and fails)
   on its own, and no flight is left behind;
 * a straggler whose probe missed just before a flight retired takes the
-  exact hit instead of building again;
+  memo hit instead of building again;
 * a lone leader leaves no registry entry and counts no extra miss;
-* warm, token-tier and unkeyed requests never touch the flight registry;
+* warm requests (another query over a memoised matrix included) and
+  unkeyed requests never touch the flight registry;
 * every way out of a flight (success, ``TranslationError``, a failing
   matrix build, a ``BaseException``) retires it;
 * coalescing shares the translation only: each caller gets its own list
@@ -32,6 +35,7 @@ import pytest
 from repro.analysis.runtime import LockOrderWatchdog
 from repro.core.accuracy import AccuracySpec
 from repro.core.exceptions import TranslationError
+from repro.core.lru import LRUCache
 from repro.core.translator import AccuracyTranslator, MechanismChoice
 from repro.mechanisms.laplace import LaplaceMechanism
 from repro.mechanisms.registry import MechanismRegistry
@@ -94,10 +98,10 @@ def results(translations):
     return [result for _, result in translations]
 
 
-def exact_key(translator, query, accuracy=ACCURACY):
-    """The exact tier's (and the flights') key, at the registry's generation."""
+def memo_key(translator, query, accuracy=ACCURACY):
+    """The memo's (and the flights') key, at the registry's generation."""
     return (
-        query.cache_key(SCHEMA),
+        query.translation_key(SCHEMA),
         accuracy.alpha,
         accuracy.beta,
         translator.registry.generation,
@@ -171,7 +175,7 @@ class TestFlights:
         assert stats["built"] == 1
         assert len(mechanism.calls) == 1
         assert matrix_cache_stats()["built"] - built_before == 1
-        # Every other caller is answered by the exact memo, after waiting
+        # Every other caller is answered by the memo, after waiting
         # on the flight or (arriving late) straight away.
         assert stats["hits"] == THREADS - 1
         assert 1 <= stats["coalesced"] <= THREADS - 1
@@ -215,11 +219,11 @@ class TestFlights:
 
         assert translate(translator, query)
 
-        key = exact_key(translator, query)
+        key = memo_key(translator, query)
         assert inside == [[key]]
         assert translator._flights == {}
         stats = translator.cache_stats
-        # The leader's re-probe of the exact memo counts no second miss.
+        # The leader's re-probe of the memo counts no second miss.
         assert (stats["misses"], stats["built"], stats["coalesced"]) == (1, 1, 0)
         # The registry lock is a leaf: nothing is acquired while it is held.
         registry_site = translator._flights_lock.site
@@ -250,6 +254,37 @@ class TestFlights:
         stats = translator.cache_stats
         assert stats["built"] == len(mechanism.calls) == 2
         assert stats["hits"] == THREADS - 2
+        assert translator._flights == {}
+
+    def test_cold_burst_over_one_matrix_builds_one_list_and_one_matrix(self):
+        """Equal predicates under other names and ICQ thresholds share one
+        memo key, so they share one flight."""
+        mechanism = SlowLaplace(lambda: time.sleep(0.05), name="ICQ-LM", kind=QueryKind.ICQ)
+        translator = AccuracyTranslator(MechanismRegistry([mechanism]))
+        predicates = make_query().workload.predicates
+        queries = [
+            IcebergCountingQuery(
+                Workload(predicates, [f"bin{i}.{j}" for j in range(len(predicates))]),
+                float(i),
+                name=f"q{i}",
+            )
+            for i in range(THREADS)
+        ]
+        assert len({query.cache_key(SCHEMA) for query in queries}) == THREADS
+        built_before = matrix_cache_stats()["built"]
+
+        outcomes = burst(THREADS, lambda i: translate(translator, queries[i]))
+
+        assert all(isinstance(out, list) and out for out in outcomes)
+        assert len({id(out) for out in outcomes}) == THREADS
+        expected = list(outcomes[1])
+        outcomes[0].clear()  # a caller mutating its list touches nobody else's
+        assert all(out == expected for out in outcomes[1:])
+        stats = translator.cache_stats
+        assert stats["built"] == len(mechanism.calls) == 1
+        assert stats["hits"] == THREADS - 1
+        assert 1 <= stats["coalesced"] <= THREADS - 1
+        assert matrix_cache_stats()["built"] - built_before == 1
         assert translator._flights == {}
 
     def test_every_caller_gets_its_own_list(self):
@@ -284,8 +319,8 @@ class TestFlights:
 
         assert inner and inner[0]
         assert seen[1] == {
-            exact_key(translator, outer_query),
-            exact_key(translator, make_query(99.0)),
+            memo_key(translator, outer_query),
+            memo_key(translator, make_query(99.0)),
         }
         stats = translator.cache_stats
         assert (stats["built"], stats["coalesced"]) == (2, 0)
@@ -357,7 +392,7 @@ class TestFollowers:
             thread.join(timeout=30)
             assert not thread.is_alive()
 
-        key = exact_key(translator, query)
+        key = memo_key(translator, query)
         assert flights.joins == [(key, True), (key, False)]
         assert out["follower"] == out["leader"]
         assert len(mechanism.calls) == 1
@@ -379,8 +414,8 @@ class TestFollowers:
 
     def test_follower_of_a_failed_flight_leads_its_own(self):
         """The leader's error stays in its thread; the follower starts over,
-        leads a fresh flight on the matrix the leader already built, and
-        succeeds when the failure was the leader's alone."""
+        leads a fresh flight, and succeeds when the failure was the leader's
+        alone."""
         entered, release = threading.Event(), threading.Event()
         attempts = []
 
@@ -417,7 +452,7 @@ class TestFollowers:
 
         assert isinstance(out["leader"], RuntimeError)
         assert isinstance(out["follower"], list) and out["follower"]
-        key = exact_key(translator, query)
+        key = memo_key(translator, query)
         assert flights.joins == [(key, True), (key, False), (key, True)]
         stats = translator.cache_stats
         assert (stats["built"], stats["coalesced"]) == (1, 1)
@@ -436,23 +471,23 @@ class TestNoFlight:
         assert flights.joins == []
         assert translator.cache_stats["hits"] == 1
 
-    def test_token_hit_registers_no_flight(self):
+    def test_another_threshold_over_the_matrix_registers_no_flight(self):
         mechanism = SlowLaplace(name="ICQ-LM", kind=QueryKind.ICQ)
         translator = AccuracyTranslator(MechanismRegistry([mechanism]))
         workload = make_query().workload
         translate(translator, IcebergCountingQuery(workload, 5.0))
         flights = recording(translator)
 
-        # Another threshold misses the exact memo but shares the matrix.
+        # Another threshold shares the matrix, so it shares the memo key.
         assert translate(translator, IcebergCountingQuery(workload, 50.0))
 
         assert flights.joins == []
         stats = translator.cache_stats
-        assert (stats["token"], stats["built"]) == (1, 1)
+        assert (stats["hits"], stats["built"]) == (1, 1)
 
     def test_unkeyed_request_registers_no_flight(self):
         class Unkeyed(WorkloadCountingQuery):
-            def cache_key(self, schema=None):
+            def translation_key(self, schema=None):
                 return None
 
         mechanism = SlowLaplace(lambda: time.sleep(0.01))
@@ -465,7 +500,7 @@ class TestNoFlight:
         assert flights.joins == []
         stats = translator.cache_stats
         assert stats["coalesced"] == 0
-        assert stats["size"] == 0  # nothing enters the exact memo
+        assert stats["size"] == 0  # nothing enters the memo
 
     def test_untranslatable_request_leaves_no_flight_and_memoises_nothing(self):
         def refuse():
@@ -484,7 +519,7 @@ class TestNoFlight:
 
     def test_failing_matrix_build_leaves_no_flight(self):
         class Broken(WorkloadCountingQuery):
-            def build_matrix(self, schema=None):
+            def workload_matrix(self, schema=None):
                 raise RuntimeError("domain analysis failed")
 
         translator = AccuracyTranslator(MechanismRegistry([SlowLaplace()]))
@@ -493,7 +528,7 @@ class TestNoFlight:
         with pytest.raises(RuntimeError, match="domain analysis failed"):
             translate(translator, Broken(workload))
         assert translator._flights == {}
-        # The same exact key leads a fresh flight and builds.
+        # The same memo key leads a fresh flight and builds.
         assert translate(translator, WorkloadCountingQuery(workload))
         assert translator.cache_stats["built"] == 1
         assert translator._flights == {}
@@ -525,7 +560,7 @@ class TestNoFlight:
         translator.clear_cache()
         assert translate(translator, query) == first
 
-        assert flights.joins == [(exact_key(translator, query), True)] * 2
+        assert flights.joins == [(memo_key(translator, query), True)] * 2
         assert len(mechanism.calls) == 2
         assert translator.cache_stats["coalesced"] == 0
         assert flights == {}
@@ -577,24 +612,26 @@ class TestStraggler:
         sys.setswitchinterval(previous)
 
     def test_straggler_after_a_retiring_flight_builds_nothing(self):
-        """Force the losing interleaving: the straggler misses the exact
-        memo and finds no matrix, the leader then builds, publishes and
-        retires, and only then does the straggler register.  Its re-probe
-        takes the exact hit."""
+        """Force the losing interleaving: the straggler misses the memo, the
+        leader then builds, publishes and retires, and only then does the
+        straggler register.  Its re-probe takes the memo hit."""
         translator = AccuracyTranslator(MechanismRegistry([SlowLaplace()]))
         probed, leader_done = threading.Event(), threading.Event()
 
-        class LateProbe(WorkloadCountingQuery):
-            def memoised_matrix(self, schema):
-                probed.set()
-                assert leader_done.wait(timeout=30)
-                return None  # the probe ran before the leader's build
+        class LateProbe(LRUCache):
+            def get(self, key):
+                cached = super().get(key)
+                if threading.current_thread().name == "straggler" and not probed.is_set():
+                    probed.set()
+                    assert leader_done.wait(timeout=30)
+                return cached  # the probe ran before the leader's publish
 
-        straggler_query = LateProbe(make_query().workload)
+        translator._translation_cache = LateProbe(translator.CACHE_MAX_ENTRIES)
         built_before = matrix_cache_stats()["built"]
         out = {}
         thread = threading.Thread(
-            target=lambda: out.update(straggler=translate(translator, straggler_query))
+            target=lambda: out.update(straggler=translate(translator, make_query())),
+            name="straggler",
         )
         thread.start()
         assert probed.wait(timeout=30)
@@ -605,6 +642,7 @@ class TestStraggler:
 
         assert out["straggler"] == out["leader"]
         stats = translator.cache_stats
+        assert (stats["misses"], stats["hits"]) == (2, 1)
         assert (stats["built"], stats["coalesced"]) == (1, 0)
         assert matrix_cache_stats()["built"] - built_before == 1
         assert translator._flights == {}

@@ -1,11 +1,16 @@
-"""The translator's token tier: key safety and tier-order regressions.
+"""The translator's memo key: key safety and memo-order regressions.
 
-The token tier hands one query the translation list computed for another
-whenever their ``(Query.translation_key(matrix), alpha, beta)`` keys are
-equal.  A key that omits an input ``translate`` reads would hand one
-workload another workload's epsilon: a privacy bug, not a cache bug.  Two
-checks pin the key:
+The translator memoises one translation list per
+``(Query.translation_key(schema), alpha, beta)`` (at the registry's
+generation), so it hands one query the list computed for another whenever
+their keys are equal.  A key that omits an input ``translate`` reads would
+hand one workload another workload's epsilon: a privacy bug, not a cache
+bug.  Three checks pin the key:
 
+* it names the matrix ``translate`` reads: it equals
+  ``(kind, workload_matrix(schema).cache_token)`` (plus TCQ ``k``), is
+  computed without touching the matrix memo, and is ``None`` exactly when
+  the workload is unhashable (a hypothesis test);
 * queries with equal keys get field-equal *fresh* translations from every
   registry mechanism, however their predicates, names and ICQ thresholds
   differ (a hypothesis test);
@@ -13,13 +18,15 @@ checks pin the key:
   and fails on any attribute read outside the key.  A mechanism that starts
   reading, say, the ICQ threshold must extend ``translation_key`` first.
 
-The rest pins the tier order exact -> token -> disk -> build -> token: a
-query over an already-memoised matrix is a token hit, a post-append preview
-of the same query object needs no matrix-memo lookup (even after an append
-that introduces a declared but unobserved value), and a fresh but equal
-query after an append is answered by the exact tier, not the disk.
+The rest pins the tier order memo -> disk -> translate: a query over an
+already-memoised matrix is a memo hit, a post-append preview of the same
+query object needs no matrix-memo lookup (even after an append that
+introduces a declared but unobserved value), a fresh but equal query after
+an append is answered by the memo, not the disk, and a list loaded from disk
+answers every query over its matrix without building one.
 """
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -30,7 +37,7 @@ from repro.core.translator import AccuracyTranslator
 from repro.mechanisms.laplace import LaplaceMechanism
 from repro.mechanisms.registry import default_registry
 from repro.mechanisms.strategy_mechanism import reset_search_stats
-from repro.queries.predicates import Comparison
+from repro.queries.predicates import Comparison, FunctionPredicate
 from repro.queries.query import (
     IcebergCountingQuery,
     QueryKind,
@@ -86,9 +93,8 @@ def outcome(mechanism, query, accuracy):
     return (result.mechanism, result.epsilon_upper, result.epsilon_lower, dict(result.details))
 
 
-def token_key(query, accuracy):
-    matrix = query.workload_matrix(SCHEMA)
-    return (*query.translation_key(matrix), accuracy.alpha, accuracy.beta)
+def memo_key(query, accuracy):
+    return (query.translation_key(SCHEMA), accuracy.alpha, accuracy.beta)
 
 
 @st.composite
@@ -162,12 +168,70 @@ class _ReadAudit:
         return value
 
 
+#: Opaque (identity-hashed), so its workloads are analysed structurally.
+OPAQUE = FunctionPredicate("opaque", lambda table: np.ones(len(table), dtype=bool), ["score"])
+#: A list constant makes a predicate, and so its workload, unhashable.
+UNHASHABLE = Comparison("score", "==", [10.0])
+STRUCTURED = [
+    *(Comparison("score", op, cut) for op in (">", "==") for cut in CUTS),
+    Comparison("state", "==", "CA"),
+]
+
+
+@st.composite
+def keyed_queries(draw):
+    """A query of any kind, override, predicates, names and ICQ threshold,
+    and the schema (or ``None``) it is keyed against."""
+    kind = draw(st.sampled_from(list(QueryKind)))
+    predicates = draw(st.lists(st.sampled_from(STRUCTURED), min_size=1, max_size=3))
+    extra = draw(st.sampled_from([None, None, OPAQUE, UNHASHABLE]))
+    if extra is not None:
+        predicates.insert(draw(st.integers(0, len(predicates))), extra)
+    names = draw(
+        st.none()
+        | st.lists(st.text("ab", max_size=2), min_size=len(predicates), max_size=len(predicates))
+    )
+    query = make_query(
+        kind,
+        predicates,
+        names,
+        threshold=draw(st.floats(-10.0, 100.0)),
+        k=draw(st.integers(1, len(predicates))),
+        **draw(st.sampled_from([{}, {}, {"disjoint": True}, {"disjoint": False}, {"sensitivity": 2.5}])),
+    )
+    return query, draw(st.sampled_from([None, SCHEMA, SCHEMA]))
+
+
+def matrix_memo_lookups():
+    stats = matrix_cache_stats()
+    return stats["hits"], stats["misses"], stats["built"]
+
+
 class TestKeySafety:
+    @settings(max_examples=200, deadline=None)
+    @given(keyed_queries())
+    def test_the_key_names_the_matrix_without_building_it(self, drawn):
+        query, schema = drawn
+        before = matrix_memo_lookups()
+        key = query.translation_key(schema)
+        assert matrix_memo_lookups() == before
+        assert (key is None) == (query.workload.structure_key is None)
+        if key is None:
+            return
+        expected = (query.kind, query.workload_matrix(schema).cache_token)
+        if query.kind is QueryKind.TCQ:
+            expected += (query.k,)
+        assert key == expected and hash(key) == hash(expected)
+        # Warm, the key still reads no memo.
+        before = matrix_memo_lookups()
+        assert query.translation_key(schema) == key
+        assert matrix_memo_lookups() == before
+
     @settings(max_examples=100, deadline=None)
     @given(query_pairs())
     def test_equal_keys_get_field_equal_fresh_translations(self, pair):
         (first, second), accuracy = pair
-        assume(token_key(first, accuracy) == token_key(second, accuracy))
+        assume(memo_key(first, accuracy) == memo_key(second, accuracy))
         assert fresh_outcomes(first, accuracy) == fresh_outcomes(second, accuracy)
 
     @pytest.mark.parametrize(
@@ -190,7 +254,7 @@ class TestKeySafety:
     )
     def test_an_input_that_changes_a_translation_changes_the_key(self, first, second):
         assert fresh_outcomes(first, ACCURACY) != fresh_outcomes(second, ACCURACY)
-        assert token_key(first, ACCURACY) != token_key(second, ACCURACY)
+        assert memo_key(first, ACCURACY) != memo_key(second, ACCURACY)
 
     def test_every_translate_reads_only_the_key(self):
         violations = []
@@ -211,7 +275,7 @@ class TestKeySafety:
     def test_the_audit_catches_a_read_outside_the_key(self):
         class ThresholdReading(LaplaceMechanism):
             def translate(self, query, accuracy, schema=None):
-                query.threshold  # an input the token key does not carry
+                query.threshold  # an input the memo key does not carry
                 return super().translate(query, accuracy, schema)
 
         violations = []
@@ -224,7 +288,7 @@ class TestKeySafety:
 
 
 class TestTierOrder:
-    def test_another_threshold_is_a_token_hit_on_the_memoised_matrix(self):
+    def test_another_threshold_is_a_memo_hit_on_the_matrix_key(self):
         translator = AccuracyTranslator(default_registry(mc_samples=MC_SAMPLES))
 
         def iceberg(threshold):
@@ -232,11 +296,11 @@ class TestTierOrder:
 
         translator.translations(iceberg(5.0), ACCURACY, SCHEMA)
         built = matrix_cache_stats()["built"]
-        # Another threshold misses the exact tier but shares the memoised
-        # matrix and its token: no matrix build, no translation.
+        # Another threshold has another structure but the same matrix, so
+        # the same memo key: no matrix build, no translation.
         translator.translations(iceberg(50.0), ACCURACY, SCHEMA)
         stats = translator.cache_stats
-        assert (stats["token"], stats["built"], stats["coalesced"]) == (1, 1, 0)
+        assert (stats["hits"], stats["built"], stats["coalesced"]) == (1, 1, 0)
         assert matrix_cache_stats()["built"] == built
 
     def test_same_query_after_append_needs_no_matrix_lookup_even_on_drift(self):
@@ -256,7 +320,8 @@ class TestTierOrder:
         engine.preview_cost(query, ACCURACY)
         engine.explore(query, ACCURACY)
         assert lookups() == before
-        assert engine.cache_stats()["translations"]["token"] == 0
+        stats = engine.cache_stats()["translations"]
+        assert (stats["hits"], stats["misses"], stats["built"]) == (2, 1, 1)
 
         # "TX" is declared but was never observed: the matrix already has
         # its column, so nothing is looked up or built.
@@ -266,7 +331,7 @@ class TestTierOrder:
         assert matrix_cache_stats()["built"] == 1
         assert engine.cache_stats()["translations"]["built"] == 1
 
-    def test_fresh_query_after_append_hits_exact_not_disk(self, tmp_path):
+    def test_fresh_query_after_append_hits_the_memo_not_disk(self, tmp_path):
         table = make_table(make_schema())
         engine = APExEngine(
             table,
@@ -279,9 +344,9 @@ class TestTierOrder:
         table.append_rows(preserving_rows())
         engine.preview_cost(WorkloadCountingQuery(make_workload(), name="q"), ACCURACY)
         stats = engine.cache_stats()["translations"]
-        assert (stats["hits"], stats["token"], stats["disk_hits"], stats["built"]) == (1, 0, 0, 1)
+        assert (stats["hits"], stats["misses"], stats["disk_hits"], stats["built"]) == (1, 1, 0, 1)
 
-    def test_a_list_the_disk_missed_is_stored_whichever_tier_answered(self, tmp_path):
+    def test_a_disk_hit_answers_every_query_over_its_matrix(self, tmp_path):
         def structural(op):
             predicates = [Comparison("score", op, 10.0), Comparison("score", op, 20.0)]
             return WorkloadCountingQuery(Workload(predicates), sensitivity=2.0)
@@ -293,22 +358,25 @@ class TestTierOrder:
 
         warm = translator()
         first = warm.translations(structural(">"), ACCURACY, SCHEMA)
-        # Other predicates, the same structural matrix, which is memoised
-        # (one per (L, sensitivity)): the token tier answers before the disk.
+        # Other predicates, the same structural matrix (one per (L,
+        # sensitivity)): the memo answers before the disk, with the matrix
+        # evicted, and writes nothing.
+        clear_matrix_cache()
         early = warm.translations(structural(">="), ACCURACY, SCHEMA)
         stats = warm.cache_stats
-        assert (stats["built"], stats["token"], stats["disk_writes"]) == (1, 1, 1)
-        # With the matrix evicted, the disk misses, the matrix is built, and
-        # the token tier answers -- and is stored.
-        clear_matrix_cache()
-        second = warm.translations(structural("<"), ACCURACY, SCHEMA)
-        stats = warm.cache_stats
-        assert (stats["built"], stats["token"], stats["disk_writes"]) == (1, 2, 2)
-        assert second == early == first
+        assert (stats["hits"], stats["built"], stats["disk_hits"], stats["disk_writes"]) == (
+            1, 1, 0, 1,
+        )
+        assert early == first
+        assert matrix_cache_stats()["built"] == 0
 
-        clear_matrix_cache()
         restarted = translator()
-        reloaded = restarted.translations(structural("<"), ACCURACY, SCHEMA)
-        assert [result for _, result in reloaded] == [result for _, result in second]
-        assert restarted.cache_stats["disk_hits"] == 1
+        reloaded = restarted.translations(structural(">"), ACCURACY, SCHEMA)
+        assert [result for _, result in reloaded] == [result for _, result in first]
+        # The loaded list is memoised under the matrix key: a query the disk
+        # never saw is a memo hit, and no matrix is ever built.
+        again = restarted.translations(structural("<"), ACCURACY, SCHEMA)
+        assert again == reloaded
+        stats = restarted.cache_stats
+        assert (stats["hits"], stats["disk_hits"], stats["built"]) == (1, 1, 0)
         assert matrix_cache_stats()["built"] == 0

@@ -183,8 +183,8 @@ class TestRegistryChanges:
 
         registry.register(StrategyMechanism(mc_samples=64, name="WCQ-SM"))
         registry.unregister("WCQ-LM")
-        # The same query (exact tier) and another query over the same matrix
-        # (token tier) both see the new mechanism set.
+        # The same query and another query over the same matrix (one memo
+        # key) both see the new mechanism set.
         renamed = self._wcq(names=["young", "middle"])
         for asked in (query, renamed):
             assert names(asked) == ["WCQ-SM"]

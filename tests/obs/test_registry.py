@@ -224,8 +224,9 @@ class TestFacadeMetrics:
         assert metrics, "as_metrics() came back empty"
         assert all(metric_name_is_valid(name) for name in metrics)
         assert 'repro_session_share{analyst="a-0"}' in metrics
-        for tier in ("hits", "token", "disk_hits", "built"):
+        for tier in ("hits", "misses", "disk_hits", "disk_writes", "built", "coalesced"):
             assert f"repro_translations_{tier}" in metrics
+        assert "repro_translations_token" not in metrics
 
     def test_families_never_overwrite_each_other(self):
         """Every ``stats()`` field lands on its own series: the flat view has

@@ -233,7 +233,6 @@ class TestThreadLocalContext:
 #: ``cache_tier`` span label -> translator counter that one such span bumps.
 _TIER_COUNTERS = {
     "exact": "hits",
-    "token": "token",
     "disk": "disk_hits",
     "built": "built",
 }
@@ -333,15 +332,15 @@ class TestServiceSpans:
         service = _traced_service(small_table(256), store=store)
         assert _traced_preview(service, tracer)[1] == ["built"]
         assert _traced_preview(service, tracer)[1] == ["exact"]
-        # Translation reads no row: the post-append preview is an exact hit.
+        # Translation reads no row: the post-append preview is a memo hit.
         rows = [
             {"region": "region-00", "channel": "web", "amount": 50.0 * i, "age": 30.0}
             for i in range(32)
         ]
         service.append_rows("default", rows)
         assert _traced_preview(service, tracer)[1] == ["exact"]
-        # The same bins under other names: the exact key misses, and the
-        # memoised matrix's token answers.
+        # The same bins under other names: the same matrix, so the same memo
+        # key.
         from repro.queries.query import WorkloadCountingQuery
         from repro.queries.workload import Workload
 
@@ -349,7 +348,7 @@ class TestServiceSpans:
         renamed = WorkloadCountingQuery(
             Workload(query.workload.predicates, [f"bin-{i}" for i in range(query.workload_size)])
         )
-        assert _traced_preview(service, tracer, renamed)[1] == ["token"]
+        assert _traced_preview(service, tracer, renamed)[1] == ["exact"]
         # A fresh service over the same store answers from disk.
         clear_matrix_cache()
         restarted = _traced_service(small_table(256), store=store)

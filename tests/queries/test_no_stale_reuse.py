@@ -9,7 +9,7 @@ they would compute, while every data-dependent answer still tracks the
 rows.  Pinned here:
 
 * after each kind of mutation the same matrix object and the same
-  translation list serve the grown table (exact tier, zero matrix builds,
+  translation list serve the grown table (memo hit, zero matrix builds,
   zero searches), and its histogram and true counts equal the
   row-at-a-time reference at the new snapshot;
 * an engine stream whose appends introduce a declared but unobserved
@@ -191,7 +191,7 @@ class TestDriftStreamThroughTheEngine:
             result = engine.explore(query(), TIGHT)
             hits += 2
             stats = engine.cache_stats()
-            assert stats["translations"]["hits"] == hits  # the exact tier
+            assert stats["translations"]["hits"] == hits  # the memo
             assert stats["translations"]["built"] == 1
             assert stats["workload_matrices"]["built"] == matrices == 1
             assert search_stats()["searches"] == searches

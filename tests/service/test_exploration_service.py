@@ -191,7 +191,7 @@ class TestPreviewBatching:
         built_after_cold = service.stats()["translations"]["built"]
         hits_after_cold = service.stats()["translations"]["hits"]
         start = time.perf_counter()
-        service.preview_cost("alice", q, ACC)  # warm: the exact memo answers
+        service.preview_cost("alice", q, ACC)  # warm: the memo answers
         warm_seconds = time.perf_counter() - start
         stats = service.stats()["translations"]
         assert stats["built"] == built_after_cold
@@ -252,7 +252,7 @@ class TestPreviewBatching:
 
     def test_explored_query_previews_without_a_flight(self, table):
         """An explore warms the translation memo, so a later preview of the
-        same query is an exact hit: nothing is built and nobody waits."""
+        same query is a memo hit: nothing is built and nobody waits."""
         service = make_service(table)
         service.register_analyst("alice")
         service.explore("alice", hist_query(table, bins=10), ACC)
@@ -268,18 +268,18 @@ class TestPreviewBatching:
         clear_matrix_cache()
         service = make_service(table)
         service.register_analyst("alice")
-        real_build = WorkloadCountingQuery.build_matrix
+        real_build = WorkloadCountingQuery.workload_matrix
 
         def broken(*args, **kwargs):
             raise RuntimeError("domain analysis failed")
 
-        monkeypatch.setattr(WorkloadCountingQuery, "build_matrix", broken)
+        monkeypatch.setattr(WorkloadCountingQuery, "workload_matrix", broken)
         with pytest.raises(RuntimeError, match="domain analysis failed"):
             service.preview_cost("alice", hist_query(table, bins=12), ACC)
         assert service.stats()["translations"]["built"] == 0
         assert service._translator._flights == {}
         # The failed flight retired: a retry leads a fresh one.
-        monkeypatch.setattr(WorkloadCountingQuery, "build_matrix", real_build)
+        monkeypatch.setattr(WorkloadCountingQuery, "workload_matrix", real_build)
         assert service.preview_cost("alice", hist_query(table, bins=12), ACC)
         assert service.stats()["translations"]["built"] == 1
 

@@ -3,7 +3,7 @@
 The acceptance scenario for the versioned backend: a structurally identical
 ``preview_cost`` issued before and after the owner appends rows.  The
 matrix and the translation read only the query and the declared schema, so
-the second call is an exact hit whatever the append brought -- values
+the second call is a memo hit whatever the append brought -- values
 already observed or a declared value seen for the first time -- and nothing
 is rebuilt (``docs/store.md``).  Every data-dependent answer served
 afterwards must match the reference semantics on the grown data -- under
@@ -63,8 +63,8 @@ ACCURACY = AccuracySpec(alpha=100.0, beta=5e-4)
 
 class TestAppendBetweenPreviews:
     def test_append_leaves_the_translation_an_exact_hit(self):
-        """The translation reads no row, so the post-append preview is an
-        exact hit on the same list: zero rebuilds, no token probe."""
+        """The translation reads no row, so the post-append preview is a
+        memo hit on the same list: zero rebuilds, nothing translated."""
         clear_matrix_cache()
         table = small_table()
         service = make_service(table)
@@ -74,32 +74,32 @@ class TestAppendBetweenPreviews:
             stats = service.stats()
             return (
                 stats["translations"]["hits"],
-                stats["translations"]["token"],
+                stats["translations"]["built"],
                 stats["workload_matrices"]["built"],
             )
 
         first = service.preview_cost("alice", make_query(), ACCURACY)
-        hits_0, token_0, built_0 = counters()
+        hits_0, translated_0, built_0 = counters()
         assert built_0 == 1
 
-        # Warm repeat on the same version: exact memo hit, nothing rebuilt.
+        # Warm repeat on the same version: memo hit, nothing rebuilt.
         warm = service.preview_cost("alice", make_query(), ACCURACY)
-        hits_1, token_1, built_1 = counters()
+        hits_1, translated_1, built_1 = counters()
         assert warm == first
         assert hits_1 > hits_0
-        assert (token_1, built_1) == (token_0, built_0)
+        assert (translated_1, built_1) == (translated_0, built_0)
 
         version = service.append_rows("default", append_batch())
         assert version.ordinal == 1
         assert service.stats()["tables"]["default"]["shards"] == 2
 
-        # Structurally identical preview after the append: the exact key
+        # Structurally identical preview after the append: the memo key
         # hits, and answers with the same data-independent translation.
         post = service.preview_cost("alice", make_query(), ACCURACY)
-        hits_2, token_2, built_2 = counters()
+        hits_2, translated_2, built_2 = counters()
         assert post == first
         assert hits_2 == hits_1 + 1
-        assert (token_2, built_2) == (token_1, built_1)
+        assert (translated_2, built_2) == (translated_1, built_1)
 
     def test_append_of_an_unobserved_declared_value_rebuilds_nothing(self):
         """An append that introduces a previously unobserved (but declared)

@@ -128,9 +128,9 @@ class TestEngineAcrossAppends:
         assert post == first
         assert search_stats()["searches"] == searches_before
         assert stats["workload_matrices"]["built"] == 1
-        # A fresh but equal query after an append is an exact hit.
+        # A fresh but equal query after an append is a memo hit.
         assert stats["translations"]["hits"] == 1
-        assert stats["translations"]["token"] == 0
+        assert stats["translations"]["misses"] == 1
         assert stats["translations"]["built"] == 1
 
     def test_explore_after_preserving_append_reuses_search_but_recounts(self):
@@ -168,9 +168,10 @@ class TestEngineAcrossAppends:
         )
         engine.preview_cost(WorkloadCountingQuery(make_workload(), name="q"), ACCURACY)
         stats = engine.cache_stats()
-        for section, tier in (("translations", "token"), ("workload_matrices", "revalidated")):
+        for section, tier in (("translations", "coalesced"), ("workload_matrices", "revalidated")):
             for key in ("hits", "misses", "built", tier):
                 assert key in stats[section], (section, key)
+        assert "token" not in stats["translations"]
         assert stats["workload_matrices"]["revalidated"] == 0
         assert "disk_hits" in stats["translations"]
         assert set(stats["wcqsm_search"]) == {"searches", "disk_hits", "disk_writes"}

@@ -3,8 +3,8 @@
 Drift shapes the data only.  A preserve-mode stream appends already-observed
 values and a drift-mode stream introduces declared but unobserved codes on
 schedule; neither changes anything a translation reads (the query and the
-declared schema), so after warmup every structurally repeated preview is an
-exact hit on both: zero translation builds, zero matrix builds and zero
+declared schema), so after warmup every structurally repeated preview is a
+memo hit on both: zero translation builds, zero matrix builds and zero
 WCQ-SM searches.  The drift periods are checked against the schedule, so
 the stream really did introduce new codes while nothing was rebuilt.
 """
@@ -80,9 +80,9 @@ class TestPreserveStream:
             periods += 1
             stats = engine.cache_stats()["translations"]
             # Zero rebuilds after warmup: every post-append preview was
-            # answered by the exact tier, never recomputed.
+            # answered by the memo, never recomputed.
             assert stats["built"] == len(KINDS)
-            assert stats["token"] == 0
+            assert stats["misses"] == len(KINDS)
             assert stats["hits"] == periods * len(KINDS)
         assert search_stats()["searches"] == searches_after_warmup
         assert matrix_cache_stats()["built"] == matrices_after_warmup
@@ -116,7 +116,7 @@ class TestDriftStream:
                 engine.preview_cost(make_query(kind), accuracy)
             stats = engine.cache_stats()["translations"]
             assert stats["built"] == len(KINDS), f"period {batch.period}"
-            assert stats["token"] == 0
+            assert stats["misses"] == len(KINDS)
             assert stats["hits"] == batch.period * len(KINDS)
         assert drifted == len(plan)
         assert search_stats()["searches"] == searches_after_warmup

@@ -4,9 +4,9 @@ One query referencing *both* categorical attributes streams through a
 ``mixed`` run with an artifact store attached.  Drift shapes the data only:
 the translation reads the query and the declared schema, so after the cold
 preview every period -- scheduled drift, numeric widening or neither -- is
-an exact hit:
+a memo hit:
 
-* ``built`` = 1 (cold) and ``token`` = 0 for the whole run;
+* ``built`` = ``misses`` = 1 (cold) for the whole run;
 * ``hits`` = one per period;
 * ``disk_writes`` = 1 (the cold list) and ``disk_hits`` = 0 in-process;
 * zero matrix builds and zero WCQ-SM searches after warm-up.
@@ -66,7 +66,7 @@ def test_mixed_drift_builds_nothing_after_warmup(tmp_path):
         engine.preview_cost(make_query(), accuracy)
         stats = engine.cache_stats()["translations"]
         assert stats["built"] == 1, f"period {batch.period}"
-        assert stats["token"] == 0, f"period {batch.period}"
+        assert stats["misses"] == 1, f"period {batch.period}"
         assert stats["hits"] == batch.period, f"period {batch.period}"
         assert stats["disk_hits"] == 0
         assert stats["disk_writes"] == 1
