@@ -34,6 +34,7 @@ from repro.queries.predicates import (
 from repro.queries.workload import Workload
 
 __all__ = [
+    "bench_rows",
     "bench_schema",
     "build_bench_table",
     "build_bench_workload",
@@ -56,9 +57,8 @@ def bench_schema() -> Schema:
     )
 
 
-def build_bench_table(n_rows: int, seed: int = 20190501) -> Table:
-    """A randomized table with NULLs in both categorical and numeric columns."""
-    schema = bench_schema()
+def _bench_columns(n_rows: int, seed: int) -> dict[str, np.ndarray]:
+    """Seeded columns over the declared domains, NULLs in three of them."""
     rng = np.random.default_rng(seed)
     region = np.array(
         [_REGIONS[i] for i in rng.integers(0, len(_REGIONS), n_rows)], dtype=object
@@ -71,10 +71,25 @@ def build_bench_table(n_rows: int, seed: int = 20190501) -> Table:
     amount = rng.uniform(0, 10_000, n_rows)
     amount[rng.random(n_rows) < 0.04] = np.nan
     age = rng.integers(0, 101, n_rows).astype(float)
-    return Table(
-        schema,
-        {"region": region, "channel": channel, "amount": amount, "age": age},
-    )
+    return {"region": region, "channel": channel, "amount": amount, "age": age}
+
+
+def build_bench_table(n_rows: int, seed: int = 20190501) -> Table:
+    """A randomized table with NULLs in both categorical and numeric columns."""
+    return Table(bench_schema(), _bench_columns(n_rows, seed))
+
+
+def bench_rows(n_rows: int, seed: int) -> list[dict[str, object]]:
+    """``n_rows`` JSON-ready ``append_rows`` dicts drawn like the bench table.
+
+    Every value lies in :func:`bench_schema`'s declared domains (a NULL is
+    ``None``), so an appended batch never breaks an exact workload.
+    """
+    columns = {
+        name: [None if v != v else v for v in column.tolist()]
+        for name, column in _bench_columns(n_rows, seed).items()
+    }
+    return [dict(zip(columns, values)) for values in zip(*columns.values())]
 
 
 def build_bench_workload(n_predicates: int = 64, n_amount_cuts: int = 40) -> Workload:

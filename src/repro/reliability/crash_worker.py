@@ -19,21 +19,15 @@ before the crash and can check the recovery invariants:
 * given identical seeds/scripts, two incarnations recovering from copies
   of the same journal produce **bit-identical** acknowledgement streams.
 
-Supported operations (``--ops`` is a JSON list of objects):
-
-==============  ================================================================
-``op``          fields
-==============  ================================================================
-``explore``     ``analyst``, ``bins`` (histogram width), ``alpha_frac``
-                (alpha as a fraction of the table size), ``name``, and an
-                optional ``attribute`` (default ``amount``) whose histogram
-                range is taken from the table schema's declared domain
-``preview``     same fields as ``explore``; costs no privacy
-``append``      ``n`` rows appended to the table, generated from ``seed``
-``append_rows`` ``rows``: explicit ``{attribute: value}`` dicts to append
-                (how generated microsimulation batches reach the worker)
-``crash``       ``os.kill(SIGKILL)`` -- an unconditional scripted crash
-==============  ================================================================
+``--ops`` is a JSON list of requests in the replay format of
+:mod:`repro.service.replay` (``docs/architecture.md``, "Replay script
+format"): ``explore``/``preview`` with a query ``text``, ``append_rows``
+with ``rows``, or ``generator`` with a stream ``config``, each with an
+``analyst`` field (default ``a0``) and run through
+:func:`~repro.service.replay.run_request`, so an ack carries the request's
+outcome (released answer, preview costs, epsilon spent, error).  The one
+worker-only op is ``{"op": "crash"}``: ``os.kill(SIGKILL)``, an
+unconditional scripted crash.
 
 By default the worker hosts the deterministic bench table;
 ``--workloads-config`` (a :class:`~repro.workloads.config.GeneratorConfig`
@@ -55,11 +49,7 @@ import os
 import signal
 import sys
 
-from repro.core.accuracy import AccuracySpec
-from repro.core.exceptions import ApexError
 from repro.mechanisms.registry import default_registry
-from repro.queries.builders import histogram_workload
-from repro.queries.query import WorkloadCountingQuery
 from repro.reliability.faults import arm_from_env
 from repro.reliability.journal import LedgerJournal
 from repro.store import ArtifactStore
@@ -75,26 +65,6 @@ def _emit(payload: dict[str, object]) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True))
     sys.stdout.write("\n")
     sys.stdout.flush()
-
-
-def _append_rows(n: int, seed: int) -> list[dict[str, object]]:
-    """Deterministic rows matching the bench schema (amount/age/region/channel)."""
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    regions = ["north", "south", "east", "west"]
-    channels = ["web", "store", "phone"]
-    rows: list[dict[str, object]] = []
-    for _ in range(n):
-        rows.append(
-            {
-                "region": regions[int(rng.integers(0, len(regions)))],
-                "channel": channels[int(rng.integers(0, len(channels)))],
-                "amount": float(rng.uniform(0, 10_000)),
-                "age": float(rng.integers(0, 101)),
-            }
-        )
-    return rows
 
 
 def run_script(
@@ -121,6 +91,7 @@ def run_script(
     """
     from repro.bench.fixtures import build_bench_table
     from repro.service import ExplorationService
+    from repro.service.replay import GeneratorPool, ScriptRequest, run_request
 
     arm_from_env()
     tracer = None
@@ -159,82 +130,26 @@ def run_script(
     )
 
     analysts: set[str] = set()
-
-    def _handle(analyst: str):
-        if analyst not in analysts:
-            service.register_analyst(analyst)
-            analysts.add(analyst)
-        return analyst
-
+    generators = GeneratorPool()
     try:
         for index, op in enumerate(ops):
-            kind = str(op["op"])
-            ack: dict[str, object] = {"event": "ack", "index": index, "op": kind}
-            if kind in ("explore", "preview"):
-                analyst = _handle(str(op.get("analyst", "a0")))
-                bins = int(op.get("bins", 8))
-                alpha_frac = float(op.get("alpha_frac", 0.05))
-                name = str(op.get("name", f"q-{index}"))
-                attribute = str(op.get("attribute", "amount"))
-                domain = table.schema[attribute].domain
-                query = WorkloadCountingQuery(
-                    histogram_workload(
-                        attribute,
-                        start=float(domain.low),
-                        stop=float(domain.high),
-                        bins=bins,
-                    ),
-                    name=name,
-                )
-                accuracy = AccuracySpec(
-                    alpha=max(alpha_frac * len(table), 1.0), beta=5e-4
-                )
-                if kind == "preview":
-                    costs = service.preview_cost(analyst, query, accuracy)
-                    ack["costs"] = {
-                        mech: [float(lo), float(hi)]
-                        for mech, (lo, hi) in costs.items()
-                    }
-                else:
-                    try:
-                        result = service.explore(analyst, query, accuracy)
-                    except ApexError as exc:
-                        # Denials-by-exception (e.g. exhausted share) still
-                        # ack: the op completed, it just spent nothing.
-                        ack["error"] = type(exc).__name__
-                        ack["epsilon_spent"] = 0.0
-                    else:
-                        ack["denied"] = bool(result.denied)
-                        ack["epsilon_spent"] = float(result.epsilon_spent)
-                        counts = (
-                            result.noisy_counts
-                            if result.noisy_counts is not None
-                            else result.answer
-                        )
-                        if counts is not None:
-                            ack["answer"] = [float(v) for v in counts]
-            elif kind == "append":
-                version = service.append_rows(
-                    "default",
-                    _append_rows(
-                        int(op.get("n", 50)), int(op.get("seed", seed + index))
-                    ),
-                )
-                ack["version"] = version.ordinal
-            elif kind == "append_rows":
-                rows = [dict(row) for row in op.get("rows", ())]
-                if not rows:
-                    raise ApexError("an append_rows op needs a non-empty 'rows' list")
-                version = service.append_rows("default", rows)
-                ack["version"] = version.ordinal
-                ack["rows"] = len(rows)
-            elif kind == "crash":
+            if op["op"] == "crash":
                 _emit({"event": "crashing", "index": index})
                 os.kill(os.getpid(), signal.SIGKILL)
-            else:
-                raise ApexError(f"unknown scripted op {kind!r}")
-            ack["spent_total"] = service.budget_spent
-            _emit(ack)
+            analyst = str(op.get("analyst", "a0"))
+            if analyst not in analysts:
+                service.register_analyst(analyst)
+                analysts.add(analyst)
+            outcome = run_request(
+                service, analyst, "default", ScriptRequest.from_json(op), generators
+            )
+            ack = {
+                "event": "ack",
+                "index": index,
+                **outcome.to_json(),
+                "spent_total": service.budget_spent,
+            }
+            _emit({key: value for key, value in ack.items() if value is not None})
 
         service.assert_invariants()
         _emit(
@@ -257,7 +172,9 @@ def run_script(
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro.reliability.crash_worker")
     parser.add_argument("--journal", required=True, help="write-ahead journal path")
-    parser.add_argument("--ops", required=True, help="JSON list of scripted ops")
+    parser.add_argument(
+        "--ops", required=True, help="JSON list of replay requests (and crash ops)"
+    )
     parser.add_argument("--budget", type=float, default=2.0)
     parser.add_argument("--rows", type=int, default=800)
     parser.add_argument("--seed", type=int, default=20190501)

@@ -3,8 +3,8 @@
 :func:`run_history` is the reliability subsystem's acceptance engine.  From
 one integer seed it derives a random but **reproducible** scenario:
 
-1. a script of service operations (explores, previews, streaming appends)
-   across a few concurrent analyst sessions;
+1. a script of :mod:`repro.service.replay` requests (WCQ, ICQ and TCQ
+   explores and previews, streaming appends) across a few analyst sessions;
 2. a *fault plan* -- either a scripted ``kill -9``, or a crash failpoint
    armed (via ``REPRO_FAILPOINTS``) at one of the accounting-critical sites
    in :data:`~repro.reliability.faults.FAILPOINT_SITES`, sometimes after a
@@ -45,11 +45,13 @@ import shutil
 import subprocess
 import sys
 
+from repro.bench.fixtures import bench_rows, bench_schema
 from repro.reliability.faults import ENV_VAR
+from repro.workloads.config import GeneratorConfig
+from repro.workloads.scripts import query_templates
 
 __all__ = [
     "generate_script",
-    "generate_workload_script",
     "run_history",
     "run_worker",
 ]
@@ -69,92 +71,71 @@ CRASH_SITES = (
 _EPS_TOLERANCE = 1e-9
 
 
-def generate_script(rng: random.Random, n_ops: int) -> list[dict[str, object]]:
-    """A random mixed-op script over up to three analyst sessions."""
-    analysts = [f"a{i}" for i in range(rng.randint(1, 3))]
-    script: list[dict[str, object]] = []
-    for index in range(n_ops):
-        roll = rng.random()
-        if roll < 0.55:
-            script.append(
-                {
-                    "op": "explore",
-                    "analyst": rng.choice(analysts),
-                    "bins": rng.choice([4, 8, 12]),
-                    "alpha_frac": rng.choice([0.04, 0.06, 0.08]),
-                    "name": f"q-{index}",
-                }
-            )
-        elif roll < 0.75:
-            script.append(
-                {
-                    "op": "preview",
-                    "analyst": rng.choice(analysts),
-                    "bins": rng.choice([4, 8, 12]),
-                    "alpha_frac": rng.choice([0.04, 0.06, 0.08]),
-                    "name": f"q-{index}",
-                }
-            )
-        else:
-            script.append(
-                {"op": "append", "n": rng.randint(10, 120), "seed": rng.randint(0, 2**31)}
-            )
-    return script
-
-
-def generate_workload_script(
-    rng: random.Random, n_ops: int, workloads_config: dict
-) -> list[dict[str, object]]:
-    """A random mixed-op script over a generated microsimulation stream.
-
-    Appends consume the stream's period batches *in order* (so the drift
-    schedule survives the shuffle); explores and previews are income
-    histograms against the generated population.  Once the configured
-    periods are exhausted, would-be appends are dropped, so the script may
-    hold fewer than ``n_ops`` operations.
-    """
-    from repro.workloads import GeneratorConfig, MicrosimulationGenerator
-
-    generator = MicrosimulationGenerator(
-        GeneratorConfig.from_json(workloads_config)
+def _bench_templates(n_rows: int) -> list[str]:
+    """WCQ, ICQ and TCQ query texts over ``bench_schema()``'s domains."""
+    schema = bench_schema()
+    tail = f"ERROR {max(0.06 * n_rows, 1.0):g} CONFIDENCE 0.9995;"
+    amount = ", ".join(
+        f"amount BETWEEN {low} AND {low + 1250}" for low in range(0, 10_000, 1250)
     )
-    batches = list(generator.batches())
+    age = ", ".join(f"age BETWEEN {low} AND {low + 20}" for low in range(0, 100, 20))
+    regions = ", ".join(f"region = '{v}'" for v in schema["region"].domain.values)
+    channels = ", ".join(f"channel = '{v}'" for v in schema["channel"].domain.values)
+    return [
+        f"BIN D ON COUNT(*) WHERE W = {{{amount}}} {tail}",
+        f"BIN D ON COUNT(*) WHERE W = {{{age}}} {tail}",
+        f"BIN D ON COUNT(*) WHERE W = {{{regions}}} "
+        f"HAVING COUNT(*) > {n_rows // 25} {tail}",
+        f"BIN D ON COUNT(*) WHERE W = {{{channels}}} "
+        f"ORDER BY COUNT(*) LIMIT 3 {tail}",
+    ]
+
+
+def generate_script(
+    rng: random.Random,
+    n_ops: int,
+    *,
+    n_rows: int = 400,
+    workloads_config: dict | None = None,
+) -> list[dict[str, object]]:
+    """A random mixed-op script over up to three analyst sessions.
+
+    Every op is a :mod:`repro.service.replay` request plus an ``analyst``.
+    Explores and previews draw their query text from a template list:
+    :func:`~repro.workloads.scripts.query_templates` for the generated
+    population of ``workloads_config``, else WCQ/ICQ/TCQ texts over the
+    ``n_rows``-row bench table.  Appends are ``append_rows`` batches drawn
+    like the bench table or, for a population, ``generator`` ops that
+    consume the stream's periods in order; once the periods are exhausted
+    a would-be append is dropped, so such a script may hold fewer than
+    ``n_ops`` operations.
+    """
+    if workloads_config is None:
+        templates = _bench_templates(n_rows)
+    else:
+        config = GeneratorConfig.from_json(workloads_config)
+        templates = query_templates(config)
+        periods = iter(range(1, config.periods + 1))
     analysts = [f"a{i}" for i in range(rng.randint(1, 3))]
     script: list[dict[str, object]] = []
-    for index in range(n_ops):
+    for _ in range(n_ops):
         roll = rng.random()
-        if roll < 0.5:
+        if roll < 0.75:
             script.append(
                 {
-                    "op": "explore",
+                    "op": "explore" if roll < 0.55 else "preview",
                     "analyst": rng.choice(analysts),
-                    "bins": rng.choice([4, 6, 8]),
-                    "alpha_frac": rng.choice([0.06, 0.08, 0.1]),
-                    "attribute": "income",
-                    "name": f"wq-{index}",
+                    "text": rng.choice(templates),
                 }
             )
-        elif roll < 0.7:
-            script.append(
-                {
-                    "op": "preview",
-                    "analyst": rng.choice(analysts),
-                    "bins": rng.choice([4, 6, 8]),
-                    "alpha_frac": rng.choice([0.06, 0.08, 0.1]),
-                    "attribute": "income",
-                    "name": f"wq-{index}",
-                }
-            )
-        elif batches:
-            batch = batches.pop(0)
-            script.append(
-                {
-                    "op": "append_rows",
-                    "rows": [dict(row) for row in batch.rows],
-                    "period": batch.period,
-                    "changes_fingerprint": batch.changes_fingerprint,
-                }
-            )
+        elif workloads_config is None:
+            rows = bench_rows(rng.randint(10, 120), seed=rng.randint(0, 2**31))
+            script.append({"op": "append_rows", "rows": rows})
+        else:
+            period = next(periods, None)
+            if period is not None:
+                generator = {"config": workloads_config, "period": period}
+                script.append({"op": "generator", "generator": generator})
     return script
 
 
@@ -252,24 +233,20 @@ def run_history(
     ``work_dir``); clean histories delete them and report an empty list.
 
     With ``workloads_config`` the scenario runs over a generated
-    microsimulation stream instead of the bench table: the scripts come
-    from :func:`generate_workload_script` and both incarnations host the
-    config's population (the second rebuilds the same initial population
-    from the config's seed, as a restarted service would).
+    microsimulation stream instead of the bench table: :func:`generate_script`
+    draws the population's query templates and ``generator`` appends, and
+    both incarnations host the config's population (the second rebuilds
+    the same initial population from the config's seed, as a restarted
+    service would).
     """
     rng = random.Random(seed)
     os.makedirs(work_dir, exist_ok=True)
     journal_path = os.path.join(work_dir, "ledger.wal")
     store_dir = os.path.join(work_dir, "store") if use_store else None
 
-    if workloads_config is None:
-        script = generate_script(rng, n_ops)
-        post_script = generate_script(rng, max(2, n_ops // 2))
-    else:
-        script = generate_workload_script(rng, n_ops, workloads_config)
-        post_script = generate_workload_script(
-            rng, max(2, n_ops // 2), workloads_config
-        )
+    scripts = dict(n_rows=n_rows, workloads_config=workloads_config)
+    script = generate_script(rng, n_ops, **scripts)
+    post_script = generate_script(rng, max(2, n_ops // 2), **scripts)
 
     # -- fault plan ------------------------------------------------------------
     fault_kind = rng.choice(["failpoint", "scripted", "none"])

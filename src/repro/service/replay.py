@@ -2,9 +2,9 @@
 
 The service CLI (``python -m repro.service``), the workload generator and
 the crash worker all need the same thing: a declarative description of "which
-analyst issues which requests", executed with one thread per analyst against
-an :class:`~repro.service.exploration.ExplorationService`, and a merged
-report at the end.  This module provides exactly that:
+analyst issues which requests", executed against an
+:class:`~repro.service.exploration.ExplorationService`, and a report of what
+each request did.  This module provides exactly that:
 
 * :class:`ScriptRequest` / :class:`AnalystScript` -- one request
   (``preview``/``explore`` in the declarative text language, a streaming
@@ -13,8 +13,12 @@ report at the end.  This module provides exactly that:
 * :func:`default_script` -- a built-in mixed workload over the synthetic
   Adult and NYTaxi tables (histograms, iceberg and top-k queries of the
   paper's running examples), parameterised by analyst count;
-* :func:`load_script` -- read a script from a JSON file (the format is
-  documented in ``docs/architecture.md``);
+* :func:`scripts_from_payload` / :func:`load_script` -- parse a script from
+  its JSON payload or file (the format is documented in
+  ``docs/architecture.md``);
+* :func:`run_request` -- execute one request and return its
+  :class:`RequestOutcome` (the crash worker runs its ops through it, one
+  at a time);
 * :func:`replay` -- run every analyst concurrently and return a
   :class:`ReplayReport` with per-request outcomes, the merged transcript
   summary, and the Theorem 6.2 validity verdict.
@@ -32,6 +36,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.accuracy import AccuracySpec
 from repro.core.exceptions import ApexError
 from repro.queries.parser import parse_query
@@ -40,11 +46,14 @@ from repro.service.exploration import ExplorationService
 __all__ = [
     "ScriptRequest",
     "AnalystScript",
+    "GeneratorPool",
     "RequestOutcome",
     "ReplayReport",
     "default_script",
     "load_script",
     "replay",
+    "run_request",
+    "scripts_from_payload",
 ]
 
 
@@ -88,6 +97,16 @@ class ScriptRequest:
         elif not self.text:
             raise ApexError(f"a {self.op!r} request needs a query 'text'")
 
+    @classmethod
+    def from_json(cls, payload: dict) -> "ScriptRequest":
+        """Parse one ``{"op": ..., "text"/"rows"/"generator": ...}`` object."""
+        return cls(
+            op=payload["op"],
+            text=payload.get("text", ""),
+            rows=tuple(dict(row) for row in payload.get("rows", ())),
+            generator=payload.get("generator"),
+        )
+
 
 @dataclass(frozen=True)
 class AnalystScript:
@@ -105,15 +124,34 @@ class RequestOutcome:
     Exactly one of three shapes: answered (``denied=False, error=None``),
     budget-denied (``denied=True``), or hard-errored (``error`` set,
     ``denied=False`` -- an error is not an admission-control decision).
+    An answered explore carries its released ``answer`` (noisy counts for
+    a WCQ, the reported bin names for an ICQ or TCQ); a preview carries its
+    ``costs``, mechanism name to ``(epsilon_lower, epsilon_upper)``.
     """
 
     analyst: str
     op: str
     query_name: str
-    denied: bool
-    mechanism: str | None
-    epsilon_spent: float
+    denied: bool = False
+    mechanism: str | None = None
+    epsilon_spent: float = 0.0
     error: str | None = None
+    answer: tuple[float | str, ...] | None = None
+    costs: dict[str, tuple[float, float]] | None = None
+
+    def to_json(self) -> dict:
+        """A JSON-serialisable view of the outcome (tuples dump as lists)."""
+        return {
+            "analyst": self.analyst,
+            "op": self.op,
+            "query": self.query_name,
+            "denied": self.denied,
+            "mechanism": self.mechanism,
+            "epsilon_spent": self.epsilon_spent,
+            "error": self.error,
+            "answer": self.answer,
+            "costs": self.costs,
+        }
 
 
 @dataclass
@@ -135,18 +173,7 @@ class ReplayReport:
             "transcript_valid": self.transcript_valid,
             "transcript_summary": self.transcript_summary,
             "latency": self.latency,
-            "outcomes": [
-                {
-                    "analyst": o.analyst,
-                    "op": o.op,
-                    "query": o.query_name,
-                    "denied": o.denied,
-                    "mechanism": o.mechanism,
-                    "epsilon_spent": o.epsilon_spent,
-                    "error": o.error,
-                }
-                for o in self.outcomes
-            ],
+            "outcomes": [o.to_json() for o in self.outcomes],
         }
 
 
@@ -247,8 +274,8 @@ def default_script(
     return scripts
 
 
-def load_script(path: str) -> list[AnalystScript]:
-    """Read a replay script from JSON.
+def scripts_from_payload(payload: dict) -> list[AnalystScript]:
+    """Parse a replay script from its JSON payload.
 
     Expected shape::
 
@@ -258,33 +285,27 @@ def load_script(path: str) -> list[AnalystScript]:
             ]}
         ]}
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    scripts = []
-    for spec in payload.get("analysts", []):
-        requests = tuple(
-            ScriptRequest(
-                op=r["op"],
-                text=r.get("text", ""),
-                rows=tuple(dict(row) for row in r.get("rows", ())),
-                generator=r.get("generator"),
-            )
-            for r in spec["requests"]
+    scripts = [
+        AnalystScript(
+            analyst=str(spec["name"]),
+            table=str(spec.get("table", "adult")),
+            requests=tuple(ScriptRequest.from_json(r) for r in spec["requests"]),
         )
-        scripts.append(
-            AnalystScript(
-                analyst=str(spec["name"]),
-                table=str(spec.get("table", "adult")),
-                requests=requests,
-            )
-        )
+        for spec in payload.get("analysts", [])
+    ]
     if not scripts:
-        raise ApexError(f"script {path!r} defines no analysts")
+        raise ApexError("the script defines no analysts")
     return scripts
 
 
-class _GeneratorPool:
-    """Shared microsimulation streams for one replay run.
+def load_script(path: str) -> list[AnalystScript]:
+    """Read a replay script from a JSON file (see :func:`scripts_from_payload`)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return scripts_from_payload(json.load(fh))
+
+
+class GeneratorPool:
+    """Shared microsimulation streams for one replay run or worker incarnation.
 
     ``generator`` requests referencing the same config (by value) must
     consume *one* stream in period order, even though requests run on
@@ -316,6 +337,70 @@ class _GeneratorPool:
                 ) from None
 
 
+def _failed(analyst: str, request: ScriptRequest, exc: Exception) -> RequestOutcome:
+    """The outcome of a request that hard-errored (never a budget denial)."""
+    if request.op == "append_rows":
+        name = f"append_rows[{len(request.rows)} rows]"
+    elif request.op == "generator":
+        name = "generator[next period]"
+    else:
+        name = request.text[:60]
+    return RequestOutcome(
+        analyst, request.op, name, error=f"{type(exc).__name__}: {exc}"
+    )
+
+
+def run_request(
+    service: ExplorationService,
+    analyst: str,
+    table: str,
+    request: ScriptRequest,
+    generators: GeneratorPool,
+) -> RequestOutcome:
+    """Execute one scripted request for ``analyst`` against ``table``.
+
+    A request the library refuses (any :class:`ApexError`: a parse error,
+    an exhausted generator stream, an exception-style denial) comes back
+    as a hard-errored outcome; any other exception is a bug and propagates.
+    """
+    try:
+        if request.op == "append_rows":
+            version = service.append_rows(table, request.rows)
+            name = f"append_rows[{len(request.rows)} rows -> v{version.ordinal}]"
+            return RequestOutcome(analyst, request.op, name)
+        if request.op == "generator":
+            batch = generators.next_batch(request.generator)
+            version = service.append_rows(table, batch.rows)
+            effect = "drift" if batch.changes_fingerprint else "preserve"
+            name = (
+                f"generator[p{batch.period}: {len(batch.rows)} rows -> "
+                f"v{version.ordinal}, {effect}]"
+            )
+            return RequestOutcome(analyst, request.op, name)
+        query, accuracy = parse_query(request.text)
+        if accuracy is None:
+            raise ApexError("scripted queries must carry ERROR/CONFIDENCE")
+        if request.op == "preview":
+            costs = service.preview_cost(analyst, query, accuracy)
+            return RequestOutcome(analyst, request.op, query.name, costs=costs)
+        result = service.explore(analyst, query, accuracy)
+        return RequestOutcome(
+            analyst,
+            request.op,
+            query.name,
+            denied=result.denied,
+            mechanism=result.mechanism,
+            epsilon_spent=result.epsilon_spent,
+            answer=(
+                None
+                if result.answer is None
+                else tuple(np.asarray(result.answer).tolist())
+            ),
+        )
+    except ApexError as exc:
+        return _failed(analyst, request, exc)
+
+
 def replay(
     service: ExplorationService,
     scripts: Sequence[AnalystScript],
@@ -326,95 +411,30 @@ def replay(
 
     Sessions are registered up front (so fixed-share services size their
     shares before any request runs), then all threads are released together
-    through a barrier to maximise interleaving.  Request failures other than
-    budget denials are captured per request, never swallowed silently.
+    through a barrier to maximise interleaving.  Each request runs through
+    :func:`run_request`; failures other than budget denials are captured
+    per request, never swallowed silently.
     """
     for script in scripts:
         service.register_analyst(script.analyst, table=script.table)
     barrier = threading.Barrier(len(scripts)) if start_barrier and scripts else None
     report = ReplayReport(budget=service.budget)
     report_lock = threading.Lock()
-    generators = _GeneratorPool()
+    generators = GeneratorPool()
 
     def run_one(script: AnalystScript) -> None:
         if barrier is not None:
             barrier.wait()
         for request in script.requests:
-            outcome: RequestOutcome
             try:
-                if request.op == "append_rows":
-                    version = service.append_rows(script.table, request.rows)
-                    with report_lock:
-                        report.outcomes.append(
-                            RequestOutcome(
-                                analyst=script.analyst,
-                                op=request.op,
-                                query_name=(
-                                    f"append_rows[{len(request.rows)} rows -> "
-                                    f"v{version.ordinal}]"
-                                ),
-                                denied=False,
-                                mechanism=None,
-                                epsilon_spent=0.0,
-                            )
-                        )
-                    continue  # no query to parse; outcome already recorded
-                if request.op == "generator":
-                    batch = generators.next_batch(request.generator)
-                    version = service.append_rows(script.table, batch.rows)
-                    effect = "drift" if batch.changes_fingerprint else "preserve"
-                    with report_lock:
-                        report.outcomes.append(
-                            RequestOutcome(
-                                analyst=script.analyst,
-                                op=request.op,
-                                query_name=(
-                                    f"generator[p{batch.period}: "
-                                    f"{len(batch.rows)} rows -> "
-                                    f"v{version.ordinal}, {effect}]"
-                                ),
-                                denied=False,
-                                mechanism=None,
-                                epsilon_spent=0.0,
-                            )
-                        )
-                    continue
-                query, accuracy = parse_query(request.text)
-                if accuracy is None:
-                    raise ApexError("scripted queries must carry ERROR/CONFIDENCE")
-                if request.op == "preview":
-                    service.preview_cost(script.analyst, query, accuracy)
-                    outcome = RequestOutcome(
-                        analyst=script.analyst,
-                        op=request.op,
-                        query_name=query.name,
-                        denied=False,
-                        mechanism=None,
-                        epsilon_spent=0.0,
-                    )
-                else:
-                    result = service.explore(script.analyst, query, accuracy)
-                    outcome = RequestOutcome(
-                        analyst=script.analyst,
-                        op=request.op,
-                        query_name=query.name,
-                        denied=result.denied,
-                        mechanism=result.mechanism,
-                        epsilon_spent=result.epsilon_spent,
-                    )
-            except Exception as exc:
-                # A hard error (parse failure, infrastructure bug) is NOT a
-                # budget denial: denied stays False so the report's denial
-                # counts keep meaning "admission control refused the query".
-                outcome = RequestOutcome(
-                    analyst=script.analyst,
-                    op=request.op,
-                    query_name=request.text[:60],
-                    denied=False,
-                    mechanism=None,
-                    epsilon_spent=0.0,
-                    error=f"{type(exc).__name__}: {exc}",
+                outcome = run_request(
+                    service, script.analyst, script.table, request, generators
                 )
+            except Exception as exc:
+                # An infrastructure bug is recorded, never lost with the
+                # thread; denied stays False so the report's denial counts
+                # keep meaning "admission control refused the query".
+                outcome = _failed(script.analyst, request, exc)
             with report_lock:
                 report.outcomes.append(outcome)
 

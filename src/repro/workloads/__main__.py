@@ -88,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
 
     # Imported lazily: emitting a script should not pull in the service.
     from repro.service.exploration import ExplorationService
-    from repro.service.replay import AnalystScript, ScriptRequest, replay
+    from repro.service.replay import replay, scripts_from_payload
 
     generator = MicrosimulationGenerator(config)
     service = ExplorationService(
@@ -96,22 +96,7 @@ def main(argv: list[str] | None = None) -> int:
         budget=config.budget,
         seed=config.seed,
     )
-    payload = emit_script_payload(config)
-    scripts = [
-        AnalystScript(
-            analyst=spec["name"],
-            table=spec["table"],
-            requests=tuple(
-                ScriptRequest(
-                    op=r["op"],
-                    text=r.get("text", ""),
-                    generator=r.get("generator"),
-                )
-                for r in spec["requests"]
-            ),
-        )
-        for spec in payload["analysts"]
-    ]
+    scripts = scripts_from_payload(emit_script_payload(config))
     tracer = None
     if args.trace_out is not None:
         from repro.obs.tracing import Tracer, install_tracer

@@ -4,7 +4,8 @@ A real subprocess (:mod:`repro.reliability.crash_worker`) is SIGKILL'd at an
 armed failpoint; a second incarnation over the same WAL directory must
 recover every journaled commit (never under-count), keep the merged
 transcript Theorem 6.2-valid, and -- given identical seeds -- produce
-bit-identical answers across repeated recoveries.
+bit-identical answers across repeated recoveries.  Scripts are replay
+requests (``repro.service.replay``) with an ``analyst`` field.
 """
 
 import json
@@ -17,9 +18,22 @@ from repro.reliability.exerciser import run_worker
 BUDGET = 1.5
 COMMON = dict(budget=BUDGET, n_rows=400, seed=20190501, mc_samples=150)
 
+TAIL = "ERROR 20 CONFIDENCE 0.9995;"
+AMOUNT = ", ".join(
+    f"amount BETWEEN {low} AND {low + 1250}" for low in range(0, 10_000, 1250)
+)
+REGIONS = ", ".join(f"region = 'region-{i:02d}'" for i in range(12))
+CHANNELS = ", ".join(
+    f"channel = '{c}'"
+    for c in ("web", "store", "phone", "mail", "app", "kiosk", "partner", "other")
+)
+WCQ = f"BIN D ON COUNT(*) WHERE W = {{{AMOUNT}}} {TAIL}"
+ICQ = f"BIN D ON COUNT(*) WHERE W = {{{REGIONS}}} HAVING COUNT(*) > 16 {TAIL}"
+TCQ = f"BIN D ON COUNT(*) WHERE W = {{{CHANNELS}}} ORDER BY COUNT(*) LIMIT 3 {TAIL}"
+
 SCRIPT = [
-    {"op": "explore", "analyst": "a0", "name": "q1"},
-    {"op": "explore", "analyst": "a0", "name": "q2"},
+    {"op": "explore", "analyst": "a0", "text": WCQ},
+    {"op": "explore", "analyst": "a0", "text": WCQ},
 ]
 
 
@@ -148,7 +162,7 @@ class TestCorruptedTailOnStartup:
         journal = str(tmp_path / "ledger.wal")
         rc, events, stderr = run_worker(
             journal,
-            [{"op": "explore", "analyst": "a0", "name": "q1"}],
+            [{"op": "explore", "analyst": "a0", "text": WCQ}],
             **COMMON,
         )
         assert rc == 0, stderr
@@ -159,3 +173,58 @@ class TestCorruptedTailOnStartup:
         recovered = events_of("recovered", events2)[0]
         assert recovered["truncated_bytes"] > 0
         assert recovered["valid"]
+
+
+class TestCrashMidIcqMpmCharge:
+    """kill -9 inside ICQ-MPM's data-dependent charge, after an acked TCQ."""
+
+    MIXED = [
+        {"op": "explore", "analyst": "a0", "text": ICQ},
+        {"op": "explore", "analyst": "a0", "text": TCQ},
+    ]
+    BOOKS = dict(COMMON, budget=3.0)
+
+    def test_recovery_is_valid_conservative_and_bit_identical(self, tmp_path):
+        journal = str(tmp_path / "ledger.wal")
+        rc, events, stderr = run_worker(journal, self.MIXED[1:], **self.BOOKS)
+        assert rc == 0, stderr
+        (tcq,) = events_of("ack", events)
+        assert tcq["mechanism"].startswith("TCQ-") and tcq["epsilon_spent"] > 0
+        acked = tcq["epsilon_spent"]
+
+        # The next incarnation's first charge is the ICQ-MPM explore's: the
+        # commit is durable when the process dies, so nothing is acked.
+        rc, events, stderr = run_worker(
+            journal,
+            self.MIXED,
+            failpoints="ledger.charge.after_journal=crash:1",
+            **self.BOOKS,
+        )
+        assert rc == -9, f"rc={rc} {stderr!r}"
+        assert events_of("ack", events) == []
+
+        streams = []
+        for name in ("r1", "r2"):
+            copy = str(tmp_path / f"{name}.wal")
+            shutil.copy2(journal, copy)
+            rc, events, stderr = run_worker(copy, self.MIXED, **self.BOOKS)
+            assert rc == 0, stderr
+            streams.append(events)
+        assert json.dumps(streams[0], sort_keys=True) == json.dumps(
+            streams[1], sort_keys=True
+        )
+
+        recovered = events_of("recovered", streams[0])[0]
+        assert recovered["valid"]
+        assert acked - 1e-9 <= recovered["spent"] <= self.BOOKS["budget"]
+        icq, tcq_again = events_of("ack", streams[0])
+        assert icq["mechanism"] == "ICQ-MPM"
+        # Same seed, same data: the rerun draws the noise the killed run
+        # drew, so it charges exactly what that run journaled.
+        assert recovered["spent"] == pytest.approx(acked + icq["epsilon_spent"])
+        assert icq["answer"] and all(
+            name.startswith("region = ") for name in icq["answer"]
+        )
+        assert len(tcq_again["answer"]) == 3
+        assert all(name.startswith("channel = ") for name in tcq_again["answer"])
+        assert events_of("done", streams[0])[0]["valid"]

@@ -7,7 +7,7 @@ import pytest
 from repro.core.exceptions import ApexError
 from repro.service import ExplorationService, default_script, load_script, replay
 from repro.service.__main__ import main
-from repro.service.replay import AnalystScript, ScriptRequest
+from repro.service.replay import AnalystScript, ScriptRequest, scripts_from_payload
 from tests.service.util import small_table
 
 
@@ -42,6 +42,22 @@ class TestScripts:
         scripts = load_script(str(path))
         assert scripts[0].analyst == "alice"
         assert scripts[0].requests[0].op == "preview"
+
+    def test_payload_keeps_every_request_field(self, tmp_path):
+        requests = [
+            {"op": "append_rows", "rows": [{"age": 41}, {"age": 17}]},
+            {"op": "generator", "generator": {"config": {"seed": 3}}},
+            {"op": "explore", "text": "BIN D ON COUNT(*) ... ;"},
+        ]
+        payload = {"analysts": [{"name": "owner", "requests": requests}]}
+        (script,) = scripts_from_payload(payload)
+        assert script.table == "adult"
+        assert [r.op for r in script.requests] == ["append_rows", "generator", "explore"]
+        assert script.requests[0].rows == ({"age": 41}, {"age": 17})
+        assert script.requests[1].generator == {"config": {"seed": 3}}
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(payload))
+        assert load_script(str(path)) == [script]
 
     def test_load_script_rejects_empty(self, tmp_path):
         path = tmp_path / "empty.json"

@@ -271,6 +271,20 @@ class TestReplayStreamingScript:
         assert len(table) == 2_040
         assert report.transcript_valid
 
+    def test_failed_append_rows_outcome_names_the_op(self):
+        table = small_table()
+        service = make_service(table)
+        bad_rows = tuple(dict(row, amount="n/a") for row in append_batch(3))
+        script = AnalystScript(
+            analyst="alice",
+            table="default",
+            requests=(ScriptRequest("append_rows", rows=bad_rows),),
+        )
+        (outcome,) = replay(service, [script]).outcomes
+        assert outcome.error is not None and not outcome.denied
+        assert outcome.query_name == "append_rows[3 rows]"
+        assert len(table) == 2_000
+
     def test_append_rows_request_validation(self):
         with pytest.raises(ApexError, match="non-empty 'rows'"):
             ScriptRequest("append_rows")

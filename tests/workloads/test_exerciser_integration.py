@@ -2,12 +2,9 @@
 
 import random
 
-from repro.reliability.exerciser import (
-    generate_workload_script,
-    run_history,
-    run_worker,
-)
+from repro.reliability.exerciser import generate_script, run_history, run_worker
 from repro.workloads import GeneratorConfig
+from repro.workloads.scripts import query_templates
 
 
 def workloads_config() -> dict:
@@ -22,38 +19,43 @@ def workloads_config() -> dict:
     ).to_json()
 
 
+def population_script(seed: int, n_ops: int, config: dict) -> list[dict]:
+    return generate_script(random.Random(seed), n_ops, workloads_config=config)
+
+
 class TestScriptGeneration:
     def test_appends_consume_periods_in_order(self):
         config = workloads_config()
-        rng = random.Random(4)
-        script = generate_workload_script(rng, 30, config)
-        appends = [op for op in script if op["op"] == "append_rows"]
+        script = population_script(4, 30, config)
+        appends = [op for op in script if op["op"] == "generator"]
         assert appends, "30 ops should roll at least one append"
-        assert [op["period"] for op in appends] == sorted(
-            op["period"] for op in appends
+        # Each generator op names the next period of the one configured
+        # stream; the worker test below checks what each period appended.
+        assert [op["generator"]["period"] for op in appends] == list(
+            range(1, len(appends) + 1)
         )
-        schedule = GeneratorConfig.from_json(config).drift_schedule()
-        for op in appends:
-            assert op["changes_fingerprint"] == schedule[op["period"] - 1]
-            assert op["rows"], "append batches are never empty"
+        assert len(appends) <= GeneratorConfig.from_json(config).periods
+        assert all(op["generator"]["config"] == config for op in appends)
 
     def test_queries_target_the_generated_schema(self):
-        script = generate_workload_script(random.Random(7), 25, workloads_config())
+        config = workloads_config()
+        script = population_script(7, 25, config)
         queries = [op for op in script if op["op"] in ("explore", "preview")]
         assert queries
-        assert all(op["attribute"] == "income" for op in queries)
+        templates = query_templates(GeneratorConfig.from_json(config))
+        assert all(op["text"] in templates for op in queries)
 
     def test_same_seed_generates_the_same_script(self):
         config = workloads_config()
-        assert generate_workload_script(
-            random.Random(11), 20, config
-        ) == generate_workload_script(random.Random(11), 20, config)
+        assert population_script(11, 20, config) == population_script(
+            11, 20, config
+        )
 
 
 class TestWorkerRuns:
     def test_worker_hosts_the_generated_population(self, tmp_path):
         config = workloads_config()
-        script = generate_workload_script(random.Random(2), 8, config)
+        script = population_script(2, 8, config)
         returncode, events, stderr = run_worker(
             str(tmp_path / "ledger.wal"),
             script,
@@ -68,6 +70,17 @@ class TestWorkerRuns:
         assert len(done) == 1 and done[0]["valid"]
         acks = [e for e in events if e.get("event") == "ack"]
         assert len(acks) == len(script)
+        assert all("error" not in ack for ack in acks)
+        # Generator acks append the stream's periods in order, each a
+        # non-empty batch whose drift effect follows the configured schedule.
+        appended = [ack["query"] for ack in acks if ack["op"] == "generator"]
+        assert appended, "8 ops should roll at least one append"
+        schedule = GeneratorConfig.from_json(config).drift_schedule()
+        for period, name in enumerate(appended, start=1):
+            assert name.startswith(f"generator[p{period}: ")
+            assert " 0 rows" not in name
+            effect = "drift" if schedule[period - 1] else "preserve"
+            assert name.endswith(f", {effect}]")
 
     def test_run_history_smoke(self, tmp_path):
         report = run_history(

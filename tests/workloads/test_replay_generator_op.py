@@ -7,7 +7,12 @@ import pytest
 from repro.core.exceptions import ApexError
 from repro.mechanisms.registry import default_registry
 from repro.service import ExplorationService
-from repro.service.replay import AnalystScript, ScriptRequest, load_script, replay
+from repro.service.replay import (
+    ScriptRequest,
+    load_script,
+    replay,
+    scripts_from_payload,
+)
 from repro.workloads import GeneratorConfig, MicrosimulationGenerator
 from repro.workloads.scripts import (
     STREAM_OWNER,
@@ -126,26 +131,12 @@ class TestReplay:
         owner = payload["analysts"][0]
         # One more generator op than the config has periods.
         owner["requests"].append(dict(owner["requests"][-1]))
-        scripts = [
-            AnalystScript(
-                analyst=a["name"],
-                table=a["table"],
-                requests=tuple(
-                    ScriptRequest(
-                        op=r["op"],
-                        text=r.get("text", ""),
-                        generator=r.get("generator"),
-                    )
-                    for r in a["requests"]
-                ),
-            )
-            for a in payload["analysts"]
-        ]
         service = make_service(config)
-        report = replay(service, scripts)
+        report = replay(service, scripts_from_payload(payload))
         errors = [o for o in report.outcomes if o.error]
         assert len(errors) == 1
         assert "exhausted" in errors[0].error
+        assert errors[0].query_name == "generator[next period]"
         # Everything before the overrun still ran.
         assert (
             len([o for o in report.outcomes if o.op == "generator" and not o.error])
