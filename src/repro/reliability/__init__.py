@@ -20,9 +20,12 @@ valid" hold *across* process crashes, and makes that claim testable:
 * :mod:`repro.reliability.exerciser` -- a property-based history exerciser
   that generates interleavings of explores / previews / appends /
   crashes / corruptions against real killed-and-restarted
-  subprocesses (:mod:`repro.reliability.crash_worker`) and checks budget
-  conservation, Theorem 6.2 transcript validity and snapshot isolation
-  after every recovery.
+  subprocesses (:mod:`repro.reliability.crash_worker`), judges every
+  incarnation's journal and acknowledgements with the budget oracle, and
+  checks Theorem 6.2 transcript validity and deterministic recovery;
+* :mod:`repro.reliability.reference` -- the budget oracle: Definition 6.1
+  with per-analyst caps (``ReferenceLedger``), one step at a time, and the
+  audit of one crash-worker incarnation against it.
 
 The full contract (WAL record format, recovery semantics, failpoint catalog,
 degradation modes) is documented in ``docs/reliability.md``.

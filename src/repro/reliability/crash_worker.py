@@ -2,43 +2,26 @@
 
 ``python -m repro.reliability.crash_worker --journal PATH --ops JSON ...``
 stands up a real :class:`~repro.service.ExplorationService` over the
-deterministic bench table, attaches the write-ahead
+deterministic bench table (or, with ``--workloads-config``, a generated
+microsimulation population), attaches the write-ahead
 :class:`~repro.reliability.journal.LedgerJournal` at ``PATH`` (recovering
 whatever a previous incarnation left there), arms any failpoints named in
-``REPRO_FAILPOINTS``, and executes a scripted list of operations.  After
-each operation completes it prints **one JSON line to stdout and flushes
-it** -- that line is the operation's *acknowledgement*.  When the process
-is killed mid-script (by an armed ``crash`` failpoint or an external
-``kill -9``), the parent knows exactly which operations were acknowledged
-before the crash and can check the recovery invariants:
-
-* every acknowledged, answered explore's ``epsilon_spent`` must be covered
-  by the next incarnation's recovered spend (**no under-counting**);
-* recovered spend never exceeds the budget ``B`` and the recovered merged
-  transcript passes the Theorem 6.2 validity check;
-* given identical seeds/scripts, two incarnations recovering from copies
-  of the same journal produce **bit-identical** acknowledgement streams.
+``REPRO_FAILPOINTS`` and runs the scripted operations.  It prints a
+``recovered`` line, then after each operation **one flushed JSON line**, its
+*acknowledgement*, and on a clean finish a ``done`` line with the closing
+books.  The parent knows exactly which operations were acknowledged before
+a ``kill -9``; the budget oracle
+(:func:`~repro.reliability.reference.audit_incarnation`) judges the
+journal against those lines.
 
 ``--ops`` is a JSON list of requests in the replay format of
 :mod:`repro.service.replay` (``docs/architecture.md``, "Replay script
-format"): ``explore``/``preview`` with a query ``text``, ``append_rows``
-with ``rows``, or ``generator`` with a stream ``config``, each with an
-``analyst`` field (default ``a0``) and run through
+format"), each with an ``analyst`` field (default ``a0``) and run through
 :func:`~repro.service.replay.run_request`, so an ack carries the request's
-outcome (released answer, preview costs, epsilon spent, error).  The one
-worker-only op is ``{"op": "crash"}``: ``os.kill(SIGKILL)``, an
-unconditional scripted crash.
-
-By default the worker hosts the deterministic bench table;
-``--workloads-config`` (a :class:`~repro.workloads.config.GeneratorConfig`
-JSON object) hosts a generated microsimulation population instead, so the
-exerciser can crash-test the engine under generated longitudinal streams.
-
-A final ``{"event": "done", ...}`` line carries the incarnation's closing
-books (total spent, transcript validity, ledger-invariant check) so a
-*cleanly finished* worker can be audited too.  Keeping this scenario in an
-importable module (rather than inline ``-c`` scripts) keeps it identical
-across the exerciser and the crash-recovery tests.
+outcome.  The one worker-only op is ``{"op": "crash"}``: an unconditional
+``os.kill(SIGKILL)``.  Keeping this scenario in an importable module (rather
+than inline ``-c`` scripts) keeps it identical across the exerciser and the
+crash-recovery tests.
 """
 
 from __future__ import annotations
@@ -76,7 +59,6 @@ def run_script(
     seed: int,
     mc_samples: int,
     store_dir: str | None = None,
-    request_deadline: float | None = None,
     workloads_config: dict | None = None,
     trace_out: str | None = None,
 ) -> int:
@@ -116,7 +98,6 @@ def run_script(
         seed=seed,
         store=None if store_dir is None else ArtifactStore(store_dir),
         journal=journal,
-        request_deadline=request_deadline,
     )
     recovery = journal.recovery
     _emit(
@@ -180,7 +161,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=20190501)
     parser.add_argument("--mc-samples", type=int, default=200)
     parser.add_argument("--store", default=None, help="artifact store directory")
-    parser.add_argument("--deadline", type=float, default=None)
     parser.add_argument(
         "--workloads-config",
         default=None,
@@ -210,7 +190,6 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         mc_samples=args.mc_samples,
         store_dir=args.store,
-        request_deadline=args.deadline,
         workloads_config=workloads_config,
         trace_out=args.trace_out,
     )

@@ -16,18 +16,17 @@ one integer seed it derives a random but **reproducible** scenario:
 4. a second incarnation over the **same journal path** that recovers and
    runs a post-crash script.
 
-After every recovery the invariants of ``docs/reliability.md`` are checked
-and each violation is recorded in the returned report:
+The report records every violation of:
 
-* **budget conservation** -- the recovered spend covers every epsilon that
-  incarnation 1 *acknowledged* before dying (an answer the analyst saw is
-  never forgotten), and total spend never exceeds ``B`` at any ack;
-* **transcript validity** -- the recovered merged transcript passes the
-  Theorem 6.2 check on startup and after every subsequent operation
-  (incarnation 2 runs ``assert_invariants`` before exiting);
-* **deterministic recovery** -- incarnation 2 is run *twice* against
-  byte-for-byte copies of the post-crash journal (and artifact store); the
-  two acknowledgement streams, noisy answers included, must be
+* **the budget oracle** -- each incarnation's journal and acknowledgements
+  pass :func:`~repro.reliability.reference.audit_incarnation`
+  (``reliability/reference.py``);
+* **transcript validity** -- the product's own Theorem 6.2 check holds on
+  recovery and at shutdown (incarnation 2 runs ``assert_invariants``
+  before exiting);
+* **deterministic recovery** -- incarnation 2 runs *twice*, over
+  byte-for-byte copies of the post-crash journal (and artifact store), and
+  the two acknowledgement streams, noisy answers included, must be
   bit-identical.  Post-recovery appends are part of the replayed script,
   so snapshot-pinned answers surviving concurrent table mutation is
   covered by the same bit-identity check.
@@ -47,6 +46,8 @@ import sys
 
 from repro.bench.fixtures import bench_rows, bench_schema
 from repro.reliability.faults import ENV_VAR
+from repro.reliability.journal import read_journal
+from repro.reliability.reference import audit_incarnation
 from repro.workloads.config import GeneratorConfig
 from repro.workloads.scripts import query_templates
 
@@ -67,8 +68,6 @@ CRASH_SITES = (
     "engine.explore.after_run",
     "service.explore.admitted",
 )
-
-_EPS_TOLERANCE = 1e-9
 
 
 def _bench_templates(n_rows: int) -> list[str]:
@@ -152,9 +151,12 @@ def run_worker(
     workloads_config: dict | None = None,
     trace_out: str | None = None,
     timeout: float = 300.0,
-) -> tuple[int, list[dict[str, object]], str]:
-    """One crash-worker incarnation; returns (returncode, acked lines, stderr)."""
+) -> tuple[int, list[dict[str, object]], str, list[str]]:
+    """One crash-worker incarnation: ``(returncode, acked lines, stderr,
+    violations)``, the last from the budget oracle's audit of its journal."""
     import repro
+
+    before = len(read_journal(journal_path)[0])
 
     env = dict(os.environ)
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -163,29 +165,22 @@ def run_worker(
         env[ENV_VAR] = failpoints
     else:
         env.pop(ENV_VAR, None)
-    argv = [
-        sys.executable,
-        "-m",
-        "repro.reliability.crash_worker",
-        "--journal",
-        journal_path,
-        "--ops",
-        json.dumps(ops),
-        "--budget",
-        repr(budget),
-        "--rows",
-        str(n_rows),
-        "--seed",
-        str(seed),
-        "--mc-samples",
-        str(mc_samples),
-    ]
-    if store_dir is not None:
-        argv += ["--store", store_dir]
-    if workloads_config is not None:
-        argv += ["--workloads-config", json.dumps(workloads_config)]
-    if trace_out is not None:
-        argv += ["--trace-out", trace_out]
+    config = None if workloads_config is None else json.dumps(workloads_config)
+    options = {
+        "--journal": journal_path,
+        "--ops": json.dumps(ops),
+        "--budget": repr(budget),
+        "--rows": n_rows,
+        "--seed": seed,
+        "--mc-samples": mc_samples,
+        "--store": store_dir,
+        "--workloads-config": config,
+        "--trace-out": trace_out,
+    }
+    argv = [sys.executable, "-m", "repro.reliability.crash_worker"]
+    for flag, value in options.items():
+        if value is not None:
+            argv += [flag, str(value)]
     completed = subprocess.run(
         argv, capture_output=True, text=True, env=env, timeout=timeout
     )
@@ -200,16 +195,9 @@ def run_worker(
             # A crash can tear the last stdout line exactly like a torn
             # journal write; an unparseable tail is simply not an ack.
             continue
-    return completed.returncode, events, completed.stderr
-
-
-def _acked_epsilon(events: list[dict[str, object]]) -> float:
-    """Total epsilon of answers the first incarnation acknowledged."""
-    total = 0.0
-    for event in events:
-        if event.get("event") == "ack" and event.get("op") == "explore":
-            total += float(event.get("epsilon_spent", 0.0))
-    return total
+    records, _ = read_journal(journal_path)
+    violations = audit_incarnation(records, events, budget=budget, before=before)
+    return completed.returncode, events, completed.stderr, violations
 
 
 def run_history(
@@ -268,9 +256,10 @@ def run_history(
     )
     violations: list[str] = []
 
-    returncode, events, stderr = run_worker(
+    returncode, events, stderr, audit = run_worker(
         journal_path, script, store_dir=store_dir, failpoints=failpoints, **common
     )
+    violations += [f"incarnation 1: {v}" for v in audit]
     crashed = returncode != 0
     if returncode not in (0, -9):
         # A SIGKILL (rc -9) is the *planned* failure mode; any other nonzero
@@ -280,11 +269,6 @@ def run_history(
         )
     if fault_kind == "scripted" and returncode != -9:
         violations.append(f"scripted crash never fired (rc={returncode})")
-    acked = _acked_epsilon(events)
-    for event in events:
-        spent = event.get("spent_total", event.get("spent"))
-        if spent is not None and float(spent) > budget + _EPS_TOLERANCE:
-            violations.append(f"incarnation 1 overspent: {spent} > {budget}")
 
     if corrupt_tail and os.path.exists(journal_path):
         with open(journal_path, "ab") as handle:
@@ -308,7 +292,7 @@ def run_history(
         # possibly SIGKILL'd incarnation 1) their traces are always written;
         # a failing history keeps them for post-mortem, a clean one doesn't.
         copy_trace = os.path.join(copy_dir, "trace.json")
-        rc2, events2, stderr2 = run_worker(
+        rc2, events2, stderr2, audit = run_worker(
             copy_journal,
             post_script,
             store_dir=copy_store,
@@ -317,40 +301,23 @@ def run_history(
         )
         if os.path.exists(copy_trace):
             trace_files.append(copy_trace)
+        violations += [f"({copy}) {v}" for v in audit]
+        streams.append(events2)
         if rc2 != 0:
             violations.append(
                 f"recovery incarnation ({copy}) failed: rc={rc2} {stderr2.strip()!r}"
             )
-            streams.append(events2)
             continue
-        recovered = next(
-            (e for e in events2 if e.get("event") == "recovered"), None
-        )
+        recovered = next((e for e in events2 if e.get("event") == "recovered"), None)
         if recovered is None:
             violations.append(f"({copy}) emitted no recovery report")
-        else:
-            if float(recovered["spent"]) + _EPS_TOLERANCE < acked:
-                violations.append(
-                    f"({copy}) under-counted: recovered {recovered['spent']} "
-                    f"< acked {acked}"
-                )
-            if not recovered["valid"]:
-                violations.append(f"({copy}) recovered transcript is invalid")
+        elif not recovered["valid"]:
+            violations.append(f"({copy}) recovered transcript is invalid")
         done = next((e for e in events2 if e.get("event") == "done"), None)
         if done is None:
             violations.append(f"({copy}) never reached a clean shutdown")
-        else:
-            if not done["valid"]:
-                violations.append(f"({copy}) final transcript is invalid")
-            if float(done["spent"]) > budget + _EPS_TOLERANCE:
-                violations.append(
-                    f"({copy}) overspent after recovery: {done['spent']} > {budget}"
-                )
-        for event in events2:
-            spent = event.get("spent_total")
-            if spent is not None and float(spent) > budget + _EPS_TOLERANCE:
-                violations.append(f"({copy}) overspent mid-script: {spent}")
-        streams.append(events2)
+        elif not done["valid"]:
+            violations.append(f"({copy}) final transcript is invalid")
 
     if len(streams) == 2 and streams[0] != streams[1]:
         violations.append(
@@ -373,19 +340,6 @@ def run_history(
         "corrupt_tail": corrupt_tail,
         "crashed": crashed,
         "incarnation1_events": len(events),
-        "acked_epsilon": acked,
-        "recovered_spent": (
-            None
-            if not streams or not streams[0]
-            else next(
-                (
-                    float(e["spent"])
-                    for e in streams[0]
-                    if e.get("event") == "recovered"
-                ),
-                None,
-            )
-        ),
         "trace_files": trace_files,
         "violations": violations,
         "ok": not violations,

@@ -1,10 +1,11 @@
 """kill -9 mid-explore, restart over the same journal: the acceptance test.
 
 A real subprocess (:mod:`repro.reliability.crash_worker`) is SIGKILL'd at an
-armed failpoint; a second incarnation over the same WAL directory must
-recover every journaled commit (never under-count), keep the merged
-transcript Theorem 6.2-valid, and -- given identical seeds -- produce
-bit-identical answers across repeated recoveries.  Scripts are replay
+armed failpoint; a second incarnation over the same WAL directory must keep
+the merged transcript Theorem 6.2-valid and -- given identical seeds --
+produce bit-identical answers across repeated recoveries.  Every incarnation
+is audited by the budget oracle (``reliability/reference.py``): its journal
+and acknowledgements must pass ``audit_incarnation``.  Scripts are replay
 requests (``repro.service.replay``) with an ``analyst`` field.
 """
 
@@ -13,6 +14,7 @@ import shutil
 
 import pytest
 
+from repro.bench.fixtures import bench_schema
 from repro.reliability.exerciser import run_worker
 
 BUDGET = 1.5
@@ -22,11 +24,9 @@ TAIL = "ERROR 20 CONFIDENCE 0.9995;"
 AMOUNT = ", ".join(
     f"amount BETWEEN {low} AND {low + 1250}" for low in range(0, 10_000, 1250)
 )
-REGIONS = ", ".join(f"region = 'region-{i:02d}'" for i in range(12))
-CHANNELS = ", ".join(
-    f"channel = '{c}'"
-    for c in ("web", "store", "phone", "mail", "app", "kiosk", "partner", "other")
-)
+SCHEMA = bench_schema()
+REGIONS = ", ".join(f"region = '{v}'" for v in SCHEMA["region"].domain.values)
+CHANNELS = ", ".join(f"channel = '{v}'" for v in SCHEMA["channel"].domain.values)
 WCQ = f"BIN D ON COUNT(*) WHERE W = {{{AMOUNT}}} {TAIL}"
 ICQ = f"BIN D ON COUNT(*) WHERE W = {{{REGIONS}}} HAVING COUNT(*) > 16 {TAIL}"
 TCQ = f"BIN D ON COUNT(*) WHERE W = {{{CHANNELS}}} ORDER BY COUNT(*) LIMIT 3 {TAIL}"
@@ -41,18 +41,25 @@ def events_of(kind, events):
     return [e for e in events if e.get("event") == kind]
 
 
+def run_audited(journal, ops, failpoints=None, budget=BUDGET):
+    """One worker incarnation; returns its events.
+
+    It must be SIGKILL'd exactly when a crash failpoint is armed, and its
+    journal and acks must pass the budget oracle.
+    """
+    books = dict(COMMON, budget=budget, failpoints=failpoints)
+    rc, events, stderr, violations = run_worker(journal, ops, **books)
+    assert rc == (-9 if failpoints else 0), f"rc={rc} {stderr!r}"
+    assert violations == []
+    return events
+
+
 class TestKillNineMidExplore:
     @pytest.fixture()
     def crashed_journal(self, tmp_path):
         """A journal left behind by a worker killed between run and charge."""
         journal = str(tmp_path / "ledger.wal")
-        rc, events, stderr = run_worker(
-            journal,
-            SCRIPT,
-            failpoints="engine.explore.after_run=crash:1",
-            **COMMON,
-        )
-        assert rc == -9, f"worker should have been SIGKILL'd: rc={rc} {stderr!r}"
+        events = run_audited(journal, SCRIPT, "engine.explore.after_run=crash:1")
         # It died inside the first explore: nothing was ever acknowledged.
         assert events_of("ack", events) == []
         return journal
@@ -60,8 +67,7 @@ class TestKillNineMidExplore:
     def test_unanswered_explore_recovers_nothing_and_is_valid(
         self, crashed_journal
     ):
-        rc, events, stderr = run_worker(crashed_journal, [], **COMMON)
-        assert rc == 0, stderr
+        events = run_audited(crashed_journal, [])
         recovered = events_of("recovered", events)[0]
         # The mechanism ran but its loss was never committed, so no answer
         # left the process: nothing is journaled and nothing is owed.
@@ -74,9 +80,7 @@ class TestKillNineMidExplore:
         for name in ("r1", "r2"):
             copy = str(tmp_path / f"{name}.wal")
             shutil.copy2(crashed_journal, copy)
-            rc, events, stderr = run_worker(copy, SCRIPT, **COMMON)
-            assert rc == 0, stderr
-            copies.append(events)
+            copies.append(run_audited(copy, SCRIPT))
         # Same journal, same seed, same script => identical acknowledgement
         # streams, noisy answers included.
         assert json.dumps(copies[0], sort_keys=True) == json.dumps(
@@ -90,14 +94,8 @@ class TestKillNineMidExplore:
         assert answers, "recovery should still answer at least one explore"
 
     def test_no_overspend_across_crash_boundary(self, crashed_journal):
-        rc, events, stderr = run_worker(crashed_journal, SCRIPT, **COMMON)
-        assert rc == 0, stderr
-        for event in events:
-            spent = event.get("spent_total", event.get("spent"))
-            if spent is not None:
-                assert float(spent) <= BUDGET + 1e-9
-        done = events_of("done", events)[0]
-        assert done["valid"]
+        events = run_audited(crashed_journal, SCRIPT)
+        assert events_of("done", events)[0]["valid"]
 
 
 class TestCrashDuringJournalAppend:
@@ -111,21 +109,9 @@ class TestCrashDuringJournalAppend:
     )
     def test_any_append_crash_recovers_cleanly(self, tmp_path, site):
         journal = str(tmp_path / "ledger.wal")
-        rc, events, stderr = run_worker(
-            journal, SCRIPT, failpoints=f"{site}=crash:1", **COMMON
-        )
-        assert rc == -9, f"rc={rc} {stderr!r}"
-        acked = sum(
-            float(e.get("epsilon_spent", 0.0))
-            for e in events_of("ack", events)
-            if e.get("op") == "explore"
-        )
-        rc2, events2, stderr2 = run_worker(journal, [], **COMMON)
-        assert rc2 == 0, stderr2
-        recovered = events_of("recovered", events2)[0]
-        assert recovered["valid"]
-        assert recovered["spent"] + 1e-9 >= acked  # no under-count
-        assert recovered["spent"] <= BUDGET + 1e-9
+        run_audited(journal, SCRIPT, f"{site}=crash:1")
+        events = run_audited(journal, [])
+        assert events_of("recovered", events)[0]["valid"]
 
 
 class TestCrashInsidePoolCommit:
@@ -135,42 +121,24 @@ class TestCrashInsidePoolCommit:
         recovery must charge the unacked op (the safe direction) and stay
         valid."""
         journal = str(tmp_path / "ledger.wal")
-        rc, events, stderr = run_worker(
-            journal,
-            SCRIPT,
-            failpoints="ledger.charge.after_journal=crash:1",
-            **COMMON,
-        )
-        assert rc == -9, f"rc={rc} {stderr!r}"
+        events = run_audited(journal, SCRIPT, "ledger.charge.after_journal=crash:1")
         # The book applies the commit after the journal but before the ack.
         assert events_of("ack", events) == []
-        rc2, events2, stderr2 = run_worker(journal, [], **COMMON)
-        assert rc2 == 0, stderr2
-        recovered = events_of("recovered", events2)[0]
+        recovered = events_of("recovered", run_audited(journal, []))[0]
         assert recovered["valid"]
         assert 0.0 < recovered["spent"] <= BUDGET
         # Recovered spend is at least the journaled charge: never an
         # under-count across the crash boundary.
-        rc3, events3, stderr3 = run_worker(journal, SCRIPT, **COMMON)
-        assert rc3 == 0, stderr3
-        done = events_of("done", events3)[0]
-        assert done["valid"]
+        assert events_of("done", run_audited(journal, SCRIPT))[0]["valid"]
 
 
 class TestCorruptedTailOnStartup:
     def test_garbage_tail_never_fails_startup(self, tmp_path):
         journal = str(tmp_path / "ledger.wal")
-        rc, events, stderr = run_worker(
-            journal,
-            [{"op": "explore", "analyst": "a0", "text": WCQ}],
-            **COMMON,
-        )
-        assert rc == 0, stderr
+        run_audited(journal, [{"op": "explore", "analyst": "a0", "text": WCQ}])
         with open(journal, "ab") as handle:
             handle.write(b"\x00\xffgarbage torn write")
-        rc2, events2, stderr2 = run_worker(journal, [], **COMMON)
-        assert rc2 == 0, stderr2
-        recovered = events_of("recovered", events2)[0]
+        recovered = events_of("recovered", run_audited(journal, []))[0]
         assert recovered["truncated_bytes"] > 0
         assert recovered["valid"]
 
@@ -182,41 +150,32 @@ class TestCrashMidIcqMpmCharge:
         {"op": "explore", "analyst": "a0", "text": ICQ},
         {"op": "explore", "analyst": "a0", "text": TCQ},
     ]
-    BOOKS = dict(COMMON, budget=3.0)
+    MIXED_BUDGET = 3.0
 
     def test_recovery_is_valid_conservative_and_bit_identical(self, tmp_path):
         journal = str(tmp_path / "ledger.wal")
-        rc, events, stderr = run_worker(journal, self.MIXED[1:], **self.BOOKS)
-        assert rc == 0, stderr
-        (tcq,) = events_of("ack", events)
+        budget = self.MIXED_BUDGET
+        (tcq,) = events_of("ack", run_audited(journal, self.MIXED[1:], budget=budget))
         assert tcq["mechanism"].startswith("TCQ-") and tcq["epsilon_spent"] > 0
         acked = tcq["epsilon_spent"]
 
         # The next incarnation's first charge is the ICQ-MPM explore's: the
         # commit is durable when the process dies, so nothing is acked.
-        rc, events, stderr = run_worker(
-            journal,
-            self.MIXED,
-            failpoints="ledger.charge.after_journal=crash:1",
-            **self.BOOKS,
-        )
-        assert rc == -9, f"rc={rc} {stderr!r}"
+        failpoint = "ledger.charge.after_journal=crash:1"
+        events = run_audited(journal, self.MIXED, failpoint, budget=budget)
         assert events_of("ack", events) == []
 
         streams = []
         for name in ("r1", "r2"):
             copy = str(tmp_path / f"{name}.wal")
             shutil.copy2(journal, copy)
-            rc, events, stderr = run_worker(copy, self.MIXED, **self.BOOKS)
-            assert rc == 0, stderr
-            streams.append(events)
+            streams.append(run_audited(copy, self.MIXED, budget=budget))
         assert json.dumps(streams[0], sort_keys=True) == json.dumps(
             streams[1], sort_keys=True
         )
 
         recovered = events_of("recovered", streams[0])[0]
         assert recovered["valid"]
-        assert acked - 1e-9 <= recovered["spent"] <= self.BOOKS["budget"]
         icq, tcq_again = events_of("ack", streams[0])
         assert icq["mechanism"] == "ICQ-MPM"
         # Same seed, same data: the rerun draws the noise the killed run

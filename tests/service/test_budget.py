@@ -10,7 +10,7 @@ from repro.core.exceptions import ApexError, BudgetExceededError
 from repro.reliability.journal import LedgerJournal
 from repro.service import ExplorationService
 from repro.service.budget import BudgetPolicy, SessionLedger
-from tests.service.util import small_table
+from tests.service.util import run_threads, small_table
 
 ACC = AccuracySpec(alpha=10.0, beta=1e-3)
 
@@ -305,32 +305,16 @@ class TestConcurrentCommits:
 
         pool = PrivacyLedger(budget)
         ledgers = [SessionLedger(pool, budget, f"a{a}") for a in range(n_analysts)]
-        barrier = threading.Barrier(n_analysts)
-        errors = []
 
         def analyst(a):
-            try:
-                barrier.wait()
-                for upper, spent, name in mixed_schedule(a, n_ops):
-                    entry = charge_once(ledgers[a], upper, spent, name)
-                    assert entry is not None
-                    # The invariant must hold at every observation point.
-                    snap = pool.stats()
-                    if snap["spent"] + snap["reserved"] > budget + 1e-9:
-                        errors.append(("overspend", snap))
-            except Exception as exc:  # pragma: no cover - diagnostic path
-                errors.append((a, repr(exc)))
+            for upper, spent, name in mixed_schedule(a, n_ops):
+                entry = charge_once(ledgers[a], upper, spent, name)
+                assert entry is not None
+                # The invariant must hold at every observation point.
+                snap = pool.stats()
+                assert snap["spent"] + snap["reserved"] <= budget + 1e-9, snap
 
-        threads = [
-            threading.Thread(target=analyst, args=(a,)) for a in range(n_analysts)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-            assert not t.is_alive()
-
-        assert not errors, errors[:3]
+        run_threads(analyst, range(n_analysts))
         assert pool.spent == serial_pool.spent  # exact: binary-fraction sums
         assert pool.reserved == 0.0
         assert len(pool.transcript) == n_analysts * n_ops
@@ -346,22 +330,15 @@ class TestConcurrentCommits:
         budget = 64 * UNIT
         pool = PrivacyLedger(budget)
         ledgers = [SessionLedger(pool, budget, f"a{a}") for a in range(8)]
-        barrier = threading.Barrier(8)
         answered = []
 
         def analyst(a):
-            barrier.wait()
             for i in range(16):
                 entry = charge_once(ledgers[a], 8 * UNIT, 8 * UNIT, f"q{a}-{i}")
                 if entry is not None:
                     answered.append(entry)
 
-        threads = [threading.Thread(target=analyst, args=(a,)) for a in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-            assert not t.is_alive()
+        run_threads(analyst, range(8))
         assert answered  # the budget admits at least a few
         assert pool.spent <= budget + 1e-12
         assert pool.transcript.is_valid(budget)

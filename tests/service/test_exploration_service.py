@@ -1,6 +1,5 @@
 """ExplorationService: sessions, policies, shared translation and merged transcripts."""
 
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -17,7 +16,7 @@ from repro.queries.builders import histogram_workload
 from repro.queries.query import WorkloadCountingQuery
 from repro.queries.workload import clear_matrix_cache
 from repro.service import BudgetPolicy, ExplorationService
-from tests.service.util import small_table
+from tests.service.util import run_threads, small_table
 
 
 @pytest.fixture(scope="module")
@@ -209,20 +208,13 @@ class TestPreviewBatching:
         for i in range(n_threads):
             service.register_analyst(f"a{i}")
         built_before = service.stats()["workload_matrices"]["built"]
-        barrier = threading.Barrier(n_threads)
+        queries = [hist_query(table, bins=11) for _ in range(n_threads)]
         previews = [None] * n_threads
 
         def ask(i):
-            query = hist_query(table, bins=11)
-            barrier.wait(timeout=10)
-            previews[i] = service.preview_cost(f"a{i}", query, ACC)
+            previews[i] = service.preview_cost(f"a{i}", queries[i], ACC)
 
-        threads = [threading.Thread(target=ask, args=(i,)) for i in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-            assert not t.is_alive()
+        run_threads(ask, range(n_threads))
         stats = service.stats()
         assert stats["translations"]["built"] == 1
         assert stats["workload_matrices"]["built"] - built_before == 1
@@ -324,20 +316,13 @@ class TestExploreCoalescing:
         monkeypatch.setattr(StrategyMechanism, "translate", slow_translate)
         built_before = service.stats()["workload_matrices"]["built"]
         searches_before = search_stats()["searches"]
-        barrier = threading.Barrier(2)
+        queries = {a: hist_query(table, bins=13) for a in ("alice", "bob")}
         results = {}
 
         def ask(analyst):
-            query = hist_query(table, bins=13)
-            barrier.wait(timeout=10)
-            results[analyst] = service.explore(analyst, query, ACC)
+            results[analyst] = service.explore(analyst, queries[analyst], ACC)
 
-        threads = [threading.Thread(target=ask, args=(a,)) for a in ("alice", "bob")]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-            assert not t.is_alive()
+        run_threads(ask, queries)
 
         assert service.stats()["workload_matrices"]["built"] - built_before == 1
         assert search_stats()["searches"] - searches_before == 1

@@ -1,10 +1,9 @@
 """Differential tests of the service's budget book against a reference ledger.
 
-:class:`ReferenceLedger` is Definition 6.1 with per-analyst caps, written as
-plainly as possible and run one operation at a time (a HISTEX-style oracle).
-The product is driven only through the service's public surface -- the
-session ledgers, ``service.pool`` and the merged transcript -- and must
-agree with the reference:
+The reference is :class:`~repro.reliability.reference.ReferenceLedger`,
+the oracle the crash exerciser judges journals with.  The product is driven
+only through the service's public surface -- the session ledgers,
+``service.pool`` and the merged transcript -- and must agree with it:
 
 * op by op on single-threaded generated multi-analyst histories (every
   admission and refusal, total spend, each analyst's spend and remaining);
@@ -18,72 +17,21 @@ binary and "agree" means equality, not approximation.
 
 import random
 import sys
-import threading
 
 import pytest
 
 from repro.core.accuracy import AccuracySpec
 from repro.reliability.journal import LedgerJournal
+from repro.reliability.reference import (
+    ReferenceLedger,
+    replay_journal,
+    replay_transcript,
+)
 from repro.service import BudgetPolicy, ExplorationService
-from tests.service.util import small_table
+from tests.service.util import run_threads, small_table
 
 ACC = AccuracySpec(alpha=10.0, beta=1e-3)
 UNIT = 2.0**-20
-TOL = 1e-12
-
-
-class ReferenceLedger:
-    """Definition 6.1 with per-analyst caps, one operation at a time.
-
-    A worst-case loss ``u`` is admitted for analyst ``a`` only when it fits
-    both the owner's ``B`` and ``a``'s cap, net of everything spent and
-    everything held by admitted, unfinished runs.  A charge keeps only the
-    actual loss; a denial costs nothing.
-    """
-
-    def __init__(self, budget, caps):
-        self.budget = budget
-        self.caps = dict(caps)
-        self.spent = dict.fromkeys(self.caps, 0.0)
-        self.held = {}  # token -> (analyst, eps_upper)
-        self.denials = 0
-
-    @property
-    def total_spent(self):
-        return sum(self.spent.values())
-
-    def remaining(self, analyst):
-        held = list(self.held.values())
-        book = self.budget - self.total_spent - sum(u for _, u in held)
-        own = self.caps[analyst] - self.spent[analyst]
-        own -= sum(u for owner, u in held if owner == analyst)
-        return max(min(book, own), 0.0)
-
-    def reserve(self, token, analyst, eps_upper):
-        if eps_upper > self.remaining(analyst) + TOL:
-            return False
-        self.held[token] = (analyst, eps_upper)
-        return True
-
-    def release(self, token):
-        del self.held[token]
-
-    def charge(self, token, eps_spent):
-        analyst, eps_upper = self.held.pop(token)
-        assert 0.0 <= eps_spent <= eps_upper + TOL
-        self.spent[analyst] += eps_spent
-
-    def deny(self, analyst):
-        assert analyst in self.caps
-        self.denials += 1
-
-    def accepts(self, analyst, eps_upper, eps_spent):
-        """Replay one answered transcript entry: admit it, then charge it."""
-        token = object()
-        if not self.reserve(token, analyst, eps_upper):
-            return False
-        self.charge(token, eps_spent)
-        return True
 
 
 @pytest.fixture(scope="module")
@@ -122,33 +70,6 @@ def charge(ledger, reservation, eps_upper, eps_spent, name):
 
 def deny(ledger, name):
     return ledger.deny(query_name=name, query_kind="WCQ", accuracy=ACC)
-
-
-def analyst_of(entry):
-    return entry.query_name.split(":", 1)[0]
-
-
-def replay_transcript(reference, entries):
-    """Feed transcript entries in order; every answered one must be admitted."""
-    for entry in entries:
-        if entry.denied:
-            assert entry.epsilon_spent == 0.0
-            reference.deny(analyst_of(entry))
-        else:
-            assert reference.accepts(
-                analyst_of(entry), entry.epsilon_upper, entry.epsilon_spent
-            ), f"the reference refuses {entry}"
-
-
-def replay_journal(reference, recovery):
-    """Feed journal records in order; every commit must be admitted."""
-    for record in recovery.records:
-        if record["op"] == "deny":
-            reference.deny(record["analyst"])
-        elif record["op"] == "commit":
-            assert reference.accepts(
-                record["analyst"], record["eps_upper"], record["eps_spent"]
-            ), f"the reference refuses {record}"
 
 
 POLICIES = [BudgetPolicy.FIXED_SHARE, BudgetPolicy.FIRST_COME]
@@ -200,7 +121,7 @@ class TestSingleThreadedHistories:
         assert admitted and refused  # the history reached exhaustion
 
         replay = ReferenceLedger(budget, caps)
-        replay_transcript(replay, service.merged_transcript())
+        assert replay_transcript(replay, service.merged_transcript()) == []
         assert replay.total_spent == reference.total_spent
         assert replay.denials == reference.denials
         assert service.validate()
@@ -218,50 +139,38 @@ class TestConcurrentHistories:
         service, ledgers, caps = open_service(
             table, budget, policy, n_analysts, journal=journal
         )
-        barrier = threading.Barrier(n_analysts)
         acked = {name: [] for name in ledgers}
         refusals = {name: 0 for name in ledgers}
-        errors = []
 
         def run(analyst):
             rng = random.Random(analyst)
             ledger = ledgers[analyst]
-            try:
-                barrier.wait()
-                for op in range(n_ops):
-                    eps_upper = rng.randint(1, 64) * UNIT
-                    reservation = ledger.reserve(eps_upper)
-                    if reservation is None:
-                        deny(ledger, f"q{op}")
-                        refusals[analyst] += 1
-                    elif rng.random() < 0.2:
-                        ledger.release(reservation)
-                    else:
-                        eps_spent = eps_upper / rng.choice([1, 2, 4])
-                        charge(ledger, reservation, eps_upper, eps_spent, f"q{op}")
-                        acked[analyst].append(eps_spent)
-            except Exception as exc:  # pragma: no cover - diagnostic path
-                errors.append((analyst, repr(exc)))
+            for op in range(n_ops):
+                eps_upper = rng.randint(1, 64) * UNIT
+                reservation = ledger.reserve(eps_upper)
+                if reservation is None:
+                    deny(ledger, f"q{op}")
+                    refusals[analyst] += 1
+                elif rng.random() < 0.2:
+                    ledger.release(reservation)
+                else:
+                    eps_spent = eps_upper / rng.choice([1, 2, 4])
+                    charge(ledger, reservation, eps_upper, eps_spent, f"q{op}")
+                    acked[analyst].append(eps_spent)
 
-        threads = [threading.Thread(target=run, args=(a,)) for a in ledgers]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the analysts as finely as possible
         try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-                assert not thread.is_alive()
+            run_threads(run, ledgers)
         finally:
             sys.setswitchinterval(interval)
         journal.close()
-        assert errors == []
 
         acked_total = sum(sum(values) for values in acked.values())
         assert sum(refusals.values()) > 0  # the budget binds
         merged = service.merged_transcript()
         reference = ReferenceLedger(budget, caps)
-        replay_transcript(reference, merged)
+        assert replay_transcript(reference, merged) == []
         assert reference.total_spent == service.pool.spent == acked_total
         for name, ledger in ledgers.items():
             assert reference.spent[name] == ledger.spent == sum(acked[name])
@@ -272,6 +181,6 @@ class TestConcurrentHistories:
             recovery = reopened.recovery
         assert recovery.spent == service.pool.spent
         recovered = ReferenceLedger(budget, caps)
-        replay_journal(recovered, recovery)
+        assert replay_journal(recovered, recovery.records) == []
         assert recovered.total_spent == acked_total
         assert recovered.denials == sum(refusals.values())

@@ -9,8 +9,6 @@ These are the acceptance tests of the concurrent service layer:
   updates and corrupt no counters when hammered concurrently.
 """
 
-import threading
-
 import pytest
 
 from repro.core.accounting import PrivacyLedger
@@ -22,29 +20,10 @@ from repro.queries.query import WorkloadCountingQuery
 from repro.queries.workload import Workload, clear_matrix_cache
 from repro.reliability.journal import LedgerJournal
 from repro.service import BudgetPolicy, ExplorationService
-from tests.service.util import small_table
+from tests.service.util import run_threads, small_table
 
 N_THREADS = 8
 ACC = AccuracySpec(alpha=100.0, beta=5e-4)
-
-
-def run_threads(worker, n_threads=N_THREADS):
-    barrier = threading.Barrier(n_threads)
-    errors = []
-
-    def wrapped(i):
-        barrier.wait()
-        try:
-            worker(i)
-        except Exception as exc:  # noqa: BLE001 - surfaced via assertion below
-            errors.append(f"thread {i}: {type(exc).__name__}: {exc}")
-
-    threads = [threading.Thread(target=wrapped, args=(i,)) for i in range(n_threads)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert errors == []
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +72,7 @@ def race_into_denials(table, policy, max_analysts, journal=None):
             service.preview_cost(f"t{i}", query_i, ACC)
             service.explore(f"t{i}", query_i, ACC)
 
-    run_threads(worker)
+    run_threads(worker, range(N_THREADS))
 
     merged = service.merged_transcript()
     spent = merged.total_epsilon()
@@ -159,7 +138,7 @@ class TestConcurrentBudgetSafety:
             result = service.explore("solo", query, ACC)
             assert not result.denied
 
-        run_threads(worker)
+        run_threads(worker, range(N_THREADS))
         handle = service.session("solo")
         transcript = handle.transcript()
         assert len(transcript) == N_THREADS
@@ -181,7 +160,7 @@ class TestConcurrentBudgetSafety:
         def worker(i):
             service.explore(f"t{i}", query, ACC)
 
-        run_threads(worker)
+        run_threads(worker, range(N_THREADS))
         for handle in handles:
             assert handle.transcript().is_valid(handle.ledger.budget)
 
@@ -200,7 +179,7 @@ class TestCacheIntegrityUnderThreads:
                 # thread must read back exactly what it wrote.
                 assert value == i * per_thread + j + 1
 
-        run_threads(worker)
+        run_threads(worker, range(N_THREADS))
         stats = cache.stats()
         assert stats["size"] == N_THREADS * per_thread
         assert stats["hits"] == N_THREADS * per_thread
@@ -214,7 +193,7 @@ class TestCacheIntegrityUnderThreads:
                 cache.put((i, j % 32), j)
                 cache.get((i, (j * 7) % 32))
 
-        run_threads(worker)
+        run_threads(worker, range(N_THREADS))
         stats = cache.stats()
         assert stats["size"] <= 16
         assert stats["hits"] + stats["misses"] == N_THREADS * 500
@@ -230,7 +209,7 @@ class TestCacheIntegrityUnderThreads:
             clone = Workload(list(workload.predicates), list(workload.names))
             results[i] = clone.analyze(table.schema)
 
-        run_threads(worker)
+        run_threads(worker, range(N_THREADS))
         # All threads got value-identical matrices; after the first build the
         # memo serves everyone (a race may build it a handful of times at
         # most, never corrupt it).

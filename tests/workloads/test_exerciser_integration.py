@@ -56,7 +56,7 @@ class TestWorkerRuns:
     def test_worker_hosts_the_generated_population(self, tmp_path):
         config = workloads_config()
         script = population_script(2, 8, config)
-        returncode, events, stderr = run_worker(
+        returncode, events, stderr, violations = run_worker(
             str(tmp_path / "ledger.wal"),
             script,
             budget=4.0,
@@ -66,6 +66,7 @@ class TestWorkerRuns:
             workloads_config=config,
         )
         assert returncode == 0, stderr
+        assert violations == []
         done = [e for e in events if e.get("event") == "done"]
         assert len(done) == 1 and done[0]["valid"]
         acks = [e for e in events if e.get("event") == "ack"]
