@@ -20,7 +20,7 @@ A key expression is flagged when it references a table-like object (an
 identifier matching ``table``/``tbl``/``snapshot``/``snap``, however
 qualified) without also referencing any version marker (an identifier
 containing ``version``, ``token``, ``stamp``, ``fingerprint``, ``digest``,
-or a ``cache_key``/``cache_token``/``mask_key`` accessor).
+or a ``cache_key``/``cache_token`` accessor).
 
 Keys that mention no table at all (structural keys, content digests) are
 out of scope; so is keying by snapshot *identity plus token*, which the
@@ -42,7 +42,7 @@ __all__ = ["CacheKeyRule"]
 _CACHEISH = re.compile(r"(cache|memo)s?$", re.IGNORECASE)
 _TABLEISH = re.compile(r"^(_?(table|tbl|snapshot|snap))s?$", re.IGNORECASE)
 _MARKER = re.compile(
-    r"(version|token|stamp|fingerprint|digest|cache_key|mask_key|key\b)",
+    r"(version|token|stamp|fingerprint|digest|cache_key|key\b)",
     re.IGNORECASE,
 )
 _CACHE_METHODS = frozenset({"get", "put", "setdefault"})

@@ -19,7 +19,7 @@ A raw-table name is *sanitised* the moment it is rebound through snapshot
 admission (``table = table.snapshot()``); from that line on it is trusted.
 Until then, only this surface is allowed on it:
 
-* ``.snapshot()`` / ``.open_snapshot()`` admission calls;
+* ``.snapshot()`` admission calls;
 * data-independent metadata: ``.version_token``, ``.schema``;
 * identity/introspection builtins (``isinstance``, ``len`` is *not* exempt
   -- row counts are data).
@@ -52,7 +52,6 @@ _SNAP_PARAM = re.compile(r"^(snap|snapshot)s?$", re.IGNORECASE)
 _ALLOWED_ATTRS = frozenset(
     {
         "snapshot",
-        "open_snapshot",
         "version_token",
         "schema",
     }
@@ -115,7 +114,7 @@ class SnapshotDisciplineRule:
                 and isinstance(node.targets[0], ast.Name)
                 and isinstance(node.value, ast.Call)
                 and isinstance(node.value.func, ast.Attribute)
-                and node.value.func.attr in ("snapshot", "open_snapshot")
+                and node.value.func.attr == "snapshot"
             ):
                 target = node.targets[0].id
                 sanitised_after[target] = (node.lineno, node.col_offset)

@@ -22,7 +22,7 @@ import functools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, MutableMapping, Sequence
+from typing import Callable, Iterator, MutableMapping, Sequence
 
 import numpy as np
 
@@ -95,8 +95,7 @@ class RunTimings(MutableMapping[str, float]):
     """
 
     def __init__(self) -> None:
-        # One lock guards both maps; the per-key histograms have their own
-        # finer-grained seqlock discipline for snapshots.
+        # One lock guards both maps; each per-key histogram has its own lock.
         self._lock = threading.Lock()
         self._last: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
@@ -669,19 +668,3 @@ def run_figure7(config: ERExperimentConfig | None = None) -> list[dict[str, obje
     for record in alpha_records:
         record["figure"] = "7-alpha"
     return budget_records + alpha_records
-
-
-def iter_all_experiments(
-    query_config: ExperimentConfig | None = None,
-    er_config: ERExperimentConfig | None = None,
-) -> Iterable[tuple[str, list[dict[str, object]]]]:
-    """Run every experiment in sequence (used by ``examples/full_evaluation.py``)."""
-    yield "figure2", run_figure2(query_config)
-    yield "figure3", run_figure3(query_config)
-    yield "table2", run_table2(query_config)
-    yield "figure4a", run_figure4a(query_config)
-    yield "figure4b", run_figure4b(query_config)
-    yield "figure4c", run_figure4c(query_config)
-    yield "figure5", run_figure5(er_config)
-    yield "figure6", run_figure6(er_config)
-    yield "figure7", run_figure7(None)

@@ -13,6 +13,8 @@ import io
 import math
 from typing import Iterable, Mapping, Sequence
 
+from repro.obs.registry import quantile
+
 __all__ = [
     "format_table",
     "format_records",
@@ -103,35 +105,15 @@ def summarize_by(
             {
                 "count": len(values),
                 "mean": sum(values) / len(values),
-                "median": _quantile(values, 0.5),
-                "q25": _quantile(values, 0.25),
-                "q75": _quantile(values, 0.75),
+                "median": quantile(values, 0.5),
+                "q25": quantile(values, 0.25),
+                "q75": quantile(values, 0.75),
                 "min": values[0],
                 "max": values[-1],
             }
         )
         out.append(summary)
     return out
-
-
-def _quantile(sorted_values: Sequence[float], q: float) -> float:
-    if not sorted_values:
-        return float("nan")
-    if len(sorted_values) == 1:
-        return sorted_values[0]
-    position = q * (len(sorted_values) - 1)
-    lower = int(math.floor(position))
-    upper = int(math.ceil(position))
-    if lower == upper:
-        return sorted_values[lower]
-    weight = position - lower
-    return sorted_values[lower] * (1 - weight) + sorted_values[upper] * weight
-
-
-def print_section(title: str, body: str) -> None:
-    """Print a titled report section (used by the benchmark scripts)."""
-    bar = "=" * max(len(title), 8)
-    print(f"\n{bar}\n{title}\n{bar}\n{body}")
 
 
 def dump_records(

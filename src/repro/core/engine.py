@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.accounting import PrivacyLedger, Transcript
 from repro.core.accuracy import AccuracySpec
-from repro.core.exceptions import ApexError, BudgetExceededError
+from repro.core.exceptions import ApexError
 from repro.core.translator import AccuracyTranslator, SelectionMode
 from repro.data.table import Table, TableSnapshot
 from repro.mechanisms.registry import MechanismRegistry
@@ -85,10 +85,6 @@ class APExEngine:
     seed:
         Seed for the engine's random generator (noise sampling).  Runs with
         the same seed, data and query sequence are reproducible.
-    deny_mode:
-        ``"result"`` (default) returns a denied :class:`ExplorationResult`;
-        ``"raise"`` raises :class:`~repro.core.exceptions.BudgetExceededError`
-        instead.
     ledger:
         An externally minted :class:`~repro.core.accounting.PrivacyLedger`,
         or a handle with its interface (its budget wins over ``budget``).
@@ -124,7 +120,6 @@ class APExEngine:
         mode: SelectionMode | str = SelectionMode.OPTIMISTIC,
         registry: MechanismRegistry | None = None,
         seed: int | np.random.Generator | None = None,
-        deny_mode: str = "result",
         ledger: PrivacyLedger | None = None,
         translator: AccuracyTranslator | None = None,
         store: ArtifactStore | None = None,
@@ -133,8 +128,6 @@ class APExEngine:
             raise ApexError("APExEngine requires a repro.data.Table")
         if isinstance(mode, str):
             mode = SelectionMode(mode.lower())
-        if deny_mode not in ("result", "raise"):
-            raise ApexError("deny_mode must be 'result' or 'raise'")
         if ledger is None:
             if budget is None:
                 raise ApexError("APExEngine needs a budget or an external ledger")
@@ -157,7 +150,6 @@ class APExEngine:
         self._rng = (
             seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         )
-        self._deny_mode = deny_mode
 
     # -- owner-facing accessors ---------------------------------------------------
 
@@ -405,13 +397,6 @@ class APExEngine:
             query_kind=query.kind.value,
             accuracy=accuracy,
         )
-        if self._deny_mode == "raise":
-            raise BudgetExceededError(
-                f"query {query.name!r} denied: no mechanism fits the remaining "
-                f"budget {self._ledger.remaining:.6g}",
-                required=float("nan"),
-                remaining=self._ledger.remaining,
-            )
         return ExplorationResult(
             query_name=query.name,
             query_kind=query.kind.value,

@@ -58,19 +58,17 @@ class MechanismError(ApexError):
 class BudgetExceededError(ApexError):
     """Answering the query would exceed the data owner's privacy budget.
 
-    The engine normally *denies* such queries rather than raising; this error
-    is raised only when the caller explicitly asks for a raising behaviour
-    (``APExEngine(..., deny_mode="raise")``).
+    The engine never raises it for a query it cannot afford: it *denies*
+    the query (``ExplorationResult(denied=True)``).  Only the ledger's
+    :meth:`~repro.core.accounting.PrivacyLedger.charge` raises it, for a
+    charge made without a reservation whose worst case the analyst's
+    headroom cannot admit.
     """
 
     def __init__(self, message: str, required: float, remaining: float) -> None:
         super().__init__(message)
         self.required = required
         self.remaining = remaining
-
-
-class QueryDeniedError(BudgetExceededError):
-    """Alias kept for backwards compatibility with earlier releases."""
 
 
 class FaultInjected(ApexError):

@@ -31,9 +31,9 @@ exact histogram add only the shards its last read lacked.
 Tables are *versioned*, not frozen: both mutations advance the table's
 :attr:`Table.version_token` -- an immutable, hashable :class:`TableVersion`
 that uniquely identifies one state of one table.  Every
-cache keyed on "this table's data" anywhere in the stack (the predicate-mask
-LRU below, the partition-histogram and true-count caches) incorporates the
-version token, so a mutation can never resurrect a stale artifact:
+cache keyed on "this table's data" anywhere in the stack (the
+partition-histogram and true-count caches) incorporates the version token or
+the snapshot it read, so a mutation can never resurrect a stale artifact:
 post-append lookups simply miss and recompute against the grown table.
 The full contract -- which cache keys on what, and which regression test
 pins it -- is tabulated in ``docs/consistency.md``.
@@ -49,6 +49,16 @@ reader holding it is completely isolated from concurrent ``append_rows`` /
 memoised per version: every reader admitted at the same version shares one
 snapshot object, which is what keeps the identity-keyed data caches
 (true counts, partition histograms) warm across requests.
+
+**The snapshot owns every per-version artifact.**  Concatenated columns,
+null masks, float views, concatenated category codes and the predicate-mask
+LRU (keyed by the predicate alone) live on the :class:`TableSnapshot` that
+derived them, start empty, and die with it.  The live :class:`Table` keeps
+only its schema, shard list, version, locks, the shared category dictionary
+and the snapshot memo; its per-version reads (:meth:`Table.column`,
+:meth:`Table.null_mask`, :meth:`Table.cached_mask`, ...) go through
+:meth:`Table.snapshot`, so a live read and a snapshot read at one version
+return the same object, and a version advance has nothing to drop.
 
 **Shared category dictionary.** Categorical columns are dictionary-encoded
 once per *shard* against a per-table, append-only ``value -> code`` index
@@ -77,16 +87,13 @@ Within one version the storage is immutable: shard arrays are frozen at
 construction (``writeable = False``; the table takes ownership of the arrays
 it is given -- copy first if you need to keep mutating yours) and every
 cached array is returned read-only, so in-place mutation that would bypass
-the version protocol fails loudly.  Per-version derived artifacts (null
-masks, float views, concatenated category codes, materialised concatenations,
-predicate masks) are computed lazily and dropped on every version advance.
+the version protocol fails loudly.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -100,7 +107,7 @@ from repro.store.fingerprint import hash_once
 
 __all__ = ["Shard", "Table", "TableSnapshot", "TableVersion"]
 
-#: Byte budget of the per-table predicate-mask LRU (masks are one byte per
+#: Byte budget of each snapshot's predicate-mask LRU (masks are one byte per
 #: row, so the entry cap is ``budget // n_rows``): bounded memory regardless
 #: of table size.
 MASK_CACHE_BYTE_BUDGET = 64 * 1024 * 1024
@@ -180,7 +187,9 @@ class Table:
     Derivation methods (:meth:`filter`, :meth:`sample`, :meth:`take`) return
     new tables; in-place growth goes through :meth:`append_rows` /
     :meth:`refresh`, which advance :attr:`version_token`.  Wait-free readers
-    pin a :class:`TableSnapshot` via :meth:`snapshot`.
+    pin a :class:`TableSnapshot` via :meth:`snapshot`; the live table's own
+    per-version reads go through that snapshot too, which holds every
+    per-version artifact.
 
     :param schema: the table's schema; every column chunk is validated
         against it.
@@ -194,8 +203,8 @@ class Table:
         self._shards: list[Shard] = [shard]
         self._n_rows = shard.n_rows
         self._version = TableVersion(next(_TABLE_UIDS), 0)
-        #: Orders mutation (shard append + version advance) and lazy
-        #: materialisation; per-version reads stay lock-free.
+        #: Orders mutation (shard append + version advance) against snapshot
+        #: minting; per-version reads stay lock-free.
         self._mutation_lock = threading.RLock()
         #: Guards shard-level lazy derivation (dictionary interning, sorted
         #: numeric copies).  Shared with snapshots, and deliberately
@@ -207,29 +216,10 @@ class Table:
         #: stable for the lifetime of the table, so per-shard code arrays
         #: survive appends and refreshes unchanged.
         self._category_index: dict[str, dict[str, int]] = {}
-        # Lazy per-version caches (dropped on every version advance).
-        self._materialized: dict[str, np.ndarray] = dict(shard.columns)
-        self._null_masks: dict[str, np.ndarray] = {}
-        self._float_values: dict[str, np.ndarray] = {}
-        self._category_codes: dict[str, tuple[np.ndarray, dict[str, int]]] = {}
-        self._mask_cache: LRUCache[np.ndarray] = LRUCache(
-            self._mask_cache_capacity()
-        )
         #: Bounded memo of recent versions' snapshots (newest last); the
         #: current version's entry is what :meth:`snapshot` hands out.
         self._snapshots: "OrderedDict[TableVersion, TableSnapshot]" = OrderedDict()
-        self._snapshot_stats = {"created": 0, "evicted": 0, "closed": 0}
-        self._closed = False
-
-    def _mask_cache_capacity(self) -> int:
-        """Entry cap keeping the mask LRU within its byte budget at ``n_rows``."""
-        return max(
-            16,
-            min(
-                MASK_CACHE_MAX_ENTRIES,
-                MASK_CACHE_BYTE_BUDGET // max(self._n_rows, 1),
-            ),
-        )
+        self._snapshot_stats = {"created": 0, "evicted": 0}
 
     def _freeze_shard(self, columns: Mapping[str, np.ndarray]) -> Shard:
         """Validate one column-chunk against the schema and freeze its arrays."""
@@ -253,9 +243,6 @@ class Table:
         if extra:
             raise SchemaError(f"columns not present in schema: {sorted(extra)}")
         return Shard(columns=shard, n_rows=n_rows or 0)
-
-    def _ensure_open(self) -> None:
-        """Live tables are always open; closed snapshots override to raise."""
 
     # -- construction --------------------------------------------------------
 
@@ -313,15 +300,14 @@ class Table:
         :meth:`shard_rows` read the rest.
         """
         with self._mutation_lock:
-            self._ensure_open()
             return tuple(self._shards)
 
     def snapshot(self) -> "TableSnapshot":
         """Pin the current shard list and version token for wait-free reading.
 
         Returns an immutable :class:`TableSnapshot` sharing this table's
-        frozen shard arrays (zero-copy), its per-version derived artifacts
-        and its mask LRU.  A reader evaluating against the snapshot is
+        frozen shard arrays (zero-copy) and holding the version's derived
+        artifacts and mask LRU.  A reader evaluating against the snapshot is
         completely isolated from concurrent :meth:`append_rows` /
         :meth:`refresh`: it neither blocks, nor fails on shape checks, nor
         observes rows from a newer version.
@@ -333,10 +319,11 @@ class Table:
         identity-keyed true-count and histogram caches warm across
         requests), and a handful of recent versions stay warm for stragglers
         without the table pinning every old shard list.  Evicted snapshots
-        keep answering for readers that hold them.  Long-lived holders
-        should :meth:`TableSnapshot.close` their handle when done;
-        :meth:`snapshot_cache_stats` reports the memo counters.  Taking a
-        snapshot of a snapshot returns the snapshot itself.
+        keep answering for readers that hold them; a holder releases one by
+        dropping its reference.  :meth:`snapshot_cache_stats` reports the
+        memo counters.  ``TableSnapshot(table)`` mints an unmemoised
+        snapshot of the current version.  Taking a snapshot of a snapshot
+        returns the snapshot itself.
         """
         snap = self._snapshots.get(self._version)
         if snap is not None:
@@ -353,33 +340,13 @@ class Table:
                 self._snapshot_stats["evicted"] += 1
             return snap
 
-    def open_snapshot(self) -> "TableSnapshot":
-        """A private, caller-owned snapshot of the current version.
-
-        Unlike :meth:`snapshot`, the returned object is *not* memoised and
-        is never handed to any other reader, so the caller may safely
-        :meth:`TableSnapshot.close` it (releasing the pinned shard list and
-        poisoning further reads) whenever it is done -- the pattern for
-        long-lived analytics handles held across many table versions.  It
-        shares the frozen shards, derived artifacts and mask LRU of the
-        version exactly like a memoised snapshot, so it costs nothing
-        extra.  Use ``with table.open_snapshot() as snap: ...`` for
-        explicitly scoped holders.
-        """
-        with self._mutation_lock:
-            snap = TableSnapshot(self)
-            snap._owned = True
-            self._snapshot_stats["created"] += 1
-        return snap
-
     def snapshot_cache_stats(self) -> dict[str, int]:
         """Counters of the bounded per-lineage snapshot memo.
 
         ``live`` is the number of snapshots the table currently pins (at
         most :data:`SNAPSHOT_MEMO_MAX_ENTRIES`); ``created`` counts
-        :meth:`snapshot`/:meth:`open_snapshot` calls that minted an object;
-        ``evicted`` counts memo entries dropped by the bound; ``closed``
-        counts explicit :meth:`TableSnapshot.close` calls on this lineage.
+        :meth:`snapshot` calls that minted an object; ``evicted`` counts
+        memo entries dropped by the bound.
         """
         with self._mutation_lock:
             return {
@@ -392,10 +359,10 @@ class Table:
         """Append rows as a new shard and advance the version token.
 
         Missing keys become NULL, exactly as in :meth:`from_rows`.  Returns
-        the new :attr:`version_token`.  Every per-version cache (and every
-        external cache keyed by the token) misses afterwards; readers that
-        pinned a :meth:`snapshot` before the append keep answering for their
-        version, untouched.
+        the new :attr:`version_token`.  The next read pins a new snapshot
+        whose per-version artifacts start empty (and every external cache
+        keyed by the token misses); readers that pinned a :meth:`snapshot`
+        before the append keep answering for their version, untouched.
 
         :param rows: iterable of ``{attribute: value}`` dicts.
         :returns: the advanced :class:`TableVersion`.
@@ -408,8 +375,8 @@ class Table:
         The shard goes after the last one; earlier shards are never touched.
         A zero-row chunk is validated like any other, then ignored: no shard
         is added and the current token is returned unchanged, so an empty
-        append neither drops the per-version caches nor leaves a 0-row shard
-        behind.
+        append neither moves readers to a cold snapshot nor leaves a 0-row
+        shard behind.
         """
         shard = self._freeze_shard(columns)
         if shard.n_rows == 0:
@@ -417,7 +384,7 @@ class Table:
         with self._mutation_lock:
             self._shards.append(shard)
             self._n_rows += shard.n_rows
-            self._advance_version_locked()
+            self._version = self._version.advanced()
         return self._version
 
     def refresh(self, rows: Iterable[Mapping[str, object]]) -> TableVersion:
@@ -433,25 +400,8 @@ class Table:
         with self._mutation_lock:
             self._shards = [shard]
             self._n_rows = shard.n_rows
-            self._advance_version_locked()
+            self._version = self._version.advanced()
         return self._version
-
-    def _advance_version_locked(self) -> None:
-        """Bump the token and drop every per-version cache (mutation lock held)."""
-        self._version = self._version.advanced()
-        self._materialized = (
-            dict(self._shards[0].columns) if len(self._shards) == 1 else {}
-        )
-        self._null_masks = {}
-        self._float_values = {}
-        self._category_codes = {}
-        # Versioned keys already make old entries unreachable; a fresh LRU
-        # frees the memory immediately and re-derives the entry cap from the
-        # new row count, keeping the byte budget honest as the table grows.
-        # Snapshots of the previous version keep the old LRU (their masks
-        # stay warm for in-flight readers) and stay in the bounded snapshot
-        # memo until evicted by newer versions.
-        self._mask_cache = LRUCache(self._mask_cache_capacity())
 
     # -- basic accessors ------------------------------------------------------
 
@@ -468,28 +418,7 @@ class Table:
 
     def _column_data(self, name: str) -> np.ndarray:
         """The full (cross-shard) frozen storage array of one attribute."""
-        col = self._materialized.get(name)
-        if col is not None:
-            return col
-        if name not in self._schema:
-            raise SchemaError(
-                f"table has no column {name!r}; "
-                f"known columns: {list(self._schema.attribute_names)}"
-            )
-        with self._mutation_lock:
-            self._ensure_open()
-            col = self._materialized.get(name)
-            if col is not None:
-                return col
-            if len(self._shards) == 1:
-                col = self._shards[0].columns[name]
-            else:
-                col = np.concatenate(
-                    [shard.columns[name] for shard in self._shards]
-                )
-                col.flags.writeable = False
-            self._materialized[name] = col
-            return col
+        return self.snapshot()._column_data(name)
 
     def column(self, name: str) -> np.ndarray:
         """The values of one attribute as a numpy array (read-only view)."""
@@ -503,11 +432,12 @@ class Table:
 
     def row(self, index: int) -> dict[str, object]:
         """One row as a plain dict (NULLs become ``None``)."""
-        if not -self._n_rows <= index < self._n_rows:
-            raise IndexError(f"row index {index} out of range for {self._n_rows} rows")
+        snap = self.snapshot()
+        if not -snap._n_rows <= index < snap._n_rows:
+            raise IndexError(f"row index {index} out of range for {snap._n_rows} rows")
         out: dict[str, object] = {}
         for attr in self._schema.attributes:
-            value = self._column_data(attr.name)[index]
+            value = snap._column_data(attr.name)[index]
             if attr.kind is AttributeKind.NUMERIC:
                 fval = float(value)
                 out[attr.name] = None if np.isnan(fval) else fval
@@ -516,13 +446,14 @@ class Table:
         return out
 
     def iter_rows(self) -> Iterator[dict[str, object]]:
-        for i in range(self._n_rows):
-            yield self.row(i)
+        snap = self.snapshot()
+        for i in range(snap._n_rows):
+            yield snap.row(i)
 
     def to_rows(self) -> list[dict[str, object]]:
         return list(self.iter_rows())
 
-    # -- null handling and columnar caches ------------------------------------
+    # -- per-version artifacts (held by the version's snapshot) ---------------
 
     def is_null(self, name: str) -> np.ndarray:
         """Boolean mask marking NULL values of the named attribute.
@@ -534,20 +465,7 @@ class Table:
 
     def null_mask(self, name: str) -> np.ndarray:
         """Cached, read-only NULL mask of the named attribute."""
-        cached = self._null_masks.get(name)
-        if cached is not None:
-            return cached
-        attr = self._schema[name]
-        col = self._column_data(name)
-        if attr.kind is AttributeKind.NUMERIC:
-            mask = np.isnan(self.numeric_values(name))
-        else:
-            mask = np.fromiter(
-                (v is None for v in col), dtype=bool, count=len(col)
-            )
-        mask.flags.writeable = False
-        self._null_masks[name] = mask
-        return mask
+        return self.snapshot().null_mask(name)
 
     def numeric_values(self, name: str) -> np.ndarray:
         """The named column as a cached, read-only float array.
@@ -556,15 +474,7 @@ class Table:
         version; non-numeric columns raise whatever ``astype(float)`` raises,
         matching direct conversion of :meth:`column`.
         """
-        cached = self._float_values.get(name)
-        if cached is not None:
-            return cached
-        col = self._column_data(name)
-        values = col if col.dtype == np.float64 else col.astype(float)
-        view = values.view()
-        view.flags.writeable = False
-        self._float_values[name] = view
-        return view
+        return self.snapshot().numeric_values(name)
 
     def category_codes(self, name: str) -> tuple[np.ndarray, dict[str, int]]:
         """Dictionary-encode an object (categorical/text) column.
@@ -580,32 +490,7 @@ class Table:
         or sibling shards), which is harmless -- their codes match nothing --
         and callers must treat it as read-only.
         """
-        cached = self._category_codes.get(name)
-        if cached is not None:
-            return cached
-        if name not in self._schema:
-            raise SchemaError(
-                f"table has no column {name!r}; "
-                f"known columns: {list(self._schema.attribute_names)}"
-            )
-        with self._mutation_lock:
-            # Capture a (shard list, per-version cache) pair that belongs to
-            # one version: an append rebinding the caches mid-read cannot
-            # make us publish codes for version N+1 under version N's dict.
-            self._ensure_open()
-            shards = list(self._shards)
-            per_version = self._category_codes
-        index = self._category_index.setdefault(name, {})
-        parts = [self._shard_codes(shard, name, index) for shard in shards]
-        if len(parts) == 1:
-            codes = parts[0]
-        elif parts:
-            codes = np.concatenate(parts)
-            codes.flags.writeable = False
-        else:  # zero shards never happens, but keep the dtype contract
-            codes = np.empty(0, dtype=np.int32)
-        per_version[name] = (codes, index)
-        return codes, index
+        return self.snapshot().category_codes(name)
 
     def _shard_codes(
         self, shard: Shard, name: str, index: dict[str, int]
@@ -684,73 +569,46 @@ class Table:
 
     @property
     def mask_cache(self) -> LRUCache[np.ndarray]:
-        """The per-table LRU of evaluated predicate masks (see predicates.py).
+        """The current version's LRU of evaluated predicate masks (see predicates.py).
 
-        Entries are keyed by ``(version_token, predicate)`` -- see
-        :meth:`mask_key` -- so a mask evaluated before an append can never be
-        served afterwards.  The current version's snapshot shares this LRU
-        object, so snapshot-scoped evaluations and live-table reads at the
-        same version warm each other.
+        It lives on the version's snapshot and is keyed by the predicate
+        alone: a mask evaluated before an append sits in the old snapshot's
+        LRU, which no reader at a newer version reaches.
         """
-        return self._mask_cache
+        return self.snapshot().mask_cache
 
-    def mask_key(
-        self, predicate: object, version: TableVersion | None = None
-    ) -> tuple[TableVersion, object]:
-        """The versioned mask-LRU key of one predicate.
+    def cached_mask(self, predicate: object) -> np.ndarray | None:
+        """The memoised mask of ``predicate`` at this version, if any."""
+        return self.mask_cache.get(predicate)
 
-        ``version`` defaults to the current token; evaluation paths pass the
-        token of the snapshot they evaluated, so a mask can only ever be
-        stored under the version it describes.
-        """
-        return (version if version is not None else self._version, predicate)
+    def cache_mask(self, predicate: object, mask: np.ndarray) -> np.ndarray:
+        """Freeze and insert one predicate mask into this version's LRU.
 
-    def cached_mask(
-        self, predicate: object, version: TableVersion | None = None
-    ) -> np.ndarray | None:
-        """The memoised mask of ``predicate`` at the given version, if any."""
-        return self._mask_cache.get(self.mask_key(predicate, version))
-
-    def cache_mask(
-        self,
-        predicate: object,
-        mask: np.ndarray,
-        version: TableVersion | None = None,
-    ) -> np.ndarray:
-        """Freeze and insert one predicate mask into the LRU (versioned key).
-
-        Evaluation routes through snapshots, so the mask is always a pure
-        function of ``(version, predicate)`` and admission is unconditional;
-        inserting under an old token is harmless (the key is unreachable at
-        newer versions).
+        Evaluation paths call it on the snapshot they evaluated, so the mask
+        is always a pure function of ``(version, predicate)`` and admission
+        is unconditional.
         """
         mask.flags.writeable = False
-        return self._mask_cache.put(self.mask_key(predicate, version), mask)
+        return self.mask_cache.put(predicate, mask)
 
     def clear_caches(self) -> None:
-        """Drop every lazily built per-version cache (benchmarks use this).
+        """Drop the current version's memoised snapshot (a cold-run helper).
 
+        The next reader pins a fresh snapshot and derives every per-version
+        artifact (columns, null masks, float views, code columns, predicate
+        masks) again; readers already holding the dropped snapshot keep it.
         Purely a recompute trigger: the version token does *not* advance
         (the data is unchanged, so externally cached artifacts stay valid).
-        The memoised snapshot is dropped so the next reader re-derives its
-        artifacts cold.  The shared category dictionary and the per-shard
-        code arrays are retained -- they are append-only facts about the
-        data, never renumbered, so "cold" runs still share them (build a
-        fresh ``Table`` to measure interning itself).  So are the per-shard
-        sorted numeric columns, and the per-shard histograms exact workload
-        matrices keep: they live on the matrix, keyed by the immutable
-        shard (build a fresh ``Table``, or call
-        :func:`~repro.queries.workload.clear_matrix_cache`, to measure the
-        histogram pass).
+        The shared category dictionary and the per-shard code arrays are
+        retained -- they are append-only facts about the data, never
+        renumbered, so "cold" runs still share them (build a fresh ``Table``
+        to measure interning itself).  So are the per-shard sorted numeric
+        columns, and the per-shard histograms exact workload matrices keep:
+        they live on the matrix, keyed by the immutable shard (build a fresh
+        ``Table``, or call :func:`~repro.queries.workload.clear_matrix_cache`,
+        to measure the histogram pass).
         """
         with self._mutation_lock:
-            self._null_masks.clear()
-            self._float_values.clear()
-            self._category_codes.clear()
-            self._mask_cache.clear()
-            self._materialized = (
-                dict(self._shards[0].columns) if len(self._shards) == 1 else {}
-            )
             self._snapshots.pop(self._version, None)
 
     def null_count(self, name: str) -> int:
@@ -760,22 +618,24 @@ class Table:
 
     def filter(self, mask: np.ndarray) -> "Table":
         """A new table containing only rows where ``mask`` is True."""
+        snap = self.snapshot()
         mask = np.asarray(mask, dtype=bool)
-        if len(mask) != self._n_rows:
+        if len(mask) != snap._n_rows:
             raise SchemaError(
-                f"mask has length {len(mask)}, table has {self._n_rows} rows"
+                f"mask has length {len(mask)}, table has {snap._n_rows} rows"
             )
         columns = {
-            name: self._column_data(name)[mask]
+            name: snap._column_data(name)[mask]
             for name in self._schema.attribute_names
         }
         return Table(self._schema, columns)
 
     def take(self, indices: Sequence[int]) -> "Table":
         """A new table containing the rows at ``indices`` (in that order)."""
+        snap = self.snapshot()
         idx = np.asarray(indices, dtype=int)
         columns = {
-            name: self._column_data(name)[idx]
+            name: snap._column_data(name)[idx]
             for name in self._schema.attribute_names
         }
         return Table(self._schema, columns)
@@ -798,16 +658,18 @@ class Table:
     def project(self, names: Sequence[str]) -> "Table":
         """A new table restricted to the named attributes."""
         schema = self._schema.project(names)
-        columns = {name: self._column_data(name) for name in names}
+        snap = self.snapshot()
+        columns = {name: snap._column_data(name) for name in names}
         return Table(schema, columns)
 
     def concat(self, other: "Table") -> "Table":
         """Rows of ``self`` followed by rows of ``other`` (same schema)."""
         if other.schema.attribute_names != self._schema.attribute_names:
             raise SchemaError("cannot concatenate tables with different schemas")
+        left, right = self.snapshot(), other.snapshot()
         columns = {
             name: np.concatenate(
-                [self._column_data(name), other._column_data(name)]
+                [left._column_data(name), right._column_data(name)]
             )
             for name in self._schema.attribute_names
         }
@@ -837,124 +699,130 @@ class Table:
 class TableSnapshot(Table):
     """An immutable view of one :class:`Table` version (see :meth:`Table.snapshot`).
 
-    Shares the parent's frozen shard objects (zero-copy), its per-version
-    derived artifacts, its mask LRU and its category dictionary, and pins
-    the parent's :attr:`version_token` forever -- so everything derived
-    through the snapshot is addressable under exactly the keys a live read
-    admitted at that version would use, and the straddled-mutation guards of
-    the old read path are vacuous: a snapshot-scoped evaluation is *always*
-    cacheable.
+    Shares the table's frozen shard objects (zero-copy) and its category
+    dictionary, pins the table's :attr:`version_token` forever, and owns
+    every artifact derived from that version: concatenated columns, null
+    masks, float views, concatenated category codes and a predicate-mask LRU
+    keyed by the predicate.  They start empty, fill on first read, and go
+    with the snapshot.  A snapshot's shard list never changes, so a
+    snapshot-scoped evaluation is *always* cacheable.
 
-    Mutators (:meth:`append_rows`, :meth:`append_columns`, :meth:`refresh`)
-    raise :class:`~repro.core.exceptions.SnapshotError`;
+    ``TableSnapshot(table)`` pins the current version without memoising it;
+    :meth:`Table.snapshot` hands out the shared, memoised one.  Mutators
+    (:meth:`append_rows`, :meth:`append_columns`, :meth:`refresh`) and
+    :meth:`clear_caches` raise :class:`~repro.core.exceptions.SnapshotError`;
     derivations (:meth:`Table.filter`, :meth:`Table.take`, ...) still return
     fresh mutable tables.
     """
 
-    def __init__(self, parent: Table) -> None:
-        # Called by Table.snapshot() with the parent's mutation lock held,
-        # so the (shards, n_rows, version, caches) capture is consistent.
-        self._schema = parent._schema
-        self._shards = list(parent._shards)
-        self._n_rows = parent._n_rows
-        self._version = parent._version
+    def __init__(self, table: Table) -> None:
+        # An RLock, so Table.snapshot() can mint while already holding it.
+        with table._mutation_lock:
+            self._shards = list(table._shards)
+            self._n_rows = table._n_rows
+            self._version = table._version
+        self._schema = table._schema
+        self._intern_lock = table._intern_lock
+        self._category_index = table._category_index
+        #: Serialises column materialisation, so racing readers concatenate
+        #: a column once.
         self._mutation_lock = threading.RLock()
-        self._intern_lock = parent._intern_lock
-        self._category_index = parent._category_index
-        # Copy the per-version dicts (cheap: a handful of columns): the
-        # arrays inside are shared, while later lazy fills stay local so the
-        # parent rebinding its dicts on a version advance is never observed
-        # mid-read through the snapshot.
-        self._materialized = dict(parent._materialized)
-        self._null_masks = dict(parent._null_masks)
-        self._float_values = dict(parent._float_values)
-        self._category_codes = dict(parent._category_codes)
-        # The mask LRU is shared *by reference* (it locks internally): masks
-        # evaluated through the snapshot serve live-table readers at the
-        # same version and vice versa.  After the parent advances, it swaps
-        # in a fresh LRU while this snapshot keeps the old one warm.
-        self._mask_cache = parent._mask_cache
-        self._snapshots = OrderedDict()
-        self._snapshot_stats = {"created": 0, "evicted": 0, "closed": 0}
-        self._closed = False
-        self._detached = False
-        #: True for snapshots minted by :meth:`Table.open_snapshot`: the
-        #: caller owns the object exclusively, so close() may gut it.
-        self._owned = False
-        self._parent_ref: "weakref.ref[Table] | None" = weakref.ref(parent)
+        self._materialized: dict[str, np.ndarray] = {}
+        self._null_masks: dict[str, np.ndarray] = {}
+        self._float_values: dict[str, np.ndarray] = {}
+        self._category_codes: dict[str, tuple[np.ndarray, dict[str, int]]] = {}
+        self._mask_cache: LRUCache[np.ndarray] = LRUCache(
+            max(
+                16,
+                min(
+                    MASK_CACHE_MAX_ENTRIES,
+                    MASK_CACHE_BYTE_BUDGET // max(self._n_rows, 1),
+                ),
+            )
+        )
 
     @property
     def is_snapshot(self) -> bool:
         return True
 
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` released this snapshot's pinned state."""
-        return self._closed
-
     def snapshot(self) -> "TableSnapshot":
         """Snapshots are already pinned; returns ``self``."""
-        self._ensure_open()
         return self
 
-    def close(self) -> None:
-        """Release this handle's pin; how much is released depends on ownership.
-
-        For an **owned** snapshot (:meth:`Table.open_snapshot` -- the
-        long-lived analytics pattern) the pinned shard list is dropped so
-        old shards can be garbage-collected, and any further read through
-        this object raises :class:`~repro.core.exceptions.SnapshotError`.
-
-        For a **shared** snapshot (handed out by :meth:`Table.snapshot`,
-        where every reader admitted at one version holds the *same*
-        object), close() only evicts the memo entry -- the table stops
-        handing the snapshot out and stops pinning it, while readers that
-        already hold it keep working untouched.  Gutting a shared object
-        would fail other readers' in-flight evaluations, so it is never
-        done.
-
-        Closing is idempotent either way.  Owned snapshots work as context
-        managers (``with table.open_snapshot() as snap: ...`` closes on
-        exit).
-        """
-        if self._closed or self._detached:
-            return
-        parent = self._parent_ref() if self._parent_ref is not None else None
-        if parent is not None:
-            with parent._mutation_lock:
-                if parent._snapshots.get(self._version) is self:
-                    del parent._snapshots[self._version]
-                parent._snapshot_stats["closed"] += 1
-        if not self._owned:
-            self._detached = True
-            return
-        with self._mutation_lock:
-            self._closed = True
-            self._shards = []
-            self._materialized = {}
-            self._null_masks = {}
-            self._float_values = {}
-            self._category_codes = {}
-            self._mask_cache = LRUCache(16)
-
-    def __enter__(self) -> "TableSnapshot":
-        self._ensure_open()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise SnapshotError(
-                f"snapshot of version {self._version.ordinal} is closed; "
-                "pin a fresh snapshot from the live table"
+    def _column_data(self, name: str) -> np.ndarray:
+        col = self._materialized.get(name)
+        if col is not None:
+            return col
+        if name not in self._schema:
+            raise SchemaError(
+                f"table has no column {name!r}; "
+                f"known columns: {list(self._schema.attribute_names)}"
             )
+        with self._mutation_lock:
+            col = self._materialized.get(name)
+            if col is not None:
+                return col
+            if len(self._shards) == 1:
+                col = self._shards[0].columns[name]
+            else:
+                col = np.concatenate(
+                    [shard.columns[name] for shard in self._shards]
+                )
+                col.flags.writeable = False
+            self._materialized[name] = col
+            return col
+
+    def null_mask(self, name: str) -> np.ndarray:
+        cached = self._null_masks.get(name)
+        if cached is not None:
+            return cached
+        attr = self._schema[name]
+        col = self._column_data(name)
+        if attr.kind is AttributeKind.NUMERIC:
+            mask = np.isnan(self.numeric_values(name))
+        else:
+            mask = np.fromiter(
+                (v is None for v in col), dtype=bool, count=len(col)
+            )
+        mask.flags.writeable = False
+        return self._null_masks.setdefault(name, mask)
+
+    def numeric_values(self, name: str) -> np.ndarray:
+        cached = self._float_values.get(name)
+        if cached is not None:
+            return cached
+        col = self._column_data(name)
+        values = col if col.dtype == np.float64 else col.astype(float)
+        view = values.view()
+        view.flags.writeable = False
+        return self._float_values.setdefault(name, view)
+
+    def category_codes(self, name: str) -> tuple[np.ndarray, dict[str, int]]:
+        cached = self._category_codes.get(name)
+        if cached is not None:
+            return cached
+        if name not in self._schema:
+            raise SchemaError(
+                f"table has no column {name!r}; "
+                f"known columns: {list(self._schema.attribute_names)}"
+            )
+        index = self._category_index.setdefault(name, {})
+        parts = [self._shard_codes(shard, name, index) for shard in self._shards]
+        if len(parts) == 1:
+            codes = parts[0]
+        else:
+            codes = np.concatenate(parts)
+            codes.flags.writeable = False
+        return self._category_codes.setdefault(name, (codes, index))
+
+    @property
+    def mask_cache(self) -> LRUCache[np.ndarray]:
+        return self._mask_cache
 
     def _refuse_mutation(self, operation: str) -> None:
         raise SnapshotError(
             f"cannot {operation} a TableSnapshot (pinned at version "
-            f"{self._version.ordinal}); mutate the live Table instead"
+            f"{self._version.ordinal}); use the live Table instead"
         )
 
     def append_rows(self, rows: Iterable[Mapping[str, object]]) -> TableVersion:
@@ -967,20 +835,7 @@ class TableSnapshot(Table):
         self._refuse_mutation("refresh")
 
     def clear_caches(self) -> None:
-        """Drop the snapshot's own lazy caches (cold-run helper).
-
-        Detaches from the shared mask LRU (clearing it would also chill the
-        live table and sibling readers) and rebinds fresh local dicts; the
-        pinned shard data itself is immutable and stays.
-        """
-        with self._mutation_lock:
-            self._null_masks = {}
-            self._float_values = {}
-            self._category_codes = {}
-            self._materialized = (
-                dict(self._shards[0].columns) if len(self._shards) == 1 else {}
-            )
-            self._mask_cache = LRUCache(self._mask_cache_capacity())
+        self._refuse_mutation("clear the caches of")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -4,11 +4,9 @@ The component ``stats()`` dicts (LRU, ledger, pool, translator, store,
 reliability) are the only counter store; this module holds what they are
 built from and how they are named:
 
-* :class:`Counter` and :class:`Histogram` -- thread-safe primitives.  A
-  histogram's multi-field snapshot follows a seqlock discipline: writers
-  bump an even/odd sequence counter around the mutation, readers speculate
-  a bounded number of times and fall back to the lock -- so a snapshot can
-  never observe a torn ``(count, sum)`` pair (e.g. a mean above the
+* :class:`Counter` and :class:`Histogram` -- thread-safe primitives.
+  Every read and write takes the primitive's lock, so a histogram snapshot
+  can never observe a torn ``(count, sum)`` pair (e.g. a mean above the
   observed max);
 * the naming scheme ``repro_<subsystem>_<name>`` in snake case, with
   optional Prometheus-style labels -- ``repro_lru_hits{cache="translation"}``
@@ -28,7 +26,6 @@ import threading
 from typing import Mapping
 
 __all__ = [
-    "OPTIMISTIC_RETRIES",
     "Counter",
     "Histogram",
     "MetricNameError",
@@ -36,10 +33,6 @@ __all__ = [
     "metric_name_is_valid",
     "quantile",
 ]
-
-#: Optimistic snapshot attempts a :class:`Histogram` makes before falling
-#: back to its lock.
-OPTIMISTIC_RETRIES = 3
 
 #: ``repro_<subsystem>_<name>`` with optional ``{key="value",...}`` labels.
 _NAME_RE = re.compile(
@@ -83,13 +76,16 @@ def flatten_stats(subsystem: str, stats: Mapping[str, object]) -> dict[str, floa
 
 
 def quantile(sorted_values: list[float], q: float) -> float:
-    """Linear-interpolation quantile of an already sorted, non-empty list."""
-    if len(sorted_values) == 1:
-        return sorted_values[0]
+    """Linear-interpolation quantile of an already sorted, non-empty list.
+
+    A whole-number position returns that element exactly.
+    """
     position = q * (len(sorted_values) - 1)
     lower = int(position)
-    upper = min(lower + 1, len(sorted_values) - 1)
     weight = position - lower
+    if weight == 0.0:
+        return sorted_values[lower]
+    upper = lower + 1
     return sorted_values[lower] * (1.0 - weight) + sorted_values[upper] * weight
 
 
@@ -109,8 +105,8 @@ class Counter:
             self._value += amount
 
     def value(self) -> float:
-        # A single float read is atomic under the GIL; no seqlock needed.
-        return self._value
+        with self._lock:
+            return self._value
 
     def reset(self) -> None:
         with self._lock:
@@ -120,10 +116,9 @@ class Counter:
 class Histogram:
     """Streaming distribution: count/sum/min/max plus a sampling reservoir.
 
-    ``observe`` is a short critical section; ``snapshot`` reads every field
-    between two reads of the sequence counter (speculate, validate, retry
-    ``OPTIMISTIC_RETRIES`` times, then take the lock) so the aggregates it
-    returns always describe one consistent point in time.
+    ``observe`` is a short critical section; ``snapshot`` copies every
+    field under the same lock, so the aggregates it returns always describe
+    one consistent point in time.
 
     Quantiles (p50/p95) come from a bounded ring-buffer reservoir of the
     most recent ``reservoir`` observations: exact for short-lived bench
@@ -132,7 +127,6 @@ class Histogram:
 
     __slots__ = (
         "_lock",
-        "_seq",
         "_count",
         "_sum",
         "_min",
@@ -146,7 +140,6 @@ class Histogram:
         if reservoir < 1:
             raise ValueError("the reservoir needs at least one slot")
         self._lock = threading.Lock()
-        self._seq = 0
         self._count = 0
         self._sum = 0.0
         self._min = float("inf")
@@ -158,7 +151,6 @@ class Histogram:
     def observe(self, value: float) -> None:
         value = float(value)
         with self._lock:
-            self._seq += 1
             self._count += 1
             self._sum += value
             if value < self._min:
@@ -170,27 +162,12 @@ class Histogram:
             else:
                 self._samples[self._next] = value
                 self._next = (self._next + 1) % self._reservoir
-            self._seq += 1
-
-    def _read(self) -> tuple[int, float, float, float, tuple[float, ...]]:
-        return (self._count, self._sum, self._min, self._max, tuple(self._samples))
 
     def snapshot(self) -> dict[str, float]:
         """Consistent aggregates: count/sum/mean/min/max/p50/p95."""
-        for _ in range(OPTIMISTIC_RETRIES):
-            s1 = self._seq
-            if not (s1 & 1):
-                view = self._read()
-                if s1 == self._seq:
-                    return self._aggregate(view)
         with self._lock:
-            return self._aggregate(self._read())
-
-    @staticmethod
-    def _aggregate(
-        view: tuple[int, float, float, float, tuple[float, ...]]
-    ) -> dict[str, float]:
-        count, total, low, high, samples = view
+            count, total, low, high = self._count, self._sum, self._min, self._max
+            samples = tuple(self._samples)
         if count == 0:
             return {
                 "count": 0.0,
@@ -214,11 +191,9 @@ class Histogram:
 
     def reset(self) -> None:
         with self._lock:
-            self._seq += 1
             self._count = 0
             self._sum = 0.0
             self._min = float("inf")
             self._max = float("-inf")
             self._samples = []
             self._next = 0
-            self._seq += 1

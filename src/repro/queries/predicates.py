@@ -132,19 +132,17 @@ class Predicate:
         ``append_rows``/``refresh`` can neither fail the evaluation on a
         shape check nor leak newer rows into the result -- the mask always
         describes exactly the pinned version.  That also makes caching
-        unconditional: the mask is memoised in the (shared) predicate-mask
-        LRU keyed by the snapshot's version token plus the predicate itself
-        (value equality for structured predicates, identity for
-        :class:`FunctionPredicate`), and a mask evaluated before an append
-        can never be served afterwards.  The returned array is read-only.
+        unconditional: the mask is memoised in the snapshot's own
+        predicate-mask LRU keyed by the predicate (value equality for
+        structured predicates, identity for :class:`FunctionPredicate`), and
+        a mask evaluated before an append can never be served afterwards.
+        The returned array is read-only.
         """
         snapshot = table.snapshot()
-        version = snapshot.version_token
-        mask = snapshot.cached_mask(self, version)
+        mask = snapshot.cached_mask(self)
         if mask is not None:
             return mask
-        mask = self._evaluate_mask(snapshot)
-        return snapshot.cache_mask(self, mask, version)
+        return snapshot.cache_mask(self, self._evaluate_mask(snapshot))
 
     def _evaluate_mask(self, table: Table) -> np.ndarray:
         """Uncached mask computation; implemented by every concrete predicate."""

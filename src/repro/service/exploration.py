@@ -229,12 +229,11 @@ class ExplorationService:
     ) -> TableVersion:
         """Append rows to a hosted table (streaming ingest, any time).
 
-        Advances the table's version token, which every request-path cache
-        (translation memo and its flights, workload-matrix memo, WCQ-SM search,
-        mask LRU, histogram/true-count caches) keys on -- the next
-        structurally identical request misses everywhere and rebuilds against
-        the grown table.  Requests admitted after this call observe the new
-        version.  Requests still *in flight* are untouched: each was
+        Advances the table's version token.  The next request pins a new
+        snapshot, whose data caches (mask LRU, histogram/true-count caches)
+        start cold against the grown table; the translation memo, matrix
+        memo and WCQ-SM search key on the schema and are reused.  Requests
+        admitted after this call observe the new version.  Requests still *in flight* are untouched: each was
         admitted on a pinned :class:`~repro.data.table.TableSnapshot`, whose
         frozen shards the append cannot reach, so concurrent readers neither
         fail nor mix versions -- appends may land at any time, mid-request

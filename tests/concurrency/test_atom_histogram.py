@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 from repro.data.schema import Attribute, CategoricalDomain, NumericDomain, Schema
-from repro.data.table import Table
+from repro.data.table import Table, TableSnapshot
 from repro.queries.predicates import Comparison, In
 from repro.queries.reference import reference_partition_histogram
 from repro.queries.builders import prefix_workload
@@ -84,13 +84,20 @@ def test_snapshot_histograms_stay_exact_while_appends_add_categorical_values():
     seen: dict = {}
     seen_lock = threading.Lock()
     errors: list[BaseException] = []
+    # pinned[0]: a reader pinned version 0; pinned[1]: one pinned a later
+    # version.  The appender waits on both, so reads span two versions
+    # however the scheduler orders the threads.
+    pinned = (threading.Event(), threading.Event())
 
     def appender():
         try:
             start.wait(timeout=30)
-            for value in VALUES[4:]:
+            pinned[0].wait(timeout=30)
+            for i, value in enumerate(VALUES[4:]):
                 table.append_rows(rows((value,), 2, rng))
                 table.category_codes("cat")  # intern the new value right away
+                if i == len(VALUES[4:]) // 2:
+                    pinned[1].wait(timeout=30)
         except BaseException as exc:  # noqa: BLE001 - reported below
             errors.append(exc)
         finally:
@@ -101,7 +108,8 @@ def test_snapshot_histograms_stay_exact_while_appends_add_categorical_values():
             start.wait(timeout=30)
             while not done.is_set():
                 # A private snapshot misses the histogram cache every time.
-                snapshot = table.open_snapshot()
+                snapshot = TableSnapshot(table)
+                pinned[snapshot.version_token.ordinal > 0].set()
                 histogram = matrix.partition_histogram(snapshot)
                 with seen_lock:
                     # Keep the first snapshot of each version for the
@@ -109,7 +117,7 @@ def test_snapshot_histograms_stay_exact_while_appends_add_categorical_values():
                     entry = seen.setdefault(snapshot.version_token, (snapshot, []))
                     entry[1].append(histogram)
                 if entry[0] is not snapshot:
-                    snapshot.close()
+                    del snapshot
         except BaseException as exc:  # noqa: BLE001 - reported below
             errors.append(exc)
 
@@ -196,12 +204,16 @@ def test_shard_sums_stay_exact_while_appends_grow_the_shard_list_and_the_diction
     seen: dict = {}
     seen_lock = threading.Lock()
     errors: list[BaseException] = []
+    pinned = (threading.Event(), threading.Event())  # as in the test above
 
     def appender():
         try:
             start.wait(timeout=30)
+            pinned[0].wait(timeout=30)
             for i, value in enumerate(VALUES[4:160]):
                 table.append_rows(rows((value,), 1 + i % 3, rng))
+                if i == 78:
+                    pinned[1].wait(timeout=30)
         except BaseException as exc:  # noqa: BLE001 - reported below
             errors.append(exc)
         finally:
@@ -211,13 +223,14 @@ def test_shard_sums_stay_exact_while_appends_grow_the_shard_list_and_the_diction
         try:
             start.wait(timeout=30)
             while not done.is_set():
-                snapshot = table.open_snapshot()
+                snapshot = TableSnapshot(table)
+                pinned[snapshot.version_token.ordinal > 0].set()
                 histogram = matrix.partition_histogram(snapshot)
                 with seen_lock:
                     entry = seen.setdefault(snapshot.version_token, (snapshot, []))
                     entry[1].append(histogram)
                 if entry[0] is not snapshot:
-                    snapshot.close()
+                    del snapshot
         except BaseException as exc:  # noqa: BLE001 - reported below
             errors.append(exc)
 
@@ -262,7 +275,7 @@ def test_equal_matrices_under_two_names_share_one_guarded_store():
             try:
                 start.wait(timeout=30)
                 histograms.append(
-                    named.analyze(SCHEMA).partition_histogram(table.open_snapshot())
+                    named.analyze(SCHEMA).partition_histogram(TableSnapshot(table))
                 )
             except BaseException as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
@@ -321,7 +334,7 @@ def test_first_touch_of_a_shard_publishes_one_sorted_array(monkeypatch):
             # A matrix per thread, so no thread reuses another's histogram.
             matrix = WorkloadMatrix.from_domain_analysis(workload, SCHEMA)
             start.wait(timeout=30)
-            histograms.append(matrix.partition_histogram(table.open_snapshot()))
+            histograms.append(matrix.partition_histogram(TableSnapshot(table)))
         except BaseException as exc:  # noqa: BLE001 - reported below
             errors.append(exc)
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.accuracy import AccuracySpec
 from repro.core.engine import APExEngine
-from repro.core.exceptions import ApexError, BudgetExceededError
+from repro.core.exceptions import ApexError
 from repro.core.translator import SelectionMode
 from repro.mechanisms.registry import default_registry
 from repro.queries.builders import histogram_workload, point_workload
@@ -38,10 +38,6 @@ class TestConstruction:
     def test_mode_from_string(self, adult_small):
         engine = APExEngine(adult_small, budget=1.0, mode="pessimistic")
         assert engine.mode is SelectionMode.PESSIMISTIC
-
-    def test_invalid_deny_mode(self, adult_small):
-        with pytest.raises(ApexError):
-            APExEngine(adult_small, budget=1.0, deny_mode="bogus")
 
     def test_budget_accessors(self, engine):
         assert engine.budget == 2.0
@@ -78,13 +74,6 @@ class TestExplore:
         assert result.answer is None
         assert engine.budget_spent == 0.0
         assert not result  # falsy when denied
-
-    def test_denial_raises_when_requested(self, adult_small, wcq):
-        engine = APExEngine(adult_small, budget=1e-6, seed=0, deny_mode="raise")
-        accuracy = AccuracySpec(alpha=0.05 * len(adult_small))
-        with pytest.raises(BudgetExceededError):
-            engine.explore(wcq, accuracy)
-        assert len(engine.transcript().denied()) == 1
 
     def test_sequence_respects_budget(self, adult_small, wcq):
         accuracy = AccuracySpec(alpha=0.05 * len(adult_small))

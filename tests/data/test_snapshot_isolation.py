@@ -130,16 +130,15 @@ class TestSnapshotBasics:
 
     def test_snapshot_scoped_evaluation_is_always_cached(self):
         """The mask-LRU admission bugfix: an evaluation that runs while a
-        mutation lands is snapshot-scoped, so it is cached under the pinned
-        token instead of being discarded."""
+        mutation lands is snapshot-scoped, so it is cached in the pinned
+        snapshot's mask LRU instead of being discarded."""
         table = Table.from_rows(make_schema(), make_rows(25))
         snap = table.snapshot()
-        v0 = snap.version_token
         table.append_rows(make_rows(5, offset=25))  # mutation "in flight"
         predicate = Between("score", 10.0, 60.0)
         mask = predicate.evaluate(snap)  # evaluated after the append landed
         assert len(mask) == 25
-        assert snap.cached_mask(predicate, v0) is mask  # never discarded
+        assert snap.cached_mask(predicate) is mask  # never discarded
         assert predicate.evaluate(snap) is mask
 
 

@@ -141,7 +141,7 @@ class TestPerVersionCaches:
         assert table.cached_mask(predicate) is not None
         assert len(before) == 4
         table.append_rows(extra_rows())
-        # The versioned key makes the old entry unreachable...
+        # The new version's snapshot starts with an empty mask LRU...
         assert table.cached_mask(predicate) is None
         # ...and re-evaluation covers the appended rows.
         after = predicate.evaluate(table)

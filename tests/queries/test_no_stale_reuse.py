@@ -34,7 +34,7 @@ from repro.data.schema import (
     Schema,
     TextDomain,
 )
-from repro.data.table import Table
+from repro.data.table import Table, TableSnapshot
 from repro.mechanisms.registry import default_registry
 from repro.mechanisms.strategy_mechanism import reset_search_stats, search_stats
 from repro.queries.predicates import Between, Comparison, In, IsNull
@@ -178,7 +178,7 @@ class TestDriftStreamThroughTheEngine:
         engine.preview_cost(query(), TIGHT)
         warm = engine.explore(query(), TIGHT)
         assert warm and warm.mechanism is not None
-        pinned = table.open_snapshot()
+        pinned = TableSnapshot(table)
         old_truth = reference_counts(query(), pinned)
         matrices, searches = matrix_cache_stats()["built"], search_stats()["searches"]
         assert searches >= 1
@@ -204,7 +204,6 @@ class TestDriftStreamThroughTheEngine:
         # An explore admitted on the pre-append snapshot counts the old rows.
         old = engine.explore(query(), TIGHT, snapshot=pinned)
         assert np.abs(old.noisy_counts - old_truth).max() < TIGHT.alpha
-        pinned.close()
 
     def test_iceberg_answers_follow_the_new_category_and_the_first_null(self):
         """ICQ bins cross the threshold as the new rows arrive; every answer

@@ -38,7 +38,7 @@ from repro.data.schema import (
     Schema,
     TextDomain,
 )
-from repro.data.table import Table
+from repro.data.table import Table, TableSnapshot
 from repro.mechanisms.laplace import LaplaceMechanism
 from repro.mechanisms.multi_poking import MultiPokingMechanism
 from repro.mechanisms.registry import MechanismRegistry
@@ -482,12 +482,12 @@ class TestShardSums:
         workload = workload_of("mixed", 40)
         matrix = workload.analyze(SCHEMA)
         # Private snapshots only: the table's snapshot memo pins nothing.
-        with table.open_snapshot() as fragmented:
-            assert_matches_reference(matrix, workload, fragmented)
+        fragmented = TableSnapshot(table)
+        assert_matches_reference(matrix, workload, fragmented)
         assert len(matrix._shard_histograms) == 9
+        del fragmented
         table.refresh(random_rows(rng, 30))
-        with table.open_snapshot() as refreshed:
-            assert_matches_reference(matrix, workload, refreshed)
+        assert_matches_reference(matrix, workload, TableSnapshot(table))
         gc.collect()
         assert len(matrix._shard_histograms) == 1
 
@@ -653,10 +653,9 @@ class TestSharedAcrossEqualMatrices:
         assert first is second
         assert matrix_cache_stats()["built"] == 1
         expected = assert_matches_reference(first, ints, table)
-        with table.open_snapshot() as private:
-            np.testing.assert_array_equal(
-                assert_matches_reference(second, floats, private), expected
-            )
+        np.testing.assert_array_equal(
+            assert_matches_reference(second, floats, TableSnapshot(table)), expected
+        )
         assert histogram_shards() == 1
 
 

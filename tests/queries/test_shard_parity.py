@@ -195,7 +195,8 @@ class TestShardMaskParity:
         # ...and it IS cached under the pinned token (admission is
         # unconditional for snapshot-scoped evaluations), while the new
         # version cannot serve it.
-        assert snapshot.cached_mask(predicate, v0) is mask
+        assert snapshot.version_token == v0
+        assert snapshot.cached_mask(predicate) is mask
         assert table.cached_mask(predicate) is None
         # A fresh evaluation pins the grown version and caches under it.
         again = predicate.evaluate(table)

@@ -154,7 +154,7 @@ class TestMaskParity:
             predicate.evaluate(table), reference_mask(predicate, table)
         )
         assert not predicate.evaluate(table).any()
-        assert "score" not in table._category_codes
+        assert "score" not in table.snapshot()._category_codes
 
     def test_unknown_attribute_raises_schema_error(self):
         from repro.core.exceptions import SchemaError
