@@ -366,9 +366,12 @@ def _extract_init_facts(corpus, sf, module, cls, fn) -> None:
             if len(non_none) == 1:
                 param_types[arg.arg] = non_none[0]
     for node in ast.walk(fn):
-        if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            target = node.target
+        else:
             continue
-        target = node.targets[0]
         if not (
             isinstance(target, ast.Attribute)
             and isinstance(target.value, ast.Name)

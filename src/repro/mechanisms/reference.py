@@ -28,6 +28,17 @@ and :func:`multi_poking_release` refines through it, so a bit change in the
 production kernel fails the MPM parity grid too instead of moving product
 and oracle together.
 
+**WCQ-SM's Monte-Carlo epsilon search with its own draw and a full sort.**
+:meth:`repro.mechanisms.strategy_mechanism.StrategyMechanism._search` slices
+a shared draw, memoises strategies per size, takes ``|R Z|`` in place and
+reads its order statistic with a partition.  :func:`strategy_search_epsilon`
+keeps the search as it stood before those changes: build the factory's
+strategy, fall back to the identity when ``W A^+ A != W``, draw
+``default_rng(seed).laplace(0, 1, (l, N))`` afresh, sort the per-sample
+maximum errors and read rank ``N - k - 1``, clamped to the Chebyshev bound.
+``tests/mechanisms/test_search_parity.py`` requires the production epsilon
+to have the same bytes.
+
 Nothing in the production path imports this module.
 """
 
@@ -43,6 +54,8 @@ from repro.data.table import TableSnapshot
 from repro.mechanisms.base import MechanismResult, TranslationResult
 from repro.mechanisms.multi_poking import MultiPokingMechanism
 from repro.mechanisms.noise import laplace_noise
+from repro.mechanisms.strategies import identity_strategy
+from repro.mechanisms.strategy_mechanism import StrategyFactory, _accepted_failures
 from repro.queries.query import IcebergCountingQuery
 
 
@@ -239,3 +252,30 @@ def relax_floats(
             x = a - math.log(v) / r
         out[index] = x if y >= 0.0 else -x
     return out
+
+
+def strategy_search_epsilon(
+    strategy_factory: StrategyFactory,
+    workload_matrix: np.ndarray,
+    alpha: float,
+    beta: float,
+    *,
+    n_samples: int,
+    seed: int,
+) -> float:
+    """The WCQ-SM epsilon for ``W`` at ``(alpha, beta)``, searched from scratch."""
+    n_partitions = workload_matrix.shape[1]
+    strategy = strategy_factory(n_partitions)
+    reconstruction = workload_matrix @ np.linalg.pinv(strategy.matrix)
+    if not np.allclose(reconstruction @ strategy.matrix, workload_matrix, atol=1e-6):
+        strategy = identity_strategy(n_partitions)
+        reconstruction = workload_matrix @ np.linalg.pinv(strategy.matrix)
+    frobenius = float(np.linalg.norm(reconstruction, ord="fro"))
+    chebyshev_upper = strategy.sensitivity * frobenius / (alpha * math.sqrt(beta / 2.0))
+    noise = np.random.default_rng(seed).laplace(
+        0.0, 1.0, size=(reconstruction.shape[1], n_samples)
+    )
+    maxima = np.sort(np.abs(reconstruction @ noise).max(axis=0))
+    allowed = _accepted_failures(n_samples, beta)
+    order_statistic = maxima[n_samples - allowed - 1] if allowed >= 0 else math.inf
+    return float(min(strategy.sensitivity * order_statistic / alpha, chebyshev_upper))

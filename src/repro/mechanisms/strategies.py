@@ -11,8 +11,9 @@ Following the paper we ship the strategies used in its evaluation:
 * the hierarchical ``H2`` strategy (a binary tree of interval counts), which
   is what APEx uses for every query in Section 7.
 
-Strategies are represented by :class:`StrategyMatrix`, which caches the
-pseudo-inverse and the reconstruction matrix ``W A^+`` needed at run time.
+Strategies are represented by :class:`StrategyMatrix`, which holds the
+pseudo-inverse ``A^+`` and derives the reconstruction matrix ``W A^+`` needed
+at run time, checking in the same product that ``W`` is reconstructible.
 """
 
 from __future__ import annotations
@@ -30,10 +31,17 @@ __all__ = [
     "workload_as_strategy",
 ]
 
+#: Absolute tolerance of the ``W A^+ A == W`` reconstructibility check.
+_RECONSTRUCTION_ATOL = 1e-6
 
-@dataclass
+
+@dataclass(frozen=True, eq=False)
 class StrategyMatrix:
-    """A strategy matrix ``A`` together with derived quantities.
+    """A strategy matrix ``A`` together with its pseudo-inverse ``A^+``.
+
+    Immutable: ``A`` is copied and ``A^+`` computed once, at construction,
+    and both arrays are read-only, so a strategy shared between workloads
+    and threads is never written after it is published.
 
     Attributes
     ----------
@@ -42,18 +50,25 @@ class StrategyMatrix:
         ``P`` workload partitions).
     name:
         Human-readable strategy name (``"identity"``, ``"H2"``, ...).
+    pseudo_inverse:
+        The Moore-Penrose pseudo-inverse ``A^+``.
     """
 
     matrix: np.ndarray
     name: str = "strategy"
-    _pinv: np.ndarray | None = field(default=None, repr=False)
+    pseudo_inverse: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        if self.matrix.ndim != 2:
+        matrix = np.array(self.matrix, dtype=float)
+        if matrix.ndim != 2:
             raise MechanismError("a strategy matrix must be two-dimensional")
-        if self.matrix.shape[0] == 0 or self.matrix.shape[1] == 0:
+        if matrix.shape[0] == 0 or matrix.shape[1] == 0:
             raise MechanismError("a strategy matrix must be non-empty")
+        pseudo_inverse = np.linalg.pinv(matrix)
+        matrix.flags.writeable = False
+        pseudo_inverse.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "pseudo_inverse", pseudo_inverse)
 
     @property
     def n_queries(self) -> int:
@@ -69,30 +84,30 @@ class StrategyMatrix:
         """``||A||_1``: the maximum column L1 norm."""
         return float(np.abs(self.matrix).sum(axis=0).max())
 
-    @property
-    def pseudo_inverse(self) -> np.ndarray:
-        """The Moore-Penrose pseudo-inverse ``A^+`` (cached)."""
-        if self._pinv is None:
-            self._pinv = np.linalg.pinv(self.matrix)
-        return self._pinv
-
-    def reconstruction(self, workload_matrix: np.ndarray) -> np.ndarray:
-        """``W A^+``: maps noisy strategy answers back to workload answers."""
+    def reconstruction(self, workload_matrix: np.ndarray) -> np.ndarray | None:
+        """``W A^+``, which maps noisy strategy answers back to workload
+        answers, or ``None`` when ``W`` cannot be reconstructed exactly
+        (``W A^+ A != W``)."""
         workload_matrix = np.asarray(workload_matrix, dtype=float)
         if workload_matrix.shape[1] != self.n_partitions:
             raise MechanismError(
                 f"workload has {workload_matrix.shape[1]} partitions, strategy "
                 f"has {self.n_partitions}"
             )
-        return workload_matrix @ self.pseudo_inverse
+        reconstruction = workload_matrix @ self.pseudo_inverse
+        if not np.allclose(
+            reconstruction @ self.matrix, workload_matrix, atol=_RECONSTRUCTION_ATOL
+        ):
+            return None
+        return reconstruction
 
-    def supports(self, workload_matrix: np.ndarray, tolerance: float = 1e-6) -> bool:
+    def supports(self, workload_matrix: np.ndarray) -> bool:
         """Whether ``W`` can be reconstructed exactly, i.e. ``W A^+ A == W``."""
         workload_matrix = np.asarray(workload_matrix, dtype=float)
-        if workload_matrix.shape[1] != self.n_partitions:
-            return False
-        reconstructed = self.reconstruction(workload_matrix) @ self.matrix
-        return bool(np.allclose(reconstructed, workload_matrix, atol=tolerance))
+        return (
+            workload_matrix.shape[1] == self.n_partitions
+            and self.reconstruction(workload_matrix) is not None
+        )
 
 
 def identity_strategy(n_partitions: int) -> StrategyMatrix:

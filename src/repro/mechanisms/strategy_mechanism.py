@@ -18,13 +18,22 @@ reconstructed error ``M_j = max_i |(R Z)_ij|`` exceeds ``alpha * eps / s``.
 The smallest passing epsilon is therefore an order statistic of ``M`` --
 ``s * M[N - k - 1] / alpha`` for the largest failure count ``k`` the
 ``estimateBeta`` test accepts -- which is what a search over common random
-numbers converges to.  It is clamped to the Theorem A.1 (Chebyshev plus a
-union bound over rows) epsilon, which suffices on its own.  The simulation
-is data independent, so results are cached per (workload, accuracy) pair.
-The search runs only inside ``translate``: ``release`` answers at the
-translation's epsilon with the strategy and reconstruction memoised per
-workload matrix, so a translation loaded from the artifact store is
-released without a search.
+numbers converges to.  The search computes ``R Z`` into one fresh array,
+takes its absolute value in place and reads that one rank with a partition
+rather than a full sort (both give the same element).  It is clamped to the
+Theorem A.1 (Chebyshev plus a union bound over rows) epsilon, which suffices
+on its own.  The simulation is data independent, so results are cached per
+(workload, accuracy) pair, and ``k`` per ``(N, beta)``.  The search runs
+only inside ``translate``: ``release`` answers at the translation's epsilon
+with the strategy and reconstruction memoised per workload matrix, so a
+translation loaded from the artifact store is released without a search.
+
+A strategy factory is a pure function of the partition count, so each
+mechanism builds ``factory(P)`` -- ``A^+`` included, computed at
+construction -- once per size and shares that immutable object between every
+workload of ``P`` partitions and every thread.  The reconstruction ``W A^+``
+is computed once per workload matrix: the same product that checks
+``W A^+ A == W`` (else the identity strategy serves) is the one memoised.
 
 ``Z`` itself is drawn once per process, not once per search.  numpy fills a
 ``(l, N)`` draw row by row, so ``default_rng(seed).laplace(0, 1, (l, N))``
@@ -47,6 +56,7 @@ privacy.  :class:`StrategyMechanism` dispatches both on ``query.kind``, so
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -160,18 +170,23 @@ class StrategyMechanism(Mechanism):
         self._strategy_factory = strategy_factory
         self._mc_samples = int(mc_samples)
         self._seed = seed
-        # Both memos key on the matrix cache token, which identifies the
-        # matrix *values* (predicates and schema, no table version), so
-        # structurally identical workloads (every single-predicate screening
-        # query of the ER strategies, every re-asked workload of a relaxation
-        # loop, every request after an append) share one strategy and one
-        # Monte-Carlo epsilon search per accuracy.  Tokens hold their
-        # referents, so ids never alias.  ``_strategies`` holds the
-        # ``(strategy, reconstruction)`` pair release needs, so a release on
-        # a translation loaded from the store builds the strategy but never
-        # searches.
+        # ``_cache`` and ``_strategies`` key on the matrix cache token, which
+        # identifies the matrix *values* (predicates and schema, no table
+        # version), so structurally identical workloads (every
+        # single-predicate screening query of the ER strategies, every
+        # re-asked workload of a relaxation loop, every request after an
+        # append) share one reconstruction and one Monte-Carlo epsilon
+        # search per accuracy.  Tokens hold their referents, so ids never
+        # alias.  ``_strategies`` holds the ``(strategy, reconstruction)``
+        # pair release needs, so a release on a translation loaded from the
+        # store never searches.  ``_sized`` holds one strategy per
+        # ``(factory, n_partitions)``; its lock is held across the factory
+        # call, so concurrent misses never build two (and first builds of
+        # different sizes wait on each other, once per size).
         self._cache: LRUCache[StrategyTranslation] = LRUCache(256)
         self._strategies: LRUCache[tuple[StrategyMatrix, np.ndarray]] = LRUCache(256)
+        self._sized: LRUCache[StrategyMatrix] = LRUCache(256)
+        self._sized_lock = threading.Lock()
 
     # -- public API ---------------------------------------------------------------
 
@@ -256,14 +271,32 @@ class StrategyMechanism(Mechanism):
     def _strategy(
         self, workload_matrix: WorkloadMatrix
     ) -> tuple[StrategyMatrix, np.ndarray]:
-        """The strategy for ``workload_matrix`` and its reconstruction matrix."""
+        """The strategy for ``workload_matrix`` and its reconstruction matrix.
+
+        Falls back to the identity strategy, which always spans the
+        partition space, rather than failing the query.
+        """
         token = workload_matrix.cache_token
         cached = self._strategies.get(token)
-        if cached is None:
-            strategy = self._build_strategy(workload_matrix)
-            cached = (strategy, strategy.reconstruction(workload_matrix.matrix))
-            self._strategies.put(token, cached)
-        return cached
+        if cached is not None:
+            return cached
+        for factory in (self._strategy_factory, identity_strategy):
+            strategy = self._sized_strategy(factory, workload_matrix.n_partitions)
+            reconstruction = strategy.reconstruction(workload_matrix.matrix)
+            if reconstruction is not None:
+                return self._strategies.put(token, (strategy, reconstruction))
+        raise TranslationError(  # pragma: no cover
+            "no strategy can reconstruct the workload matrix"
+        )
+
+    def _sized_strategy(self, factory: StrategyFactory, n_partitions: int) -> StrategyMatrix:
+        """``factory(n_partitions)``, built once per mechanism and size."""
+        key = (factory, n_partitions)
+        with self._sized_lock:
+            strategy = self._sized.get(key)
+            if strategy is None:
+                strategy = self._sized.put(key, factory(n_partitions))
+        return strategy
 
     def _search(
         self, workload_matrix: WorkloadMatrix, alpha: float, beta: float
@@ -285,27 +318,17 @@ class StrategyMechanism(Mechanism):
             # it fails iff M_j > alpha * epsilon / s: allowing k failures
             # puts alpha * epsilon / s at the (N - k)-th smallest maximum.
             noise = _standard_laplace(self._seed, reconstruction.shape[1], n_samples)
-            maxima = np.sort(np.abs(reconstruction @ noise).max(axis=0))
+            errors = reconstruction @ noise
+            maxima = np.abs(errors, out=errors).max(axis=0)
             allowed = _accepted_failures(n_samples, beta)
-            order_statistic = maxima[n_samples - allowed - 1] if allowed >= 0 else math.inf
+            rank = n_samples - allowed - 1
+            order_statistic = np.partition(maxima, rank)[rank] if allowed >= 0 else math.inf
             epsilon = float(min(sensitivity * order_statistic / alpha, chebyshev_upper))
         _SEARCH_STATS["searches"].inc()
         tracing.annotate("search_tier", "built")
         translation = StrategyTranslation(epsilon=epsilon, chebyshev_upper=chebyshev_upper)
         self._cache.put(cache_key, translation)
         return translation
-
-    def _build_strategy(self, workload_matrix: WorkloadMatrix) -> StrategyMatrix:
-        strategy = self._strategy_factory(workload_matrix.n_partitions)
-        if not strategy.supports(workload_matrix.matrix):
-            # Fall back to the identity strategy, which always spans the
-            # partition space, rather than failing the query.
-            strategy = identity_strategy(workload_matrix.n_partitions)
-            if not strategy.supports(workload_matrix.matrix):  # pragma: no cover
-                raise TranslationError(
-                    "no strategy can reconstruct the workload matrix"
-                )
-        return strategy
 
 
 class IcebergStrategyMechanism(StrategyMechanism):
@@ -315,6 +338,7 @@ class IcebergStrategyMechanism(StrategyMechanism):
     supported_kinds = frozenset({QueryKind.ICQ})
 
 
+@functools.lru_cache
 def _accepted_failures(n_samples: int, beta: float) -> int:
     """The largest failure count ``k`` such that every count ``0..k`` of
     ``n_samples`` passes ``estimateBeta`` (-1 if even zero failures fail).
@@ -322,7 +346,7 @@ def _accepted_failures(n_samples: int, beta: float) -> int:
     The test is Algorithm 3's: the empirical failure rate plus a
     normal-approximation margin at confidence ``beta / 100`` plus half that
     confidence must stay below ``beta``.  It is evaluated for every count at
-    once.
+    once, and memoised: it depends on nothing but ``(n_samples, beta)``.
     """
     rates = np.arange(n_samples + 1) / n_samples
     confidence = beta / 100.0

@@ -116,6 +116,13 @@ class TestRepositoryTree:
             "repro.data.table.Table._mutation_lock",
             "repro.core.lru.LRUCache._lock",
         ) not in pairs
+        # Attribute types are read from annotated assignments too: the
+        # per-size strategy memo is an annotated ``LRUCache`` touched under
+        # ``_sized_lock``.
+        assert (
+            "repro.mechanisms.strategy_mechanism.StrategyMechanism._sized_lock",
+            "repro.core.lru.LRUCache._lock",
+        ) in pairs
         # The journal append (and its fsync) runs with no book lock held.
         assert (
             "repro.core.accounting.PrivacyLedger._lock",

@@ -1,5 +1,6 @@
 """Tests for strategy matrices (identity, hierarchical H2)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -82,6 +83,29 @@ class TestStrategyMatrixBehaviour:
     def test_pinv_cached(self):
         strategy = identity_strategy(4)
         assert strategy.pseudo_inverse is strategy.pseudo_inverse
+
+    def test_immutable_once_built(self):
+        strategy = hierarchical_strategy(5)
+        assert np.array_equal(strategy.pseudo_inverse, np.linalg.pinv(strategy.matrix))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            strategy.matrix = np.eye(5)
+        with pytest.raises(ValueError):
+            strategy.matrix[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            strategy.pseudo_inverse[0, 0] = 2.0
+
+    def test_does_not_alias_the_callers_array(self):
+        source = np.eye(3)
+        strategy = StrategyMatrix(source, name="identity")
+        source[0, 0] = 5.0
+        assert strategy.matrix[0, 0] == 1.0
+        assert source.flags.writeable
+
+    def test_no_reconstruction_outside_the_row_space(self):
+        total = StrategyMatrix(np.ones((1, 3)), name="total")
+        assert total.reconstruction(np.eye(3)) is None
+        assert not total.supports(np.eye(3))
+        assert np.allclose(total.reconstruction(np.ones((2, 3))), 1.0)
 
     def test_reconstruction_shape(self, numeric_schema):
         workload = histogram_workload("x", start=0, stop=1000, bins=8)

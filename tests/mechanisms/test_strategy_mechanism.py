@@ -8,12 +8,12 @@ import pytest
 from repro.core.accuracy import AccuracySpec
 from repro.core.exceptions import MechanismError
 from repro.mechanisms.laplace import LaplaceMechanism
-from repro.mechanisms.strategies import StrategyMatrix, hierarchical_strategy
+from repro.mechanisms.reference import strategy_search_epsilon
+from repro.mechanisms.strategies import hierarchical_strategy
 from repro.mechanisms.strategy_mechanism import (
     _NOISE,
     IcebergStrategyMechanism,
     StrategyMechanism,
-    _accepted_failures,
     _normal_quantile,
     _standard_laplace,
 )
@@ -27,7 +27,11 @@ from repro.queries.query import (
     QueryKind,
     WorkloadCountingQuery,
 )
-from tests.mechanisms.util import binomial_allowance, iceberg_failed
+from tests.mechanisms.util import (
+    binomial_allowance,
+    iceberg_failed,
+    total_only_strategy,
+)
 
 
 @pytest.fixture()
@@ -168,29 +172,6 @@ class TestOneDrawSearch:
         assert translation.epsilon_upper == pytest.approx(high, rel=1e-9)
 
 
-def total_only_strategy(n_partitions: int) -> StrategyMatrix:
-    """A one-row strategy that spans no multi-bin workload: forces the
-    identity-strategy fallback."""
-    return StrategyMatrix(np.ones((1, n_partitions)), name="total")
-
-
-def fresh_draw_epsilon(mechanism, matrix, alpha: float, beta: float) -> float:
-    """The search with its own ``default_rng(seed)`` draw, as every search
-    did before the draw was shared."""
-    strategy = mechanism._build_strategy(matrix)
-    reconstruction = strategy.reconstruction(matrix.matrix)
-    frobenius = float(np.linalg.norm(reconstruction, ord="fro"))
-    chebyshev_upper = strategy.sensitivity * frobenius / (alpha * math.sqrt(beta / 2.0))
-    n_samples = mechanism._mc_samples
-    noise = np.random.default_rng(mechanism._seed).laplace(
-        0.0, 1.0, size=(reconstruction.shape[1], n_samples)
-    )
-    maxima = np.sort(np.abs(reconstruction @ noise).max(axis=0))
-    allowed = _accepted_failures(n_samples, beta)
-    order_statistic = maxima[n_samples - allowed - 1] if allowed >= 0 else math.inf
-    return float(min(strategy.sensitivity * order_statistic / alpha, chebyshev_upper))
-
-
 class TestSharedNoise:
     """Every search slices one process-wide draw, bit-identical to a fresh one."""
 
@@ -238,16 +219,18 @@ class TestSharedNoise:
         _standard_laplace(wcq._seed, 2, self.N_SAMPLES)
         wcq_query = WorkloadCountingQuery(workload)
         icq_query = IcebergCountingQuery(workload, threshold=100)
-        matrix = wcq_query.workload_matrix(adult_small.schema)
+        matrix = wcq_query.workload_matrix(adult_small.schema).matrix
         for beta in (0.01, 0.05, 0.2):
             accuracy = AccuracySpec(alpha=alpha, beta=beta)
             wcq_result = wcq.translate(wcq_query, accuracy, adult_small.schema)
             assert wcq_result.details["strategy"] == strategy_name
-            assert wcq_result.epsilon_upper == fresh_draw_epsilon(wcq, matrix, alpha, beta)
+            assert wcq_result.epsilon_upper == strategy_search_epsilon(
+                factory, matrix, alpha, beta, n_samples=self.N_SAMPLES, seed=wcq._seed
+            )
             icq_result = icq.translate(icq_query, accuracy, adult_small.schema)
             icq_beta = min(2.0 * beta, 0.999)
-            assert icq_result.epsilon_upper == fresh_draw_epsilon(
-                icq, matrix, alpha, icq_beta
+            assert icq_result.epsilon_upper == strategy_search_epsilon(
+                factory, matrix, alpha, icq_beta, n_samples=self.N_SAMPLES, seed=icq._seed
             )
 
 

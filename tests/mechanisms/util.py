@@ -1,8 +1,16 @@
-"""Shared statistics for the mechanism contract tests."""
+"""Shared statistics and strategies for the mechanism contract tests."""
 
 import math
 
 import numpy as np
+
+from repro.mechanisms.strategies import StrategyMatrix
+
+
+def total_only_strategy(n_partitions: int) -> StrategyMatrix:
+    """A one-row strategy that spans no multi-bin workload: forces the
+    identity-strategy fallback."""
+    return StrategyMatrix(np.ones((1, n_partitions)), name="total")
 
 
 def iceberg_failed(query, truth, alpha: float, reported) -> bool:
