@@ -81,9 +81,12 @@ def test_search_counter_is_exact():
         Workload([Comparison("x", ">", 0.0), Comparison("x", ">", 1.0)])
     )
 
+    # ``searches`` counts R Z products, one per (seed, sample count,
+    # reconstruction): a sample count per translation makes every one a
+    # product of its own.
     def work(tid):
-        mechanism = StrategyMechanism(mc_samples=16)
         for i in range(PER_THREAD):
+            mechanism = StrategyMechanism(mc_samples=16 + tid * PER_THREAD + i)
             mechanism.translate(query, AccuracySpec(alpha=1.0 + i, beta=0.05))
 
     run_threads(work)

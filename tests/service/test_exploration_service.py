@@ -11,7 +11,11 @@ from repro.core.accuracy import AccuracySpec
 from repro.core.exceptions import ApexError
 from repro.data.table import Table
 from repro.mechanisms.registry import default_registry
-from repro.mechanisms.strategy_mechanism import StrategyMechanism, search_stats
+from repro.mechanisms.strategy_mechanism import (
+    StrategyMechanism,
+    reset_search_stats,
+    search_stats,
+)
 from repro.queries.builders import histogram_workload
 from repro.queries.query import WorkloadCountingQuery
 from repro.queries.workload import clear_matrix_cache
@@ -315,6 +319,9 @@ class TestExploreCoalescing:
 
         monkeypatch.setattr(StrategyMechanism, "translate", slow_translate)
         built_before = service.stats()["workload_matrices"]["built"]
+        # An earlier test may have left this reconstruction's product in the
+        # process-wide maxima memo; start it empty so the product is counted.
+        reset_search_stats()
         searches_before = search_stats()["searches"]
         queries = {a: hist_query(table, bins=13) for a in ("alice", "bob")}
         results = {}
